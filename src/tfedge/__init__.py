@@ -58,11 +58,8 @@ from .mittag_leffler import (
     MLAccuracy,
     MLParams,
     gamma_reciprocal,
-    ml_asymptotic_outer,
-    ml_asymptotic_sector,
     ml_deriv,
     ml_eval,
-    ml_series,
     sector_half_angle,
 )
 from .msd import (

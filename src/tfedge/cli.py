@@ -439,6 +439,10 @@ def cmd_regimes(cfg: RunConfig, synthetic: bool) -> int:
                 )
                 fit = fit_exponent(trace, (1e2, 1e4), "loglog")
                 target = decay_exponent(order)
+                if alpha == 0.5:
+                    # the t^-(1+3 alpha) coefficient vanishes at alpha = 1/2;
+                    # the next order, t^-(1+4 alpha), leads
+                    target = -(1.0 + 4.0 * alpha)
                 ok = abs(fit.slope - target) <= 0.05 * abs(target)
             rows.append((beta, predicted, fit.slope, ok))
         except TfedgeError as exc:

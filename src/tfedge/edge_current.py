@@ -39,6 +39,7 @@ from .mittag_leffler import (
     MLParams,
     gamma_reciprocal,
     ml_eval,
+    neg_i_power,
 )
 from .wavepacket import ChiProfile, chi, chi_deriv
 
@@ -103,27 +104,6 @@ class FractionalOrder:
     def theta(self) -> float:
         """Rotation angle pi*beta/(2*alpha) of the dominant exponent."""
         return math.pi * self.beta / (2.0 * self.alpha)
-
-
-# (-i)^n indexed by n mod 4, written out so that no component is a rounded zero
-_NEG_I_POWERS = (
-    complex(1.0, 0.0),
-    complex(0.0, -1.0),
-    complex(-1.0, 0.0),
-    complex(0.0, 1.0),
-)
-
-
-def neg_i_power(p: float) -> complex:
-    """(-i)^p = exp(-i pi p / 2), exact whenever p is an integer.
-
-    The rounded exp(-i pi / 2) is 6.1e-17 - 1j; in the evolution phases that
-    stray real part leaks 1e-16-relative algebraic terms into real parts that
-    vanish identically, such as the current at (alpha, beta) = (1/2, 1).
-    """
-    if float(p).is_integer():
-        return _NEG_I_POWERS[int(p) % 4]
-    return complex(np.exp(-0.5j * math.pi * p))
 
 
 def classify_regime(order: FractionalOrder) -> str:

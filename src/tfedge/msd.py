@@ -189,13 +189,15 @@ def msd_case2_leading(
     rule: QuadratureRule,
     table: Optional[SpectralTable] = None,
 ) -> float:
-    """Decay coefficient for beta > alpha:
+    """Decay coefficient for beta > alpha, from E_{a,a}(z) ~ -z^-2/Gamma(-alpha)
+    and E_{a,1}(z) ~ -z^-1/Gamma(1-alpha) in the A, B + C and F channels:
 
         t^(2 alpha) msd(t) -> (1/Gamma(-alpha)^2) Int (lambda')^2 lambda^-4 chi^2 dk
-                            + (1/Gamma(1-alpha)^2) Int ((chi')^2 + chi^2 Phi) lambda^-2 dk.
+                            + (1/Gamma(1-alpha)^2) Int ((chi')^2 + chi^2 Phi) lambda^-2 dk
+                            + (2/(Gamma(-alpha) Gamma(1-alpha))) Int lambda' lambda^-3 chi chi' dk.
 
-    At alpha = 1/2 the two reciprocal-gamma squares are 1/(4 pi) and 1/pi.
-    Needs cap data for the Phi part.
+    At alpha = 1/2 the reciprocal-gamma factors are 1/(4 pi), 1/pi and
+    -1/pi.  Needs cap data for the Phi part.
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"decay coefficient requires alpha in (0, 1), got {alpha!r}")
@@ -207,7 +209,10 @@ def msd_case2_leading(
     width = gamma_reciprocal(1.0 - alpha) ** 2 * _ordered_dot(
         w, (tab.dchi_vals**2 + tab.chi_vals**2 * tab.cap) * tab.lam**-2
     )
-    return ballistic + width
+    cross = 2.0 * gamma_reciprocal(-alpha) * gamma_reciprocal(1.0 - alpha) * _ordered_dot(
+        w, tab.dlam * tab.lam**-3 * tab.chi_vals * tab.dchi_vals
+    )
+    return ballistic + width + cross
 
 
 def msd_trace(

@@ -1,9 +1,11 @@
 """Independent reference implementations used only by the tests.
 
-Both evaluators deliberately avoid the code paths of the package under
-test.  The Mittag-Leffler reference is a plain mpmath power series at a
-fixed working precision, with none of the float64 fast path, cancellation
-forecasting, or large-argument expansions of the production evaluator.
+All of them deliberately avoid the code paths of the package under test,
+which evaluates the Mittag-Leffler function by a float64 contour integral.
+The Mittag-Leffler references are a plain mpmath power series at a fixed
+working precision, the real-line integral of Gorenflo, Loutchko and Luchko
+by mpmath quadrature (where the series would need thousands of digits), and
+the Faddeeva function at alpha = 1/2.
 The eigenvalue reference discretizes the half-line operator with second
 order finite differences and LAPACK's tridiagonal bisection, then removes
 the leading h^2 error by Richardson extrapolation; the production solver
@@ -15,6 +17,7 @@ import math
 import mpmath as mp
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.special import wofz
 
 
 def ml_reference(alpha, sigma, z, dps, nmax=200_000):
@@ -42,6 +45,45 @@ def ml_reference(alpha, sigma, z, dps, nmax=200_000):
         else:
             raise RuntimeError("reference series did not settle")
         return complex(total)
+
+
+def ml_gll_reference(alpha, sigma, z, dps=30):
+    """E_{alpha,sigma}(z) for 0 < alpha < 1, sigma < 1 + alpha, off the rays
+    |arg z| = pi alpha, from the real-line integral
+
+        (1/(alpha pi)) Int_0^inf r^((1-sigma)/alpha) exp(-r^(1/alpha))
+            (r sin(pi(1-sigma)) - z sin(pi(1-sigma+alpha)))
+            / (r^2 - 2 r z cos(pi alpha) + z^2) dr
+
+    plus (1/alpha) z^((1-sigma)/alpha) exp(z^(1/alpha)) where |arg z| < pi alpha,
+    by mpmath's tanh-sinh quadrature at dps digits.
+    """
+    with mp.workdps(dps):
+        a, s, zm = mp.mpf(alpha), mp.mpf(sigma), mp.mpc(z)
+        s1, s2, c = mp.sinpi(1 - s), mp.sinpi(1 - s + a), mp.cospi(a)
+
+        def kernel(r):
+            return (
+                r ** ((1 - s) / a) * mp.exp(-(r ** (1 / a))) * (r * s1 - zm * s2)
+                / (r * r - 2 * r * zm * c + zm * zm)
+            )
+
+        # the integrand has spent itself (below e^-60) by r = 60^alpha
+        cut = mp.mpf(60) ** a
+        value = mp.quad(kernel, [0, cut / 4, cut / 2, cut]) / (a * mp.pi)
+        if abs(mp.arg(zm)) < mp.pi * a:
+            value += zm ** ((1 - s) / a) * mp.exp(zm ** (1 / a)) / a
+        return complex(value)
+
+
+def ml_half(sigma, z):
+    """E_{1/2,sigma}(z) for sigma in {1/2, 1}: E_{1/2,1}(z) = w(-iz) and
+    E_{1/2,1/2}(z) = 1/sqrt(pi) + z w(-iz), w the Faddeeva function."""
+    e1 = complex(wofz(-1j * complex(z)))
+    if sigma == 1.0:
+        return e1
+    assert sigma == 0.5
+    return 1.0 / math.sqrt(math.pi) + z * e1
 
 
 def _lam_fd(b, k, L, n):

@@ -73,7 +73,7 @@ PIN_NABER_CONST = -0.26007643467595276
 PIN_MSD_55_AT_1E3 = 72552.29034869737
 PIN_MSD_NABER_LEAD = 0.07254905606955465
 PIN_MSD_51_AT_1E3 = 0.00019515947659479133
-PIN_MSD_CASE2_LEAD = 0.19286483602184643
+PIN_MSD_CASE2_LEAD = 0.19501125022309934
 
 PIN_ML_HALF_AT_M1 = 0.4275835761558048
 PIN_ML_ONE_AT_2 = 7.389056098930645

@@ -198,6 +198,18 @@ def test_regimes_synthetic(tmp_path):
         assert r[3] == "true"
 
 
+def test_regimes_default_rows_pass(tmp_path):
+    # the default alpha = 1/2 run: growth at beta = 1/4, plateau at 1/2 and
+    # t^-(1+4 alpha) decay at 3/4 (the t^-(1+3 alpha) order vanishes there)
+    path = tmp_path / "reg.csv"
+    assert main(["regimes", "--output.path", str(path)]) == 0
+    rows = read_csv(str(path))
+    assert [r[1] for r in rows[1:]] == [
+        "ExponentialGrowth", "AsymptoticallyConstant", "PowerLawDecay",
+    ]
+    assert all(r[3] == "true" for r in rows[1:]), rows
+
+
 def test_verify_command(capsys):
     rc = main(["verify"])
     out = capsys.readouterr().out
