@@ -28,7 +28,6 @@ from .edge_current import (
     gauss_legendre_rule,
     log_current_case1,
     map_over_times,
-    thread_count,
 )
 from .errors import (
     ConfigError,

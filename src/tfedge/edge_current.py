@@ -16,16 +16,14 @@ t^(-(1+4 alpha)) = t^-3 for beta < 1 and is exponentially small at beta = 1.
 
 Everything spectral (lambda_1, lambda_1', and the momentum-gradient norm of
 phi_1) is computed once per quadrature node and reused across all times; see
-SpectralTable.  Quadrature sums are accumulated in fixed node order so runs
-are bit-for-bit reproducible regardless of the thread count used to sweep t.
+SpectralTable.  Quadrature sums are correctly rounded (math.fsum), so they do
+not depend on summation order and runs are bit-for-bit reproducible.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -65,7 +63,6 @@ __all__ = [
     "log_current_case1",
     "current_trace",
     "fit_exponent",
-    "thread_count",
     "map_over_times",
 ]
 
@@ -172,9 +169,10 @@ class SpectralTable:
     """Band data sampled at the quadrature nodes of a momentum window.
 
     lam, dlam hold lambda_1 and its k-derivative; cap holds the squared norm
-    of the projected dk phi_1 (None unless requested, it triples the solve
-    count).  chi_vals/dchi_vals are the profile and its derivative at the
-    nodes.  All downstream integrands are plain array expressions over these.
+    of the projected dk phi_1 (None unless requested; it costs one banded
+    solve per node on top of the eigensolve).  chi_vals/dchi_vals are the
+    profile and its derivative at the nodes.  All downstream integrands are
+    plain array expressions over these.
     """
 
     model: ModelParams
@@ -193,7 +191,6 @@ def build_spectral_table(
     grid: HalfLineGrid,
     rule: QuadratureRule,
     with_cap: bool = False,
-    dk: float = 1e-4,
 ) -> SpectralTable:
     """Solve the fiber problem at every node, in node order."""
     lam = np.empty(rule.n_nodes)
@@ -201,7 +198,7 @@ def build_spectral_table(
     cap = np.empty(rule.n_nodes) if with_cap else None
     for i, k in enumerate(rule.nodes):
         if with_cap:
-            state, _, cap_i = dk_phi1(model, float(k), grid, dk=dk)
+            state, _, cap_i = dk_phi1(model, float(k), grid)
             cap[i] = cap_i
         else:
             state = solve_ground_state(model, float(k), grid)
@@ -231,12 +228,9 @@ def _table(model, profile, grid, rule, table, with_cap=False):
     return build_spectral_table(model, profile, grid, rule, with_cap=with_cap)
 
 
-def _ordered_dot(weights: np.ndarray, values: np.ndarray) -> float:
-    """Fixed-order accumulation so results never depend on reduction order."""
-    total = 0.0
-    for i in range(weights.shape[0]):
-        total += float(weights[i]) * float(values[i])
-    return total
+def _fsum_dot(weights: np.ndarray, values: np.ndarray) -> float:
+    """Correctly rounded sum of weights * values, independent of order."""
+    return math.fsum(weights * values)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +285,7 @@ def _current_direct_on_table(order, tab, t, acc):
         vals[i] = tab.lam[i] * tab.chi_vals[i] * tab.dchi_vals[i] * (
             phase * eaa * np.conj(ea1)
         ).real
-    return 2.0 * t ** (a - 1.0) * _ordered_dot(tab.rule.weights, vals)
+    return 2.0 * t ** (a - 1.0) * _fsum_dot(tab.rule.weights, vals)
 
 
 def current_schrodinger(
@@ -303,7 +297,7 @@ def current_schrodinger(
 ) -> float:
     """Time-independent current of the unit-order dynamics: Int lambda' chi^2 dk."""
     tab = _table(model, profile, grid, rule, table)
-    return _ordered_dot(tab.rule.weights, tab.dlam * tab.chi_vals**2)
+    return _fsum_dot(tab.rule.weights, tab.dlam * tab.chi_vals**2)
 
 
 def current_beta_line(
@@ -335,7 +329,7 @@ def current_beta_line(
             f"use the log-value pathway"
         )
     vals = tab.lam * tab.dchi_vals * tab.chi_vals * np.exp(growth)
-    return 2.0 * math.cos(0.5 * math.pi * (1.0 + beta)) * _ordered_dot(
+    return 2.0 * math.cos(0.5 * math.pi * (1.0 + beta)) * _fsum_dot(
         tab.rule.weights, vals
     )
 
@@ -381,7 +375,7 @@ def current_asymptotic_case1(
     lead = (
         (2.0 / a**2)
         * math.cos(theta * (1.0 - a) + p1)
-        * _ordered_dot(tab.rule.weights, lam_pow * cross * np.exp(growth))
+        * _fsum_dot(tab.rule.weights, lam_pow * cross * np.exp(growth))
     )
     gam = lam_pow * math.sin(theta)
     corr_vals = (
@@ -395,7 +389,7 @@ def current_asymptotic_case1(
         * t ** (-a)
         * gamma_reciprocal(1.0 - a)
         / a
-        * _ordered_dot(tab.rule.weights, corr_vals)
+        * _fsum_dot(tab.rule.weights, corr_vals)
     )
     return lead - corr
 
@@ -437,7 +431,7 @@ def current_asymptotic_case2(
     bracket = gamma_reciprocal(1.0 - 2.0 * a) * gamma_reciprocal(-a) - gamma_reciprocal(
         1.0 - a
     ) * gamma_reciprocal(-2.0 * a)
-    i3 = _ordered_dot(tab.rule.weights, tab.lam**-3 * tab.chi_vals * tab.dchi_vals)
+    i3 = _fsum_dot(tab.rule.weights, tab.lam**-3 * tab.chi_vals * tab.dchi_vals)
     return (2.0 / t ** (1.0 + 3.0 * a)) * math.cos(0.5 * math.pi * (1.0 + bta)) * bracket * i3
 
 
@@ -464,7 +458,7 @@ def current_naber(
     tab = _table(model, profile, grid, rule, table)
     # (lambda^(1/alpha))' = (1/alpha) lambda^((1-alpha)/alpha) lambda'
     dlam_pow = (1.0 / alpha) * tab.lam ** ((1.0 - alpha) / alpha) * tab.dlam
-    lead = (1.0 / alpha**2) * _ordered_dot(tab.rule.weights, dlam_pow * tab.chi_vals**2)
+    lead = (1.0 / alpha**2) * _fsum_dot(tab.rule.weights, dlam_pow * tab.chi_vals**2)
     corr_vals = (
         tab.lam ** ((1.0 - alpha) / alpha)
         * tab.chi_vals
@@ -476,7 +470,7 @@ def current_naber(
         * t ** (-alpha)
         * gamma_reciprocal(1.0 - alpha)
         / alpha
-        * _ordered_dot(tab.rule.weights, corr_vals)
+        * _fsum_dot(tab.rule.weights, corr_vals)
     )
     return lead + corr
 
@@ -549,43 +543,20 @@ def log_current_case1(
     logs = np.log(np.abs(coef[mask])) + slope[mask] * t
     signs = np.sign(coef[mask])
     m = float(np.max(logs))
-    s = 0.0
-    for i in range(logs.shape[0]):
-        s += float(signs[i]) * math.exp(float(logs[i]) - m)
+    s = math.fsum(signs * np.exp(logs - m))
     if s == 0.0:
         raise DomainError("complete cancellation in log-sum-exp")
     return (math.copysign(1.0, s), m + math.log(abs(s)))
 
 
 # ---------------------------------------------------------------------------
-# traces, fitting, threading
+# traces and fitting
 # ---------------------------------------------------------------------------
 
 
-def thread_count() -> int:
-    """Worker count from TFSE_THREADS; 0 or unset means all cores."""
-    raw = os.environ.get("TFSE_THREADS", "0")
-    try:
-        m = int(raw)
-    except ValueError:
-        m = 0
-    if m <= 0:
-        m = os.cpu_count() or 1
-    return m
-
-
 def map_over_times(fn, times: Sequence[float]):
-    """Apply fn to each time, in parallel when allowed, results in order.
-
-    The work per time is independent; only the sweep is parallel.  Output
-    order is by index, never by completion, so traces are deterministic.
-    """
-    workers = thread_count()
-    items = list(times)
-    if workers == 1 or len(items) <= 1:
-        return [fn(t) for t in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """Apply fn to each time, results in input order."""
+    return [fn(t) for t in times]
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,13 @@ finite elements on a uniform mesh: stiffness plus a 3-point Gauss potential
 matrix against the consistent mass matrix.  The Ritz eigenvalue of the pencil
 is an upper bound on the true one, which matters here because lambda_1(k)
 approaches b from above at the 1e-6 level and a finite-difference matrix
-undershoots straight through it.  A plain second-order finite-difference
-matrix is still exposed for inspection since it is the textbook object.
+undershoots straight through it.
 
-The generalized eigenproblem is solved by Sturm bisection on the pencil
-(counting negative pivots of the LDL^T factorisation of K - sigma*M) followed
-by shifted inverse iteration, which converges in one or two steps.
+The generalized eigenproblem is solved by bisection on the pencil's inertia
+(K - sigma*M is positive definite exactly when no eigenvalue lies below
+sigma, which LAPACK's tridiagonal LDL^T factorisation reports) followed by
+shifted inverse iteration, which converges in one or two steps.  The
+momentum derivative of the ground state comes from one more banded solve.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dpttrf
 
 from .errors import DomainError, GridError, NonConvergence
 
@@ -101,17 +103,11 @@ def make_grid(model: ModelParams, k: float, n: int = 4000, L: Optional[float] = 
 
 @dataclass(frozen=True)
 class FiberOperator:
-    """Discretised fiber Hamiltonian at fixed momentum.
-
-    diag/offdiag hold the plain finite-difference matrix (offdiag is the
-    constant -1/h^2 band).  stiff_*/mass_* hold the finite-element pencil
-    actually used by the eigensolver.
-    """
+    """Finite-element pencil (stiffness plus potential, and mass) of the
+    fiber Hamiltonian at fixed momentum, as tridiagonal bands."""
 
     k: float
     grid: HalfLineGrid
-    diag: np.ndarray
-    offdiag: float
     stiff_diag: np.ndarray
     stiff_off: np.ndarray
     mass_diag: np.ndarray
@@ -166,15 +162,10 @@ def build_fiber_operator(model: ModelParams, k: float, grid: HalfLineGrid) -> Fi
             f"potential at x=L is {VL:.3f} but confinement needs at least "
             f"{10.0 * (3.0 * b + k * k):.3f}; enlarge L (k={k}, L={grid.L})"
         )
-    x = grid.x
-    h = grid.h
-    fd_diag = 2.0 / h**2 + (b * x - k) ** 2
     sd, so, md, mo = _assemble_pencil(b, k, grid)
     return FiberOperator(
         k=float(k),
         grid=grid,
-        diag=fd_diag,
-        offdiag=-1.0 / h**2,
         stiff_diag=sd,
         stiff_off=so,
         mass_diag=md,
@@ -182,22 +173,18 @@ def build_fiber_operator(model: ModelParams, k: float, grid: HalfLineGrid) -> Fi
     )
 
 
-def _sturm_count(sd, so, md, mo, sigma):
-    """Number of pencil eigenvalues below sigma: negative pivots of the
-    LDL^T factorisation of K - sigma*M."""
-    d = sd - sigma * md
-    e = so - sigma * mo
-    count = 0
-    p = d[0]
-    if p < 0.0:
-        count += 1
-    for i in range(1, d.shape[0]):
-        if p == 0.0:
-            p = -1e-300  # nudge off the exact-singularity case
-        p = d[i] - e[i - 1] * e[i - 1] / p
-        if p < 0.0:
-            count += 1
-    return count
+def _has_eigenvalue_below(sd, so, md, mo, sigma):
+    """Whether a pencil eigenvalue lies below sigma: K - sigma*M then fails
+    to be positive definite, and LAPACK's LDL^T factorisation says so."""
+    return dpttrf(sd - sigma * md, so - sigma * mo)[2] != 0
+
+
+def _apply_tri(d, o, vec):
+    """Symmetric tridiagonal matrix (diagonal d, off-diagonal o) times vec."""
+    out = d * vec
+    out[:-1] += o * vec[1:]
+    out[1:] += o * vec[:-1]
+    return out
 
 
 def _banded(diag, off, shift_d, shift_o, scale):
@@ -216,20 +203,18 @@ class GroundState:
 
     phi1 is trapezoid-normalised on the interior nodes and sign-fixed so its
     peak is positive.  dlambda1 comes from the momentum-gradient quadrature
-    of the converged state.  phi_cap is only filled by dk_phi1.
+    of the converged state.
     """
 
     k: float
     lambda1: float
     phi1: np.ndarray
     dlambda1: float
-    phi_cap: Optional[float]
-    converged: bool
     residual: float
 
 
 def solve_ground_state(model: ModelParams, k: float, grid: HalfLineGrid) -> GroundState:
-    """Lowest pencil eigenpair by Sturm bisection plus inverse iteration.
+    """Lowest pencil eigenpair by inertia bisection plus inverse iteration.
 
     The residual ||K phi - lambda M phi|| / ||M phi|| is driven below
     1e-10 * lambda when the mesh allows it; on very fine meshes the
@@ -247,13 +232,13 @@ def solve_ground_state(model: ModelParams, k: float, grid: HalfLineGrid) -> Grou
     # bracket the lowest eigenvalue; lambda_1 <= 3b + k^2 always (trial state)
     lo = 0.0
     hi = 3.0 * b + k * k + 1.0
-    while _sturm_count(sd, so, md, mo, hi) < 1:
+    while not _has_eigenvalue_below(sd, so, md, mo, hi):
         hi *= 2.0
         if hi > 1e12:
             raise NonConvergence(f"failed to bracket ground state at k={k}")
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if _sturm_count(sd, so, md, mo, mid) >= 1:
+        if _has_eigenvalue_below(sd, so, md, mo, mid):
             hi = mid
         else:
             lo = mid
@@ -266,22 +251,16 @@ def solve_ground_state(model: ModelParams, k: float, grid: HalfLineGrid) -> Grou
     v = np.exp(-0.5 * b * (x - centre) ** 2)
     v /= np.linalg.norm(v)
 
-    def apply_tri(d, o, vec):
-        out = d * vec
-        out[:-1] += o * vec[1:]
-        out[1:] += o * vec[:-1]
-        return out
-
     lam = sigma
     res = np.inf
     best = np.inf
     stalled = 0
     for _ in range(50):
-        rhs = apply_tri(md, mo, v)
+        rhs = _apply_tri(md, mo, v)
         w = solve_banded((1, 1), ab, rhs)
         w /= np.linalg.norm(w)
-        Kw = apply_tri(sd, so, w)
-        Mw = apply_tri(md, mo, w)
+        Kw = _apply_tri(sd, so, w)
+        Mw = _apply_tri(md, mo, w)
         lam = float(w @ Kw) / float(w @ Mw)
         res = float(np.linalg.norm(Kw - lam * Mw) / np.linalg.norm(Mw))
         v = w
@@ -314,8 +293,6 @@ def solve_ground_state(model: ModelParams, k: float, grid: HalfLineGrid) -> Grou
         lambda1=lam,
         phi1=phi,
         dlambda1=dlam,
-        phi_cap=None,
-        converged=True,
         residual=res,
     )
 
@@ -330,25 +307,41 @@ def dlambda1(model: ModelParams, k: float, grid: HalfLineGrid) -> float:
     return solve_ground_state(model, k, grid).dlambda1
 
 
-def dk_phi1(model: ModelParams, k: float, grid: HalfLineGrid, dk: float = 1e-4):
-    """Centred-difference momentum derivative of the ground state.
+def dk_phi1(model: ModelParams, k: float, grid: HalfLineGrid):
+    """Momentum derivative of the ground state from one banded solve.
 
-    Returns (state, dphi, phi_cap) where state is the ground state at k,
-    dphi is the derivative projected against phi_1 (the inner product
-    <phi_1, dphi> vanishes to roundoff after projection), and phi_cap is the
-    squared norm of dphi.  All three solves share the supplied grid so the
-    difference is taken between functions on identical nodes.
+    Differentiating K phi = lambda M phi in k gives
+
+        (K - lambda M) phi' = -(K' - lambda' M) phi,
+
+    with K' the pencil of the potential derivative -2(b x - k) and lambda'
+    the pencil's own Ritz derivative phi^T K' phi / phi^T M phi, which makes
+    the right-hand side orthogonal to phi.  The singular system is solved
+    with the entry at the peak of |phi| pinned to zero (Nelson, AIAA J. 14
+    (1976) 1201): the two blocks left over are positive definite, because
+    pinning a node raises the lowest eigenvalue.  Projecting out phi in the
+    trapezoid inner product then gives the derivative of the trapezoid-
+    normalised state.
+
+    Returns (state, dphi, cap): the ground state at k, the derivative dphi
+    (with <phi_1, dphi> = 0 to roundoff) and its squared trapezoid norm.
     """
-    if not (1e-5 <= dk <= 1e-3):
-        raise DomainError(f"dk must lie in [1e-5, 1e-3], got {dk!r}")
     state = solve_ground_state(model, k, grid)
-    plus = solve_ground_state(model, k + dk, grid)
-    minus = solve_ground_state(model, k - dk, grid)
+    phi, lam = state.phi1, state.lambda1
+    sd, so, md, mo = _assemble_pencil(model.b, k, grid)
+    dd, do, _, _ = _assemble_pencil(model.b, k, grid, dpotential=True)
+    Mphi = _apply_tri(md, mo, phi)
+    dKphi = _apply_tri(dd, do, phi)
+    rhs = (float(phi @ dKphi) / float(phi @ Mphi)) * Mphi - dKphi
+    ab = _banded(sd, so, md, mo, -lam)
+    p = int(np.argmax(np.abs(phi)))
+    # pin d[p] = 0: zero row and column p, unit diagonal, zero right-hand side
+    ab[0, p : p + 2] = 0.0
+    ab[2, max(p - 1, 0) : p + 1] = 0.0
+    ab[1, p] = 1.0
+    rhs[p] = 0.0
+    d = solve_banded((1, 1), ab, rhs)
     h = grid.h
-    d = (plus.phi1 - minus.phi1) / (2.0 * dk)
-    # remove any residual component along phi_1; with unit trapezoid norm the
-    # projection leaves <phi, d> = s - s*1 = 0 up to rounding
-    s = h * float(state.phi1 @ d)
-    d = d - s * state.phi1
+    d -= (h * float(phi @ d)) * phi
     cap = h * float(d @ d)
     return state, d, cap

@@ -32,7 +32,7 @@ from .edge_current import (
     QuadratureRule,
     SpectralTable,
     TransportTrace,
-    _ordered_dot,
+    _fsum_dot,
     _table,
     build_spectral_table,
     map_over_times,
@@ -73,7 +73,7 @@ class MSDBreakdown:
 
 def packet_norm_sq(table: SpectralTable) -> float:
     """Squared norm of the packet, Int chi^2 dk (transverse mode is unit)."""
-    return _ordered_dot(table.rule.weights, table.chi_vals**2)
+    return _fsum_dot(table.rule.weights, table.chi_vals**2)
 
 
 def _ml_pair(order, lam, t, acc):
@@ -115,13 +115,13 @@ def msd_direct(
     w = tab.rule.weights
     chi2 = tab.chi_vals**2
     rot = neg_i_power(bta)
-    A = t ** (2.0 * a) * _ordered_dot(w, np.abs(eaa) ** 2 * tab.dlam**2 * chi2)
-    B = _ordered_dot(w, np.abs(ea1) ** 2 * tab.dchi_vals**2)
-    C = _ordered_dot(w, np.abs(ea1) ** 2 * chi2 * tab.cap)
+    A = t ** (2.0 * a) * _fsum_dot(w, np.abs(eaa) ** 2 * tab.dlam**2 * chi2)
+    B = _fsum_dot(w, np.abs(ea1) ** 2 * tab.dchi_vals**2)
+    C = _fsum_dot(w, np.abs(ea1) ** 2 * chi2 * tab.cap)
     F = (
         2.0
         * t**a
-        * _ordered_dot(
+        * _fsum_dot(
             w,
             (rot * eaa * np.conj(ea1)).real
             * tab.dlam
@@ -159,7 +159,7 @@ def msd_assembled(
     rot = neg_i_power(bta)
     g = t**a * rot * tab.dlam * tab.chi_vals * eaa + tab.dchi_vals * ea1
     dens = np.abs(g) ** 2 + tab.chi_vals**2 * np.abs(ea1) ** 2 * tab.cap
-    return _ordered_dot(tab.rule.weights, dens)
+    return _fsum_dot(tab.rule.weights, dens)
 
 
 def msd_naber_leading(
@@ -178,7 +178,7 @@ def msd_naber_leading(
         raise DomainError(f"alpha must lie in (0, 1], got {alpha!r}")
     tab = _table(model, profile, grid, rule, table)
     vals = tab.lam ** (2.0 * (1.0 - alpha) / alpha) * tab.dlam**2 * tab.chi_vals**2
-    return (1.0 / alpha**2) * _ordered_dot(tab.rule.weights, vals)
+    return (1.0 / alpha**2) * _fsum_dot(tab.rule.weights, vals)
 
 
 def msd_case2_leading(
@@ -203,13 +203,13 @@ def msd_case2_leading(
         raise DomainError(f"decay coefficient requires alpha in (0, 1), got {alpha!r}")
     tab = _table(model, profile, grid, rule, table, with_cap=True)
     w = tab.rule.weights
-    ballistic = gamma_reciprocal(-alpha) ** 2 * _ordered_dot(
+    ballistic = gamma_reciprocal(-alpha) ** 2 * _fsum_dot(
         w, tab.dlam**2 * tab.lam**-4 * tab.chi_vals**2
     )
-    width = gamma_reciprocal(1.0 - alpha) ** 2 * _ordered_dot(
+    width = gamma_reciprocal(1.0 - alpha) ** 2 * _fsum_dot(
         w, (tab.dchi_vals**2 + tab.chi_vals**2 * tab.cap) * tab.lam**-2
     )
-    cross = 2.0 * gamma_reciprocal(-alpha) * gamma_reciprocal(1.0 - alpha) * _ordered_dot(
+    cross = 2.0 * gamma_reciprocal(-alpha) * gamma_reciprocal(1.0 - alpha) * _fsum_dot(
         w, tab.dlam * tab.lam**-3 * tab.chi_vals * tab.dchi_vals
     )
     return ballistic + width + cross

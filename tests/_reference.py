@@ -9,14 +9,18 @@ the Faddeeva function at alpha = 1/2.
 The eigenvalue reference discretizes the half-line operator with second
 order finite differences and LAPACK's tridiagonal bisection, then removes
 the leading h^2 error by Richardson extrapolation; the production solver
-is a P1 finite-element pencil with its own Sturm bisection, so agreement
+is a P1 finite-element pencil with its own inertia bisection, so agreement
 is a genuine cross-check rather than the same arithmetic twice.
+The reference for the momentum-derivative norm of the ground state
+assembles that same P1 pencil with its own quadrature, takes eigenvectors
+from dense LAPACK eigh and differences them in k with Richardson
+extrapolation; the production code uses one banded derivative solve.
 """
 import math
 
 import mpmath as mp
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh, eigh_tridiagonal
 from scipy.special import wofz
 
 
@@ -109,3 +113,42 @@ def lam_reference(b, k):
     coarse = _lam_fd(b, k, L, 6000)
     fine = _lam_fd(b, k, L, 12001)
     return (4.0 * fine - coarse) / 3.0
+
+
+def _p1_pencil(b, k, L, n):
+    """Dense P1 stiffness-plus-potential and mass matrices on (0, L) with n
+    interior nodes, element integrals by 4-point Gauss-Legendre (exact for
+    the degree-4 integrands)."""
+    h = L / (n + 1)
+    g, gw = np.polynomial.legendre.leggauss(4)
+    s, w = 0.5 * (g + 1.0), 0.5 * gw
+    left = np.arange(n + 1) * h  # left ends of the n + 1 elements
+    V = (b * (left[:, None] + h * s[None, :]) - k) ** 2
+    ll = h * (V * ((1 - s) ** 2 * w)).sum(axis=1)
+    lr = h * (V * ((1 - s) * s * w)).sum(axis=1)
+    rr = h * (V * (s * s * w)).sum(axis=1)
+    K = np.diag(2.0 / h + rr[:-1] + ll[1:])
+    K += np.diag(lr[1:-1] - 1.0 / h, 1) + np.diag(lr[1:-1] - 1.0 / h, -1)
+    M = np.diag(np.full(n, 4.0 * h / 6.0))
+    M += np.diag(np.full(n - 1, h / 6.0), 1) + np.diag(np.full(n - 1, h / 6.0), -1)
+    return K, M
+
+
+def _p1_ground_vector(b, k, L, n):
+    K, M = _p1_pencil(b, k, L, n)
+    v = eigh(K, M, subset_by_index=[0, 0])[1][:, 0]
+    v = v / math.sqrt((L / (n + 1)) * float(v @ v))
+    return v if v[np.argmax(np.abs(v))] > 0.0 else -v
+
+
+def cap_reference(b, k, L, n, step=1e-3):
+    """||P_perp d/dk phi_1||^2 for the trapezoid-normalised P1 ground state:
+    central differences of dense-eigh eigenvectors at steps `step` and
+    2*step, Richardson-extrapolated, then projected against phi_1."""
+    h = L / (n + 1)
+    phi = {j: _p1_ground_vector(b, k + j * step, L, n) for j in (-2, -1, 0, 1, 2)}
+    d1 = (phi[1] - phi[-1]) / (2.0 * step)
+    d2 = (phi[2] - phi[-2]) / (4.0 * step)
+    d = (4.0 * d1 - d2) / 3.0
+    d -= h * float(phi[0] @ d) * phi[0]
+    return h * float(d @ d)

@@ -49,7 +49,7 @@ INDEPENDENT_ML = [
 
 # ---------------------------------------------------------------------------
 # regression pins (this package, b = 1, window [1, 2], L = 14, n = 4000,
-# 64-node Gauss-Legendre, cap step dk = 1e-4)
+# 64-node Gauss-Legendre, cap from the derivative solve of dk_phi1)
 # ---------------------------------------------------------------------------
 
 PIN_GRID_L = 14.0
@@ -60,20 +60,17 @@ PIN_LAM1_WINDOW = {
     1.5: (1.1574808163878674, -0.39845369815446324),
     2.0: (1.035764143460082, -0.12296339812168114),
 }
-PIN_TABLE_LAM_RANGE = (1.0358068919520533, 1.468164655082662)
-PIN_TABLE_CAP_RANGE = (0.1465847043847175, 0.37656528813166085)
 PIN_PACKET_NORM_SQ = 0.06654306042249815
 
 PIN_SCHRODINGER_CONST = -0.027308890178254216
 PIN_J_DIRECT_55_AT_2 = -0.2568315297142948
 PIN_J_DIRECT_55_AT_1E3 = -0.26240244652035694
 PIN_J_NABER_AT_1E3 = -0.2624022270232618
-PIN_NABER_CONST = -0.26007643467595276
 
 PIN_MSD_55_AT_1E3 = 72552.29034869737
 PIN_MSD_NABER_LEAD = 0.07254905606955465
-PIN_MSD_51_AT_1E3 = 0.00019515947659479133
-PIN_MSD_CASE2_LEAD = 0.19501125022309934
+PIN_MSD_51_AT_1E3 = 0.00019515947632239543
+PIN_MSD_CASE2_LEAD = 0.19501124995089023
 
 PIN_ML_HALF_AT_M1 = 0.4275835761558048
 PIN_ML_ONE_AT_2 = 7.389056098930645

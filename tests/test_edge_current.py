@@ -29,7 +29,6 @@ from tfedge import (
     log_current_case1,
     make_grid,
     map_over_times,
-    thread_count,
 )
 
 from oracles import (
@@ -265,13 +264,6 @@ def test_fit_recovers_planted_exponents():
         fit_exponent(decay, (1.0, 1.5), "loglog")  # too few samples
     with pytest.raises(DomainError):
         fit_exponent(decay, (1.0, 100.0), "cubic")
-
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.setenv("TFSE_THREADS", "3")
-    assert thread_count() == 3
-    monkeypatch.setenv("TFSE_THREADS", "1")
-    assert thread_count() == 1
 
 
 def test_map_over_times_is_order_preserving_and_thread_invariant(

@@ -223,12 +223,16 @@ def test_rel_tol_holds_where_e_is_algebraically_small(rel_tol):
 
 
 def test_import_does_not_load_mpmath():
-    # mpmath is a test-only dependency: the evaluator is float64 throughout
+    # mpmath is a test-only dependency: the evaluator is float64 throughout;
+    # scipy.sparse is not needed either and would add ~0.2 s to the import
     src = Path(__file__).resolve().parent.parent / "src"
-    code = "import sys; import tfedge; print('mpmath' in sys.modules)"
+    code = (
+        "import sys; import tfedge; "
+        "print('mpmath' in sys.modules, 'scipy.sparse' in sys.modules)"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, check=True,
         env=dict(os.environ, PYTHONPATH=str(src)),
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
