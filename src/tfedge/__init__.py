@@ -59,6 +59,7 @@ from .mittag_leffler import (
     gamma_reciprocal,
     ml_deriv,
     ml_eval,
+    ml_pair,
     sector_half_angle,
 )
 from .msd import (

@@ -203,7 +203,7 @@ class GroundState:
 
     phi1 is trapezoid-normalised on the interior nodes and sign-fixed so its
     peak is positive.  dlambda1 comes from the momentum-gradient quadrature
-    of the converged state.
+    of the converged state.  operator is the pencil the state solves.
     """
 
     k: float
@@ -211,6 +211,7 @@ class GroundState:
     phi1: np.ndarray
     dlambda1: float
     residual: float
+    operator: FiberOperator
 
 
 def solve_ground_state(model: ModelParams, k: float, grid: HalfLineGrid) -> GroundState:
@@ -294,6 +295,7 @@ def solve_ground_state(model: ModelParams, k: float, grid: HalfLineGrid) -> Grou
         phi1=phi,
         dlambda1=dlam,
         residual=res,
+        operator=op,
     )
 
 
@@ -327,8 +329,8 @@ def dk_phi1(model: ModelParams, k: float, grid: HalfLineGrid):
     (with <phi_1, dphi> = 0 to roundoff) and its squared trapezoid norm.
     """
     state = solve_ground_state(model, k, grid)
-    phi, lam = state.phi1, state.lambda1
-    sd, so, md, mo = _assemble_pencil(model.b, k, grid)
+    phi, lam, op = state.phi1, state.lambda1, state.operator
+    sd, so, md, mo = op.stiff_diag, op.stiff_off, op.mass_diag, op.mass_off
     dd, do, _, _ = _assemble_pencil(model.b, k, grid, dpotential=True)
     Mphi = _apply_tri(md, mo, phi)
     dKphi = _apply_tri(dd, do, phi)

