@@ -17,7 +17,6 @@ from .edge_current import (
     classify_regime,
     current_asymptotic_case1,
     current_asymptotic_case2,
-    current_ayh,
     current_beta_line,
     current_direct,
     current_naber,

@@ -34,17 +34,16 @@ from .edge_current import (
     current_asymptotic_case2,
     current_direct,
     current_naber,
+    current_trace,
     decay_exponent,
     fit_exponent,
     gauss_legendre_rule,
     log_current_case1,
-    map_over_times,
-    current_trace,
 )
 from .errors import ConfigError, DomainError, OverflowGuard, TfedgeError
 from .fiber_spectrum import HalfLineGrid, ModelParams, auto_length, dk_phi1, solve_ground_state
 from .mittag_leffler import MLAccuracy, MLParams, ml_eval
-from .msd import msd_direct, packet_norm_sq
+from .msd import _msd_channels, packet_norm_sq
 from .wavepacket import ChiProfile
 from .wellposed import ModeSpectrum, caputo_residual, certify_bounds
 
@@ -304,32 +303,26 @@ def cmd_spectrum(cfg: RunConfig, with_cap: bool) -> int:
         state = solve_ground_state(model, float(k), grid)
         return (float(k), state.lambda1, state.dlambda1)
 
-    rows = map_over_times(row, ks)
+    rows = [row(k) for k in ks]
     header = ["k", "lambda1", "dlambda1"] + (["phi_cap"] if with_cap else [])
     emit_csv(cfg.path, header, rows)
     return 0
 
 
 def _asymptotic_companion(order, model, profile, grid, rule, table):
-    """Pick the closed-form model matching the regime of the order pair."""
+    """The closed-form model matching the regime of the order pair."""
     if order.beta < order.alpha:
-        return "AsymptoticCase1", lambda t: current_asymptotic_case1(
-            order, model, profile, grid, rule, t, table
-        )
+        return lambda t: current_asymptotic_case1(order, table, t)
     if order.beta == order.alpha:
-        return "Naber", lambda t: current_naber(
-            order.alpha, model, profile, grid, rule, t, table
-        )
-    return "AsymptoticCase2", lambda t: current_asymptotic_case2(
-        order, model, profile, grid, rule, t, table
-    )
+        return lambda t: current_naber(order.alpha, model, profile, grid, rule, t, table)
+    return lambda t: current_asymptotic_case2(order, table, t)
 
 
 def cmd_current(cfg: RunConfig) -> int:
     model, order, profile, grid, rule = _assemble(cfg)
     table = build_spectral_table(model, profile, grid, rule)
     regime = classify_regime(order)
-    _, companion = _asymptotic_companion(order, model, profile, grid, rule, table)
+    companion = _asymptotic_companion(order, model, profile, grid, rule, table)
 
     def row(t):
         t = float(t)
@@ -337,7 +330,7 @@ def cmd_current(cfg: RunConfig) -> int:
             jd = current_direct(order, model, profile, grid, rule, t, table)
         except OverflowGuard:
             # past double range only the log of the leading model is reported
-            _, logv = log_current_case1(order, model, profile, grid, rule, t, table)
+            _, logv = log_current_case1(order, table, t)
             return (t, None, None, logv, regime, "AsymptoticCase1")
         try:
             ja = companion(t)
@@ -346,7 +339,7 @@ def cmd_current(cfg: RunConfig) -> int:
         logj = math.log(abs(jd)) if jd != 0.0 else None
         return (t, jd, ja, logj, regime, "Direct")
 
-    rows = map_over_times(row, _times(cfg))
+    rows = [row(t) for t in _times(cfg)]
     emit_csv(
         cfg.path,
         ["t", "J_direct", "J_asymptotic", "logJ", "regime", "method"],
@@ -366,20 +359,11 @@ def cmd_msd(cfg: RunConfig) -> int:
     else:
         leading = None  # no closed-form spreading model in the growing regime
 
-    def row(t):
-        t = float(t)
-        br = msd_direct(order, model, profile, grid, rule, t, table)
-        return (
-            t,
-            br.A / norm,
-            br.B / norm,
-            br.C / norm,
-            br.F / norm,
-            br.total / norm,
-            leading,
-        )
-
-    rows = map_over_times(row, _times(cfg))
+    times = [float(t) for t in _times(cfg)]
+    rows = [
+        (t, br.A / norm, br.B / norm, br.C / norm, br.F / norm, br.total / norm, leading)
+        for t, br in zip(times, _msd_channels(order, table, times))
+    ]
     emit_csv(
         cfg.path,
         ["t", "A", "B", "C", "F", "total", "leading_model"],
@@ -413,43 +397,29 @@ def cmd_regimes(cfg: RunConfig, synthetic: bool) -> int:
         order = FractionalOrder(alpha, beta)
         predicted = classify_regime(order)
         try:
-            if predicted == "ExponentialGrowth":
-                times = np.geomspace(20.0, 80.0, 13)
-                trace = current_trace(
-                    order, model, profile, grid, rule, times, "Direct", table
-                )
-                fit = fit_exponent(trace, (20.0, 80.0), "semilog")
-                target = (
-                    2.0
-                    * float(np.max(table.lam ** (1.0 / alpha)))
-                    * math.cos(order.theta)
-                )
-                ok = abs(fit.slope - target) <= 0.10 * abs(target)
-            elif predicted == "AsymptoticallyConstant":
-                times = np.geomspace(1e2, 1e4, 13)
-                trace = current_trace(
-                    order, model, profile, grid, rule, times, "Direct", table
-                )
-                fit = fit_exponent(trace, (1e2, 1e4), "loglog")
-                ok = abs(fit.slope) <= 0.05
-            else:
-                times = np.geomspace(1e2, 1e4, 13)
-                trace = current_trace(
-                    order, model, profile, grid, rule, times, "Direct", table
-                )
-                fit = fit_exponent(trace, (1e2, 1e4), "loglog")
-                target = decay_exponent(order)
-                if alpha == 0.5:
-                    # the t^-(1+3 alpha) coefficient vanishes at alpha = 1/2;
-                    # the next order, t^-(1+4 alpha), leads
-                    target = -(1.0 + 4.0 * alpha)
-                ok = abs(fit.slope - target) <= 0.05 * abs(target)
-            rows.append((beta, predicted, fit.slope, ok))
+            (lo, hi), mode, target, tol = _regime_fit(order, table)
+            trace = current_trace(order, table, np.geomspace(lo, hi, 13))
+            fit = fit_exponent(trace, (lo, hi), mode)
+            rows.append((beta, predicted, fit.slope, abs(fit.slope - target) <= tol))
         except TfedgeError as exc:
             log.warning("regime row beta=%g failed: %s", beta, exc)
             rows.append((beta, predicted, None, False))
     emit_csv(cfg.path, ["beta", "regime_predicted", "fitted_slope", "pass"], rows)
     return 0
+
+
+def _regime_fit(order, table):
+    """(fit window, fit mode, target slope, tolerance) of the regime of order."""
+    regime = classify_regime(order)
+    if regime == "ExponentialGrowth":
+        rate = 2.0 * float(np.max(table.lam ** (1.0 / order.alpha))) * math.cos(order.theta)
+        return (20.0, 80.0), "semilog", rate, 0.10 * abs(rate)
+    if regime == "AsymptoticallyConstant":
+        return (1e2, 1e4), "loglog", 0.0, 0.05
+    # the t^-(1+3 alpha) coefficient vanishes at alpha = 1/2; the next order,
+    # t^-(1+4 alpha), leads
+    target = -(1.0 + 4.0 * order.alpha) if order.alpha == 0.5 else decay_exponent(order)
+    return (1e2, 1e4), "loglog", target, 0.05 * abs(target)
 
 
 # representative order pairs for the certification run; alpha = 0.8 keeps the

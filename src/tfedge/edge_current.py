@@ -16,8 +16,14 @@ t^(-(1+4 alpha)) = t^-3 for beta < 1 and is exponentially small at beta = 1.
 
 Everything spectral (lambda_1, lambda_1', and the momentum-gradient norm of
 phi_1) is computed once per quadrature node and reused across all times; see
-SpectralTable.  Quadrature sums are correctly rounded (math.fsum), so they do
-not depend on summation order and runs are bit-for-bit reproducible.
+SpectralTable.  The closed forms and current_trace are functions of (order,
+table, t or times); current_trace makes one ml_pair call over the (time x
+node) z array and current_direct is its one-time case.  Where a node value
+leaves double range they raise OverflowGuard, and log_current_case1 carries
+the growth regime on.  current_direct and current_naber keep the
+(order, model, profile, grid, rule, t, table) form, building the table when
+none is passed.  Quadrature sums are correctly rounded (math.fsum), so they
+do not depend on summation order and runs are bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -59,7 +65,6 @@ __all__ = [
     "current_asymptotic_case1",
     "current_asymptotic_case2",
     "current_naber",
-    "current_ayh",
     "log_current_case1",
     "current_trace",
     "fit_exponent",
@@ -73,7 +78,6 @@ METHODS = (
     "AsymptoticCase1",
     "AsymptoticCase2",
     "Naber",
-    "AYH",
     "Schrodinger",
     "BetaLine",
 )
@@ -221,6 +225,7 @@ def build_spectral_table(
 
 
 def _table(model, profile, grid, rule, table, with_cap=False):
+    """The supplied table, or a fresh one for the seven-argument forms."""
     if table is not None:
         if with_cap and table.cap is None:
             raise DomainError("supplied SpectralTable lacks the dk-phi norm data")
@@ -229,8 +234,29 @@ def _table(model, profile, grid, rule, table, with_cap=False):
 
 
 def _fsum_dot(weights: np.ndarray, values: np.ndarray) -> float:
-    """Correctly rounded sum of weights * values, independent of order."""
-    return math.fsum(weights * values)
+    """Correctly rounded sum of weights * values, independent of order;
+    OverflowGuard if an entry or the sum has left double range."""
+    try:
+        total = math.fsum(weights * values)
+    except (ValueError, OverflowError):  # -inf + inf, or a sum past double range
+        total = math.nan
+    return _finite(total, "a quadrature sum")
+
+
+def _finite(value: float, what: str) -> float:
+    """value, or OverflowGuard if it has left double range."""
+    if not math.isfinite(value):
+        raise OverflowGuard(f"{what} exceeds double range; use the log-value pathway")
+    return value
+
+
+def _ml_over_times(order, tab, times, acc):
+    """E_{a,a} and E_{a,1} at z = (-i)^beta t^alpha lambda, one row per time
+    and one column per node, from one ml_pair call."""
+    if not all(t > 0.0 for t in times):
+        raise DomainError(f"the exact kernel requires t > 0, got {min(times)!r}")
+    rot = neg_i_power(order.beta)
+    return ml_pair(order.alpha, np.array([rot * t**order.alpha * tab.lam for t in times]), acc)
 
 
 # ---------------------------------------------------------------------------
@@ -249,19 +275,17 @@ def current_direct(
     acc: MLAccuracy = DEFAULT_ACCURACY,
     check_quadrature: bool = False,
 ) -> float:
-    """Edge current at time t from the exact evolution kernel.
+    """Edge current at time t from the exact evolution kernel; the one-time
+    case of current_trace.
 
     With check_quadrature=True the integral is recomputed on a doubled node
     set and QuadratureError is raised if the relative change exceeds 1e-4.
     """
-    if not t > 0.0:
-        raise DomainError(f"current_direct requires t > 0, got {t!r}")
-    tab = _table(model, profile, grid, rule, table)
-    value = _current_direct_on_table(order, tab, t, acc)
+    value = _current_values(order, _table(model, profile, grid, rule, table), [t], acc)[0]
     if check_quadrature:
         fine_rule = gauss_legendre_rule(rule.a, rule.b, 2 * rule.n_nodes)
         fine = build_spectral_table(model, profile, grid, fine_rule)
-        refined = _current_direct_on_table(order, fine, t, acc)
+        refined = _current_values(order, fine, [t], acc)[0]
         scale = max(abs(refined), abs(value))
         if scale > 0.0 and abs(refined - value) > 1e-4 * scale:
             raise QuadratureError(
@@ -270,36 +294,31 @@ def current_direct(
     return value
 
 
-def _current_direct_on_table(order, tab, t, acc):
-    a, bta = order.alpha, order.beta
-    eaa, ea1 = ml_pair(a, neg_i_power(bta) * t**a * tab.lam, acc)
-    vals = tab.lam * tab.chi_vals * tab.dchi_vals * (
-        neg_i_power(1.0 + bta) * eaa * np.conj(ea1)
-    ).real
-    return 2.0 * t ** (a - 1.0) * _fsum_dot(tab.rule.weights, vals)
+def _current_values(order, tab, times, acc):
+    """J at each time: one ml_pair call, then one correctly rounded sum per
+    time.  A node product past double range reaches the sum as inf or nan,
+    where _fsum_dot turns it into OverflowGuard."""
+    a = order.alpha
+    rot = neg_i_power(1.0 + order.beta)
+    cross = tab.lam * tab.chi_vals * tab.dchi_vals
+    eaa_rows, ea1_rows = _ml_over_times(order, tab, times, acc)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [
+            _finite(
+                2.0 * t ** (a - 1.0)
+                * _fsum_dot(tab.rule.weights, cross * (rot * eaa * np.conj(ea1)).real),
+                "J(t)",
+            )
+            for t, eaa, ea1 in zip(times, eaa_rows, ea1_rows)
+        ]
 
 
-def current_schrodinger(
-    model: ModelParams,
-    profile: ChiProfile,
-    grid: HalfLineGrid,
-    rule: QuadratureRule,
-    table: Optional[SpectralTable] = None,
-) -> float:
+def current_schrodinger(table: SpectralTable) -> float:
     """Time-independent current of the unit-order dynamics: Int lambda' chi^2 dk."""
-    tab = _table(model, profile, grid, rule, table)
-    return _fsum_dot(tab.rule.weights, tab.dlam * tab.chi_vals**2)
+    return _fsum_dot(table.rule.weights, table.dlam * table.chi_vals**2)
 
 
-def current_beta_line(
-    beta: float,
-    model: ModelParams,
-    profile: ChiProfile,
-    grid: HalfLineGrid,
-    rule: QuadratureRule,
-    t: float,
-    table: Optional[SpectralTable] = None,
-) -> float:
+def current_beta_line(beta: float, table: SpectralTable, t: float) -> float:
     """Closed form on the alpha = 1 line:
 
         J(t) = 2 cos(pi (1+beta)/2) Int lambda chi' chi exp(2 t lambda cos(pi beta/2)) dk.
@@ -311,29 +330,20 @@ def current_beta_line(
         raise DomainError(f"beta must lie in (0, 1], got {beta!r}")
     if not t > 0.0:
         raise DomainError(f"current_beta_line requires t > 0, got {t!r}")
-    tab = _table(model, profile, grid, rule, table)
-    growth = 2.0 * t * tab.lam * math.cos(0.5 * math.pi * beta)
+    growth = 2.0 * t * table.lam * math.cos(0.5 * math.pi * beta)
     gmax = float(np.max(growth))
     if gmax > _EXP_LIMIT:
         raise OverflowGuard(
             f"beta-line exponent {gmax:.1f} exceeds {_EXP_LIMIT}; "
             f"use the log-value pathway"
         )
-    vals = tab.lam * tab.dchi_vals * tab.chi_vals * np.exp(growth)
+    vals = table.lam * table.dchi_vals * table.chi_vals * np.exp(growth)
     return 2.0 * math.cos(0.5 * math.pi * (1.0 + beta)) * _fsum_dot(
-        tab.rule.weights, vals
+        table.rule.weights, vals
     )
 
 
-def current_asymptotic_case1(
-    order: FractionalOrder,
-    model: ModelParams,
-    profile: ChiProfile,
-    grid: HalfLineGrid,
-    rule: QuadratureRule,
-    t: float,
-    table: Optional[SpectralTable] = None,
-) -> float:
+def current_asymptotic_case1(order: FractionalOrder, table: SpectralTable, t: float) -> float:
     """Large-time model for beta <= alpha (growing or plateau regime):
 
         J(t) ~ (2/alpha^2) cos(theta (1-alpha) + pi (1+beta)/2)
@@ -352,26 +362,25 @@ def current_asymptotic_case1(
         )
     if not t > 0.0:
         raise DomainError(f"current_asymptotic_case1 requires t > 0, got {t!r}")
-    tab = _table(model, profile, grid, rule, table)
     theta = order.theta
     p1 = 0.5 * math.pi * (1.0 + bta)
-    lam_pow = tab.lam ** (1.0 / a)
+    lam_pow = table.lam ** (1.0 / a)
     growth = 2.0 * t * lam_pow * math.cos(theta)
     if float(np.max(growth)) > _EXP_LIMIT:
         raise OverflowGuard(
             f"case-1 exponent {float(np.max(growth)):.1f} exceeds {_EXP_LIMIT} "
             f"at t={t}; use log_current_case1"
         )
-    cross = tab.chi_vals * tab.dchi_vals
+    cross = table.chi_vals * table.dchi_vals
     lead = (
         (2.0 / a**2)
         * math.cos(theta * (1.0 - a) + p1)
-        * _fsum_dot(tab.rule.weights, lam_pow * cross * np.exp(growth))
+        * _fsum_dot(table.rule.weights, lam_pow * cross * np.exp(growth))
     )
     gam = lam_pow * math.sin(theta)
     corr_vals = (
         np.cos(t * gam + theta + p1)
-        * tab.lam ** ((1.0 - a) / a)
+        * table.lam ** ((1.0 - a) / a)
         * cross
         * np.exp(0.5 * growth)
     )
@@ -380,20 +389,12 @@ def current_asymptotic_case1(
         * t ** (-a)
         * gamma_reciprocal(1.0 - a)
         / a
-        * _fsum_dot(tab.rule.weights, corr_vals)
+        * _fsum_dot(table.rule.weights, corr_vals)
     )
     return lead - corr
 
 
-def current_asymptotic_case2(
-    order: FractionalOrder,
-    model: ModelParams,
-    profile: ChiProfile,
-    grid: HalfLineGrid,
-    rule: QuadratureRule,
-    t: float,
-    table: Optional[SpectralTable] = None,
-) -> float:
+def current_asymptotic_case2(order: FractionalOrder, table: SpectralTable, t: float) -> float:
     """Leading large-time decay for alpha < beta:
 
         J(t) ~ (2 / t^(1+3 alpha)) cos(pi (1+beta)/2)
@@ -418,11 +419,10 @@ def current_asymptotic_case2(
         )
     if not t > 0.0:
         raise DomainError(f"current_asymptotic_case2 requires t > 0, got {t!r}")
-    tab = _table(model, profile, grid, rule, table)
     bracket = gamma_reciprocal(1.0 - 2.0 * a) * gamma_reciprocal(-a) - gamma_reciprocal(
         1.0 - a
     ) * gamma_reciprocal(-2.0 * a)
-    i3 = _fsum_dot(tab.rule.weights, tab.lam**-3 * tab.chi_vals * tab.dchi_vals)
+    i3 = _fsum_dot(table.rule.weights, table.lam**-3 * table.chi_vals * table.dchi_vals)
     return (2.0 / t ** (1.0 + 3.0 * a)) * math.cos(0.5 * math.pi * (1.0 + bta)) * bracket * i3
 
 
@@ -466,39 +466,8 @@ def current_naber(
     return lead + corr
 
 
-def current_ayh(
-    alpha: float,
-    model: ModelParams,
-    profile: ChiProfile,
-    grid: HalfLineGrid,
-    rule: QuadratureRule,
-    t: float,
-    table: Optional[SpectralTable] = None,
-) -> float:
-    """Decay model at beta = 1:
-
-        J(t) ~ -(2 / t^(1+3 alpha))
-               [ 1/(Gamma(1-2a) Gamma(-a)) - 1/(Gamma(1-a) Gamma(-2a)) ]
-               Int lambda^-3 chi chi' dk,
-
-    the beta = 1 slice of the case-2 model (cos(pi (1+1)/2) = -1), and it is
-    evaluated through that code path so the two agree exactly.
-    """
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"decay model requires alpha in (0, 1), got {alpha!r}")
-    return current_asymptotic_case2(
-        FractionalOrder(alpha, 1.0), model, profile, grid, rule, t, table
-    )
-
-
 def log_current_case1(
-    order: FractionalOrder,
-    model: ModelParams,
-    profile: ChiProfile,
-    grid: HalfLineGrid,
-    rule: QuadratureRule,
-    t: float,
-    table: Optional[SpectralTable] = None,
+    order: FractionalOrder, table: SpectralTable, t: float
 ) -> Tuple[float, float]:
     """(sign, ln|J|) of the case-1 leading term, valid past double overflow.
 
@@ -515,17 +484,16 @@ def log_current_case1(
         )
     if not t > 0.0:
         raise DomainError(f"log_current_case1 requires t > 0, got {t!r}")
-    tab = _table(model, profile, grid, rule, table)
     theta = order.theta
     p1 = 0.5 * math.pi * (1.0 + bta)
-    lam_pow = tab.lam ** (1.0 / a)
+    lam_pow = table.lam ** (1.0 / a)
     coef = (
         (2.0 / a**2)
         * math.cos(theta * (1.0 - a) + p1)
-        * tab.rule.weights
+        * table.rule.weights
         * lam_pow
-        * tab.chi_vals
-        * tab.dchi_vals
+        * table.chi_vals
+        * table.dchi_vals
     )
     slope = 2.0 * lam_pow * math.cos(theta)
     mask = coef != 0.0
@@ -571,43 +539,17 @@ class TransportTrace:
 
 def current_trace(
     order: FractionalOrder,
-    model: ModelParams,
-    profile: ChiProfile,
-    grid: HalfLineGrid,
-    rule: QuadratureRule,
+    table: SpectralTable,
     times: Sequence[float],
-    method: str = "Direct",
-    table: Optional[SpectralTable] = None,
     acc: MLAccuracy = DEFAULT_ACCURACY,
 ) -> TransportTrace:
-    """Sweep one evaluator over a time grid, sharing a single spectral table."""
-    tab = _table(model, profile, grid, rule, table)
-    if method == "Direct":
-        fn = lambda t: _current_direct_on_table(order, tab, t, acc)
-    elif method == "AsymptoticCase1":
-        fn = lambda t: current_asymptotic_case1(
-            order, model, profile, grid, rule, t, tab
-        )
-    elif method == "AsymptoticCase2":
-        fn = lambda t: current_asymptotic_case2(
-            order, model, profile, grid, rule, t, tab
-        )
-    elif method == "Naber":
-        fn = lambda t: current_naber(order.alpha, model, profile, grid, rule, t, tab)
-    elif method == "AYH":
-        fn = lambda t: current_ayh(order.alpha, model, profile, grid, rule, t, tab)
-    elif method == "BetaLine":
-        fn = lambda t: current_beta_line(order.beta, model, profile, grid, rule, t, tab)
-    elif method == "Schrodinger":
-        const = current_schrodinger(model, profile, grid, rule, tab)
-        fn = lambda t: const
-    else:
-        raise DomainError(f"unknown trace method {method!r}")
-    values = map_over_times(fn, times)
+    """J(t) by the exact kernel over a time grid: one ml_pair call over every
+    (time, node) pair, then one correctly rounded sum per time."""
+    times = [float(t) for t in times]
     return TransportTrace(
-        times=np.asarray(list(times), dtype=float),
-        values=np.asarray(values, dtype=float),
-        method=method,
+        times=np.asarray(times),
+        values=np.asarray(_current_values(order, table, times, acc)),
+        method="Direct",
     )
 
 

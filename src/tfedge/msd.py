@@ -18,6 +18,10 @@ F vanishes identically.
 The long-time models: on the diagonal beta = alpha the ballistic channel
 dominates and msd ~ t^2 times msd_naber_leading; for beta > alpha every
 channel decays and t^(2 alpha) * msd approaches msd_case2_leading.
+
+msd_trace(order, table, times) takes the channels at every time from one
+ml_pair call, and msd_direct is its one-time case; both raise OverflowGuard
+where a node value leaves double range (the growth regime at large t).
 """
 
 from __future__ import annotations
@@ -32,10 +36,10 @@ from .edge_current import (
     QuadratureRule,
     SpectralTable,
     TransportTrace,
+    _finite,
     _fsum_dot,
+    _ml_over_times,
     _table,
-    build_spectral_table,
-    map_over_times,
     neg_i_power,
 )
 from .errors import DomainError
@@ -45,7 +49,6 @@ from .mittag_leffler import (
     MLAccuracy,
     gamma_reciprocal,
     ml_eval,  # noqa: F401  perfbench's traced run rebinds msd.ml_eval
-    ml_pair,
 )
 from .wavepacket import ChiProfile
 
@@ -76,11 +79,6 @@ def packet_norm_sq(table: SpectralTable) -> float:
     return _fsum_dot(table.rule.weights, table.chi_vals**2)
 
 
-def _ml_pair(order, lam, t, acc):
-    """E_{a,a} and E_{a,1} at z = (-i)^beta t^alpha lambda, per node."""
-    return ml_pair(order.alpha, neg_i_power(order.beta) * t**order.alpha * lam, acc)
-
-
 def msd_direct(
     order: FractionalOrder,
     model: ModelParams,
@@ -91,34 +89,37 @@ def msd_direct(
     table: Optional[SpectralTable] = None,
     acc: MLAccuracy = DEFAULT_ACCURACY,
 ) -> MSDBreakdown:
-    """Exact-kernel second moment at time t, split into its four channels.
+    """Exact-kernel second moment at time t, split into its four channels;
+    the one-time case of msd_trace.
 
     Needs the mode-deformation norm Phi, so a supplied table must carry cap
     data (build_spectral_table with with_cap=True).
     """
-    if not t > 0.0:
-        raise DomainError(f"msd_direct requires t > 0, got {t!r}")
     tab = _table(model, profile, grid, rule, table, with_cap=True)
-    a, bta = order.alpha, order.beta
-    eaa, ea1 = _ml_pair(order, tab.lam, t, acc)
+    return _msd_channels(order, tab, [t], acc)[0]
+
+
+def _msd_channels(order, tab, times, acc=DEFAULT_ACCURACY):
+    """MSDBreakdown at each time: one ml_pair call, then one correctly
+    rounded sum per channel and time (OverflowGuard past double range)."""
+    if tab.cap is None:
+        raise DomainError("supplied SpectralTable lacks the dk-phi norm data")
+    a = order.alpha
+    rot = neg_i_power(order.beta)
     w = tab.rule.weights
     chi2 = tab.chi_vals**2
-    rot = neg_i_power(bta)
-    A = t ** (2.0 * a) * _fsum_dot(w, np.abs(eaa) ** 2 * tab.dlam**2 * chi2)
-    B = _fsum_dot(w, np.abs(ea1) ** 2 * tab.dchi_vals**2)
-    C = _fsum_dot(w, np.abs(ea1) ** 2 * chi2 * tab.cap)
-    F = (
-        2.0
-        * t**a
-        * _fsum_dot(
-            w,
-            (rot * eaa * np.conj(ea1)).real
-            * tab.dlam
-            * tab.dchi_vals
-            * tab.chi_vals,
-        )
-    )
-    return MSDBreakdown(A=A, B=B, C=C, F=F, total=A + B + C + F)
+    eaa_rows, ea1_rows = _ml_over_times(order, tab, times, acc)
+    out = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, eaa, ea1 in zip(times, eaa_rows, ea1_rows):
+            ea1_sq = np.abs(ea1) ** 2
+            A = t ** (2.0 * a) * _fsum_dot(w, np.abs(eaa) ** 2 * tab.dlam**2 * chi2)
+            B = _fsum_dot(w, ea1_sq * tab.dchi_vals**2)
+            C = _fsum_dot(w, ea1_sq * chi2 * tab.cap)
+            cross = (rot * eaa * np.conj(ea1)).real * tab.dlam * tab.dchi_vals * tab.chi_vals
+            F = 2.0 * t**a * _fsum_dot(w, cross)
+            out.append(MSDBreakdown(A=A, B=B, C=C, F=F, total=_finite(A + B + C + F, "msd(t)")))
+    return out
 
 
 def msd_assembled(
@@ -140,14 +141,12 @@ def msd_assembled(
     |g|^2 + chi^2 |E_{a,1}|^2 Phi.  Equals the channel sum up to rounding;
     kept as an independent consistency path.
     """
-    if not t > 0.0:
-        raise DomainError(f"msd_assembled requires t > 0, got {t!r}")
     tab = _table(model, profile, grid, rule, table, with_cap=True)
-    a, bta = order.alpha, order.beta
-    eaa, ea1 = _ml_pair(order, tab.lam, t, acc)
-    rot = neg_i_power(bta)
-    g = t**a * rot * tab.dlam * tab.chi_vals * eaa + tab.dchi_vals * ea1
-    dens = np.abs(g) ** 2 + tab.chi_vals**2 * np.abs(ea1) ** 2 * tab.cap
+    a = order.alpha
+    (eaa,), (ea1,) = _ml_over_times(order, tab, [t], acc)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = t**a * neg_i_power(order.beta) * tab.dlam * tab.chi_vals * eaa + tab.dchi_vals * ea1
+        dens = np.abs(g) ** 2 + tab.chi_vals**2 * np.abs(ea1) ** 2 * tab.cap
     return _fsum_dot(tab.rule.weights, dens)
 
 
@@ -206,20 +205,15 @@ def msd_case2_leading(
 
 def msd_trace(
     order: FractionalOrder,
-    model: ModelParams,
-    profile: ChiProfile,
-    grid: HalfLineGrid,
-    rule: QuadratureRule,
+    table: SpectralTable,
     times: Sequence[float],
-    table: Optional[SpectralTable] = None,
     acc: MLAccuracy = DEFAULT_ACCURACY,
 ) -> TransportTrace:
-    """Total second moment swept over a time grid (shared spectral table)."""
-    tab = _table(model, profile, grid, rule, table, with_cap=True)
-    fn = lambda t: msd_direct(order, model, profile, grid, rule, t, tab, acc).total
-    values = map_over_times(fn, times)
+    """Total second moment over a time grid: msd_direct's channels at every
+    time from one ml_pair call over every (time, node) pair."""
+    times = [float(t) for t in times]
     return TransportTrace(
-        times=np.asarray(list(times), dtype=float),
-        values=np.asarray(values, dtype=float),
+        times=np.asarray(times),
+        values=np.array([br.total for br in _msd_channels(order, table, times, acc)]),
         method="Direct",
     )

@@ -20,7 +20,6 @@ from tfedge import (
     certify_bounds,
     cli,
     current_asymptotic_case2,
-    current_ayh,
     current_direct,
     current_schrodinger,
     current_trace,
@@ -178,7 +177,7 @@ def test_c05_unit_order_constancy(model, profile, grid, rule, table):
     vals = np.array(
         [current_direct(order, model, profile, grid, rule, float(t), table) for t in times]
     )
-    const = current_schrodinger(model, profile, grid, rule, table)
+    const = current_schrodinger(table)
     spread = float((vals.max() - vals.min()) / abs(vals.mean()))
     dev = float(np.max(np.abs(vals - const)) / abs(const))
     ok = spread <= 1e-3 and dev <= 5e-3
@@ -192,9 +191,7 @@ def test_c05_unit_order_constancy(model, profile, grid, rule, table):
 def test_c06_regime_transitions(model, profile, grid, rule, table):
     # leg a: growing orders, exponential rate against the band maximum
     sub = FractionalOrder(0.5, 0.25)
-    tr = current_trace(
-        sub, model, profile, grid, rule, np.geomspace(20.0, 80.0, 13), "Direct", table
-    )
+    tr = current_trace(sub, table, np.geomspace(20.0, 80.0, 13))
     fit_a = fit_exponent(tr, (20.0, 80.0), "semilog")
     target_a = 2.0 * float(np.max(table.lam ** (1.0 / sub.alpha))) * math.cos(sub.theta)
     leg_a = fit_a.slope > 0.0 and abs(fit_a.slope - target_a) <= 0.10 * target_a
@@ -225,10 +222,8 @@ def test_c06_regime_transitions(model, profile, grid, rule, table):
     # no power law can be fitted there; the leg runs at beta = 3/4, the
     # decaying order `tfedge regimes` uses at alpha = 1/2.
     sup = FractionalOrder(0.5, 0.75)
-    zero_c = current_asymptotic_case2(sup, model, profile, grid, rule, 1e3, table)
-    tr = current_trace(
-        sup, model, profile, grid, rule, np.geomspace(1e2, 1e4, 13), "Direct", table
-    )
+    zero_c = current_asymptotic_case2(sup, table, 1e3)
+    tr = current_trace(sup, table, np.geomspace(1e2, 1e4, 13))
     fit_c = fit_exponent(tr, (1e2, 1e4), "loglog")
     target_c = -(1.0 + 4.0 * sup.alpha)
     leg_c = zero_c == 0.0 and abs(fit_c.slope - target_c) <= 0.05 * abs(target_c)
@@ -255,7 +250,7 @@ def test_c07_decay_coefficient(model, profile, grid, rule, table):
         lhs = t**power * current_direct(
             FractionalOrder(alpha, 1.0), model, profile, grid, rule, t, table
         )
-        rhs = t**power * current_ayh(alpha, model, profile, grid, rule, t, table)
+        rhs = t**power * current_asymptotic_case2(FractionalOrder(alpha, 1.0), table, t)
         good = abs(lhs - rhs) <= 0.10 * abs(rhs) + 1e-12
         ok = ok and good
         details.append(f"alpha={alpha}: {lhs:.3e} vs {rhs:.3e}")
@@ -268,7 +263,7 @@ def test_c08_second_moment_regimes(model, profile, grid, rule, table):
     times = np.geomspace(1e2, 1e4, 13)
 
     diag = FractionalOrder(0.5, 0.5)
-    tr = msd_trace(diag, model, profile, grid, rule, times, table)
+    tr = msd_trace(diag, table, times)
     slope_n = fit_exponent(tr, (1e2, 1e4), "loglog").slope
     lead_n = msd_naber_leading(0.5, model, profile, grid, rule, table)
     coeff_n = msd_direct(diag, model, profile, grid, rule, t, table).total / (
@@ -277,7 +272,7 @@ def test_c08_second_moment_regimes(model, profile, grid, rule, table):
     naber_ok = abs(slope_n - 2.0) <= 0.02 and abs(coeff_n - 1.0) <= 0.02
 
     sup = FractionalOrder(0.5, 1.0)
-    tr = msd_trace(sup, model, profile, grid, rule, times, table)
+    tr = msd_trace(sup, table, times)
     slope_s = fit_exponent(tr, (1e2, 1e4), "loglog").slope
     lead_s = msd_case2_leading(0.5, model, profile, grid, rule, table)
     coeff_s = msd_direct(sup, model, profile, grid, rule, t, table).total * t / lead_s

@@ -235,3 +235,18 @@ def test_run_to_run_identical_output(tmp_path):
     p2 = tmp_path / "b.csv"
     assert main([*args, "--output.path", str(p2)]) == 0
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("beta", [0.3, 0.5, 0.8, 1.0])
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8, 1.0])
+def test_order_sweep_ends_in_an_exit_code(alpha, beta, tmp_path):
+    # default times reach t = 1e4, far past double range in the growth
+    # regime: current falls back to the log of the leading model, msd stops
+    # with exit code 3, and no run ends in a traceback
+    small = ["--grid.n", "800", "--quad.n_nodes", "32"]
+    order = ["--order.alpha", str(alpha), "--order.beta", str(beta)]
+    codes = {
+        command: main([command, *small, *order, "--output.path", str(tmp_path / "out.csv")])
+        for command in ("current", "msd", "regimes")
+    }
+    assert codes == {"current": 0, "msd": 3 if beta < alpha else 0, "regimes": 0}

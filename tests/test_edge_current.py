@@ -17,7 +17,6 @@ from tfedge import (
     classify_regime,
     current_asymptotic_case1,
     current_asymptotic_case2,
-    current_ayh,
     current_beta_line,
     current_direct,
     current_naber,
@@ -29,6 +28,9 @@ from tfedge import (
     log_current_case1,
     make_grid,
     map_over_times,
+    msd_assembled,
+    msd_direct,
+    msd_trace,
 )
 
 from oracles import (
@@ -80,7 +82,7 @@ def test_direct_current_pins(model, profile, grid, rule, table):
 
 def test_unit_orders_reduce_to_schrodinger(model, profile, grid, rule, table):
     order = FractionalOrder(1.0, 1.0)
-    const = current_schrodinger(model, profile, grid, rule, table)
+    const = current_schrodinger(table)
     assert const == pytest.approx(PIN_SCHRODINGER_CONST, rel=1e-12)
     assert const < 0.0  # current flows against +y for this sign convention
     values = [
@@ -95,45 +97,52 @@ def test_unit_orders_reduce_to_schrodinger(model, profile, grid, rule, table):
 def test_beta_line_matches_direct_on_unit_alpha(model, profile, grid, rule, table):
     order = FractionalOrder(1.0, 0.5)
     for t in (0.5, 1.0, 2.0):
-        closed = current_beta_line(0.5, model, profile, grid, rule, t, table)
+        closed = current_beta_line(0.5, table, t)
         direct = current_direct(order, model, profile, grid, rule, t, table)
         assert abs(closed - direct) <= 1e-10 * abs(direct)
 
 
 def test_beta_line_overflow_guard(model, profile, grid, rule, table):
     with pytest.raises(OverflowGuard):
-        current_beta_line(0.5, model, profile, grid, rule, 500.0, table)
+        current_beta_line(0.5, table, 500.0)
 
 
 def test_growth_model_matches_direct(model, profile, grid, rule, table):
     order = FractionalOrder(0.6, 0.3)
     for t in (50.0, 120.0):
-        closed = current_asymptotic_case1(order, model, profile, grid, rule, t, table)
+        closed = current_asymptotic_case1(order, table, t)
         direct = current_direct(order, model, profile, grid, rule, t, table)
         assert abs(closed - direct) <= 1e-8 * abs(direct)
     with pytest.raises(DomainError):
-        current_asymptotic_case1(
-            FractionalOrder(0.5, 1.0), model, profile, grid, rule, 10.0, table
-        )
+        current_asymptotic_case1(FractionalOrder(0.5, 1.0), table, 10.0)
 
 
 def test_growth_log_form_consistency(model, profile, grid, rule, table):
     order = FractionalOrder(0.5, 0.25)
     t = 50.0
     direct = current_direct(order, model, profile, grid, rule, t, table)
-    sign, logv = log_current_case1(order, model, profile, grid, rule, t, table)
+    sign, logv = log_current_case1(order, table, t)
     assert sign == -1.0
     assert abs(logv - math.log(abs(direct))) <= 1e-8
-    # past double overflow the exact kernel refuses but the log form carries on
-    with pytest.raises(OverflowGuard):
-        current_direct(order, model, profile, grid, rule, 500.0, table)
-    sign2, logv2 = log_current_case1(order, model, profile, grid, rule, 500.0, table)
+    # past double overflow the exact kernel refuses but the log form carries
+    # on: at t = 300 each E is finite and their product is not, at t = 500
+    # E itself is out of range
+    for t_big in (300.0, 500.0):
+        with pytest.raises(OverflowGuard):
+            current_direct(order, model, profile, grid, rule, t_big, table)
+        with pytest.raises(OverflowGuard):
+            msd_direct(order, model, profile, grid, rule, t_big, table)
+        with pytest.raises(OverflowGuard):
+            msd_assembled(order, model, profile, grid, rule, t_big, table)
+        with pytest.raises(OverflowGuard):
+            current_trace(order, table, [t, t_big])
+        with pytest.raises(OverflowGuard):
+            msd_trace(order, table, [t, t_big])
+    sign2, logv2 = log_current_case1(order, table, 500.0)
     assert sign2 == -1.0
     assert logv2 > 700.0
     with pytest.raises(DomainError):
-        log_current_case1(
-            FractionalOrder(0.5, 1.0), model, profile, grid, rule, 10.0, table
-        )
+        log_current_case1(FractionalOrder(0.5, 1.0), table, 10.0)
 
 
 def test_decay_model_matches_direct(model, profile, grid, rule, table):
@@ -141,13 +150,11 @@ def test_decay_model_matches_direct(model, profile, grid, rule, table):
     # and large enough that every node stays on the cheap asymptotic branch
     order = FractionalOrder(0.45, 0.9)
     t = 1e3
-    closed = current_asymptotic_case2(order, model, profile, grid, rule, t, table)
+    closed = current_asymptotic_case2(order, table, t)
     direct = current_direct(order, model, profile, grid, rule, t, table)
     assert abs(closed - direct) <= 0.1 * abs(direct)
     with pytest.raises(DomainError):
-        current_asymptotic_case2(
-            FractionalOrder(0.5, 0.5), model, profile, grid, rule, 10.0, table
-        )
+        current_asymptotic_case2(FractionalOrder(0.5, 0.5), table, 10.0)
 
 
 def test_half_alpha_unit_beta_current_is_exponentially_small(
@@ -181,17 +188,6 @@ def test_plateau_model_matches_direct(model, profile, grid, rule, table):
     assert abs(direct - exact) <= 1e-5 * abs(exact)
 
 
-def test_ayh_is_the_beta_one_slice_of_case2(model, profile, grid, rule, table):
-    for t in (10.0, 1e3):
-        a = current_ayh(0.4, model, profile, grid, rule, t, table)
-        b = current_asymptotic_case2(
-            FractionalOrder(0.4, 1.0), model, profile, grid, rule, t, table
-        )
-        assert a == b
-    with pytest.raises(DomainError):
-        current_ayh(1.0, model, profile, grid, rule, 10.0, table)
-
-
 def test_quadrature_self_check_passes_on_smooth_data(model, profile):
     # small standalone setup so the doubled table stays cheap
     grid = make_grid(model, 2.0, n=800)
@@ -213,21 +209,43 @@ def test_shared_table_equals_fresh_build(model, profile):
     assert with_table == without
 
 
-def test_trace_and_method_dispatch(model, profile, grid, rule, table):
-    times = np.geomspace(1e2, 1e4, 9)
-    tr = current_trace(
-        FractionalOrder(0.5, 0.5), model, profile, grid, rule, times, "Naber", table
-    )
-    assert tr.method == "Naber"
-    assert tr.values.shape == (9,)
-    sch = current_trace(
-        FractionalOrder(1.0, 1.0), model, profile, grid, rule, times, "Schrodinger", table
-    )
-    assert np.all(sch.values == sch.values[0])
-    with pytest.raises(DomainError):
-        current_trace(
-            FractionalOrder(0.5, 0.5), model, profile, grid, rule, times, "Magic", table
-        )
+# (order, window): a growth, a plateau and a decay order on the windows that
+# `tfedge regimes` fits
+TRACE_CASES = [
+    (FractionalOrder(0.5, 0.25), (20.0, 80.0)),
+    (FractionalOrder(0.5, 0.5), (1e2, 1e4)),
+    (FractionalOrder(0.5, 0.75), (1e2, 1e4)),
+]
+
+
+@pytest.mark.parametrize("order,window", TRACE_CASES, ids=["growth", "plateau", "decay"])
+def test_traces_equal_per_time_evaluations(order, window, model, profile, grid, rule, table):
+    # on these windows one ml_pair call over every (time, node) pair gives
+    # the per-time values bit for bit; the CLI's regimes output depends on it
+    times = np.geomspace(*window, 13)
+    tr = current_trace(order, table, times)
+    assert tr.method == "Direct"
+    assert np.array_equal(tr.times, times)
+    direct = [current_direct(order, model, profile, grid, rule, t, table) for t in times]
+    assert np.array_equal(tr.values, direct)
+    msd = [msd_direct(order, model, profile, grid, rule, t, table).total for t in times]
+    assert np.array_equal(msd_trace(order, table, times).values, msd)
+
+
+@pytest.mark.parametrize(
+    "order", [order for order, _ in TRACE_CASES], ids=["growth", "plateau", "decay"]
+)
+def test_traces_match_per_time_evaluations_at_early_times(
+    order, model, profile, grid, rule, table
+):
+    # for t <= 1 ml_pair may group a node's z with different companions in
+    # the two calls, and a lone z is summed in another order, which moves E
+    # in its last bit
+    times = np.geomspace(1e-2, 1.0, 30)
+    direct = [current_direct(order, model, profile, grid, rule, t, table) for t in times]
+    np.testing.assert_allclose(current_trace(order, table, times).values, direct, rtol=1e-14)
+    msd = [msd_direct(order, model, profile, grid, rule, t, table).total for t in times]
+    np.testing.assert_allclose(msd_trace(order, table, times).values, msd, rtol=1e-14)
 
 
 def test_trace_validation():
@@ -273,9 +291,7 @@ def test_map_over_times_is_order_preserving_and_deterministic(
     times = np.geomspace(10.0, 1e3, 12)
 
     def run():
-        return current_trace(
-            order, model, profile, grid, rule, times, "Direct", table
-        ).values
+        return current_trace(order, table, times).values
 
     assert np.array_equal(run(), run())
     # identity mapping sanity: results line up with their inputs

@@ -90,7 +90,7 @@ def test_decay_coefficient_above_the_diagonal(model, profile, grid, rule, table)
 
 def test_trace_shape_and_positivity(model, profile, grid, rule, table):
     times = np.geomspace(1e2, 1e3, 8)
-    tr = msd_trace(FractionalOrder(0.5, 1.0), model, profile, grid, rule, times, table)
+    tr = msd_trace(FractionalOrder(0.5, 1.0), table, times)
     assert tr.method == "Direct"
     assert np.all(tr.values > 0.0)
     # decaying regime: strictly smaller at the last sample than the first
