@@ -27,7 +27,6 @@ import numpy as np
 
 from .edge_current import (
     FractionalOrder,
-    TransportTrace,
     build_spectral_table,
     classify_regime,
     current_asymptotic_case1,
@@ -40,7 +39,7 @@ from .edge_current import (
     gauss_legendre_rule,
     log_current_case1,
 )
-from .errors import ConfigError, DomainError, OverflowGuard, TfedgeError
+from .errors import ConfigError, OverflowGuard, TfedgeError
 from .fiber_spectrum import HalfLineGrid, ModelParams, auto_length, dk_phi1, solve_ground_state
 from .mittag_leffler import MLAccuracy, MLParams, ml_eval
 from .msd import _msd_channels, packet_norm_sq
@@ -55,17 +54,6 @@ __all__ = ["RunConfig", "parse_config", "emit_csv", "main"]
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
-
-_KNOWN_KEYS = {
-    "model": ("b",),
-    "order": ("alpha", "beta"),
-    "chi": ("k_min", "k_max", "amplitude"),
-    "grid": ("L", "n"),
-    "quad": ("n_nodes",),
-    "time": ("t_min", "t_max", "n_samples"),
-    "output": ("path", "normalize"),
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -87,53 +75,51 @@ class RunConfig:
     normalize: bool = False
 
 
-def _as_float(key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{key} must be a number, got {raw!r}") from None
+def _auto_or_float(raw: str) -> Optional[float]:
+    return None if raw.strip().lower() == "auto" else float(raw)
 
 
-def _as_int(key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {raw!r}") from None
-
-
-def _as_bool(key: str, raw: str) -> bool:
+def _flag(raw: str) -> bool:
     low = raw.strip().lower()
     if low in ("1", "true", "yes", "on"):
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"{key} must be a boolean, got {raw!r}")
+    raise ValueError(raw)
 
 
-def _validate(cfg: RunConfig) -> RunConfig:
-    if not (cfg.b > 0.0 and np.isfinite(cfg.b)):
-        raise ConfigError("model.b must be positive")
-    if not (0.0 < cfg.alpha <= 1.0):
-        raise ConfigError("order.alpha must lie in (0, 1]")
-    if not (0.0 < cfg.beta <= 1.0):
-        raise ConfigError("order.beta must lie in (0, 1]")
-    if not (np.isfinite(cfg.k_min) and np.isfinite(cfg.k_max) and cfg.k_min < cfg.k_max):
-        raise ConfigError("chi.k_min must be less than chi.k_max")
-    if not (cfg.amplitude > 0.0 and np.isfinite(cfg.amplitude)):
-        raise ConfigError("chi.amplitude must be positive")
-    if cfg.L is not None and not (cfg.L > 0.0 and np.isfinite(cfg.L)):
-        raise ConfigError("grid.L must be positive or 'auto'")
-    if cfg.n < 200:
-        raise ConfigError("grid.n must be an integer >= 200")
-    if cfg.n_nodes < 32:
-        raise ConfigError("quad.n_nodes must be an integer >= 32")
-    if not (cfg.t_min > 0.0 and np.isfinite(cfg.t_min)):
-        raise ConfigError("time.t_min must be positive")
-    if not (cfg.t_max > cfg.t_min and np.isfinite(cfg.t_max)):
-        raise ConfigError("time.t_max must exceed time.t_min")
-    if cfg.n_samples < 2:
-        raise ConfigError("time.n_samples must be an integer >= 2")
-    return cfg
+def _positive(v) -> bool:
+    return v > 0.0 and math.isfinite(v)
+
+
+def _unit(v) -> bool:
+    return 0.0 < v <= 1.0
+
+
+# "section.key" -> (RunConfig field, parser, what the parser expects, bound,
+# rule the bound states).  A parser's ValueError becomes "<key> must be
+# <expected>"; a value outside its bound "<key> <rule>".  The bounds that
+# tie two fields together (k_min < k_max, t_max > t_min) are in parse_config.
+_KEYS = {
+    "model.b": ("b", float, "a number", _positive, "must be positive"),
+    "order.alpha": ("alpha", float, "a number", _unit, "must lie in (0, 1]"),
+    "order.beta": ("beta", float, "a number", _unit, "must lie in (0, 1]"),
+    "chi.k_min": ("k_min", float, "a number", None, None),
+    "chi.k_max": ("k_max", float, "a number", None, None),
+    "chi.amplitude": ("amplitude", float, "a number", _positive, "must be positive"),
+    "grid.L": (
+        "L", _auto_or_float, "a number",
+        lambda v: v is None or _positive(v), "must be positive or 'auto'",
+    ),
+    "grid.n": ("n", int, "an integer", lambda v: v >= 200, "must be an integer >= 200"),
+    "quad.n_nodes": ("n_nodes", int, "an integer", lambda v: v >= 32, "must be an integer >= 32"),
+    "time.t_min": ("t_min", float, "a number", _positive, "must be positive"),
+    "time.t_max": ("t_max", float, "a number", None, None),
+    "time.n_samples": ("n_samples", int, "an integer", lambda v: v >= 2, "must be an integer >= 2"),
+    "output.path": ("path", str, None, None, None),
+    "output.normalize": ("normalize", _flag, "a boolean", None, None),
+}
+_SECTIONS = {key.partition(".")[0] for key in _KEYS}
 
 
 def parse_config(
@@ -145,7 +131,7 @@ def parse_config(
     Unknown sections or keys are rejected rather than ignored so a typo in
     a config file cannot silently run with defaults.
     """
-    values: Dict[Tuple[str, str], str] = {}
+    values: Dict[str, str] = {}
     if config_path is not None:
         parser = configparser.ConfigParser()
         # keep key case: grid.L must not silently become grid.l
@@ -154,42 +140,32 @@ def parse_config(
         if not read:
             raise ConfigError(f"config file not found: {config_path}")
         for section in parser.sections():
-            if section not in _KNOWN_KEYS:
+            if section not in _SECTIONS:
                 raise ConfigError(f"unknown config section [{section}]")
             for key, raw in parser.items(section):
-                if key not in _KNOWN_KEYS[section]:
-                    raise ConfigError(f"unknown config key {section}.{key}")
-                values[(section, key)] = raw
+                values[f"{section}.{key}"] = raw
     for (section, key), raw in (overrides or {}).items():
-        if section not in _KNOWN_KEYS or key not in _KNOWN_KEYS[section]:
-            raise ConfigError(f"unknown config key {section}.{key}")
-        values[(section, key)] = raw
+        values[f"{section}.{key}"] = raw
+    for key in values:
+        if key not in _KEYS:
+            raise ConfigError(f"unknown config key {key}")
 
-    cfg = RunConfig()
     kw = {}
-    mapping = {
-        ("model", "b"): ("b", _as_float),
-        ("order", "alpha"): ("alpha", _as_float),
-        ("order", "beta"): ("beta", _as_float),
-        ("chi", "k_min"): ("k_min", _as_float),
-        ("chi", "k_max"): ("k_max", _as_float),
-        ("chi", "amplitude"): ("amplitude", _as_float),
-        ("grid", "n"): ("n", _as_int),
-        ("quad", "n_nodes"): ("n_nodes", _as_int),
-        ("time", "t_min"): ("t_min", _as_float),
-        ("time", "t_max"): ("t_max", _as_float),
-        ("time", "n_samples"): ("n_samples", _as_int),
-        ("output", "path"): ("path", lambda _k, raw: raw),
-        ("output", "normalize"): ("normalize", _as_bool),
-    }
-    for source, raw in values.items():
-        if source == ("grid", "L"):
-            kw["L"] = None if raw.strip().lower() == "auto" else _as_float("grid.L", raw)
-            continue
-        field, conv = mapping[source]
-        kw[field] = conv(f"{source[0]}.{source[1]}", raw)
-    cfg = RunConfig(**{**cfg.__dict__, **kw})
-    return _validate(cfg)
+    for key, raw in values.items():
+        field, parse, expected, _, _ = _KEYS[key]
+        try:
+            kw[field] = parse(raw)
+        except ValueError:
+            raise ConfigError(f"{key} must be {expected}, got {raw!r}") from None
+    cfg = RunConfig(**kw)
+    for key, (field, _, _, bound, rule) in _KEYS.items():
+        if bound is not None and not bound(getattr(cfg, field)):
+            raise ConfigError(f"{key} {rule}")
+    if not (math.isfinite(cfg.k_min) and math.isfinite(cfg.k_max) and cfg.k_min < cfg.k_max):
+        raise ConfigError("chi.k_min must be less than chi.k_max")
+    if not (cfg.t_max > cfg.t_min and math.isfinite(cfg.t_max)):
+        raise ConfigError("time.t_max must exceed time.t_min")
+    return cfg
 
 
 def _parse_override_tokens(tokens: Sequence[str]) -> Dict[Tuple[str, str], str]:
@@ -372,27 +348,16 @@ def cmd_msd(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_regimes(cfg: RunConfig, synthetic: bool) -> int:
+def cmd_regimes(cfg: RunConfig) -> int:
     alpha = cfg.alpha
     betas: List[float] = []
     for b in (0.5 * alpha, alpha, min(1.0, 1.5 * alpha)):
         if b not in betas:
             betas.append(b)
 
-    rows = []
-    if synthetic:
-        # machinery self-test: a planted power-law decay must be recovered
-        times = np.geomspace(1.0, 100.0, 13)
-        trace = TransportTrace(times=times, values=times**-2.5, method="Direct")
-        fit = fit_exponent(trace, (float(times[0]), float(times[-1])), "loglog")
-        ok = abs(fit.slope + 2.5) <= 0.05 * 2.5
-        for beta in betas:
-            rows.append((beta, "PowerLawDecay", fit.slope, ok))
-        emit_csv(cfg.path, ["beta", "regime_predicted", "fitted_slope", "pass"], rows)
-        return 0
-
     model, _, profile, grid, rule = _assemble(cfg)
     table = build_spectral_table(model, profile, grid, rule)
+    rows = []
     for beta in betas:
         order = FractionalOrder(alpha, beta)
         predicted = classify_regime(order)
@@ -510,8 +475,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     sub.add_parser("current", help="edge current over a log time grid")
     sub.add_parser("msd", help="second-moment spreading over a log time grid")
 
-    reg = sub.add_parser("regimes", help="classify and fit the three order regimes")
-    reg.add_argument("--synthetic", action="store_true", help="fit a planted power law instead of the dynamics")
+    sub.add_parser("regimes", help="classify and fit the three order regimes")
 
     sub.add_parser("verify", help="norm-bound and memory-derivative certification")
 
@@ -534,7 +498,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "msd":
             return cmd_msd(cfg)
         if args.command == "regimes":
-            return cmd_regimes(cfg, args.synthetic)
+            return cmd_regimes(cfg)
         if args.command == "verify":
             return cmd_verify(cfg)
         raise ConfigError(f"unknown command {args.command!r}")

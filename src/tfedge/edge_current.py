@@ -38,8 +38,6 @@ import numpy as np
 from .errors import DomainError, OverflowGuard, QuadratureError, SignChange
 from .fiber_spectrum import HalfLineGrid, ModelParams, dk_phi1, solve_ground_state
 from .mittag_leffler import (
-    DEFAULT_ACCURACY,
-    MLAccuracy,
     gamma_reciprocal,
     ml_eval,  # noqa: F401  perfbench's traced run rebinds edge_current.ml_eval
     ml_pair,
@@ -250,13 +248,13 @@ def _finite(value: float, what: str) -> float:
     return value
 
 
-def _ml_over_times(order, tab, times, acc):
+def _ml_over_times(order, tab, times):
     """E_{a,a} and E_{a,1} at z = (-i)^beta t^alpha lambda, one row per time
     and one column per node, from one ml_pair call."""
     if not all(t > 0.0 for t in times):
         raise DomainError(f"the exact kernel requires t > 0, got {min(times)!r}")
     rot = neg_i_power(order.beta)
-    return ml_pair(order.alpha, np.array([rot * t**order.alpha * tab.lam for t in times]), acc)
+    return ml_pair(order.alpha, np.array([rot * t**order.alpha * tab.lam for t in times]))
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +270,6 @@ def current_direct(
     rule: QuadratureRule,
     t: float,
     table: Optional[SpectralTable] = None,
-    acc: MLAccuracy = DEFAULT_ACCURACY,
     check_quadrature: bool = False,
 ) -> float:
     """Edge current at time t from the exact evolution kernel; the one-time
@@ -281,11 +278,11 @@ def current_direct(
     With check_quadrature=True the integral is recomputed on a doubled node
     set and QuadratureError is raised if the relative change exceeds 1e-4.
     """
-    value = _current_values(order, _table(model, profile, grid, rule, table), [t], acc)[0]
+    value = _current_values(order, _table(model, profile, grid, rule, table), [t])[0]
     if check_quadrature:
         fine_rule = gauss_legendre_rule(rule.a, rule.b, 2 * rule.n_nodes)
         fine = build_spectral_table(model, profile, grid, fine_rule)
-        refined = _current_values(order, fine, [t], acc)[0]
+        refined = _current_values(order, fine, [t])[0]
         scale = max(abs(refined), abs(value))
         if scale > 0.0 and abs(refined - value) > 1e-4 * scale:
             raise QuadratureError(
@@ -294,14 +291,14 @@ def current_direct(
     return value
 
 
-def _current_values(order, tab, times, acc):
+def _current_values(order, tab, times):
     """J at each time: one ml_pair call, then one correctly rounded sum per
     time.  A node product past double range reaches the sum as inf or nan,
     where _fsum_dot turns it into OverflowGuard."""
     a = order.alpha
     rot = neg_i_power(1.0 + order.beta)
     cross = tab.lam * tab.chi_vals * tab.dchi_vals
-    eaa_rows, ea1_rows = _ml_over_times(order, tab, times, acc)
+    eaa_rows, ea1_rows = _ml_over_times(order, tab, times)
     with np.errstate(over="ignore", invalid="ignore"):
         return [
             _finite(
@@ -541,14 +538,13 @@ def current_trace(
     order: FractionalOrder,
     table: SpectralTable,
     times: Sequence[float],
-    acc: MLAccuracy = DEFAULT_ACCURACY,
 ) -> TransportTrace:
     """J(t) by the exact kernel over a time grid: one ml_pair call over every
     (time, node) pair, then one correctly rounded sum per time."""
     times = [float(t) for t in times]
     return TransportTrace(
         times=np.asarray(times),
-        values=np.asarray(_current_values(order, table, times, acc)),
+        values=np.asarray(_current_values(order, table, times)),
         method="Direct",
     )
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -42,7 +41,6 @@ __all__ = [
     "make_grid",
     "build_fiber_operator",
     "solve_ground_state",
-    "dlambda1",
     "dk_phi1",
 ]
 
@@ -96,9 +94,9 @@ def auto_length(model: ModelParams, k: float) -> float:
     return max(base, wall)
 
 
-def make_grid(model: ModelParams, k: float, n: int = 4000, L: Optional[float] = None) -> HalfLineGrid:
-    """Grid with auto_length unless an explicit L is requested."""
-    return HalfLineGrid(L=auto_length(model, k) if L is None else L, n=n)
+def make_grid(model: ModelParams, k: float, n: int = 4000) -> HalfLineGrid:
+    """Grid of n interior nodes on (0, auto_length(model, k))."""
+    return HalfLineGrid(L=auto_length(model, k), n=n)
 
 
 @dataclass(frozen=True)
@@ -202,8 +200,9 @@ class GroundState:
     """Converged ground-state data at one momentum.
 
     phi1 is trapezoid-normalised on the interior nodes and sign-fixed so its
-    peak is positive.  dlambda1 comes from the momentum-gradient quadrature
-    of the converged state.  operator is the pencil the state solves.
+    peak is positive.  dlambda1 is lambda_1'(k) by the gradient-of-potential
+    identity, Int -2 (b x - k) phi_1^2 dx, with the trapezoid rule on the
+    converged state.  operator is the pencil the state solves.
     """
 
     k: float
@@ -297,16 +296,6 @@ def solve_ground_state(model: ModelParams, k: float, grid: HalfLineGrid) -> Grou
         residual=res,
         operator=op,
     )
-
-
-def dlambda1(model: ModelParams, k: float, grid: HalfLineGrid) -> float:
-    """Momentum derivative of lambda_1 via the gradient-of-potential identity
-
-        lambda_1'(k) = integral of -2 (b x - k) phi_1(x)^2 dx,
-
-    evaluated with the trapezoid rule on the converged state.
-    """
-    return solve_ground_state(model, k, grid).dlambda1
 
 
 def dk_phi1(model: ModelParams, k: float, grid: HalfLineGrid):

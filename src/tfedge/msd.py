@@ -45,8 +45,6 @@ from .edge_current import (
 from .errors import DomainError
 from .fiber_spectrum import HalfLineGrid, ModelParams
 from .mittag_leffler import (
-    DEFAULT_ACCURACY,
-    MLAccuracy,
     gamma_reciprocal,
     ml_eval,  # noqa: F401  perfbench's traced run rebinds msd.ml_eval
 )
@@ -87,7 +85,6 @@ def msd_direct(
     rule: QuadratureRule,
     t: float,
     table: Optional[SpectralTable] = None,
-    acc: MLAccuracy = DEFAULT_ACCURACY,
 ) -> MSDBreakdown:
     """Exact-kernel second moment at time t, split into its four channels;
     the one-time case of msd_trace.
@@ -96,10 +93,10 @@ def msd_direct(
     data (build_spectral_table with with_cap=True).
     """
     tab = _table(model, profile, grid, rule, table, with_cap=True)
-    return _msd_channels(order, tab, [t], acc)[0]
+    return _msd_channels(order, tab, [t])[0]
 
 
-def _msd_channels(order, tab, times, acc=DEFAULT_ACCURACY):
+def _msd_channels(order, tab, times):
     """MSDBreakdown at each time: one ml_pair call, then one correctly
     rounded sum per channel and time (OverflowGuard past double range)."""
     if tab.cap is None:
@@ -108,7 +105,7 @@ def _msd_channels(order, tab, times, acc=DEFAULT_ACCURACY):
     rot = neg_i_power(order.beta)
     w = tab.rule.weights
     chi2 = tab.chi_vals**2
-    eaa_rows, ea1_rows = _ml_over_times(order, tab, times, acc)
+    eaa_rows, ea1_rows = _ml_over_times(order, tab, times)
     out = []
     with np.errstate(over="ignore", invalid="ignore"):
         for t, eaa, ea1 in zip(times, eaa_rows, ea1_rows):
@@ -130,7 +127,6 @@ def msd_assembled(
     rule: QuadratureRule,
     t: float,
     table: Optional[SpectralTable] = None,
-    acc: MLAccuracy = DEFAULT_ACCURACY,
 ) -> float:
     """Second moment recomputed from the momentum gradient of the evolved
     amplitude, squared after assembly rather than channel by channel.
@@ -143,7 +139,7 @@ def msd_assembled(
     """
     tab = _table(model, profile, grid, rule, table, with_cap=True)
     a = order.alpha
-    (eaa,), (ea1,) = _ml_over_times(order, tab, [t], acc)
+    (eaa,), (ea1,) = _ml_over_times(order, tab, [t])
     with np.errstate(over="ignore", invalid="ignore"):
         g = t**a * neg_i_power(order.beta) * tab.dlam * tab.chi_vals * eaa + tab.dchi_vals * ea1
         dens = np.abs(g) ** 2 + tab.chi_vals**2 * np.abs(ea1) ** 2 * tab.cap
@@ -207,13 +203,12 @@ def msd_trace(
     order: FractionalOrder,
     table: SpectralTable,
     times: Sequence[float],
-    acc: MLAccuracy = DEFAULT_ACCURACY,
 ) -> TransportTrace:
     """Total second moment over a time grid: msd_direct's channels at every
     time from one ml_pair call over every (time, node) pair."""
     times = [float(t) for t in times]
     return TransportTrace(
         times=np.asarray(times),
-        values=np.array([br.total for br in _msd_channels(order, table, times, acc)]),
+        values=np.array([br.total for br in _msd_channels(order, table, times)]),
         method="Direct",
     )

@@ -15,14 +15,12 @@ lambda_1(k_lo) < 3b (window past the k = 0 edge value).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError, WindowViolation
-from .fiber_spectrum import HalfLineGrid, ModelParams, make_grid, solve_ground_state
+from .fiber_spectrum import HalfLineGrid, ModelParams, solve_ground_state
 
 __all__ = [
     "ChiProfile",
@@ -107,20 +105,13 @@ class SupportReport:
     b: float
 
 
-def validate_support(
-    model: ModelParams,
-    profile: ChiProfile,
-    grid: Optional[HalfLineGrid] = None,
-    n: int = 4000,
-) -> SupportReport:
-    """Check spectral admissibility of the momentum window.
+def validate_support(model: ModelParams, profile: ChiProfile, grid: HalfLineGrid) -> SupportReport:
+    """Check spectral admissibility of the momentum window on grid.
 
     Requires lambda_1(k_hi) > b and lambda_1(k_lo) < 3b.  Raises
     WindowViolation naming the offending endpoint; on success returns the
     report carrying both endpoint eigenvalues.
     """
-    if grid is None:
-        grid = make_grid(model, max(abs(profile.k_lo), abs(profile.k_hi)), n=n)
     lam_hi = solve_ground_state(model, profile.k_hi, grid).lambda1
     lam_lo = solve_ground_state(model, profile.k_lo, grid).lambda1
     b = model.b

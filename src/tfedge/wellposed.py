@@ -35,7 +35,7 @@ import numpy as np
 
 from .edge_current import FractionalOrder, classify_regime, neg_i_power
 from .errors import DomainError
-from .mittag_leffler import DEFAULT_ACCURACY, MLAccuracy, MLParams, ml_eval
+from .mittag_leffler import MLParams, ml_eval
 
 __all__ = [
     "ModeSpectrum",
@@ -105,7 +105,6 @@ def solution_norm_sq(
     order: FractionalOrder,
     spectrum: ModeSpectrum,
     t: float,
-    acc: MLAccuracy = DEFAULT_ACCURACY,
 ) -> float:
     """Squared solution norm of the mode expansion at time t >= 0."""
     if t < 0.0:
@@ -116,7 +115,7 @@ def solution_norm_sq(
     ta = t**a
     total = 0.0
     for lam, w in zip(spectrum.lambdas, spectrum.weights):
-        amp = ml_eval(params, rot * ta * lam, acc)
+        amp = ml_eval(params, rot * ta * lam)
         total += w * float(abs(amp)) ** 2
     return total
 
@@ -154,7 +153,6 @@ def certify_bounds(
     order: FractionalOrder,
     spectrum: ModeSpectrum,
     times: Sequence[float],
-    acc: MLAccuracy = DEFAULT_ACCURACY,
 ) -> CertifiedBound:
     """Smallest C with ||u(t)||^2 <= C^2 * bound(t)^2 over the time grid.
 
@@ -170,7 +168,7 @@ def certify_bounds(
     def fit_constant(grid):
         worst = 0.0
         for t in grid:
-            ratio = solution_norm_sq(order, spectrum, float(t), acc) / _bound_sq(
+            ratio = solution_norm_sq(order, spectrum, float(t)) / _bound_sq(
                 order, spectrum, float(t)
             )
             if ratio > worst:
@@ -196,12 +194,12 @@ def certify_bounds(
     )
 
 
-def _graded_mesh_two_sided(T: float, n: int, r: float) -> np.ndarray:
-    """Mesh on [0, T] clustered at both ends with grading exponent r."""
+def _graded_mesh_two_sided(T: float, n: int) -> np.ndarray:
+    """Mesh on [0, T] clustered quadratically at both ends."""
     half = n // 2
     j = np.arange(half + 1)
-    left = 0.5 * T * (j / half) ** r
-    right = T - 0.5 * T * (j[::-1] / half) ** r
+    left = 0.5 * T * (j / half) ** 2.0
+    right = T - 0.5 * T * (j[::-1] / half) ** 2.0
     return np.concatenate([left, right[1:]])
 
 
@@ -210,8 +208,6 @@ def caputo_residual(
     lam: float,
     T: float,
     n_points: int = 500,
-    grading: float = 2.0,
-    acc: MLAccuracy = DEFAULT_ACCURACY,
 ) -> float:
     """Relative residual of the evolution equation at time T for one mode.
 
@@ -228,10 +224,10 @@ def caputo_residual(
         raise DomainError("caputo_residual needs lam > 0 and T > 0")
     if n_points < 16:
         raise DomainError("n_points must be at least 16")
-    mesh = _graded_mesh_two_sided(T, int(n_points), float(grading))
+    mesh = _graded_mesh_two_sided(T, int(n_points))
     rot = neg_i_power(bta)
     params = MLParams(a, 1.0)
-    u = np.array([ml_eval(params, rot * t**a * lam, acc) for t in mesh])
+    u = np.array([ml_eval(params, rot * t**a * lam) for t in mesh])
     # piecewise-linear u against the exact kernel integral on each cell:
     # Int_{t_j}^{t_{j+1}} (T-s)^(-a) ds = ((T-t_j)^(1-a) - (T-t_{j+1})^(1-a)) / (1-a)
     du = np.diff(u) / np.diff(mesh)

@@ -23,7 +23,6 @@ from tfedge import (
     current_direct,
     current_schrodinger,
     current_trace,
-    dlambda1,
     fit_exponent,
     make_grid,
     ml_deriv,
@@ -154,7 +153,7 @@ def test_c04_band_anchors():
     worst_slope = 0.0
     for k in (0.0, 1.0, 3.0):
         grid = make_grid(m, k)
-        fh = dlambda1(m, k, grid)
+        fh = solve_ground_state(m, k, grid).dlambda1
         dk = 1e-4
         fd = (
             solve_ground_state(m, k + dk, grid).lambda1

@@ -1,5 +1,6 @@
 """Config parsing, CSV emission, subcommand wiring, exit codes."""
 import csv
+import dataclasses
 import math
 
 import pytest
@@ -65,12 +66,21 @@ def test_config_rejections(tmp_path):
         ({("order", "alpha"): "fast"}, "order.alpha must be a number"),
         ({("grid", "n"): "4.5"}, "grid.n must be an integer"),
         ({("output", "normalize"): "maybe"}, "output.normalize must be a boolean"),
+        ({("chi", "amplitude"): "0"}, "chi.amplitude must be positive"),
     ],
 )
 def test_validation_messages(overrides, message):
     with pytest.raises(ConfigError) as err:
         parse_config(None, overrides)
     assert message in str(err.value)
+
+
+def test_every_setting_is_declared_once():
+    # the key table and RunConfig name the same fields, so a setting cannot
+    # be added to one without the other
+    assert sorted(entry[0] for entry in cli._KEYS.values()) == sorted(
+        field.name for field in dataclasses.fields(RunConfig)
+    )
 
 
 def test_override_token_parsing():
@@ -183,19 +193,6 @@ def test_msd_command_normalized(tmp_path):
         total = float(r[5])
         parts = sum(float(r[i]) for i in (1, 2, 3, 4))
         assert total == pytest.approx(parts, rel=1e-12)
-
-
-def test_regimes_synthetic(tmp_path):
-    path = tmp_path / "reg.csv"
-    rc = main(["regimes", "--synthetic", "--output.path", str(path)])
-    assert rc == 0
-    rows = read_csv(str(path))
-    assert rows[0] == ["beta", "regime_predicted", "fitted_slope", "pass"]
-    assert len(rows) == 4  # betas alpha/2, alpha, 1.5*alpha
-    for r in rows[1:]:
-        assert r[1] == "PowerLawDecay"
-        assert float(r[2]) == pytest.approx(-2.5, abs=1e-9)
-        assert r[3] == "true"
 
 
 def test_regimes_default_rows_pass(tmp_path):

@@ -12,7 +12,6 @@ from tfedge import (
     auto_length,
     build_fiber_operator,
     dk_phi1,
-    dlambda1,
     make_grid,
     solve_ground_state,
 )
@@ -107,7 +106,7 @@ def test_feynman_hellmann_matches_finite_difference():
     m = ModelParams(1.0)
     for k in (0.0, 1.0, 3.0):
         grid = make_grid(m, k)
-        fh = dlambda1(m, k, grid)
+        fh = solve_ground_state(m, k, grid).dlambda1
         dk = 1e-4
         up = solve_ground_state(m, k + dk, grid).lambda1
         dn = solve_ground_state(m, k - dk, grid).lambda1

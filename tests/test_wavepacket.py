@@ -91,7 +91,7 @@ def test_integration_by_parts(model, profile, rule):
 
 
 def test_window_validation_accepts_the_reference_setup(model):
-    report = validate_support(model, ChiProfile(1.0, 2.0), n=1200)
+    report = validate_support(model, ChiProfile(1.0, 2.0), make_grid(model, 2.0, n=1200))
     assert report.b == 1.0
     assert model.b < report.lambda_at_k_hi < report.lambda_at_k_lo < 3.0 * model.b
 
@@ -99,7 +99,7 @@ def test_window_validation_accepts_the_reference_setup(model):
 def test_window_validation_rejects_negative_momenta(model):
     # at k <= 0 the band sits at or above the second Landau level
     with pytest.raises(WindowViolation) as err:
-        validate_support(model, ChiProfile(-1.0, -0.5), n=1200)
+        validate_support(model, ChiProfile(-1.0, -0.5), make_grid(model, 1.0, n=1200))
     assert "k_lo" in str(err.value)
 
 
