@@ -1,10 +1,10 @@
 """Command line front end.
 
 Subcommands map one-to-one onto the library layers: ml-eval prints a single
-special-function value, spectrum sweeps the transverse band, current and msd
-sweep the transport observables over a log time grid, regimes runs the
-growth/plateau/decay classification against fitted slopes, and verify runs
-the norm-bound and memory-derivative certification.
+special-function value, spectrum writes the band data at the quadrature
+nodes, current and msd sweep the transport observables over a log time
+grid, regimes runs the growth/plateau/decay classification against fitted
+slopes, and verify runs the norm-bound and memory-derivative certification.
 
 Configuration comes from an INI file (--config) plus command line overrides
 of the form --section.key=value, applied in that order.  All tabular output
@@ -40,7 +40,7 @@ from .edge_current import (
     log_current_case1,
 )
 from .errors import ConfigError, OverflowGuard, TfedgeError
-from .fiber_spectrum import HalfLineGrid, ModelParams, auto_length, dk_phi1, solve_ground_state
+from .fiber_spectrum import HalfLineGrid, ModelParams, auto_length
 from .mittag_leffler import MLAccuracy, MLParams, ml_eval
 from .msd import _msd_channels, packet_norm_sq
 from .wavepacket import ChiProfile
@@ -66,7 +66,6 @@ class RunConfig:
     k_max: float = 2.0
     amplitude: float = 1.0
     L: Optional[float] = None  # None means choose from the window
-    n: int = 4000
     n_nodes: int = 64
     t_min: float = 1.0
     t_max: float = 1e4
@@ -111,7 +110,6 @@ _KEYS = {
         "L", _auto_or_float, "a number",
         lambda v: v is None or _positive(v), "must be positive or 'auto'",
     ),
-    "grid.n": ("n", int, "an integer", lambda v: v >= 200, "must be an integer >= 200"),
     "quad.n_nodes": ("n_nodes", int, "an integer", lambda v: v >= 32, "must be an integer >= 32"),
     "time.t_min": ("t_min", float, "a number", _positive, "must be positive"),
     "time.t_max": ("t_max", float, "a number", None, None),
@@ -243,7 +241,7 @@ def _assemble(cfg: RunConfig):
     profile = ChiProfile(cfg.k_min, cfg.k_max, cfg.amplitude)
     k_ref = max(abs(cfg.k_min), abs(cfg.k_max))
     L = auto_length(model, k_ref) if cfg.L is None else cfg.L
-    grid = HalfLineGrid(L=L, n=cfg.n)
+    grid = HalfLineGrid(L=L)
     rule = gauss_legendre_rule(cfg.k_min, cfg.k_max, cfg.n_nodes)
     return model, order, profile, grid, rule
 
@@ -269,17 +267,11 @@ def cmd_ml_eval(args) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig, with_cap: bool) -> int:
-    model, _, _, grid, _ = _assemble(cfg)
-    ks = np.linspace(cfg.k_min, cfg.k_max, cfg.n_samples)
-
-    def row(k):
-        if with_cap:
-            state, _, cap = dk_phi1(model, float(k), grid)
-            return (float(k), state.lambda1, state.dlambda1, cap)
-        state = solve_ground_state(model, float(k), grid)
-        return (float(k), state.lambda1, state.dlambda1)
-
-    rows = [row(k) for k in ks]
+    """The band data the observables integrate: one row per quadrature node."""
+    model, _, profile, grid, rule = _assemble(cfg)
+    table = build_spectral_table(model, profile, grid, rule, with_cap=with_cap)
+    columns = [rule.nodes, table.lam, table.dlam] + ([table.cap] if with_cap else [])
+    rows = list(zip(*columns))
     header = ["k", "lambda1", "dlambda1"] + (["phi_cap"] if with_cap else [])
     emit_csv(cfg.path, header, rows)
     return 0
@@ -469,7 +461,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ml.add_argument("--im", type=float, default=0.0)
     ml.add_argument("--rel-tol", type=float, default=1e-12)
 
-    sp = sub.add_parser("spectrum", help="sweep the transverse band over the window")
+    sp = sub.add_parser("spectrum", help="band data at the quadrature nodes of the window")
     sp.add_argument("--with-cap", action="store_true", help="include the mode deformation norm")
 
     sub.add_parser("current", help="edge current over a log time grid")

@@ -7,18 +7,28 @@ For each transverse momentum k the fiber Hamiltonian is
 whose lowest eigenvalue lambda_1(k) decreases from 3b at k = 0 toward the
 Landau level b as k -> +inf (the well at x = k/b moves away from the wall).
 
-Discretisation.  The operator is truncated to (0, L) and treated with linear
-finite elements on a uniform mesh: stiffness plus a 3-point Gauss potential
-matrix against the consistent mass matrix.  The Ritz eigenvalue of the pencil
-is an upper bound on the true one, which matters here because lambda_1(k)
-approaches b from above at the 1e-6 level and a finite-difference matrix
-undershoots straight through it.
+Discretisation.  The operator is truncated to (0, L) and treated by a
+Legendre-Galerkin Ritz method (Shen, SIAM J. Sci. Comput. 15 (1994) 1489):
+the basis psi_j = P_j - P_{j+2}, j < N, in t = 2x/L - 1, vanishes at both
+ends.  N = ceil(2.6 L sqrt(b)) holds lambda_1 within about 1e-11 of the
+exact parabolic-cylinder eigenvalue at every auto_length truncation; the
+products of basis functions are polynomials, so one Gauss-Legendre rule of
+N + 4 points integrates every matrix exactly, and one Cholesky factor of
+the mass matrix makes the basis orthonormal.
 
-The generalized eigenproblem is solved by bisection on the pencil's inertia
-(K - sigma*M is positive definite exactly when no eigenvalue lies below
-sigma, which LAPACK's tridiagonal LDL^T factorisation reports) followed by
-shifted inverse iteration, which converges in one or two steps.  The
-momentum derivative of the ground state comes from one more banded solve.
+The factorisation h(k) - b = A^* A, A = d/dx + (b x - k), makes the Galerkin
+matrix of h(k) - b the Gram matrix of A on the basis, so the squared
+singular values of A are the Ritz values minus b.  One stacked SVD over all
+momenta gives every Ritz pair; lambda_1 = b + s_1^2 then stays above b in
+floating point too (at k = 8, b = 1, where the exact gap is 1.4e-27, what
+it reads above b is the Ritz excess of the basis), and the gaps
+lambda_j - lambda_1 = (s_j - s_1)(s_j + s_1) keep their relative accuracy.
+From the pairs, lambda_1' = <phi_1, -2(b x - k) phi_1> (Feynman-Hellmann)
+and the momentum derivative of the ground state,
+
+    d_k phi_1 = sum_{j>1} phi_j <phi_j, 2(b x - k) phi_1> / (lambda_j - lambda_1),
+
+are exact within the basis.
 """
 
 from __future__ import annotations
@@ -27,19 +37,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dpttrf
 
-from .errors import DomainError, GridError, NonConvergence
+from .errors import DomainError, GridError
 
 __all__ = [
     "ModelParams",
     "HalfLineGrid",
-    "FiberOperator",
     "GroundState",
     "auto_length",
     "make_grid",
-    "build_fiber_operator",
+    "fiber_band",
     "solve_ground_state",
     "dk_phi1",
 ]
@@ -58,10 +65,11 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class HalfLineGrid:
-    """Uniform interior mesh on (0, L): x_j = j*h, j = 1..n, h = L/(n+1)."""
+    """Truncation (0, L) of the half line, and the n interior points
+    x_j = j*h, j = 1..n, h = L/(n+1), where GroundState samples its state."""
 
     L: float
-    n: int
+    n: int = 4000
 
     def __post_init__(self):
         if not (self.L > 0.0 and np.isfinite(self.L)):
@@ -75,7 +83,7 @@ class HalfLineGrid:
 
     @property
     def x(self) -> np.ndarray:
-        """Interior nodes only; the Dirichlet endpoints are implicit."""
+        """Interior points only; the Dirichlet endpoints are implicit."""
         return self.h * np.arange(1, self.n + 1)
 
 
@@ -94,245 +102,96 @@ def auto_length(model: ModelParams, k: float) -> float:
     return max(base, wall)
 
 
-def make_grid(model: ModelParams, k: float, n: int = 4000) -> HalfLineGrid:
-    """Grid of n interior nodes on (0, auto_length(model, k))."""
+def make_grid(model: ModelParams, k: float, n: int = HalfLineGrid.n) -> HalfLineGrid:
+    """Grid of n interior points on (0, auto_length(model, k))."""
     return HalfLineGrid(L=auto_length(model, k), n=n)
 
 
 @dataclass(frozen=True)
-class FiberOperator:
-    """Finite-element pencil (stiffness plus potential, and mass) of the
-    fiber Hamiltonian at fixed momentum, as tridiagonal bands."""
-
-    k: float
-    grid: HalfLineGrid
-    stiff_diag: np.ndarray
-    stiff_off: np.ndarray
-    mass_diag: np.ndarray
-    mass_off: np.ndarray
-
-
-# 3-point Gauss-Legendre on [0, 1], exact through degree 5; enough for the
-# quadratic potential times quadratic basis products
-_GAUSS_X = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
-_GAUSS_W = np.array([5.0, 8.0, 5.0]) / 18.0
-
-
-def _assemble_pencil(b, k, grid, dpotential=False):
-    """Element-wise stiffness+potential and mass matrices (tridiagonal bands).
-
-    With dpotential=True the potential (bx-k)^2 is replaced by its momentum
-    derivative -2(bx-k); the stiffness part is dropped in that case.
-    """
-    n, h = grid.n, grid.h
-    x_all = h * np.arange(0, n + 2)
-    xg = x_all[:-1][:, None] + h * _GAUSS_X[None, :]
-    if dpotential:
-        V = -2.0 * (b * xg - k)
-    else:
-        V = (b * xg - k) ** 2
-    phi_l = 1.0 - _GAUSS_X
-    phi_r = _GAUSS_X
-    p_ll = h * (V * (phi_l * phi_l)[None, :] * _GAUSS_W[None, :]).sum(axis=1)
-    p_lr = h * (V * (phi_l * phi_r)[None, :] * _GAUSS_W[None, :]).sum(axis=1)
-    p_rr = h * (V * (phi_r * phi_r)[None, :] * _GAUSS_W[None, :]).sum(axis=1)
-    # interior dof j couples to elements j-1 (right basis) and j (left basis)
-    diag = p_rr[:-1] + p_ll[1:]
-    off = p_lr[1:-1]
-    if not dpotential:
-        diag = diag + 2.0 / h
-        off = off - 1.0 / h
-    mass_diag = np.full(n, 4.0 * h / 6.0)
-    mass_off = np.full(n - 1, h / 6.0)
-    return diag, off, mass_diag, mass_off
-
-
-def build_fiber_operator(model: ModelParams, k: float, grid: HalfLineGrid) -> FiberOperator:
-    """Assemble the discrete fiber Hamiltonian at momentum k.
-
-    Raises GridError when the truncated potential wall is too low to confine
-    the ground state, specifically when V(L) < 10*(3b + k^2).
-    """
-    b = model.b
-    VL = (b * grid.L - k) ** 2
-    if VL < 10.0 * (3.0 * b + k * k):
-        raise GridError(
-            f"potential at x=L is {VL:.3f} but confinement needs at least "
-            f"{10.0 * (3.0 * b + k * k):.3f}; enlarge L (k={k}, L={grid.L})"
-        )
-    sd, so, md, mo = _assemble_pencil(b, k, grid)
-    return FiberOperator(
-        k=float(k),
-        grid=grid,
-        stiff_diag=sd,
-        stiff_off=so,
-        mass_diag=md,
-        mass_off=mo,
-    )
-
-
-def _has_eigenvalue_below(sd, so, md, mo, sigma):
-    """Whether a pencil eigenvalue lies below sigma: K - sigma*M then fails
-    to be positive definite, and LAPACK's LDL^T factorisation says so."""
-    return dpttrf(sd - sigma * md, so - sigma * mo)[2] != 0
-
-
-def _apply_tri(d, o, vec):
-    """Symmetric tridiagonal matrix (diagonal d, off-diagonal o) times vec."""
-    out = d * vec
-    out[:-1] += o * vec[1:]
-    out[1:] += o * vec[:-1]
-    return out
-
-
-def _banded(diag, off, shift_d, shift_o, scale):
-    """Pack diag + scale*shift_d (and off bands) into solve_banded layout."""
-    n = diag.shape[0]
-    ab = np.zeros((3, n))
-    ab[0, 1:] = off + scale * shift_o
-    ab[1, :] = diag + scale * shift_d
-    ab[2, :-1] = off + scale * shift_o
-    return ab
-
-
-@dataclass(frozen=True)
 class GroundState:
-    """Converged ground-state data at one momentum.
+    """Ground-state data at one momentum.
 
-    phi1 is trapezoid-normalised on the interior nodes and sign-fixed so its
-    peak is positive.  dlambda1 is lambda_1'(k) by the gradient-of-potential
-    identity, Int -2 (b x - k) phi_1^2 dx, with the trapezoid rule on the
-    converged state.  operator is the pencil the state solves.
+    phi1 is the L2-normalised ground state sampled at the grid's interior
+    points, sign-fixed so its peak is positive; dlambda1 is lambda_1'(k).
     """
 
     k: float
     lambda1: float
     phi1: np.ndarray
     dlambda1: float
-    residual: float
-    operator: FiberOperator
 
 
-def solve_ground_state(model: ModelParams, k: float, grid: HalfLineGrid) -> GroundState:
-    """Lowest pencil eigenpair by inertia bisection plus inverse iteration.
-
-    The residual ||K phi - lambda M phi|| / ||M phi|| is driven below
-    1e-10 * lambda when the mesh allows it; on very fine meshes the
-    iteration is allowed to settle at its rounding floor as long as the
-    1e-8 * lambda contract holds.  The iteration cap raises NonConvergence
-    rather than returning junk.
-    """
-    op = build_fiber_operator(model, k, grid)
-    sd, so = op.stiff_diag, op.stiff_off
-    md, mo = op.mass_diag, op.mass_off
+def _check_confinement(model: ModelParams, ks: np.ndarray, L: float) -> None:
+    """GridError when the truncated potential wall is too low to confine the
+    ground state at some k, specifically when V(L) < 10*(3b + k^2)."""
     b = model.b
-    h = grid.h
-    x = grid.x
-
-    # bracket the lowest eigenvalue; lambda_1 <= 3b + k^2 always (trial state)
-    lo = 0.0
-    hi = 3.0 * b + k * k + 1.0
-    while not _has_eigenvalue_below(sd, so, md, mo, hi):
-        hi *= 2.0
-        if hi > 1e12:
-            raise NonConvergence(f"failed to bracket ground state at k={k}")
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if _has_eigenvalue_below(sd, so, md, mo, mid):
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-9 * max(1.0, hi):
-            break
-
-    sigma = lo  # shift strictly below the eigenvalue keeps the solve definite
-    ab = _banded(sd, so, md, mo, -sigma)
-    centre = min(max(k / b, 0.0), grid.L)
-    v = np.exp(-0.5 * b * (x - centre) ** 2)
-    v /= np.linalg.norm(v)
-
-    lam = sigma
-    res = np.inf
-    best = np.inf
-    stalled = 0
-    for _ in range(50):
-        rhs = _apply_tri(md, mo, v)
-        w = solve_banded((1, 1), ab, rhs)
-        w /= np.linalg.norm(w)
-        Kw = _apply_tri(sd, so, w)
-        Mw = _apply_tri(md, mo, w)
-        lam = float(w @ Kw) / float(w @ Mw)
-        res = float(np.linalg.norm(Kw - lam * Mw) / np.linalg.norm(Mw))
-        v = w
-        if res <= 1e-10 * lam:
-            break
-        # on fine meshes the tridiagonal apply has a rounding floor of
-        # order eps/h^2, which can sit above the 1e-10 target; once the
-        # residual stops improving, accept it if the 1e-8 contract holds
-        if res >= 0.9 * best:
-            stalled += 1
-            if stalled >= 3 and res <= 1e-8 * lam:
-                break
-        else:
-            stalled = 0
-        best = min(best, res)
-    else:
-        raise NonConvergence(
-            f"inverse iteration stalled at k={k}: residual {res:.3e} "
-            f"exceeds 1e-8 * lambda"
+    low = (b * L - ks) ** 2 < 10.0 * (3.0 * b + ks * ks)
+    if np.any(low):
+        k = float(ks[np.argmax(low)])
+        raise GridError(
+            f"potential at x=L is {(b * L - k) ** 2:.3f} but confinement needs at least "
+            f"{10.0 * (3.0 * b + k * k):.3f}; enlarge L (k={k}, L={L})"
         )
 
-    if v[int(np.argmax(np.abs(v)))] < 0.0:
-        v = -v
-    # trapezoid normalisation on [0, L] with phi = 0 at both endpoints
-    nrm = math.sqrt(h * float(v @ v))
-    phi = v / nrm
-    dlam = float(h * np.sum(-2.0 * (b * x - k) * phi * phi))
-    return GroundState(
-        k=float(k),
-        lambda1=lam,
-        phi1=phi,
-        dlambda1=dlam,
-        residual=res,
-        operator=op,
-    )
+
+def _ritz(model: ModelParams, ks: np.ndarray, L: float):
+    """Ritz pairs of h(k) on the Shen basis of (0, L) at every k in ks.
+
+    Returns (lam, dlam, dcoef, coef): lambda_1 and lambda_1' per k; the
+    coefficients of d_k phi_1 on phi_2..phi_N, shape (n_k, N - 1); and the
+    Shen coefficients of phi_1..phi_N, shape (n_k, N, N), one column each.
+    """
+    _check_confinement(model, ks, L)
+    b = model.b
+    N = math.ceil(2.6 * L * math.sqrt(b))
+    t, w = np.polynomial.legendre.leggauss(N + 4)
+    P = np.polynomial.legendre.legvander(t, N + 1)
+    psi = P[:, :N] - P[:, 2:]
+    # (P_j - P_{j+2})' = -(2j + 3) P_{j+1}, and dt/dx = 2/L
+    dpsi = (-2.0 / L) * (2.0 * np.arange(N) + 3.0) * P[:, 1 : N + 1]
+    x = 0.5 * L * (t + 1.0)
+    sw = np.sqrt(0.5 * L * w)[:, None]
+    # psi @ R is orthonormal on (0, L): R^T (mass) R = I
+    R = np.linalg.inv(np.linalg.cholesky((sw * psi).T @ (sw * psi))).T
+    Q = sw * (psi @ R)
+    A = sw * ((dpsi + b * x[:, None] * psi) @ R) - ks[:, None, None] * Q
+    _, s, vt = np.linalg.svd(A, full_matrices=False)
+    s = s[:, ::-1]
+    V = np.swapaxes(vt[:, ::-1, :], 1, 2)
+    # values at the Gauss points times sqrt(weight): U^T f U is the matrix
+    # of multiplication by f between the Ritz vectors
+    U = Q @ V
+    g = np.einsum("ngj,ng->nj", U, (b * x[None, :] - ks[:, None]) * U[:, :, 0])
+    gap = (s[:, 1:] - s[:, :1]) * (s[:, 1:] + s[:, :1])
+    return b + s[:, 0] ** 2, -2.0 * g[:, 0], 2.0 * g[:, 1:] / gap, R @ V
+
+
+def fiber_band(model: ModelParams, ks, grid: HalfLineGrid):
+    """lambda_1, lambda_1' and the squared norm of d_k phi_1 at every k in
+    ks, from one stacked SVD; GridError if grid.L does not confine some k."""
+    lam, dlam, dcoef, _ = _ritz(model, np.asarray(ks, dtype=float), grid.L)
+    return lam, dlam, np.sum(dcoef * dcoef, axis=1)
 
 
 def dk_phi1(model: ModelParams, k: float, grid: HalfLineGrid):
-    """Momentum derivative of the ground state from one banded solve.
+    """Ground state at k and its momentum derivative, sampled on the grid.
 
-    Differentiating K phi = lambda M phi in k gives
-
-        (K - lambda M) phi' = -(K' - lambda' M) phi,
-
-    with K' the pencil of the potential derivative -2(b x - k) and lambda'
-    the pencil's own Ritz derivative phi^T K' phi / phi^T M phi, which makes
-    the right-hand side orthogonal to phi.  The singular system is solved
-    with the entry at the peak of |phi| pinned to zero (Nelson, AIAA J. 14
-    (1976) 1201): the two blocks left over are positive definite, because
-    pinning a node raises the lowest eigenvalue.  Projecting out phi in the
-    trapezoid inner product then gives the derivative of the trapezoid-
-    normalised state.
-
-    Returns (state, dphi, cap): the ground state at k, the derivative dphi
-    (with <phi_1, dphi> = 0 to roundoff) and its squared trapezoid norm.
+    Returns (state, dphi, cap): the ground state, d_k phi_1 (orthogonal to
+    phi_1) at the grid's interior points, and its squared L2 norm.
     """
-    state = solve_ground_state(model, k, grid)
-    phi, lam, op = state.phi1, state.lambda1, state.operator
-    sd, so, md, mo = op.stiff_diag, op.stiff_off, op.mass_diag, op.mass_off
-    dd, do, _, _ = _assemble_pencil(model.b, k, grid, dpotential=True)
-    Mphi = _apply_tri(md, mo, phi)
-    dKphi = _apply_tri(dd, do, phi)
-    rhs = (float(phi @ dKphi) / float(phi @ Mphi)) * Mphi - dKphi
-    ab = _banded(sd, so, md, mo, -lam)
-    p = int(np.argmax(np.abs(phi)))
-    # pin d[p] = 0: zero row and column p, unit diagonal, zero right-hand side
-    ab[0, p : p + 2] = 0.0
-    ab[2, max(p - 1, 0) : p + 1] = 0.0
-    ab[1, p] = 1.0
-    rhs[p] = 0.0
-    d = solve_banded((1, 1), ab, rhs)
-    h = grid.h
-    d -= (h * float(phi @ d)) * phi
-    cap = h * float(d @ d)
-    return state, d, cap
+    lam, dlam, dcoef, coef = _ritz(model, np.array([float(k)]), grid.L)
+    shen = np.stack([coef[0, :, 0], coef[0, :, 1:] @ dcoef[0]], axis=1)
+    legendre = np.zeros((shen.shape[0] + 2, 2))
+    legendre[:-2] += shen
+    legendre[2:] -= shen
+    phi, dphi = np.polynomial.legendre.legval(2.0 * grid.x / grid.L - 1.0, legendre)
+    if phi[np.argmax(np.abs(phi))] < 0.0:
+        phi, dphi = -phi, -dphi
+    state = GroundState(k=float(k), lambda1=float(lam[0]), phi1=phi, dlambda1=float(dlam[0]))
+    return state, dphi, float(dcoef[0] @ dcoef[0])
+
+
+def solve_ground_state(model: ModelParams, k: float, grid: HalfLineGrid) -> GroundState:
+    """Lowest Ritz pair of h(k) on (0, grid.L); GridError if L does not
+    confine it."""
+    return dk_phi1(model, k, grid)[0]

@@ -268,10 +268,9 @@ def _contour(alpha, sigmas, z, parabola, residue_exponents):
 
     The nodes are built once for all z, and each sigma sums its weights
     e^s s^(alpha-sigma) ds against the Cauchy matrix 1/(s_j^alpha - z_i).
-    Nodes run down the rows.  With two or more z numpy sums the rows in
-    node order, so equal z of one call give equal E bit for bit; a lone z
-    is one column, which numpy sums pairwise, so the last bit of a z's E
-    can depend on which other z share its parabola in the call.
+    Nodes run along the rows, one contiguous row per z, which numpy sums
+    pairwise in the same order whatever the other z of the call, so a z's
+    E does not depend on which z share its parabola.
     """
     mu, h, n = parabola
     # s = mu (1 + iu)^2 at u = h k, with trapezoid factor h (ds/du) / (2 pi i) = mu h (1 + iu) / pi
@@ -279,12 +278,12 @@ def _contour(alpha, sigmas, z, parabola, residue_exponents):
     s = mu * v**2
     log_s = np.log(s)
     # the Cauchy matrix, as its denominators s_j^alpha - z_i
-    gaps = np.exp(alpha * log_s)[:, None] - z
+    gaps = np.exp(alpha * log_s) - z[:, None]
     scale = v * (mu * h / math.pi)
     sums = []
     for sigma in sigmas:
         weights = np.exp(s if sigma == alpha else s + (alpha - sigma) * log_s) * scale
-        sums.append(np.add.reduce(weights[:, None] / gaps, axis=0))
+        sums.append(np.add.reduce(weights / gaps, axis=1))
     out = np.array(sums)
     if residue_exponents is not None:
         out += np.exp(residue_exponents).T
@@ -360,7 +359,10 @@ def _ray(alpha, sigmas, z, r0, rho0, reach):
     for k, sigma in enumerate(sigmas):
         s1 = _cis_pi(1.0 - sigma).imag
         s2 = _cis_pi(1.0 - sigma + alpha).imag
-        total = np.add.reduce(r ** ((1.0 - sigma) / alpha) * (r * s1 - z * s2) * shared, axis=0)
+        terms = r ** ((1.0 - sigma) / alpha) * (r * s1 - z * s2) * shared
+        # one contiguous row per z: the same summation order whatever the
+        # other z of the call
+        total = np.add.reduce(np.ascontiguousarray(terms.T), axis=1)
         half = _cis_pi(1.0 - sigma) * (0.5 / alpha * rho0 ** (1.0 - sigma) * np.exp(-rho0))
         out[k] = half + total / (alpha * math.pi)
     return out

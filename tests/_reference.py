@@ -6,21 +6,23 @@ The Mittag-Leffler references are a plain mpmath power series at a fixed
 working precision, the real-line integral of Gorenflo, Loutchko and Luchko
 by mpmath quadrature (where the series would need thousands of digits), and
 the Faddeeva function at alpha = 1/2.
-The eigenvalue reference discretizes the half-line operator with second
-order finite differences and LAPACK's tridiagonal bisection, then removes
-the leading h^2 error by Richardson extrapolation; the production solver
-is a P1 finite-element pencil with its own inertia bisection, so agreement
-is a genuine cross-check rather than the same arithmetic twice.
-The reference for the momentum-derivative norm of the ground state
-assembles that same P1 pencil with its own quadrature, takes eigenvectors
-from dense LAPACK eigh and differences them in k with Richardson
-extrapolation; the production code uses one banded derivative solve.
+The band references share no arithmetic with the production solver, a
+Legendre-Galerkin Ritz method solved by one numpy SVD:
+- lam_exact is the exact eigenvalue b(2 nu + 1), nu the root of the
+  parabolic-cylinder function D_nu(-k sqrt(2/b)) by mpmath.pcfd;
+- lam_reference discretizes the half-line operator with second order finite
+  differences and LAPACK's tridiagonal bisection, then removes the leading
+  h^2 error by Richardson extrapolation (the frozen INDEPENDENT_LAM);
+- band_fd and band_reference give lambda_1, lambda_1' and the squared norm
+  of the momentum derivative of the ground state from the same difference
+  matrix, the last by one pinned tridiagonal solve, at h and h/2 with
+  Richardson extrapolation.
 """
 import math
 
 import mpmath as mp
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, solve_banded
 from scipy.special import wofz
 
 
@@ -115,40 +117,66 @@ def lam_reference(b, k):
     return (4.0 * fine - coarse) / 3.0
 
 
-def _p1_pencil(b, k, L, n):
-    """Dense P1 stiffness-plus-potential and mass matrices on (0, L) with n
-    interior nodes, element integrals by 4-point Gauss-Legendre (exact for
-    the degree-4 integrands)."""
+def lam_exact(b, k, guess, dps=30):
+    """Lowest eigenvalue of -d^2/dx^2 + (bx-k)^2 on (0, inf), Dirichlet at 0.
+
+    With y = sqrt(2b)(x - k/b) the operator is 2b(-d^2/dy^2 + y^2/4), whose
+    decaying solutions are the parabolic-cylinder functions D_nu(y) with
+    eigenvalue b(2 nu + 1); the wall at x = 0 asks for D_nu(-k sqrt(2/b)) = 0.
+    The root is found from the eigenvalue guess with mpmath.pcfd.  D_nu(y0)
+    is scaled by e^(y0^2/4), because for k >> sqrt(b) it is of order
+    e^(-y0^2/4) on both sides of the root (1e-14 at k = 8, b = 1) and an
+    unscaled findroot stops at nu = 0.
+    """
+    with mp.workdps(dps):
+        y0 = -mp.mpf(k) * mp.sqrt(2 / mp.mpf(b))
+        nu = mp.findroot(
+            lambda nu: mp.pcfd(nu, y0) * mp.exp(y0 * y0 / 4), (mp.mpf(guess) / b - 1) / 2
+        )
+        return float(b * (2 * nu + 1))
+
+
+def band_fd(b, k, L, n):
+    """(lambda_1, lambda_1', ||d_k phi_1||^2) of the 3-point difference
+    matrix on (0, L) with n interior points.
+
+    The eigenvector comes from LAPACK's tridiagonal bisection and inverse
+    iteration; lambda_1 is its Rayleigh quotient in difference form, which
+    keeps the rounding at eps * lambda instead of eps / h^2.  lambda_1' is
+    the discrete Feynman-Hellmann sum, and d_k phi_1 solves
+    (A - lambda_1) d = -(A' - lambda_1') phi_1 with the entry at the peak of
+    |phi_1| pinned to zero (Nelson, AIAA J. 14 (1976) 1201), then loses its
+    phi_1 component.  Each of the three has an error expansion in h^2.
+    """
     h = L / (n + 1)
-    g, gw = np.polynomial.legendre.leggauss(4)
-    s, w = 0.5 * (g + 1.0), 0.5 * gw
-    left = np.arange(n + 1) * h  # left ends of the n + 1 elements
-    V = (b * (left[:, None] + h * s[None, :]) - k) ** 2
-    ll = h * (V * ((1 - s) ** 2 * w)).sum(axis=1)
-    lr = h * (V * ((1 - s) * s * w)).sum(axis=1)
-    rr = h * (V * (s * s * w)).sum(axis=1)
-    K = np.diag(2.0 / h + rr[:-1] + ll[1:])
-    K += np.diag(lr[1:-1] - 1.0 / h, 1) + np.diag(lr[1:-1] - 1.0 / h, -1)
-    M = np.diag(np.full(n, 4.0 * h / 6.0))
-    M += np.diag(np.full(n - 1, h / 6.0), 1) + np.diag(np.full(n - 1, h / 6.0), -1)
-    return K, M
+    x = h * np.arange(1, n + 1)
+    V = (b * x - k) ** 2
+    diag = 2.0 / h**2 + V
+    off = np.full(n - 1, -1.0 / h**2)
+    v = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))[1][:, 0]
+    v = v / math.sqrt(h * float(v @ v))
+    steps = np.diff(np.concatenate(([0.0], v, [0.0])))
+    lam = h * (float(steps @ steps) / h**2 + float(V @ (v * v)))
+    dV = -2.0 * (b * x - k)
+    dlam = h * float(dV @ (v * v))
+    rhs = (dlam - dV) * v
+    ab = np.zeros((3, n))
+    ab[0, 1:] = off
+    ab[1] = diag - lam
+    ab[2, :-1] = off
+    p = int(np.argmax(np.abs(v)))
+    ab[0, p : p + 2] = 0.0
+    ab[2, max(p - 1, 0) : p + 1] = 0.0
+    ab[1, p] = 1.0
+    rhs[p] = 0.0
+    d = solve_banded((1, 1), ab, rhs)
+    d -= h * float(v @ d) * v
+    return lam, dlam, h * float(d @ d)
 
 
-def _p1_ground_vector(b, k, L, n):
-    K, M = _p1_pencil(b, k, L, n)
-    v = eigh(K, M, subset_by_index=[0, 0])[1][:, 0]
-    v = v / math.sqrt((L / (n + 1)) * float(v @ v))
-    return v if v[np.argmax(np.abs(v))] > 0.0 else -v
-
-
-def cap_reference(b, k, L, n, step=1e-3):
-    """||P_perp d/dk phi_1||^2 for the trapezoid-normalised P1 ground state:
-    central differences of dense-eigh eigenvectors at steps `step` and
-    2*step, Richardson-extrapolated, then projected against phi_1."""
-    h = L / (n + 1)
-    phi = {j: _p1_ground_vector(b, k + j * step, L, n) for j in (-2, -1, 0, 1, 2)}
-    d1 = (phi[1] - phi[-1]) / (2.0 * step)
-    d2 = (phi[2] - phi[-2]) / (4.0 * step)
-    d = (4.0 * d1 - d2) / 3.0
-    d -= h * float(phi[0] @ d) * phi[0]
-    return h * float(d @ d)
+def band_reference(b, k, L, n=4000):
+    """band_fd at n and 2n + 1 points (h exactly halved), Richardson-
+    extrapolated: (4 fine - coarse) / 3 for each of the three values."""
+    coarse = np.array(band_fd(b, k, L, n))
+    fine = np.array(band_fd(b, k, L, 2 * n + 1))
+    return tuple((4.0 * fine - coarse) / 3.0)

@@ -1,9 +1,9 @@
 """Shared fixtures.
 
-The spectral table is the most expensive object in the suite (64
-half-line eigensolves plus one derivative solve each for the cap data), so
-it is built once per session and shared read-only; SpectralTable is frozen,
-nothing mutates it.  All transport tests run on the same b = 1, window
+The spectral table (64 momentum nodes, one stacked SVD of the
+Legendre-Galerkin fiber problem, with the cap data from the same Ritz
+pairs) is built once per session and shared read-only; SpectralTable is
+frozen, nothing mutates it.  All transport tests run on the same b = 1, window
 [1, 2] setup that the CLI uses as its default.
 """
 import sys

@@ -19,7 +19,8 @@ independent values and in the identity-based tests.
 # ---------------------------------------------------------------------------
 
 # lowest Dirichlet eigenvalue of -d''/dx'' + (b x - k)^2, from
-# _reference.lam_reference (FD + Richardson, agrees with itself to ~1e-9)
+# _reference.lam_reference (FD + Richardson, agrees with itself to ~1e-9;
+# the exact _reference.lam_exact values differ from these by up to 7e-10)
 INDEPENDENT_LAM = {
     (1.0, 0.0): 2.9999999996594995,
     (1.0, 1.0): 1.4684677436923588,
@@ -48,29 +49,33 @@ INDEPENDENT_ML = [
 ]
 
 # ---------------------------------------------------------------------------
-# regression pins (this package, b = 1, window [1, 2], L = 14, n = 4000,
-# 64-node Gauss-Legendre, cap from the derivative solve of dk_phi1)
+# regression pins (this package, b = 1, window [1, 2], L = 14, 64-node
+# Gauss-Legendre, Legendre-Galerkin band data).  Recorded where the exact
+# parabolic-cylinder eigenvalues (lam_exact) and Richardson-extrapolated
+# finite-difference tables (band_fd at n = 2000, 4001, 8003, 16007) agree
+# with them to 1e-13 (lambda_1), 5e-13 relative (lambda_1') and 3e-11
+# relative (J, MSD); the P1 values they replace were 1e-8 to 6e-6 off
 # ---------------------------------------------------------------------------
 
 PIN_GRID_L = 14.0
-PIN_LAM1_AT_0 = 3.000002811092795
-PIN_LAM1_AT_8 = 1.0000047512054169
+PIN_LAM1_AT_0 = 3.0000000000000604
+PIN_LAM1_AT_8 = 1.000000000000003
 PIN_LAM1_WINDOW = {
-    1.0: (1.4684692498739578, -0.8767801953718959),
-    1.5: (1.1574808163878674, -0.39845369815446324),
-    2.0: (1.035764143460082, -0.12296339812168114),
+    1.0: (1.4684677434670546, -0.8767800798018055),
+    1.5: (1.1574798720782051, -0.39845386785202436),
+    2.0: (1.0357633946055582, -0.12296366274004027),
 }
 PIN_PACKET_NORM_SQ = 0.06654306042249815
 
-PIN_SCHRODINGER_CONST = -0.027308890178254216
-PIN_J_DIRECT_55_AT_2 = -0.2568315297142948
-PIN_J_DIRECT_55_AT_1E3 = -0.26240244652035694
-PIN_J_NABER_AT_1E3 = -0.2624022270232618
+PIN_SCHRODINGER_CONST = -0.02730890071547005
+PIN_J_DIRECT_55_AT_2 = -0.25683152602889686
+PIN_J_DIRECT_55_AT_1E3 = -0.26240078835666003
+PIN_J_NABER_AT_1E3 = -0.26240113302265916
 
-PIN_MSD_55_AT_1E3 = 72552.29034869737
-PIN_MSD_NABER_LEAD = 0.07254905606955465
-PIN_MSD_51_AT_1E3 = 0.00019515947632239543
-PIN_MSD_CASE2_LEAD = 0.19501124995089023
+PIN_MSD_55_AT_1E3 = 72552.20283287994
+PIN_MSD_NABER_LEAD = 0.07254896998654621
+PIN_MSD_51_AT_1E3 = 0.0001951597994577804
+PIN_MSD_CASE2_LEAD = 0.1950115726096532
 
 PIN_ML_HALF_AT_M1 = 0.4275835761558048
 PIN_ML_ONE_AT_2 = 7.389056098930645

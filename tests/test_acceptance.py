@@ -143,8 +143,10 @@ def test_c04_band_anchors():
     lam8 = solve_ground_state(m, 8.0, make_grid(m, 8.0)).lambda1
     anchor0 = abs(lam0 - 3.0) <= 1e-3
     anchor8 = 1.0 < lam8 < 1.001
-    # 20-point grid placed where the gap above the Landau level is still
-    # resolvable; beyond k ~ 4 it sinks under the discretisation error
+    # 20-point grid placed where the gap above the Landau level is large
+    # against rounding; past k ~ 6 it sinks below double precision (the
+    # exact lam(8) - 1 is 1.4e-27, and what lam(8) reads above 1 is the
+    # Ritz excess of the basis)
     band = [
         solve_ground_state(m, k, make_grid(m, k, n=2400)).lambda1
         for k in np.linspace(-3.0, 3.5, 20)
@@ -164,7 +166,7 @@ def test_c04_band_anchors():
     ok = anchor0 and anchor8 and monotone and slopes
     line = _record(
         4, "band anchors", ok,
-        f"lam(0)-3 = {lam0 - 3.0:+.1e}, lam(8) = {lam8:.6f}, "
+        f"lam(0)-3 = {lam0 - 3.0:+.1e}, lam(8)-1 = {lam8 - 1.0:+.1e}, "
         f"monotone = {monotone}, slope rel {worst_slope:.1e}",
     )
     assert ok, line

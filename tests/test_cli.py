@@ -30,11 +30,11 @@ def test_defaults_describe_the_reference_window():
 
 def test_file_and_override_precedence(tmp_path):
     ini = tmp_path / "run.ini"
-    ini.write_text("[order]\nalpha = 0.8\nbeta = 0.4\n[grid]\nn = 900\nL = auto\n")
+    ini.write_text("[order]\nalpha = 0.8\nbeta = 0.4\n[quad]\nn_nodes = 48\n[grid]\nL = auto\n")
     cfg = parse_config(str(ini), {("order", "beta"): "0.6", ("grid", "L"): "11.5"})
     assert cfg.alpha == 0.8  # from the file
     assert cfg.beta == 0.6  # override wins
-    assert cfg.n == 900
+    assert cfg.n_nodes == 48
     assert cfg.L == 11.5
 
 
@@ -57,14 +57,15 @@ def test_config_rejections(tmp_path):
         ({("order", "alpha"): "1.5"}, "order.alpha must lie in (0, 1]"),
         ({("model", "b"): "-1"}, "model.b must be positive"),
         ({("chi", "k_min"): "3"}, "chi.k_min must be less than chi.k_max"),
-        ({("grid", "n"): "50"}, "grid.n must be an integer >= 200"),
+        # the band basis follows grid.L; there is no grid.n any more
+        ({("grid", "n"): "800"}, "unknown config key grid.n"),
         ({("grid", "L"): "-4"}, "grid.L must be positive or 'auto'"),
         ({("quad", "n_nodes"): "8"}, "quad.n_nodes must be an integer >= 32"),
         ({("time", "t_min"): "0"}, "time.t_min must be positive"),
         ({("time", "t_max"): "0.5"}, "time.t_max must exceed time.t_min"),
         ({("time", "n_samples"): "1"}, "time.n_samples must be an integer >= 2"),
         ({("order", "alpha"): "fast"}, "order.alpha must be a number"),
-        ({("grid", "n"): "4.5"}, "grid.n must be an integer"),
+        ({("quad", "n_nodes"): "4.5"}, "quad.n_nodes must be an integer"),
         ({("output", "normalize"): "maybe"}, "output.normalize must be a boolean"),
         ({("chi", "amplitude"): "0"}, "chi.amplitude must be positive"),
     ],
@@ -128,7 +129,6 @@ def test_csv_to_stdout(capsys):
 # ---------------------------------------------------------------------------
 
 FAST = [
-    "--grid.n", "800",
     "--quad.n_nodes", "32",
     "--time.n_samples", "3",
 ]
@@ -146,18 +146,24 @@ def test_ml_eval_command(capsys):
 
 
 def test_spectrum_command(tmp_path):
+    # one row per quadrature node: the table the observables integrate
     path = tmp_path / "band.csv"
-    rc = main(
-        ["spectrum", "--grid.n", "800", "--time.n_samples", "5",
-         "--output.path", str(path)]
-    )
+    rc = main(["spectrum", "--quad.n_nodes", "32", "--output.path", str(path)])
     assert rc == 0
     rows = read_csv(str(path))
     assert rows[0] == ["k", "lambda1", "dlambda1"]
-    assert len(rows) == 6
+    assert len(rows) == 33
+    ks = [float(r[0]) for r in rows[1:]]
+    assert 1.0 < ks[0] and ks[-1] < 2.0
     lams = [float(r[1]) for r in rows[1:]]
     assert all(a > b for a, b in zip(lams, lams[1:]))  # decreasing in k
     assert all(float(r[2]) < 0.0 for r in rows[1:])
+    # a time setting does not move the momentum rows
+    other = tmp_path / "band5.csv"
+    rc = main(["spectrum", "--quad.n_nodes", "32", "--time.n_samples", "5",
+               "--output.path", str(other)])
+    assert rc == 0
+    assert other.read_bytes() == path.read_bytes()
 
 
 def test_current_command(tmp_path):
@@ -240,7 +246,7 @@ def test_order_sweep_ends_in_an_exit_code(alpha, beta, tmp_path):
     # default times reach t = 1e4, far past double range in the growth
     # regime: current falls back to the log of the leading model, msd stops
     # with exit code 3, and no run ends in a traceback
-    small = ["--grid.n", "800", "--quad.n_nodes", "32"]
+    small = ["--quad.n_nodes", "32"]
     order = ["--order.alpha", str(alpha), "--order.beta", str(beta)]
     codes = {
         command: main([command, *small, *order, "--output.path", str(tmp_path / "out.csv")])

@@ -238,14 +238,14 @@ def test_traces_equal_per_time_evaluations(order, window, model, profile, grid, 
 def test_traces_match_per_time_evaluations_at_early_times(
     order, model, profile, grid, rule, table
 ):
-    # for t <= 1 ml_pair may group a node's z with different companions in
-    # the two calls, and a lone z is summed in another order, which moves E
-    # in its last bit
+    # for t <= 1 ml_pair groups a node's z with different companions in the
+    # two calls; each z's contour sum runs in the same order whatever its
+    # companions, so E and the sums over nodes agree bit for bit
     times = np.geomspace(1e-2, 1.0, 30)
     direct = [current_direct(order, model, profile, grid, rule, t, table) for t in times]
-    np.testing.assert_allclose(current_trace(order, table, times).values, direct, rtol=1e-14)
+    assert np.array_equal(current_trace(order, table, times).values, direct)
     msd = [msd_direct(order, model, profile, grid, rule, t, table).total for t in times]
-    np.testing.assert_allclose(msd_trace(order, table, times).values, msd, rtol=1e-14)
+    assert np.array_equal(msd_trace(order, table, times).values, msd)
 
 
 def test_trace_validation():

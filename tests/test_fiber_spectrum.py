@@ -10,13 +10,13 @@ from tfedge import (
     HalfLineGrid,
     ModelParams,
     auto_length,
-    build_fiber_operator,
     dk_phi1,
+    fiber_band,
     make_grid,
     solve_ground_state,
 )
 
-from _reference import cap_reference, lam_reference
+from _reference import band_reference, lam_exact, lam_reference
 from oracles import INDEPENDENT_LAM, PIN_LAM1_AT_0, PIN_LAM1_AT_8, PIN_LAM1_WINDOW
 
 
@@ -31,11 +31,21 @@ def test_frozen_lam_reference_is_honest():
 
 
 def test_matches_independent_fd_reference():
-    # the FD + Richardson oracle and the FE pencil share no code; agreement
-    # to a few 1e-6 pins the discretisation error of both
+    # the FD + Richardson oracle and the Legendre-Galerkin basis share no
+    # code; the frozen values are themselves a few 1e-10 off the exact ones
     for (b, k), want in INDEPENDENT_LAM.items():
         got = lam(b, k)
         assert abs(got - want) <= 5e-4 * max(1.0, abs(want)), (b, k, got, want)
+
+
+def test_matches_exact_parabolic_cylinder_oracle():
+    # the root of D_nu(-k sqrt(2/b)) by mpmath; at k = 8 the exact gap above
+    # b is 1.4e-27, so what the solver reports there is its Ritz excess
+    for (b, k), guess in INDEPENDENT_LAM.items():
+        want = lam_exact(b, k, guess)
+        got = lam(b, k)
+        assert abs(got - want) <= 1e-10, (b, k, got, want)
+        assert got >= want  # a Ritz value bounds the eigenvalue from above
 
 
 def test_dispersion_anchors():
@@ -64,8 +74,8 @@ def test_regression_pins_on_reference_window():
 
 
 def test_band_is_strictly_decreasing():
-    # past k ~ 4 the gap above the Landau level (~ k e^{-k^2}) sinks below
-    # the Ritz discretisation error, so the strict comparison is only
+    # the gap above the Landau level shrinks like k e^{-k^2} and sinks below
+    # double precision past k ~ 6, so the strict comparison is only
     # meaningful on the left part of the band
     values = [lam(1.0, k, n=2400) for k in np.linspace(-3.0, 3.5, 20)]
     assert all(a > b for a, b in zip(values, values[1:]))
@@ -80,23 +90,28 @@ def test_band_lower_bounds():
             assert v > k * k
 
 
-def test_grid_convergence_is_second_order():
+def test_grid_refinement_changes_nothing():
+    # n only sets where phi_1 is sampled; a longer truncation grows the
+    # basis with it (N ~ L sqrt(b)) and leaves the converged band alone
     m = ModelParams(1.0)
-    vals = {
-        n: solve_ground_state(m, 1.0, HalfLineGrid(L=14.0, n=n)).lambda1
-        for n in (800, 1600, 3200)
-    }
-    d1 = vals[800] - vals[1600]
-    d2 = vals[1600] - vals[3200]
-    assert d1 > 0.0 and d2 > 0.0  # variational: errors shrink from above
-    assert 2.0 <= d1 / d2 <= 8.0
+    ks = [1.0, 1.5, 2.0]
+    base = fiber_band(m, ks, HalfLineGrid(L=14.0, n=800))
+    fine = fiber_band(m, ks, HalfLineGrid(L=14.0, n=3200))
+    assert all(np.array_equal(a, b) for a, b in zip(base, fine))
+    for L in (21.0, 28.0):
+        for got, want in zip(fiber_band(m, ks, HalfLineGrid(L=L)), base):
+            assert np.max(np.abs(got / want - 1.0)) <= 1e-10, (L, got, want)
 
 
 def test_state_quality(model, grid):
     st = solve_ground_state(model, 1.0, grid)
-    assert st.residual <= 1e-10 * st.lambda1
     h = grid.h
     assert abs(h * float(st.phi1 @ st.phi1) - 1.0) <= 1e-12
+    # the samples solve the equation: their difference-form Rayleigh
+    # quotient is lambda_1 up to the O(h^2) error of the difference (1.5e-6)
+    steps = np.diff(np.concatenate(([0.0], st.phi1, [0.0])))
+    energy = float(steps @ steps) / h + h * float((grid.x - 1.0) ** 2 @ st.phi1**2)
+    assert abs(energy - st.lambda1) <= 1e-5
     assert st.phi1[np.argmax(np.abs(st.phi1))] > 0.0
     # Dirichlet tail: nothing left at the far wall
     assert abs(st.phi1[-1]) < 1e-8
@@ -132,20 +147,21 @@ def test_momentum_derivative_deep_band_limit():
 
 
 def test_momentum_derivative_norm_matches_dense_reference():
-    # Richardson-differenced eigenvectors of the same P1 pencil from dense
-    # eigh; the reference agrees with itself to about 2e-9 at n = 800
+    # finite differences at h and h/2 with a pinned derivative solve each,
+    # Richardson-extrapolated; the reference moves by under 1e-10 from
+    # n = 2000 to n = 4000
     m = ModelParams(1.0)
-    grid = HalfLineGrid(L=14.0, n=800)
+    grid = HalfLineGrid(L=14.0)
     for k in (1.0, 1.5, 2.0):
         _, _, cap = dk_phi1(m, k, grid)
-        want = cap_reference(1.0, k, grid.L, grid.n)
+        want = band_reference(1.0, k, grid.L)[2]
         assert abs(cap - want) <= 1e-8 * want, (k, cap, want)
 
 
 def test_confinement_guard():
     m = ModelParams(1.0)
     with pytest.raises(GridError) as err:
-        build_fiber_operator(m, 8.0, HalfLineGrid(L=12.0, n=2000))
+        solve_ground_state(m, 8.0, HalfLineGrid(L=12.0, n=2000))
     assert "confinement" in str(err.value)
 
 
