@@ -27,14 +27,13 @@ import numpy as np
 
 from .edge_current import (
     FractionalOrder,
+    _decay_order,
     build_spectral_table,
     classify_regime,
     current_asymptotic_case1,
     current_asymptotic_case2,
     current_direct,
-    current_naber,
     current_trace,
-    decay_exponent,
     fit_exponent,
     gauss_legendre_rule,
     log_current_case1,
@@ -277,12 +276,10 @@ def cmd_spectrum(cfg: RunConfig, with_cap: bool) -> int:
     return 0
 
 
-def _asymptotic_companion(order, model, profile, grid, rule, table):
+def _asymptotic_companion(order, table):
     """The closed-form model matching the regime of the order pair."""
-    if order.beta < order.alpha:
+    if order.beta <= order.alpha:
         return lambda t: current_asymptotic_case1(order, table, t)
-    if order.beta == order.alpha:
-        return lambda t: current_naber(order.alpha, model, profile, grid, rule, t, table)
     return lambda t: current_asymptotic_case2(order, table, t)
 
 
@@ -290,7 +287,7 @@ def cmd_current(cfg: RunConfig) -> int:
     model, order, profile, grid, rule = _assemble(cfg)
     table = build_spectral_table(model, profile, grid, rule)
     regime = classify_regime(order)
-    companion = _asymptotic_companion(order, model, profile, grid, rule, table)
+    companion = _asymptotic_companion(order, table)
 
     def row(t):
         t = float(t)
@@ -373,9 +370,7 @@ def _regime_fit(order, table):
         return (20.0, 80.0), "semilog", rate, 0.10 * abs(rate)
     if regime == "AsymptoticallyConstant":
         return (1e2, 1e4), "loglog", 0.0, 0.05
-    # the t^-(1+3 alpha) coefficient vanishes at alpha = 1/2; the next order,
-    # t^-(1+4 alpha), leads
-    target = -(1.0 + 4.0 * order.alpha) if order.alpha == 0.5 else decay_exponent(order)
+    target = -(1.0 + _decay_order(order, table) * order.alpha)
     return (1e2, 1e4), "loglog", target, 0.05 * abs(target)
 
 

@@ -5,25 +5,36 @@ evolved by the half-plane dynamics of order pair (alpha, beta).  The current
 carried along the edge reduces to a one-dimensional momentum integral
 
     J(t) = 2 t^(alpha-1) Int lambda_1 chi chi' Re{ (-i)^(1+beta)
-              E_{a,a}(z) conj(E_{a,1}(z)) } dk,     z = (-i)^beta t^alpha lambda_1(k),
+              E_{a,a}(z) conj(E_{a,1}(z)) } dk,     z = (-i)^beta t^alpha lambda_1(k).
 
-together with closed-form large-time models for the three order regimes:
-exponential growth when beta < alpha, a constant plateau with oscillatory
-t^(-alpha) correction when beta = alpha, and power-law decay when
-beta > alpha.  The generic decay exponent is -(1+3 alpha); its coefficient
-vanishes identically at alpha = 1/2, where the current decays as
-t^(-(1+4 alpha)) = t^-3 for beta < 1 and is exponentially small at beta = 1.
+J and the four spreading channels of msd are rows of one channel table: a
+t-prefactor times a node sum of a weight times Re{phase E_L(z) conj(E_R(z))},
+with E_L and E_R each E_{a,a} or E_{a,1}.  Two paths read the table.  The
+exact kernel (current_trace, current_direct; msd_trace, msd_direct) takes
+every E from one ml_pair call per sweep.  The closed-form models replace each
+E by terms of its large-|z| split (Gorenflo, Kilbas, Mainardi and Rogosin,
+Mittag-Leffler Functions (2014) 4.7; Garrappa, SIAM J. Numer. Anal. 53
+(2015) 1350)
+
+    E_{a,s}(z) = (1/a) z^((1-s)/a) exp(z^(1/a))        [while |arg z| < pi a]
+                 - sum_{k>=1} z^-k / Gamma(s - k a) + (exponentially small),
+
+and sum the chosen term pairs.  The three regimes follow: exponential growth
+when beta < alpha (the residue pair), a constant plateau with oscillatory
+t^(-alpha) correction when beta = alpha, and power-law decay t^-(1+n alpha)
+when beta > alpha from the algebraic pairs.  The generic order is n = 3;
+its coefficient vanishes identically at alpha = 1/2, where n = 4 leads for
+beta < 1 and every algebraic order vanishes at beta = 1 (the current there
+is exponentially small).
 
 Everything spectral (lambda_1, lambda_1', and the momentum-gradient norm of
 phi_1) is computed once per quadrature node and reused across all times; see
-SpectralTable.  The closed forms and current_trace are functions of (order,
-table, t or times); current_trace makes one ml_pair call over the (time x
-node) z array and current_direct is its one-time case.  Where a node value
-leaves double range they raise OverflowGuard, and log_current_case1 carries
-the growth regime on.  current_direct and current_naber keep the
-(order, model, profile, grid, rule, t, table) form, building the table when
-none is passed.  Quadrature sums are correctly rounded (math.fsum), so they
-do not depend on summation order and runs are bit-for-bit reproducible.
+SpectralTable.  Where a node value leaves double range the evaluators raise
+OverflowGuard, and log_current_case1 carries the growth regime on.
+current_direct and current_naber keep the (order, model, profile, grid,
+rule, t, table) form, building the table when none is passed.  Quadrature
+sums are correctly rounded (math.fsum), so they do not depend on summation
+order and runs are bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -31,11 +42,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, OverflowGuard, QuadratureError, SignChange
+from .errors import DomainError, OverflowGuard, SignChange
 from .fiber_spectrum import (
     HalfLineGrid,
     ModelParams,
@@ -65,7 +76,6 @@ __all__ = [
     "decay_exponent",
     "current_direct",
     "current_schrodinger",
-    "current_beta_line",
     "current_asymptotic_case1",
     "current_asymptotic_case2",
     "current_naber",
@@ -83,12 +93,7 @@ METHODS = (
     "AsymptoticCase2",
     "Naber",
     "Schrodinger",
-    "BetaLine",
 )
-
-# largest exponent handed to exp() in closed-form models before switching
-# callers to the log-value pathway
-_EXP_LIMIT = 700.0
 
 
 @dataclass(frozen=True)
@@ -231,7 +236,7 @@ def _fsum_dot(weights: np.ndarray, values: np.ndarray) -> float:
     """Correctly rounded sum of weights * values, independent of order;
     OverflowGuard if an entry or the sum has left double range."""
     try:
-        total = math.fsum(weights * values)
+        total = math.fsum((weights * values).tolist())
     except (ValueError, OverflowError):  # -inf + inf, or a sum past double range
         total = math.nan
     return _finite(total, "a quadrature sum")
@@ -254,6 +259,148 @@ def _ml_over_times(order, tab, times):
 
 
 # ---------------------------------------------------------------------------
+# the channel table and its two evaluation paths
+# ---------------------------------------------------------------------------
+
+
+class _Channel(NamedTuple):
+    """One observable bilinear in (E_{a,a}(z), E_{a,1}(z)):
+
+        coef t^(q0 + q1 alpha) Int weight Re{ (-i)^(p0 + p1 beta) E_L(z) conj(E_R(z)) } dk
+
+    with E_L, E_R = (E_{a,a}, E_{a,1})[pair].  by_parts(table, m), J's alone,
+    is weight * lambda^m integrated by parts: Int lambda^(1+m) chi chi' dk =
+    -(1+m)/2 Int lambda^m lambda' chi^2 dk, as chi and all its derivatives
+    vanish at the window ends.
+    """
+
+    pair: Tuple[int, int]
+    phase: Tuple[float, float]
+    scale: Tuple[float, float, float]
+    weight: Callable[[SpectralTable], np.ndarray]
+    by_parts: Optional[Callable[[SpectralTable, float], np.ndarray]] = None
+
+
+# J, and the ballistic (A), width (B), deformation (C) and cross (F)
+# channels of the second moment (msd)
+_CHANNELS = {
+    "J": _Channel(
+        (0, 1), (1.0, 1.0), (2.0, -1.0, 1.0),
+        lambda tab: tab.lam * tab.chi_vals * tab.dchi_vals,
+        lambda tab, m: -0.5 * (1.0 + m) * tab.lam**m * tab.dlam * tab.chi_vals**2,
+    ),
+    "A": _Channel((0, 0), (0.0, 0.0), (1.0, 0.0, 2.0), lambda tab: tab.dlam**2 * tab.chi_vals**2),
+    "B": _Channel((1, 1), (0.0, 0.0), (1.0, 0.0, 0.0), lambda tab: tab.dchi_vals**2),
+    "C": _Channel((1, 1), (0.0, 0.0), (1.0, 0.0, 0.0), lambda tab: tab.chi_vals**2 * tab.cap),
+    "F": _Channel(
+        (0, 1), (0.0, 1.0), (2.0, 0.0, 1.0), lambda tab: tab.dlam * tab.dchi_vals * tab.chi_vals
+    ),
+}
+
+
+def _scale(channel, alpha, t, m=0.0):
+    """The channel's t-prefactor times (t^alpha)^m."""
+    coef, q0, q1 = channel.scale
+    return coef * t ** (q0 + alpha * (q1 + m))
+
+
+def _exact(order, tab, times, names):
+    """The named channels at each time from the exact kernel: one ml_pair
+    call, then one correctly rounded sum per channel and time.  A node
+    product past double range reaches the sum as inf or nan, where _fsum_dot
+    turns it into OverflowGuard."""
+    channels = [_CHANNELS[name] for name in names]
+    weights = [ch.weight(tab) for ch in channels]
+    phases = [neg_i_power(ch.phase[0] + ch.phase[1] * order.beta) for ch in channels]
+    e_rows = _ml_over_times(order, tab, times)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [
+            [
+                _finite(
+                    _scale(ch, order.alpha, t)
+                    * _fsum_dot(
+                        tab.rule.weights,
+                        g * (rot * e_rows[ch.pair[0]][i] * np.conj(e_rows[ch.pair[1]][i])).real,
+                    ),
+                    f"channel {name}",
+                )
+                for name, ch, g, rot in zip(names, channels, weights, phases)
+            ]
+            for i, t in enumerate(times)
+        ]
+
+
+def _term(alpha, sigma, k):
+    """(c, m, e) of term k of the split E_{alpha,sigma}(z) = sum_k c z^m
+    exp(e z^(1/alpha)): k = 0 is the residue, k >= 1 the algebraic term
+    -z^-k / Gamma(sigma - k alpha), exactly zero on the poles of Gamma."""
+    if k == 0:
+        return 1.0 / alpha, (1.0 - sigma) / alpha, 1
+    return -gamma_reciprocal(sigma - k * alpha), -float(k), 0
+
+
+def _split(order, tab, t, name, pairs, shift=0.0):
+    """Channel `name` with E_L and E_R replaced by the split terms k_L and
+    k_R of each (k_L, k_R) in pairs, summed over the pairs.
+
+    On z = (-i)^beta t^alpha lambda a pair is c_L c_R (t^alpha lambda)^(m_L+m_R)
+    (-i)^(beta (m_L - m_R)) exp(t lambda^(1/alpha) (e_L u + e_R conj u)),
+    u = (-i)^(beta/alpha), and its phase joins the channel's in one exact
+    power of -i.  A pair with no growth factor (both algebraic, or both
+    residues on beta = alpha) is a power of lambda, which J takes by parts.
+    Every exponent is lowered by shift.
+    """
+    if not t > 0.0:
+        raise DomainError(f"the closed-form models require t > 0, got {t!r}")
+    ch = _CHANNELS[name]
+    a, bta = order.alpha, order.beta
+    sigmas = (a, 1.0)
+    u = neg_i_power(bta / a)
+    lam_root = tab.lam ** (1.0 / a)
+    weight = ch.weight(tab)
+    scales, sums = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k_l, k_r in pairs:
+            c_l, m_l, e_l = _term(a, sigmas[ch.pair[0]], k_l)
+            c_r, m_r, e_r = _term(a, sigmas[ch.pair[1]], k_r)
+            if c_l * c_r == 0.0:
+                continue
+            m = m_l + m_r
+            coef = c_l * c_r * neg_i_power(ch.phase[0] + bta * (ch.phase[1] + m_l - m_r))
+            rate = e_l * u + e_r * u.conjugate()
+            if rate == 0.0:
+                power = ch.by_parts(tab, m) if ch.by_parts else weight * tab.lam**m
+                nodes = power * (coef.real * math.exp(-shift))
+            else:
+                growth = np.exp(t * lam_root * rate - shift)
+                nodes = weight * tab.lam**m * (coef * growth).real
+            scales.append(_scale(ch, a, t, m))
+            sums.append(_fsum_dot(tab.rule.weights, nodes))
+    return _fsum_dot(np.array(scales), np.array(sums))
+
+
+def _algebraic(name, n):
+    """The algebraic term pairs of channel `name` at order t^(q0 - n alpha)."""
+    total = int(_CHANNELS[name].scale[2]) + n
+    return [(k, total - k) for k in range(1, total)]
+
+
+# the residue of E_{a,a} against the residue and first algebraic term of E_{a,1}
+_CASE1 = ((0, 0), (0, 1))
+
+
+def _decay_order(order: FractionalOrder, table: SpectralTable) -> int:
+    """First algebraic order n of J, t^-(1+n alpha), that the split does not
+    cancel: 3 in general, 4 at alpha = 1/2.  DomainError if none up to 7."""
+    for n in range(1, 8):
+        if _split(order, table, 1.0, "J", _algebraic("J", n)) != 0.0:
+            return n
+    raise DomainError(
+        f"every algebraic order up to 7 vanishes at alpha={order.alpha}, beta={order.beta}"
+    )
+
+
+# ---------------------------------------------------------------------------
 # current evaluations
 # ---------------------------------------------------------------------------
 
@@ -266,138 +413,63 @@ def current_direct(
     rule: QuadratureRule,
     t: float,
     table: Optional[SpectralTable] = None,
-    check_quadrature: bool = False,
 ) -> float:
     """Edge current at time t from the exact evolution kernel; the one-time
-    case of current_trace.
-
-    With check_quadrature=True the integral is recomputed on a doubled node
-    set and QuadratureError is raised if the relative change exceeds 1e-4.
-    """
-    value = _current_values(order, _table(model, profile, grid, rule, table), [t])[0]
-    if check_quadrature:
-        fine_rule = gauss_legendre_rule(rule.a, rule.b, 2 * rule.n_nodes)
-        fine = build_spectral_table(model, profile, grid, fine_rule)
-        refined = _current_values(order, fine, [t])[0]
-        scale = max(abs(refined), abs(value))
-        if scale > 0.0 and abs(refined - value) > 1e-4 * scale:
-            raise QuadratureError(
-                f"doubling nodes moved J(t={t}) from {value:.6e} to {refined:.6e}"
-            )
-    return value
+    case of current_trace."""
+    return _current_values(order, _table(model, profile, grid, rule, table), [t])[0]
 
 
 def _current_values(order, tab, times):
-    """J at each time: one ml_pair call, then one correctly rounded sum per
-    time.  A node product past double range reaches the sum as inf or nan,
-    where _fsum_dot turns it into OverflowGuard."""
-    a = order.alpha
-    rot = neg_i_power(1.0 + order.beta)
-    cross = tab.lam * tab.chi_vals * tab.dchi_vals
-    eaa_rows, ea1_rows = _ml_over_times(order, tab, times)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return [
-            _finite(
-                2.0 * t ** (a - 1.0)
-                * _fsum_dot(tab.rule.weights, cross * (rot * eaa * np.conj(ea1)).real),
-                "J(t)",
-            )
-            for t, eaa, ea1 in zip(times, eaa_rows, ea1_rows)
-        ]
+    """J at each time from the exact kernel (one ml_pair call)."""
+    return [row[0] for row in _exact(order, tab, times, ("J",))]
 
 
 def current_schrodinger(table: SpectralTable) -> float:
-    """Time-independent current of the unit-order dynamics: Int lambda' chi^2 dk."""
-    return _fsum_dot(table.rule.weights, table.dlam * table.chi_vals**2)
-
-
-def current_beta_line(beta: float, table: SpectralTable, t: float) -> float:
-    """Closed form on the alpha = 1 line:
-
-        J(t) = 2 cos(pi (1+beta)/2) Int lambda chi' chi exp(2 t lambda cos(pi beta/2)) dk.
-
-    Reduces to the constant current at beta = 1.  Raises OverflowGuard once
-    the largest exponent passes 700.
-    """
-    if not (0.0 < beta <= 1.0):
-        raise DomainError(f"beta must lie in (0, 1], got {beta!r}")
-    if not t > 0.0:
-        raise DomainError(f"current_beta_line requires t > 0, got {t!r}")
-    growth = 2.0 * t * table.lam * math.cos(0.5 * math.pi * beta)
-    gmax = float(np.max(growth))
-    if gmax > _EXP_LIMIT:
-        raise OverflowGuard(
-            f"beta-line exponent {gmax:.1f} exceeds {_EXP_LIMIT}; "
-            f"use the log-value pathway"
-        )
-    vals = table.lam * table.dchi_vals * table.chi_vals * np.exp(growth)
-    return 2.0 * math.cos(0.5 * math.pi * (1.0 + beta)) * _fsum_dot(
-        table.rule.weights, vals
-    )
+    """Time-independent current of the unit-order dynamics, case 1 at
+    alpha = beta = 1: Int lambda' chi^2 dk."""
+    return current_asymptotic_case1(FractionalOrder(1.0, 1.0), table, 1.0)
 
 
 def current_asymptotic_case1(order: FractionalOrder, table: SpectralTable, t: float) -> float:
-    """Large-time model for beta <= alpha (growing or plateau regime):
+    """Large-time model for beta <= alpha (growing or plateau regime), the
+    residue of E_{a,a} against the residue and first algebraic term of E_{a,1}:
 
-        J(t) ~ (2/alpha^2) cos(theta (1-alpha) + pi (1+beta)/2)
+        J(t) ~ -(2/alpha^2) sin(theta)
                    Int lambda^(1/alpha) chi chi' exp(2 t lambda^(1/alpha) cos theta) dk
              - (2 t^-alpha / (alpha Gamma(1-alpha)))
                    Int cos(t gamma + theta + pi (1+beta)/2)
                        lambda^((1-alpha)/alpha) chi chi'
                        exp(t lambda^(1/alpha) cos theta) dk
 
-    with gamma(k) = lambda^(1/alpha) sin theta.
+    with theta = pi beta / (2 alpha) and gamma(k) = lambda^(1/alpha) sin theta.
+    On beta = alpha the first term has no growth factor and is taken by
+    parts, (1/alpha^3) Int lambda^((1-alpha)/alpha) lambda' chi^2 dk (see
+    current_naber).  At alpha = 1 the second term vanishes.  OverflowGuard
+    once a node value leaves double range; log_current_case1 goes on.
     """
-    a, bta = order.alpha, order.beta
-    if bta > a:
+    return _case1(order, table, t)
+
+
+def _case1(order, table, t, shift=0.0):
+    if order.beta > order.alpha:
         raise DomainError(
-            f"case-1 model requires beta <= alpha, got alpha={a}, beta={bta}"
+            f"case-1 model requires beta <= alpha, got alpha={order.alpha}, beta={order.beta}"
         )
-    if not t > 0.0:
-        raise DomainError(f"current_asymptotic_case1 requires t > 0, got {t!r}")
-    theta = order.theta
-    p1 = 0.5 * math.pi * (1.0 + bta)
-    lam_pow = table.lam ** (1.0 / a)
-    growth = 2.0 * t * lam_pow * math.cos(theta)
-    if float(np.max(growth)) > _EXP_LIMIT:
-        raise OverflowGuard(
-            f"case-1 exponent {float(np.max(growth)):.1f} exceeds {_EXP_LIMIT} "
-            f"at t={t}; use log_current_case1"
-        )
-    cross = table.chi_vals * table.dchi_vals
-    lead = (
-        (2.0 / a**2)
-        * math.cos(theta * (1.0 - a) + p1)
-        * _fsum_dot(table.rule.weights, lam_pow * cross * np.exp(growth))
-    )
-    gam = lam_pow * math.sin(theta)
-    corr_vals = (
-        np.cos(t * gam + theta + p1)
-        * table.lam ** ((1.0 - a) / a)
-        * cross
-        * np.exp(0.5 * growth)
-    )
-    corr = (
-        2.0
-        * t ** (-a)
-        * gamma_reciprocal(1.0 - a)
-        / a
-        * _fsum_dot(table.rule.weights, corr_vals)
-    )
-    return lead - corr
+    return _split(order, table, t, "J", _CASE1, shift)
 
 
 def current_asymptotic_case2(order: FractionalOrder, table: SpectralTable, t: float) -> float:
-    """Leading large-time decay for alpha < beta:
+    """Leading large-time decay for alpha < beta, the algebraic pairs of
+    order t^-(1+3 alpha), taken by parts:
 
-        J(t) ~ (2 / t^(1+3 alpha)) cos(pi (1+beta)/2)
+        J(t) ~ (3 / t^(1+3 alpha)) cos(pi (1+beta)/2)
                [ 1/(Gamma(1-2a) Gamma(-a)) - 1/(Gamma(1-a) Gamma(-2a)) ]
-               Int lambda^-3 chi chi' dk.
+               Int lambda^-4 lambda' chi^2 dk.
 
     This is the generic order.  The reciprocal-gamma bracket vanishes
     identically at alpha = 1/2 (1/Gamma(0) = 1/Gamma(-1) = 0), so the model
-    returns zero there for every beta.  The next order of the same large-|z|
-    expansion then leads:
+    returns zero there for every beta.  The next order of the same split
+    then leads:
 
         J(t) ~ t^-(1+4 alpha) (sin(pi beta) / pi) Int lambda^-4 chi chi' dk,
 
@@ -405,18 +477,11 @@ def current_asymptotic_case2(order: FractionalOrder, table: SpectralTable, t: fl
     and the exact current, -(2/sqrt(pi)) t^-1/2 Int lambda chi chi'
     exp(-t lambda^2) dk, is exponentially small.
     """
-    a, bta = order.alpha, order.beta
-    if not a < bta:
+    if not order.alpha < order.beta:
         raise DomainError(
-            f"case-2 model requires alpha < beta, got alpha={a}, beta={bta}"
+            f"case-2 model requires alpha < beta, got alpha={order.alpha}, beta={order.beta}"
         )
-    if not t > 0.0:
-        raise DomainError(f"current_asymptotic_case2 requires t > 0, got {t!r}")
-    bracket = gamma_reciprocal(1.0 - 2.0 * a) * gamma_reciprocal(-a) - gamma_reciprocal(
-        1.0 - a
-    ) * gamma_reciprocal(-2.0 * a)
-    i3 = _fsum_dot(table.rule.weights, table.lam**-3 * table.chi_vals * table.dchi_vals)
-    return (2.0 / t ** (1.0 + 3.0 * a)) * math.cos(0.5 * math.pi * (1.0 + bta)) * bracket * i3
+    return _split(order, table, t, "J", _algebraic("J", 3))
 
 
 def current_naber(
@@ -428,77 +493,34 @@ def current_naber(
     t: float,
     table: Optional[SpectralTable] = None,
 ) -> float:
-    """Plateau-with-correction model on the diagonal beta = alpha:
+    """Plateau-with-correction model on the diagonal beta = alpha, case 1 on
+    beta = alpha:
 
         J(t) ~ (1/alpha^2) Int (lambda^(1/alpha))' chi^2 dk
              + (2 t^-alpha / (alpha Gamma(1-alpha)))
                    Int lambda^((1-alpha)/alpha) chi chi'
                        cos(pi alpha/2 + t lambda^(1/alpha)) dk.
     """
-    if not (0.0 < alpha <= 1.0):
-        raise DomainError(f"alpha must lie in (0, 1], got {alpha!r}")
-    if not t > 0.0:
-        raise DomainError(f"current_naber requires t > 0, got {t!r}")
-    tab = _table(model, profile, grid, rule, table)
-    # (lambda^(1/alpha))' = (1/alpha) lambda^((1-alpha)/alpha) lambda'
-    dlam_pow = (1.0 / alpha) * tab.lam ** ((1.0 - alpha) / alpha) * tab.dlam
-    lead = (1.0 / alpha**2) * _fsum_dot(tab.rule.weights, dlam_pow * tab.chi_vals**2)
-    corr_vals = (
-        tab.lam ** ((1.0 - alpha) / alpha)
-        * tab.chi_vals
-        * tab.dchi_vals
-        * np.cos(0.5 * math.pi * alpha + t * tab.lam ** (1.0 / alpha))
-    )
-    corr = (
-        2.0
-        * t ** (-alpha)
-        * gamma_reciprocal(1.0 - alpha)
-        / alpha
-        * _fsum_dot(tab.rule.weights, corr_vals)
-    )
-    return lead + corr
+    order = FractionalOrder(alpha, alpha)
+    return current_asymptotic_case1(order, _table(model, profile, grid, rule, table), t)
 
 
 def log_current_case1(
     order: FractionalOrder, table: SpectralTable, t: float
 ) -> Tuple[float, float]:
-    """(sign, ln|J|) of the case-1 leading term, valid past double overflow.
+    """(sign, ln|J|) of current_asymptotic_case1, valid past double overflow.
 
-    The quadrature sum of a_i exp(b_i t) is taken with a signed log-sum-exp,
-    so t is limited only by b_max * t staying inside double range (~1e308
-    in the exponent), not by J itself being representable.  The oscillatory
-    t^-alpha correction is exponentially negligible at these times and is
-    not included.
+    The largest growth exponent, 2 t max(lambda)^(1/alpha) cos theta, is
+    factored out of every node value before the sum, so t is limited only
+    by that exponent staying inside double range (~1e308), not by J itself
+    being representable.
     """
-    a, bta = order.alpha, order.beta
-    if bta > a:
-        raise DomainError(
-            f"log form exists only for beta <= alpha, got alpha={a}, beta={bta}"
-        )
-    if not t > 0.0:
-        raise DomainError(f"log_current_case1 requires t > 0, got {t!r}")
-    theta = order.theta
-    p1 = 0.5 * math.pi * (1.0 + bta)
-    lam_pow = table.lam ** (1.0 / a)
-    coef = (
-        (2.0 / a**2)
-        * math.cos(theta * (1.0 - a) + p1)
-        * table.rule.weights
-        * lam_pow
-        * table.chi_vals
-        * table.dchi_vals
-    )
-    slope = 2.0 * lam_pow * math.cos(theta)
-    mask = coef != 0.0
-    if not np.any(mask):
-        raise DomainError("integrand vanishes at every node; no log value")
-    logs = np.log(np.abs(coef[mask])) + slope[mask] * t
-    signs = np.sign(coef[mask])
-    m = float(np.max(logs))
-    s = math.fsum(signs * np.exp(logs - m))
-    if s == 0.0:
-        raise DomainError("complete cancellation in log-sum-exp")
-    return (math.copysign(1.0, s), m + math.log(abs(s)))
+    rate = 2.0 * neg_i_power(order.beta / order.alpha).real
+    shift = float(np.max(t * table.lam ** (1.0 / order.alpha) * rate))
+    value = _case1(order, table, t, shift)
+    if value == 0.0:
+        raise DomainError("the case-1 sum cancels completely; no log value")
+    return (math.copysign(1.0, value), shift + math.log(abs(value)))
 
 
 # ---------------------------------------------------------------------------

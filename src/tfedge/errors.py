@@ -26,10 +26,6 @@ class WindowViolation(TfedgeError):
     """Momentum window fails the spectral confinement test at an endpoint."""
 
 
-class QuadratureError(TfedgeError):
-    """Quadrature refinement check failed (result not converged in k)."""
-
-
 class OverflowGuard(TfedgeError):
     """Requested value exceeds double range; use the log-value pathway."""
 

@@ -15,17 +15,20 @@ channel (band velocity), B and C are the packet's intrinsic k-width and the
 mode deformation, F the cross term; at alpha = beta = 1 the phases align so
 F vanishes identically.
 
-The long-time models: on the diagonal beta = alpha the ballistic channel
-dominates and msd ~ t^2 times msd_naber_leading; for beta > alpha every
-channel decays and t^(2 alpha) * msd approaches msd_case2_leading.
-
-msd_trace(order, table, times) takes the channels at every time from one
-ml_pair call, and msd_direct is its one-time case; both raise OverflowGuard
-where a node value leaves double range (the growth regime at large t).
+The channels are rows A, B, C, F of edge_current's channel table, next to J.
+msd_trace(order, table, times) takes them at every time from one ml_pair
+call, and msd_direct is its one-time case; both raise OverflowGuard where a
+node value leaves double range (the growth regime at large t).  The
+long-time models are the same rows with each E replaced by terms of its
+large-|z| split: on the diagonal beta = alpha the ballistic channel's residue
+pair dominates and msd ~ t^2 times msd_naber_leading; for beta > alpha every
+channel decays and t^(2 alpha) * msd approaches msd_case2_leading, the
+algebraic pairs of that order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -36,18 +39,18 @@ from .edge_current import (
     QuadratureRule,
     SpectralTable,
     TransportTrace,
+    _algebraic,
+    _exact,
     _finite,
     _fsum_dot,
     _ml_over_times,
+    _split,
     _table,
     neg_i_power,
 )
 from .errors import DomainError
 from .fiber_spectrum import HalfLineGrid, ModelParams
-from .mittag_leffler import (
-    gamma_reciprocal,
-    ml_eval,  # noqa: F401  perfbench's traced run rebinds msd.ml_eval
-)
+from .mittag_leffler import ml_eval  # noqa: F401  perfbench's traced run rebinds msd.ml_eval
 from .wavepacket import ChiProfile
 
 __all__ = [
@@ -97,26 +100,14 @@ def msd_direct(
 
 
 def _msd_channels(order, tab, times):
-    """MSDBreakdown at each time: one ml_pair call, then one correctly
-    rounded sum per channel and time (OverflowGuard past double range)."""
+    """MSDBreakdown at each time from the exact kernel (one ml_pair call;
+    OverflowGuard past double range)."""
     if tab.cap is None:
         raise DomainError("supplied SpectralTable lacks the dk-phi norm data")
-    a = order.alpha
-    rot = neg_i_power(order.beta)
-    w = tab.rule.weights
-    chi2 = tab.chi_vals**2
-    eaa_rows, ea1_rows = _ml_over_times(order, tab, times)
-    out = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t, eaa, ea1 in zip(times, eaa_rows, ea1_rows):
-            ea1_sq = np.abs(ea1) ** 2
-            A = t ** (2.0 * a) * _fsum_dot(w, np.abs(eaa) ** 2 * tab.dlam**2 * chi2)
-            B = _fsum_dot(w, ea1_sq * tab.dchi_vals**2)
-            C = _fsum_dot(w, ea1_sq * chi2 * tab.cap)
-            cross = (rot * eaa * np.conj(ea1)).real * tab.dlam * tab.dchi_vals * tab.chi_vals
-            F = 2.0 * t**a * _fsum_dot(w, cross)
-            out.append(MSDBreakdown(A=A, B=B, C=C, F=F, total=_finite(A + B + C + F, "msd(t)")))
-    return out
+    return [
+        MSDBreakdown(A=A, B=B, C=C, F=F, total=_finite(A + B + C + F, "msd(t)"))
+        for A, B, C, F in _exact(order, tab, times, ("A", "B", "C", "F"))
+    ]
 
 
 def msd_assembled(
@@ -154,15 +145,13 @@ def msd_naber_leading(
     rule: QuadratureRule,
     table: Optional[SpectralTable] = None,
 ) -> float:
-    """Ballistic coefficient on the diagonal beta = alpha:
+    """Ballistic coefficient on the diagonal beta = alpha, the residue pair
+    of the A channel at t = 1:
 
         msd(t) ~ t^2 (1/alpha^2) Int lambda^(2(1-alpha)/alpha) (lambda')^2 chi^2 dk.
     """
-    if not (0.0 < alpha <= 1.0):
-        raise DomainError(f"alpha must lie in (0, 1], got {alpha!r}")
     tab = _table(model, profile, grid, rule, table)
-    vals = tab.lam ** (2.0 * (1.0 - alpha) / alpha) * tab.dlam**2 * tab.chi_vals**2
-    return (1.0 / alpha**2) * _fsum_dot(tab.rule.weights, vals)
+    return _split(FractionalOrder(alpha, alpha), tab, 1.0, "A", [(0, 0)])
 
 
 def msd_case2_leading(
@@ -173,8 +162,9 @@ def msd_case2_leading(
     rule: QuadratureRule,
     table: Optional[SpectralTable] = None,
 ) -> float:
-    """Decay coefficient for beta > alpha, from E_{a,a}(z) ~ -z^-2/Gamma(-alpha)
-    and E_{a,1}(z) ~ -z^-1/Gamma(1-alpha) in the A, B + C and F channels:
+    """Decay coefficient for beta > alpha, the algebraic pairs of order
+    t^(-2 alpha) of every channel at t = 1; from E_{a,a}(z) ~ -z^-2/Gamma(-alpha)
+    and E_{a,1}(z) ~ -z^-1/Gamma(1-alpha), and independent of beta:
 
         t^(2 alpha) msd(t) -> (1/Gamma(-alpha)^2) Int (lambda')^2 lambda^-4 chi^2 dk
                             + (1/Gamma(1-alpha)^2) Int ((chi')^2 + chi^2 Phi) lambda^-2 dk
@@ -186,17 +176,8 @@ def msd_case2_leading(
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"decay coefficient requires alpha in (0, 1), got {alpha!r}")
     tab = _table(model, profile, grid, rule, table, with_cap=True)
-    w = tab.rule.weights
-    ballistic = gamma_reciprocal(-alpha) ** 2 * _fsum_dot(
-        w, tab.dlam**2 * tab.lam**-4 * tab.chi_vals**2
-    )
-    width = gamma_reciprocal(1.0 - alpha) ** 2 * _fsum_dot(
-        w, (tab.dchi_vals**2 + tab.chi_vals**2 * tab.cap) * tab.lam**-2
-    )
-    cross = 2.0 * gamma_reciprocal(-alpha) * gamma_reciprocal(1.0 - alpha) * _fsum_dot(
-        w, tab.dlam * tab.lam**-3 * tab.chi_vals * tab.dchi_vals
-    )
-    return ballistic + width + cross
+    order = FractionalOrder(alpha, 1.0)
+    return math.fsum(_split(order, tab, 1.0, name, _algebraic(name, 2)) for name in "ABCF")
 
 
 def msd_trace(

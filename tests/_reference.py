@@ -17,13 +17,16 @@ Legendre-Galerkin Ritz method solved by one numpy SVD:
   of the momentum derivative of the ground state from the same difference
   matrix, the last by one pinned tridiagonal solve, at h and h/2 with
   Richardson extrapolation.
+The closed-form models are coded as their docstrings write them
+(closed_form_current, closed_form_msd_leads), in real arithmetic on a
+spectral table's node arrays with scipy's reciprocal gamma function.
 """
 import math
 
 import mpmath as mp
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, solve_banded
-from scipy.special import wofz
+from scipy.special import rgamma, wofz
 
 
 def ml_reference(alpha, sigma, z, dps, nmax=200_000):
@@ -180,3 +183,53 @@ def band_reference(b, k, L, n=4000):
     coarse = np.array(band_fd(b, k, L, n))
     fine = np.array(band_fd(b, k, L, 2 * n + 1))
     return tuple((4.0 * fine - coarse) / 3.0)
+
+
+def closed_form_current(alpha, beta, table, t):
+    """The large-time current model of the regime of (alpha, beta) at time t:
+    case 1 for beta < alpha, the plateau model on beta = alpha, case 2 for
+    beta > alpha, as the docstrings of tfedge.edge_current write them."""
+    w, lam, dlam = table.rule.weights, table.lam, table.dlam
+    chi, dchi = table.chi_vals, table.dchi_vals
+    root = lam ** (1.0 / alpha)
+    mid = lam ** ((1.0 - alpha) / alpha)
+    corr_coef = 2.0 * t**-alpha * rgamma(1.0 - alpha) / alpha
+    if beta < alpha:
+        theta = math.pi * beta / (2.0 * alpha)
+        lead = -(2.0 / alpha**2) * math.sin(theta) * np.sum(
+            w * root * chi * dchi * np.exp(2.0 * t * root * math.cos(theta))
+        )
+        phase = t * root * math.sin(theta) + theta + 0.5 * math.pi * (1.0 + beta)
+        corr = corr_coef * np.sum(
+            w * np.cos(phase) * mid * chi * dchi * np.exp(t * root * math.cos(theta))
+        )
+        return lead - corr
+    if beta == alpha:
+        lead = (1.0 / alpha**3) * np.sum(w * mid * dlam * chi**2)
+        corr = corr_coef * np.sum(w * mid * chi * dchi * np.cos(0.5 * math.pi * alpha + t * root))
+        return lead + corr
+    bracket = rgamma(1.0 - 2.0 * alpha) * rgamma(-alpha) - rgamma(1.0 - alpha) * rgamma(
+        -2.0 * alpha
+    )
+    return (
+        3.0 * t ** -(1.0 + 3.0 * alpha) * math.cos(0.5 * math.pi * (1.0 + beta)) * bracket
+        * np.sum(w * lam**-4 * dlam * chi**2)
+    )
+
+
+def closed_form_msd_leads(alpha, table):
+    """(ballistic coefficient on beta = alpha, decay coefficient for
+    beta > alpha) as the docstrings of tfedge.msd write them; the second is
+    None at alpha = 1."""
+    w, lam, dlam = table.rule.weights, table.lam, table.dlam
+    chi, dchi = table.chi_vals, table.dchi_vals
+    ballistic = np.sum(w * lam ** (2.0 * (1.0 - alpha) / alpha) * dlam**2 * chi**2) / alpha**2
+    if alpha == 1.0:
+        return ballistic, None
+    ra, r1 = rgamma(-alpha), rgamma(1.0 - alpha)
+    decay = (
+        ra**2 * np.sum(w * dlam**2 * lam**-4 * chi**2)
+        + r1**2 * np.sum(w * (dchi**2 + chi**2 * table.cap) * lam**-2)
+        + 2.0 * ra * r1 * np.sum(w * dlam * lam**-3 * chi * dchi)
+    )
+    return ballistic, decay

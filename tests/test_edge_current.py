@@ -17,7 +17,6 @@ from tfedge import (
     classify_regime,
     current_asymptotic_case1,
     current_asymptotic_case2,
-    current_beta_line,
     current_direct,
     current_naber,
     current_schrodinger,
@@ -29,9 +28,13 @@ from tfedge import (
     make_grid,
     map_over_times,
     msd_assembled,
+    msd_case2_leading,
     msd_direct,
+    msd_naber_leading,
     msd_trace,
 )
+
+from _reference import closed_form_current, closed_form_msd_leads
 
 from oracles import (
     PIN_J_DIRECT_55_AT_1E3,
@@ -95,16 +98,17 @@ def test_unit_orders_reduce_to_schrodinger(model, profile, grid, rule, table):
 
 
 def test_beta_line_matches_direct_on_unit_alpha(model, profile, grid, rule, table):
+    # on alpha = 1 case 1 is the residue pair alone: 1/Gamma(1 - alpha) = 0
     order = FractionalOrder(1.0, 0.5)
     for t in (0.5, 1.0, 2.0):
-        closed = current_beta_line(0.5, table, t)
+        closed = current_asymptotic_case1(order, table, t)
         direct = current_direct(order, model, profile, grid, rule, t, table)
         assert abs(closed - direct) <= 1e-10 * abs(direct)
 
 
 def test_beta_line_overflow_guard(model, profile, grid, rule, table):
     with pytest.raises(OverflowGuard):
-        current_beta_line(0.5, table, 500.0)
+        current_asymptotic_case1(FractionalOrder(1.0, 0.5), table, 500.0)
 
 
 def test_growth_model_matches_direct(model, profile, grid, rule, table):
@@ -188,15 +192,46 @@ def test_plateau_model_matches_direct(model, profile, grid, rule, table):
     assert abs(direct - exact) <= 1e-5 * abs(exact)
 
 
-def test_quadrature_self_check_passes_on_smooth_data(model, profile):
-    # small standalone setup so the doubled table stays cheap
-    grid = make_grid(model, 2.0, n=800)
-    rule = gauss_legendre_rule(1.0, 2.0, 32)
-    value = current_direct(
-        FractionalOrder(0.5, 0.5), model, profile, grid, rule, 2.0,
-        check_quadrature=True,
-    )
-    assert np.isfinite(value) and value < 0.0
+# alpha on both sides of 1/2 with beta on both sides of alpha, and the
+# alpha = 1 line, where 1/Gamma(1 - alpha) = 0 drops the correction
+SPLIT_ORDERS = [
+    (alpha, beta)
+    for alpha in (0.3, 0.45, 0.8)
+    for beta in (0.5 * alpha, alpha, min(1.0, 1.5 * alpha))
+] + [(1.0, 0.5), (1.0, 1.0)]
+
+
+@pytest.mark.parametrize("alpha,beta", SPLIT_ORDERS)
+def test_split_models_match_their_formulas(alpha, beta, model, profile, grid, rule, table):
+    # each closed form is a sum of term pairs of the split of E; the formula
+    # its docstring states, coded apart in _reference, pins the phases and
+    # signs away from alpha = 1/2
+    order = FractionalOrder(alpha, beta)
+    checks = []  # (model, value, formula)
+    for t in (2.0, 20.0):
+        formula = closed_form_current(alpha, beta, table, t)
+        if beta <= alpha:
+            checks.append(("case 1", current_asymptotic_case1(order, table, t), formula))
+            sign, logv = log_current_case1(order, table, t)
+            assert sign == math.copysign(1.0, formula)
+            assert abs(logv - math.log(abs(formula))) <= 1e-12, (t, logv)
+        else:
+            checks.append(("case 2", current_asymptotic_case2(order, table, t), formula))
+        if beta == alpha:
+            naber = current_naber(alpha, model, profile, grid, rule, t, table)
+            checks.append(("plateau", naber, formula))
+    ballistic, decay = closed_form_msd_leads(alpha, table)
+    if beta == alpha:
+        lead = msd_naber_leading(alpha, model, profile, grid, rule, table)
+        checks.append(("msd ballistic", lead, ballistic))
+    if beta > alpha:
+        lead = msd_case2_leading(alpha, model, profile, grid, rule, table)
+        checks.append(("msd decay", lead, decay))
+    if alpha == beta == 1.0:
+        formula = closed_form_current(1.0, 1.0, table, 1.0)
+        checks.append(("Schrodinger", current_schrodinger(table), formula))
+    for name, value, formula in checks:
+        assert abs(value - formula) <= 1e-12 * abs(formula), (name, value, formula)
 
 
 def test_shared_table_equals_fresh_build(model, profile):
