@@ -31,13 +31,20 @@ E is evaluated at Im z >= 0 and conjugated below the real axis, so
 E(conj z) == conj E(z) bit for bit.
 
 ml_eval takes one z; ml_pair takes an array and returns E_{alpha,alpha} and
-E_{alpha,1}, the pair every transport integrand needs, at every element.
-Both run the same evaluator: each z is routed with Python scalars, the
-parameters are chosen once per distinct pole vertex (for these sigmas every
-vertex beyond ~6 shares one parabola), and the numerics run once per route
-and per parabola over all the z that take it, so a time sample over a
-quadrature table is one product of a Cauchy matrix 1/(s_j^alpha - z_i) with
-two weight vectors.  A single z skips the grouping.
+E_{alpha,1}, the pair every transport integrand needs, at every element;
+_ml_values, which ml_pair calls, takes an array at any sigmas.  All run the
+same evaluator: each z is routed with Python scalars, and the numerics run
+once per route and per parabola over all the z that take it, so a time
+sample over a quadrature table is one product of a Cauchy matrix
+1/(s_j^alpha - z_i) with two weight vectors.  A single z skips the grouping.
+
+Poles share parabolas.  A parabola built for a pole at vertex phi stays
+valid for every pole farther from it on the same side, so while the branch
+point has strength zero (sigma <= 1 + alpha) the pole vertices fall into
+windows with one parabola each: every vertex beyond the clip ~6 of
+_region_below takes the clip's parabola, and below it each octave
+[lo, 2 lo) takes the parabola below lo or the one beyond 2 lo, whichever
+has fewer nodes.
 """
 
 from __future__ import annotations
@@ -80,6 +87,10 @@ _I_STEPS = 1j * np.arange(-_N_MAX, _N_MAX + 1, dtype=float)
 # parabola, so rel_tol >= 1e-12.
 _EPS_PER_REL_TOL = 1e-3
 _REL_TOL_MIN = 1e-12
+
+# entries per block of a parabola's Cauchy matrix: 16 z at the most nodes,
+# 0.1 MB a complex temporary
+_CAUCHY_CELLS = 16 * (2 * _N_MAX + 1)
 
 # |arg z| within this of pi*alpha counts as the ray
 _RAY_TOL = 1e-14
@@ -241,17 +252,23 @@ def _region_beyond(phi_j, p_j, log_eps):
     return mu, h, n
 
 
-def _parabola(phi, p0, log_eps):
+def _parabola(phi, p0, log_eps, phi_hi=None):
     """((mu, h, N), residue) of the parabola with the fewest nodes, residue
     telling whether it passes left of the pole at vertex phi (None: no pole
     on the principal sheet); None if no parabola meets log_eps within
-    _N_MAX nodes per side."""
+    _N_MAX nodes per side.
+
+    With phi_hi the parabola serves every pole with its vertex in
+    [phi, phi_hi): one below phi leaves each of them to its right, farther
+    away than the vertex it was built for, and one beyond phi_hi to its left.
+    """
     if phi is None:
         par, residue = _region_beyond(0.0, p0, log_eps), False
     else:
         par, residue = _region_below(phi, p0, log_eps), True
-        if phi < log_eps - _LOG_UNIT:
-            right = _region_beyond(phi, 1.0, log_eps)
+        hi = phi if phi_hi is None else phi_hi
+        if hi < log_eps - _LOG_UNIT:
+            right = _region_beyond(hi, 1.0, log_eps)
             if right is not None and (par is None or right[2] < par[2]):
                 par, residue = right, False
     if par is None or par[2] > _N_MAX:
@@ -267,24 +284,30 @@ def _contour(alpha, sigmas, z, parabola, residue_exponents):
     of poles s* right of the parabola.
 
     The nodes are built once for all z, and each sigma sums its weights
-    e^s s^(alpha-sigma) ds against the Cauchy matrix 1/(s_j^alpha - z_i).
-    Nodes run along the rows, one contiguous row per z, which numpy sums
-    pairwise in the same order whatever the other z of the call, so a z's
-    E does not depend on which z share its parabola.
+    e^s s^(alpha-sigma) ds against the Cauchy matrix 1/(s_j^alpha - z_i),
+    in blocks of _CAUCHY_CELLS entries.  Nodes run along the rows, one
+    contiguous row per z, which numpy sums pairwise in the same order
+    whatever the other z of the call, so a z's E does not depend on which z
+    share its parabola.
     """
     mu, h, n = parabola
     # s = mu (1 + iu)^2 at u = h k, with trapezoid factor h (ds/du) / (2 pi i) = mu h (1 + iu) / pi
     v = h * _I_STEPS[_N_MAX - n : _N_MAX + n + 1] + 1.0
     s = mu * v**2
     log_s = np.log(s)
-    # the Cauchy matrix, as its denominators s_j^alpha - z_i
-    gaps = np.exp(alpha * log_s) - z[:, None]
+    s_alpha = np.exp(alpha * log_s)
     scale = v * (mu * h / math.pi)
-    sums = []
-    for sigma in sigmas:
-        weights = np.exp(s if sigma == alpha else s + (alpha - sigma) * log_s) * scale
-        sums.append(np.add.reduce(weights / gaps, axis=1))
-    out = np.array(sums)
+    weights = [
+        np.exp(s if sigma == alpha else s + (alpha - sigma) * log_s) * scale for sigma in sigmas
+    ]
+    out = np.empty((len(sigmas), z.size), dtype=complex)
+    block = _CAUCHY_CELLS // s.size
+    for start in range(0, z.size, block):
+        rows = slice(start, start + block)
+        # the Cauchy matrix of these z, as its denominators s_j^alpha - z_i
+        gaps = s_alpha - z[rows, None]
+        for k, w in enumerate(weights):
+            out[k, rows] = np.add.reduce(w / gaps, axis=1)
     if residue_exponents is not None:
         out += np.exp(residue_exponents).T
     return out
@@ -377,6 +400,26 @@ def _ray(alpha, sigmas, z, r0, rho0, reach):
 _ZERO, _EXP, _RAY, _CONTOUR = "zero", "exp", "ray", "contour"
 
 
+def _vertex_window(phi, log_eps):
+    """The window (lo, hi) of pole vertices whose poles share phi's parabola
+    when the branch point at s = 0 has strength zero; (clip, None) past the
+    clip, whose own parabola serves them all.
+
+    _region_below clips sqrt(phi) at 2 sqrt(log_eps - log u), so every
+    vertex at or beyond clip = 4 (log_eps - log u) (about 6 at the default
+    rel_tol) has the parabola of the clip itself.  Below it the windows are
+    the octaves [clip 2^-(j+1), clip 2^-j).
+    """
+    clip = 4.0 * (log_eps - _LOG_UNIT)
+    if phi >= clip:
+        return clip, None
+    lo = math.ldexp(clip, math.frexp(phi / clip)[1] - 1)
+    if lo > phi:
+        # phi / clip rounded up onto a power of two
+        lo *= 0.5
+    return lo, 2.0 * lo
+
+
 def _route(alpha, sigmas, zi, log_eps, parabolas):
     """How E is taken at one z (Im z >= 0), as (route, datum):
 
@@ -395,8 +438,10 @@ def _route(alpha, sigmas, zi, log_eps, parabolas):
 
     The sigmas take a route together (the ray when every sigma is <= 1),
     and the strongest branch point among them sets the parabola; for
-    sigma <= 1 + alpha it has strength zero.  Parabolas are chosen once per
-    distinct pole vertex and kept in the dict parabolas.
+    sigma <= 1 + alpha it has strength zero, and the pole vertices share
+    parabolas by the windows of _vertex_window, otherwise each vertex has
+    its own.  A parabola is chosen once per call and kept in the dict
+    parabolas.
     """
     if zi == 0:
         return (_ZERO, None), None
@@ -406,7 +451,8 @@ def _route(alpha, sigmas, zi, log_eps, parabolas):
         return (_EXP, None), None
     r = abs(zi)
     theta = math.atan2(zi.imag, zi.real)
-    pole = key = None
+    # the pole s* and its vertex; None: no pole right of the cut
+    pole = vertex = None
     try:
         # for |z| < 1 the half residue is not small against E, and the
         # contour alone is accurate in both components
@@ -427,24 +473,25 @@ def _route(alpha, sigmas, zi, log_eps, parabolas):
             pole = cmath.rect(r ** (1.0 / alpha), theta / alpha)
             phi = 0.5 * (pole.real + abs(pole))
             if phi > 1e-15:
-                key = phi
+                vertex = phi
     except OverflowError:
         raise OverflowGuard(
             f"E_{{{alpha},{sigmas[0]}}}({zi!r}): |z|^(1/alpha) exceeds double range"
         ) from None
     p0 = max(0.0, -2.0 * (alpha - max(sigmas) + 1.0))
-    if key is not None and p0 < 1e-14:
-        # with p0 = 0 the parabola below a pole depends on its vertex only
-        # up to the clip of sqrt(phi) in _region_below: beyond, one parabola
-        key = min(key, 4.0 * (log_eps - _LOG_UNIT))
-    if key not in parabolas:
-        parabolas[key] = _parabola(key, p0, log_eps)
-        if parabolas[key] is None:
+    # the vertices (phi, phi_hi) of _parabola that share the parabola
+    if vertex is None or p0 >= 1e-14:
+        window = (vertex, None)
+    else:
+        window = _vertex_window(vertex, log_eps)
+    if window not in parabolas:
+        parabolas[window] = _parabola(window[0], p0, log_eps, window[1])
+        if parabolas[window] is None:
             raise NonConvergence(
                 f"E_{{{alpha},{sigmas[0]}}}({zi!r}): no parabola meets "
                 f"eps={math.exp(log_eps):g} with at most {_N_MAX} nodes per side"
             )
-    parabola = parabolas[key]
+    parabola = parabolas[window]
     if not parabola[1]:
         return (_CONTOUR, parabola), None
     log_pole = cmath.log(pole)
@@ -480,9 +527,10 @@ def _ml_upper(alpha, sigmas, z, rel_tol):
     z (Im z >= 0), as an array of shape (len(sigmas), z.size).
 
     Each z is routed with Python scalars (_route); the numerics then run
-    once per route over all the z that take it.  A single z skips the
-    grouping, which saves a seventh of an ml_eval call (41 against 47 us
-    on a 2-core Xeon, 3 000 random z).
+    once per route over all the z that take it, one Cauchy matrix per
+    parabola, which the z of a whole window of pole vertices share.  A
+    single z skips the grouping, which saves a seventh of an ml_eval call
+    (41 against 47 us on a 2-core Xeon, 3 000 random z).
     """
     log_eps = math.log(_EPS_PER_REL_TOL * rel_tol)
     parabolas = {}
@@ -501,12 +549,38 @@ def _ml_upper(alpha, sigmas, z, rel_tol):
     return out
 
 
+def _ml_values(alpha, sigmas, z):
+    """E_{alpha,sigma}(z) for each sigma in sigmas at every element of the
+    array z, as an array of shape (len(sigmas),) + z.shape, at
+    DEFAULT_ACCURACY.
+
+    The evaluator's one array entry: E is taken at Im z >= 0 and conjugated
+    below the real axis, its imaginary part is zero on the axis, and a value
+    outside double range raises OverflowGuard.
+    """
+    z = np.asarray(z, dtype=complex)
+    flat = z.ravel()
+    lower = np.signbit(flat.imag)
+    values = _ml_upper(
+        alpha, sigmas, np.where(lower, flat.conj(), flat), DEFAULT_ACCURACY.rel_tol
+    )
+    values.imag[:, flat.imag == 0.0] = 0.0
+    finite = np.isfinite(values).all(axis=0)
+    if not finite.all():
+        bad = complex(flat[np.argmin(finite)])
+        names = " or ".join(f"E_{{{alpha},{sigma}}}" for sigma in sigmas)
+        raise OverflowGuard(f"{names} at {bad!r} exceeds double range")
+    np.conjugate(values, out=values, where=lower)
+    return values.reshape((len(sigmas),) + z.shape)
+
+
 def ml_eval(params: MLParams, z: complex, acc: MLAccuracy = DEFAULT_ACCURACY) -> complex:
     """Evaluate E_{alpha,sigma}(z) anywhere in the complex plane.
 
     Relative accuracy acc.rel_tol (see the module docstring for the method).
     Raises OverflowGuard where E leaves double range and NonConvergence where
-    rel_tol cannot be met.  The one-element case of ml_pair's evaluator.
+    rel_tol cannot be met.  The one-element case of _ml_values, written
+    with Python scalars: through the array wrapper a call costs a third more.
     """
     z = complex(z)
     lower = math.copysign(1.0, z.imag) < 0.0
@@ -530,19 +604,9 @@ def ml_pair(alpha: float, z):
     """
     if not (0.0 < alpha <= 1.0):
         raise DomainError(f"ml_pair requires alpha in (0, 1], got {alpha!r}")
-    z = np.asarray(z, dtype=complex)
-    flat = z.ravel()
-    lower = np.signbit(flat.imag)
-    values = _ml_upper(
-        alpha, (alpha, 1.0), np.where(lower, flat.conj(), flat), DEFAULT_ACCURACY.rel_tol
-    )
-    values.imag[:, flat.imag == 0.0] = 0.0
-    finite = np.isfinite(values).all(axis=0)
-    if not finite.all():
-        bad = complex(flat[np.argmin(finite)])
-        raise OverflowGuard(f"E_{{{alpha},{alpha}}} or E_{{{alpha},1}} at {bad!r} exceeds double range")
-    values[:, lower] = values[:, lower].conj()
-    return values[0].reshape(z.shape), values[1].reshape(z.shape)
+    values = _ml_values(alpha, (alpha, 1.0), z)
+    # arrays of z's shape, 0-d for a scalar z
+    return values[0, ...], values[1, ...]
 
 
 def ml_deriv(alpha: float, z: complex) -> complex:

@@ -227,21 +227,67 @@ def test_array_pair_matches_scalar_calls(alpha):
     assert square_aa.shape == (2, 2)
 
 
-@pytest.mark.parametrize("alpha", [0.5, 0.8])
-def test_shared_parabola_is_each_vertex_own(alpha):
-    # the array path gives every pole vertex beyond the clip of sqrt(phi) in
-    # _region_below one parabola; each z must still get the parabola its own
-    # vertex selects
-    from tfedge.mittag_leffler import _parabola, _route
+def test_pole_vertex_windows_share_valid_parabolas():
+    # poles share parabolas by windows of their vertex phi: beyond the clip
+    # of sqrt(phi) in _region_below one parabola, below it one per octave.
+    # Each must leave the pole on the side its residue says, within _N_MAX
+    from tfedge.mittag_leffler import (
+        _CONTOUR, _LOG_UNIT, _N_MAX, _parabola, _region_below, _region_beyond, _route,
+    )
 
     log_eps = math.log(1e-15)
-    for phi in (0.5, 1.4, 4.0, 5.9, 6.1, 40.0, 1e4):
-        # a pole on the imaginary axis has its vertex at |s*| / 2
-        z = cmath.rect((2.0 * phi) ** alpha, 0.5 * math.pi * alpha)
-        (_, ((mu, h, n), residue)), _ = _route(alpha, (alpha, 1.0), z, log_eps, {})
-        (mu_own, h_own, n_own), residue_own = _parabola(phi, 0.0, log_eps)
-        assert (n, residue) == (n_own, residue_own), phi
-        assert mu == pytest.approx(mu_own, rel=1e-12) and h == pytest.approx(h_own, rel=1e-12)
+    clip = 4.0 * (log_eps - _LOG_UNIT)
+    rng = np.random.default_rng(12)
+    octaves = set()
+    for alpha, r, theta in zip(
+        rng.uniform(0.05, 1.0, 4000), 10.0 ** rng.uniform(-3.0, math.log10(50.0), 4000),
+        rng.uniform(0.0, math.pi, 4000),
+    ):
+        z = cmath.rect(r, theta)
+        try:
+            (route, parabola), exponents = _route(alpha, (alpha, 1.0), z, log_eps, {})
+        except OverflowGuard:
+            continue
+        if route != _CONTOUR:
+            continue
+        (mu, _, n), residue = parabola
+        assert n <= _N_MAX, z
+        assert residue == (exponents is not None)
+        if theta > math.pi * alpha:
+            assert not residue, (alpha, z)
+            continue
+        pole = cmath.rect(r ** (1.0 / alpha), theta / alpha)
+        phi = 0.5 * (pole.real + abs(pole))
+        if phi >= clip:
+            assert parabola == _parabola(clip, 0.0, log_eps), (alpha, z)
+        elif phi > 1e-15:
+            assert residue == (phi > mu), (alpha, z, phi, mu)
+            # one parabola per octave [lo, 2 lo) of vertices, whatever alpha:
+            # below lo, or beyond 2 lo
+            lo = clip / 2.0 ** (math.floor(math.log2(clip / phi)) + 1)
+            if residue:
+                assert parabola[0] == _region_below(lo, 0.0, log_eps), (alpha, z)
+            else:
+                assert parabola[0] == _region_beyond(2.0 * lo, 1.0, log_eps), (alpha, z)
+            octaves.add(lo)
+    assert len(octaves) > 5
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.3, 0.5, 0.8, 0.95])
+def test_small_z_matches_the_series(alpha):
+    # below the clip the parabola serves a whole octave of pole vertices;
+    # against the mpmath series at |z| up to 8 (and |s*| = |z|^(1/alpha) up
+    # to 24, which covers every vertex below the clip), every arg z
+    rng = np.random.default_rng(int(100 * alpha))
+    r = 10.0 ** rng.uniform(-3.0, math.log10(min(8.0, 24.0**alpha)), 16)
+    z = r * np.exp(1j * rng.uniform(-math.pi, math.pi, 16))
+    e_aa, e_a1 = ml_pair(alpha, z)
+    for sigma, values in ((alpha, e_aa), (1.0, e_a1)):
+        for zi, value in zip(z, values):
+            got = ml_eval(MLParams(alpha, sigma), zi)
+            want = ml_reference(alpha, sigma, zi, 30 + int(abs(zi) ** (1.0 / alpha) / 2.3))
+            assert rel_err(got, want) <= 1e-12, (sigma, zi)
+            assert abs(value - got) <= 1e-13 * abs(got), (sigma, zi)
 
 
 def test_deriv_identity():
