@@ -227,6 +227,31 @@ def test_array_pair_matches_scalar_calls(alpha):
     assert square_aa.shape == (2, 2)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 0.8])
+def test_shared_parabola_is_each_vertex_own(alpha):
+    # the array path gives every pole vertex beyond the clip of sqrt(phi) in
+    # _region_below one parabola, and below it one per octave of vertices;
+    # each z must still get the parabola its own vertex's window selects,
+    # and beyond the clip exactly the one its own vertex selects
+    from tfedge.mittag_leffler import _LOG_UNIT, _parabola, _route, _vertex_window
+
+    log_eps = math.log(1e-15)
+    clip = 4.0 * (log_eps - _LOG_UNIT)
+    for phi in (0.5, 1.4, 4.0, 5.9, 6.1, 40.0, 1e4):
+        # a pole on the imaginary axis has its vertex at |s*| / 2
+        z = cmath.rect((2.0 * phi) ** alpha, 0.5 * math.pi * alpha)
+        (_, ((mu, h, n), residue)), _ = _route(alpha, (alpha, 1.0), z, log_eps, {})
+        lo, hi = _vertex_window(phi, log_eps)
+        assert lo <= phi and (hi is None or phi < hi), phi
+        (mu_own, h_own, n_own), residue_own = _parabola(lo, 0.0, log_eps, hi)
+        assert (n, residue) == (n_own, residue_own), phi
+        assert mu == pytest.approx(mu_own, rel=1e-12) and h == pytest.approx(h_own, rel=1e-12)
+        # the residue is taken exactly when the pole is right of the parabola
+        assert residue == (phi > mu), phi
+        if phi >= clip:
+            assert ((mu, h, n), residue) == _parabola(phi, 0.0, log_eps), phi
+
+
 def test_pole_vertex_windows_share_valid_parabolas():
     # poles share parabolas by windows of their vertex phi: beyond the clip
     # of sqrt(phi) in _region_below one parabola, below it one per octave.
