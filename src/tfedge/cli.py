@@ -408,7 +408,8 @@ def cmd_verify(cfg: RunConfig) -> int:
                 cert.constant,
                 cert.refined_constant,
                 cert.rel_drift,
-                residual,
+                # the digits caputo_residual fixes
+                f"{residual:.6g}",
                 ok,
             )
         )

@@ -33,10 +33,16 @@ E(conj z) == conj E(z) bit for bit.
 ml_eval takes one z; ml_pair takes an array and returns E_{alpha,alpha} and
 E_{alpha,1}, the pair every transport integrand needs, at every element;
 _ml_values, which ml_pair calls, takes an array at any sigmas.  All run the
-same evaluator: each z is routed with Python scalars, and the numerics run
-once per route and per parabola over all the z that take it, so a time
-sample over a quadrature table is one product of a Cauchy matrix
-1/(s_j^alpha - z_i) with two weight vectors.  A single z skips the grouping.
+same evaluator.  An array call routes its z with whole-array numpy
+operations (_route_all), a lone z with Python scalars (_route), and the
+numerics run once per route and per parabola over all the z that take it,
+so a time sample over a quadrature table is one product of a Cauchy matrix
+1/(s_j^alpha - z_i) with two weight vectors.  The parabola of each window
+and its nodes and weights are kept across calls (_parabola, _nodes).  Within
+arrays of two or more z the E at a z does not depend on its position or on
+the other z, bit for bit; a lone z agrees with them to the rounding of its
+pole s*, since numpy's and the math module's arctan2 and power may differ
+in the last bit.
 
 Poles share parabolas.  A parabola built for a pole at vertex phi stays
 valid for every pole farther from it on the same side, so while the branch
@@ -50,6 +56,7 @@ has fewer nodes.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -252,6 +259,7 @@ def _region_beyond(phi_j, p_j, log_eps):
     return mu, h, n
 
 
+@functools.lru_cache(maxsize=64)
 def _parabola(phi, p0, log_eps, phi_hi=None):
     """((mu, h, N), residue) of the parabola with the fewest nodes, residue
     telling whether it passes left of the pole at vertex phi (None: no pole
@@ -261,6 +269,9 @@ def _parabola(phi, p0, log_eps, phi_hi=None):
     With phi_hi the parabola serves every pole with its vertex in
     [phi, phi_hi): one below phi leaves each of them to its right, farther
     away than the vertex it was built for, and one beyond phi_hi to its left.
+    Kept across calls, as _nodes keeps its nodes: perfbench's scalar-ml
+    round uses 24 parabolas, and keeping them lifts its samples_per_s by a
+    tenth.
     """
     if phi is None:
         par, residue = _region_beyond(0.0, p0, log_eps), False
@@ -276,19 +287,18 @@ def _parabola(phi, p0, log_eps, phi_hi=None):
     return par, residue
 
 
-def _contour(alpha, sigmas, z, parabola, residue_exponents):
-    """E_{alpha,sigma}(z), each sigma, by the trapezoidal rule on one
-    parabola (mu, h, N) shared by every z of the 1-d array z; shape
-    (len(sigmas), z.size).  residue_exponents is None, or per z the
-    exponents of the residues (1/alpha) s*^(1-sigma) e^(s*), one per sigma,
-    of poles s* right of the parabola.
+@functools.lru_cache(maxsize=64)
+def _nodes(alpha, sigmas, parabola):
+    """The nodes s_j^alpha of the parabola (mu, h, N) and, for each sigma,
+    the weights e^s s^(alpha-sigma) ds / (2 pi i) of the trapezoidal rule
+    there, as read-only arrays.
 
-    The nodes are built once for all z, and each sigma sums its weights
-    e^s s^(alpha-sigma) ds against the Cauchy matrix 1/(s_j^alpha - z_i),
-    in blocks of _CAUCHY_CELLS entries.  Nodes run along the rows, one
-    contiguous row per z, which numpy sums pairwise in the same order
-    whatever the other z of the call, so a z's E does not depend on which z
-    share its parabola.
+    The parabolas of a call are a small fixed set
+    per order (one per window of pole vertices), so the same few serve call
+    after call: `tfedge verify` and the single calls of perfbench's
+    scalar-ml round leave 55 entries (0.27 MB; an entry is at most 401
+    complex nodes and one weight vector per sigma), and a sweep over a
+    quadrature table leaves one.
     """
     mu, h, n = parabola
     # s = mu (1 + iu)^2 at u = h k, with trapezoid factor h (ds/du) / (2 pi i) = mu h (1 + iu) / pi
@@ -297,11 +307,30 @@ def _contour(alpha, sigmas, z, parabola, residue_exponents):
     log_s = np.log(s)
     s_alpha = np.exp(alpha * log_s)
     scale = v * (mu * h / math.pi)
-    weights = [
+    weights = tuple(
         np.exp(s if sigma == alpha else s + (alpha - sigma) * log_s) * scale for sigma in sigmas
-    ]
+    )
+    for a in (s_alpha, *weights):
+        a.flags.writeable = False
+    return s_alpha, weights
+
+
+def _contour(alpha, sigmas, z, parabola, residue_exponents):
+    """E_{alpha,sigma}(z), each sigma, by the trapezoidal rule on one
+    parabola (mu, h, N) shared by every z of the 1-d array z; shape
+    (len(sigmas), z.size).  residue_exponents is None, or the exponents of
+    the residues (1/alpha) s*^(1-sigma) e^(s*) of poles s* right of the
+    parabola, shape (len(sigmas), z.size).
+
+    The nodes and weights come from the memo _nodes, and each sigma sums its
+    weights against the Cauchy matrix 1/(s_j^alpha - z_i), in blocks of
+    _CAUCHY_CELLS entries.  Nodes run along the rows, one contiguous row per
+    z, which numpy sums pairwise in the same order whatever the other z of
+    the call, so a z's E does not depend on which z share its parabola.
+    """
+    s_alpha, weights = _nodes(alpha, sigmas, parabola)
     out = np.empty((len(sigmas), z.size), dtype=complex)
-    block = _CAUCHY_CELLS // s.size
+    block = _CAUCHY_CELLS // s_alpha.size
     for start in range(0, z.size, block):
         rows = slice(start, start + block)
         # the Cauchy matrix of these z, as its denominators s_j^alpha - z_i
@@ -309,7 +338,7 @@ def _contour(alpha, sigmas, z, parabola, residue_exponents):
         for k, w in enumerate(weights):
             out[k, rows] = np.add.reduce(w / gaps, axis=1)
     if residue_exponents is not None:
-        out += np.exp(residue_exponents).T
+        out += np.exp(residue_exponents)
     return out
 
 
@@ -463,7 +492,8 @@ def _route(alpha, sigmas, zi, log_eps, parabolas):
             and abs(theta - math.pi * alpha) <= _RAY_TOL
         ):
             d, r_cut = _ray_intervals(alpha, r)
-            reach = (r - d < r_cut) + (r + d < r_cut)
+            # int(): with a numpy alpha the comparisons are numpy bools, whose sum is their "or"
+            reach = int(r - d < r_cut) + int(r + d < r_cut)
             return (_RAY, reach), (r, r ** (1.0 / alpha))
         # for alpha <= 1 the only pole on the principal sheet is
         # s* = z^(1/alpha), there while arg z <= pi alpha.  phi(s) =
@@ -478,7 +508,7 @@ def _route(alpha, sigmas, zi, log_eps, parabolas):
         raise OverflowGuard(
             f"E_{{{alpha},{sigmas[0]}}}({zi!r}): |z|^(1/alpha) exceeds double range"
         ) from None
-    p0 = max(0.0, -2.0 * (alpha - max(sigmas) + 1.0))
+    p0 = _branch_strength(alpha, sigmas)
     # the vertices (phi, phi_hi) of _parabola that share the parabola
     if vertex is None or p0 >= 1e-14:
         window = (vertex, None)
@@ -487,10 +517,7 @@ def _route(alpha, sigmas, zi, log_eps, parabolas):
     if window not in parabolas:
         parabolas[window] = _parabola(window[0], p0, log_eps, window[1])
         if parabolas[window] is None:
-            raise NonConvergence(
-                f"E_{{{alpha},{sigmas[0]}}}({zi!r}): no parabola meets "
-                f"eps={math.exp(log_eps):g} with at most {_N_MAX} nodes per side"
-            )
+            _no_parabola(alpha, sigmas, zi, log_eps)
     parabola = parabolas[window]
     if not parabola[1]:
         return (_CONTOUR, parabola), None
@@ -499,54 +526,182 @@ def _route(alpha, sigmas, zi, log_eps, parabolas):
     for sigma in sigmas:
         w = pole + (1.0 - sigma) * log_pole
         if w.real > _EXP_ARG_LIMIT:
-            raise OverflowGuard(
-                f"E_{{{alpha},{sigma}}}({zi!r}) exceeds double range "
-                f"(Re z^(1/alpha) = {pole.real:.1f})"
-            )
+            _residue_overflow(alpha, sigma, zi, pole)
         exponents.append(w - math.log(alpha))
     return (_CONTOUR, parabola), exponents
 
 
+def _branch_strength(alpha, sigmas):
+    """Strength p0 of the branch point s = 0 of the strongest sigma: zero
+    while every sigma <= 1 + alpha."""
+    return max(0.0, -2.0 * (alpha - max(sigmas) + 1.0))
+
+
+def _no_parabola(alpha, sigmas, zi, log_eps):
+    raise NonConvergence(
+        f"E_{{{alpha},{sigmas[0]}}}({zi!r}): no parabola meets "
+        f"eps={math.exp(log_eps):g} with at most {_N_MAX} nodes per side"
+    )
+
+
+def _residue_overflow(alpha, sigma, zi, pole):
+    raise OverflowGuard(
+        f"E_{{{alpha},{sigma}}}({zi!r}) exceeds double range "
+        f"(Re z^(1/alpha) = {pole.real:.1f})"
+    )
+
+
+def _route_all(alpha, sigmas, z, log_eps):
+    """The routes of _route for every z of the 1-d array z (Im z >= 0) while
+    the branch point has strength zero, as a list of (route, ids, data): ids
+    index the z that take the route, and data holds their per-z data of
+    _route as rows, (|z|, |z|^(1/alpha)) on the ray and one row of residue
+    exponents per sigma on a contour that adds the residue (else None).
+
+    Every step is a whole-array numpy operation: |z|, arg z and the masks of
+    the exact routes, |s*| = |z|^(1/alpha) and the vertex
+    phi = |s*| cos^2(arg s* / 2) of the pole, and the window of
+    _vertex_window through np.frexp and np.ldexp, the same exact powers of
+    two, so a z takes the parabola _route gives it unless its vertex lies
+    within rounding of a window's end.  numpy's arctan2 and power may differ
+    from the math module's in the last bit, which moves the pole, and E with
+    it, by its rounding; each operation is elementwise, so a z's data does
+    not depend on its position or on the other z.  The OverflowGuard checks
+    are _route's.
+    """
+    if alpha == 1.0 and all(sigma == 1.0 for sigma in sigmas):
+        over = z.real > _EXP_ARG_LIMIT
+        if over.any():
+            raise OverflowGuard(f"E_{{1,1}}({complex(z[over][0])!r}) = exp(z) exceeds double range")
+        zero = z == 0
+        return [
+            (route, np.flatnonzero(ids), None)
+            for route, ids in (((_ZERO, None), zero), ((_EXP, None), ~zero))
+            if ids.any()
+        ]
+    # np.hypot is the math module's |z| bit for bit (np.abs is not), so the
+    # ray's |z| >= 1 is decided as in _route
+    r = np.hypot(z.real, z.imag)
+    theta = np.arctan2(z.imag, z.real)
+    with np.errstate(over="ignore"):
+        rho = r ** (1.0 / alpha)
+    # the z whose pole s* lies on the principal sheet
+    sheet = theta <= math.pi * alpha
+    ray = None
+    # for |z| < 1 the contour alone is accurate in both components (_route)
+    if alpha < 1.0 and max(sigmas) <= 1.0:
+        off_ray = np.abs(theta - math.pi * alpha)
+        if off_ray.min() <= _RAY_TOL:
+            ray = (r >= 1.0) & (off_ray <= _RAY_TOL)
+    if rho.max() == math.inf:
+        over = np.isinf(rho) & (sheet if ray is None else sheet | ray)
+        if over.any():
+            raise OverflowGuard(
+                f"E_{{{alpha},{sigmas[0]}}}({complex(z[over][0])!r}): "
+                "|z|^(1/alpha) exceeds double range"
+            )
+    # each z's group: -2 - reach on the ray, -1 for z = 0, else the lower
+    # end of its window of pole vertices (0 for none, the clip past it)
+    clip = 4.0 * (log_eps - _LOG_UNIT)
+    keys = None
+    if ray is None or not ray.all():
+        # the vertex (Re s* + |s*|) / 2 of the parabola through the pole, 0
+        # off the sheet; it has none at phi <= 1e-15 (on the cut)
+        phi = np.where(sheet, rho, 0.0) * np.cos((0.5 / alpha) * theta) ** 2
+        keys = np.full(z.size, clip)
+        below = phi < clip
+        if below.any():
+            phi = phi[below]
+            lo = np.ldexp(clip, np.frexp(phi / clip)[1] - 1)
+            lo = np.where(lo > phi, 0.5 * lo, lo)
+            keys[below] = np.where(phi > 1e-15, lo, 0.0)
+        if not r.all():
+            keys[r == 0.0] = -1.0
+    if ray is not None:
+        d, r_cut = _ray_intervals(alpha, r)
+        on_ray = -2.0 - ((r - d < r_cut).astype(int) + (r + d < r_cut))
+        keys = on_ray if keys is None else np.where(ray, on_ray, keys)
+    if keys.min() == keys.max():
+        windows = [(keys[0], slice(None))]
+    else:
+        windows = [(key, np.flatnonzero(keys == key)) for key in np.unique(keys)]
+    groups = []
+    for key, ids in windows:
+        key = float(key)
+        if key == -1.0:
+            groups.append(((_ZERO, None), ids, None))
+            continue
+        if key < -1.0:
+            groups.append(((_RAY, int(-2.0 - key)), ids, np.array([r[ids], rho[ids]])))
+            continue
+        window = (None, None) if key == 0.0 else (clip, None) if key == clip else (key, 2.0 * key)
+        parabola = _parabola(window[0], 0.0, log_eps, window[1])
+        if parabola is None:
+            _no_parabola(alpha, sigmas, complex(z[ids][0]), log_eps)
+        exponents = None
+        if parabola[1]:
+            angle = theta[ids] / alpha
+            pole = rho[ids] * np.exp(1j * angle)
+            # one row per sigma
+            w = pole + np.multiply.outer(1.0 - np.array(sigmas), np.log(rho[ids]) + 1j * angle)
+            if w.real.max() > _EXP_ARG_LIMIT:
+                k, i = np.unravel_index(np.argmax(w.real), w.shape)
+                _residue_overflow(alpha, sigmas[k], complex(z[ids][i]), pole[i])
+            exponents = w - math.log(alpha)
+        groups.append(((_CONTOUR, parabola), ids, exponents))
+    return groups
+
+
 def _on_route(alpha, sigmas, z, route, data):
     """E for each sigma at the z of the 1-d array z, all on one route with
-    the per-z data of _route; shape (len(sigmas), z.size)."""
+    the per-z data of _route_all as rows; shape (len(sigmas), z.size)."""
     kind, detail = route
     if kind == _ZERO:
         return np.array([[gamma_reciprocal(sigma)] * z.size for sigma in sigmas], dtype=complex)
     if kind == _EXP:
         return np.exp([z] * len(sigmas))
     if kind == _RAY:
-        r0, rho0 = np.array(data).T
+        r0, rho0 = data
         return _ray(alpha, sigmas, z, r0, rho0, detail)
-    parabola, residue = detail
-    return _contour(alpha, sigmas, z, parabola, data if residue else None)
+    return _contour(alpha, sigmas, z, detail[0], data)
 
 
 def _ml_upper(alpha, sigmas, z, rel_tol):
     """E_{alpha,sigma}(z) for each sigma in sigmas at each z of the 1-d array
     z (Im z >= 0), as an array of shape (len(sigmas), z.size).
 
-    Each z is routed with Python scalars (_route); the numerics then run
+    An array call routes its z with numpy (_route_all) while the branch
+    point has strength zero, which is every caller's; the numerics then run
     once per route over all the z that take it, one Cauchy matrix per
-    parabola, which the z of a whole window of pole vertices share.  A
-    single z skips the grouping, which saves a seventh of an ml_eval call
-    (41 against 47 us on a 2-core Xeon, 3 000 random z).
+    parabola, which the z of a whole window of pole vertices share.  A lone
+    z, and every z while the branch point has strength p0 > 0, is routed
+    with Python scalars (_route): a whole call at one z then takes 14 us
+    against 98 through numpy (2-core Xeon).
     """
     log_eps = math.log(_EPS_PER_REL_TOL * rel_tol)
-    parabolas = {}
-    if z.size == 1:
-        route, datum = _route(alpha, sigmas, z.item(), log_eps, parabolas)
-        return _on_route(alpha, sigmas, z, route, [datum])
-    groups = {}
-    for i, zi in enumerate(z.tolist()):
-        route, datum = _route(alpha, sigmas, zi, log_eps, parabolas)
-        ids, data = groups.setdefault(route, ([], []))
-        ids.append(i)
-        data.append(datum)
+    if z.size > 1 and _branch_strength(alpha, sigmas) < 1e-14:
+        groups = _route_all(alpha, sigmas, z, log_eps)
+    else:
+        parabolas = {}
+        if z.size == 1:
+            route, datum = _route(alpha, sigmas, z.item(), log_eps, parabolas)
+            return _on_route(alpha, sigmas, z, route, _rows([datum]))
+        by_route = {}
+        for i, zi in enumerate(z.tolist()):
+            route, datum = _route(alpha, sigmas, zi, log_eps, parabolas)
+            ids, data = by_route.setdefault(route, ([], []))
+            ids.append(i)
+            data.append(datum)
+        groups = [(route, ids, _rows(data)) for route, (ids, data) in by_route.items()]
     out = np.empty((len(sigmas), z.size), dtype=complex)
-    for route, (ids, data) in groups.items():
+    for route, ids, data in groups:
         out[:, ids] = _on_route(alpha, sigmas, z[ids], route, data)
     return out
+
+
+def _rows(data):
+    """The per-z data of _route, one tuple per z, as the rows of _route_all."""
+    return None if data[0] is None else np.array(data).T
 
 
 def _ml_values(alpha, sigmas, z):
@@ -580,7 +735,9 @@ def ml_eval(params: MLParams, z: complex, acc: MLAccuracy = DEFAULT_ACCURACY) ->
     Relative accuracy acc.rel_tol (see the module docstring for the method).
     Raises OverflowGuard where E leaves double range and NonConvergence where
     rel_tol cannot be met.  The one-element case of _ml_values, written
-    with Python scalars: through the array wrapper a call costs a third more.
+    with Python scalars and routed by _route, not numpy: through the array
+    wrapper a call costs a third more.  It agrees with an array call at the
+    same z to the rounding of the pole.
     """
     z = complex(z)
     lower = math.copysign(1.0, z.imag) < 0.0

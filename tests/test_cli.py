@@ -225,6 +225,23 @@ def test_verify_command(capsys):
     }
 
 
+def test_verify_residual_cell_carries_six_digits(tmp_path):
+    # caputo_residual fixes only its first six or seven digits (rounding u
+    # by one unit in the last place moves it by up to 1.1e-6 relative), so
+    # the CSV cell carries six significant digits
+    from tfedge.wellposed import caputo_residual
+
+    path = tmp_path / "verify.csv"
+    assert main(["verify", "--output.path", str(path)]) == 0
+    rows = read_csv(str(path))
+    column = rows[0].index("caputo_residual")
+    assert len(rows) == 1 + len(cli._VERIFY_ORDERS)
+    for row, order in zip(rows[1:], cli._VERIFY_ORDERS):
+        residual = max(caputo_residual(order, 2.0, T) for T in (0.5, 1.0, 2.0))
+        assert row[column] == f"{residual:.6g}", row
+        assert 0.0 < float(row[column]) <= 1e-3
+
+
 def test_exit_codes(tmp_path):
     assert main(["current", "--order.alpha", "7"]) == 2  # config rejection
     # a grid too short for the window is a domain failure, not a config one

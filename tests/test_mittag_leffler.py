@@ -298,6 +298,136 @@ def test_pole_vertex_windows_share_valid_parabolas():
     assert len(octaves) > 5
 
 
+def _assert_routes_agree(alpha, sigmas, z, log_eps):
+    """_route_all against _route at every z; returns the routes taken."""
+    from tfedge.mittag_leffler import _RAY, _route, _route_all
+
+    want = []
+    for zi in z.tolist():
+        try:
+            want.append(_route(alpha, sigmas, zi, log_eps, {}))
+        except OverflowGuard:
+            # the array router refuses the same z among finite ones
+            with pytest.raises(OverflowGuard):
+                _route_all(alpha, sigmas, np.array([1.0, zi]), log_eps)
+            want.append(None)
+    kept = np.array([zi for zi, w in zip(z, want) if w is not None])
+    want = [w for w in want if w is not None]
+    got = [None] * kept.size
+    for route, ids, data in _route_all(alpha, sigmas, kept, log_eps):
+        for j, i in enumerate(np.arange(kept.size)[ids]):
+            got[i] = (route, None if data is None else data[:, j])
+    eps = np.finfo(float).eps
+    for zi, (route, datum), (want_route, want_datum) in zip(kept, got, want):
+        assert route == want_route, (alpha, sigmas, zi)
+        if want_datum is None:
+            assert datum is None, (alpha, sigmas, zi)
+            continue
+        # |z| to its rounding; the pole's |s*| and the residue exponent to
+        # the rounding of |z| and arg z raised to the power 1/alpha
+        pole = abs(zi) ** (1.0 / alpha)
+        if route[0] == _RAY:
+            tol = np.array([2.0 * eps * abs(zi), 8.0 * eps / alpha * pole])
+        else:
+            tol = 8.0 * eps / alpha * (1.0 + pole)
+        assert np.all(np.abs(datum - np.array(want_datum)) <= tol), (alpha, sigmas, zi)
+    return [route for route, _ in got]
+
+
+def test_array_router_agrees_with_the_scalar_one():
+    # the numpy router of array calls against _route, z by z: the same route
+    # kind, ray reach and parabola ((mu, h, N), residue), the residue taken
+    # for the same z, and the same OverflowGuard; the ray's (|z|, |z|^(1/a))
+    # and the residue exponents agree to the rounding of the pole.  Mixed
+    # arrays, and arrays wholly on the ray
+    from tfedge.mittag_leffler import _CONTOUR
+
+    log_eps = math.log(1e-15)
+    rng = np.random.default_rng(2718)
+    routes = []
+    for alpha in [1.0, *rng.uniform(0.05, 1.0, 39)]:
+        r = 10.0 ** rng.uniform(-3.0, 3.0, 90)
+        z = r * np.exp(1j * rng.uniform(0.0, math.pi, 90))
+        on_ray = np.array([0.5, 1.0, 2.0, 7.0, 40.0, 900.0]) * cmath.exp(1j * math.pi * alpha)
+        for sigmas in ((alpha,), (1.0,), (alpha, 1.0)):
+            routes += _assert_routes_agree(alpha, sigmas, np.concatenate(([0.0], on_ray, z, [0.0])), log_eps)
+            routes += _assert_routes_agree(alpha, sigmas, on_ray[2:], log_eps)
+    assert {kind for kind, _ in routes} == {"zero", "exp", "ray", "contour"}
+    assert {reach for kind, reach in routes if kind == "ray"} == {0, 1, 2}
+    assert len({parabola for kind, parabola in routes if kind == _CONTOUR}) > 12
+    # a numpy alpha reaches every interval of the ray, as a float does
+    z = cmath.rect(2.0, -0.5 * math.pi)
+    assert ml_eval(MLParams(np.float64(0.5), 1.0), z) == ml_eval(MLParams(0.5, 1.0), z)
+
+
+def _independence_pool(alpha, rng):
+    """501 z of every route: contour windows with and without residue, the
+    ray, z = 0, both half-planes; E inside double range."""
+    ray = math.pi * alpha
+    r = 10.0 ** rng.uniform(-3.0, math.log10(min(8.0, 24.0**alpha)), 440)
+    z = r * np.exp(1j * rng.uniform(-math.pi, math.pi, 440))
+    on_ray = rng.uniform(0.5, 15.0, 40) * np.exp(1j * ray * rng.choice([-1.0, 1.0], 40))
+    off_sheet = rng.uniform(8.0, 200.0, 20) * np.exp(1j * rng.uniform(min(ray + 0.1, 3.0), math.pi, 20))
+    return np.concatenate((z, on_ray, off_sheet, [0.0]))
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8, 1.0])
+def test_values_do_not_depend_on_position_or_companions(alpha):
+    # within arrays of two or more z, the E at a z is the same bit for bit
+    # whatever its position and the other z of the call: shuffled and
+    # re-sliced calls of every length against one call over the pool
+    rng = np.random.default_rng(int(31 * alpha))
+    pool = _independence_pool(alpha, rng)
+    want = np.array(ml_pair(alpha, pool))
+    for size in (2, 7, 33, 501):
+        order = rng.permutation(pool.size)
+        for start in range(0, pool.size - size + 1, max(size, 61)):
+            ids = order[start : start + size]
+            got = np.array(ml_pair(alpha, pool[ids]))
+            assert np.array_equal(got, want[:, ids]), (size, start)
+    # the odd ends of a strided view
+    ids = np.arange(3, pool.size, 5)
+    assert np.array_equal(np.array(ml_pair(alpha, pool[3::5])), want[:, ids])
+
+
+def test_array_calls_raise_overflow_guard():
+    # a residue exponent past 705 inside a multi-z array, and |z|^(1/alpha)
+    # past double range, on the contour and on the ray: OverflowGuard, not
+    # a RuntimeWarning
+    for alpha, z in (
+        (0.5, [1.0, 30.0]),
+        (0.5, [1.0, 1e200]),
+        (0.05, [1.0, 2.0, 1e20]),
+        (0.5, [1.0, 1e200j]),
+        (0.5, [1.0, -1e200j, 2.0]),
+    ):
+        with pytest.raises(OverflowGuard):
+            ml_pair(alpha, z)
+    # past double range off the principal sheet there is no pole to overflow
+    values = ml_pair(0.05, [1.0, -1e20])
+    assert np.all(np.isfinite(values))
+
+
+def test_half_order_diagonal_within_its_conditioning():
+    # z = exp(-i pi/4) t^(1/2) lam, the alpha = 1/2 current's argument at
+    # beta = 1/2, for t up to 1e4, against the Faddeeva forms.  E's
+    # condition number at these z is kappa = |z E'/E| ~ 2 |z|^2: the
+    # rounding of z alone moves E by kappa eps
+    eps = np.finfo(float).eps
+    lam = np.linspace(1.0, 3.0, 17)
+    worst = 0.0
+    for t in np.geomspace(1e-2, 1e4, 25):
+        z = cmath.exp(-0.25j * math.pi) * math.sqrt(t) * lam
+        e_half, e_one = ml_pair(0.5, z)
+        for zi, got_half, got_one in zip(z, e_half, e_one):
+            bound = 1e-12 + 4.0 * 2.0 * abs(zi) ** 2 * eps
+            for got, sigma in ((got_half, 0.5), (got_one, 1.0)):
+                ratio = rel_err(got, ml_half(sigma, zi)) / bound
+                worst = max(worst, ratio)
+                assert ratio <= 1.0, (t, zi, sigma)
+    print(f"worst error / bound = {worst:.3g}")
+
+
 @pytest.mark.parametrize("alpha", [0.2, 0.3, 0.5, 0.8, 0.95])
 def test_small_z_matches_the_series(alpha):
     # below the clip the parabola serves a whole octave of pole vertices;
