@@ -408,7 +408,7 @@ def cmd_verify(cfg: RunConfig) -> int:
                 cert.constant,
                 cert.refined_constant,
                 cert.rel_drift,
-                # the digits caputo_residual fixes
+                # about the digits caputo_residual fixes (see its docstring)
                 f"{residual:.6g}",
                 ok,
             )

@@ -270,8 +270,9 @@ def _parabola(phi, p0, log_eps, phi_hi=None):
     [phi, phi_hi): one below phi leaves each of them to its right, farther
     away than the vertex it was built for, and one beyond phi_hi to its left.
     Kept across calls, as _nodes keeps its nodes: perfbench's scalar-ml
-    round uses 24 parabolas, and keeping them lifts its samples_per_s by a
-    tenth.
+    round uses 24 parabolas, and keeping them lifts its samples_per_s from
+    14 300 to 15 500 /s (median of 10 alternating 15 s pairs, 10 of 10
+    better, 2-core Xeon).
     """
     if phi is None:
         par, residue = _region_beyond(0.0, p0, log_eps), False
@@ -449,7 +450,7 @@ def _vertex_window(phi, log_eps):
     return lo, 2.0 * lo
 
 
-def _route(alpha, sigmas, zi, log_eps, parabolas):
+def _route(alpha, sigmas, zi, log_eps, _unused=None):
     """How E is taken at one z (Im z >= 0), as (route, datum):
 
         route                   datum
@@ -469,8 +470,8 @@ def _route(alpha, sigmas, zi, log_eps, parabolas):
     and the strongest branch point among them sets the parabola; for
     sigma <= 1 + alpha it has strength zero, and the pole vertices share
     parabolas by the windows of _vertex_window, otherwise each vertex has
-    its own.  A parabola is chosen once per call and kept in the dict
-    parabolas.
+    its own.  The last argument is unused; it stays for the five-argument
+    calls of the router tests.
     """
     if zi == 0:
         return (_ZERO, None), None
@@ -514,11 +515,9 @@ def _route(alpha, sigmas, zi, log_eps, parabolas):
         window = (vertex, None)
     else:
         window = _vertex_window(vertex, log_eps)
-    if window not in parabolas:
-        parabolas[window] = _parabola(window[0], p0, log_eps, window[1])
-        if parabolas[window] is None:
-            _no_parabola(alpha, sigmas, zi, log_eps)
-    parabola = parabolas[window]
+    parabola = _parabola(window[0], p0, log_eps, window[1])
+    if parabola is None:
+        _no_parabola(alpha, sigmas, zi, log_eps)
     if not parabola[1]:
         return (_CONTOUR, parabola), None
     log_pole = cmath.log(pole)
@@ -552,22 +551,23 @@ def _residue_overflow(alpha, sigma, zi, pole):
 
 
 def _route_all(alpha, sigmas, z, log_eps):
-    """The routes of _route for every z of the 1-d array z (Im z >= 0) while
-    the branch point has strength zero, as a list of (route, ids, data): ids
-    index the z that take the route, and data holds their per-z data of
-    _route as rows, (|z|, |z|^(1/alpha)) on the ray and one row of residue
-    exponents per sigma on a contour that adds the residue (else None).
+    """The routes of _route for every z of the 1-d array z (Im z >= 0), as a
+    list of (route, ids, data): ids index the z that take the route, and
+    data holds their per-z data of _route as rows, (|z|, |z|^(1/alpha)) on
+    the ray and one row of residue exponents per sigma on a contour that
+    adds the residue (else None).
 
     Every step is a whole-array numpy operation: |z|, arg z and the masks of
     the exact routes, |s*| = |z|^(1/alpha) and the vertex
-    phi = |s*| cos^2(arg s* / 2) of the pole, and the window of
-    _vertex_window through np.frexp and np.ldexp, the same exact powers of
-    two, so a z takes the parabola _route gives it unless its vertex lies
-    within rounding of a window's end.  numpy's arctan2 and power may differ
-    from the math module's in the last bit, which moves the pole, and E with
-    it, by its rounding; each operation is elementwise, so a z's data does
-    not depend on its position or on the other z.  The OverflowGuard checks
-    are _route's.
+    phi = (Re s* + |s*|) / 2 of the pole, and, while the branch point
+    has strength zero, the window of _vertex_window through np.frexp and
+    np.ldexp, the same exact powers of two, so a z takes the parabola
+    _route gives it unless its vertex lies within rounding of a window's
+    end.  With strength p0 > 0 each vertex is its own window.  numpy's
+    arctan2 and power may differ from the math module's in the last bit,
+    which moves the pole, and E with it, by its rounding; each operation is
+    elementwise, so a z's data does not depend on its position or on the
+    other z.  The OverflowGuard checks are _route's.
     """
     if alpha == 1.0 and all(sigma == 1.0 for sigma in sigmas):
         over = z.real > _EXP_ARG_LIMIT
@@ -601,20 +601,28 @@ def _route_all(alpha, sigmas, z, log_eps):
                 "|z|^(1/alpha) exceeds double range"
             )
     # each z's group: -2 - reach on the ray, -1 for z = 0, else the lower
-    # end of its window of pole vertices (0 for none, the clip past it)
+    # end of its window of pole vertices (0 for none, the clip past it;
+    # with p0 > 0 the vertex itself)
+    p0 = _branch_strength(alpha, sigmas)
     clip = 4.0 * (log_eps - _LOG_UNIT)
     keys = None
     if ray is None or not ray.all():
-        # the vertex (Re s* + |s*|) / 2 of the parabola through the pole, 0
-        # off the sheet; it has none at phi <= 1e-15 (on the cut)
-        phi = np.where(sheet, rho, 0.0) * np.cos((0.5 / alpha) * theta) ** 2
-        keys = np.full(z.size, clip)
-        below = phi < clip
-        if below.any():
-            phi = phi[below]
-            lo = np.ldexp(clip, np.frexp(phi / clip)[1] - 1)
-            lo = np.where(lo > phi, 0.5 * lo, lo)
-            keys[below] = np.where(phi > 1e-15, lo, 0.0)
+        # the pole s* (0 off the sheet) and the vertex (Re s* + |s*|) / 2 of
+        # the parabola through it, formed as _route forms them, so that a
+        # pole on the cut has phi <= 1e-15 and no vertex, as there
+        angle = theta / alpha
+        pole = np.where(sheet, rho, 0.0) * np.exp(1j * angle)
+        phi = 0.5 * (pole.real + np.hypot(pole.real, pole.imag))
+        if p0 >= 1e-14:
+            keys = np.where(phi > 1e-15, phi, 0.0)
+        else:
+            keys = np.full(z.size, clip)
+            below = phi < clip
+            if below.any():
+                phi = phi[below]
+                lo = np.ldexp(clip, np.frexp(phi / clip)[1] - 1)
+                lo = np.where(lo > phi, 0.5 * lo, lo)
+                keys[below] = np.where(phi > 1e-15, lo, 0.0)
         if not r.all():
             keys[r == 0.0] = -1.0
     if ray is not None:
@@ -634,19 +642,22 @@ def _route_all(alpha, sigmas, z, log_eps):
         if key < -1.0:
             groups.append(((_RAY, int(-2.0 - key)), ids, np.array([r[ids], rho[ids]])))
             continue
-        window = (None, None) if key == 0.0 else (clip, None) if key == clip else (key, 2.0 * key)
-        parabola = _parabola(window[0], 0.0, log_eps, window[1])
+        if key == 0.0:
+            window = (None, None)
+        elif key == clip or p0 >= 1e-14:
+            window = (key, None)
+        else:
+            window = (key, 2.0 * key)
+        parabola = _parabola(window[0], p0, log_eps, window[1])
         if parabola is None:
             _no_parabola(alpha, sigmas, complex(z[ids][0]), log_eps)
         exponents = None
         if parabola[1]:
-            angle = theta[ids] / alpha
-            pole = rho[ids] * np.exp(1j * angle)
             # one row per sigma
-            w = pole + np.multiply.outer(1.0 - np.array(sigmas), np.log(rho[ids]) + 1j * angle)
+            w = pole[ids] + np.multiply.outer(1.0 - np.array(sigmas), np.log(rho[ids]) + 1j * angle[ids])
             if w.real.max() > _EXP_ARG_LIMIT:
                 k, i = np.unravel_index(np.argmax(w.real), w.shape)
-                _residue_overflow(alpha, sigmas[k], complex(z[ids][i]), pole[i])
+                _residue_overflow(alpha, sigmas[k], complex(z[ids][i]), pole[ids][i])
             exponents = w - math.log(alpha)
         groups.append(((_CONTOUR, parabola), ids, exponents))
     return groups
@@ -670,38 +681,24 @@ def _ml_upper(alpha, sigmas, z, rel_tol):
     """E_{alpha,sigma}(z) for each sigma in sigmas at each z of the 1-d array
     z (Im z >= 0), as an array of shape (len(sigmas), z.size).
 
-    An array call routes its z with numpy (_route_all) while the branch
-    point has strength zero, which is every caller's; the numerics then run
-    once per route over all the z that take it, one Cauchy matrix per
+    An array call routes its z with numpy (_route_all); the numerics then
+    run once per route over all the z that take it, one Cauchy matrix per
     parabola, which the z of a whole window of pole vertices share.  A lone
-    z, and every z while the branch point has strength p0 > 0, is routed
-    with Python scalars (_route): a whole call at one z then takes 14 us
-    against 98 through numpy (2-core Xeon).
+    z is routed with Python scalars (_route): a whole call at one z then
+    takes 14 us against 98 through numpy (2-core Xeon).
     """
     log_eps = math.log(_EPS_PER_REL_TOL * rel_tol)
-    if z.size > 1 and _branch_strength(alpha, sigmas) < 1e-14:
-        groups = _route_all(alpha, sigmas, z, log_eps)
-    else:
-        parabolas = {}
-        if z.size == 1:
-            route, datum = _route(alpha, sigmas, z.item(), log_eps, parabolas)
-            return _on_route(alpha, sigmas, z, route, _rows([datum]))
-        by_route = {}
-        for i, zi in enumerate(z.tolist()):
-            route, datum = _route(alpha, sigmas, zi, log_eps, parabolas)
-            ids, data = by_route.setdefault(route, ([], []))
-            ids.append(i)
-            data.append(datum)
-        groups = [(route, ids, _rows(data)) for route, (ids, data) in by_route.items()]
+    if z.size == 1:
+        route, datum = _route(alpha, sigmas, z.item(), log_eps)
+        # the datum as the one-column rows of _route_all
+        data = None if datum is None else np.array([datum]).T
+        return _on_route(alpha, sigmas, z, route, data)
     out = np.empty((len(sigmas), z.size), dtype=complex)
-    for route, ids, data in groups:
+    if z.size == 0:
+        return out
+    for route, ids, data in _route_all(alpha, sigmas, z, log_eps):
         out[:, ids] = _on_route(alpha, sigmas, z[ids], route, data)
     return out
-
-
-def _rows(data):
-    """The per-z data of _route, one tuple per z, as the rows of _route_all."""
-    return None if data[0] is None else np.array(data).T
 
 
 def _ml_values(alpha, sigmas, z):

@@ -231,6 +231,10 @@ def caputo_residual(
     T = 2), so rounding u by one unit in the last place moves the residual
     by 7.6e-8 to 1.1e-6 relative (alpha = 0.8, beta in {0.8, 1},
     T in {0.5, 1, 2}).  `tfedge verify` reports it to 6 significant digits.
+    There the largest such move is 0.1 of a unit in the last digit for a
+    leading 1 (its residuals are about 1.1e-5 to 1.4e-5), and up to a whole
+    unit for a leading 9, so a changed cell is rarer, not impossible: a
+    value that close to a rounding half-point still tips over.
     """
     a, bta = order.alpha, order.beta
     if not (0.0 < a < 1.0):

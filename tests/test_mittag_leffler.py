@@ -17,6 +17,7 @@ from tfedge import (
     DomainError,
     MLAccuracy,
     MLParams,
+    NonConvergence,
     OverflowGuard,
     gamma_reciprocal,
     ml_deriv,
@@ -299,16 +300,18 @@ def test_pole_vertex_windows_share_valid_parabolas():
 
 
 def _assert_routes_agree(alpha, sigmas, z, log_eps):
-    """_route_all against _route at every z; returns the routes taken."""
-    from tfedge.mittag_leffler import _RAY, _route, _route_all
+    """_route_all against _route at every z; returns the routes taken.  With
+    a branch point of strength p0 > 0 each vertex has its own parabola, whose
+    (mu, h) follow the vertex's rounding."""
+    from tfedge.mittag_leffler import _CONTOUR, _RAY, _branch_strength, _route, _route_all
 
     want = []
     for zi in z.tolist():
         try:
             want.append(_route(alpha, sigmas, zi, log_eps, {}))
-        except OverflowGuard:
+        except (OverflowGuard, NonConvergence) as refusal:
             # the array router refuses the same z among finite ones
-            with pytest.raises(OverflowGuard):
+            with pytest.raises(type(refusal)):
                 _route_all(alpha, sigmas, np.array([1.0, zi]), log_eps)
             want.append(None)
     kept = np.array([zi for zi, w in zip(z, want) if w is not None])
@@ -318,8 +321,14 @@ def _assert_routes_agree(alpha, sigmas, z, log_eps):
         for j, i in enumerate(np.arange(kept.size)[ids]):
             got[i] = (route, None if data is None else data[:, j])
     eps = np.finfo(float).eps
+    per_vertex = _branch_strength(alpha, sigmas) > 0.0
     for zi, (route, datum), (want_route, want_datum) in zip(kept, got, want):
-        assert route == want_route, (alpha, sigmas, zi)
+        if per_vertex and route[0] == _CONTOUR == want_route[0]:
+            ((mu, h, n), residue), ((want_mu, want_h, want_n), want_residue) = route[1], want_route[1]
+            assert (n, residue) == (want_n, want_residue), (alpha, sigmas, zi)
+            assert (mu, h) == pytest.approx((want_mu, want_h), rel=1e-12), (alpha, sigmas, zi)
+        else:
+            assert route == want_route, (alpha, sigmas, zi)
         if want_datum is None:
             assert datum is None, (alpha, sigmas, zi)
             continue
@@ -349,7 +358,9 @@ def test_array_router_agrees_with_the_scalar_one():
         r = 10.0 ** rng.uniform(-3.0, 3.0, 90)
         z = r * np.exp(1j * rng.uniform(0.0, math.pi, 90))
         on_ray = np.array([0.5, 1.0, 2.0, 7.0, 40.0, 900.0]) * cmath.exp(1j * math.pi * alpha)
-        for sigmas in ((alpha,), (1.0,), (alpha, 1.0)):
+        # 1 + alpha/2: strength zero, but the ray's poles lie on the cut;
+        # 1.5 + alpha: a branch point of strength 1, each vertex its own parabola
+        for sigmas in ((alpha,), (1.0,), (alpha, 1.0), (1.0 + 0.5 * alpha,), (alpha, 1.5 + alpha)):
             routes += _assert_routes_agree(alpha, sigmas, np.concatenate(([0.0], on_ray, z, [0.0])), log_eps)
             routes += _assert_routes_agree(alpha, sigmas, on_ray[2:], log_eps)
     assert {kind for kind, _ in routes} == {"zero", "exp", "ray", "contour"}
@@ -358,6 +369,27 @@ def test_array_router_agrees_with_the_scalar_one():
     # a numpy alpha reaches every interval of the ray, as a float does
     z = cmath.rect(2.0, -0.5 * math.pi)
     assert ml_eval(MLParams(np.float64(0.5), 1.0), z) == ml_eval(MLParams(0.5, 1.0), z)
+
+
+def test_array_calls_with_a_strong_branch_point():
+    # sigma > 1 + alpha gives the branch point s = 0 strength p0 > 0 and each
+    # pole vertex its own parabola; the array router serves such calls too.
+    # Against the lone-z evaluation and the mpmath series, and independent
+    # of the other z of the call
+    from tfedge.mittag_leffler import _ml_values
+
+    rng = np.random.default_rng(1414)
+    for alpha in [1.0, *rng.uniform(0.05, 1.0, 11)]:
+        sigmas = (alpha, 1.5 + alpha)
+        r = 10.0 ** rng.uniform(-3.0, math.log10(min(8.0, 24.0**alpha)), 8)
+        z = r * np.exp(1j * rng.uniform(-math.pi, math.pi, 8))
+        values = _ml_values(alpha, sigmas, z)
+        for k, sigma in enumerate(sigmas):
+            for i, zi in enumerate(z):
+                want = ml_reference(alpha, sigma, zi, 30 + int(abs(zi) ** (1.0 / alpha) / 2.3))
+                assert rel_err(values[k, i], want) <= 1e-12, (alpha, sigma, zi)
+                assert rel_err(values[k, i], ml_eval(MLParams(alpha, sigma), zi)) <= 1e-13
+        assert np.array_equal(_ml_values(alpha, sigmas, z[::-1][:5]), values[:, ::-1][:, :5])
 
 
 def _independence_pool(alpha, rng):
@@ -388,6 +420,8 @@ def test_values_do_not_depend_on_position_or_companions(alpha):
     # the odd ends of a strided view
     ids = np.arange(3, pool.size, 5)
     assert np.array_equal(np.array(ml_pair(alpha, pool[3::5])), want[:, ids])
+    # and no z at all
+    assert np.array(ml_pair(alpha, pool[:0])).shape == (2, 0)
 
 
 def test_array_calls_raise_overflow_guard():
