@@ -23,9 +23,13 @@ Three cases take exact routes:
 - on the ray |arg z| = pi alpha (for |z| >= 1, sigma <= 1) the pole sits on
   the branch cut, and E is half its residue plus the principal value of the
   real-line integral of Gorenflo, Loutchko and Luchko (Fract. Calc. Appl.
-  Anal. 5 (2002)).  The sines and cosines of multiples of pi/2 are exact
-  there, so at alpha = 1/2, sigma in {1/2, 1} one component of E is the half
-  residue alone: Re E_{1/2,1}(-iy) = exp(-y^2) to full relative accuracy.
+  Anal. 5 (2002)), taken at |z| e^(i pi alpha).  The sines and cosines of
+  multiples of pi/2 are exact there, so at alpha = 1/2, sigma in {1/2, 1}
+  one component of E is the half residue alone: Re E_{1/2,1}(-iy) =
+  exp(-y^2) to full relative accuracy.  The integral's abscissae are the
+  same for every z or scale with |z| (but for a tail where |z| is small),
+  so each z is a few rows kept across calls (_ray_rows) times one factor of
+  its own.
 
 E is evaluated at Im z >= 0 and conjugated below the real axis, so
 E(conj z) == conj E(z) bit for bit.
@@ -38,11 +42,11 @@ operations (_route_all), a lone z with Python scalars (_route), and the
 numerics run once per route and per parabola over all the z that take it,
 so a time sample over a quadrature table is one product of a Cauchy matrix
 1/(s_j^alpha - z_i) with two weight vectors.  The parabola of each window
-and its nodes and weights are kept across calls (_parabola, _nodes).  Within
-arrays of two or more z the E at a z does not depend on its position or on
-the other z, bit for bit; a lone z agrees with them to the rounding of its
-pole s*, since numpy's and the math module's arctan2 and power may differ
-in the last bit.
+and its nodes and weights are kept across calls (_parabola, _nodes), as are
+the ray's rows (_ray_rows).  Within arrays of two or more z the E at a z
+does not depend on its position or on the other z, bit for bit; a lone z
+agrees with them to the rounding of its pole s*, since numpy's and the math
+module's arctan2 and power may differ in the last bit.
 
 Poles share parabolas.  A parabola built for a pole at vertex phi stays
 valid for every pole farther from it on the same side, so while the branch
@@ -361,9 +365,10 @@ _TS_NODES, _TS_WEIGHTS = _tanh_sinh(1.0 / 32.0, 3.2)
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
 _GL_NODES = 0.5 * (_GL_NODES + 1.0)
 _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
-# the fold Int_0^1 (g(r0 + d x) - g(r0 - d x)) / x dx, as weights of the
-# abscissae r0 + d x, then r0 - d x
-_GL_FOLD = np.concatenate((_GL_WEIGHTS / _GL_NODES, -_GL_WEIGHTS / _GL_NODES))[:, None]
+
+# entries per block of the ray's products of per-z factors with memoised
+# rows, at most 0.26 MB a temporary
+_RAY_CELLS = 16384
 
 
 def _ray_intervals(alpha, r0):
@@ -372,7 +377,81 @@ def _ray_intervals(alpha, r0):
     return r0 * min(0.5, math.sin(math.pi * alpha)), _RHO_CUT**alpha
 
 
-def _ray(alpha, sigmas, z, r0, rho0, reach):
+def _ray_terms(alpha, sigmas, y, w):
+    """y^(1/alpha) and, for each sigma, the terms
+
+        w y^p (y sin(pi(1-sigma)) - e^(i pi alpha) sin(pi(1-sigma+alpha)))
+        / ((y - e^(2 i pi alpha)) alpha pi),              p = (1-sigma)/alpha,
+
+    of the ray's integral in y = r / r0, at abscissae y with weights w."""
+    c = _cis_pi(alpha)
+    shared = w / ((y - _cis_pi(2.0 * alpha)) * (alpha * math.pi))
+    terms = [
+        y ** ((1.0 - sigma) / alpha)
+        * (y * _cis_pi(1.0 - sigma).imag - c * _cis_pi(1.0 - sigma + alpha).imag)
+        * shared
+        for sigma in sigmas
+    ]
+    return y ** (1.0 / alpha), terms
+
+
+@functools.lru_cache(maxsize=64)
+def _ray_rows(alpha, sigmas, fold):
+    """The z-free part of _ray as read-only arrays (abscissae, rows, kept):
+    the rows that are not exactly zero, and their indices kept among the
+    2 len(sigmas) rows, two per sigma.
+
+    fold False (reach 0): the abscissae r = r_cut x of tanh-sinh on
+    [0, r_cut], and per sigma the rows s1 r g and s2 g, where
+    g = w r^p e^(-r^(1/alpha)) / (alpha pi), s1 = sin(pi(1-sigma)) and
+    s2 = sin(pi(1-sigma+alpha)); 206 abscissae.
+
+    fold True (reach >= 1): in y = r / r0, Y = y^(1/alpha) at the abscissae
+    of [0, 1 - d/r0] (tanh-sinh) and of the fold [1 - d/r0, 1 + d/r0]
+    (Gauss-Legendre), and per sigma the real and imaginary parts of the
+    terms of _ray_terms; 302 abscissae.
+
+    Kept across calls, as _nodes keeps the contour's nodes.  An order and
+    its sigmas have one entry of each kind (at most 4 x 302 doubles for
+    ml_pair's two sigmas, 12 KB); a transport sweep at alpha = 1/2,
+    beta = 1 leaves both.
+    """
+    delta, r_cut = _ray_intervals(alpha, 1.0)
+    if fold:
+        y_left = (1.0 - delta) * _TS_NODES
+        u = delta * _GL_NODES
+        # the fold Int_0^1 (f(1 + delta u) - f(1 - delta u)) / u du
+        fold_weights = _GL_WEIGHTS / _GL_NODES
+        abscissae, terms = _ray_terms(
+            alpha,
+            sigmas,
+            np.concatenate((y_left, 1.0 + u, 1.0 - u)),
+            np.concatenate((_TS_WEIGHTS * (1.0 - delta) / (y_left - 1.0), fold_weights, -fold_weights)),
+        )
+        rows = np.array([part for t in terms for part in (t.real, t.imag)])
+    else:
+        abscissae = r_cut * _TS_NODES
+        weighted = _TS_WEIGHTS * r_cut * np.exp(-(abscissae ** (1.0 / alpha))) / (alpha * math.pi)
+        rows = []
+        for sigma in sigmas:
+            g = abscissae ** ((1.0 - sigma) / alpha) * weighted
+            rows += [_cis_pi(1.0 - sigma).imag * abscissae * g, _cis_pi(1.0 - sigma + alpha).imag * g]
+        rows = np.array(rows)
+    # rows of exact zeros (a sine of a multiple of pi) add nothing
+    kept = np.flatnonzero(np.any(rows != 0.0, axis=1))
+    rows = rows[kept]
+    for a in (abscissae, rows, kept):
+        a.flags.writeable = False
+    return abscissae, rows, kept
+
+
+def _decay(rho):
+    """e^(-rho), flushed to zero below e^-700: numpy's exp is an order of
+    magnitude slower on arguments that underflow."""
+    return np.exp(-rho, out=np.zeros_like(rho), where=rho < 700.0)
+
+
+def _ray(alpha, sigmas, r0, rho0, reach):
     """E at z = r0 exp(i pi alpha), 0 < alpha < 1, sigma <= 1:
 
         (1/(2 alpha)) rho0^(1-sigma) e^(i pi (1-sigma)) e^(-rho0)
@@ -383,41 +462,61 @@ def _ray(alpha, sigmas, z, r0, rho0, reach):
 
     The principal value folds the interval of half-width d around r0 onto
     [0, d] (Gauss-Legendre); the rest is taken by tanh-sinh up to
-    r^(1/alpha) = 50 (r = r_cut).  z, r0 and rho0 are 1-d arrays of z that
+    r^(1/alpha) = 50 (r = r_cut).  r0 and rho0 are 1-d arrays of z that
     reach the same intervals: [0, min(r0 - d, r_cut)] alone (reach 0), the
-    fold too (reach 1), or also [r0 + d, r_cut] (reach 2).  Their abscissae
-    form one array, one column per z, and e^(-r^(1/alpha)) and
-    1/(r - z e^(i pi alpha)) are shared by the sigmas.  Returns shape
-    (len(sigmas), z.size).
+    fold too (reach 1), or also [r0 + d, r_cut] (reach 2).  Returns shape
+    (len(sigmas), r0.size).
+
+    Each z is a few memoised rows (_ray_rows) times one factor of its own.
+    At reach 0 the abscissae are the same for every z, and the factor is
+    r0^2 / ((r - r0)(r - r0 e^(2 i pi alpha))), formed in y = r / r0 so that
+    no |z| in double range under- or overflows it.  At reach >= 1, d is a
+    fixed fraction of r0, so in y = r / r0 the abscissae of [0, r0 + d] and
+    all but one factor of K are z-free: the factor is e^(-rho0 y^(1/alpha)),
+    and r0^p = rho0^(1-sigma) scales the sum.  Only the tail [r0 + d, r_cut]
+    of reach 2 has abscissae of its own per z.  The factors are formed in
+    blocks of z, at most _RAY_CELLS entries a product, and each z's sums run
+    along contiguous rows, in the same order whatever the other z of the
+    call.
     """
-    d, r_cut = _ray_intervals(alpha, r0)
-    b = np.minimum(r0 - d, r_cut)
-    r = [b * _TS_NODES[:, None]]
-    weights = [_TS_WEIGHTS[:, None] * b / (r[0] - r0)]
-    if reach >= 1:
-        u = d * _GL_NODES[:, None]
-        r += [r0 + u, r0 - u]
-        weights.append(np.broadcast_to(_GL_FOLD, (_GL_FOLD.shape[0], z.size)))
-    if reach == 2:
-        a = r0 + d
-        r.append(a + (r_cut - a) * _TS_NODES[:, None])
-        weights.append(_TS_WEIGHTS[:, None] * (r_cut - a) / (r[-1] - r0))
-    r = np.concatenate(r)
-    rho = r ** (1.0 / alpha)
-    # e^(-r^(1/alpha)), flushed to zero below e^-700: numpy's exp is an order
-    # of magnitude slower on arguments that underflow
-    decay = np.exp(-rho, out=np.zeros_like(rho), where=rho < 700.0)
-    shared = np.concatenate(weights) * decay / (r - z * _cis_pi(alpha))
-    out = np.empty((len(sigmas), z.size), dtype=complex)
+    abscissae, rows, kept = _ray_rows(alpha, sigmas, reach > 0)
+    c, cc = _cis_pi(alpha), _cis_pi(2.0 * alpha)
+    delta, r_cut = _ray_intervals(alpha, 1.0)
+    out = np.empty((len(sigmas), r0.size), dtype=complex)
+    block = max(1, _RAY_CELLS // rows.size)
+    for start in range(0, r0.size, block):
+        ids = slice(start, start + block)
+        r0_b, rho0_b = r0[ids, None], rho0[ids, None]
+        if reach:
+            factor = _decay(rho0_b * abscissae)
+        else:
+            # (y - C + i S) / ((y - 1)((y - C)^2 + S^2)), C + i S = e^(2 i pi alpha)
+            y = abscissae * (1.0 / r0_b)
+            u = y - cc.real
+            q = 1.0 / ((y - 1.0) * (u * u + cc.imag**2))
+            factor = np.empty(y.shape, dtype=complex)
+            np.multiply(u, q, out=factor.real)
+            np.multiply(cc.imag, q, out=factor.imag)
+        sums = np.zeros((r0_b.size, 2 * len(sigmas)), dtype=factor.dtype)
+        sums[:, kept] = np.add.reduce(factor[:, None, :] * rows, axis=2)
+        if not reach:
+            # (Sum s1 r g factor / r0 - e^(i pi alpha) Sum s2 g factor) / r0
+            out[:, ids] = ((sums[:, 0::2] / r0_b - c * sums[:, 1::2]) / r0_b).T
+            continue
+        # the real and imaginary parts of each sigma's sum, as one complex
+        sums = sums.view(complex)
+        if reach == 2:
+            span = r_cut / r0_b - (1.0 + delta)
+            y = 1.0 + delta + span * _TS_NODES
+            tail, terms = _ray_terms(alpha, sigmas, y, _TS_WEIGHTS * span / (y - 1.0))
+            decay = _decay(rho0_b * tail)
+            for k, t in enumerate(terms):
+                sums[:, k] += np.add.reduce(decay * t, axis=1)
+        out[:, ids] = sums.T
     for k, sigma in enumerate(sigmas):
-        s1 = _cis_pi(1.0 - sigma).imag
-        s2 = _cis_pi(1.0 - sigma + alpha).imag
-        terms = r ** ((1.0 - sigma) / alpha) * (r * s1 - z * s2) * shared
-        # one contiguous row per z: the same summation order whatever the
-        # other z of the call
-        total = np.add.reduce(np.ascontiguousarray(terms.T), axis=1)
-        half = _cis_pi(1.0 - sigma) * (0.5 / alpha * rho0 ** (1.0 - sigma) * np.exp(-rho0))
-        out[k] = half + total / (alpha * math.pi)
+        power = rho0 ** (1.0 - sigma)
+        half = _cis_pi(1.0 - sigma) * (0.5 / alpha * power * np.exp(-rho0))
+        out[k] = half + (out[k] if reach == 0 else power * out[k])
     return out
 
 
@@ -450,7 +549,7 @@ def _vertex_window(phi, log_eps):
     return lo, 2.0 * lo
 
 
-def _route(alpha, sigmas, zi, log_eps, _unused=None):
+def _route(alpha, sigmas, zi, log_eps):
     """How E is taken at one z (Im z >= 0), as (route, datum):
 
         route                   datum
@@ -470,8 +569,7 @@ def _route(alpha, sigmas, zi, log_eps, _unused=None):
     and the strongest branch point among them sets the parabola; for
     sigma <= 1 + alpha it has strength zero, and the pole vertices share
     parabolas by the windows of _vertex_window, otherwise each vertex has
-    its own.  The last argument is unused; it stays for the five-argument
-    calls of the router tests.
+    its own.
     """
     if zi == 0:
         return (_ZERO, None), None
@@ -673,7 +771,7 @@ def _on_route(alpha, sigmas, z, route, data):
         return np.exp([z] * len(sigmas))
     if kind == _RAY:
         r0, rho0 = data
-        return _ray(alpha, sigmas, z, r0, rho0, detail)
+        return _ray(alpha, sigmas, r0, rho0, detail)
     return _contour(alpha, sigmas, z, detail[0], data)
 
 

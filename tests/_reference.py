@@ -4,8 +4,9 @@ All of them deliberately avoid the code paths of the package under test,
 which evaluates the Mittag-Leffler function by a float64 contour integral.
 The Mittag-Leffler references are a plain mpmath power series at a fixed
 working precision, the real-line integral of Gorenflo, Loutchko and Luchko
-by mpmath quadrature (where the series would need thousands of digits), and
-the Faddeeva function at alpha = 1/2.
+by mpmath quadrature (where the series would need thousands of digits), the
+large-|z| expansion on the ray |arg z| = pi alpha (where the series would
+need hundreds), and the Faddeeva function at alpha = 1/2.
 The band references share no arithmetic with the production solver, a
 Legendre-Galerkin Ritz method solved by one numpy SVD:
 - lam_exact is the exact eigenvalue b(2 nu + 1), nu the root of the
@@ -83,6 +84,29 @@ def ml_gll_reference(alpha, sigma, z, dps=30):
         if abs(mp.arg(zm)) < mp.pi * a:
             value += zm ** ((1 - s) / a) * mp.exp(zm ** (1 / a)) / a
         return complex(value)
+
+
+def ml_ray_expansion(alpha, sigma, z, dps=40, tol=1e-25):
+    """E_{alpha,sigma}(z) on the ray |arg z| = pi alpha far out, by the
+    expansion -Sum_{k>=1} z^-k / Gamma(sigma - alpha k) at dps digits.
+
+    On the ray the pole's exponential is e^(-|z|^(1/alpha)) in size, and so
+    is the error of the expansion at its smallest term, near
+    k = |z|^(1/alpha) / alpha; the sum must settle (three nonzero terms in a
+    row below tol of it) before that.
+    """
+    smallest = abs(z) ** (1.0 / alpha) / alpha
+    with mp.workdps(dps):
+        zm, total = mp.mpc(z), mp.mpc(0)
+        quiet = 0
+        for k in range(1, int(smallest)):
+            term = zm ** -k * mp.rgamma(sigma - alpha * k)
+            total -= term
+            if term != 0:
+                quiet = quiet + 1 if abs(term) < tol * abs(total) else 0
+            if quiet == 3:
+                return complex(total)
+        raise RuntimeError("ray expansion did not settle before its smallest term")
 
 
 def ml_half(sigma, z):

@@ -26,7 +26,7 @@ from tfedge import (
     sector_half_angle,
 )
 
-from _reference import ml_gll_reference, ml_half, ml_reference
+from _reference import ml_gll_reference, ml_half, ml_ray_expansion, ml_reference
 from oracles import INDEPENDENT_ML, PIN_ML_HALF_AT_M1, PIN_ML_ONE_AT_2
 
 
@@ -184,6 +184,110 @@ def test_ray_components_at_half_order(y):
     assert rel_err(e_half.real, (1.0 - 2.0 * y * dawson_y) / math.sqrt(math.pi)) <= 1e-8
 
 
+def _ray_reference(alpha, sigma, z):
+    """The mpmath series, with its digits set by |z|^(1/alpha), while that is
+    at most 100; the large-|z| expansion (error ~ e^(-|z|^(1/alpha))) past
+    it, where the series needs hundreds of digits and seconds a value."""
+    rho = abs(z) ** (1.0 / alpha)
+    if rho <= 100.0:
+        return ml_reference(alpha, sigma, z, 30 + int(rho / 2.3))
+    return ml_ray_expansion(alpha, sigma, z)
+
+
+# per alpha, one |z| in each reach of the ray: reach 2 (every interval),
+# reach 1 (the pole's fold reaches past r_cut) and reach 0 (the pole lies
+# past r_cut)
+_RAY_RADII = {0.1: (1.05, 1.2, 2.2), 0.3: (1.5, 2.5, 6.5), 0.7: (3.0, 12.0, 31.0), 0.9: (5.0, 27.0, 49.0)}
+
+
+@pytest.mark.parametrize("alpha", sorted(_RAY_RADII))
+def test_ray_matches_independent_references(alpha):
+    # on the ray |arg z| = pi alpha, in both half-planes and each reach,
+    # against references that share no code with the ray's integral
+    from tfedge.mittag_leffler import _RAY, _ml_values, _route_all, _ray_intervals
+
+    radii = np.array(_RAY_RADII[alpha])
+    d, r_cut = _ray_intervals(alpha, radii)
+    assert list((radii - d < r_cut).astype(int) + (radii + d < r_cut)) == [2, 1, 0]
+    z = radii * cmath.exp(1j * math.pi * alpha)
+    z = np.concatenate((z, z.conj()))
+    routes = _route_all(alpha, (alpha, 1.0), z[:3], math.log(1e-15))
+    assert sorted(route for route, _, _ in routes) == [(_RAY, 0), (_RAY, 1), (_RAY, 2)]
+    values = _ml_values(alpha, (alpha, 1.0), z)
+    for k, sigma in enumerate((alpha, 1.0)):
+        for zi, got in zip(z[:3], values[k, :3]):
+            want = _ray_reference(alpha, sigma, zi)
+            assert rel_err(got, want) <= 1e-12, (alpha, sigma, zi)
+        # the lower half-plane is the conjugate, bit for bit
+        assert np.array_equal(values[k, 3:], values[k, :3].conj())
+
+
+def test_ray_far_out_keeps_its_digits():
+    # |z| past 1e154 on the ray: the product of the two distances
+    # |r - r0| |r - r0 e^(2 i pi alpha)| leaves double range, yet E ~ 1/z
+    # does not
+    for alpha, sigma, r in ((0.9, 1.0, 1e160), (0.9, 1.0, 1e250), (0.9, 0.9, 1e100), (0.6, 1.0, 1e160)):
+        z = r * cmath.exp(1j * math.pi * alpha)
+        want = ml_ray_expansion(alpha, sigma, z)
+        assert rel_err(ml_eval(MLParams(alpha, sigma), z), want) <= 1e-12, (alpha, sigma, r)
+        assert rel_err(ml_pair(alpha, [z, 2.0 * z])[sigma == 1.0][0], want) <= 1e-12, (alpha, sigma, r)
+
+
+def test_ray_values_do_not_depend_on_their_block():
+    # a ray-only array of 300 z, every reach, longer than one block of
+    # _ray: each z's E is the same bit for bit in shuffled and re-sliced
+    # sub-arrays, whatever its position or companions; a lone ml_eval agrees
+    # to rounding
+    from tfedge.mittag_leffler import _RAY_CELLS, _ray_rows
+
+    rng = np.random.default_rng(602)
+    for alpha in (0.3, 0.5):
+        # the fold's half-width is |z| / 2 at these orders
+        r_cut = 50.0**alpha
+        radii = np.concatenate([
+            rng.uniform(1.0, r_cut / 1.5, 100),
+            rng.uniform(r_cut / 1.5, r_cut / 0.5, 100),
+            rng.uniform(r_cut / 0.5, 10.0 * r_cut, 100),
+        ])
+        pool = radii * np.exp(1j * math.pi * alpha * rng.choice([-1.0, 1.0], radii.size))
+        want = np.array(ml_pair(alpha, pool))
+        for fold in (False, True):
+            _, rows, _ = _ray_rows(alpha, (alpha, 1.0), fold)
+            assert _RAY_CELLS // rows.size < 100, (alpha, fold)
+        for size in (2, 7, 33, 150):
+            order = rng.permutation(pool.size)
+            for start in range(0, pool.size - size + 1, max(size, 53)):
+                ids = order[start : start + size]
+                assert np.array_equal(np.array(ml_pair(alpha, pool[ids])), want[:, ids]), (alpha, size)
+        assert np.array_equal(np.array(ml_pair(alpha, pool[1::4])), want[:, 1::4])
+        for i in rng.choice(pool.size, 12, replace=False):
+            for k, sigma in enumerate((alpha, 1.0)):
+                assert rel_err(ml_eval(MLParams(alpha, sigma), pool[i]), want[k, i]) <= 1e-14, (alpha, pool[i])
+
+
+def test_ray_memo_is_read_only_and_bounded(table):
+    # the ray's z-free rows are kept across calls as _nodes keeps the
+    # contour's: read-only, in a bounded memo, one entry per reach form
+    # (reach 0, and the fold of reach >= 1) for an order's sweep
+    from tfedge import FractionalOrder, current_trace
+    from tfedge.mittag_leffler import _ray_rows
+
+    _ray_rows.cache_clear()
+    current_trace(FractionalOrder(0.5, 1.0), table, (50.0, 100.0, 160.0, 250.0, 400.0, 600.0))
+    info = _ray_rows.cache_info()
+    assert info.currsize == 2 <= info.maxsize
+    for fold in (False, True):
+        for a in _ray_rows(0.5, (0.5, 1.0), fold):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
+    assert _ray_rows.cache_info().hits == info.hits + 2
+    # many orders cannot grow it past its bound
+    for alpha in np.linspace(0.05, 0.95, 2 * info.maxsize):
+        ml_pair(alpha, np.array([3.0, 40.0]) * cmath.exp(1j * math.pi * alpha))
+    assert _ray_rows.cache_info().currsize == _ray_rows.cache_info().maxsize
+
+
 def _pair_points(alpha):
     """z = 0, the real axis, poles on either side of the parabola, no pole,
     the ray |arg z| = pi alpha (both half-planes), then every point mirrored
@@ -241,7 +345,7 @@ def test_shared_parabola_is_each_vertex_own(alpha):
     for phi in (0.5, 1.4, 4.0, 5.9, 6.1, 40.0, 1e4):
         # a pole on the imaginary axis has its vertex at |s*| / 2
         z = cmath.rect((2.0 * phi) ** alpha, 0.5 * math.pi * alpha)
-        (_, ((mu, h, n), residue)), _ = _route(alpha, (alpha, 1.0), z, log_eps, {})
+        (_, ((mu, h, n), residue)), _ = _route(alpha, (alpha, 1.0), z, log_eps)
         lo, hi = _vertex_window(phi, log_eps)
         assert lo <= phi and (hi is None or phi < hi), phi
         (mu_own, h_own, n_own), residue_own = _parabola(lo, 0.0, log_eps, hi)
@@ -271,7 +375,7 @@ def test_pole_vertex_windows_share_valid_parabolas():
     ):
         z = cmath.rect(r, theta)
         try:
-            (route, parabola), exponents = _route(alpha, (alpha, 1.0), z, log_eps, {})
+            (route, parabola), exponents = _route(alpha, (alpha, 1.0), z, log_eps)
         except OverflowGuard:
             continue
         if route != _CONTOUR:
@@ -308,7 +412,7 @@ def _assert_routes_agree(alpha, sigmas, z, log_eps):
     want = []
     for zi in z.tolist():
         try:
-            want.append(_route(alpha, sigmas, zi, log_eps, {}))
+            want.append(_route(alpha, sigmas, zi, log_eps))
         except (OverflowGuard, NonConvergence) as refusal:
             # the array router refuses the same z among finite ones
             with pytest.raises(type(refusal)):
