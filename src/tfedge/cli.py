@@ -40,7 +40,7 @@ from .edge_current import (
 )
 from .errors import ConfigError, OverflowGuard, TfedgeError
 from .fiber_spectrum import HalfLineGrid, ModelParams, auto_length
-from .mittag_leffler import MLAccuracy, MLParams, ml_eval
+from .mittag_leffler import MLParams, ml_eval
 from .msd import _msd_channels, packet_norm_sq
 from .wavepacket import ChiProfile
 from .wellposed import ModeSpectrum, caputo_residual, certify_bounds
@@ -255,9 +255,7 @@ def _times(cfg: RunConfig) -> np.ndarray:
 
 
 def cmd_ml_eval(args) -> int:
-    params = MLParams(args.alpha, args.sigma)
-    acc = MLAccuracy(rel_tol=args.rel_tol)
-    value = ml_eval(params, complex(args.re, args.im), acc)
+    value = ml_eval(MLParams(args.alpha, args.sigma), complex(args.re, args.im))
     print(
         f"E[alpha={args.alpha:g}, sigma={args.sigma:g}]({args.re:g}{args.im:+g}j) = "
         f"{value.real:.17g}{value.imag:+.17g}j"
@@ -455,7 +453,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ml.add_argument("--sigma", type=float, default=1.0)
     ml.add_argument("--re", type=float, required=True)
     ml.add_argument("--im", type=float, default=0.0)
-    ml.add_argument("--rel-tol", type=float, default=1e-12)
 
     sp = sub.add_parser("spectrum", help="band data at the quadrature nodes of the window")
     sp.add_argument("--with-cap", action="store_true", help="include the mode deformation norm")

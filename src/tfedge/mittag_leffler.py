@@ -27,9 +27,10 @@ Three cases take exact routes:
   multiples of pi/2 are exact there, so at alpha = 1/2, sigma in {1/2, 1}
   one component of E is the half residue alone: Re E_{1/2,1}(-iy) =
   exp(-y^2) to full relative accuracy.  The integral's abscissae are the
-  same for every z or scale with |z| (but for a tail where |z| is small),
-  so each z is a few rows kept across calls (_ray_rows) times one factor of
-  its own.
+  same for every z or scale with |z|, so each z is a few rows kept across
+  calls (_ray_rows) times one factor of its own.
+
+The evaluator has one accuracy, 1e-12 relative to |E| (_LOG_EPS).
 
 E is evaluated at Im z >= 0 and conjugated below the real axis, so
 E(conj z) == conj E(z) bit for bit.
@@ -38,10 +39,11 @@ ml_eval takes one z; ml_pair takes an array and returns E_{alpha,alpha} and
 E_{alpha,1}, the pair every transport integrand needs, at every element;
 _ml_values, which ml_pair calls, takes an array at any sigmas.  All run the
 same evaluator.  An array call routes its z with whole-array numpy
-operations (_route_all), a lone z with Python scalars (_route), and the
-numerics run once per route and per parabola over all the z that take it,
-so a time sample over a quadrature table is one product of a Cauchy matrix
-1/(s_j^alpha - z_i) with two weight vectors.  The parabola of each window
+operations (_route_all), a lone z with Python scalars (_route), both into
+the same list of routes, and the numerics run once per route and per
+parabola over all the z that take it, so a time sample over a quadrature
+table is one product of a Cauchy matrix 1/(s_j^alpha - z_i) with two
+weight vectors.  The parabola of each window
 and its nodes and weights are kept across calls (_parabola, _nodes), as are
 the ray's rows (_ray_rows).  Within arrays of two or more z the E at a z
 does not depend on its position or on the other z, bit for bit; a lone z
@@ -51,10 +53,10 @@ module's arctan2 and power may differ in the last bit.
 Poles share parabolas.  A parabola built for a pole at vertex phi stays
 valid for every pole farther from it on the same side, so while the branch
 point has strength zero (sigma <= 1 + alpha) the pole vertices fall into
-windows with one parabola each: every vertex beyond the clip ~6 of
-_region_below takes the clip's parabola, and below it each octave
-[lo, 2 lo) takes the parabola below lo or the one beyond 2 lo, whichever
-has fewer nodes.
+windows with one parabola each, named by one key (_vertex_key): every
+vertex beyond the clip ~6 of _region_below takes the clip's parabola, and
+below it each octave [lo, 2 lo) takes the parabola below lo or the one
+beyond 2 lo, whichever has fewer nodes.
 """
 
 from __future__ import annotations
@@ -70,11 +72,8 @@ from .errors import DomainError, NonConvergence, OverflowGuard
 
 __all__ = [
     "MLParams",
-    "MLAccuracy",
-    "DEFAULT_ACCURACY",
     "gamma_reciprocal",
     "neg_i_power",
-    "sector_half_angle",
     "ml_eval",
     "ml_pair",
     "ml_deriv",
@@ -93,11 +92,13 @@ _I_STEPS = 1j * np.arange(-_N_MAX, _N_MAX + 1, dtype=float)
 
 # Garrappa's tolerance bounds the error against the size of the integrand on
 # the contour, which exceeds |E| where E is algebraically small; the error
-# relative to |E| was measured at up to 230 times the tolerance, so the
-# contour runs at rel_tol / 1000.  Below 1e-15 roundoff leaves no admissible
-# parabola, so rel_tol >= 1e-12.
-_EPS_PER_REL_TOL = 1e-3
-_REL_TOL_MIN = 1e-12
+# relative to |E| was measured at up to 230 times the tolerance, so for E to
+# 1e-12 relative the contour runs at 1e-12 / 1000.  Below that roundoff
+# leaves no admissible parabola.
+_LOG_EPS = math.log(1e-3 * 1e-12)
+# _region_below clips sqrt(phi) at 2 sqrt(_LOG_EPS - log u), so every pole
+# vertex at or beyond this clip (about 6) has the parabola of the clip itself
+_CLIP = 4.0 * (_LOG_EPS - _LOG_UNIT)
 
 # entries per block of a parabola's Cauchy matrix: 16 z at the most nodes,
 # 0.1 MB a complex temporary
@@ -125,26 +126,6 @@ class MLParams:
             raise DomainError(f"MLParams.sigma must be finite, got {self.sigma!r}")
 
 
-@dataclass(frozen=True)
-class MLAccuracy:
-    """Target accuracy of the evaluator, relative to |E|.
-
-    rel_tol  in [1e-12, 1); the contour runs at tolerance rel_tol / 1000 and
-             raises NonConvergence rather than loosening it
-    """
-
-    rel_tol: float = 1e-12
-
-    def __post_init__(self):
-        if not (_REL_TOL_MIN <= self.rel_tol < 1.0):
-            raise DomainError(
-                f"MLAccuracy.rel_tol must lie in [{_REL_TOL_MIN:g}, 1), got {self.rel_tol!r}"
-            )
-
-
-DEFAULT_ACCURACY = MLAccuracy()
-
-
 def gamma_reciprocal(x: float) -> float:
     """1/Gamma(x) as a total function on the reals.
 
@@ -162,11 +143,6 @@ def gamma_reciprocal(x: float) -> float:
     sign = -1.0 if x < 0.0 and math.floor(x) % 2 else 1.0
     log_r = -math.lgamma(x)
     return sign * (math.exp(log_r) if log_r < 709.0 else math.inf)
-
-
-def sector_half_angle(alpha: float) -> float:
-    """Half-angle of the exponential-growth sector, 3*pi*alpha/4."""
-    return 0.75 * math.pi * alpha
 
 
 # (-i)^n indexed by n mod 4, written out so that no component is a rounded zero
@@ -200,12 +176,12 @@ def _cis_pi(x: float) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _region_below(phi_pole, p0, log_eps):
+def _region_below(phi_pole, p0):
     """(mu, h, N) for a parabola between the branch point s = 0, of strength
     p0, and the pole at phi_pole; None if the roundoff allowance cannot fit
     between them.  Garrappa's OptimalParam_RB with its lower singularity at 0."""
-    f_max = math.exp(log_eps - _LOG_UNIT)
-    sq_pole = min(math.sqrt(phi_pole), 2.0 * math.sqrt(log_eps - _LOG_UNIT))
+    f_max = math.exp(_LOG_EPS - _LOG_UNIT)
+    sq_pole = min(math.sqrt(phi_pole), 2.0 * math.sqrt(_LOG_EPS - _LOG_UNIT))
     if p0 < 1e-14:
         f_min = 1.01
         if f_min >= f_max:
@@ -220,18 +196,19 @@ def _region_below(phi_pole, p0, log_eps):
         f_min = max(f_min, 1.5)
         f_bar = f_min + f_min / f_max * (f_max - f_min)
         fp = f_bar ** (-1.0 / p0)
-        w = -phi_pole / log_eps
+        w = -phi_pole / _LOG_EPS
         den = 2.0 + w - (1.0 + w) * fp + 1.0 / f_bar
         sqb_0 = fp * sq_pole / den
         sqb_pole = (2.0 + w - (1.0 + w) * fp) * sq_pole / den
-    log_eps -= math.log(f_bar)
-    w = -sqb_pole * sqb_pole / log_eps
+    # the tolerance left to the discretisation once roundoff has its share
+    log_eps_bar = _LOG_EPS - math.log(f_bar)
+    w = -sqb_pole * sqb_pole / log_eps_bar
     mu = (((1.0 + w) * sqb_0 + sqb_pole) / (2.0 + w)) ** 2
-    h = -2.0 * math.pi / log_eps * (sqb_pole - sqb_0) / ((1.0 + w) * sqb_0 + sqb_pole)
-    return mu, h, math.ceil(math.sqrt(1.0 - log_eps / mu) / h)
+    h = -2.0 * math.pi / log_eps_bar * (sqb_pole - sqb_0) / ((1.0 + w) * sqb_0 + sqb_pole)
+    return mu, h, math.ceil(math.sqrt(1.0 - log_eps_bar / mu) / h)
 
 
-def _region_beyond(phi_j, p_j, log_eps):
+def _region_beyond(phi_j, p_j):
     """(mu, h, N) for a parabola right of the last singularity phi_j, of
     strength p_j; None if roundoff rules the region out.  Garrappa's
     OptimalParam_RU, which steers the error factor into (1, 10), aiming at 5."""
@@ -239,7 +216,7 @@ def _region_beyond(phi_j, p_j, log_eps):
     phib = 1.01 * phi_j if phi_j > 0.0 else 0.01
     sqb = math.sqrt(phib)
     while True:
-        le = log_eps / phib
+        le = _LOG_EPS / phib
         n = math.ceil(phib / math.pi * (1.0 - 1.5 * le + math.sqrt(1.0 - 2.0 * le)))
         a = math.pi * n / phib
         sq_mu = sqb * abs(4.0 - a) / abs(7.0 - math.sqrt(1.0 + 12.0 * a))
@@ -250,41 +227,42 @@ def _region_beyond(phi_j, p_j, log_eps):
         phib = sqb * sqb
     mu = sq_mu * sq_mu
     h = (-3.0 * a - 2.0 + 2.0 * math.sqrt(1.0 + 12.0 * a)) / (4.0 - a) / n
-    threshold = log_eps - _LOG_UNIT
+    threshold = _LOG_EPS - _LOG_UNIT
     if mu > threshold:
         q = 0.0 if p_j < 1e-14 else 5.0 ** (-1.0 / p_j) * math.sqrt(mu)
         if (q + sq_phi) ** 2 >= threshold:
             return None
-        w = math.sqrt(_LOG_UNIT / (_LOG_UNIT - log_eps))
+        w = math.sqrt(_LOG_UNIT / (_LOG_UNIT - _LOG_EPS))
         u = math.sqrt(-((q + sq_phi) ** 2) / _LOG_UNIT)
         mu = threshold
-        n = math.ceil(w * log_eps / (2.0 * math.pi) / (u * w - 1.0))
+        n = math.ceil(w * _LOG_EPS / (2.0 * math.pi) / (u * w - 1.0))
         h = w / n
     return mu, h, n
 
 
 @functools.lru_cache(maxsize=64)
-def _parabola(phi, p0, log_eps, phi_hi=None):
-    """((mu, h, N), residue) of the parabola with the fewest nodes, residue
-    telling whether it passes left of the pole at vertex phi (None: no pole
-    on the principal sheet); None if no parabola meets log_eps within
-    _N_MAX nodes per side.
+def _parabola(key, p0):
+    """((mu, h, N), residue) of the parabola with the fewest nodes for the
+    pole vertices of the window key, residue telling whether it passes left
+    of them; None if no parabola meets _LOG_EPS within _N_MAX nodes per side.
 
-    With phi_hi the parabola serves every pole with its vertex in
-    [phi, phi_hi): one below phi leaves each of them to its right, farther
-    away than the vertex it was built for, and one beyond phi_hi to its left.
-    Kept across calls, as _nodes keeps its nodes: perfbench's scalar-ml
+    The key is the routers': 0 for no pole on the principal sheet; _CLIP, or
+    with a branch point of strength p0 > 0 any key, for the pole at vertex
+    key alone; any other key for the octave [key, 2 key) of vertices
+    (_vertex_key).  A parabola below the window's lower end leaves each of
+    its poles to its right, farther away than the vertex it was built for,
+    and one beyond its upper end to its left.  Kept across calls, as _nodes keeps its nodes: perfbench's scalar-ml
     round uses 24 parabolas, and keeping them lifts its samples_per_s from
     14 300 to 15 500 /s (median of 10 alternating 15 s pairs, 10 of 10
     better, 2-core Xeon).
     """
-    if phi is None:
-        par, residue = _region_beyond(0.0, p0, log_eps), False
+    if key == 0.0:
+        par, residue = _region_beyond(0.0, p0), False
     else:
-        par, residue = _region_below(phi, p0, log_eps), True
-        hi = phi if phi_hi is None else phi_hi
-        if hi < log_eps - _LOG_UNIT:
-            right = _region_beyond(hi, 1.0, log_eps)
+        par, residue = _region_below(key, p0), True
+        hi = key if key == _CLIP or p0 > 0.0 else 2.0 * key
+        if hi < _LOG_EPS - _LOG_UNIT:
+            right = _region_beyond(hi, 1.0)
             if right is not None and (par is None or right[2] < par[2]):
                 par, residue = right, False
     if par is None or par[2] > _N_MAX:
@@ -377,58 +355,58 @@ def _ray_intervals(alpha, r0):
     return r0 * min(0.5, math.sin(math.pi * alpha)), _RHO_CUT**alpha
 
 
-def _ray_terms(alpha, sigmas, y, w):
-    """y^(1/alpha) and, for each sigma, the terms
-
-        w y^p (y sin(pi(1-sigma)) - e^(i pi alpha) sin(pi(1-sigma+alpha)))
-        / ((y - e^(2 i pi alpha)) alpha pi),              p = (1-sigma)/alpha,
-
-    of the ray's integral in y = r / r0, at abscissae y with weights w."""
-    c = _cis_pi(alpha)
-    shared = w / ((y - _cis_pi(2.0 * alpha)) * (alpha * math.pi))
-    terms = [
-        y ** ((1.0 - sigma) / alpha)
-        * (y * _cis_pi(1.0 - sigma).imag - c * _cis_pi(1.0 - sigma + alpha).imag)
-        * shared
-        for sigma in sigmas
-    ]
-    return y ** (1.0 / alpha), terms
-
-
 @functools.lru_cache(maxsize=64)
-def _ray_rows(alpha, sigmas, fold):
-    """The z-free part of _ray as read-only arrays (abscissae, rows, kept):
-    the rows that are not exactly zero, and their indices kept among the
-    2 len(sigmas) rows, two per sigma.
+def _ray_rows(alpha, sigmas, reach):
+    """The z-free part of _ray at one reach as read-only arrays (abscissae,
+    rows, kept): the rows that are not exactly zero, and their indices kept
+    among the 2 len(sigmas) rows, two per sigma.  With p = (1-sigma)/alpha,
+    s1 = sin(pi(1-sigma)) and s2 = sin(pi(1-sigma+alpha)):
 
-    fold False (reach 0): the abscissae r = r_cut x of tanh-sinh on
-    [0, r_cut], and per sigma the rows s1 r g and s2 g, where
-    g = w r^p e^(-r^(1/alpha)) / (alpha pi), s1 = sin(pi(1-sigma)) and
-    s2 = sin(pi(1-sigma+alpha)); 206 abscissae.
+    reach 0: the abscissae r = r_cut x of tanh-sinh on [0, r_cut], and per
+    sigma the rows s1 r g and s2 g, where g = w r^p e^(-r^(1/alpha)) /
+    (alpha pi); 206 abscissae.
 
-    fold True (reach >= 1): in y = r / r0, Y = y^(1/alpha) at the abscissae
-    of [0, 1 - d/r0] (tanh-sinh) and of the fold [1 - d/r0, 1 + d/r0]
-    (Gauss-Legendre), and per sigma the real and imaginary parts of the
-    terms of _ray_terms; 302 abscissae.
+    reach >= 1: in y = r / r0, Y = y^(1/alpha) at the abscissae of
+    [0, 1 - delta] (tanh-sinh) and of the fold [1 - delta, 1 + delta]
+    (Gauss-Legendre), delta = d / r0, and per sigma the real and imaginary
+    parts of the terms
+
+        w y^p (y s1 - e^(i pi alpha) s2) / ((y - e^(2 i pi alpha)) alpha pi)
+
+    at weights w; 302 abscissae.  Reach 2 adds the tail [1 + delta, r_cut]
+    (tanh-sinh), 508 in all: an r0 >= 1 needs the tail only up to
+    y = r_cut / r0, past which its factor e^(-rho0 Y) is below e^-50, so the
+    rule of the longest tail, that of r0 = 1, serves every r0.
 
     Kept across calls, as _nodes keeps the contour's nodes.  An order and
-    its sigmas have one entry of each kind (at most 4 x 302 doubles for
-    ml_pair's two sigmas, 12 KB); a transport sweep at alpha = 1/2,
-    beta = 1 leaves both.
+    its sigmas have one entry per reach (at most 4 x 508 doubles for
+    ml_pair's two sigmas, 16 KB); a transport sweep at alpha = 1/2,
+    beta = 1 leaves two, at reach 0 and 1.
     """
     delta, r_cut = _ray_intervals(alpha, 1.0)
-    if fold:
+    if reach:
         y_left = (1.0 - delta) * _TS_NODES
         u = delta * _GL_NODES
         # the fold Int_0^1 (f(1 + delta u) - f(1 - delta u)) / u du
         fold_weights = _GL_WEIGHTS / _GL_NODES
-        abscissae, terms = _ray_terms(
-            alpha,
-            sigmas,
-            np.concatenate((y_left, 1.0 + u, 1.0 - u)),
-            np.concatenate((_TS_WEIGHTS * (1.0 - delta) / (y_left - 1.0), fold_weights, -fold_weights)),
-        )
-        rows = np.array([part for t in terms for part in (t.real, t.imag)])
+        y = [y_left, 1.0 + u, 1.0 - u]
+        w = [_TS_WEIGHTS * (1.0 - delta) / (y_left - 1.0), fold_weights, -fold_weights]
+        if reach == 2:
+            span = r_cut - (1.0 + delta)
+            y.append(1.0 + delta + span * _TS_NODES)
+            w.append(_TS_WEIGHTS * span / (y[-1] - 1.0))
+        y, w = np.concatenate(y), np.concatenate(w)
+        abscissae = y ** (1.0 / alpha)
+        c = _cis_pi(alpha)
+        shared = w / ((y - _cis_pi(2.0 * alpha)) * (alpha * math.pi))
+        rows = []
+        for sigma in sigmas:
+            t = (
+                y ** ((1.0 - sigma) / alpha)
+                * (y * _cis_pi(1.0 - sigma).imag - c * _cis_pi(1.0 - sigma + alpha).imag)
+                * shared
+            )
+            rows += [t.real, t.imag]
     else:
         abscissae = r_cut * _TS_NODES
         weighted = _TS_WEIGHTS * r_cut * np.exp(-(abscissae ** (1.0 / alpha))) / (alpha * math.pi)
@@ -436,7 +414,7 @@ def _ray_rows(alpha, sigmas, fold):
         for sigma in sigmas:
             g = abscissae ** ((1.0 - sigma) / alpha) * weighted
             rows += [_cis_pi(1.0 - sigma).imag * abscissae * g, _cis_pi(1.0 - sigma + alpha).imag * g]
-        rows = np.array(rows)
+    rows = np.array(rows)
     # rows of exact zeros (a sine of a multiple of pi) add nothing
     kept = np.flatnonzero(np.any(rows != 0.0, axis=1))
     rows = rows[kept]
@@ -467,21 +445,19 @@ def _ray(alpha, sigmas, r0, rho0, reach):
     fold too (reach 1), or also [r0 + d, r_cut] (reach 2).  Returns shape
     (len(sigmas), r0.size).
 
-    Each z is a few memoised rows (_ray_rows) times one factor of its own.
-    At reach 0 the abscissae are the same for every z, and the factor is
-    r0^2 / ((r - r0)(r - r0 e^(2 i pi alpha))), formed in y = r / r0 so that
-    no |z| in double range under- or overflows it.  At reach >= 1, d is a
-    fixed fraction of r0, so in y = r / r0 the abscissae of [0, r0 + d] and
-    all but one factor of K are z-free: the factor is e^(-rho0 y^(1/alpha)),
-    and r0^p = rho0^(1-sigma) scales the sum.  Only the tail [r0 + d, r_cut]
-    of reach 2 has abscissae of its own per z.  The factors are formed in
-    blocks of z, at most _RAY_CELLS entries a product, and each z's sums run
-    along contiguous rows, in the same order whatever the other z of the
-    call.
+    Each z is a few memoised rows (_ray_rows) times one factor of its own;
+    no z has abscissae of its own.  At reach 0 the abscissae are the same
+    for every z, and the factor is r0^2 / ((r - r0)(r - r0 e^(2 i pi alpha))),
+    formed in y = r / r0 so that no |z| in double range under- or overflows
+    it.  At reach >= 1, d is a fixed fraction of r0, so in y = r / r0 the
+    abscissae and all but one factor of K are z-free: the factor is
+    e^(-rho0 y^(1/alpha)), and r0^p = rho0^(1-sigma) scales the sum.  The
+    factors are formed in blocks of z, at most _RAY_CELLS entries a product,
+    and each z's sums run along contiguous rows, in the same order whatever
+    the other z of the call.
     """
-    abscissae, rows, kept = _ray_rows(alpha, sigmas, reach > 0)
+    abscissae, rows, kept = _ray_rows(alpha, sigmas, reach)
     c, cc = _cis_pi(alpha), _cis_pi(2.0 * alpha)
-    delta, r_cut = _ray_intervals(alpha, 1.0)
     out = np.empty((len(sigmas), r0.size), dtype=complex)
     block = max(1, _RAY_CELLS // rows.size)
     for start in range(0, r0.size, block):
@@ -499,20 +475,12 @@ def _ray(alpha, sigmas, r0, rho0, reach):
             np.multiply(cc.imag, q, out=factor.imag)
         sums = np.zeros((r0_b.size, 2 * len(sigmas)), dtype=factor.dtype)
         sums[:, kept] = np.add.reduce(factor[:, None, :] * rows, axis=2)
-        if not reach:
+        if reach:
+            # the real and imaginary parts of each sigma's sum, as one complex
+            out[:, ids] = sums.view(complex).T
+        else:
             # (Sum s1 r g factor / r0 - e^(i pi alpha) Sum s2 g factor) / r0
             out[:, ids] = ((sums[:, 0::2] / r0_b - c * sums[:, 1::2]) / r0_b).T
-            continue
-        # the real and imaginary parts of each sigma's sum, as one complex
-        sums = sums.view(complex)
-        if reach == 2:
-            span = r_cut / r0_b - (1.0 + delta)
-            y = 1.0 + delta + span * _TS_NODES
-            tail, terms = _ray_terms(alpha, sigmas, y, _TS_WEIGHTS * span / (y - 1.0))
-            decay = _decay(rho0_b * tail)
-            for k, t in enumerate(terms):
-                sums[:, k] += np.add.reduce(decay * t, axis=1)
-        out[:, ids] = sums.T
     for k, sigma in enumerate(sigmas):
         power = rho0 ** (1.0 - sigma)
         half = _cis_pi(1.0 - sigma) * (0.5 / alpha * power * np.exp(-rho0))
@@ -529,33 +497,27 @@ def _ray(alpha, sigmas, r0, rho0, reach):
 _ZERO, _EXP, _RAY, _CONTOUR = "zero", "exp", "ray", "contour"
 
 
-def _vertex_window(phi, log_eps):
-    """The window (lo, hi) of pole vertices whose poles share phi's parabola
-    when the branch point at s = 0 has strength zero; (clip, None) past the
-    clip, whose own parabola serves them all.
-
-    _region_below clips sqrt(phi) at 2 sqrt(log_eps - log u), so every
-    vertex at or beyond clip = 4 (log_eps - log u) (about 6 at the default
-    rel_tol) has the parabola of the clip itself.  Below it the windows are
-    the octaves [clip 2^-(j+1), clip 2^-j).
-    """
-    clip = 4.0 * (log_eps - _LOG_UNIT)
-    if phi >= clip:
-        return clip, None
-    lo = math.ldexp(clip, math.frexp(phi / clip)[1] - 1)
-    if lo > phi:
-        # phi / clip rounded up onto a power of two
-        lo *= 0.5
-    return lo, 2.0 * lo
+def _vertex_key(phi):
+    """The window key of _parabola for the pole vertex phi > 0 when the
+    branch point at s = 0 has strength zero: _CLIP at or past the clip,
+    whose own parabola serves every such vertex, and below it the lower end
+    lo of phi's octave [lo, 2 lo) = [clip 2^-(j+1), clip 2^-j)."""
+    if phi >= _CLIP:
+        return _CLIP
+    lo = math.ldexp(_CLIP, math.frexp(phi / _CLIP)[1] - 1)
+    # phi / clip rounded up onto a power of two
+    return 0.5 * lo if lo > phi else lo
 
 
-def _route(alpha, sigmas, zi, log_eps):
-    """How E is taken at one z (Im z >= 0), as (route, datum):
+def _route(alpha, sigmas, zi):
+    """How E is taken at one z (Im z >= 0), in the format of _route_all: a
+    list of one (route, ids, data), ids taking the whole call and data the
+    one-column rows of:
 
-        route                   datum
+        route                   data
         (_ZERO, None)           None       z = 0: 1/Gamma(sigma)
         (_EXP, None)            None       alpha = 1, every sigma = 1: exp(z)
-        (_RAY, reach)           (|z|, |z|^(1/alpha))
+        (_RAY, reach)           |z|, |z|^(1/alpha)
                                            the ray |arg z| = pi alpha, over
                                            the intervals of _ray that reach
                                            names
@@ -568,19 +530,21 @@ def _route(alpha, sigmas, zi, log_eps):
     The sigmas take a route together (the ray when every sigma is <= 1),
     and the strongest branch point among them sets the parabola; for
     sigma <= 1 + alpha it has strength zero, and the pole vertices share
-    parabolas by the windows of _vertex_window, otherwise each vertex has
-    its own.
+    parabolas by the windows of _vertex_key, otherwise each vertex has its
+    own.
     """
+    whole = slice(None)
     if zi == 0:
-        return (_ZERO, None), None
+        return [((_ZERO, None), whole, None)]
     if alpha == 1.0 and all(sigma == 1.0 for sigma in sigmas):
         if zi.real > _EXP_ARG_LIMIT:
             raise OverflowGuard(f"E_{{1,1}}({zi!r}) = exp(z) exceeds double range")
-        return (_EXP, None), None
+        return [((_EXP, None), whole, None)]
     r = abs(zi)
     theta = math.atan2(zi.imag, zi.real)
-    # the pole s* and its vertex; None: no pole right of the cut
-    pole = vertex = None
+    p0 = _branch_strength(alpha, sigmas)
+    # the pole s* and its window key; 0: no pole right of the cut
+    pole, key = None, 0.0
     try:
         # for |z| < 1 the half residue is not small against E, and the
         # contour alone is accurate in both components
@@ -593,7 +557,7 @@ def _route(alpha, sigmas, zi, log_eps):
             d, r_cut = _ray_intervals(alpha, r)
             # int(): with a numpy alpha the comparisons are numpy bools, whose sum is their "or"
             reach = int(r - d < r_cut) + int(r + d < r_cut)
-            return (_RAY, reach), (r, r ** (1.0 / alpha))
+            return [((_RAY, reach), whole, np.array([[r], [r ** (1.0 / alpha)]]))]
         # for alpha <= 1 the only pole on the principal sheet is
         # s* = z^(1/alpha), there while arg z <= pi alpha.  phi(s) =
         # (Re s + |s|)/2 is the vertex of the parabola through s; a pole on
@@ -602,42 +566,38 @@ def _route(alpha, sigmas, zi, log_eps):
             pole = cmath.rect(r ** (1.0 / alpha), theta / alpha)
             phi = 0.5 * (pole.real + abs(pole))
             if phi > 1e-15:
-                vertex = phi
+                key = phi if p0 > 0.0 else _vertex_key(phi)
     except OverflowError:
         raise OverflowGuard(
             f"E_{{{alpha},{sigmas[0]}}}({zi!r}): |z|^(1/alpha) exceeds double range"
         ) from None
-    p0 = _branch_strength(alpha, sigmas)
-    # the vertices (phi, phi_hi) of _parabola that share the parabola
-    if vertex is None or p0 >= 1e-14:
-        window = (vertex, None)
-    else:
-        window = _vertex_window(vertex, log_eps)
-    parabola = _parabola(window[0], p0, log_eps, window[1])
+    parabola = _parabola(key, p0)
     if parabola is None:
-        _no_parabola(alpha, sigmas, zi, log_eps)
+        _no_parabola(alpha, sigmas, zi)
     if not parabola[1]:
-        return (_CONTOUR, parabola), None
+        return [((_CONTOUR, parabola), whole, None)]
     log_pole = cmath.log(pole)
     exponents = []
     for sigma in sigmas:
         w = pole + (1.0 - sigma) * log_pole
         if w.real > _EXP_ARG_LIMIT:
             _residue_overflow(alpha, sigma, zi, pole)
-        exponents.append(w - math.log(alpha))
-    return (_CONTOUR, parabola), exponents
+        exponents.append([w - math.log(alpha)])
+    return [((_CONTOUR, parabola), whole, np.array(exponents))]
 
 
 def _branch_strength(alpha, sigmas):
     """Strength p0 of the branch point s = 0 of the strongest sigma: zero
-    while every sigma <= 1 + alpha."""
-    return max(0.0, -2.0 * (alpha - max(sigmas) + 1.0))
+    while every sigma <= 1 + alpha, and below 1e-14, which the parabolas of
+    _region_below and _region_beyond take for zero."""
+    p0 = -2.0 * (alpha - max(sigmas) + 1.0)
+    return p0 if p0 >= 1e-14 else 0.0
 
 
-def _no_parabola(alpha, sigmas, zi, log_eps):
+def _no_parabola(alpha, sigmas, zi):
     raise NonConvergence(
         f"E_{{{alpha},{sigmas[0]}}}({zi!r}): no parabola meets "
-        f"eps={math.exp(log_eps):g} with at most {_N_MAX} nodes per side"
+        f"eps={math.exp(_LOG_EPS):g} with at most {_N_MAX} nodes per side"
     )
 
 
@@ -648,7 +608,7 @@ def _residue_overflow(alpha, sigma, zi, pole):
     )
 
 
-def _route_all(alpha, sigmas, z, log_eps):
+def _route_all(alpha, sigmas, z):
     """The routes of _route for every z of the 1-d array z (Im z >= 0), as a
     list of (route, ids, data): ids index the z that take the route, and
     data holds their per-z data of _route as rows, (|z|, |z|^(1/alpha)) on
@@ -658,7 +618,7 @@ def _route_all(alpha, sigmas, z, log_eps):
     Every step is a whole-array numpy operation: |z|, arg z and the masks of
     the exact routes, |s*| = |z|^(1/alpha) and the vertex
     phi = (Re s* + |s*|) / 2 of the pole, and, while the branch point
-    has strength zero, the window of _vertex_window through np.frexp and
+    has strength zero, the window key of _vertex_key through np.frexp and
     np.ldexp, the same exact powers of two, so a z takes the parabola
     _route gives it unless its vertex lies within rounding of a window's
     end.  With strength p0 > 0 each vertex is its own window.  numpy's
@@ -698,11 +658,9 @@ def _route_all(alpha, sigmas, z, log_eps):
                 f"E_{{{alpha},{sigmas[0]}}}({complex(z[over][0])!r}): "
                 "|z|^(1/alpha) exceeds double range"
             )
-    # each z's group: -2 - reach on the ray, -1 for z = 0, else the lower
-    # end of its window of pole vertices (0 for none, the clip past it;
-    # with p0 > 0 the vertex itself)
+    # each z's group: -2 - reach on the ray, -1 for z = 0, else the window
+    # key of _parabola
     p0 = _branch_strength(alpha, sigmas)
-    clip = 4.0 * (log_eps - _LOG_UNIT)
     keys = None
     if ray is None or not ray.all():
         # the pole s* (0 off the sheet) and the vertex (Re s* + |s*|) / 2 of
@@ -711,14 +669,14 @@ def _route_all(alpha, sigmas, z, log_eps):
         angle = theta / alpha
         pole = np.where(sheet, rho, 0.0) * np.exp(1j * angle)
         phi = 0.5 * (pole.real + np.hypot(pole.real, pole.imag))
-        if p0 >= 1e-14:
+        if p0 > 0.0:
             keys = np.where(phi > 1e-15, phi, 0.0)
         else:
-            keys = np.full(z.size, clip)
-            below = phi < clip
+            keys = np.full(z.size, _CLIP)
+            below = phi < _CLIP
             if below.any():
                 phi = phi[below]
-                lo = np.ldexp(clip, np.frexp(phi / clip)[1] - 1)
+                lo = np.ldexp(_CLIP, np.frexp(phi / _CLIP)[1] - 1)
                 lo = np.where(lo > phi, 0.5 * lo, lo)
                 keys[below] = np.where(phi > 1e-15, lo, 0.0)
         if not r.all():
@@ -740,15 +698,9 @@ def _route_all(alpha, sigmas, z, log_eps):
         if key < -1.0:
             groups.append(((_RAY, int(-2.0 - key)), ids, np.array([r[ids], rho[ids]])))
             continue
-        if key == 0.0:
-            window = (None, None)
-        elif key == clip or p0 >= 1e-14:
-            window = (key, None)
-        else:
-            window = (key, 2.0 * key)
-        parabola = _parabola(window[0], p0, log_eps, window[1])
+        parabola = _parabola(key, p0)
         if parabola is None:
-            _no_parabola(alpha, sigmas, complex(z[ids][0]), log_eps)
+            _no_parabola(alpha, sigmas, complex(z[ids][0]))
         exponents = None
         if parabola[1]:
             # one row per sigma
@@ -761,21 +713,7 @@ def _route_all(alpha, sigmas, z, log_eps):
     return groups
 
 
-def _on_route(alpha, sigmas, z, route, data):
-    """E for each sigma at the z of the 1-d array z, all on one route with
-    the per-z data of _route_all as rows; shape (len(sigmas), z.size)."""
-    kind, detail = route
-    if kind == _ZERO:
-        return np.array([[gamma_reciprocal(sigma)] * z.size for sigma in sigmas], dtype=complex)
-    if kind == _EXP:
-        return np.exp([z] * len(sigmas))
-    if kind == _RAY:
-        r0, rho0 = data
-        return _ray(alpha, sigmas, r0, rho0, detail)
-    return _contour(alpha, sigmas, z, detail[0], data)
-
-
-def _ml_upper(alpha, sigmas, z, rel_tol):
+def _ml_upper(alpha, sigmas, z):
     """E_{alpha,sigma}(z) for each sigma in sigmas at each z of the 1-d array
     z (Im z >= 0), as an array of shape (len(sigmas), z.size).
 
@@ -785,24 +723,25 @@ def _ml_upper(alpha, sigmas, z, rel_tol):
     z is routed with Python scalars (_route): a whole call at one z then
     takes 14 us against 98 through numpy (2-core Xeon).
     """
-    log_eps = math.log(_EPS_PER_REL_TOL * rel_tol)
-    if z.size == 1:
-        route, datum = _route(alpha, sigmas, z.item(), log_eps)
-        # the datum as the one-column rows of _route_all
-        data = None if datum is None else np.array([datum]).T
-        return _on_route(alpha, sigmas, z, route, data)
     out = np.empty((len(sigmas), z.size), dtype=complex)
     if z.size == 0:
         return out
-    for route, ids, data in _route_all(alpha, sigmas, z, log_eps):
-        out[:, ids] = _on_route(alpha, sigmas, z[ids], route, data)
+    routes = _route(alpha, sigmas, z.item()) if z.size == 1 else _route_all(alpha, sigmas, z)
+    for (kind, detail), ids, data in routes:
+        if kind == _ZERO:
+            out[:, ids] = [[gamma_reciprocal(sigma)] for sigma in sigmas]
+        elif kind == _EXP:
+            out[:, ids] = np.exp(z[ids])
+        elif kind == _RAY:
+            out[:, ids] = _ray(alpha, sigmas, data[0], data[1], detail)
+        else:
+            out[:, ids] = _contour(alpha, sigmas, z[ids], detail[0], data)
     return out
 
 
 def _ml_values(alpha, sigmas, z):
     """E_{alpha,sigma}(z) for each sigma in sigmas at every element of the
-    array z, as an array of shape (len(sigmas),) + z.shape, at
-    DEFAULT_ACCURACY.
+    array z, as an array of shape (len(sigmas),) + z.shape.
 
     The evaluator's one array entry: E is taken at Im z >= 0 and conjugated
     below the real axis, its imaginary part is zero on the axis, and a value
@@ -811,9 +750,7 @@ def _ml_values(alpha, sigmas, z):
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()
     lower = np.signbit(flat.imag)
-    values = _ml_upper(
-        alpha, sigmas, np.where(lower, flat.conj(), flat), DEFAULT_ACCURACY.rel_tol
-    )
+    values = _ml_upper(alpha, sigmas, np.where(lower, flat.conj(), flat))
     values.imag[:, flat.imag == 0.0] = 0.0
     finite = np.isfinite(values).all(axis=0)
     if not finite.all():
@@ -824,12 +761,12 @@ def _ml_values(alpha, sigmas, z):
     return values.reshape((len(sigmas),) + z.shape)
 
 
-def ml_eval(params: MLParams, z: complex, acc: MLAccuracy = DEFAULT_ACCURACY) -> complex:
+def ml_eval(params: MLParams, z: complex) -> complex:
     """Evaluate E_{alpha,sigma}(z) anywhere in the complex plane.
 
-    Relative accuracy acc.rel_tol (see the module docstring for the method).
+    Relative accuracy 1e-12 (see the module docstring for the method).
     Raises OverflowGuard where E leaves double range and NonConvergence where
-    rel_tol cannot be met.  The one-element case of _ml_values, written
+    that accuracy cannot be met.  The one-element case of _ml_values, written
     with Python scalars and routed by _route, not numpy: through the array
     wrapper a call costs a third more.  It agrees with an array call at the
     same z to the rounding of the pole.
@@ -837,7 +774,7 @@ def ml_eval(params: MLParams, z: complex, acc: MLAccuracy = DEFAULT_ACCURACY) ->
     z = complex(z)
     lower = math.copysign(1.0, z.imag) < 0.0
     upper = z.conjugate() if lower else z
-    value = _ml_upper(params.alpha, (params.sigma,), np.array([upper]), acc.rel_tol).item(0)
+    value = _ml_upper(params.alpha, (params.sigma,), np.array([upper])).item(0)
     if z.imag == 0.0:
         value = complex(value.real, 0.0)
     if not cmath.isfinite(value):
@@ -850,9 +787,8 @@ def ml_pair(alpha: float, z):
 
     The two functions of the transport integrands, from one evaluation:
     for these sigmas the parabola depends on z alone, so each parabola's
-    nodes serve both.  Agrees with ml_eval at DEFAULT_ACCURACY element by
-    element to rounding, with the same exact routes, conjugate symmetry and
-    errors.
+    nodes serve both.  Agrees with ml_eval element by element to rounding,
+    with the same exact routes, conjugate symmetry and errors.
     """
     if not (0.0 < alpha <= 1.0):
         raise DomainError(f"ml_pair requires alpha in (0, 1], got {alpha!r}")

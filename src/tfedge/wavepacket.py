@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, WindowViolation
-from .fiber_spectrum import HalfLineGrid, ModelParams, solve_ground_state
+from .fiber_spectrum import HalfLineGrid, ModelParams, fiber_band
 
 __all__ = [
     "ChiProfile",
@@ -108,12 +108,12 @@ class SupportReport:
 def validate_support(model: ModelParams, profile: ChiProfile, grid: HalfLineGrid) -> SupportReport:
     """Check spectral admissibility of the momentum window on grid.
 
-    Requires lambda_1(k_hi) > b and lambda_1(k_lo) < 3b.  Raises
-    WindowViolation naming the offending endpoint; on success returns the
-    report carrying both endpoint eigenvalues.
+    Requires lambda_1(k_hi) > b and lambda_1(k_lo) < 3b, both eigenvalues
+    from one fiber_band call.  Raises WindowViolation naming the offending
+    endpoint; on success returns the report carrying both endpoint
+    eigenvalues.
     """
-    lam_hi = solve_ground_state(model, profile.k_hi, grid).lambda1
-    lam_lo = solve_ground_state(model, profile.k_lo, grid).lambda1
+    lam_lo, lam_hi = fiber_band(model, [profile.k_lo, profile.k_hi], grid)[0].tolist()
     b = model.b
     if not lam_hi > b:
         raise WindowViolation(

@@ -2,6 +2,7 @@
 import csv
 import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 
@@ -143,6 +144,18 @@ def test_ml_eval_command(capsys):
     assert value == pytest.approx(math.e, rel=1e-12)
     rc = main(["ml-eval", "--alpha", "1", "--re", "1", "--bogus", "2"])
     assert rc == 2
+
+
+def test_ml_eval_runs_at_one_accuracy(capsys):
+    # the evaluator has one tolerance, so ml-eval takes no --rel-tol, and
+    # the README's example prints what the command prints
+    rc = main(["ml-eval", "--alpha", "0.5", "--re", "-4", "--rel-tol", "1e-6"])
+    assert rc == 2
+    assert "unrecognized argument '--rel-tol'" in capsys.readouterr().err
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    example = readme.split("tfedge ml-eval --alpha 0.5 --re -4.0\n# ", 1)[1].split("\n", 1)[0]
+    assert main(["ml-eval", "--alpha", "0.5", "--re", "-4.0"]) == 0
+    assert capsys.readouterr().out == example + "\n"
 
 
 def test_spectrum_command(tmp_path):

@@ -13,9 +13,7 @@ from hypothesis import strategies as st
 from scipy.special import erfcx, rgamma, wofz
 
 from tfedge import (
-    DEFAULT_ACCURACY,
     DomainError,
-    MLAccuracy,
     MLParams,
     NonConvergence,
     OverflowGuard,
@@ -23,7 +21,6 @@ from tfedge import (
     ml_deriv,
     ml_eval,
     ml_pair,
-    sector_half_angle,
 )
 
 from _reference import ml_gll_reference, ml_half, ml_ray_expansion, ml_reference
@@ -63,11 +60,6 @@ def test_gamma_reciprocal_agrees_with_scipy():
     assert gamma_reciprocal(200.0) == 0.0
     assert gamma_reciprocal(-200.5) == -math.inf
     assert rel_err(gamma_reciprocal(-170.5), float(rgamma(-170.5))) <= 1e-13
-
-
-def test_sector_half_angle_is_three_quarters_of_pi_alpha():
-    for alpha in (0.3, 0.5, 1.0):
-        assert sector_half_angle(alpha) == pytest.approx(0.75 * math.pi * alpha, rel=1e-15)
 
 
 def test_reduces_to_exponential():
@@ -211,7 +203,7 @@ def test_ray_matches_independent_references(alpha):
     assert list((radii - d < r_cut).astype(int) + (radii + d < r_cut)) == [2, 1, 0]
     z = radii * cmath.exp(1j * math.pi * alpha)
     z = np.concatenate((z, z.conj()))
-    routes = _route_all(alpha, (alpha, 1.0), z[:3], math.log(1e-15))
+    routes = _route_all(alpha, (alpha, 1.0), z[:3])
     assert sorted(route for route, _, _ in routes) == [(_RAY, 0), (_RAY, 1), (_RAY, 2)]
     values = _ml_values(alpha, (alpha, 1.0), z)
     for k, sigma in enumerate((alpha, 1.0)):
@@ -220,6 +212,25 @@ def test_ray_matches_independent_references(alpha):
             assert rel_err(got, want) <= 1e-12, (alpha, sigma, zi)
         # the lower half-plane is the conjugate, bit for bit
         assert np.array_equal(values[k, 3:], values[k, :3].conj())
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
+def test_ray_tail_at_its_edges(alpha):
+    # reach 2 takes the tail [r0 + d, r_cut] from one memoised rule over
+    # y = r / r0 in [1 + d/r0, r_cut], whatever r0: at r0 = 1, where the
+    # rule is the tail's own, midway, and just inside the edge
+    # r0 (1 + d/r0) = r_cut of reach 2, where the tail is shortest
+    from tfedge.mittag_leffler import _RAY, _ml_values, _route_all, _ray_intervals
+
+    d, r_cut = _ray_intervals(alpha, 1.0)
+    edge = r_cut / (1.0 + d)
+    radii = np.array([1.0, 0.5 * (1.0 + edge), edge * (1.0 - 1e-6)])
+    z = radii * cmath.exp(1j * math.pi * alpha)
+    assert [route for route, _, _ in _route_all(alpha, (alpha, 1.0), z)] == [(_RAY, 2)]
+    values = _ml_values(alpha, (alpha, 1.0), z)
+    for k, sigma in enumerate((alpha, 1.0)):
+        for zi, got in zip(z, values[k]):
+            assert rel_err(got, _ray_reference(alpha, sigma, zi)) <= 1e-12, (alpha, sigma, zi)
 
 
 def test_ray_far_out_keeps_its_digits():
@@ -251,9 +262,9 @@ def test_ray_values_do_not_depend_on_their_block():
         ])
         pool = radii * np.exp(1j * math.pi * alpha * rng.choice([-1.0, 1.0], radii.size))
         want = np.array(ml_pair(alpha, pool))
-        for fold in (False, True):
-            _, rows, _ = _ray_rows(alpha, (alpha, 1.0), fold)
-            assert _RAY_CELLS // rows.size < 100, (alpha, fold)
+        for reach in (0, 1, 2):
+            _, rows, _ = _ray_rows(alpha, (alpha, 1.0), reach)
+            assert _RAY_CELLS // rows.size < 100, (alpha, reach)
         for size in (2, 7, 33, 150):
             order = rng.permutation(pool.size)
             for start in range(0, pool.size - size + 1, max(size, 53)):
@@ -267,8 +278,8 @@ def test_ray_values_do_not_depend_on_their_block():
 
 def test_ray_memo_is_read_only_and_bounded(table):
     # the ray's z-free rows are kept across calls as _nodes keeps the
-    # contour's: read-only, in a bounded memo, one entry per reach form
-    # (reach 0, and the fold of reach >= 1) for an order's sweep
+    # contour's: read-only, in a bounded memo, one entry per reach for an
+    # order's sweep (reach 0 and 1 here)
     from tfedge import FractionalOrder, current_trace
     from tfedge.mittag_leffler import _ray_rows
 
@@ -276,8 +287,8 @@ def test_ray_memo_is_read_only_and_bounded(table):
     current_trace(FractionalOrder(0.5, 1.0), table, (50.0, 100.0, 160.0, 250.0, 400.0, 600.0))
     info = _ray_rows.cache_info()
     assert info.currsize == 2 <= info.maxsize
-    for fold in (False, True):
-        for a in _ray_rows(0.5, (0.5, 1.0), fold):
+    for reach in (0, 1):
+        for a in _ray_rows(0.5, (0.5, 1.0), reach):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0
@@ -286,6 +297,26 @@ def test_ray_memo_is_read_only_and_bounded(table):
     for alpha in np.linspace(0.05, 0.95, 2 * info.maxsize):
         ml_pair(alpha, np.array([3.0, 40.0]) * cmath.exp(1j * math.pi * alpha))
     assert _ray_rows.cache_info().currsize == _ray_rows.cache_info().maxsize
+
+
+def test_contour_memos_are_read_only_and_bounded():
+    # the parabolas of the windows and their nodes are kept across calls:
+    # sweeping more orders than the memos hold cannot grow them past their
+    # bound, and the nodes and weights handed out are read-only
+    from tfedge.mittag_leffler import _CLIP, _ml_values, _nodes, _parabola
+
+    sweep = 2 * max(_parabola.cache_info().maxsize, _nodes.cache_info().maxsize)
+    for alpha in np.linspace(0.05, 1.0, sweep):
+        # a branch point of strength 1: each pole vertex has its own parabola
+        _ml_values(alpha, (alpha, 1.5 + alpha), np.array([0.5, 3.0]) * cmath.exp(0.6j * math.pi * alpha))
+    for memo in (_parabola, _nodes):
+        info = memo.cache_info()
+        assert info.currsize <= info.maxsize < info.misses, memo
+    s_alpha, weights = _nodes(0.5, (0.5, 1.0), _parabola(_CLIP, 0.0)[0])
+    for a in (s_alpha, *weights):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
 
 
 def _pair_points(alpha):
@@ -338,23 +369,21 @@ def test_shared_parabola_is_each_vertex_own(alpha):
     # _region_below one parabola, and below it one per octave of vertices;
     # each z must still get the parabola its own vertex's window selects,
     # and beyond the clip exactly the one its own vertex selects
-    from tfedge.mittag_leffler import _LOG_UNIT, _parabola, _route, _vertex_window
+    from tfedge.mittag_leffler import _CLIP, _parabola, _region_below, _route, _vertex_key
 
-    log_eps = math.log(1e-15)
-    clip = 4.0 * (log_eps - _LOG_UNIT)
     for phi in (0.5, 1.4, 4.0, 5.9, 6.1, 40.0, 1e4):
         # a pole on the imaginary axis has its vertex at |s*| / 2
         z = cmath.rect((2.0 * phi) ** alpha, 0.5 * math.pi * alpha)
-        (_, ((mu, h, n), residue)), _ = _route(alpha, (alpha, 1.0), z, log_eps)
-        lo, hi = _vertex_window(phi, log_eps)
-        assert lo <= phi and (hi is None or phi < hi), phi
-        (mu_own, h_own, n_own), residue_own = _parabola(lo, 0.0, log_eps, hi)
+        [((_, ((mu, h, n), residue)), _, _)] = _route(alpha, (alpha, 1.0), z)
+        lo = _vertex_key(phi)
+        assert lo <= phi and (lo == _CLIP or phi < 2.0 * lo), phi
+        (mu_own, h_own, n_own), residue_own = _parabola(lo, 0.0)
         assert (n, residue) == (n_own, residue_own), phi
         assert mu == pytest.approx(mu_own, rel=1e-12) and h == pytest.approx(h_own, rel=1e-12)
         # the residue is taken exactly when the pole is right of the parabola
         assert residue == (phi > mu), phi
-        if phi >= clip:
-            assert ((mu, h, n), residue) == _parabola(phi, 0.0, log_eps), phi
+        if phi >= _CLIP:
+            assert ((mu, h, n), residue) == (_region_below(phi, 0.0), True), phi
 
 
 def test_pole_vertex_windows_share_valid_parabolas():
@@ -362,11 +391,9 @@ def test_pole_vertex_windows_share_valid_parabolas():
     # of sqrt(phi) in _region_below one parabola, below it one per octave.
     # Each must leave the pole on the side its residue says, within _N_MAX
     from tfedge.mittag_leffler import (
-        _CONTOUR, _LOG_UNIT, _N_MAX, _parabola, _region_below, _region_beyond, _route,
+        _CLIP, _CONTOUR, _N_MAX, _parabola, _region_below, _region_beyond, _route,
     )
 
-    log_eps = math.log(1e-15)
-    clip = 4.0 * (log_eps - _LOG_UNIT)
     rng = np.random.default_rng(12)
     octaves = set()
     for alpha, r, theta in zip(
@@ -375,7 +402,7 @@ def test_pole_vertex_windows_share_valid_parabolas():
     ):
         z = cmath.rect(r, theta)
         try:
-            (route, parabola), exponents = _route(alpha, (alpha, 1.0), z, log_eps)
+            [((route, parabola), _, exponents)] = _route(alpha, (alpha, 1.0), z)
         except OverflowGuard:
             continue
         if route != _CONTOUR:
@@ -388,22 +415,22 @@ def test_pole_vertex_windows_share_valid_parabolas():
             continue
         pole = cmath.rect(r ** (1.0 / alpha), theta / alpha)
         phi = 0.5 * (pole.real + abs(pole))
-        if phi >= clip:
-            assert parabola == _parabola(clip, 0.0, log_eps), (alpha, z)
+        if phi >= _CLIP:
+            assert parabola == _parabola(_CLIP, 0.0), (alpha, z)
         elif phi > 1e-15:
             assert residue == (phi > mu), (alpha, z, phi, mu)
             # one parabola per octave [lo, 2 lo) of vertices, whatever alpha:
             # below lo, or beyond 2 lo
-            lo = clip / 2.0 ** (math.floor(math.log2(clip / phi)) + 1)
+            lo = _CLIP / 2.0 ** (math.floor(math.log2(_CLIP / phi)) + 1)
             if residue:
-                assert parabola[0] == _region_below(lo, 0.0, log_eps), (alpha, z)
+                assert parabola[0] == _region_below(lo, 0.0), (alpha, z)
             else:
-                assert parabola[0] == _region_beyond(2.0 * lo, 1.0, log_eps), (alpha, z)
+                assert parabola[0] == _region_beyond(2.0 * lo, 1.0), (alpha, z)
             octaves.add(lo)
     assert len(octaves) > 5
 
 
-def _assert_routes_agree(alpha, sigmas, z, log_eps):
+def _assert_routes_agree(alpha, sigmas, z):
     """_route_all against _route at every z; returns the routes taken.  With
     a branch point of strength p0 > 0 each vertex has its own parabola, whose
     (mu, h) follow the vertex's rounding."""
@@ -412,16 +439,17 @@ def _assert_routes_agree(alpha, sigmas, z, log_eps):
     want = []
     for zi in z.tolist():
         try:
-            want.append(_route(alpha, sigmas, zi, log_eps))
+            [(route, _, data)] = _route(alpha, sigmas, zi)
+            want.append((route, None if data is None else data[:, 0]))
         except (OverflowGuard, NonConvergence) as refusal:
             # the array router refuses the same z among finite ones
             with pytest.raises(type(refusal)):
-                _route_all(alpha, sigmas, np.array([1.0, zi]), log_eps)
+                _route_all(alpha, sigmas, np.array([1.0, zi]))
             want.append(None)
     kept = np.array([zi for zi, w in zip(z, want) if w is not None])
     want = [w for w in want if w is not None]
     got = [None] * kept.size
-    for route, ids, data in _route_all(alpha, sigmas, kept, log_eps):
+    for route, ids, data in _route_all(alpha, sigmas, kept):
         for j, i in enumerate(np.arange(kept.size)[ids]):
             got[i] = (route, None if data is None else data[:, j])
     eps = np.finfo(float).eps
@@ -443,7 +471,7 @@ def _assert_routes_agree(alpha, sigmas, z, log_eps):
             tol = np.array([2.0 * eps * abs(zi), 8.0 * eps / alpha * pole])
         else:
             tol = 8.0 * eps / alpha * (1.0 + pole)
-        assert np.all(np.abs(datum - np.array(want_datum)) <= tol), (alpha, sigmas, zi)
+        assert np.all(np.abs(datum - want_datum) <= tol), (alpha, sigmas, zi)
     return [route for route, _ in got]
 
 
@@ -455,7 +483,6 @@ def test_array_router_agrees_with_the_scalar_one():
     # arrays, and arrays wholly on the ray
     from tfedge.mittag_leffler import _CONTOUR
 
-    log_eps = math.log(1e-15)
     rng = np.random.default_rng(2718)
     routes = []
     for alpha in [1.0, *rng.uniform(0.05, 1.0, 39)]:
@@ -465,8 +492,8 @@ def test_array_router_agrees_with_the_scalar_one():
         # 1 + alpha/2: strength zero, but the ray's poles lie on the cut;
         # 1.5 + alpha: a branch point of strength 1, each vertex its own parabola
         for sigmas in ((alpha,), (1.0,), (alpha, 1.0), (1.0 + 0.5 * alpha,), (alpha, 1.5 + alpha)):
-            routes += _assert_routes_agree(alpha, sigmas, np.concatenate(([0.0], on_ray, z, [0.0])), log_eps)
-            routes += _assert_routes_agree(alpha, sigmas, on_ray[2:], log_eps)
+            routes += _assert_routes_agree(alpha, sigmas, np.concatenate(([0.0], on_ray, z, [0.0])))
+            routes += _assert_routes_agree(alpha, sigmas, on_ray[2:])
     assert {kind for kind, _ in routes} == {"zero", "exp", "ray", "contour"}
     assert {reach for kind, reach in routes if kind == "ray"} == {0, 1, 2}
     assert len({parabola for kind, parabola in routes if kind == _CONTOUR}) > 12
@@ -601,8 +628,6 @@ def test_parameter_validation():
     with pytest.raises(DomainError):
         MLParams(0.5, math.inf)
     with pytest.raises(DomainError):
-        MLAccuracy(rel_tol=0.0)
-    with pytest.raises(DomainError):
         ml_deriv(1.5, 1.0)
     with pytest.raises(DomainError):
         ml_pair(1.5, [1.0])
@@ -619,30 +644,14 @@ def test_overflow_guard_on_dominant_exponential():
         ml_pair(1.0, [1.0, 710.0])
 
 
-def test_accuracy_knob_tightens_the_series():
-    # a loose tolerance must not be *less* accurate than the default by
-    # orders of magnitude, and a tight one must track the reference; below
-    # 1e-12 the float64 contour cannot certify its tolerance, and says so
-    params = MLParams(0.6, 1.0)
-    z = -4.0 + 2.0j
-    want = ml_reference(0.6, 1.0, z, 50)
-    loose = ml_eval(params, z, MLAccuracy(rel_tol=1e-6))
-    tight = ml_eval(params, z, MLAccuracy(rel_tol=1e-12))
-    assert rel_err(loose, want) <= 1e-6
-    assert rel_err(tight, want) <= 1e-11
-    with pytest.raises(DomainError):
-        MLAccuracy(rel_tol=1e-13)
-
-
-@pytest.mark.parametrize("rel_tol", [1e-12, 1e-8])
-def test_rel_tol_holds_where_e_is_algebraically_small(rel_tol):
+def test_accuracy_holds_where_e_is_algebraically_small():
     # at sigma = alpha the z^-1 term vanishes and E ~ z^-2 is small against
-    # the contour integrand; a contour run at rel_tol itself misses by 10-300x
+    # the contour integrand; a contour run at 1e-12 itself misses by 10-300x
     params = MLParams(0.8, 0.8)
     for r, angle in ((6.7, 0.858), (13.4, 0.942), (25.9, 1.12), (19.1, 1.22)):
         z = cmath.rect(r, angle * 0.8 * math.pi)
         want = ml_gll_reference(0.8, 0.8, z)
-        assert rel_err(ml_eval(params, z, MLAccuracy(rel_tol)), want) <= rel_tol, (r, angle)
+        assert rel_err(ml_eval(params, z), want) <= 1e-12, (r, angle)
 
 
 def test_import_does_not_load_mpmath():
