@@ -11,7 +11,7 @@ J and the four spreading channels of msd are rows of one channel table: a
 t-prefactor times a node sum of a weight times Re{phase E_L(z) conj(E_R(z))},
 with E_L and E_R each E_{a,a} or E_{a,1}.  Two paths read the table.  The
 exact kernel (current_trace, current_direct; msd_trace, msd_direct) takes
-every E from one ml_pair call per sweep.  The closed-form models replace each
+every E from one evaluator call per sweep.  The closed-form models replace each
 E by terms of its large-|z| split (Gorenflo, Kilbas, Mainardi and Rogosin,
 Mittag-Leffler Functions (2014) 4.7; Garrappa, SIAM J. Numer. Anal. 53
 (2015) 1350)
@@ -55,9 +55,9 @@ from .fiber_spectrum import (
     solve_ground_state,  # noqa: F401
 )
 from .mittag_leffler import (
+    _ml_values,
     gamma_reciprocal,
     ml_eval,  # noqa: F401  perfbench's traced run rebinds edge_current.ml_eval
-    ml_pair,
     neg_i_power,
 )
 from .wavepacket import ChiProfile, chi, chi_deriv
@@ -232,11 +232,11 @@ def _table(model, profile, grid, rule, table, with_cap=False):
     return build_spectral_table(model, profile, grid, rule, with_cap=with_cap)
 
 
-def _fsum_dot(weights: np.ndarray, values: np.ndarray) -> float:
-    """Correctly rounded sum of weights * values, independent of order;
+def _fsum(terms: list) -> float:
+    """Correctly rounded sum of a list of floats, independent of order;
     OverflowGuard if an entry or the sum has left double range."""
     try:
-        total = math.fsum((weights * values).tolist())
+        total = math.fsum(terms)
     except (ValueError, OverflowError):  # -inf + inf, or a sum past double range
         total = math.nan
     return _finite(total, "a quadrature sum")
@@ -250,12 +250,13 @@ def _finite(value: float, what: str) -> float:
 
 
 def _ml_over_times(order, tab, times):
-    """E_{a,a} and E_{a,1} at z = (-i)^beta t^alpha lambda, one row per time
-    and one column per node, from one ml_pair call."""
+    """E_{a,a} and E_{a,1} at z = (-i)^beta t^alpha lambda, shape
+    (2, times, nodes), from one call of the array entry at the moduli
+    t^alpha lambda."""
     if not all(t > 0.0 for t in times):
         raise DomainError(f"the exact kernel requires t > 0, got {min(times)!r}")
-    rot = neg_i_power(order.beta)
-    return ml_pair(order.alpha, np.array([rot * t**order.alpha * tab.lam for t in times]))
+    a = order.alpha
+    return _ml_values(a, (a, 1.0), [t**a * tab.lam for t in times], order.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -305,29 +306,25 @@ def _scale(channel, alpha, t, m=0.0):
 
 
 def _exact(order, tab, times, names):
-    """The named channels at each time from the exact kernel: one ml_pair
-    call, then one correctly rounded sum per channel and time.  A node
-    product past double range reaches the sum as inf or nan, where _fsum_dot
-    turns it into OverflowGuard."""
+    """The named channels at each time from the exact kernel: one call of
+    the array entry, one product rule weight x channel weight x
+    Re{phase E_L conj(E_R)} over (channels, times, nodes), and one correctly
+    rounded sum per channel and time, where _fsum turns an entry past
+    double range into OverflowGuard."""
     channels = [_CHANNELS[name] for name in names]
-    weights = [ch.weight(tab) for ch in channels]
-    phases = [neg_i_power(ch.phase[0] + ch.phase[1] * order.beta) for ch in channels]
-    e_rows = _ml_over_times(order, tab, times)
+    weights = np.array([ch.weight(tab) for ch in channels])[:, None, :]
+    phases = np.array([neg_i_power(ch.phase[0] + ch.phase[1] * order.beta) for ch in channels])
+    e = _ml_over_times(order, tab, times)
+    left, right = e[[ch.pair[0] for ch in channels]], e[[ch.pair[1] for ch in channels]]
     with np.errstate(over="ignore", invalid="ignore"):
-        return [
-            [
-                _finite(
-                    _scale(ch, order.alpha, t)
-                    * _fsum_dot(
-                        tab.rule.weights,
-                        g * (rot * e_rows[ch.pair[0]][i] * np.conj(e_rows[ch.pair[1]][i])).real,
-                    ),
-                    f"channel {name}",
-                )
-                for name, ch, g, rot in zip(names, channels, weights, phases)
-            ]
-            for i, t in enumerate(times)
+        terms = tab.rule.weights * (weights * (phases[:, None, None] * left * np.conj(right)).real)
+    return [
+        [
+            _finite(_scale(ch, order.alpha, t) * _fsum(row), f"channel {name}")
+            for name, ch, row in zip(names, channels, rows)
         ]
+        for t, rows in zip(times, np.swapaxes(terms, 0, 1).tolist())
+    ]
 
 
 def _term(alpha, sigma, k):
@@ -375,8 +372,8 @@ def _split(order, tab, t, name, pairs, shift=0.0):
                 growth = np.exp(t * lam_root * rate - shift)
                 nodes = weight * tab.lam**m * (coef * growth).real
             scales.append(_scale(ch, a, t, m))
-            sums.append(_fsum_dot(tab.rule.weights, nodes))
-    return _fsum_dot(np.array(scales), np.array(sums))
+            sums.append(_fsum((tab.rule.weights * nodes).tolist()))
+    return _fsum((np.array(scales) * np.array(sums)).tolist())
 
 
 def _algebraic(name, n):
@@ -420,7 +417,7 @@ def current_direct(
 
 
 def _current_values(order, tab, times):
-    """J at each time from the exact kernel (one ml_pair call)."""
+    """J at each time from the exact kernel (one evaluator call)."""
     return [row[0] for row in _exact(order, tab, times, ("J",))]
 
 
@@ -557,8 +554,8 @@ def current_trace(
     table: SpectralTable,
     times: Sequence[float],
 ) -> TransportTrace:
-    """J(t) by the exact kernel over a time grid: one ml_pair call over every
-    (time, node) pair, then one correctly rounded sum per time."""
+    """J(t) by the exact kernel over a time grid: one evaluator call over
+    every (time, node) pair, then one correctly rounded sum per time."""
     times = [float(t) for t in times]
     return TransportTrace(
         times=np.asarray(times),

@@ -13,7 +13,8 @@ C: s = mu (1 + i u)^2 of Garrappa (SIAM J. Numer. Anal. 53 (2015)
 1350-1369; Weideman and Trefethen, Math. Comp. 76 (2007) 1341-1356 for the
 parabola).  The contour parameters (mu, h, N) come from the singularities:
 the branch point s = 0 and the pole s* = z^(1/alpha), which lies on the
-principal sheet while |arg z| <= pi alpha.
+principal sheet while |arg z| <= pi alpha.  The evaluator has one
+accuracy, 1e-12 relative to |E| (_LOG_EPS).
 
 Three cases take exact routes:
 
@@ -26,37 +27,30 @@ Three cases take exact routes:
   Anal. 5 (2002)), taken at |z| e^(i pi alpha).  The sines and cosines of
   multiples of pi/2 are exact there, so at alpha = 1/2, sigma in {1/2, 1}
   one component of E is the half residue alone: Re E_{1/2,1}(-iy) =
-  exp(-y^2) to full relative accuracy.  The integral's abscissae are the
-  same for every z or scale with |z|, so each z is a few rows kept across
+  exp(-y^2) to full relative accuracy.  Each z is a few rows kept across
   calls (_ray_rows) times one factor of its own.
-
-The evaluator has one accuracy, 1e-12 relative to |E| (_LOG_EPS).
 
 E is evaluated at Im z >= 0 and conjugated below the real axis, so
 E(conj z) == conj E(z) bit for bit.
 
-ml_eval takes one z; ml_pair takes an array and returns E_{alpha,alpha} and
-E_{alpha,1}, the pair every transport integrand needs, at every element;
-_ml_values, which ml_pair calls, takes an array at any sigmas.  All run the
-same evaluator.  An array call routes its z with whole-array numpy
-operations (_route_all), a lone z with Python scalars (_route), both into
-the same list of routes, and the numerics run once per route and per
-parabola over all the z that take it, so a time sample over a quadrature
-table is one product of a Cauchy matrix 1/(s_j^alpha - z_i) with two
-weight vectors.  The parabola of each window
-and its nodes and weights are kept across calls (_parabola, _nodes), as are
-the ray's rows (_ray_rows).  Within arrays of two or more z the E at a z
-does not depend on its position or on the other z, bit for bit; a lone z
-agrees with them to the rounding of its pole s*, since numpy's and the math
-module's arctan2 and power may differ in the last bit.
+ml_eval takes one z and routes it with Python scalars (_route).
+_ml_values, the array entry of the library's sweeps, takes the
+z = m (-i)^beta of one ray from the origin as moduli m and the power beta:
+the ray, the sheet and the conjugation are decided once per call, and per
+z only the pole's modulus, its vertex and window, the ray's reach and the
+residue exponents are formed (_sweep_routes).  ml_pair takes any array,
+split by argument into such sweeps (_ml_at).  The numerics run once per
+route and per parabola, so a time sample over a quadrature table is one
+product of a Cauchy matrix 1/(s_j^alpha - z_i) with two weight vectors.
+Within arrays of two or more z the E at a z does not depend on its
+position or on the other z, bit for bit; a lone z agrees with them to the
+rounding of its pole.
 
-Poles share parabolas.  A parabola built for a pole at vertex phi stays
+Poles share parabolas: a parabola built for a pole at vertex phi stays
 valid for every pole farther from it on the same side, so while the branch
 point has strength zero (sigma <= 1 + alpha) the pole vertices fall into
-windows with one parabola each, named by one key (_vertex_key): every
-vertex beyond the clip ~6 of _region_below takes the clip's parabola, and
-below it each octave [lo, 2 lo) takes the parabola below lo or the one
-beyond 2 lo, whichever has fewer nodes.
+windows with one parabola each (_vertex_key).  The parabolas, their nodes
+(_parabola, _nodes) and the ray's rows are kept across calls.
 """
 
 from __future__ import annotations
@@ -364,7 +358,8 @@ def _ray_rows(alpha, sigmas, reach):
 
     reach 0: the abscissae r = r_cut x of tanh-sinh on [0, r_cut], and per
     sigma the rows s1 r g and s2 g, where g = w r^p e^(-r^(1/alpha)) /
-    (alpha pi); 206 abscissae.
+    (alpha pi); of the 206 abscissae those with every row's entry below
+    1e-20 of its largest are dropped, 66 for ml_pair's sigmas at alpha = 1/2.
 
     reach >= 1: in y = r / r0, Y = y^(1/alpha) at the abscissae of
     [0, 1 - delta] (tanh-sinh) and of the fold [1 - delta, 1 + delta]
@@ -418,6 +413,12 @@ def _ray_rows(alpha, sigmas, reach):
     # rows of exact zeros (a sine of a multiple of pi) add nothing
     kept = np.flatnonzero(np.any(rows != 0.0, axis=1))
     rows = rows[kept]
+    if not reach:
+        # nor do abscissae below 1e-20 of every row's largest entry, as the
+        # factor of a z varies by at most 4 / delta^2 over the abscissae
+        size = np.abs(rows)
+        big = np.any(size >= 1e-20 * size.max(axis=1, keepdims=True), axis=0)
+        abscissae, rows = abscissae[big], np.ascontiguousarray(rows[:, big])
     for a in (abscissae, rows, kept):
         a.flags.writeable = False
     return abscissae, rows, kept
@@ -510,22 +511,17 @@ def _vertex_key(phi):
 
 
 def _route(alpha, sigmas, zi):
-    """How E is taken at one z (Im z >= 0), in the format of _route_all: a
-    list of one (route, ids, data), ids taking the whole call and data the
+    """How E is taken at one z (Im z >= 0), in the format of _sweep_routes:
+    a list of one (route, ids, data), ids taking the whole call and data the
     one-column rows of:
 
-        route                   data
-        (_ZERO, None)           None       z = 0: 1/Gamma(sigma)
-        (_EXP, None)            None       alpha = 1, every sigma = 1: exp(z)
-        (_RAY, reach)           |z|, |z|^(1/alpha)
-                                           the ray |arg z| = pi alpha, over
-                                           the intervals of _ray that reach
-                                           names
-        (_CONTOUR, parabola)    None or    the parabola ((mu, h, N), residue)
-                                exponents  of _parabola; if it passes left of
-                                           the pole s*, the exponents
-                                           s* + (1 - sigma) log s* - log alpha
-                                           of the residue, one per sigma
+    - (_ZERO, None), no data: z = 0, 1/Gamma(sigma);
+    - (_EXP, None), no data: alpha = 1 and every sigma = 1, exp(z);
+    - (_RAY, reach), |z| and |z|^(1/alpha): the ray |arg z| = pi alpha, over
+      the intervals of _ray that reach names;
+    - (_CONTOUR, parabola), None or the residue's exponents
+      s* + (1 - sigma) log s* - log alpha, one per sigma: the parabola
+      ((mu, h, N), residue) of _parabola, passing left of the pole s* if so.
 
     The sigmas take a route together (the ray when every sigma is <= 1),
     and the strongest branch point among them sets the parabola; for
@@ -548,12 +544,7 @@ def _route(alpha, sigmas, zi):
     try:
         # for |z| < 1 the half residue is not small against E, and the
         # contour alone is accurate in both components
-        if (
-            alpha < 1.0
-            and max(sigmas) <= 1.0
-            and r >= 1.0
-            and abs(theta - math.pi * alpha) <= _RAY_TOL
-        ):
+        if alpha < 1.0 and max(sigmas) <= 1.0 and r >= 1.0 and abs(theta - math.pi * alpha) <= _RAY_TOL:
             d, r_cut = _ray_intervals(alpha, r)
             # int(): with a numpy alpha the comparisons are numpy bools, whose sum is their "or"
             reach = int(r - d < r_cut) + int(r + d < r_cut)
@@ -608,85 +599,61 @@ def _residue_overflow(alpha, sigma, zi, pole):
     )
 
 
-def _route_all(alpha, sigmas, z):
-    """The routes of _route for every z of the 1-d array z (Im z >= 0), as a
-    list of (route, ids, data): ids index the z that take the route, and
-    data holds their per-z data of _route as rows, (|z|, |z|^(1/alpha)) on
-    the ray and one row of residue exponents per sigma on a contour that
-    adds the residue (else None).
+def _sweep_routes(alpha, sigmas, z, m, theta):
+    """The routes of _route for the z = m e^(i theta) of one sweep: the 1-d
+    array z (Im z >= 0), their moduli m and their one argument theta in
+    [0, pi].  A list of (route, ids, data): ids index the z that take the
+    route, and data holds their data of _route as rows.
 
-    Every step is a whole-array numpy operation: |z|, arg z and the masks of
-    the exact routes, |s*| = |z|^(1/alpha) and the vertex
-    phi = (Re s* + |s*|) / 2 of the pole, and, while the branch point
-    has strength zero, the window key of _vertex_key through np.frexp and
-    np.ldexp, the same exact powers of two, so a z takes the parabola
-    _route gives it unless its vertex lies within rounding of a window's
-    end.  With strength p0 > 0 each vertex is its own window.  numpy's
-    arctan2 and power may differ from the math module's in the last bit,
-    which moves the pole, and E with it, by its rounding; each operation is
-    elementwise, so a z's data does not depend on its position or on the
-    other z.  The OverflowGuard checks are _route's.
+    The ray, the sheet and the pole's angle theta / alpha are decided once.
+    Per z there are whole-array steps only, each elementwise: rho =
+    m^(1/alpha); the pole vertex (Re s* + |s*|) / 2 = rho cos^2(theta /
+    (2 alpha)) and its window key of _vertex_key, through np.frexp and
+    np.ldexp (with a branch point of strength p0 > 0 each vertex is its own
+    window); the ray's reach; and the residue exponents.  The OverflowGuard
+    checks are _route's.
     """
-    if alpha == 1.0 and all(sigma == 1.0 for sigma in sigmas):
+    if m.size == 0:
+        return []
+    exp = alpha == 1.0 and all(sigma == 1.0 for sigma in sigmas)
+    # for |z| < 1 the contour alone is accurate in both components (_route)
+    ray = alpha < 1.0 and max(sigmas) <= 1.0 and abs(theta - math.pi * alpha) <= _RAY_TOL
+    p0 = _branch_strength(alpha, sigmas)
+    # the group of every z, or of each: -2 - reach on the ray, -1 for z = 0,
+    # else the window key of _parabola, 0 for no pole right of the cut
+    keys = 0.0
+    if exp:
         over = z.real > _EXP_ARG_LIMIT
         if over.any():
             raise OverflowGuard(f"E_{{1,1}}({complex(z[over][0])!r}) = exp(z) exceeds double range")
-        zero = z == 0
-        return [
-            (route, np.flatnonzero(ids), None)
-            for route, ids in (((_ZERO, None), zero), ((_EXP, None), ~zero))
-            if ids.any()
-        ]
-    # np.hypot is the math module's |z| bit for bit (np.abs is not), so the
-    # ray's |z| >= 1 is decided as in _route
-    r = np.hypot(z.real, z.imag)
-    theta = np.arctan2(z.imag, z.real)
-    with np.errstate(over="ignore"):
-        rho = r ** (1.0 / alpha)
-    # the z whose pole s* lies on the principal sheet
-    sheet = theta <= math.pi * alpha
-    ray = None
-    # for |z| < 1 the contour alone is accurate in both components (_route)
-    if alpha < 1.0 and max(sigmas) <= 1.0:
-        off_ray = np.abs(theta - math.pi * alpha)
-        if off_ray.min() <= _RAY_TOL:
-            ray = (r >= 1.0) & (off_ray <= _RAY_TOL)
-    if rho.max() == math.inf:
-        over = np.isinf(rho) & (sheet if ray is None else sheet | ray)
-        if over.any():
+    elif ray or theta <= math.pi * alpha:
+        # the pole s* = rho e^(i theta / alpha) is on the principal sheet,
+        # on the cut at equality
+        with np.errstate(over="ignore"):
+            rho = m ** (1.0 / alpha)
+        if rho.max() == math.inf:
             raise OverflowGuard(
-                f"E_{{{alpha},{sigmas[0]}}}({complex(z[over][0])!r}): "
+                f"E_{{{alpha},{sigmas[0]}}}({complex(z[np.argmax(rho)])!r}): "
                 "|z|^(1/alpha) exceeds double range"
             )
-    # each z's group: -2 - reach on the ray, -1 for z = 0, else the window
-    # key of _parabola
-    p0 = _branch_strength(alpha, sigmas)
-    keys = None
-    if ray is None or not ray.all():
-        # the pole s* (0 off the sheet) and the vertex (Re s* + |s*|) / 2 of
-        # the parabola through it, formed as _route forms them, so that a
-        # pole on the cut has phi <= 1e-15 and no vertex, as there
-        angle = theta / alpha
-        pole = np.where(sheet, rho, 0.0) * np.exp(1j * angle)
-        phi = 0.5 * (pole.real + np.hypot(pole.real, pole.imag))
-        if p0 > 0.0:
-            keys = np.where(phi > 1e-15, phi, 0.0)
-        else:
-            keys = np.full(z.size, _CLIP)
-            below = phi < _CLIP
-            if below.any():
-                phi = phi[below]
+        if theta < math.pi * alpha:
+            phi = rho * math.cos(0.5 * theta / alpha) ** 2
+            if p0 > 0.0:
+                keys = np.where(phi > 1e-15, phi, 0.0)
+            elif phi.min() < _CLIP:
                 lo = np.ldexp(_CLIP, np.frexp(phi / _CLIP)[1] - 1)
-                lo = np.where(lo > phi, 0.5 * lo, lo)
-                keys[below] = np.where(phi > 1e-15, lo, 0.0)
-        if not r.all():
-            keys[r == 0.0] = -1.0
-    if ray is not None:
-        d, r_cut = _ray_intervals(alpha, r)
-        on_ray = -2.0 - ((r - d < r_cut).astype(int) + (r + d < r_cut))
-        keys = on_ray if keys is None else np.where(ray, on_ray, keys)
-    if keys.min() == keys.max():
-        windows = [(keys[0], slice(None))]
+                lo = np.where(phi >= _CLIP, _CLIP, np.where(lo > phi, 0.5 * lo, lo))
+                # a pole with phi <= 1e-15 is left of every parabola, as in _route
+                keys = np.where(phi > 1e-15, lo, 0.0)
+            else:
+                keys = _CLIP
+        if ray:
+            d, r_cut = _ray_intervals(alpha, m)
+            keys = np.where(m >= 1.0, -2.0 - ((m - d < r_cut).astype(int) + (m + d < r_cut)), keys)
+    if m.min() == 0.0:
+        keys = np.where(m == 0.0, -1.0, keys)
+    if np.ndim(keys) == 0 or keys.min() == keys.max():
+        windows = [(np.ravel(keys)[0], slice(None))]
     else:
         windows = [(key, np.flatnonzero(keys == key)) for key in np.unique(keys)]
     groups = []
@@ -694,39 +661,34 @@ def _route_all(alpha, sigmas, z):
         key = float(key)
         if key == -1.0:
             groups.append(((_ZERO, None), ids, None))
-            continue
-        if key < -1.0:
-            groups.append(((_RAY, int(-2.0 - key)), ids, np.array([r[ids], rho[ids]])))
-            continue
-        parabola = _parabola(key, p0)
-        if parabola is None:
-            _no_parabola(alpha, sigmas, complex(z[ids][0]))
-        exponents = None
-        if parabola[1]:
-            # one row per sigma
-            w = pole[ids] + np.multiply.outer(1.0 - np.array(sigmas), np.log(rho[ids]) + 1j * angle[ids])
-            if w.real.max() > _EXP_ARG_LIMIT:
-                k, i = np.unravel_index(np.argmax(w.real), w.shape)
-                _residue_overflow(alpha, sigmas[k], complex(z[ids][i]), pole[ids][i])
-            exponents = w - math.log(alpha)
-        groups.append(((_CONTOUR, parabola), ids, exponents))
+        elif exp:
+            groups.append(((_EXP, None), ids, None))
+        elif key < -1.0:
+            groups.append(((_RAY, int(-2.0 - key)), ids, np.array([m[ids], rho[ids]])))
+        else:
+            parabola = _parabola(key, p0)
+            if parabola is None:
+                _no_parabola(alpha, sigmas, complex(z[ids][0]))
+            exponents = None
+            if parabola[1]:
+                # the pole s* and one row of exponents per sigma
+                angle = theta / alpha
+                pole = rho[ids] * cmath.rect(1.0, angle)
+                w = pole + np.multiply.outer(1.0 - np.array(sigmas), np.log(rho[ids]) + 1j * angle)
+                if w.real.max() > _EXP_ARG_LIMIT:
+                    k, i = np.unravel_index(np.argmax(w.real), w.shape)
+                    _residue_overflow(alpha, sigmas[k], complex(z[ids][i]), pole[i])
+                exponents = w - math.log(alpha)
+            groups.append(((_CONTOUR, parabola), ids, exponents))
     return groups
 
 
-def _ml_upper(alpha, sigmas, z):
+def _evaluate(alpha, sigmas, z, routes):
     """E_{alpha,sigma}(z) for each sigma in sigmas at each z of the 1-d array
-    z (Im z >= 0), as an array of shape (len(sigmas), z.size).
-
-    An array call routes its z with numpy (_route_all); the numerics then
-    run once per route over all the z that take it, one Cauchy matrix per
-    parabola, which the z of a whole window of pole vertices share.  A lone
-    z is routed with Python scalars (_route): a whole call at one z then
-    takes 14 us against 98 through numpy (2-core Xeon).
-    """
+    z (Im z >= 0) along the routes of _route or _sweep_routes, shape
+    (len(sigmas), z.size).  The numerics run once per route over all the z
+    that take it, one Cauchy matrix per parabola."""
     out = np.empty((len(sigmas), z.size), dtype=complex)
-    if z.size == 0:
-        return out
-    routes = _route(alpha, sigmas, z.item()) if z.size == 1 else _route_all(alpha, sigmas, z)
     for (kind, detail), ids, data in routes:
         if kind == _ZERO:
             out[:, ids] = [[gamma_reciprocal(sigma)] for sigma in sigmas]
@@ -739,26 +701,48 @@ def _ml_upper(alpha, sigmas, z):
     return out
 
 
-def _ml_values(alpha, sigmas, z):
-    """E_{alpha,sigma}(z) for each sigma in sigmas at every element of the
-    array z, as an array of shape (len(sigmas),) + z.shape.
-
-    The evaluator's one array entry: E is taken at Im z >= 0 and conjugated
-    below the real axis, its imaginary part is zero on the axis, and a value
-    outside double range raises OverflowGuard.
-    """
-    z = np.asarray(z, dtype=complex)
-    flat = z.ravel()
-    lower = np.signbit(flat.imag)
-    values = _ml_upper(alpha, sigmas, np.where(lower, flat.conj(), flat))
-    values.imag[:, flat.imag == 0.0] = 0.0
+def _sweep(alpha, sigmas, z, m, theta):
+    """E_{alpha,sigma}(z) for each sigma in sigmas at the z = m e^(i theta)
+    of one sweep, theta in [-pi, pi], shape (len(sigmas), z.size).  E is
+    taken at Im z >= 0 and conjugated below the real axis, its imaginary
+    part is zero on the axis, all decided once for the sweep, and a value
+    outside double range raises OverflowGuard."""
+    lower = math.copysign(1.0, theta) < 0.0
+    upper = z.conj() if lower else z
+    values = _evaluate(alpha, sigmas, upper, _sweep_routes(alpha, sigmas, upper, m, abs(theta)))
+    if abs(theta) in (0.0, math.pi):
+        values.imag = 0.0
     finite = np.isfinite(values).all(axis=0)
     if not finite.all():
-        bad = complex(flat[np.argmin(finite)])
         names = " or ".join(f"E_{{{alpha},{sigma}}}" for sigma in sigmas)
-        raise OverflowGuard(f"{names} at {bad!r} exceeds double range")
-    np.conjugate(values, out=values, where=lower)
-    return values.reshape((len(sigmas),) + z.shape)
+        raise OverflowGuard(f"{names} at {complex(z[np.argmin(finite)])!r} exceeds double range")
+    return values.conj() if lower else values
+
+
+def _ml_values(alpha, sigmas, m, beta):
+    """E_{alpha,sigma}(z) for each sigma in sigmas at z = m (-i)^beta, for
+    every element of the array of moduli m >= 0, as an array of shape
+    (len(sigmas),) + m.shape: the evaluator's array entry, one _sweep, as
+    the z = (-i)^beta t^alpha lambda of a sweep lie on one ray."""
+    m = np.asarray(m, dtype=float)
+    u = neg_i_power(beta)
+    flat = m.ravel()
+    values = _sweep(alpha, sigmas, flat * u, flat, math.atan2(u.imag, u.real))
+    return values.reshape((len(sigmas),) + m.shape)
+
+
+def _by_argument(z):
+    """The sweeps of the 1-d array z: (ids, |z[ids]|, theta) for each
+    distinct argument theta = arg z in [-pi, pi], from numpy's hypot and
+    arctan2, told apart by their bits, so that -0.0 (below the axis) is
+    not 0.0."""
+    m = np.hypot(z.real, z.imag)
+    theta = np.arctan2(z.imag, z.real)
+    bits = theta.view(np.int64)
+    order = np.argsort(bits, kind="stable")
+    for ids in np.split(order, np.flatnonzero(np.diff(bits[order])) + 1):
+        if ids.size:
+            yield ids, m[ids], float(theta[ids[0]])
 
 
 def ml_eval(params: MLParams, z: complex) -> complex:
@@ -766,15 +750,15 @@ def ml_eval(params: MLParams, z: complex) -> complex:
 
     Relative accuracy 1e-12 (see the module docstring for the method).
     Raises OverflowGuard where E leaves double range and NonConvergence where
-    that accuracy cannot be met.  The one-element case of _ml_values, written
-    with Python scalars and routed by _route, not numpy: through the array
-    wrapper a call costs a third more.  It agrees with an array call at the
-    same z to the rounding of the pole.
+    that accuracy cannot be met.  Written with Python scalars and routed by
+    _route, not the array router, which costs more for one z; it agrees
+    with an array call at the same z to the rounding of the pole.
     """
     z = complex(z)
     lower = math.copysign(1.0, z.imag) < 0.0
     upper = z.conjugate() if lower else z
-    value = _ml_upper(params.alpha, (params.sigma,), np.array([upper])).item(0)
+    sigmas = (params.sigma,)
+    value = _evaluate(params.alpha, sigmas, np.array([upper]), _route(params.alpha, sigmas, upper)).item(0)
     if z.imag == 0.0:
         value = complex(value.real, 0.0)
     if not cmath.isfinite(value):
@@ -782,17 +766,37 @@ def ml_eval(params: MLParams, z: complex) -> complex:
     return value.conjugate() if lower else value
 
 
+def _ml_at(alpha, sigmas, z):
+    """E_{alpha,sigma}(z) for each sigma in sigmas at every element of the
+    array z, as an array of shape (len(sigmas),) + z.shape.
+
+    The z are split by argument into sweeps (_by_argument); a lone z is
+    ml_eval's.
+    """
+    z = np.asarray(z, dtype=complex)
+    flat = z.ravel()
+    values = np.empty((len(sigmas), flat.size), dtype=complex)
+    if flat.size == 1:
+        values[:, 0] = [ml_eval(MLParams(alpha, sigma), flat[0]) for sigma in sigmas]
+    else:
+        for ids, m, theta in _by_argument(flat):
+            values[:, ids] = _sweep(alpha, sigmas, flat[ids], m, theta)
+    return values.reshape((len(sigmas),) + z.shape)
+
+
 def ml_pair(alpha: float, z):
     """(E_{alpha,alpha}(z), E_{alpha,1}(z)) at every element of the array z.
 
     The two functions of the transport integrands, from one evaluation:
     for these sigmas the parabola depends on z alone, so each parabola's
-    nodes serve both.  Agrees with ml_eval element by element to rounding,
-    with the same exact routes, conjugate symmetry and errors.
+    nodes serve both.  z may mix arguments; the z of each argument are one
+    sweep of the array router (_ml_at).  Agrees with ml_eval element by
+    element to rounding, with the same exact routes, conjugate symmetry and
+    errors.
     """
     if not (0.0 < alpha <= 1.0):
         raise DomainError(f"ml_pair requires alpha in (0, 1], got {alpha!r}")
-    values = _ml_values(alpha, (alpha, 1.0), z)
+    values = _ml_at(alpha, (alpha, 1.0), z)
     # arrays of z's shape, 0-d for a scalar z
     return values[0, ...], values[1, ...]
 

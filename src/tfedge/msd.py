@@ -16,7 +16,7 @@ mode deformation, F the cross term; at alpha = beta = 1 the phases align so
 F vanishes identically.
 
 The channels are rows A, B, C, F of edge_current's channel table, next to J.
-msd_trace(order, table, times) takes them at every time from one ml_pair
+msd_trace(order, table, times) takes them at every time from one evaluator
 call, and msd_direct is its one-time case; both raise OverflowGuard where a
 node value leaves double range (the growth regime at large t).  The
 long-time models are the same rows with each E replaced by terms of its
@@ -42,7 +42,7 @@ from .edge_current import (
     _algebraic,
     _exact,
     _finite,
-    _fsum_dot,
+    _fsum,
     _ml_over_times,
     _split,
     _table,
@@ -77,7 +77,7 @@ class MSDBreakdown:
 
 def packet_norm_sq(table: SpectralTable) -> float:
     """Squared norm of the packet, Int chi^2 dk (transverse mode is unit)."""
-    return _fsum_dot(table.rule.weights, table.chi_vals**2)
+    return _fsum((table.rule.weights * table.chi_vals**2).tolist())
 
 
 def msd_direct(
@@ -100,7 +100,7 @@ def msd_direct(
 
 
 def _msd_channels(order, tab, times):
-    """MSDBreakdown at each time from the exact kernel (one ml_pair call;
+    """MSDBreakdown at each time from the exact kernel (one evaluator call;
     OverflowGuard past double range)."""
     if tab.cap is None:
         raise DomainError("supplied SpectralTable lacks the dk-phi norm data")
@@ -134,7 +134,7 @@ def msd_assembled(
     with np.errstate(over="ignore", invalid="ignore"):
         g = t**a * neg_i_power(order.beta) * tab.dlam * tab.chi_vals * eaa + tab.dchi_vals * ea1
         dens = np.abs(g) ** 2 + tab.chi_vals**2 * np.abs(ea1) ** 2 * tab.cap
-    return _fsum_dot(tab.rule.weights, dens)
+    return _fsum((tab.rule.weights * dens).tolist())
 
 
 def msd_naber_leading(
@@ -186,7 +186,7 @@ def msd_trace(
     times: Sequence[float],
 ) -> TransportTrace:
     """Total second moment over a time grid: msd_direct's channels at every
-    time from one ml_pair call over every (time, node) pair."""
+    time from one evaluator call over every (time, node) pair."""
     times = [float(t) for t in times]
     return TransportTrace(
         times=np.asarray(times),

@@ -109,10 +109,10 @@ def envelope(order: FractionalOrder, lam: float, t: float) -> float:
 def _norms_sq(order: FractionalOrder, spectrum: ModeSpectrum, times) -> list:
     """Squared solution norm at each of the times, from one Mittag-Leffler
     call over every (time, mode) pair."""
-    rot = neg_i_power(order.beta)
-    z = [[rot * float(t) ** order.alpha * lam for lam in spectrum.lambdas] for t in times]
+    a = order.alpha
+    moduli = [[float(t) ** a * lam for lam in spectrum.lambdas] for t in times]
     norms = []
-    for amps in _ml_values(order.alpha, (1.0,), z)[0].tolist():
+    for amps in _ml_values(a, (1.0,), moduli, order.beta)[0].tolist():
         total = 0.0
         for w, amp in zip(spectrum.weights, amps):
             total += w * abs(amp) ** 2
@@ -246,12 +246,11 @@ def caputo_residual(
     if n_points < 16:
         raise DomainError("n_points must be at least 16")
     mesh = _graded_mesh_two_sided(T, int(n_points))
-    rot = neg_i_power(bta)
-    u = _ml_values(a, (1.0,), [rot * t**a * lam for t in mesh.tolist()])[0]
+    u = _ml_values(a, (1.0,), mesh**a * lam, bta)[0]
     # piecewise-linear u against the exact kernel integral on each cell:
     # Int_{t_j}^{t_{j+1}} (T-s)^(-a) ds = ((T-t_j)^(1-a) - (T-t_{j+1})^(1-a)) / (1-a)
     du = np.diff(u) / np.diff(mesh)
     kernel = ((T - mesh[:-1]) ** (1.0 - a) - (T - mesh[1:]) ** (1.0 - a)) / (1.0 - a)
     lhs = complex(np.sum(du * kernel)) / math.gamma(1.0 - a)
-    rhs = rot * lam * u[-1]
+    rhs = neg_i_power(bta) * lam * u[-1]
     return float(abs(lhs - rhs) / abs(rhs))

@@ -283,6 +283,37 @@ def test_traces_match_per_time_evaluations_at_early_times(
     assert np.array_equal(msd_trace(order, table, times).values, msd)
 
 
+def test_each_sweep_is_one_evaluator_call(table, monkeypatch):
+    # current_trace, msd_trace and caputo_residual take every E of a sweep
+    # from one call of the evaluator's array entry, with the sweep's moduli
+    # t^alpha lambda in one array; certify_bounds makes one per time grid
+    import tfedge.edge_current as ec
+    import tfedge.wellposed as wp
+    from tfedge.mittag_leffler import _ml_values
+    from tfedge.wellposed import ModeSpectrum, caputo_residual, certify_bounds
+
+    calls = []
+
+    def counted(alpha, sigmas, m, beta):
+        calls.append(np.shape(m))
+        return _ml_values(alpha, sigmas, m, beta)
+
+    monkeypatch.setattr(ec, "_ml_values", counted)
+    monkeypatch.setattr(wp, "_ml_values", counted)
+    order = FractionalOrder(0.8, 0.8)
+    times = np.geomspace(1.0, 50.0, 9)
+    spectrum = ModeSpectrum(lambdas=(2.0, 5.0, 11.0), weights=(1.0, 0.5, 0.25))
+    for sweep, shapes in (
+        (lambda: current_trace(order, table, times), [(9, table.lam.size)]),
+        (lambda: msd_trace(order, table, times), [(9, table.lam.size)]),
+        (lambda: caputo_residual(order, 2.0, 1.0), [(501,)]),
+        (lambda: certify_bounds(order, spectrum, times), [(9, 3), (17, 3)]),
+    ):
+        calls.clear()
+        sweep()
+        assert calls == shapes
+
+
 def test_trace_validation():
     good_t = np.array([1.0, 2.0, 3.0])
     good_v = np.array([1.0, 0.5, 0.25])

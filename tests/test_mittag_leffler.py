@@ -21,6 +21,7 @@ from tfedge import (
     ml_deriv,
     ml_eval,
     ml_pair,
+    neg_i_power,
 )
 
 from _reference import ml_gll_reference, ml_half, ml_ray_expansion, ml_reference
@@ -196,22 +197,26 @@ _RAY_RADII = {0.1: (1.05, 1.2, 2.2), 0.3: (1.5, 2.5, 6.5), 0.7: (3.0, 12.0, 31.0
 def test_ray_matches_independent_references(alpha):
     # on the ray |arg z| = pi alpha, in both half-planes and each reach,
     # against references that share no code with the ray's integral
-    from tfedge.mittag_leffler import _RAY, _ml_values, _route_all, _ray_intervals
+    from tfedge.mittag_leffler import _RAY, _ml_at, _ml_values, _ray_intervals, _sweep_routes
 
     radii = np.array(_RAY_RADII[alpha])
     d, r_cut = _ray_intervals(alpha, radii)
     assert list((radii - d < r_cut).astype(int) + (radii + d < r_cut)) == [2, 1, 0]
+    # the sweep z = |z| (-i)^(-2 alpha) of the array entry, and the same z
+    # given as complex numbers, split by argument
+    u = neg_i_power(-2.0 * alpha)
+    routes = _sweep_routes(alpha, (alpha, 1.0), radii * u, radii, math.atan2(u.imag, u.real))
+    assert sorted(route for route, _, _ in routes) == [(_RAY, 0), (_RAY, 1), (_RAY, 2)]
     z = radii * cmath.exp(1j * math.pi * alpha)
     z = np.concatenate((z, z.conj()))
-    routes = _route_all(alpha, (alpha, 1.0), z[:3])
-    assert sorted(route for route, _, _ in routes) == [(_RAY, 0), (_RAY, 1), (_RAY, 2)]
-    values = _ml_values(alpha, (alpha, 1.0), z)
-    for k, sigma in enumerate((alpha, 1.0)):
-        for zi, got in zip(z[:3], values[k, :3]):
-            want = _ray_reference(alpha, sigma, zi)
-            assert rel_err(got, want) <= 1e-12, (alpha, sigma, zi)
-        # the lower half-plane is the conjugate, bit for bit
-        assert np.array_equal(values[k, 3:], values[k, :3].conj())
+    sweeps = np.concatenate([_ml_values(alpha, (alpha, 1.0), radii, beta) for beta in (-2.0 * alpha, 2.0 * alpha)], axis=1)
+    for values in (sweeps, _ml_at(alpha, (alpha, 1.0), z)):
+        for k, sigma in enumerate((alpha, 1.0)):
+            for zi, got in zip(z[:3], values[k, :3]):
+                want = _ray_reference(alpha, sigma, zi)
+                assert rel_err(got, want) <= 1e-12, (alpha, sigma, zi)
+            # the lower half-plane is the conjugate, bit for bit
+            assert np.array_equal(values[k, 3:], values[k, :3].conj())
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
@@ -220,17 +225,19 @@ def test_ray_tail_at_its_edges(alpha):
     # y = r / r0 in [1 + d/r0, r_cut], whatever r0: at r0 = 1, where the
     # rule is the tail's own, midway, and just inside the edge
     # r0 (1 + d/r0) = r_cut of reach 2, where the tail is shortest
-    from tfedge.mittag_leffler import _RAY, _ml_values, _route_all, _ray_intervals
+    from tfedge.mittag_leffler import _RAY, _ml_at, _ml_values, _ray_intervals, _sweep_routes
 
     d, r_cut = _ray_intervals(alpha, 1.0)
     edge = r_cut / (1.0 + d)
     radii = np.array([1.0, 0.5 * (1.0 + edge), edge * (1.0 - 1e-6)])
+    u = neg_i_power(-2.0 * alpha)
+    routes = _sweep_routes(alpha, (alpha, 1.0), radii * u, radii, math.atan2(u.imag, u.real))
+    assert [route for route, _, _ in routes] == [(_RAY, 2)]
     z = radii * cmath.exp(1j * math.pi * alpha)
-    assert [route for route, _, _ in _route_all(alpha, (alpha, 1.0), z)] == [(_RAY, 2)]
-    values = _ml_values(alpha, (alpha, 1.0), z)
-    for k, sigma in enumerate((alpha, 1.0)):
-        for zi, got in zip(z, values[k]):
-            assert rel_err(got, _ray_reference(alpha, sigma, zi)) <= 1e-12, (alpha, sigma, zi)
+    for values in (_ml_values(alpha, (alpha, 1.0), radii, -2.0 * alpha), _ml_at(alpha, (alpha, 1.0), z)):
+        for k, sigma in enumerate((alpha, 1.0)):
+            for zi, got in zip(z, values[k]):
+                assert rel_err(got, _ray_reference(alpha, sigma, zi)) <= 1e-12, (alpha, sigma, zi)
 
 
 def test_ray_far_out_keeps_its_digits():
@@ -307,8 +314,9 @@ def test_contour_memos_are_read_only_and_bounded():
 
     sweep = 2 * max(_parabola.cache_info().maxsize, _nodes.cache_info().maxsize)
     for alpha in np.linspace(0.05, 1.0, sweep):
-        # a branch point of strength 1: each pole vertex has its own parabola
-        _ml_values(alpha, (alpha, 1.5 + alpha), np.array([0.5, 3.0]) * cmath.exp(0.6j * math.pi * alpha))
+        # a branch point of strength 1: each pole vertex has its own parabola;
+        # z = |z| e^(0.6 i pi alpha)
+        _ml_values(alpha, (alpha, 1.5 + alpha), [0.5, 3.0], -1.2 * alpha)
     for memo in (_parabola, _nodes):
         info = memo.cache_info()
         assert info.currsize <= info.maxsize < info.misses, memo
@@ -431,10 +439,11 @@ def test_pole_vertex_windows_share_valid_parabolas():
 
 
 def _assert_routes_agree(alpha, sigmas, z):
-    """_route_all against _route at every z; returns the routes taken.  With
-    a branch point of strength p0 > 0 each vertex has its own parabola, whose
-    (mu, h) follow the vertex's rounding."""
-    from tfedge.mittag_leffler import _CONTOUR, _RAY, _branch_strength, _route, _route_all
+    """The array router against _route at every z (Im z >= 0), the z split
+    by argument into sweeps as array calls split them; returns the routes
+    taken.  With a branch point of strength p0 > 0 each vertex has its own
+    parabola, whose (mu, h) follow the vertex's rounding."""
+    from tfedge.mittag_leffler import _CONTOUR, _RAY, _branch_strength, _by_argument, _route, _sweep_routes
 
     want = []
     for zi in z.tolist():
@@ -442,16 +451,19 @@ def _assert_routes_agree(alpha, sigmas, z):
             [(route, _, data)] = _route(alpha, sigmas, zi)
             want.append((route, None if data is None else data[:, 0]))
         except (OverflowGuard, NonConvergence) as refusal:
-            # the array router refuses the same z among finite ones
+            # the array router refuses the same z in a sweep with z = 0
             with pytest.raises(type(refusal)):
-                _route_all(alpha, sigmas, np.array([1.0, zi]))
+                _sweep_routes(
+                    alpha, sigmas, np.array([0.0, zi]), np.array([0.0, abs(zi)]), math.atan2(zi.imag, zi.real)
+                )
             want.append(None)
     kept = np.array([zi for zi, w in zip(z, want) if w is not None])
     want = [w for w in want if w is not None]
     got = [None] * kept.size
-    for route, ids, data in _route_all(alpha, sigmas, kept):
-        for j, i in enumerate(np.arange(kept.size)[ids]):
-            got[i] = (route, None if data is None else data[:, j])
+    for sweep, m, theta in _by_argument(kept):
+        for route, ids, data in _sweep_routes(alpha, sigmas, kept[sweep], m, theta):
+            for j, i in enumerate(sweep[ids]):
+                got[i] = (route, None if data is None else data[:, j])
     eps = np.finfo(float).eps
     per_vertex = _branch_strength(alpha, sigmas) > 0.0
     for zi, (route, datum), (want_route, want_datum) in zip(kept, got, want):
@@ -476,7 +488,7 @@ def _assert_routes_agree(alpha, sigmas, z):
 
 
 def test_array_router_agrees_with_the_scalar_one():
-    # the numpy router of array calls against _route, z by z: the same route
+    # the router of array calls against _route, z by z: the same route
     # kind, ray reach and parabola ((mu, h, N), residue), the residue taken
     # for the same z, and the same OverflowGuard; the ray's (|z|, |z|^(1/a))
     # and the residue exponents agree to the rounding of the pole.  Mixed
@@ -507,20 +519,20 @@ def test_array_calls_with_a_strong_branch_point():
     # pole vertex its own parabola; the array router serves such calls too.
     # Against the lone-z evaluation and the mpmath series, and independent
     # of the other z of the call
-    from tfedge.mittag_leffler import _ml_values
+    from tfedge.mittag_leffler import _ml_at
 
     rng = np.random.default_rng(1414)
     for alpha in [1.0, *rng.uniform(0.05, 1.0, 11)]:
         sigmas = (alpha, 1.5 + alpha)
         r = 10.0 ** rng.uniform(-3.0, math.log10(min(8.0, 24.0**alpha)), 8)
         z = r * np.exp(1j * rng.uniform(-math.pi, math.pi, 8))
-        values = _ml_values(alpha, sigmas, z)
+        values = _ml_at(alpha, sigmas, z)
         for k, sigma in enumerate(sigmas):
             for i, zi in enumerate(z):
                 want = ml_reference(alpha, sigma, zi, 30 + int(abs(zi) ** (1.0 / alpha) / 2.3))
                 assert rel_err(values[k, i], want) <= 1e-12, (alpha, sigma, zi)
                 assert rel_err(values[k, i], ml_eval(MLParams(alpha, sigma), zi)) <= 1e-13
-        assert np.array_equal(_ml_values(alpha, sigmas, z[::-1][:5]), values[:, ::-1][:, :5])
+        assert np.array_equal(_ml_at(alpha, sigmas, z[::-1][:5]), values[:, ::-1][:, :5])
 
 
 def _independence_pool(alpha, rng):
@@ -553,6 +565,81 @@ def test_values_do_not_depend_on_position_or_companions(alpha):
     assert np.array_equal(np.array(ml_pair(alpha, pool[3::5])), want[:, ids])
     # and no z at all
     assert np.array(ml_pair(alpha, pool[:0])).shape == (2, 0)
+    # a mixed-argument array: sweeps along the four exact directions (-i)^beta
+    # and along two other arguments (scaling by powers of two keeps arctan2
+    # exact), shuffled into the pool.  Each sweep equals a call over that
+    # sweep alone, and along the exact directions the array entry's sweep
+    from tfedge.mittag_leffler import _ml_values
+
+    moduli = np.array([0.0, 0.5, 1.0, 2.0, 3.5, 5.0])
+    sweeps = [moduli * neg_i_power(beta) for beta in (0.0, 1.0, 2.0, 3.0)]
+    sweeps += [2.0 ** np.arange(-2.0, 4.0) * cmath.rect(1.0, angle) for angle in (0.3, -2.0)]
+    mixed = np.concatenate([pool] + sweeps)
+    shuffle = rng.permutation(mixed.size)
+    got = np.empty((2, mixed.size), dtype=complex)
+    got[:, shuffle] = ml_pair(alpha, mixed[shuffle])
+    for k, sweep in enumerate(sweeps):
+        ids = pool.size + np.arange(k * moduli.size, (k + 1) * moduli.size)
+        assert np.array_equal(np.array(ml_pair(alpha, sweep)), got[:, ids]), k
+        if k < 4:
+            assert np.array_equal(_ml_values(alpha, (alpha, 1.0), moduli, float(k)), got[:, ids]), k
+    assert np.array_equal(got[:, : pool.size], want)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.8, 1.0])
+def test_array_entry_matches_lone_calls(alpha):
+    # the array entry takes a sweep z = m (-i)^beta as moduli m and one
+    # beta: below, on and beyond the ray's angle, with m = 0, m < 1 and m up
+    # to 1e3, against ml_eval at each z.  Within 1e-12 plus the rounding of
+    # z times E's condition number kappa, 1 + |s*| / alpha where the residue
+    # does not decay (beta <= alpha), which the polar form rounds apart from
+    # ml_eval's |z| and arg z; where ml_eval refuses a z with OverflowGuard,
+    # the sweep refuses it among finite ones.  Past kappa eps = 1e-7 the
+    # rounding of z alone decides E, and whether its residue overflows
+    from tfedge.mittag_leffler import _ml_values
+
+    eps = np.finfo(float).eps
+    moduli = np.array([0.0, 0.25, 0.9, 1.0, 3.0, 12.0, 80.0, 1e3])
+    for beta in sorted({0.5 * alpha, alpha, 1.0} | ({2.0 * alpha} if 2.0 * alpha <= 1.0 else set())):
+        u = neg_i_power(beta)
+        kappa = 1.0 + moduli ** (1.0 / alpha) / alpha if beta <= alpha else np.ones(moduli.size)
+        kept, want = [], []
+        for r in moduli[kappa * eps <= 1e-7]:
+            try:
+                want.append([ml_eval(MLParams(alpha, sigma), r * u) for sigma in (alpha, 1.0)])
+                kept.append(r)
+            except OverflowGuard:
+                with pytest.raises(OverflowGuard):
+                    _ml_values(alpha, (alpha, 1.0), [0.5, r], beta)
+        assert kept[:4] == [0.0, 0.25, 0.9, 1.0], (alpha, beta)
+        values = _ml_values(alpha, (alpha, 1.0), kept, beta)
+        for r, got, lone in zip(kept, values.T, want):
+            bound = 1e-12 + 8.0 * eps * kappa[moduli == r][0]
+            for g, w in zip(got, lone):
+                assert abs(g - w) <= bound * abs(w), (alpha, beta, r)
+
+
+def test_array_entry_guards():
+    # the array entry's three OverflowGuard checks, each as ml_eval's:
+    # exp(z) at alpha = sigma = 1, |z|^(1/alpha) past double range (on the
+    # sheet and on the ray), and a residue past double range
+    from tfedge.mittag_leffler import _ml_values
+
+    for alpha, sigmas, m, beta in (
+        (1.0, (1.0,), [1.0, 710.0], 0.0),
+        (1.0, (1.0,), [1.0, 750.0], 0.2),  # Re z = 713
+        (0.05, (0.05, 1.0), [1.0, 1e20], 0.0),
+        (0.5, (0.5, 1.0), [2.0, 1e200], 1.0),
+        (0.5, (0.5, 1.0), [1.0, 30.0], 0.0),
+        (0.8, (0.8, 1.0), [1.0, 2e3], 0.4),
+    ):
+        with pytest.raises(OverflowGuard):
+            ml_eval(MLParams(alpha, sigmas[-1]), m[-1] * neg_i_power(beta))
+        with pytest.raises(OverflowGuard):
+            _ml_values(alpha, sigmas, m, beta)
+    # inside double range: Re z = 704 for exp(z), and no pole off the sheet
+    assert np.all(np.isfinite(_ml_values(1.0, (1.0,), [1.0, 740.0], 0.2)))
+    assert np.all(np.isfinite(_ml_values(0.05, (0.05, 1.0), [1.0, 1e20], 2.0)))
 
 
 def test_array_calls_raise_overflow_guard():
