@@ -27,6 +27,7 @@ import numpy as np
 
 from .edge_current import (
     FractionalOrder,
+    _current_values,
     _decay_order,
     build_spectral_table,
     classify_regime,
@@ -282,15 +283,21 @@ def _asymptotic_companion(order, table):
 
 
 def cmd_current(cfg: RunConfig) -> int:
+    """J at every time from one sweep; row by row once a time leaves double range."""
     model, order, profile, grid, rule = _assemble(cfg)
     table = build_spectral_table(model, profile, grid, rule)
     regime = classify_regime(order)
     companion = _asymptotic_companion(order, table)
+    times = [float(t) for t in _times(cfg)]
+    try:
+        swept = _current_values(order, table, times)
+    except OverflowGuard:
+        swept = [None] * len(times)
 
-    def row(t):
-        t = float(t)
+    def row(t, jd):
         try:
-            jd = current_direct(order, model, profile, grid, rule, t, table)
+            if jd is None:
+                jd = current_direct(order, model, profile, grid, rule, t, table)
         except OverflowGuard:
             # past double range only the log of the leading model is reported
             _, logv = log_current_case1(order, table, t)
@@ -302,7 +309,7 @@ def cmd_current(cfg: RunConfig) -> int:
         logj = math.log(abs(jd)) if jd != 0.0 else None
         return (t, jd, ja, logj, regime, "Direct")
 
-    rows = [row(t) for t in _times(cfg)]
+    rows = [row(t, jd) for t, jd in zip(times, swept)]
     emit_csv(
         cfg.path,
         ["t", "J_direct", "J_asymptotic", "logJ", "regime", "method"],

@@ -39,9 +39,10 @@ order and runs are bit-for-bit reproducible.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -196,6 +197,8 @@ class SpectralTable:
     cap: Optional[np.ndarray]
     chi_vals: np.ndarray
     dchi_vals: np.ndarray
+    # the memo of _channel_weights, kept with the table
+    _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def build_spectral_table(
@@ -256,7 +259,7 @@ def _ml_over_times(order, tab, times):
     if not all(t > 0.0 for t in times):
         raise DomainError(f"the exact kernel requires t > 0, got {min(times)!r}")
     a = order.alpha
-    return _ml_values(a, (a, 1.0), [t**a * tab.lam for t in times], order.beta)
+    return _ml_values(a, (a, 1.0), np.multiply.outer([t**a for t in times], tab.lam), order.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -305,23 +308,45 @@ def _scale(channel, alpha, t, m=0.0):
     return coef * t ** (q0 + alpha * (q1 + m))
 
 
+def _channel_weights(tab, names):
+    """The weights of the named channels at the nodes, shape (channels, 1,
+    nodes), read-only; formed once per table and kept with it."""
+    if names not in tab._weights:
+        tab._weights[names] = np.array([_CHANNELS[name].weight(tab) for name in names])[:, None, :]
+        tab._weights[names].flags.writeable = False
+    return tab._weights[names]
+
+
+@functools.lru_cache(maxsize=64)
+def _kernel(names, beta):
+    """The table-free constants of _exact for the named channels at beta,
+    kept across calls: the phases (-i)^(p0 + p1 beta), shape (channels, 1,
+    1), and the rows of E_L and E_R in (E_{a,a}, E_{a,1}), a slice (a view
+    of E) for one channel and indices for more."""
+    channels = [_CHANNELS[name] for name in names]
+    phases = np.array([neg_i_power(ch.phase[0] + ch.phase[1] * beta) for ch in channels])[:, None, None]
+    rows = np.array([ch.pair for ch in channels]).T
+    phases.flags.writeable = rows.flags.writeable = False
+    left, right = (slice(k[0], k[0] + 1) if k.size == 1 else k for k in rows)
+    return phases, left, right
+
+
 def _exact(order, tab, times, names):
     """The named channels at each time from the exact kernel: one call of
     the array entry, one product rule weight x channel weight x
     Re{phase E_L conj(E_R)} over (channels, times, nodes), and one correctly
     rounded sum per channel and time, where _fsum turns an entry past
-    double range into OverflowGuard."""
-    channels = [_CHANNELS[name] for name in names]
-    weights = np.array([ch.weight(tab) for ch in channels])[:, None, :]
-    phases = np.array([neg_i_power(ch.phase[0] + ch.phase[1] * order.beta) for ch in channels])
+    double range into OverflowGuard.  The weights are formed once per table
+    (_channel_weights), the phases and rows of E once per (names, beta)
+    (_kernel)."""
+    phases, left, right = _kernel(names, order.beta)
     e = _ml_over_times(order, tab, times)
-    left, right = e[[ch.pair[0] for ch in channels]], e[[ch.pair[1] for ch in channels]]
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = tab.rule.weights * (weights * (phases[:, None, None] * left * np.conj(right)).real)
+        terms = tab.rule.weights * (_channel_weights(tab, names) * (phases * e[left] * np.conj(e[right])).real)
     return [
         [
-            _finite(_scale(ch, order.alpha, t) * _fsum(row), f"channel {name}")
-            for name, ch, row in zip(names, channels, rows)
+            _finite(_scale(_CHANNELS[name], order.alpha, t) * _fsum(row), f"channel {name}")
+            for name, row in zip(names, rows)
         ]
         for t, rows in zip(times, np.swapaxes(terms, 0, 1).tolist())
     ]
@@ -354,7 +379,7 @@ def _split(order, tab, t, name, pairs, shift=0.0):
     sigmas = (a, 1.0)
     u = neg_i_power(bta / a)
     lam_root = tab.lam ** (1.0 / a)
-    weight = ch.weight(tab)
+    weight = _channel_weights(tab, (name,))[0, 0]
     scales, sums = [], []
     with np.errstate(over="ignore", invalid="ignore"):
         for k_l, k_r in pairs:

@@ -35,13 +35,15 @@ E(conj z) == conj E(z) bit for bit.
 
 ml_eval takes one z and routes it with Python scalars (_route).
 _ml_values, the array entry of the library's sweeps, takes the
-z = m (-i)^beta of one ray from the origin as moduli m and the power beta:
-the ray, the sheet and the conjugation are decided once per call, and per
-z only the pole's modulus, its vertex and window, the ray's reach and the
-residue exponents are formed (_sweep_routes).  ml_pair takes any array,
-split by argument into such sweeps (_ml_at).  The numerics run once per
-route and per parabola, so a time sample over a quadrature table is one
-product of a Cauchy matrix 1/(s_j^alpha - z_i) with two weight vectors.
+z = m (-i)^beta of one ray from the origin as moduli m and the power beta.
+What the ray's argument alone decides (the ray, the sheet, the
+conjugation, the pole's angle) is kept across calls (_sweep_constants),
+and per z only the pole's modulus, its vertex and window, the ray's reach
+and the residue exponents are formed (_sweep_routes).  ml_pair takes any
+array, split by argument into such sweeps (_ml_at).  The numerics run once
+per route and per parabola, each route writing into the one output array,
+so a time sample over a quadrature table is one quotient of two weight
+rows by the denominators s_j^alpha - z_i of a Cauchy matrix, summed.
 Within arrays of two or more z the E at a z does not depend on its
 position or on the other z, bit for bit; a lone z agrees with them to the
 rounding of its pole.
@@ -95,7 +97,7 @@ _LOG_EPS = math.log(1e-3 * 1e-12)
 _CLIP = 4.0 * (_LOG_EPS - _LOG_UNIT)
 
 # entries per block of a parabola's Cauchy matrix: 16 z at the most nodes,
-# 0.1 MB a complex temporary
+# 0.1 MB of complex quotients per sigma
 _CAUCHY_CELLS = 16 * (2 * _N_MAX + 1)
 
 # |arg z| within this of pi*alpha counts as the ray
@@ -148,8 +150,10 @@ _NEG_I_POWERS = (
 )
 
 
+@functools.lru_cache(maxsize=64)
 def neg_i_power(p: float) -> complex:
-    """(-i)^p = exp(-i pi p / 2), exact whenever p is an integer.
+    """(-i)^p = exp(-i pi p / 2), exact whenever p is an integer; the few
+    powers of a run (its beta, the channel phases) are kept across calls.
 
     The rounded exp(-i pi / 2) is 6.1e-17 - 1j; in the evolution phases that
     stray real part leaks 1e-16-relative algebraic terms into real parts that
@@ -266,15 +270,15 @@ def _parabola(key, p0):
 
 @functools.lru_cache(maxsize=64)
 def _nodes(alpha, sigmas, parabola):
-    """The nodes s_j^alpha of the parabola (mu, h, N) and, for each sigma,
-    the weights e^s s^(alpha-sigma) ds / (2 pi i) of the trapezoidal rule
-    there, as read-only arrays.
+    """The nodes s_j^alpha of the parabola (mu, h, N) and, one row for each
+    sigma, the weights e^s s^(alpha-sigma) ds / (2 pi i) of the trapezoidal
+    rule there, as read-only arrays.
 
     The parabolas of a call are a small fixed set
     per order (one per window of pole vertices), so the same few serve call
     after call: `tfedge verify` and the single calls of perfbench's
     scalar-ml round leave 55 entries (0.27 MB; an entry is at most 401
-    complex nodes and one weight vector per sigma), and a sweep over a
+    complex nodes and one weight row per sigma), and a sweep over a
     quadrature table leaves one.
     """
     mu, h, n = parabola
@@ -284,39 +288,38 @@ def _nodes(alpha, sigmas, parabola):
     log_s = np.log(s)
     s_alpha = np.exp(alpha * log_s)
     scale = v * (mu * h / math.pi)
-    weights = tuple(
-        np.exp(s if sigma == alpha else s + (alpha - sigma) * log_s) * scale for sigma in sigmas
+    weights = np.array(
+        [np.exp(s if sigma == alpha else s + (alpha - sigma) * log_s) * scale for sigma in sigmas]
     )
-    for a in (s_alpha, *weights):
+    for a in (s_alpha, weights):
         a.flags.writeable = False
     return s_alpha, weights
 
 
-def _contour(alpha, sigmas, z, parabola, residue_exponents):
+def _contour(alpha, sigmas, z, ids, parabola, residue_exponents, out):
     """E_{alpha,sigma}(z), each sigma, by the trapezoidal rule on one
-    parabola (mu, h, N) shared by every z of the 1-d array z; shape
-    (len(sigmas), z.size).  residue_exponents is None, or the exponents of
-    the residues (1/alpha) s*^(1-sigma) e^(s*) of poles s* right of the
-    parabola, shape (len(sigmas), z.size).
+    parabola (mu, h, N) shared by the z[ids] of the 1-d array z (ids a slice
+    taking every z, or indices), written into out[:, ids].  residue_exponents
+    is None, or the exponents of the residues (1/alpha) s*^(1-sigma) e^(s*)
+    of poles s* right of the parabola, shape (len(sigmas), z[ids].size).
 
-    The nodes and weights come from the memo _nodes, and each sigma sums its
-    weights against the Cauchy matrix 1/(s_j^alpha - z_i), in blocks of
-    _CAUCHY_CELLS entries.  Nodes run along the rows, one contiguous row per
-    z, which numpy sums pairwise in the same order whatever the other z of
-    the call, so a z's E does not depend on which z share its parabola.
+    The nodes and weights come from the memo _nodes, and every sigma sums
+    its weights against the Cauchy matrix 1/(s_j^alpha - z_i) in one
+    quotient, in blocks of _CAUCHY_CELLS entries per sigma.  Nodes run along
+    the rows, one contiguous row per z and sigma, which numpy sums pairwise
+    in the same order whatever the other z of the call, so a z's E does not
+    depend on which z share its parabola.
     """
     s_alpha, weights = _nodes(alpha, sigmas, parabola)
-    out = np.empty((len(sigmas), z.size), dtype=complex)
+    z = z[ids]
     block = _CAUCHY_CELLS // s_alpha.size
     for start in range(0, z.size, block):
         rows = slice(start, start + block)
         # the Cauchy matrix of these z, as its denominators s_j^alpha - z_i
         gaps = s_alpha - z[rows, None]
-        for k, w in enumerate(weights):
-            out[k, rows] = np.add.reduce(w / gaps, axis=1)
+        out[:, rows if isinstance(ids, slice) else ids[rows]] = np.add.reduce(weights[:, None, :] / gaps, axis=2)
     if residue_exponents is not None:
-        out += np.exp(residue_exponents)
-    return out
+        out[:, ids] += np.exp(residue_exponents)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +433,7 @@ def _decay(rho):
     return np.exp(-rho, out=np.zeros_like(rho), where=rho < 700.0)
 
 
-def _ray(alpha, sigmas, r0, rho0, reach):
+def _ray(alpha, sigmas, r0, rho0, reach, out, ids):
     """E at z = r0 exp(i pi alpha), 0 < alpha < 1, sigma <= 1:
 
         (1/(2 alpha)) rho0^(1-sigma) e^(i pi (1-sigma)) e^(-rho0)
@@ -443,8 +446,8 @@ def _ray(alpha, sigmas, r0, rho0, reach):
     [0, d] (Gauss-Legendre); the rest is taken by tanh-sinh up to
     r^(1/alpha) = 50 (r = r_cut).  r0 and rho0 are 1-d arrays of z that
     reach the same intervals: [0, min(r0 - d, r_cut)] alone (reach 0), the
-    fold too (reach 1), or also [r0 + d, r_cut] (reach 2).  Returns shape
-    (len(sigmas), r0.size).
+    fold too (reach 1), or also [r0 + d, r_cut] (reach 2), at the positions
+    ids of a sweep (as _contour's); E is written into out[:, ids].
 
     Each z is a few memoised rows (_ray_rows) times one factor of its own;
     no z has abscissae of its own.  At reach 0 the abscissae are the same
@@ -459,11 +462,11 @@ def _ray(alpha, sigmas, r0, rho0, reach):
     """
     abscissae, rows, kept = _ray_rows(alpha, sigmas, reach)
     c, cc = _cis_pi(alpha), _cis_pi(2.0 * alpha)
-    out = np.empty((len(sigmas), r0.size), dtype=complex)
     block = max(1, _RAY_CELLS // rows.size)
     for start in range(0, r0.size, block):
-        ids = slice(start, start + block)
-        r0_b, rho0_b = r0[ids, None], rho0[ids, None]
+        b = slice(start, start + block)
+        at = b if isinstance(ids, slice) else ids[b]
+        r0_b, rho0_b = r0[b, None], rho0[b, None]
         if reach:
             factor = _decay(rho0_b * abscissae)
         else:
@@ -478,15 +481,14 @@ def _ray(alpha, sigmas, r0, rho0, reach):
         sums[:, kept] = np.add.reduce(factor[:, None, :] * rows, axis=2)
         if reach:
             # the real and imaginary parts of each sigma's sum, as one complex
-            out[:, ids] = sums.view(complex).T
+            out[:, at] = sums.view(complex).T
         else:
             # (Sum s1 r g factor / r0 - e^(i pi alpha) Sum s2 g factor) / r0
-            out[:, ids] = ((sums[:, 0::2] / r0_b - c * sums[:, 1::2]) / r0_b).T
+            out[:, at] = ((sums[:, 0::2] / r0_b - c * sums[:, 1::2]) / r0_b).T
     for k, sigma in enumerate(sigmas):
         power = rho0 ** (1.0 - sigma)
         half = _cis_pi(1.0 - sigma) * (0.5 / alpha * power * np.exp(-rho0))
-        out[k] = half + (out[k] if reach == 0 else power * out[k])
-    return out
+        out[k, ids] = half + (out[k, ids] if reach == 0 else power * out[k, ids])
 
 
 # ---------------------------------------------------------------------------
@@ -599,26 +601,42 @@ def _residue_overflow(alpha, sigma, zi, pole):
     )
 
 
+@functools.lru_cache(maxsize=64)
+def _sweep_constants(alpha, sigmas, theta):
+    """The z-free part of _sweep_routes at the argument theta in [0, pi], a
+    read-only tuple kept across calls: the exp route, the ray, the pole
+    s* = rho e^(i theta / alpha) on the principal sheet (on the cut at
+    equality) and right of the cut; p0; cos^2(theta / (2 alpha)), from rho
+    to the pole vertex; theta / alpha and e^(i theta / alpha); and the
+    column 1 - sigma and log alpha of the residue exponents."""
+    exp = alpha == 1.0 and all(sigma == 1.0 for sigma in sigmas)
+    # for |z| < 1 the contour alone is accurate in both components (_route)
+    ray = alpha < 1.0 and max(sigmas) <= 1.0 and abs(theta - math.pi * alpha) <= _RAY_TOL
+    one_minus = 1.0 - np.array(sigmas)[:, None]
+    one_minus.flags.writeable = False
+    return (exp, ray, not exp and (ray or theta <= math.pi * alpha), theta < math.pi * alpha,
+            _branch_strength(alpha, sigmas), math.cos(0.5 * theta / alpha) ** 2, theta / alpha,
+            cmath.rect(1.0, theta / alpha), one_minus, math.log(alpha))
+
+
 def _sweep_routes(alpha, sigmas, z, m, theta):
     """The routes of _route for the z = m e^(i theta) of one sweep: the 1-d
     array z (Im z >= 0), their moduli m and their one argument theta in
     [0, pi].  A list of (route, ids, data): ids index the z that take the
     route, and data holds their data of _route as rows.
 
-    The ray, the sheet and the pole's angle theta / alpha are decided once.
-    Per z there are whole-array steps only, each elementwise: rho =
-    m^(1/alpha); the pole vertex (Re s* + |s*|) / 2 = rho cos^2(theta /
-    (2 alpha)) and its window key of _vertex_key, through np.frexp and
-    np.ldexp (with a branch point of strength p0 > 0 each vertex is its own
-    window); the ray's reach; and the residue exponents.  The OverflowGuard
-    checks are _route's.
+    What theta alone decides comes from the memo _sweep_constants.  Per z
+    there are elementwise whole-array steps only: rho = m^(1/alpha); the
+    pole vertex (Re s* + |s*|) / 2 = rho cos^2(theta / (2 alpha)) and its
+    window key of _vertex_key, through np.frexp and np.ldexp (with p0 > 0
+    each vertex is its own window); the ray's reach; and the residue
+    exponents.  The OverflowGuard checks are _route's.
     """
     if m.size == 0:
         return []
-    exp = alpha == 1.0 and all(sigma == 1.0 for sigma in sigmas)
-    # for |z| < 1 the contour alone is accurate in both components (_route)
-    ray = alpha < 1.0 and max(sigmas) <= 1.0 and abs(theta - math.pi * alpha) <= _RAY_TOL
-    p0 = _branch_strength(alpha, sigmas)
+    exp, ray, sheet, inside, p0, cos2, angle, rotation, one_minus, log_alpha = _sweep_constants(
+        alpha, sigmas, theta
+    )
     # the group of every z, or of each: -2 - reach on the ray, -1 for z = 0,
     # else the window key of _parabola, 0 for no pole right of the cut
     keys = 0.0
@@ -626,21 +644,22 @@ def _sweep_routes(alpha, sigmas, z, m, theta):
         over = z.real > _EXP_ARG_LIMIT
         if over.any():
             raise OverflowGuard(f"E_{{1,1}}({complex(z[over][0])!r}) = exp(z) exceeds double range")
-    elif ray or theta <= math.pi * alpha:
-        # the pole s* = rho e^(i theta / alpha) is on the principal sheet,
-        # on the cut at equality
-        with np.errstate(over="ignore"):
-            rho = m ** (1.0 / alpha)
-        if rho.max() == math.inf:
+    elif sheet:
+        # Python's pow raises, as in _route, if the largest rho = m^(1/alpha) leaves double range
+        try:
+            float(np.maximum.reduce(m)) ** (1.0 / alpha)
+        except OverflowError:
+            with np.errstate(over="ignore"):
+                first = np.argmax(m ** (1.0 / alpha))
             raise OverflowGuard(
-                f"E_{{{alpha},{sigmas[0]}}}({complex(z[np.argmax(rho)])!r}): "
-                "|z|^(1/alpha) exceeds double range"
-            )
-        if theta < math.pi * alpha:
-            phi = rho * math.cos(0.5 * theta / alpha) ** 2
+                f"E_{{{alpha},{sigmas[0]}}}({complex(z[first])!r}): |z|^(1/alpha) exceeds double range"
+            ) from None
+        rho = m ** (1.0 / alpha)
+        if inside:
+            phi = rho * cos2
             if p0 > 0.0:
                 keys = np.where(phi > 1e-15, phi, 0.0)
-            elif phi.min() < _CLIP:
+            elif np.minimum.reduce(phi) < _CLIP:
                 lo = np.ldexp(_CLIP, np.frexp(phi / _CLIP)[1] - 1)
                 lo = np.where(phi >= _CLIP, _CLIP, np.where(lo > phi, 0.5 * lo, lo))
                 # a pole with phi <= 1e-15 is left of every parabola, as in _route
@@ -650,10 +669,11 @@ def _sweep_routes(alpha, sigmas, z, m, theta):
         if ray:
             d, r_cut = _ray_intervals(alpha, m)
             keys = np.where(m >= 1.0, -2.0 - ((m - d < r_cut).astype(int) + (m + d < r_cut)), keys)
-    if m.min() == 0.0:
+    # z = 0 has a route of its own; a pole vertex past the clip has m > 0
+    if (isinstance(keys, np.ndarray) or keys != _CLIP) and np.minimum.reduce(m) == 0.0:
         keys = np.where(m == 0.0, -1.0, keys)
-    if np.ndim(keys) == 0 or keys.min() == keys.max():
-        windows = [(np.ravel(keys)[0], slice(None))]
+    if isinstance(keys, float) or keys.min() == keys.max():
+        windows = [(keys if isinstance(keys, float) else keys[0], slice(None))]
     else:
         windows = [(key, np.flatnonzero(keys == key)) for key in np.unique(keys)]
     groups = []
@@ -672,32 +692,32 @@ def _sweep_routes(alpha, sigmas, z, m, theta):
             exponents = None
             if parabola[1]:
                 # the pole s* and one row of exponents per sigma
-                angle = theta / alpha
-                pole = rho[ids] * cmath.rect(1.0, angle)
-                w = pole + np.multiply.outer(1.0 - np.array(sigmas), np.log(rho[ids]) + 1j * angle)
-                if w.real.max() > _EXP_ARG_LIMIT:
-                    k, i = np.unravel_index(np.argmax(w.real), w.shape)
+                pole = rho[ids] * rotation
+                exponents = one_minus * (np.log(rho[ids]) + 1j * angle)
+                exponents += pole
+                if np.maximum.reduce(exponents.real, axis=None) > _EXP_ARG_LIMIT:
+                    k, i = np.unravel_index(np.argmax(exponents.real), exponents.shape)
                     _residue_overflow(alpha, sigmas[k], complex(z[ids][i]), pole[i])
-                exponents = w - math.log(alpha)
+                exponents -= log_alpha
             groups.append(((_CONTOUR, parabola), ids, exponents))
     return groups
 
 
-def _evaluate(alpha, sigmas, z, routes):
+def _evaluate(alpha, sigmas, z, routes, out):
     """E_{alpha,sigma}(z) for each sigma in sigmas at each z of the 1-d array
-    z (Im z >= 0) along the routes of _route or _sweep_routes, shape
-    (len(sigmas), z.size).  The numerics run once per route over all the z
-    that take it, one Cauchy matrix per parabola."""
-    out = np.empty((len(sigmas), z.size), dtype=complex)
+    z (Im z >= 0) along the routes of _route or _sweep_routes, written into
+    out, shape (len(sigmas), z.size), which it returns.  The numerics run
+    once per route over all the z that take it, one Cauchy matrix per
+    parabola, and each route writes its z's values in place."""
     for (kind, detail), ids, data in routes:
         if kind == _ZERO:
             out[:, ids] = [[gamma_reciprocal(sigma)] for sigma in sigmas]
         elif kind == _EXP:
             out[:, ids] = np.exp(z[ids])
         elif kind == _RAY:
-            out[:, ids] = _ray(alpha, sigmas, data[0], data[1], detail)
+            _ray(alpha, sigmas, data[0], data[1], detail, out, ids)
         else:
-            out[:, ids] = _contour(alpha, sigmas, z[ids], detail[0], data)
+            _contour(alpha, sigmas, z, ids, detail[0], data, out)
     return out
 
 
@@ -706,17 +726,19 @@ def _sweep(alpha, sigmas, z, m, theta):
     of one sweep, theta in [-pi, pi], shape (len(sigmas), z.size).  E is
     taken at Im z >= 0 and conjugated below the real axis, its imaginary
     part is zero on the axis, all decided once for the sweep, and a value
-    outside double range raises OverflowGuard."""
+    outside double range raises OverflowGuard: one reduction checks every
+    value, and only a failed check looks for the z."""
     lower = math.copysign(1.0, theta) < 0.0
     upper = z.conj() if lower else z
-    values = _evaluate(alpha, sigmas, upper, _sweep_routes(alpha, sigmas, upper, m, abs(theta)))
+    values = np.empty((len(sigmas), z.size), dtype=complex)
+    _evaluate(alpha, sigmas, upper, _sweep_routes(alpha, sigmas, upper, m, abs(theta)), values)
     if abs(theta) in (0.0, math.pi):
         values.imag = 0.0
-    finite = np.isfinite(values).all(axis=0)
-    if not finite.all():
+    if not np.isfinite(values).all():
         names = " or ".join(f"E_{{{alpha},{sigma}}}" for sigma in sigmas)
-        raise OverflowGuard(f"{names} at {complex(z[np.argmin(finite)])!r} exceeds double range")
-    return values.conj() if lower else values
+        bad = np.argmin(np.isfinite(values).all(axis=0))
+        raise OverflowGuard(f"{names} at {complex(z[bad])!r} exceeds double range")
+    return np.conjugate(values, out=values) if lower else values
 
 
 def _ml_values(alpha, sigmas, m, beta):
@@ -758,7 +780,8 @@ def ml_eval(params: MLParams, z: complex) -> complex:
     lower = math.copysign(1.0, z.imag) < 0.0
     upper = z.conjugate() if lower else z
     sigmas = (params.sigma,)
-    value = _evaluate(params.alpha, sigmas, np.array([upper]), _route(params.alpha, sigmas, upper)).item(0)
+    out = np.empty((1, 1), dtype=complex)
+    value = _evaluate(params.alpha, sigmas, np.array([upper]), _route(params.alpha, sigmas, upper), out).item(0)
     if z.imag == 0.0:
         value = complex(value.real, 0.0)
     if not cmath.isfinite(value):

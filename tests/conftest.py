@@ -3,8 +3,9 @@
 The spectral table (64 momentum nodes, one stacked SVD of the
 Legendre-Galerkin fiber problem, with the cap data from the same Ritz
 pairs) is built once per session and shared read-only; SpectralTable is
-frozen, nothing mutates it.  All transport tests run on the same b = 1, window
-[1, 2] setup that the CLI uses as its default.
+frozen, and only its memo of channel weights fills in as the sweeps use it.
+All transport tests run on the same b = 1, window [1, 2] setup that the CLI
+uses as its default.
 """
 import sys
 

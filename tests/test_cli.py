@@ -4,6 +4,7 @@ import dataclasses
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tfedge import cli
@@ -196,6 +197,40 @@ def test_current_command(tmp_path):
         jd, ja = float(r[1]), float(r[2])
         assert jd < 0.0
         assert abs(ja - jd) <= 5e-2 * abs(jd)
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.25])
+def test_current_is_one_sweep_unless_a_row_overflows(beta, tmp_path, monkeypatch):
+    # every J of `tfedge current` comes from one evaluator call over all its
+    # times; only when that sweep leaves double range (the growth regime,
+    # beta < alpha) are the rows taken one by one.  Either way each J_direct
+    # is current_direct's at its time, bit for bit
+    import tfedge.edge_current as ec
+
+    real, shapes = ec._ml_values, []
+
+    def counted(alpha, sigmas, m, b):
+        shapes.append(np.shape(m))
+        return real(alpha, sigmas, m, b)
+
+    monkeypatch.setattr(ec, "_ml_values", counted)
+    path = tmp_path / "cur.csv"
+    order = ["--order.alpha", "0.5", "--order.beta", str(beta)]
+    assert main(["current", "--quad.n_nodes", "32", *order, "--output.path", str(path)]) == 0
+    rows = read_csv(str(path))[1:]
+    direct = [r for r in rows if r[5] == "Direct"]
+    if beta < 0.5:
+        assert shapes == [(60, 32)] + [(1, 32)] * 60
+        assert 0 < len(direct) < 60
+    else:
+        assert shapes == [(60, 32)]
+        assert len(direct) == 60
+    cfg = parse_config(None, {("order", "alpha"): "0.5", ("order", "beta"): str(beta), ("quad", "n_nodes"): "32"})
+    model, fractional, profile, grid, rule = cli._assemble(cfg)
+    table = ec.build_spectral_table(model, profile, grid, rule)
+    for r in direct[::7]:
+        t = float(r[0])
+        assert float(r[1]) == ec.current_direct(fractional, model, profile, grid, rule, t, table)
 
 
 def test_msd_command_normalized(tmp_path):

@@ -286,7 +286,8 @@ def test_traces_match_per_time_evaluations_at_early_times(
 def test_each_sweep_is_one_evaluator_call(table, monkeypatch):
     # current_trace, msd_trace and caputo_residual take every E of a sweep
     # from one call of the evaluator's array entry, with the sweep's moduli
-    # t^alpha lambda in one array; certify_bounds makes one per time grid
+    # t^alpha lambda in one array; certify_bounds makes one per time grid,
+    # and the one-time forms one with moduli of shape (1, nodes)
     import tfedge.edge_current as ec
     import tfedge.wellposed as wp
     from tfedge.mittag_leffler import _ml_values
@@ -308,10 +309,42 @@ def test_each_sweep_is_one_evaluator_call(table, monkeypatch):
         (lambda: msd_trace(order, table, times), [(9, table.lam.size)]),
         (lambda: caputo_residual(order, 2.0, 1.0), [(501,)]),
         (lambda: certify_bounds(order, spectrum, times), [(9, 3), (17, 3)]),
+        (lambda: current_direct(order, None, None, None, None, 7.0, table), [(1, table.lam.size)]),
+        (lambda: msd_direct(order, None, None, None, None, 7.0, table), [(1, table.lam.size)]),
+        (lambda: msd_assembled(order, None, None, None, None, 7.0, table), [(1, table.lam.size)]),
     ):
         calls.clear()
         sweep()
         assert calls == shapes
+
+
+def test_kernel_memos_are_read_only_and_change_no_bit(model, profile, grid, rule):
+    # the channel weights are formed once per table and kept with it, the
+    # phases and rows of E once per (channels, beta) in a bounded memo, all
+    # read-only; a sweep on a fresh table with the memo cleared (cold) gives
+    # the values of the same sweep repeated (warm) bit for bit
+    from tfedge.edge_current import _CHANNELS, _kernel
+
+    times = np.geomspace(1.0, 40.0, 7)
+    for names in (("J",), ("A", "B", "C", "F")):
+        sweep = current_trace if names == ("J",) else msd_trace
+        for beta in (0.6, 0.8, 1.0):
+            order = FractionalOrder(0.8, beta)
+            _kernel.cache_clear()
+            fresh = build_spectral_table(model, profile, grid, rule, with_cap=True)
+            cold = sweep(order, fresh, times).values
+            assert np.array_equal(sweep(order, fresh, times).values, cold)
+            assert _kernel.cache_info()[:2] == (1, 1)  # (hits, misses)
+        weights = fresh._weights[names]
+        assert np.array_equal(weights[:, 0], [_CHANNELS[name].weight(fresh) for name in names])
+        phases, left, right = _kernel(names, 1.0)
+        for a in (weights, phases, left, right):
+            if isinstance(a, np.ndarray):
+                assert not a.flags.writeable
+    for beta in np.linspace(0.01, 1.0, 2 * _kernel.cache_info().maxsize):
+        _kernel(("J",), beta)
+    info = _kernel.cache_info()
+    assert info.currsize == info.maxsize
 
 
 def test_trace_validation():

@@ -307,24 +307,50 @@ def test_ray_memo_is_read_only_and_bounded(table):
 
 
 def test_contour_memos_are_read_only_and_bounded():
-    # the parabolas of the windows and their nodes are kept across calls:
-    # sweeping more orders than the memos hold cannot grow them past their
-    # bound, and the nodes and weights handed out are read-only
-    from tfedge.mittag_leffler import _CLIP, _ml_values, _nodes, _parabola
+    # the parabolas of the windows, their nodes, a sweep's z-free constants
+    # and the powers of -i are kept across calls: sweeping more
+    # orders than the memos hold cannot grow them past their bound, and the
+    # arrays handed out are read-only
+    from tfedge.mittag_leffler import _CLIP, _ml_values, _nodes, _parabola, _sweep_constants
 
-    sweep = 2 * max(_parabola.cache_info().maxsize, _nodes.cache_info().maxsize)
+    memos = (_parabola, _nodes, _sweep_constants, neg_i_power)
+    sweep = 2 * max(memo.cache_info().maxsize for memo in memos)
     for alpha in np.linspace(0.05, 1.0, sweep):
         # a branch point of strength 1: each pole vertex has its own parabola;
         # z = |z| e^(0.6 i pi alpha)
         _ml_values(alpha, (alpha, 1.5 + alpha), [0.5, 3.0], -1.2 * alpha)
-    for memo in (_parabola, _nodes):
+    for memo in memos:
         info = memo.cache_info()
         assert info.currsize <= info.maxsize < info.misses, memo
     s_alpha, weights = _nodes(0.5, (0.5, 1.0), _parabola(_CLIP, 0.0)[0])
-    for a in (s_alpha, *weights):
+    one_minus = _sweep_constants(0.5, (0.5, 1.0), 0.25 * math.pi)[-2]
+    for a in (s_alpha, weights, one_minus):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0
+
+
+def test_memos_change_no_bit():
+    # a sweep whose memos are cleared first (cold) and the same sweep with
+    # every memo filled (warm) give the same values bit for bit, or the same
+    # refusal: on the contour with and without residues, off the sheet, on
+    # the ray, and at z = 0
+    from tfedge.mittag_leffler import _ml_values, _nodes, _parabola, _ray_rows, _sweep_constants
+
+    def sweep(alpha, sigmas, moduli, beta):
+        try:
+            return _ml_values(alpha, sigmas, moduli, beta).tobytes()
+        except OverflowGuard as refusal:
+            return str(refusal)
+
+    moduli = np.concatenate(([0.0], np.geomspace(0.05, 60.0, 23))).reshape(2, 12)
+    for alpha in (0.3, 0.5, 0.8, 1.0):
+        for beta in (0.25, 0.8, 1.0, 1.5, -2.0 * alpha):
+            for sigmas in ((alpha, 1.0), (1.0,)):
+                for memo in (_parabola, _nodes, _ray_rows, _sweep_constants, neg_i_power):
+                    memo.cache_clear()
+                cold = sweep(alpha, sigmas, moduli, beta)
+                assert sweep(alpha, sigmas, moduli, beta) == cold, (alpha, beta, sigmas)
 
 
 def _pair_points(alpha):
