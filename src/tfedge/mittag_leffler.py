@@ -42,8 +42,8 @@ and per z only the pole's modulus, its vertex and window, the ray's reach
 and the residue exponents are formed (_sweep_routes).  ml_pair takes any
 array, split by argument into such sweeps (_ml_at).  The numerics run once
 per route and per parabola, each route writing into the one output array,
-so a time sample over a quadrature table is one quotient of two weight
-rows by the denominators s_j^alpha - z_i of a Cauchy matrix, summed.
+so a time sample over a quadrature table is one reciprocal per entry of a
+Cauchy matrix 1/(z_i - s_j^alpha) and one BLAS dot product per sigma and z.
 Within arrays of two or more z the E at a z does not depend on its
 position or on the other z, bit for bit; a lone z agrees with them to the
 rounding of its pole.
@@ -97,7 +97,7 @@ _LOG_EPS = math.log(1e-3 * 1e-12)
 _CLIP = 4.0 * (_LOG_EPS - _LOG_UNIT)
 
 # entries per block of a parabola's Cauchy matrix: 16 z at the most nodes,
-# 0.1 MB of complex quotients per sigma
+# one 0.1 MB complex temporary, which every sigma shares
 _CAUCHY_CELLS = 16 * (2 * _N_MAX + 1)
 
 # |arg z| within this of pi*alpha counts as the ray
@@ -271,8 +271,9 @@ def _parabola(key, p0):
 @functools.lru_cache(maxsize=64)
 def _nodes(alpha, sigmas, parabola):
     """The nodes s_j^alpha of the parabola (mu, h, N) and, one row for each
-    sigma, the weights e^s s^(alpha-sigma) ds / (2 pi i) of the trapezoidal
-    rule there, as read-only arrays.
+    sigma, the weights w_j = e^s s^(alpha-sigma) ds / (2 pi i) of the
+    trapezoidal rule there, stored as W = -conj(w) for _contour's dot
+    products, as read-only arrays.
 
     The parabolas of a call are a small fixed set
     per order (one per window of pole vertices), so the same few serve call
@@ -288,9 +289,9 @@ def _nodes(alpha, sigmas, parabola):
     log_s = np.log(s)
     s_alpha = np.exp(alpha * log_s)
     scale = v * (mu * h / math.pi)
-    weights = np.array(
+    weights = -np.array(
         [np.exp(s if sigma == alpha else s + (alpha - sigma) * log_s) * scale for sigma in sigmas]
-    )
+    ).conj()
     for a in (s_alpha, weights):
         a.flags.writeable = False
     return s_alpha, weights
@@ -303,21 +304,21 @@ def _contour(alpha, sigmas, z, ids, parabola, residue_exponents, out):
     is None, or the exponents of the residues (1/alpha) s*^(1-sigma) e^(s*)
     of poles s* right of the parabola, shape (len(sigmas), z[ids].size).
 
-    The nodes and weights come from the memo _nodes, and every sigma sums
-    its weights against the Cauchy matrix 1/(s_j^alpha - z_i) in one
-    quotient, in blocks of _CAUCHY_CELLS entries per sigma.  Nodes run along
-    the rows, one contiguous row per z and sigma, which numpy sums pairwise
-    in the same order whatever the other z of the call, so a z's E does not
-    depend on which z share its parabola.
+    The nodes and weights W = -conj(w) come from the memo _nodes.  Per
+    block of _CAUCHY_CELLS entries the Cauchy matrix g = 1/(z_i - s_j^alpha)
+    takes one complex reciprocal an entry, and np.vecdot (which conjugates
+    W) sums Sum_j w_j / (s_j^alpha - z_i) for each sigma as one BLAS dot
+    over a contiguous row, the same whatever the other z of the call; so a
+    z's E does not depend on which z share its parabola (with @ it did).
     """
     s_alpha, weights = _nodes(alpha, sigmas, parabola)
     z = z[ids]
     block = _CAUCHY_CELLS // s_alpha.size
     for start in range(0, z.size, block):
         rows = slice(start, start + block)
-        # the Cauchy matrix of these z, as its denominators s_j^alpha - z_i
-        gaps = s_alpha - z[rows, None]
-        out[:, rows if isinstance(ids, slice) else ids[rows]] = np.add.reduce(weights[:, None, :] / gaps, axis=2)
+        g = np.subtract.outer(z[rows], s_alpha)
+        np.reciprocal(g, out=g)
+        out[:, rows if isinstance(ids, slice) else ids[rows]] = np.vecdot(weights[:, None, :], g)
     if residue_exponents is not None:
         out[:, ids] += np.exp(residue_exponents)
 
@@ -341,8 +342,8 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
 _GL_NODES = 0.5 * (_GL_NODES + 1.0)
 _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
 
-# entries per block of the ray's products of per-z factors with memoised
-# rows, at most 0.26 MB a temporary
+# memoised row entries (rows x abscissae) per block of z on the ray, so a
+# block's real factors are temporaries of at most 16 384 doubles, 0.13 MB
 _RAY_CELLS = 16384
 
 
@@ -456,9 +457,9 @@ def _ray(alpha, sigmas, r0, rho0, reach, out, ids):
     it.  At reach >= 1, d is a fixed fraction of r0, so in y = r / r0 the
     abscissae and all but one factor of K are z-free: the factor is
     e^(-rho0 y^(1/alpha)), and r0^p = rho0^(1-sigma) scales the sum.  The
-    factors are formed in blocks of z, at most _RAY_CELLS entries a product,
-    and each z's sums run along contiguous rows, in the same order whatever
-    the other z of the call.
+    factors are real (at reach 0, u q and q of (u + i S) q), formed in
+    blocks of at most _RAY_CELLS row entries, and each row and z is one
+    BLAS dot (np.vecdot), the same whatever the other z of the call.
     """
     abscissae, rows, kept = _ray_rows(alpha, sigmas, reach)
     c, cc = _cis_pi(alpha), _cis_pi(2.0 * alpha)
@@ -468,21 +469,18 @@ def _ray(alpha, sigmas, r0, rho0, reach, out, ids):
         at = b if isinstance(ids, slice) else ids[b]
         r0_b, rho0_b = r0[b, None], rho0[b, None]
         if reach:
-            factor = _decay(rho0_b * abscissae)
-        else:
-            # (y - C + i S) / ((y - 1)((y - C)^2 + S^2)), C + i S = e^(2 i pi alpha)
-            y = abscissae * (1.0 / r0_b)
-            u = y - cc.real
-            q = 1.0 / ((y - 1.0) * (u * u + cc.imag**2))
-            factor = np.empty(y.shape, dtype=complex)
-            np.multiply(u, q, out=factor.real)
-            np.multiply(cc.imag, q, out=factor.imag)
-        sums = np.zeros((r0_b.size, 2 * len(sigmas)), dtype=factor.dtype)
-        sums[:, kept] = np.add.reduce(factor[:, None, :] * rows, axis=2)
-        if reach:
+            sums = np.zeros((r0_b.size, 2 * len(sigmas)))
+            sums[:, kept] = np.vecdot(rows, _decay(rho0_b * abscissae)[:, None, :])
             # the real and imaginary parts of each sigma's sum, as one complex
             out[:, at] = sums.view(complex).T
         else:
+            # factor (u + i S) q = (y - C + i S) / ((y - 1)((y - C)^2 + S^2)), C + i S = e^(2 i pi alpha)
+            y = abscissae * (1.0 / r0_b)
+            u = y - cc.real
+            q = 1.0 / ((y - 1.0) * (u * u + cc.imag**2))
+            sums = np.zeros((r0_b.size, 2 * len(sigmas)), dtype=complex)
+            sums.real[:, kept] = np.vecdot(rows, (u * q)[:, None, :])
+            sums.imag[:, kept] = cc.imag * np.vecdot(rows, q[:, None, :])
             # (Sum s1 r g factor / r0 - e^(i pi alpha) Sum s2 g factor) / r0
             out[:, at] = ((sums[:, 0::2] / r0_b - c * sums[:, 1::2]) / r0_b).T
     for k, sigma in enumerate(sigmas):

@@ -46,6 +46,15 @@ def table(model, profile, grid, rule):
     return build_spectral_table(model, profile, grid, rule, with_cap=True)
 
 
+def pytest_report_header(config):
+    """numpy and its BLAS: the bit-for-bit trace tests rest on the BLAS dot
+    kernel that sums each Mittag-Leffler quadrature row."""
+    import numpy as np
+
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return f"numpy {np.__version__}, BLAS {blas.get('name', 'unknown')} {blas.get('version', '')}".rstrip()
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Echo the acceptance one-liners after the normal test report."""
     mod = sys.modules.get("test_acceptance") or sys.modules.get("tests.test_acceptance")

@@ -612,6 +612,88 @@ def test_values_do_not_depend_on_position_or_companions(alpha):
     assert np.array_equal(got[:, : pool.size], want)
 
 
+def test_values_do_not_depend_on_their_cauchy_block():
+    # one 401-node parabola (no pole on the sheet, a branch point of
+    # strength 1.7075) serves 40 z, more than one block of _contour: rolled
+    # through every position, each z sits at the first and the last offset
+    # of each block, and its E is the same bit for bit
+    from tfedge.mittag_leffler import _CAUCHY_CELLS, _N_MAX, _ml_values, _sweep_routes
+
+    alpha, sigmas, beta = 0.5, (0.5, 1.0 + 0.5 + 0.5 * 1.7075), 1.6
+    m = np.geomspace(0.5, 50.0, 40)
+    z = m * neg_i_power(beta).conjugate()
+    [((kind, ((_, _, n), _)), _, _)] = _sweep_routes(alpha, sigmas, z, m, 0.8 * math.pi)
+    assert kind == "contour" and n == _N_MAX and m.size > 2 * (_CAUCHY_CELLS // (2 * n + 1))
+    want = _ml_values(alpha, sigmas, m, beta)
+    for shift in range(m.size):
+        assert np.array_equal(_ml_values(alpha, sigmas, np.roll(m, shift), beta), np.roll(want, shift, axis=1))
+
+
+def _dot_bound(terms):
+    """N 2^-53 Sum_j |t_j|, the bound on a length-N dot product's rounding."""
+    return len(terms) * 2.0**-53 * sum(abs(t) for t in terms)
+
+
+def test_contour_sums_within_the_dot_product_bound():
+    # _contour's sum Sum_j w_j / (s_j^alpha - z) against the mpmath sum of
+    # the same terms on the same nodes and weights: the summation alone,
+    # apart from the trapezoidal rule's error, within the dot product's
+    # bound.  Each z is routed alone; those whose residue leaves double
+    # range are refused, and those on the ray (alpha = 1/2, beta = 1,
+    # |z| >= 1) take no contour
+    import mpmath
+
+    from tfedge.mittag_leffler import _CONTOUR, _contour, _nodes, _sweep_routes
+
+    checked = 0
+    with mpmath.workdps(40):
+        for alpha in (0.3, 0.5, 0.8):
+            sigmas = (alpha, 1.0)
+            for beta in (0.25, 0.5, 0.75, 1.0):
+                for m in np.geomspace(0.5, 900.0, 9):
+                    z = np.array([m * neg_i_power(beta).conjugate()])
+                    try:
+                        [((kind, detail), _, _)] = _sweep_routes(alpha, sigmas, z, np.array([m]), 0.5 * math.pi * beta)
+                    except OverflowGuard:
+                        continue
+                    if kind != _CONTOUR:
+                        continue
+                    out = np.empty((2, 1), dtype=complex)
+                    _contour(alpha, sigmas, z, slice(None), detail[0], None, out)
+                    s_alpha, weights = _nodes(alpha, sigmas, detail[0])
+                    for k in range(2):
+                        terms = [-mpmath.mpc(w).conjugate() / (mpmath.mpc(s) - complex(z[0])) for w, s in zip(weights[k], s_alpha)]
+                        assert abs(out[k, 0] - complex(mpmath.fsum(terms))) <= _dot_bound(terms), (alpha, beta, m, k)
+                    checked += 1
+    assert checked == 87
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+def test_ray_row_sums_within_the_dot_product_bound(alpha, monkeypatch):
+    # each of _ray's sums of a memoised row against a z's factor, at every
+    # reach, against math.fsum of the same products, within the dot
+    # product's bound
+    from tfedge.mittag_leffler import _ml_values
+
+    calls = []
+    vecdot = np.vecdot
+
+    def recorded(a, b):
+        calls.append((a, b, vecdot(a, b)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(np, "vecdot", recorded)
+    # z = m e^(i pi alpha), through the intervals of every reach
+    _ml_values(alpha, (alpha, 1.0), np.geomspace(1.0, 900.0, 30), -2.0 * alpha)
+    # one abscissa count per reach
+    assert len({a.shape[-1] for a, _, _ in calls}) == 3
+    for a, b, sums in calls:
+        a, b = np.broadcast_arrays(a, b)
+        for at in np.ndindex(sums.shape):
+            products = (a[at] * b[at]).tolist()
+            assert abs(sums[at] - math.fsum(products)) <= _dot_bound(products), (alpha, at)
+
+
 @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.8, 1.0])
 def test_array_entry_matches_lone_calls(alpha):
     # the array entry takes a sweep z = m (-i)^beta as moduli m and one
