@@ -14,7 +14,10 @@ C: s = mu (1 + i u)^2 of Garrappa (SIAM J. Numer. Anal. 53 (2015)
 parabola).  The contour parameters (mu, h, N) come from the singularities:
 the branch point s = 0 and the pole s* = z^(1/alpha), which lies on the
 principal sheet while |arg z| <= pi alpha.  The evaluator has one
-accuracy, 1e-12 relative to |E| (_LOG_EPS).
+accuracy, 1e-12 relative to |E|: where 1/Gamma(sigma - alpha) = 0, E ~ z^-2
+at |z| >= 1 is E_{alpha,sigma-alpha}(z) / z by the recurrence E_{a,s}(z) =
+1/Gamma(s) + z E_{a,s+a}(z) (Gorenflo, Kilbas, Mainardi and Rogosin 2014,
+ch. 4), and the contour runs at 1e-14 (_LOG_EPS).
 
 Three cases take exact routes:
 
@@ -86,15 +89,13 @@ _N_MAX = 200
 # i k for the node indices k = -_N_MAX .. _N_MAX
 _I_STEPS = 1j * np.arange(-_N_MAX, _N_MAX + 1, dtype=float)
 
-# Garrappa's tolerance bounds the error against the size of the integrand on
-# the contour, which exceeds |E| where E is algebraically small; the error
-# relative to |E| was measured at up to 230 times the tolerance, so for E to
-# 1e-12 relative the contour runs at 1e-12 / 1000.  Below that roundoff
-# leaves no admissible parabola.
-_LOG_EPS = math.log(1e-3 * 1e-12)
-# _region_below clips sqrt(phi) at 2 sqrt(_LOG_EPS - log u), so every pole
-# vertex at or beyond this clip (about 6) has the parabola of the clip itself
-_CLIP = 4.0 * (_LOG_EPS - _LOG_UNIT)
+# Garrappa's tolerance bounds the error against the O(1/z) integrand on the
+# contour: E_{alpha,alpha} ~ z^-2 falls far below it, E_{alpha,0} ~ 1/z does
+# not, so taking E_{alpha,0}(z) / z (_shifted) the contour runs at 1e-14
+_LOG_EPS = math.log(1e-14)
+# the window constant: every pole vertex at or beyond it (about 6) has the
+# one parabola of the vertex _CLIP, where _region_below clamps its vertex
+_CLIP = 4.0 * (math.log(1e-15) - _LOG_UNIT)
 
 # entries per block of a parabola's Cauchy matrix: 16 z at the most nodes,
 # one 0.1 MB complex temporary, which every sigma shares
@@ -179,7 +180,7 @@ def _region_below(phi_pole, p0):
     p0, and the pole at phi_pole; None if the roundoff allowance cannot fit
     between them.  Garrappa's OptimalParam_RB with its lower singularity at 0."""
     f_max = math.exp(_LOG_EPS - _LOG_UNIT)
-    sq_pole = min(math.sqrt(phi_pole), 2.0 * math.sqrt(_LOG_EPS - _LOG_UNIT))
+    sq_pole = min(math.sqrt(phi_pole), math.sqrt(_CLIP))
     if p0 < 1e-14:
         f_min = 1.01
         if f_min >= f_max:
@@ -249,10 +250,8 @@ def _parabola(key, p0):
     key alone; any other key for the octave [key, 2 key) of vertices
     (_vertex_key).  A parabola below the window's lower end leaves each of
     its poles to its right, farther away than the vertex it was built for,
-    and one beyond its upper end to its left.  Kept across calls, as _nodes keeps its nodes: perfbench's scalar-ml
-    round uses 24 parabolas, and keeping them lifts its samples_per_s from
-    14 300 to 15 500 /s (median of 10 alternating 15 s pairs, 10 of 10
-    better, 2-core Xeon).
+    and one beyond its upper end to its left.  Kept across calls, as
+    _nodes keeps its nodes (perfbench's scalar-ml round uses 23).
     """
     if key == 0.0:
         par, residue = _region_beyond(0.0, p0), False
@@ -268,19 +267,25 @@ def _parabola(key, p0):
     return par, residue
 
 
+_CLIP_PARABOLA = _parabola(_CLIP, 0.0)
+
+
+@functools.lru_cache(maxsize=64)
+def _shifted(alpha, sigmas):
+    """The rows with 1/Gamma(sigma - alpha) = 0, taken as E_{alpha,sigma-alpha}(z) / z at |z| >= 1."""
+    return tuple(k for k, sigma in enumerate(sigmas) if gamma_reciprocal(sigma - alpha) == 0.0)
+
+
 @functools.lru_cache(maxsize=64)
 def _nodes(alpha, sigmas, parabola):
-    """The nodes s_j^alpha of the parabola (mu, h, N) and, one row for each
-    sigma, the weights w_j = e^s s^(alpha-sigma) ds / (2 pi i) of the
-    trapezoidal rule there, stored as W = -conj(w) for _contour's dot
-    products, as read-only arrays.
-
-    The parabolas of a call are a small fixed set
-    per order (one per window of pole vertices), so the same few serve call
-    after call: `tfedge verify` and the single calls of perfbench's
-    scalar-ml round leave 55 entries (0.27 MB; an entry is at most 401
-    complex nodes and one weight row per sigma), and a sweep over a
-    quadrature table leaves one.
+    """The nodes s_j^alpha of the parabola (mu, h, N) and the weights w_j =
+    e^s s^(alpha-sigma) ds / (2 pi i) of the trapezoidal rule there, stored
+    as W = -conj(w) for _contour's dot products, as read-only arrays of
+    shapes (2N + 1,) and (2, len(sigmas), 2N + 1): a row per sigma for
+    |z| < 1, then for |z| >= 1, where the rows of _shifted take the weights
+    of sigma - alpha.  Kept across calls: the parabolas are a few per order
+    (one per window of pole vertices), and a sweep over a quadrature table
+    leaves one entry.
     """
     mu, h, n = parabola
     # s = mu (1 + iu)^2 at u = h k, with trapezoid factor h (ds/du) / (2 pi i) = mu h (1 + iu) / pi
@@ -289,20 +294,22 @@ def _nodes(alpha, sigmas, parabola):
     log_s = np.log(s)
     s_alpha = np.exp(alpha * log_s)
     scale = v * (mu * h / math.pi)
-    weights = -np.array(
-        [np.exp(s if sigma == alpha else s + (alpha - sigma) * log_s) * scale for sigma in sigmas]
-    ).conj()
+    near = [alpha - sigma for sigma in sigmas]
+    far = [p + alpha if k in _shifted(alpha, sigmas) else p for k, p in enumerate(near)]
+    weights = -np.array([[np.exp(s if p == 0.0 else s + p * log_s) * scale for p in ps] for ps in (near, far)]).conj()
     for a in (s_alpha, weights):
         a.flags.writeable = False
     return s_alpha, weights
 
 
-def _contour(alpha, sigmas, z, ids, parabola, residue_exponents, out):
+def _contour(alpha, sigmas, z, ids, parabola, residue_exponents, out, far):
     """E_{alpha,sigma}(z), each sigma, by the trapezoidal rule on one
     parabola (mu, h, N) shared by the z[ids] of the 1-d array z (ids a slice
     taking every z, or indices), written into out[:, ids].  residue_exponents
     is None, or the exponents of the residues (1/alpha) s*^(1-sigma) e^(s*)
     of poles s* right of the parabola, shape (len(sigmas), z[ids].size).
+    far is () for z at |z| < 1, else _shifted's rows, which then sum the
+    weights of sigma - alpha and are divided by z (the residue is sigma's).
 
     The nodes and weights W = -conj(w) come from the memo _nodes.  Per
     block of _CAUCHY_CELLS entries the Cauchy matrix g = 1/(z_i - s_j^alpha)
@@ -318,7 +325,9 @@ def _contour(alpha, sigmas, z, ids, parabola, residue_exponents, out):
         rows = slice(start, start + block)
         g = np.subtract.outer(z[rows], s_alpha)
         np.reciprocal(g, out=g)
-        out[:, rows if isinstance(ids, slice) else ids[rows]] = np.vecdot(weights[:, None, :], g)
+        out[:, rows if isinstance(ids, slice) else ids[rows]] = np.vecdot(weights[1 if far else 0, :, None, :], g)
+    for k in far:
+        out[k, ids] /= z
     if residue_exponents is not None:
         out[:, ids] += np.exp(residue_exponents)
 
@@ -480,13 +489,15 @@ def _ray(alpha, sigmas, r0, rho0, reach, out, ids):
             q = 1.0 / ((y - 1.0) * (u * u + cc.imag**2))
             sums = np.zeros((r0_b.size, 2 * len(sigmas)), dtype=complex)
             sums.real[:, kept] = np.vecdot(rows, (u * q)[:, None, :])
-            sums.imag[:, kept] = cc.imag * np.vecdot(rows, q[:, None, :])
+            if cc.imag:
+                sums.imag[:, kept] = cc.imag * np.vecdot(rows, q[:, None, :])
             # (Sum s1 r g factor / r0 - e^(i pi alpha) Sum s2 g factor) / r0
             out[:, at] = ((sums[:, 0::2] / r0_b - c * sums[:, 1::2]) / r0_b).T
+    decay = np.exp(-rho0)
     for k, sigma in enumerate(sigmas):
-        power = rho0 ** (1.0 - sigma)
-        half = _cis_pi(1.0 - sigma) * (0.5 / alpha * power * np.exp(-rho0))
-        out[k, ids] = half + (out[k, ids] if reach == 0 else power * out[k, ids])
+        power = 1.0 if sigma == 1.0 else rho0 ** (1.0 - sigma)
+        half = _cis_pi(1.0 - sigma) * (0.5 / alpha * power * decay)
+        out[k, ids] = half + (out[k, ids] if reach == 0 or sigma == 1.0 else power * out[k, ids])
 
 
 # ---------------------------------------------------------------------------
@@ -701,12 +712,11 @@ def _sweep_routes(alpha, sigmas, z, m, theta):
     return groups
 
 
-def _evaluate(alpha, sigmas, z, routes, out):
+def _evaluate(alpha, sigmas, z, m, routes, out):
     """E_{alpha,sigma}(z) for each sigma in sigmas at each z of the 1-d array
-    z (Im z >= 0) along the routes of _route or _sweep_routes, written into
-    out, shape (len(sigmas), z.size), which it returns.  The numerics run
-    once per route over all the z that take it, one Cauchy matrix per
-    parabola, and each route writes its z's values in place."""
+    z (Im z >= 0), |z| = m (a float for a lone z), along the routes of _route
+    or _sweep_routes, written in place into out, shape (len(sigmas), z.size),
+    and returned: one Cauchy matrix per route and side of |z| = 1."""
     for (kind, detail), ids, data in routes:
         if kind == _ZERO:
             out[:, ids] = [[gamma_reciprocal(sigma)] for sigma in sigmas]
@@ -715,7 +725,17 @@ def _evaluate(alpha, sigmas, z, routes, out):
         elif kind == _RAY:
             _ray(alpha, sigmas, data[0], data[1], detail, out, ids)
         else:
-            _contour(alpha, sigmas, z, ids, detail[0], data, out)
+            far = _shifted(alpha, sigmas)
+            parts = [(ids, far, data)]
+            # the clip's window holds only poles at |z|^(1/alpha) >= _CLIP > 1
+            if far and detail != _CLIP_PARABOLA and isinstance(m, float):
+                parts = [(ids, () if m < 1.0 else far, data)]
+            elif far and detail != _CLIP_PARABOLA and np.minimum.reduce(m[ids]) < 1.0:
+                near, at = m[ids] < 1.0, np.arange(z.size)[ids]
+                parts = [(ids, (), data)] if near.all() else [
+                    (at[part], rows, None if data is None else data[:, part]) for part, rows in ((near, ()), (~near, far))]
+            for at, rows, exponents in parts:
+                _contour(alpha, sigmas, z, at, detail[0], exponents, out, rows)
     return out
 
 
@@ -729,7 +749,7 @@ def _sweep(alpha, sigmas, z, m, theta):
     lower = math.copysign(1.0, theta) < 0.0
     upper = z.conj() if lower else z
     values = np.empty((len(sigmas), z.size), dtype=complex)
-    _evaluate(alpha, sigmas, upper, _sweep_routes(alpha, sigmas, upper, m, abs(theta)), values)
+    _evaluate(alpha, sigmas, upper, m, _sweep_routes(alpha, sigmas, upper, m, abs(theta)), values)
     if abs(theta) in (0.0, math.pi):
         values.imag = 0.0
     if not np.isfinite(values).all():
@@ -779,7 +799,7 @@ def ml_eval(params: MLParams, z: complex) -> complex:
     upper = z.conjugate() if lower else z
     sigmas = (params.sigma,)
     out = np.empty((1, 1), dtype=complex)
-    value = _evaluate(params.alpha, sigmas, np.array([upper]), _route(params.alpha, sigmas, upper), out).item(0)
+    value = _evaluate(params.alpha, sigmas, np.array([upper]), abs(upper), _route(params.alpha, sigmas, upper), out).item(0)
     if z.imag == 0.0:
         value = complex(value.real, 0.0)
     if not cmath.isfinite(value):
