@@ -41,9 +41,10 @@ _ml_values, the array entry of the library's sweeps, takes the
 z = m (-i)^beta of one ray from the origin as moduli m and the power beta.
 What the ray's argument alone decides (the ray, the sheet, the
 conjugation, the pole's angle) is kept across calls (_sweep_constants),
-and per z only the pole's modulus, its vertex and window, the ray's reach
-and the residue exponents are formed (_sweep_routes).  ml_pair takes any
-array, split by argument into such sweeps (_ml_at).  The numerics run once
+and per z only the pole's modulus, its vertex, the ray's reach, the
+residue exponents and one small-integer group are formed (_sweep_routes).
+ml_pair takes any array, split by argument into such sweeps (_ml_at).
+The numerics run once
 per route and per parabola, each route writing into the one output array,
 so a time sample over a quadrature table is one reciprocal per entry of a
 Cauchy matrix 1/(z_i - s_j^alpha) and one BLAS dot product per sigma and z.
@@ -54,12 +55,15 @@ rounding of its pole.
 Poles share parabolas: a parabola built for a pole at vertex phi stays
 valid for every pole farther from it on the same side, so while the branch
 point has strength zero (sigma <= 1 + alpha) the pole vertices fall into
-windows with one parabola each (_vertex_key).  The parabolas, their nodes
-(_parabola, _nodes) and the ray's rows are kept across calls.
+the windows of one table built at import (_WINDOWS), found by bisection.
+Otherwise each vertex has its own parabola and each z is routed alone
+(_route).  The parabolas, their nodes (_parabola, _nodes) and the ray's
+rows are kept across calls.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import functools
 import math
@@ -245,13 +249,13 @@ def _parabola(key, p0):
     pole vertices of the window key, residue telling whether it passes left
     of them; None if no parabola meets _LOG_EPS within _N_MAX nodes per side.
 
-    The key is the routers': 0 for no pole on the principal sheet; _CLIP, or
-    with a branch point of strength p0 > 0 any key, for the pole at vertex
-    key alone; any other key for the octave [key, 2 key) of vertices
-    (_vertex_key).  A parabola below the window's lower end leaves each of
-    its poles to its right, farther away than the vertex it was built for,
-    and one beyond its upper end to its left.  Kept across calls, as
-    _nodes keeps its nodes (perfbench's scalar-ml round uses 23).
+    The key is 0 for no pole on the principal sheet; _CLIP, or with a branch
+    point of strength p0 > 0 any key, for the pole at vertex key alone; any
+    other key for the octave [key, 2 key) of vertices.  A parabola below the
+    window's lower end leaves each of its poles to its right, farther away
+    than the vertex it was built for, and one beyond its upper end to its
+    left.  Kept across calls for the vertices of p0 > 0 (_route); with
+    p0 = 0 the table _WINDOWS holds every parabola.
     """
     if key == 0.0:
         par, residue = _region_beyond(0.0, p0), False
@@ -267,7 +271,30 @@ def _parabola(key, p0):
     return par, residue
 
 
-_CLIP_PARABOLA = _parabola(_CLIP, 0.0)
+def _window_table():
+    """(edges, parabolas) of the pole vertices phi while the branch point has
+    strength zero: bisect_right(edges, phi) indexes phi's parabola, 0 for
+    no pole right of the cut (and phi <= 1e-15 < edges[0]), the last for
+    phi >= _CLIP.  The octaves [lo, 2 lo), lo = _CLIP 2^-j, are walked down
+    to the cut and neighbours with equal parabolas merged: 12 windows and
+    the clip's at _LOG_EPS = log(1e-14)."""
+    edges, parabolas = [_CLIP], [_parabola.__wrapped__(_CLIP, 0.0)]
+    lo = _CLIP
+    while lo > 1e-15:
+        lo *= 0.5
+        parabola = _parabola.__wrapped__(lo, 0.0)
+        if parabola == parabolas[-1]:
+            edges[-1] = lo
+        else:
+            edges.append(lo)
+            parabolas.append(parabola)
+    edges[-1] = math.nextafter(1e-15, math.inf)
+    edges = np.array(edges[::-1])
+    edges.flags.writeable = False
+    return edges, (_parabola.__wrapped__(0.0, 0.0),) + tuple(parabolas[::-1])
+
+
+_EDGES, _WINDOWS = _window_table()
 
 
 @functools.lru_cache(maxsize=64)
@@ -509,18 +536,6 @@ def _ray(alpha, sigmas, r0, rho0, reach, out, ids):
 _ZERO, _EXP, _RAY, _CONTOUR = "zero", "exp", "ray", "contour"
 
 
-def _vertex_key(phi):
-    """The window key of _parabola for the pole vertex phi > 0 when the
-    branch point at s = 0 has strength zero: _CLIP at or past the clip,
-    whose own parabola serves every such vertex, and below it the lower end
-    lo of phi's octave [lo, 2 lo) = [clip 2^-(j+1), clip 2^-j)."""
-    if phi >= _CLIP:
-        return _CLIP
-    lo = math.ldexp(_CLIP, math.frexp(phi / _CLIP)[1] - 1)
-    # phi / clip rounded up onto a power of two
-    return 0.5 * lo if lo > phi else lo
-
-
 def _route(alpha, sigmas, zi):
     """How E is taken at one z (Im z >= 0), in the format of _sweep_routes:
     a list of one (route, ids, data), ids taking the whole call and data the
@@ -537,8 +552,7 @@ def _route(alpha, sigmas, zi):
     The sigmas take a route together (the ray when every sigma is <= 1),
     and the strongest branch point among them sets the parabola; for
     sigma <= 1 + alpha it has strength zero, and the pole vertices share
-    parabolas by the windows of _vertex_key, otherwise each vertex has its
-    own.
+    the parabolas of the table _WINDOWS, otherwise each vertex has its own.
     """
     whole = slice(None)
     if zi == 0:
@@ -550,8 +564,8 @@ def _route(alpha, sigmas, zi):
     r = abs(zi)
     theta = math.atan2(zi.imag, zi.real)
     p0 = _branch_strength(alpha, sigmas)
-    # the pole s* and its window key; 0: no pole right of the cut
-    pole, key = None, 0.0
+    # the pole s* and its vertex; 0: no pole right of the cut
+    pole, phi = None, 0.0
     try:
         # for |z| < 1 the half residue is not small against E, and the
         # contour alone is accurate in both components
@@ -567,15 +581,17 @@ def _route(alpha, sigmas, zi):
         if theta <= math.pi * alpha:
             pole = cmath.rect(r ** (1.0 / alpha), theta / alpha)
             phi = 0.5 * (pole.real + abs(pole))
-            if phi > 1e-15:
-                key = phi if p0 > 0.0 else _vertex_key(phi)
     except OverflowError:
         raise OverflowGuard(
             f"E_{{{alpha},{sigmas[0]}}}({zi!r}): |z|^(1/alpha) exceeds double range"
         ) from None
-    parabola = _parabola(key, p0)
+    # with p0 > 0 a pole with phi <= 1e-15 is left of every parabola, as below the table's edges
+    parabola = _WINDOWS[bisect.bisect_right(_EDGES, phi)] if p0 == 0.0 else _parabola(phi if phi > 1e-15 else 0.0, p0)
     if parabola is None:
-        _no_parabola(alpha, sigmas, zi)
+        raise NonConvergence(
+            f"E_{{{alpha},{sigmas[0]}}}({zi!r}): no parabola meets "
+            f"eps={math.exp(_LOG_EPS):g} with at most {_N_MAX} nodes per side"
+        )
     if not parabola[1]:
         return [((_CONTOUR, parabola), whole, None)]
     log_pole = cmath.log(pole)
@@ -594,13 +610,6 @@ def _branch_strength(alpha, sigmas):
     _region_below and _region_beyond take for zero."""
     p0 = -2.0 * (alpha - max(sigmas) + 1.0)
     return p0 if p0 >= 1e-14 else 0.0
-
-
-def _no_parabola(alpha, sigmas, zi):
-    raise NonConvergence(
-        f"E_{{{alpha},{sigmas[0]}}}({zi!r}): no parabola meets "
-        f"eps={math.exp(_LOG_EPS):g} with at most {_N_MAX} nodes per side"
-    )
 
 
 def _residue_overflow(alpha, sigma, zi, pole):
@@ -634,21 +643,25 @@ def _sweep_routes(alpha, sigmas, z, m, theta):
     [0, pi].  A list of (route, ids, data): ids index the z that take the
     route, and data holds their data of _route as rows.
 
-    What theta alone decides comes from the memo _sweep_constants.  Per z
-    there are elementwise whole-array steps only: rho = m^(1/alpha); the
-    pole vertex (Re s* + |s*|) / 2 = rho cos^2(theta / (2 alpha)) and its
-    window key of _vertex_key, through np.frexp and np.ldexp (with p0 > 0
-    each vertex is its own window); the ray's reach; and the residue
-    exponents.  The OverflowGuard checks are _route's.
+    What theta alone decides comes from the memo _sweep_constants.  With
+    sigma <= 1 + alpha there are elementwise whole-array steps only: rho =
+    m^(1/alpha); the pole vertex (Re s* + |s*|) / 2 = rho cos^2(theta / (2
+    alpha)) and its window of _WINDOWS (np.searchsorted); the ray's reach;
+    and the residue exponents.  Each z has one small-integer group: 0 for
+    z = 0, 1 + reach on the ray, else 4 + the index of its parabola in
+    _WINDOWS (4: no pole right of the cut).  With a branch point of
+    strength p0 > 0 each pole vertex has its own parabola, and each z is
+    routed by _route.  The OverflowGuard checks are _route's.
     """
     if m.size == 0:
         return []
     exp, ray, sheet, inside, p0, cos2, angle, rotation, one_minus, log_alpha = _sweep_constants(
         alpha, sigmas, theta
     )
-    # the group of every z, or of each: -2 - reach on the ray, -1 for z = 0,
-    # else the window key of _parabola, 0 for no pole right of the cut
-    keys = 0.0
+    if p0 > 0.0:
+        return [(route, np.array([i]), data) for i, zi in enumerate(z.tolist()) for route, _, data in _route(alpha, sigmas, zi)]
+    # the group of every z, or of each (an array)
+    groups = 4
     if exp:
         over = z.real > _EXP_ARG_LIMIT
         if over.any():
@@ -666,38 +679,28 @@ def _sweep_routes(alpha, sigmas, z, m, theta):
         rho = m ** (1.0 / alpha)
         if inside:
             phi = rho * cos2
-            if p0 > 0.0:
-                keys = np.where(phi > 1e-15, phi, 0.0)
-            elif np.minimum.reduce(phi) < _CLIP:
-                lo = np.ldexp(_CLIP, np.frexp(phi / _CLIP)[1] - 1)
-                lo = np.where(phi >= _CLIP, _CLIP, np.where(lo > phi, 0.5 * lo, lo))
-                # a pole with phi <= 1e-15 is left of every parabola, as in _route
-                keys = np.where(phi > 1e-15, lo, 0.0)
-            else:
-                keys = _CLIP
+            # often every vertex of a sweep is past the clip
+            groups = 4 + (_EDGES.size if np.minimum.reduce(phi) >= _CLIP else np.searchsorted(_EDGES, phi, side="right"))
         if ray:
             d, r_cut = _ray_intervals(alpha, m)
-            keys = np.where(m >= 1.0, -2.0 - ((m - d < r_cut).astype(int) + (m + d < r_cut)), keys)
+            groups = np.where(m >= 1.0, 1 + (m - d < r_cut).astype(int) + (m + d < r_cut), groups)
     # z = 0 has a route of its own; a pole vertex past the clip has m > 0
-    if (isinstance(keys, np.ndarray) or keys != _CLIP) and np.minimum.reduce(m) == 0.0:
-        keys = np.where(m == 0.0, -1.0, keys)
-    if isinstance(keys, float) or keys.min() == keys.max():
-        windows = [(keys if isinstance(keys, float) else keys[0], slice(None))]
+    if (isinstance(groups, np.ndarray) or groups < 4 + _EDGES.size) and np.minimum.reduce(m) == 0.0:
+        groups = np.where(m == 0.0, 0, groups)
+    if isinstance(groups, int) or groups.min() == groups.max():
+        windows = [(groups if isinstance(groups, int) else int(groups[0]), slice(None))]
     else:
-        windows = [(key, np.flatnonzero(keys == key)) for key in np.unique(keys)]
-    groups = []
-    for key, ids in windows:
-        key = float(key)
-        if key == -1.0:
-            groups.append(((_ZERO, None), ids, None))
+        windows = [(int(g), np.flatnonzero(groups == g)) for g in np.unique(groups)]
+    routes = []
+    for group, ids in windows:
+        if group == 0:
+            routes.append(((_ZERO, None), ids, None))
         elif exp:
-            groups.append(((_EXP, None), ids, None))
-        elif key < -1.0:
-            groups.append(((_RAY, int(-2.0 - key)), ids, np.array([m[ids], rho[ids]])))
+            routes.append(((_EXP, None), ids, None))
+        elif group < 4:
+            routes.append(((_RAY, group - 1), ids, np.array([m[ids], rho[ids]])))
         else:
-            parabola = _parabola(key, p0)
-            if parabola is None:
-                _no_parabola(alpha, sigmas, complex(z[ids][0]))
+            parabola = _WINDOWS[group - 4]
             exponents = None
             if parabola[1]:
                 # the pole s* and one row of exponents per sigma
@@ -708,8 +711,8 @@ def _sweep_routes(alpha, sigmas, z, m, theta):
                     k, i = np.unravel_index(np.argmax(exponents.real), exponents.shape)
                     _residue_overflow(alpha, sigmas[k], complex(z[ids][i]), pole[i])
                 exponents -= log_alpha
-            groups.append(((_CONTOUR, parabola), ids, exponents))
-    return groups
+            routes.append(((_CONTOUR, parabola), ids, exponents))
+    return routes
 
 
 def _evaluate(alpha, sigmas, z, m, routes, out):
@@ -728,9 +731,9 @@ def _evaluate(alpha, sigmas, z, m, routes, out):
             far = _shifted(alpha, sigmas)
             parts = [(ids, far, data)]
             # the clip's window holds only poles at |z|^(1/alpha) >= _CLIP > 1
-            if far and detail != _CLIP_PARABOLA and isinstance(m, float):
+            if far and detail != _WINDOWS[-1] and isinstance(m, float):
                 parts = [(ids, () if m < 1.0 else far, data)]
-            elif far and detail != _CLIP_PARABOLA and np.minimum.reduce(m[ids]) < 1.0:
+            elif far and detail != _WINDOWS[-1] and np.minimum.reduce(m[ids]) < 1.0:
                 near, at = m[ids] < 1.0, np.arange(z.size)[ids]
                 parts = [(ids, (), data)] if near.all() else [
                     (at[part], rows, None if data is None else data[:, part]) for part, rows in ((near, ()), (~near, far))]

@@ -3,17 +3,20 @@
     python tests/ml_accuracy_scan.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are directories holding a `tfedge` package (for example
-`src` of two checkouts).  ml_eval of each is compared with mpmath
-references on one grid: alpha in {0.1, 0.2, 0.3, 0.5, 0.7, 0.8, 0.95},
-sigma in {alpha, 1}, 16 moduli |z| from 0.01 to 1e3 and 11 arguments in
-[0, pi], those on the ray arg z = pi alpha moved 0.03 pi off it.  The
-reference is the power series (ml_reference) for |z| <= 3 with
+`src` of two checkouts).  Each point is evaluated by ml_eval and by the
+array router (`_ml_at` on the sweep [z, 2 z]) of each tree, on one grid:
+alpha in {0.1, 0.2, 0.3, 0.5, 0.7, 0.8, 0.95}, sigma in {alpha, 1}, 16
+moduli |z| from 0.01 to 1e3 and 11 arguments in [0, pi], those on the ray
+arg z = pi alpha moved 0.03 pi off it.  Both are compared with mpmath
+references at z: the power series (ml_reference) for |z| <= 3 with
 |z|^(1/alpha) <= 100, and the real-line integral (ml_gll_reference)
-elsewhere, which loses digits near the ray at small |z|.  Prints the worst relative error of each tree per (alpha, sigma,
-|z| < 1 or >= 1), the points over 1e-12 for each, and the points over
-1e-12 in NEW_SRC alone.  Points where either tree raises are counted
-apart.  pytest does not collect this file; the scan of 2 464 points takes
-about a minute on a 2-core host.
+elsewhere, which loses digits near the ray at small |z|.  Prints the
+worst relative error of each tree and router per (alpha, sigma, |z| < 1
+or >= 1), the ml_eval points over 1e-12 for each tree, and the points
+over 1e-12 in NEW_SRC alone; then, for each router, how many values
+(and refusals) differ in any bit between the trees.  Points where either
+tree raises are counted apart.  pytest does not collect this file; the
+scan of 2 464 points takes about a minute on a 2-core host.
 """
 
 import cmath
@@ -68,41 +71,65 @@ def value(package, alpha, sigma, z):
         return type(refusal).__name__
 
 
+def array_values(package, alpha, sigma, z):
+    """The array router's E at z and 2 z, or the name of the error it raises."""
+    try:
+        return package.mittag_leffler._ml_at(alpha, (sigma,), np.array([z, 2.0 * z]))[0]
+    except Exception as refusal:  # noqa: BLE001
+        return type(refusal).__name__
+
+
+def differing(a, b):
+    """How many values of a and b (a value, an array of them, or the name of
+    a refusal, which counts as one value) differ in any bit."""
+    if isinstance(a, str) or isinstance(b, str):
+        return int(not (isinstance(a, str) and a == b))
+    a, b = (np.atleast_1d(np.asarray(v, dtype=complex)).view(np.int64).reshape(-1, 2) for v in (a, b))
+    return int(np.count_nonzero((a != b).any(axis=1)))
+
+
 def main(old_src, new_src):
     trees = (load("tfedge_old", old_src), load("tfedge_new", new_src))
     worst = {}
     over = ([], [])
     refused = ({}, {})
+    # values differing in any bit between the trees, per router
+    changed = {"ml_eval": 0, "array": 0}
     for alpha in ALPHAS:
         for sigma in (alpha, 1.0):
             for r in RADII:
                 for theta in arguments(alpha):
                     z = cmath.rect(r, theta)
                     got = [value(tree, alpha, sigma, z) for tree in trees]
-                    if any(isinstance(v, str) for v in got):
+                    arrays = [array_values(tree, alpha, sigma, z) for tree in trees]
+                    changed["ml_eval"] += differing(*got)
+                    changed["array"] += differing(*arrays)
+                    if any(isinstance(v, str) for v in got + arrays):
                         for side, v in enumerate(got):
                             if isinstance(v, str):
                                 refused[side][v] = refused[side].get(v, 0) + 1
                         continue
                     want = reference(alpha, sigma, z)
                     cell = (alpha, "alpha" if sigma == alpha else "1", "< 1" if r < 1.0 else ">= 1")
-                    errors = [abs(v - want) / abs(want) for v in got]
-                    worst[cell] = [max(e, w) for e, w in zip(errors, worst.get(cell, (0.0, 0.0)))]
-                    for side, e in enumerate(errors):
+                    errors = [abs(v - want) / abs(want) for v in got + [a[0] for a in arrays]]
+                    worst[cell] = [max(e, w) for e, w in zip(errors, worst.get(cell, (0.0,) * 4))]
+                    for side, e in enumerate(errors[:2]):
                         if e > TOL:
-                            over[side].append((alpha, sigma, r, theta / math.pi, errors))
+                            over[side].append((alpha, sigma, r, theta / math.pi, errors[:2]))
             print(f"alpha={alpha} sigma={sigma:g} scanned", file=sys.stderr, flush=True)
     print(f"worst relative error per cell ({old_src} -> {new_src})")
-    print("| alpha | sigma | modulus | old | new |")
-    print("|---|---|---|---|---|")
-    for (alpha, sigma, band), (e_old, e_new) in worst.items():
-        print(f"| {alpha} | {sigma} | {band} | {e_old:.1e} | {e_new:.1e} |")
+    print("| alpha | sigma | modulus | ml_eval old | ml_eval new | array old | array new |")
+    print("|---|---|---|---|---|---|---|")
+    for (alpha, sigma, band), errors in worst.items():
+        print(f"| {alpha} | {sigma} | {band} | " + " | ".join(f"{e:.1e}" for e in errors) + " |")
     for side, name in enumerate(("old", "new")):
         print(f"{name}: {len(over[side])} points over {TOL:g}; refused: {refused[side] or 'none'}")
     newly = [p for p in over[1] if p[4][0] <= TOL]
     print(f"newly over {TOL:g} in new: {len(newly)}")
     for alpha, sigma, r, arg, (e_old, e_new) in newly:
         print(f"  alpha={alpha} sigma={sigma:g} |z|={r:.4g} arg z={arg:.3f} pi: {e_old:.1e} -> {e_new:.1e}")
+    for router, count in changed.items():
+        print(f"{router}: {count} values differ in some bit between old and new")
 
 
 if __name__ == "__main__":

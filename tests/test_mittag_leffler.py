@@ -1,4 +1,5 @@
 """Mittag-Leffler evaluator: reductions, references, the ray, symmetry."""
+import bisect
 import cmath
 import math
 import os
@@ -399,37 +400,60 @@ def test_array_pair_matches_scalar_calls(alpha):
 
 @pytest.mark.parametrize("alpha", [0.5, 0.8])
 def test_shared_parabola_is_each_vertex_own(alpha):
-    # the array path gives every pole vertex beyond the clip of sqrt(phi) in
-    # _region_below one parabola, and below it one per octave of vertices;
-    # each z must still get the parabola its own vertex's window selects,
-    # and beyond the clip exactly the one its own vertex selects
-    from tfedge.mittag_leffler import _CLIP, _parabola, _region_below, _route, _vertex_key
+    # while the branch point has strength zero, a pole takes the parabola of
+    # its vertex's window in the table: beyond the clip of sqrt(phi) in
+    # _region_below the clip's own, below it the one its octave [lo, 2 lo)
+    # of vertices would have alone, bit for bit
+    from tfedge.mittag_leffler import _CLIP, _EDGES, _WINDOWS, _parabola, _region_below, _route
 
     for phi in (0.5, 1.4, 4.0, 5.9, 6.1, 40.0, 1e4):
         # a pole on the imaginary axis has its vertex at |s*| / 2
         z = cmath.rect((2.0 * phi) ** alpha, 0.5 * math.pi * alpha)
-        [((_, ((mu, h, n), residue)), _, _)] = _route(alpha, (alpha, 1.0), z)
-        lo = _vertex_key(phi)
-        assert lo <= phi and (lo == _CLIP or phi < 2.0 * lo), phi
-        (mu_own, h_own, n_own), residue_own = _parabola(lo, 0.0)
-        assert (n, residue) == (n_own, residue_own), phi
-        assert mu == pytest.approx(mu_own, rel=1e-12) and h == pytest.approx(h_own, rel=1e-12)
+        [((_, parabola), _, _)] = _route(alpha, (alpha, 1.0), z)
+        (mu, _, _), residue = parabola
+        window = bisect.bisect_right(_EDGES, phi)
+        assert parabola == _WINDOWS[window], phi
         # the residue is taken exactly when the pole is right of the parabola
         assert residue == (phi > mu), phi
         if phi >= _CLIP:
-            assert ((mu, h, n), residue) == (_region_below(phi, 0.0), True), phi
+            assert window == len(_EDGES) and parabola == (_region_below(phi, 0.0), True), phi
+        else:
+            lo = _CLIP / 2.0 ** (math.floor(math.log2(_CLIP / phi)) + 1)
+            assert lo <= phi < 2.0 * lo and parabola == _parabola(lo, 0.0), phi
 
 
 def test_pole_vertex_windows_share_valid_parabolas():
-    # poles share parabolas by windows of their vertex phi: beyond the clip
-    # of sqrt(phi) in _region_below one parabola, below it one per octave.
-    # Each must leave the pole on the side its residue says, within _N_MAX
-    from tfedge.mittag_leffler import (
-        _CLIP, _CONTOUR, _N_MAX, _parabola, _region_below, _region_beyond, _route,
-    )
+    # the table of windows: built by merging the octaves [lo, 2 lo), lo =
+    # clip 2^-j, of equal parabolas, from the clip down to the 1e-15 cut.
+    # Every octave's own parabola is its window's; each window leaves all
+    # its poles on the side its residue says, within _N_MAX nodes; the
+    # lowest window reaches the cut, below which the poles take the
+    # parabola of no pole.  Then z by z, _route takes its vertex's window
+    from tfedge.mittag_leffler import _CLIP, _CONTOUR, _EDGES, _N_MAX, _WINDOWS, _parabola, _route
+
+    cut = math.nextafter(1e-15, math.inf)
+    assert _EDGES[0] == cut and _EDGES[-1] == _CLIP and list(_EDGES) == sorted(set(_EDGES))
+    assert _WINDOWS[0] == _parabola(0.0, 0.0) and _WINDOWS[-1] == _parabola(_CLIP, 0.0)
+    # at _LOG_EPS = log(1e-14), 12 windows below the clip's, no two
+    # neighbours alike (they would be one window)
+    assert len(_WINDOWS) == 14 and all(a != b for a, b in zip(_WINDOWS[1:], _WINDOWS[2:]))
+    lo, octaves = _CLIP, set()
+    while lo > 1e-15:
+        lo *= 0.5
+        # the window of the octave's lowest vertex above the cut, and of its highest
+        window = bisect.bisect_right(_EDGES, max(lo, cut))
+        assert bisect.bisect_right(_EDGES, math.nextafter(2.0 * lo, 0.0)) == window, lo
+        assert _parabola(lo, 0.0) == _WINDOWS[window], lo
+        octaves.add(window)
+    assert octaves == set(range(1, len(_EDGES))) and lo < cut
+    for window, ((mu, _, n), residue) in enumerate(_WINDOWS):
+        assert n <= _N_MAX, window
+        # poles at vertices in [lower, upper): right of the vertex mu with residue, else left
+        lower, upper = ([0.0] + list(_EDGES))[window], (list(_EDGES) + [math.inf])[window]
+        assert (mu < lower) if residue else (upper <= mu), window
 
     rng = np.random.default_rng(12)
-    octaves = set()
+    windows = set()
     for alpha, r, theta in zip(
         rng.uniform(0.05, 1.0, 4000), 10.0 ** rng.uniform(-3.0, math.log10(50.0), 4000),
         rng.uniform(0.0, math.pi, 4000),
@@ -441,35 +465,25 @@ def test_pole_vertex_windows_share_valid_parabolas():
             continue
         if route != _CONTOUR:
             continue
-        (mu, _, n), residue = parabola
-        assert n <= _N_MAX, z
-        assert residue == (exponents is not None)
+        assert parabola[1] == (exponents is not None)
         if theta > math.pi * alpha:
-            assert not residue, (alpha, z)
+            assert parabola == _WINDOWS[0], (alpha, z)
             continue
         pole = cmath.rect(r ** (1.0 / alpha), theta / alpha)
         phi = 0.5 * (pole.real + abs(pole))
-        if phi >= _CLIP:
-            assert parabola == _parabola(_CLIP, 0.0), (alpha, z)
-        elif phi > 1e-15:
-            assert residue == (phi > mu), (alpha, z, phi, mu)
-            # one parabola per octave [lo, 2 lo) of vertices, whatever alpha:
-            # below lo, or beyond 2 lo
-            lo = _CLIP / 2.0 ** (math.floor(math.log2(_CLIP / phi)) + 1)
-            if residue:
-                assert parabola[0] == _region_below(lo, 0.0), (alpha, z)
-            else:
-                assert parabola[0] == _region_beyond(2.0 * lo, 1.0), (alpha, z)
-            octaves.add(lo)
-    assert len(octaves) > 5
+        assert parabola == _WINDOWS[bisect.bisect_right(_EDGES, phi)], (alpha, z)
+        if phi > 1e-15:
+            assert parabola[1] == (phi > parabola[0][0]), (alpha, z, phi)
+        windows.add(parabola)
+    assert len(windows) > 5
 
 
 def _assert_routes_agree(alpha, sigmas, z):
     """The array router against _route at every z (Im z >= 0), the z split
     by argument into sweeps as array calls split them; returns the routes
-    taken.  With a branch point of strength p0 > 0 each vertex has its own
-    parabola, whose (mu, h) follow the vertex's rounding."""
-    from tfedge.mittag_leffler import _CONTOUR, _RAY, _branch_strength, _by_argument, _route, _sweep_routes
+    taken.  With a branch point of strength p0 > 0 the array router routes
+    each z by _route, so route and data are _route's bit for bit."""
+    from tfedge.mittag_leffler import _RAY, _branch_strength, _by_argument, _route, _sweep_routes
 
     want = []
     for zi in z.tolist():
@@ -493,15 +507,12 @@ def _assert_routes_agree(alpha, sigmas, z):
     eps = np.finfo(float).eps
     per_vertex = _branch_strength(alpha, sigmas) > 0.0
     for zi, (route, datum), (want_route, want_datum) in zip(kept, got, want):
-        if per_vertex and route[0] == _CONTOUR == want_route[0]:
-            ((mu, h, n), residue), ((want_mu, want_h, want_n), want_residue) = route[1], want_route[1]
-            assert (n, residue) == (want_n, want_residue), (alpha, sigmas, zi)
-            assert (mu, h) == pytest.approx((want_mu, want_h), rel=1e-12), (alpha, sigmas, zi)
-        else:
-            assert route == want_route, (alpha, sigmas, zi)
+        assert route == want_route, (alpha, sigmas, zi)
         if want_datum is None:
             assert datum is None, (alpha, sigmas, zi)
             continue
+        if per_vertex:
+            assert np.array_equal(datum, want_datum), (alpha, sigmas, zi)
         # |z| to its rounding; the pole's |s*| and the residue exponent to
         # the rounding of |z| and arg z raised to the power 1/alpha
         pole = abs(zi) ** (1.0 / alpha)
@@ -542,9 +553,10 @@ def test_array_router_agrees_with_the_scalar_one():
 
 def test_array_calls_with_a_strong_branch_point():
     # sigma > 1 + alpha gives the branch point s = 0 strength p0 > 0 and each
-    # pole vertex its own parabola; the array router serves such calls too.
-    # Against the lone-z evaluation and the mpmath series, and independent
-    # of the other z of the call
+    # pole vertex its own parabola; the array router serves such calls z by
+    # z as ml_eval does.  Against the mpmath series, against ml_eval (bit
+    # for bit where ml_eval has the same branch point), and independent of
+    # the other z of the call
     from tfedge.mittag_leffler import _ml_at
 
     rng = np.random.default_rng(1414)
@@ -557,7 +569,10 @@ def test_array_calls_with_a_strong_branch_point():
             for i, zi in enumerate(z):
                 want = ml_reference(alpha, sigma, zi, 30 + int(abs(zi) ** (1.0 / alpha) / 2.3))
                 assert rel_err(values[k, i], want) <= 1e-12, (alpha, sigma, zi)
-                assert rel_err(values[k, i], ml_eval(MLParams(alpha, sigma), zi)) <= 1e-13
+            # ml_eval at sigma = alpha alone has a branch point of strength
+            # zero and the parabola of the window table, not the pair's
+            assert values[1, i] == ml_eval(MLParams(alpha, sigmas[1]), zi), (alpha, zi)
+            assert rel_err(values[0, i], ml_eval(MLParams(alpha, alpha), zi)) <= 1e-13, (alpha, zi)
         assert np.array_equal(_ml_at(alpha, sigmas, z[::-1][:5]), values[:, ::-1][:, :5])
 
 
@@ -613,14 +628,14 @@ def test_values_do_not_depend_on_position_or_companions(alpha):
 
 
 def test_values_do_not_depend_on_their_cauchy_block():
-    # one parabola (no pole on the sheet, a branch point of strength 1.7075)
-    # serves 200 z at |z| >= 1, more than two blocks of _contour: rolled
-    # through every position, each z sits at the first and the last offset
-    # of each block, and its E is the same bit for bit
+    # one parabola (no pole on the sheet) serves 400 z at |z| >= 1, more
+    # than two blocks of _contour: rolled through every position, each z
+    # sits at the first and the last offset of each block, and its E is the
+    # same bit for bit
     from tfedge.mittag_leffler import _CAUCHY_CELLS, _ml_values, _sweep_routes
 
-    alpha, sigmas, beta = 0.5, (0.5, 1.0 + 0.5 + 0.5 * 1.7075), 1.6
-    m = np.geomspace(1.0, 50.0, 200)
+    alpha, sigmas, beta = 0.5, (0.5, 1.0), 1.6
+    m = np.geomspace(1.0, 50.0, 400)
     z = m * neg_i_power(beta).conjugate()
     [((kind, ((_, _, n), _)), _, _)] = _sweep_routes(alpha, sigmas, z, m, 0.8 * math.pi)
     assert kind == "contour" and m.size > 2 * (_CAUCHY_CELLS // (2 * n + 1))
