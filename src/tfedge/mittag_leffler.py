@@ -41,24 +41,23 @@ _ml_values, the array entry of the library's sweeps, takes the
 z = m (-i)^beta of one ray from the origin as moduli m and the power beta.
 What the ray's argument alone decides (the ray, the sheet, the
 conjugation, the pole's angle) is kept across calls (_sweep_constants),
-and per z only the pole's modulus, its vertex, the ray's reach, the
-residue exponents and one small-integer group are formed (_sweep_routes).
-ml_pair takes any array, split by argument into such sweeps (_ml_at).
-The numerics run once
-per route and per parabola, each route writing into the one output array,
-so a time sample over a quadrature table is one reciprocal per entry of a
-Cauchy matrix 1/(z_i - s_j^alpha) and one BLAS dot product per sigma and z.
-Within arrays of two or more z the E at a z does not depend on its
-position or on the other z, bit for bit; a lone z agrees with them to the
-rounding of its pole.
+and per z only the pole's modulus and vertex, one small-integer route
+group and the residue exponents are formed (_sweep_routes).  ml_pair
+takes any array, split by argument into such sweeps (_ml_at).  The
+numerics run once per route and per parabola, each route writing into
+the one output array, so a time sample over a quadrature table is one
+reciprocal per entry of a Cauchy matrix 1/(z_i - s_j^alpha) and one BLAS
+dot product per sigma and z.  Within arrays of two or more z the E at a z
+does not depend on its position or on the other z, bit for bit; a lone z
+agrees with them to the rounding of its pole.
 
 Poles share parabolas: a parabola built for a pole at vertex phi stays
 valid for every pole farther from it on the same side, so while the branch
 point has strength zero (sigma <= 1 + alpha) the pole vertices fall into
-the windows of one table built at import (_WINDOWS), found by bisection.
-Otherwise each vertex has its own parabola and each z is routed alone
-(_route).  The parabolas, their nodes (_parabola, _nodes) and the ray's
-rows are kept across calls.
+the windows of one table built at import (_WINDOWS); otherwise each vertex
+has its own parabola, and each z is routed alone (_route).  The
+parabolas, their nodes (_parabola, _nodes) and the ray's rows are kept
+across calls.
 """
 
 from __future__ import annotations
@@ -254,8 +253,7 @@ def _parabola(key, p0):
     other key for the octave [key, 2 key) of vertices.  A parabola below the
     window's lower end leaves each of its poles to its right, farther away
     than the vertex it was built for, and one beyond its upper end to its
-    left.  Kept across calls for the vertices of p0 > 0 (_route); with
-    p0 = 0 the table _WINDOWS holds every parabola.
+    left.  Kept across calls for p0 > 0; _WINDOWS holds those of p0 = 0.
     """
     if key == 0.0:
         par, residue = _region_beyond(0.0, p0), False
@@ -272,12 +270,11 @@ def _parabola(key, p0):
 
 
 def _window_table():
-    """(edges, parabolas) of the pole vertices phi while the branch point has
-    strength zero: bisect_right(edges, phi) indexes phi's parabola, 0 for
-    no pole right of the cut (and phi <= 1e-15 < edges[0]), the last for
-    phi >= _CLIP.  The octaves [lo, 2 lo), lo = _CLIP 2^-j, are walked down
-    to the cut and neighbours with equal parabolas merged: 12 windows and
-    the clip's at _LOG_EPS = log(1e-14)."""
+    """(edges, parabolas) of the pole vertices phi for p0 = 0: bisect_right(
+    edges, phi) indexes phi's parabola, 0 for no pole right of the cut (and
+    phi <= 1e-15 < edges[0]), the last for phi >= _CLIP.  The octaves [lo,
+    2 lo), lo = _CLIP 2^-j, are walked down to the cut and neighbours with
+    equal parabolas merged: 12 windows and the clip's at 1e-14 (_LOG_EPS)."""
     edges, parabolas = [_CLIP], [_parabola.__wrapped__(_CLIP, 0.0)]
     lo = _CLIP
     while lo > 1e-15:
@@ -547,7 +544,7 @@ def _route(alpha, sigmas, zi):
       the intervals of _ray that reach names;
     - (_CONTOUR, parabola), None or the residue's exponents
       s* + (1 - sigma) log s* - log alpha, one per sigma: the parabola
-      ((mu, h, N), residue) of _parabola, passing left of the pole s* if so.
+      ((mu, h, N), residue) of _WINDOWS or _parabola, left of s* if residue.
 
     The sigmas take a route together (the ray when every sigma is <= 1),
     and the strongest branch point among them sets the parabola; for
@@ -582,16 +579,13 @@ def _route(alpha, sigmas, zi):
             pole = cmath.rect(r ** (1.0 / alpha), theta / alpha)
             phi = 0.5 * (pole.real + abs(pole))
     except OverflowError:
-        raise OverflowGuard(
-            f"E_{{{alpha},{sigmas[0]}}}({zi!r}): |z|^(1/alpha) exceeds double range"
-        ) from None
-    # with p0 > 0 a pole with phi <= 1e-15 is left of every parabola, as below the table's edges
-    parabola = _WINDOWS[bisect.bisect_right(_EDGES, phi)] if p0 == 0.0 else _parabola(phi if phi > 1e-15 else 0.0, p0)
-    if parabola is None:
-        raise NonConvergence(
-            f"E_{{{alpha},{sigmas[0]}}}({zi!r}): no parabola meets "
-            f"eps={math.exp(_LOG_EPS):g} with at most {_N_MAX} nodes per side"
-        )
+        raise OverflowGuard(f"E_{{{alpha},{sigmas[0]}}}({zi!r}): |z|^(1/alpha) exceeds double range") from None
+    if p0 == 0.0:
+        parabola = _WINDOWS[bisect.bisect_right(_EDGES, phi)]
+    # a pole with phi <= 1e-15 is left of every parabola, as below the table's lowest edge
+    elif (parabola := _parabola(phi if phi > 1e-15 else 0.0, p0)) is None:
+        raise NonConvergence(f"E_{{{alpha},{sigmas[0]}}}({zi!r}): no parabola meets "
+                             f"eps={math.exp(_LOG_EPS):g} with at most {_N_MAX} nodes per side")
     if not parabola[1]:
         return [((_CONTOUR, parabola), whole, None)]
     log_pole = cmath.log(pole)
@@ -637,27 +631,24 @@ def _sweep_constants(alpha, sigmas, theta):
             cmath.rect(1.0, theta / alpha), one_minus, math.log(alpha))
 
 
-def _sweep_routes(alpha, sigmas, z, m, theta):
+def _sweep_routes(alpha, sigmas, z, m, theta, rotation=None):
     """The routes of _route for the z = m e^(i theta) of one sweep: the 1-d
     array z (Im z >= 0), their moduli m and their one argument theta in
-    [0, pi].  A list of (route, ids, data): ids index the z that take the
-    route, and data holds their data of _route as rows.
+    [0, pi]; rotation is _sweep's.  A list of (route, ids, data): ids index
+    the z that take the route, and data holds their data of _route as rows.
 
     What theta alone decides comes from the memo _sweep_constants.  With
-    sigma <= 1 + alpha there are elementwise whole-array steps only: rho =
-    m^(1/alpha); the pole vertex (Re s* + |s*|) / 2 = rho cos^2(theta / (2
-    alpha)) and its window of _WINDOWS (np.searchsorted); the ray's reach;
-    and the residue exponents.  Each z has one small-integer group: 0 for
-    z = 0, 1 + reach on the ray, else 4 + the index of its parabola in
-    _WINDOWS (4: no pole right of the cut).  With a branch point of
-    strength p0 > 0 each pole vertex has its own parabola, and each z is
-    routed by _route.  The OverflowGuard checks are _route's.
+    sigma <= 1 + alpha there are whole-array steps only: rho = m^(1/alpha);
+    the pole vertex (Re s* + |s*|) / 2 = rho cos^2(theta / (2 alpha)); the
+    group of each z, 0 for z = 0, 1 + reach on the ray, else 4 + the index
+    of its parabola in _WINDOWS (np.searchsorted; 4: no pole right of the
+    cut); and the residue exponents.  With p0 > 0 each pole vertex has its
+    own parabola, and _route routes each z.  The OverflowGuard checks are
+    _route's.
     """
     if m.size == 0:
         return []
-    exp, ray, sheet, inside, p0, cos2, angle, rotation, one_minus, log_alpha = _sweep_constants(
-        alpha, sigmas, theta
-    )
+    exp, ray, sheet, inside, p0, cos2, angle, cis, one_minus, log_alpha = _sweep_constants(alpha, sigmas, theta)
     if p0 > 0.0:
         return [(route, np.array([i]), data) for i, zi in enumerate(z.tolist()) for route, _, data in _route(alpha, sigmas, zi)]
     # the group of every z, or of each (an array)
@@ -704,7 +695,7 @@ def _sweep_routes(alpha, sigmas, z, m, theta):
             exponents = None
             if parabola[1]:
                 # the pole s* and one row of exponents per sigma
-                pole = rho[ids] * rotation
+                pole = rho[ids] * (cis if rotation is None else rotation)
                 exponents = one_minus * (np.log(rho[ids]) + 1j * angle)
                 exponents += pole
                 if np.maximum.reduce(exponents.real, axis=None) > _EXP_ARG_LIMIT:
@@ -742,17 +733,18 @@ def _evaluate(alpha, sigmas, z, m, routes, out):
     return out
 
 
-def _sweep(alpha, sigmas, z, m, theta):
+def _sweep(alpha, sigmas, z, m, theta, rotation=None):
     """E_{alpha,sigma}(z) for each sigma in sigmas at the z = m e^(i theta)
-    of one sweep, theta in [-pi, pi], shape (len(sigmas), z.size).  E is
-    taken at Im z >= 0 and conjugated below the real axis, its imaginary
-    part is zero on the axis, all decided once for the sweep, and a value
-    outside double range raises OverflowGuard: one reduction checks every
-    value, and only a failed check looks for the z."""
+    of one sweep, theta in [-pi, pi], shape (len(sigmas), z.size); rotation
+    is the poles' direction e^(i |theta| / alpha), or None to take it from
+    theta.  E is taken at Im z >= 0 and conjugated below the real axis, its
+    imaginary part is zero on the axis, all decided once for the sweep, and
+    a value outside double range raises OverflowGuard: one reduction checks
+    every value, and only a failed check looks for the z."""
     lower = math.copysign(1.0, theta) < 0.0
     upper = z.conj() if lower else z
     values = np.empty((len(sigmas), z.size), dtype=complex)
-    _evaluate(alpha, sigmas, upper, m, _sweep_routes(alpha, sigmas, upper, m, abs(theta)), values)
+    _evaluate(alpha, sigmas, upper, m, _sweep_routes(alpha, sigmas, upper, m, abs(theta), rotation), values)
     if abs(theta) in (0.0, math.pi):
         values.imag = 0.0
     if not np.isfinite(values).all():
@@ -766,11 +758,15 @@ def _ml_values(alpha, sigmas, m, beta):
     """E_{alpha,sigma}(z) for each sigma in sigmas at z = m (-i)^beta, for
     every element of the array of moduli m >= 0, as an array of shape
     (len(sigmas),) + m.shape: the evaluator's array entry, one _sweep, as
-    the z = (-i)^beta t^alpha lambda of a sweep lie on one ray."""
+    the z = (-i)^beta t^alpha lambda of a sweep lie on one ray.  The poles'
+    direction (-i)^(-|beta|/alpha), beta taken into [-2, 2], is exact where
+    it is a power of i: on beta = alpha, cos(pi / 2) = 6.1e-17 of e^(i theta
+    / alpha) would put Re s* = 6.1e-17 rho where |e^(s*)| = 1."""
     m = np.asarray(m, dtype=float)
     u = neg_i_power(beta)
     flat = m.ravel()
-    values = _sweep(alpha, sigmas, flat * u, flat, math.atan2(u.imag, u.real))
+    rotation = neg_i_power(-abs(math.remainder(beta, 4.0)) / alpha)
+    values = _sweep(alpha, sigmas, flat * u, flat, math.atan2(u.imag, u.real), rotation)
     return values.reshape((len(sigmas),) + m.shape)
 
 

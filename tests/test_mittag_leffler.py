@@ -749,6 +749,35 @@ def test_array_entry_matches_lone_calls(alpha):
                 assert abs(g - w) <= bound * abs(w), (alpha, beta, r)
 
 
+def test_plateau_sweep_keeps_its_modulus():
+    # on beta = alpha the poles s* = -i rho of a sweep lie on the imaginary
+    # axis, where |e^(s*)| = 1: the array entry takes their direction from
+    # beta, exactly, so |E| holds 1e-13 against mpmath at the exact z = m
+    # (-i)^alpha out to rho = 1e8 (with cos(pi / 2) = 6.1e-17 for its real
+    # part it was 6.1e-13 off at rho = 1e4 and 6.1e-9 at 1e8)
+    import mpmath
+
+    from tfedge.mittag_leffler import _ml_values
+
+    for alpha in (0.5, 0.8):
+        for rho in (1e4, 1e6, 1e8):
+            m = rho**alpha
+            got = _ml_values(alpha, (alpha, 1.0), [m], alpha)[:, 0]
+            with mpmath.workdps(40):
+                z = m * mpmath.expjpi(-mpmath.mpf(alpha) / 2)
+                pole = mpmath.mpc(0.0, -1.0) * mpmath.mpf(m) ** (1 / mpmath.mpf(alpha))
+                for g, sigma in zip(got, (alpha, 1.0)):
+                    # the residue and the converged expansion
+                    want = pole ** (1 - sigma) * mpmath.exp(pole) / alpha - mpmath.fsum(
+                        z**-k * mpmath.rgamma(sigma - k * alpha) for k in range(1, 40)
+                    )
+                    assert abs(abs(g) - abs(want)) <= 1e-13 * abs(want), (alpha, rho, sigma)
+    # rho = 80^10, where that real part was 650 and |E| about 1e303: the
+    # residue's modulus (1 / alpha) rho^(1 - alpha) alone, as the rest is of size 1 / |z|
+    got = _ml_values(0.1, (0.1, 1.0), [80.0], 0.1)[0, 0]
+    assert abs(abs(got) - 10.0 * 80.0**9) <= 1e-13 * 10.0 * 80.0**9
+
+
 def test_array_entry_guards():
     # the array entry's three OverflowGuard checks, each as ml_eval's:
     # exp(z) at alpha = sigma = 1, |z|^(1/alpha) past double range (on the
