@@ -513,6 +513,7 @@ def _assert_routes_agree(alpha, sigmas, z):
             continue
         if per_vertex:
             assert np.array_equal(datum, want_datum), (alpha, sigmas, zi)
+            continue
         # |z| to its rounding; the pole's |s*| and the residue exponent to
         # the rounding of |z| and arg z raised to the power 1/alpha
         pole = abs(zi) ** (1.0 / alpha)
