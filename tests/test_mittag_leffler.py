@@ -206,7 +206,7 @@ def test_ray_matches_independent_references(alpha):
     # the sweep z = |z| (-i)^(-2 alpha) of the array entry, and the same z
     # given as complex numbers, split by argument
     u = neg_i_power(-2.0 * alpha)
-    routes = _sweep_routes(alpha, (alpha, 1.0), radii * u, radii, math.atan2(u.imag, u.real))
+    routes = _sweep_routes(alpha, (alpha, 1.0), radii * u, radii, math.atan2(u.imag, u.real), u ** (1.0 / alpha))
     assert sorted(route for route, _, _ in routes) == [(_RAY, 0), (_RAY, 1), (_RAY, 2)]
     z = radii * cmath.exp(1j * math.pi * alpha)
     z = np.concatenate((z, z.conj()))
@@ -232,7 +232,7 @@ def test_ray_tail_at_its_edges(alpha):
     edge = r_cut / (1.0 + d)
     radii = np.array([1.0, 0.5 * (1.0 + edge), edge * (1.0 - 1e-6)])
     u = neg_i_power(-2.0 * alpha)
-    routes = _sweep_routes(alpha, (alpha, 1.0), radii * u, radii, math.atan2(u.imag, u.real))
+    routes = _sweep_routes(alpha, (alpha, 1.0), radii * u, radii, math.atan2(u.imag, u.real), u ** (1.0 / alpha))
     assert [route for route, _, _ in routes] == [(_RAY, 2)]
     z = radii * cmath.exp(1j * math.pi * alpha)
     for values in (_ml_values(alpha, (alpha, 1.0), radii, -2.0 * alpha), _ml_at(alpha, (alpha, 1.0), z)):
@@ -493,15 +493,16 @@ def _assert_routes_agree(alpha, sigmas, z):
         except (OverflowGuard, NonConvergence) as refusal:
             # the array router refuses the same z in a sweep with z = 0
             with pytest.raises(type(refusal)):
+                theta = math.atan2(zi.imag, zi.real)
                 _sweep_routes(
-                    alpha, sigmas, np.array([0.0, zi]), np.array([0.0, abs(zi)]), math.atan2(zi.imag, zi.real)
+                    alpha, sigmas, np.array([0.0, zi]), np.array([0.0, abs(zi)]), theta, cmath.rect(1.0, theta / alpha)
                 )
             want.append(None)
     kept = np.array([zi for zi, w in zip(z, want) if w is not None])
     want = [w for w in want if w is not None]
     got = [None] * kept.size
     for sweep, m, theta in _by_argument(kept):
-        for route, ids, data in _sweep_routes(alpha, sigmas, kept[sweep], m, theta):
+        for route, ids, data in _sweep_routes(alpha, sigmas, kept[sweep], m, theta, cmath.rect(1.0, theta / alpha)):
             for j, i in enumerate(sweep[ids]):
                 got[i] = (route, None if data is None else data[:, j])
     eps = np.finfo(float).eps
@@ -570,6 +571,7 @@ def test_array_calls_with_a_strong_branch_point():
             for i, zi in enumerate(z):
                 want = ml_reference(alpha, sigma, zi, 30 + int(abs(zi) ** (1.0 / alpha) / 2.3))
                 assert rel_err(values[k, i], want) <= 1e-12, (alpha, sigma, zi)
+        for i, zi in enumerate(z):
             # ml_eval at sigma = alpha alone has a branch point of strength
             # zero and the parabola of the window table, not the pair's
             assert values[1, i] == ml_eval(MLParams(alpha, sigmas[1]), zi), (alpha, zi)
@@ -638,7 +640,7 @@ def test_values_do_not_depend_on_their_cauchy_block():
     alpha, sigmas, beta = 0.5, (0.5, 1.0), 1.6
     m = np.geomspace(1.0, 50.0, 400)
     z = m * neg_i_power(beta).conjugate()
-    [((kind, ((_, _, n), _)), _, _)] = _sweep_routes(alpha, sigmas, z, m, 0.8 * math.pi)
+    [((kind, ((_, _, n), _)), _, _)] = _sweep_routes(alpha, sigmas, z, m, 0.8 * math.pi, neg_i_power(-beta / alpha))
     assert kind == "contour" and m.size > 2 * (_CAUCHY_CELLS // (2 * n + 1))
     want = _ml_values(alpha, sigmas, m, beta)
     for shift in range(m.size):
@@ -670,7 +672,9 @@ def test_contour_sums_within_the_dot_product_bound():
                 for m in np.geomspace(0.5, 900.0, 9):
                     z = np.array([m * neg_i_power(beta).conjugate()])
                     try:
-                        [((kind, detail), _, _)] = _sweep_routes(alpha, sigmas, z, np.array([m]), 0.5 * math.pi * beta)
+                        [((kind, detail), _, _)] = _sweep_routes(
+                            alpha, sigmas, z, np.array([m]), 0.5 * math.pi * beta, neg_i_power(-beta / alpha)
+                        )
                     except OverflowGuard:
                         continue
                     if kind != _CONTOUR:
