@@ -10,10 +10,6 @@ class TfedgeError(Exception):
     """Base class for all package errors."""
 
 
-class NonConvergence(TfedgeError):
-    """An iterative scheme hit its cap without meeting its tolerance."""
-
-
 class DomainError(TfedgeError):
     """Arguments lie outside the region where a formula is valid."""
 

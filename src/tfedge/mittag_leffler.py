@@ -12,12 +12,18 @@ taken by the trapezoidal rule on the optimal parabolic contour
 C: s = mu (1 + i u)^2 of Garrappa (SIAM J. Numer. Anal. 53 (2015)
 1350-1369; Weideman and Trefethen, Math. Comp. 76 (2007) 1341-1356 for the
 parabola).  The contour parameters (mu, h, N) come from the singularities:
-the branch point s = 0 and the pole s* = z^(1/alpha), which lies on the
-principal sheet while |arg z| <= pi alpha.  The evaluator has one
-accuracy, 1e-12 relative to |E|: where 1/Gamma(sigma - alpha) = 0, E ~ z^-2
-at |z| >= 1 is E_{alpha,sigma-alpha}(z) / z by the recurrence E_{a,s}(z) =
-1/Gamma(s) + z E_{a,s+a}(z) (Gorenflo, Kilbas, Mainardi and Rogosin 2014,
-ch. 4), and the contour runs at 1e-14 (_LOG_EPS).
+the branch point s = 0, of strength zero while sigma <= 1 + alpha, and the
+pole s* = z^(1/alpha), which lies on the principal sheet while |arg z| <=
+pi alpha.  The evaluator has one accuracy, 1e-12 relative to |E|: where
+1/Gamma(sigma - alpha) = 0, E ~ z^-2 at |z| >= 1 is E_{alpha,sigma-alpha}(z)
+/ z by the recurrence E_{a,s}(z) = 1/Gamma(s) + z E_{a,s+a}(z) (Gorenflo,
+Kilbas, Mainardi and Rogosin 2014, ch. 4), and the contour runs at 1e-14
+(_LOG_EPS).
+
+A sigma > 1 + alpha is evaluated at its base sigma - K alpha <= 1 + alpha,
+K the fewest such steps, and raised to sigma (_order_constants): at |z| >=
+sigma^alpha by the same recurrence, E_{a,s+a}(z) = (E_{a,s}(z) -
+1/Gamma(s)) / z, K times, and below it by the float64 Taylor series.
 
 Three cases take exact routes:
 
@@ -36,33 +42,30 @@ Three cases take exact routes:
 E is evaluated at Im z >= 0 and conjugated below the real axis, so
 E(conj z) == conj E(z) bit for bit.
 
-ml_eval takes one z and routes it with Python scalars (_route).
-_ml_values, the array entry of the library's sweeps, takes the
-z = m (-i)^beta of one ray from the origin as moduli m and the power beta.
-What the ray's argument alone decides (the ray, the sheet, the
-conjugation, the pole's angle) is kept across calls (_sweep_constants),
-and per z only the pole's modulus and vertex, one small-integer route
-group and the residue exponents are formed (_sweep_routes).  ml_pair
-takes any array, split by argument into such sweeps (_ml_at).  The
-numerics run once per route and per parabola, each route writing into
-the one output array, so a time sample over a quadrature table is one
-reciprocal per entry of a Cauchy matrix 1/(z_i - s_j^alpha) and one BLAS
-dot product per sigma and z.  Within arrays of two or more z the E at a z
-does not depend on its position or on the other z, bit for bit; a lone z
-agrees with them to the rounding of its pole.
+One router serves every call, by sweeps: the z of one argument, on one ray
+from the origin.  _ml_values, the array entry of the library's sweeps,
+takes the z = m (-i)^beta of a sweep as moduli m and the power beta;
+_ml_at takes any array, split by argument into sweeps (_by_argument), for
+ml_pair; and ml_eval takes its z as a one-element sweep.  What the orders
+alone decide is kept across calls (_order_constants), what the sweep's
+argument decides (the ray, the sheet, the conjugation, the pole's angle)
+is decided once with Python scalars, and per z only the pole's modulus
+and vertex, one small-integer route group and the residue exponents are
+formed (_sweep_routes).  The numerics run once per route and per
+parabola, each route writing into the one output array, so a time sample
+over a quadrature table is one reciprocal per entry of a Cauchy matrix
+1/(z_i - s_j^alpha) and one BLAS dot product per sigma and z.  The E at a
+z does not depend on its position or on the other z of the call, bit for
+bit, so ml_eval equals _ml_at at the same z and sigma.
 
 Poles share parabolas: a parabola built for a pole at vertex phi stays
-valid for every pole farther from it on the same side, so while the branch
-point has strength zero (sigma <= 1 + alpha) the pole vertices fall into
-the windows of one table built at import (_WINDOWS); otherwise each vertex
-has its own parabola, and each z is routed alone (_route).  The
-parabolas, their nodes (_parabola, _nodes) and the ray's rows are kept
-across calls.
+valid for every pole farther from it on the same side, so the pole
+vertices fall into the windows of one table built at import (_WINDOWS).
+The parabolas' nodes (_nodes) and the ray's rows are kept across calls.
 """
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import functools
 import math
@@ -70,7 +73,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonConvergence, OverflowGuard
+from .errors import DomainError, OverflowGuard
 
 __all__ = [
     "MLParams",
@@ -94,7 +97,8 @@ _I_STEPS = 1j * np.arange(-_N_MAX, _N_MAX + 1, dtype=float)
 
 # Garrappa's tolerance bounds the error against the O(1/z) integrand on the
 # contour: E_{alpha,alpha} ~ z^-2 falls far below it, E_{alpha,0} ~ 1/z does
-# not, so taking E_{alpha,0}(z) / z (_shifted) the contour runs at 1e-14
+# not, so taking E_{alpha,0}(z) / z (the shifted rows of _order_constants)
+# the contour runs at 1e-14
 _LOG_EPS = math.log(1e-14)
 # the window constant: every pole vertex at or beyond it (about 6) has the
 # one parabola of the vertex _CLIP, where _region_below clamps its vertex
@@ -178,30 +182,16 @@ def _cis_pi(x: float) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _region_below(phi_pole, p0):
+def _region_below(phi_pole):
     """(mu, h, N) for a parabola between the branch point s = 0, of strength
-    p0, and the pole at phi_pole; None if the roundoff allowance cannot fit
-    between them.  Garrappa's OptimalParam_RB with its lower singularity at 0."""
+    zero, and the pole at phi_pole.  Garrappa's OptimalParam_RB with its
+    lower singularity at 0."""
     f_max = math.exp(_LOG_EPS - _LOG_UNIT)
-    sq_pole = min(math.sqrt(phi_pole), math.sqrt(_CLIP))
-    if p0 < 1e-14:
-        f_min = 1.01
-        if f_min >= f_max:
-            return None
-        f_bar = f_min + f_min / f_max * (f_max - f_min)
-        sqb_0 = 0.0
-        sqb_pole = 2.0 * sq_pole / (2.0 + 1.0 / f_bar)
-    else:
-        f_min = 1.01 * sq_pole / sq_pole ** max(p0, 1.0)
-        if f_min >= f_max:
-            return None
-        f_min = max(f_min, 1.5)
-        f_bar = f_min + f_min / f_max * (f_max - f_min)
-        fp = f_bar ** (-1.0 / p0)
-        w = -phi_pole / _LOG_EPS
-        den = 2.0 + w - (1.0 + w) * fp + 1.0 / f_bar
-        sqb_0 = fp * sq_pole / den
-        sqb_pole = (2.0 + w - (1.0 + w) * fp) * sq_pole / den
+    # the roundoff factor, from its least value 1.01
+    f_bar = 1.01 + 1.01 / f_max * (f_max - 1.01)
+    # the square roots of the region's ends: the branch point's, and the pole's
+    sqb_0 = 0.0
+    sqb_pole = 2.0 * min(math.sqrt(phi_pole), math.sqrt(_CLIP)) / (2.0 + 1.0 / f_bar)
     # the tolerance left to the discretisation once roundoff has its share
     log_eps_bar = _LOG_EPS - math.log(f_bar)
     w = -sqb_pole * sqb_pole / log_eps_bar
@@ -242,44 +232,39 @@ def _region_beyond(phi_j, p_j):
     return mu, h, n
 
 
-@functools.lru_cache(maxsize=64)
-def _parabola(key, p0):
+def _parabola(key):
     """((mu, h, N), residue) of the parabola with the fewest nodes for the
     pole vertices of the window key, residue telling whether it passes left
-    of them; None if no parabola meets _LOG_EPS within _N_MAX nodes per side.
+    of them.
 
-    The key is 0 for no pole on the principal sheet; _CLIP, or with a branch
-    point of strength p0 > 0 any key, for the pole at vertex key alone; any
-    other key for the octave [key, 2 key) of vertices.  A parabola below the
-    window's lower end leaves each of its poles to its right, farther away
-    than the vertex it was built for, and one beyond its upper end to its
-    left.  Kept across calls for p0 > 0; _WINDOWS holds those of p0 = 0.
+    The key is 0 for no pole on the principal sheet; _CLIP for every vertex
+    at or beyond it; any other key for the octave [key, 2 key) of vertices.
+    A parabola below the window's lower end leaves each of its poles to its
+    right, farther away than the vertex it was built for, and one beyond its
+    upper end to its left.
     """
     if key == 0.0:
-        par, residue = _region_beyond(0.0, p0), False
-    else:
-        par, residue = _region_below(key, p0), True
-        hi = key if key == _CLIP or p0 > 0.0 else 2.0 * key
-        if hi < _LOG_EPS - _LOG_UNIT:
-            right = _region_beyond(hi, 1.0)
-            if right is not None and (par is None or right[2] < par[2]):
-                par, residue = right, False
-    if par is None or par[2] > _N_MAX:
-        return None
+        return _region_beyond(0.0, 0.0), False
+    par, residue = _region_below(key), True
+    hi = key if key == _CLIP else 2.0 * key
+    if hi < _LOG_EPS - _LOG_UNIT:
+        right = _region_beyond(hi, 1.0)
+        if right is not None and right[2] < par[2]:
+            par, residue = right, False
     return par, residue
 
 
 def _window_table():
-    """(edges, parabolas) of the pole vertices phi for p0 = 0: bisect_right(
-    edges, phi) indexes phi's parabola, 0 for no pole right of the cut (and
-    phi <= 1e-15 < edges[0]), the last for phi >= _CLIP.  The octaves [lo,
-    2 lo), lo = _CLIP 2^-j, are walked down to the cut and neighbours with
-    equal parabolas merged: 12 windows and the clip's at 1e-14 (_LOG_EPS)."""
-    edges, parabolas = [_CLIP], [_parabola.__wrapped__(_CLIP, 0.0)]
+    """(edges, parabolas) of the pole vertices phi: bisect_right(edges, phi)
+    indexes phi's parabola, 0 for no pole right of the cut (and phi <= 1e-15
+    < edges[0]), the last for phi >= _CLIP.  The octaves [lo, 2 lo), lo =
+    _CLIP 2^-j, are walked down to the cut and neighbours with equal
+    parabolas merged: 12 windows and the clip's at 1e-14 (_LOG_EPS)."""
+    edges, parabolas = [_CLIP], [_parabola(_CLIP)]
     lo = _CLIP
     while lo > 1e-15:
         lo *= 0.5
-        parabola = _parabola.__wrapped__(lo, 0.0)
+        parabola = _parabola(lo)
         if parabola == parabolas[-1]:
             edges[-1] = lo
         else:
@@ -288,16 +273,10 @@ def _window_table():
     edges[-1] = math.nextafter(1e-15, math.inf)
     edges = np.array(edges[::-1])
     edges.flags.writeable = False
-    return edges, (_parabola.__wrapped__(0.0, 0.0),) + tuple(parabolas[::-1])
+    return edges, (_parabola(0.0),) + tuple(parabolas[::-1])
 
 
 _EDGES, _WINDOWS = _window_table()
-
-
-@functools.lru_cache(maxsize=64)
-def _shifted(alpha, sigmas):
-    """The rows with 1/Gamma(sigma - alpha) = 0, taken as E_{alpha,sigma-alpha}(z) / z at |z| >= 1."""
-    return tuple(k for k, sigma in enumerate(sigmas) if gamma_reciprocal(sigma - alpha) == 0.0)
 
 
 @functools.lru_cache(maxsize=64)
@@ -306,10 +285,10 @@ def _nodes(alpha, sigmas, parabola):
     e^s s^(alpha-sigma) ds / (2 pi i) of the trapezoidal rule there, stored
     as W = -conj(w) for _contour's dot products, as read-only arrays of
     shapes (2N + 1,) and (2, len(sigmas), 2N + 1): a row per sigma for
-    |z| < 1, then for |z| >= 1, where the rows of _shifted take the weights
-    of sigma - alpha.  Kept across calls: the parabolas are a few per order
-    (one per window of pole vertices), and a sweep over a quadrature table
-    leaves one entry.
+    |z| < 1, then for |z| >= 1, where the shifted rows (_order_constants)
+    take the weights of sigma - alpha.  Kept across calls: the parabolas
+    are a few per order (one per window of pole vertices), and a sweep over
+    a quadrature table leaves one entry.
     """
     mu, h, n = parabola
     # s = mu (1 + iu)^2 at u = h k, with trapezoid factor h (ds/du) / (2 pi i) = mu h (1 + iu) / pi
@@ -319,7 +298,8 @@ def _nodes(alpha, sigmas, parabola):
     s_alpha = np.exp(alpha * log_s)
     scale = v * (mu * h / math.pi)
     near = [alpha - sigma for sigma in sigmas]
-    far = [p + alpha if k in _shifted(alpha, sigmas) else p for k, p in enumerate(near)]
+    shifted = _order_constants(alpha, sigmas)[4]
+    far = [p + alpha if k in shifted else p for k, p in enumerate(near)]
     weights = -np.array([[np.exp(s if p == 0.0 else s + p * log_s) * scale for p in ps] for ps in (near, far)]).conj()
     for a in (s_alpha, weights):
         a.flags.writeable = False
@@ -332,8 +312,9 @@ def _contour(alpha, sigmas, z, ids, parabola, residue_exponents, out, far):
     taking every z, or indices), written into out[:, ids].  residue_exponents
     is None, or the exponents of the residues (1/alpha) s*^(1-sigma) e^(s*)
     of poles s* right of the parabola, shape (len(sigmas), z[ids].size).
-    far is () for z at |z| < 1, else _shifted's rows, which then sum the
-    weights of sigma - alpha and are divided by z (the residue is sigma's).
+    far is () for z at |z| < 1, else the shifted rows (_order_constants),
+    which then sum the weights of sigma - alpha and are divided by z (the
+    residue is sigma's).
 
     The nodes and weights W = -conj(w) come from the memo _nodes.  Per
     block of _CAUCHY_CELLS entries the Cauchy matrix g = 1/(z_i - s_j^alpha)
@@ -341,6 +322,8 @@ def _contour(alpha, sigmas, z, ids, parabola, residue_exponents, out, far):
     W) sums Sum_j w_j / (s_j^alpha - z_i) for each sigma as one BLAS dot
     over a contiguous row, the same whatever the other z of the call; so a
     z's E does not depend on which z share its parabola (with @ it did).
+    Each block's sums are divided and take their residues before the one
+    write into out.
     """
     s_alpha, weights = _nodes(alpha, sigmas, parabola)
     z = z[ids]
@@ -349,11 +332,12 @@ def _contour(alpha, sigmas, z, ids, parabola, residue_exponents, out, far):
         rows = slice(start, start + block)
         g = np.subtract.outer(z[rows], s_alpha)
         np.reciprocal(g, out=g)
-        out[:, rows if isinstance(ids, slice) else ids[rows]] = np.vecdot(weights[1 if far else 0, :, None, :], g)
-    for k in far:
-        out[k, ids] /= z
-    if residue_exponents is not None:
-        out[:, ids] += np.exp(residue_exponents)
+        values = np.vecdot(weights[1 if far else 0, :, None, :], g)
+        for k in far:
+            values[k] /= z[rows]
+        if residue_exponents is not None:
+            values += np.exp(residue_exponents[:, rows])
+        out[:, rows if isinstance(ids, slice) else ids[rows]] = values
 
 
 # ---------------------------------------------------------------------------
@@ -529,85 +513,49 @@ def _ray(alpha, sigmas, r0, rho0, reach, out, ids):
 # ---------------------------------------------------------------------------
 
 
-# the routes of _route
+# the routes of _sweep_routes
 _ZERO, _EXP, _RAY, _CONTOUR = "zero", "exp", "ray", "contour"
 
 
-def _route(alpha, sigmas, zi):
-    """How E is taken at one z (Im z >= 0), in the format of _sweep_routes:
-    a list of one (route, ids, data), ids taking the whole call and data the
-    one-column rows of:
+@functools.lru_cache(maxsize=64)
+def _order_constants(alpha, sigmas):
+    """What the orders alone decide, a read-only tuple kept across calls:
+    (bases, climbs, exp, ray, shifted, one_minus, log_alpha).
 
-    - (_ZERO, None), no data: z = 0, 1/Gamma(sigma);
-    - (_EXP, None), no data: alpha = 1 and every sigma = 1, exp(z);
-    - (_RAY, reach), |z| and |z|^(1/alpha): the ray |arg z| = pi alpha, over
-      the intervals of _ray that reach names;
-    - (_CONTOUR, parabola), None or the residue's exponents
-      s* + (1 - sigma) log s* - log alpha, one per sigma: the parabola
-      ((mu, h, N), residue) of _WINDOWS or _parabola, left of s* if residue.
-
-    The sigmas take a route together (the ray when every sigma is <= 1),
-    and the strongest branch point among them sets the parabola; for
-    sigma <= 1 + alpha it has strength zero, and the pole vertices share
-    the parabolas of the table _WINDOWS, otherwise each vertex has its own.
+    A sigma <= 1 + alpha is its own base; any other is evaluated at the
+    base sigma - K alpha <= 1 + alpha, K the fewest such steps, and climbs
+    holds (k, radius, steps, series) for its row k.  At |z| >= radius =
+    sigma^alpha the base is climbed by the recurrence E_{a,s+a}(z) =
+    (E_{a,s}(z) - 1/Gamma(s)) / z through the K constants 1/Gamma(s) of
+    steps, s = sigma - K alpha .. sigma - alpha: there every s^alpha < |z|,
+    and E_{a,s}(z) is not close to 1/Gamma(s).  Below the radius the terms
+    z^n / Gamma(alpha n + sigma) of the Taylor series fall from the first,
+    and series holds its coefficients, all positive as alpha n + sigma > 1,
+    until a term at the radius is 2^-60 of the first.  exp:
+    the route exp(z) (alpha and every base 1); ray: whether the bases may
+    take the ray (alpha < 1, every base <= 1); shifted: the rows with
+    1/Gamma(base - alpha) = 0, taken as E_{alpha,base-alpha}(z) / z at |z|
+    >= 1; and the column 1 - base and log alpha of the residue exponents.
     """
-    whole = slice(None)
-    if zi == 0:
-        return [((_ZERO, None), whole, None)]
-    if alpha == 1.0 and all(sigma == 1.0 for sigma in sigmas):
-        if zi.real > _EXP_ARG_LIMIT:
-            raise OverflowGuard(f"E_{{1,1}}({zi!r}) = exp(z) exceeds double range")
-        return [((_EXP, None), whole, None)]
-    r = abs(zi)
-    theta = math.atan2(zi.imag, zi.real)
-    p0 = _branch_strength(alpha, sigmas)
-    # the pole s* and its vertex; 0: no pole right of the cut
-    pole, phi = None, 0.0
-    try:
-        # for |z| < 1 the half residue is not small against E, and the
-        # contour alone is accurate in both components
-        if alpha < 1.0 and max(sigmas) <= 1.0 and r >= 1.0 and abs(theta - math.pi * alpha) <= _RAY_TOL:
-            d, r_cut = _ray_intervals(alpha, r)
-            # int(): with a numpy alpha the comparisons are numpy bools, whose sum is their "or"
-            reach = int(r - d < r_cut) + int(r + d < r_cut)
-            return [((_RAY, reach), whole, np.array([[r], [r ** (1.0 / alpha)]]))]
-        # for alpha <= 1 the only pole on the principal sheet is
-        # s* = z^(1/alpha), there while arg z <= pi alpha.  phi(s) =
-        # (Re s + |s|)/2 is the vertex of the parabola through s; a pole on
-        # the cut (phi = 0) is left of all.
-        if theta <= math.pi * alpha:
-            pole = cmath.rect(r ** (1.0 / alpha), theta / alpha)
-            phi = 0.5 * (pole.real + abs(pole))
-    except OverflowError:
-        raise OverflowGuard(
-            f"E_{{{alpha},{sigmas[0]}}}({zi!r}): |z|^(1/alpha) exceeds double range"
-        ) from None
-    if p0 == 0.0:
-        parabola = _WINDOWS[bisect.bisect_right(_EDGES, phi)]
-    # a pole with phi <= 1e-15 is left of every parabola, as below the table's lowest edge
-    elif (parabola := _parabola(phi if phi > 1e-15 else 0.0, p0)) is None:
-        raise NonConvergence(
-            f"E_{{{alpha},{sigmas[0]}}}({zi!r}): no parabola meets "
-            f"eps={math.exp(_LOG_EPS):g} with at most {_N_MAX} nodes per side"
-        )
-    if not parabola[1]:
-        return [((_CONTOUR, parabola), whole, None)]
-    log_pole = cmath.log(pole)
-    exponents = []
-    for sigma in sigmas:
-        w = pole + (1.0 - sigma) * log_pole
-        if w.real > _EXP_ARG_LIMIT:
-            _residue_overflow(alpha, sigma, zi, pole)
-        exponents.append([w - math.log(alpha)])
-    return [((_CONTOUR, parabola), whole, np.array(exponents))]
-
-
-def _branch_strength(alpha, sigmas):
-    """Strength p0 of the branch point s = 0 of the strongest sigma: zero
-    while every sigma <= 1 + alpha, and below 1e-14, which the parabolas of
-    _region_below and _region_beyond take for zero."""
-    p0 = -2.0 * (alpha - max(sigmas) + 1.0)
-    return p0 if p0 >= 1e-14 else 0.0
+    bases, climbs = [], []
+    for k, sigma in enumerate(sigmas):
+        steps = max(0, math.ceil((sigma - 1.0 - alpha) / alpha))
+        bases.append(sigma - steps * alpha)
+        if steps:
+            radius = sigma**alpha
+            # the terms' logs at |z| = radius, down to 2^-60 of the first
+            first, n = -math.lgamma(sigma), 1
+            while n * math.log(radius) - math.lgamma(alpha * n + sigma) > first - 60.0 * math.log(2.0):
+                n += 1
+            series = np.array([gamma_reciprocal(alpha * j + sigma) for j in range(n + 1)])
+            series.flags.writeable = False
+            constants = tuple(gamma_reciprocal(sigma - j * alpha) for j in range(steps, 0, -1))
+            climbs.append((k, radius, constants, series))
+    one_minus = 1.0 - np.array(bases)[:, None]
+    one_minus.flags.writeable = False
+    shifted = tuple(k for k, base in enumerate(bases) if gamma_reciprocal(base - alpha) == 0.0)
+    return (tuple(bases), tuple(climbs), alpha == 1.0 and all(base == 1.0 for base in bases),
+            alpha < 1.0 and max(bases) <= 1.0, shifted, one_minus, math.log(alpha))
 
 
 def _residue_overflow(alpha, sigma, zi, pole):
@@ -617,58 +565,45 @@ def _residue_overflow(alpha, sigma, zi, pole):
     )
 
 
-@functools.lru_cache(maxsize=64)
-def _sweep_constants(alpha, sigmas, theta):
-    """The z-free part of _sweep_routes at the argument theta in [0, pi], a
-    read-only tuple kept across calls: the exp route, the ray, the pole
-    s* = rho e^(i theta / alpha) on the principal sheet (on the cut at
-    equality) and right of the cut; p0; cos^2(theta / (2 alpha)), from rho
-    to the pole vertex; theta / alpha; and the column 1 - sigma and log
-    alpha of the residue exponents."""
-    exp = alpha == 1.0 and all(sigma == 1.0 for sigma in sigmas)
-    # for |z| < 1 the contour alone is accurate in both components (_route)
-    ray = alpha < 1.0 and max(sigmas) <= 1.0 and abs(theta - math.pi * alpha) <= _RAY_TOL
-    one_minus = 1.0 - np.array(sigmas)[:, None]
-    one_minus.flags.writeable = False
-    return (exp, ray, not exp and (ray or theta <= math.pi * alpha), theta < math.pi * alpha,
-            _branch_strength(alpha, sigmas), math.cos(0.5 * theta / alpha) ** 2, theta / alpha,
-            one_minus, math.log(alpha))
-
-
 def _sweep_routes(alpha, sigmas, z, m, theta, rotation):
-    """The routes of _route for the z = m e^(i theta) of one sweep: the 1-d
-    array z (Im z >= 0), their moduli m and their one argument theta in
-    [0, pi]; rotation is _sweep's.  A list of (route, ids, data): ids index
-    the z that take the route, and data holds their data of _route as rows.
+    """The routes of the z = m e^(i theta) of one sweep: the 1-d array z
+    (Im z >= 0), their moduli m and their one argument theta in [0, pi];
+    rotation is _sweep's.  A list of (route, ids, data), ids indexing the
+    z that take the route, data holding their rows of:
 
-    What theta alone decides comes from the memo _sweep_constants.  With
-    sigma <= 1 + alpha there are whole-array steps only: rho = m^(1/alpha);
-    the pole vertex (Re s* + |s*|) / 2 = rho cos^2(theta / (2 alpha)); the
-    group of each z, 0 for z = 0, 1 + reach on the ray, else 4 + the index
-    of its parabola in _WINDOWS (np.searchsorted; 4: no pole right of the
-    cut); and the residue exponents.  With p0 > 0 each pole vertex has its
-    own parabola, and _route routes each z.  The OverflowGuard checks are
-    _route's.
+    - (_ZERO, None), no data: z = 0, 1/Gamma(sigma);
+    - (_EXP, None), no data: alpha = 1 and every sigma = 1, exp(z);
+    - (_RAY, reach), |z| and |z|^(1/alpha): the ray |arg z| = pi alpha, over
+      the intervals of _ray that reach names;
+    - (_CONTOUR, parabola), None or the residue's exponents
+      s* + (1 - sigma) log s* - log alpha, one row per sigma: the parabola
+      ((mu, h, N), residue) of _WINDOWS, left of s* if residue.
+
+    The sigmas take a route together, at their bases (_order_constants),
+    and the OverflowGuard messages name the sigmas asked for.  What the
+    orders decide comes from the memo _order_constants, and theta decides
+    with Python scalars whether the sweep is the ray (to _RAY_TOL), on the
+    principal sheet (the pole s* = rho e^(i theta / alpha) on it or on the
+    cut) and right of the cut; then there are whole-array steps only: rho =
+    m^(1/alpha); the pole vertex (Re s* + |s*|) / 2 = rho cos^2(theta / (2
+    alpha)); the group of each z, 0 for z = 0, 1 + reach on the ray, else 4
+    + the index of its parabola in _WINDOWS (np.searchsorted; 4: no pole
+    right of the cut); and the residue exponents.
     """
     if m.size == 0:
         return []
-    exp, ray, sheet, inside, p0, cos2, angle, one_minus, log_alpha = _sweep_constants(
-        alpha, sigmas, theta
-    )
-    if p0 > 0.0:
-        return [
-            (route, np.array([i]), data)
-            for i, zi in enumerate(z.tolist())
-            for route, _, data in _route(alpha, sigmas, zi)
-        ]
+    _, _, exp, ray, _, one_minus, log_alpha = _order_constants(alpha, sigmas)
+    # for |z| < 1 the half residue is not small against E, and the contour
+    # alone is accurate in both components
+    ray = ray and abs(theta - math.pi * alpha) <= _RAY_TOL
     # the group of every z, or of each (an array)
     groups = 4
     if exp:
         over = z.real > _EXP_ARG_LIMIT
         if over.any():
             raise OverflowGuard(f"E_{{1,1}}({complex(z[over][0])!r}) = exp(z) exceeds double range")
-    elif sheet:
-        # Python's pow raises, as in _route, if the largest rho = m^(1/alpha) leaves double range
+    elif ray or theta <= math.pi * alpha:
+        # Python's pow raises if the largest rho = m^(1/alpha) leaves double range
         try:
             float(np.maximum.reduce(m)) ** (1.0 / alpha)
         except OverflowError:
@@ -678,8 +613,8 @@ def _sweep_routes(alpha, sigmas, z, m, theta, rotation):
                 f"E_{{{alpha},{sigmas[0]}}}({complex(z[first])!r}): |z|^(1/alpha) exceeds double range"
             ) from None
         rho = m ** (1.0 / alpha)
-        if inside:
-            phi = rho * cos2
+        if theta < math.pi * alpha:
+            phi = rho * math.cos(0.5 * theta / alpha) ** 2
             # often every vertex of a sweep is past the clip
             groups = 4 + (_EDGES.size if np.minimum.reduce(phi) >= _CLIP else np.searchsorted(_EDGES, phi, side="right"))
         if ray:
@@ -691,7 +626,7 @@ def _sweep_routes(alpha, sigmas, z, m, theta, rotation):
     if isinstance(groups, int) or groups.min() == groups.max():
         windows = [(groups if isinstance(groups, int) else int(groups[0]), slice(None))]
     else:
-        windows = [(int(g), np.flatnonzero(groups == g)) for g in np.unique(groups)]
+        windows = [(g, np.flatnonzero(groups == g)) for g in np.flatnonzero(np.bincount(groups)).tolist()]
     routes = []
     for group, ids in windows:
         if group == 0:
@@ -706,7 +641,7 @@ def _sweep_routes(alpha, sigmas, z, m, theta, rotation):
             if parabola[1]:
                 # the pole s* and one row of exponents per sigma
                 pole = rho[ids] * rotation
-                exponents = one_minus * (np.log(rho[ids]) + 1j * angle)
+                exponents = one_minus * (np.log(rho[ids]) + 1j * (theta / alpha))
                 exponents += pole
                 if np.maximum.reduce(exponents.real, axis=None) > _EXP_ARG_LIMIT:
                     k, i = np.unravel_index(np.argmax(exponents.real), exponents.shape)
@@ -718,9 +653,9 @@ def _sweep_routes(alpha, sigmas, z, m, theta, rotation):
 
 def _evaluate(alpha, sigmas, z, m, routes, out):
     """E_{alpha,sigma}(z) for each sigma in sigmas at each z of the 1-d array
-    z (Im z >= 0), |z| = m (a float for a lone z), along the routes of _route
-    or _sweep_routes, written in place into out, shape (len(sigmas), z.size),
-    and returned: one Cauchy matrix per route and side of |z| = 1."""
+    z (Im z >= 0), |z| = m, along the routes of _sweep_routes, written in
+    place into out, shape (len(sigmas), z.size): one Cauchy matrix per
+    route and side of |z| = 1."""
     for (kind, detail), ids, data in routes:
         if kind == _ZERO:
             out[:, ids] = [[gamma_reciprocal(sigma)] for sigma in sigmas]
@@ -729,18 +664,15 @@ def _evaluate(alpha, sigmas, z, m, routes, out):
         elif kind == _RAY:
             _ray(alpha, sigmas, data[0], data[1], detail, out, ids)
         else:
-            far = _shifted(alpha, sigmas)
+            far = _order_constants(alpha, sigmas)[4]
             parts = [(ids, far, data)]
             # the clip's window holds only poles at |z|^(1/alpha) >= _CLIP > 1
-            if far and detail != _WINDOWS[-1] and isinstance(m, float):
-                parts = [(ids, () if m < 1.0 else far, data)]
-            elif far and detail != _WINDOWS[-1] and np.minimum.reduce(m[ids]) < 1.0:
+            if far and detail != _WINDOWS[-1] and np.minimum.reduce(m[ids]) < 1.0:
                 near, at = m[ids] < 1.0, np.arange(z.size)[ids]
                 parts = [(ids, (), data)] if near.all() else [
                     (at[part], rows, None if data is None else data[:, part]) for part, rows in ((near, ()), (~near, far))]
             for at, rows, exponents in parts:
                 _contour(alpha, sigmas, z, at, detail[0], exponents, out, rows)
-    return out
 
 
 def _sweep(alpha, sigmas, z, m, theta, rotation):
@@ -750,11 +682,19 @@ def _sweep(alpha, sigmas, z, m, theta, rotation):
     and conjugated below the real axis, its imaginary part is zero on the
     axis, all decided once for the sweep, and a value outside double range
     raises OverflowGuard: one reduction checks every value, and only a
-    failed check looks for the z."""
+    failed check looks for the z.  The rows of sigma > 1 + alpha are
+    evaluated at their bases and climbed by the recurrence at |z| >=
+    sigma^alpha, and replaced by the Taylor series below (_order_constants)."""
     lower = math.copysign(1.0, theta) < 0.0
     upper = z.conj() if lower else z
+    bases, climbs = _order_constants(alpha, sigmas)[:2]
     values = np.empty((len(sigmas), z.size), dtype=complex)
-    _evaluate(alpha, sigmas, upper, m, _sweep_routes(alpha, sigmas, upper, m, abs(theta), rotation), values)
+    _evaluate(alpha, bases, upper, m, _sweep_routes(alpha, sigmas, upper, m, abs(theta), rotation), values)
+    for k, radius, steps, series in climbs:
+        far = m >= radius
+        for step in steps:
+            values[k, far] = (values[k, far] - step) / upper[far]
+        values[k, ~far] = np.polynomial.polynomial.polyval(upper[~far], series)
     if abs(theta) in (0.0, math.pi):
         values.imag = 0.0
     if not np.isfinite(values).all():
@@ -798,39 +738,26 @@ def ml_eval(params: MLParams, z: complex) -> complex:
     """Evaluate E_{alpha,sigma}(z) anywhere in the complex plane.
 
     Relative accuracy 1e-12 (see the module docstring for the method).
-    Raises OverflowGuard where E leaves double range and NonConvergence where
-    that accuracy cannot be met.  Written with Python scalars and routed by
-    _route, not the array router, which costs more for one z; it agrees
-    with an array call at the same z to the rounding of the pole.
+    Raises OverflowGuard where E leaves double range.  A one-element sweep
+    of the array router, with |z| and arg z taken as _by_argument takes
+    them, so it equals _ml_at at the same z and sigma bit for bit.
     """
-    z = complex(z)
-    lower = math.copysign(1.0, z.imag) < 0.0
-    upper = z.conjugate() if lower else z
-    sigmas = (params.sigma,)
-    out = np.empty((1, 1), dtype=complex)
-    value = _evaluate(params.alpha, sigmas, np.array([upper]), abs(upper), _route(params.alpha, sigmas, upper), out).item(0)
-    if z.imag == 0.0:
-        value = complex(value.real, 0.0)
-    if not cmath.isfinite(value):
-        raise OverflowGuard(f"E_{{{params.alpha},{params.sigma}}}({z!r}) exceeds double range")
-    return value.conjugate() if lower else value
+    z = np.array([complex(z)])
+    theta = float(np.arctan2(z.imag, z.real)[0])
+    return _sweep(
+        params.alpha, (params.sigma,), z, np.hypot(z.real, z.imag), theta, cmath.rect(1.0, abs(theta) / params.alpha)
+    ).item()
 
 
 def _ml_at(alpha, sigmas, z):
     """E_{alpha,sigma}(z) for each sigma in sigmas at every element of the
-    array z, as an array of shape (len(sigmas),) + z.shape.
-
-    The z are split by argument into sweeps (_by_argument); a lone z is
-    ml_eval's.
-    """
+    array z, as an array of shape (len(sigmas),) + z.shape: the z split by
+    argument into sweeps (_by_argument)."""
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()
     values = np.empty((len(sigmas), flat.size), dtype=complex)
-    if flat.size == 1:
-        values[:, 0] = [ml_eval(MLParams(alpha, sigma), flat[0]) for sigma in sigmas]
-    else:
-        for ids, m, theta in _by_argument(flat):
-            values[:, ids] = _sweep(alpha, sigmas, flat[ids], m, theta, cmath.rect(1.0, abs(theta) / alpha))
+    for ids, m, theta in _by_argument(flat):
+        values[:, ids] = _sweep(alpha, sigmas, flat[ids], m, theta, cmath.rect(1.0, abs(theta) / alpha))
     return values.reshape((len(sigmas),) + z.shape)
 
 
@@ -840,11 +767,13 @@ def ml_pair(alpha: float, z):
     The two functions of the transport integrands, from one evaluation:
     for these sigmas the parabola depends on z alone, so each parabola's
     nodes serve both.  z may mix arguments; the z of each argument are one
-    sweep of the array router (_ml_at).  Agrees with ml_eval element by
-    element to rounding, with the same exact routes, conjugate symmetry and
-    errors.  Its poles' direction is the rounded arg z's, as ml_eval's;
-    the library's sweeps (_ml_values) take it exactly, and on the beta =
-    alpha rays |E| differs from theirs by up to 3e-16 |s*| relative.
+    sweep of the array router (_ml_at).  Equals ml_eval element by element,
+    bit for bit, with the same errors, but on the ray |arg z| = pi alpha
+    at reach 0, where the abscissae kept are those of both sigmas
+    (_ray_rows) and the two agree to rounding.  Its poles' direction is the
+    rounded arg z's, as ml_eval's; the library's sweeps (_ml_values) take
+    it exactly, and on the beta = alpha rays |E| differs from theirs by up
+    to 3e-16 |s*| relative.
     """
     if not (0.0 < alpha <= 1.0):
         raise DomainError(f"ml_pair requires alpha in (0, 1], got {alpha!r}")

@@ -58,18 +58,26 @@ def ml_reference(alpha, sigma, z, dps, nmax=200_000):
 
 
 def ml_gll_reference(alpha, sigma, z, dps=30):
-    """E_{alpha,sigma}(z) for 0 < alpha < 1, sigma < 1 + alpha, off the rays
-    |arg z| = pi alpha, from the real-line integral
+    """E_{alpha,sigma}(z) for 0 < alpha < 1, off the rays |arg z| = pi alpha,
+    from the real-line integral
 
         (1/(alpha pi)) Int_0^inf r^((1-sigma)/alpha) exp(-r^(1/alpha))
             (r sin(pi(1-sigma)) - z sin(pi(1-sigma+alpha)))
             / (r^2 - 2 r z cos(pi alpha) + z^2) dr
 
     plus (1/alpha) z^((1-sigma)/alpha) exp(z^(1/alpha)) where |arg z| < pi alpha,
-    by mpmath's tanh-sinh quadrature at dps digits.
+    by mpmath's tanh-sinh quadrature at dps digits.  The integral converges
+    for sigma < 1 + alpha, and its integrand is bounded at r = 0 for sigma
+    <= 1; a sigma >= 1 + alpha is taken at sigma - k alpha <= 1, the fewest
+    k, and climbed by E_{a,s+a}(z) = (E_{a,s}(z) - 1/Gamma(s)) / z at dps
+    digits, which is meant for |z| >= 1.
     """
+    steps = 0
+    while sigma >= 1.0 + alpha and sigma - steps * alpha > 1.0:
+        steps += 1
     with mp.workdps(dps):
-        a, s, zm = mp.mpf(alpha), mp.mpf(sigma), mp.mpc(z)
+        a, zm = mp.mpf(alpha), mp.mpc(z)
+        s = mp.mpf(sigma) - steps * a
         s1, s2, c = mp.sinpi(1 - s), mp.sinpi(1 - s + a), mp.cospi(a)
 
         def kernel(r):
@@ -83,6 +91,9 @@ def ml_gll_reference(alpha, sigma, z, dps=30):
         value = mp.quad(kernel, [0, cut / 4, cut / 2, cut]) / (a * mp.pi)
         if abs(mp.arg(zm)) < mp.pi * a:
             value += zm ** ((1 - s) / a) * mp.exp(zm ** (1 / a)) / a
+        for _ in range(steps):
+            value = (value - mp.rgamma(s)) / zm
+            s += a
         return complex(value)
 
 

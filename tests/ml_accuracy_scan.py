@@ -5,19 +5,22 @@
 OLD_SRC and NEW_SRC are directories holding a `tfedge` package (for example
 `src` of two checkouts).  Each point is evaluated by ml_eval and by the
 array router (`_ml_at` on the sweep [z, 2 z]) of each tree, on one grid:
-alpha in {0.1, 0.2, 0.3, 0.5, 0.7, 0.8, 0.95}, sigma in {alpha, 1}, 16
-moduli |z| from 0.01 to 1e3 and 11 arguments in [0, pi], those on the ray
-arg z = pi alpha moved 0.03 pi off it.  Both are compared with mpmath
-references at z: the power series (ml_reference) for |z| <= 3 with
-|z|^(1/alpha) <= 100, and the real-line integral (ml_gll_reference)
-elsewhere, which loses digits near the ray at small |z|.  Prints the
-worst relative error of each tree and router per (alpha, sigma, |z| < 1
-or >= 1), the ml_eval points over 1e-12 for each tree, and the points
-over 1e-12 in NEW_SRC alone; then, for each router, how many values
-(and refusals) differ in any bit between the trees.  Points where either
-tree raises are left out of the errors, and each router's refusals are
-counted per tree.  pytest does not collect this file; the
-scan of 2 464 points takes about a minute on a 2-core host.
+alpha in {0.1, 0.2, 0.3, 0.5, 0.7, 0.8, 0.95}, sigma in {alpha, 1} and
+the sigma > 1 + alpha of {1.5 + alpha, 2.5, 3.6, 5}, 16 moduli |z| from
+0.01 to 1e3 and 11 arguments in [0, pi], those on the ray arg z = pi
+alpha moved 0.03 pi off it.  Both are compared with mpmath references at
+z: the power series (ml_reference) for |z| <= 3 with |z|^(1/alpha) <=
+100, and the real-line integral (ml_gll_reference, climbed by the
+recurrence for sigma >= 1 + alpha) elsewhere, which loses digits near the
+ray at small |z|.  Prints the worst relative error of each tree and
+router per (alpha, sigma, |z| < 1 or >= 1) over the points that tree
+answered, the ml_eval points over 1e-12 for each tree, the points over
+1e-12 in NEW_SRC alone, and the points OLD_SRC refused and NEW_SRC
+answers, with their worst error, and the sigma in {alpha, 1} points whose
+ml_eval error grew; then, for each router, how many values (and
+refusals) differ in any bit between the trees.  pytest does not collect
+this file; the scan of 7 392 points takes five to nine minutes on a
+2-core host.
 """
 
 import cmath
@@ -54,6 +57,15 @@ def arguments(alpha):
     return np.where(np.abs(thetas - math.pi * alpha) < 1e-9, thetas + 0.03 * math.pi, thetas)
 
 
+def sigmas(alpha):
+    """The rows of alpha: sigma in {alpha, 1}, then those > 1 + alpha."""
+    return (alpha, 1.0) + tuple(sigma for sigma in (1.5 + alpha, 2.5, 3.6, 5.0) if sigma > 1.0 + alpha)
+
+
+def label(alpha, sigma):
+    return "alpha" if sigma == alpha else "1.5+alpha" if sigma == 1.5 + alpha else f"{sigma:g}"
+
+
 def reference(alpha, sigma, z):
     # past |z|^(1/alpha) = 100 the series needs hundreds of digits and tens
     # of thousands of terms (alpha = 0.1, |z| = 2.15: 966 digits, about
@@ -84,7 +96,7 @@ def differing(a, b):
     """How many values of a and b (a value, an array of them, or the name of
     a refusal, which counts as one value) differ in any bit."""
     if isinstance(a, str) or isinstance(b, str):
-        return int(not (isinstance(a, str) and a == b))
+        return int(not (isinstance(a, str) and isinstance(b, str) and a == b))
     a, b = (np.atleast_1d(np.asarray(v, dtype=complex)).view(np.int64).reshape(-1, 2) for v in (a, b))
     return int(np.count_nonzero((a != b).any(axis=1)))
 
@@ -93,12 +105,15 @@ def main(old_src, new_src):
     trees = (load("tfedge_old", old_src), load("tfedge_new", new_src))
     worst = {}
     over = ([], [])
+    # points the old tree refused and the new one answers: (ml_eval, array)
+    # errors; and the ml_eval errors (old, new, point) at sigma in {alpha, 1}
+    answered, paired = [], []
     # refusals per router and tree, and values differing in any bit between
     # the trees, per router
     refused = {"ml_eval": ({}, {}), "array": ({}, {})}
     changed = {"ml_eval": 0, "array": 0}
     for alpha in ALPHAS:
-        for sigma in (alpha, 1.0):
+        for sigma in sigmas(alpha):
             for r in RADII:
                 for theta in arguments(alpha):
                     z = cmath.rect(r, theta)
@@ -106,32 +121,46 @@ def main(old_src, new_src):
                     arrays = [array_values(tree, alpha, sigma, z) for tree in trees]
                     changed["ml_eval"] += differing(*got)
                     changed["array"] += differing(*arrays)
-                    if any(isinstance(v, str) for v in got + arrays):
-                        for router, values in (("ml_eval", got), ("array", arrays)):
-                            for side, v in enumerate(values):
-                                if isinstance(v, str):
-                                    refused[router][side][v] = refused[router][side].get(v, 0) + 1
+                    for router, values in (("ml_eval", got), ("array", arrays)):
+                        for side, v in enumerate(values):
+                            if isinstance(v, str):
+                                refused[router][side][v] = refused[router][side].get(v, 0) + 1
+                    # (ml_eval old, ml_eval new, array old, array new), nan where refused
+                    values = got + [a if isinstance(a, str) else a[0] for a in arrays]
+                    if all(isinstance(v, str) for v in values):
                         continue
                     want = reference(alpha, sigma, z)
-                    cell = (alpha, "alpha" if sigma == alpha else "1", "< 1" if r < 1.0 else ">= 1")
-                    errors = [abs(v - want) / abs(want) for v in got + [a[0] for a in arrays]]
-                    worst[cell] = [max(e, w) for e, w in zip(errors, worst.get(cell, (0.0,) * 4))]
+                    errors = [math.nan if isinstance(v, str) else abs(v - want) / abs(want) for v in values]
+                    cell = (alpha, label(alpha, sigma), "< 1" if r < 1.0 else ">= 1")
+                    worst[cell] = list(np.fmax(errors, worst.get(cell, (math.nan,) * 4)))
                     for side, e in enumerate(errors[:2]):
                         if e > TOL:
                             over[side].append((alpha, sigma, r, theta / math.pi, errors[:2]))
+                    if isinstance(got[0], str) and not isinstance(got[1], str):
+                        answered.append((errors[1], errors[3]))
+                    if sigma in (alpha, 1.0) and not any(isinstance(v, str) for v in got):
+                        paired.append((errors[0], errors[1], (alpha, sigma, r, theta / math.pi)))
             print(f"alpha={alpha} sigma={sigma:g} scanned", file=sys.stderr, flush=True)
-    print(f"worst relative error per cell ({old_src} -> {new_src})")
+    print(f"worst relative error per cell ({old_src} -> {new_src}; nan: every point refused)")
     print("| alpha | sigma | modulus | ml_eval old | ml_eval new | array old | array new |")
     print("|---|---|---|---|---|---|---|")
     for (alpha, sigma, band), errors in worst.items():
         print(f"| {alpha} | {sigma} | {band} | " + " | ".join(f"{e:.1e}" for e in errors) + " |")
     for side, name in enumerate(("old", "new")):
-        print(f"{name}: {len(over[side])} points over {TOL:g}")
+        print(f"{name}: {len(over[side])} ml_eval points over {TOL:g}")
         for router, sides in refused.items():
             print(f"  {router} refused: {sides[side] or 'none'}")
-    newly = [p for p in over[1] if p[4][0] <= TOL]
+    newly = [p for p in over[1] if not p[4][0] > TOL]
     print(f"newly over {TOL:g} in new: {len(newly)}")
     for alpha, sigma, r, arg, (e_old, e_new) in newly:
+        print(f"  alpha={alpha} sigma={sigma:g} |z|={r:.4g} arg z={arg:.3f} pi: {e_old:.1e} -> {e_new:.1e}")
+    print(f"refused by ml_eval in old, answered in new: {len(answered)}, worst error "
+          f"{max((e for e, _ in answered), default=math.nan):.1e} (array router "
+          f"{np.fmax.reduce([a for _, a in answered]) if answered else math.nan:.1e})")
+    worse = [p for p in paired if p[1] > p[0]]
+    print(f"sigma in {{alpha, 1}}: ml_eval error larger in new at {len(worse)} of {len(paired)} points, "
+          f"smaller at {sum(p[1] < p[0] for p in paired)}")
+    for e_old, e_new, (alpha, sigma, r, arg) in sorted(worse, key=lambda p: p[1] - p[0])[-5:]:
         print(f"  alpha={alpha} sigma={sigma:g} |z|={r:.4g} arg z={arg:.3f} pi: {e_old:.1e} -> {e_new:.1e}")
     for router, count in changed.items():
         print(f"{router}: {count} values differ in some bit between old and new")

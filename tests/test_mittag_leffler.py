@@ -16,7 +16,6 @@ from scipy.special import erfcx, rgamma, wofz
 from tfedge import (
     DomainError,
     MLParams,
-    NonConvergence,
     OverflowGuard,
     gamma_reciprocal,
     ml_deriv,
@@ -308,24 +307,25 @@ def test_ray_memo_is_read_only_and_bounded(table):
 
 
 def test_contour_memos_are_read_only_and_bounded():
-    # the parabolas of the windows, their nodes, a sweep's z-free constants
-    # and the powers of -i are kept across calls: sweeping more
-    # orders than the memos hold cannot grow them past their bound, and the
-    # arrays handed out are read-only
-    from tfedge.mittag_leffler import _CLIP, _ml_values, _nodes, _parabola, _sweep_constants
+    # the nodes of the windows' parabolas, what the orders decide (the
+    # bases and series of sigma > 1 + alpha among it) and the powers of -i
+    # are kept across calls: sweeping more orders than the memos hold cannot
+    # grow them past their bound, and the arrays handed out are read-only
+    from tfedge.mittag_leffler import _WINDOWS, _ml_values, _nodes, _order_constants
 
-    memos = (_parabola, _nodes, _sweep_constants, neg_i_power)
+    memos = (_nodes, _order_constants, neg_i_power)
     sweep = 2 * max(memo.cache_info().maxsize for memo in memos)
     for alpha in np.linspace(0.05, 1.0, sweep):
-        # a branch point of strength 1: each pole vertex has its own parabola;
-        # z = |z| e^(0.6 i pi alpha)
+        # 1.5 + alpha is climbed from its base by the recurrence; z = |z| e^(0.6 i pi alpha)
         _ml_values(alpha, (alpha, 1.5 + alpha), [0.5, 3.0], -1.2 * alpha)
     for memo in memos:
         info = memo.cache_info()
         assert info.currsize <= info.maxsize < info.misses, memo
-    s_alpha, weights = _nodes(0.5, (0.5, 1.0), _parabola(_CLIP, 0.0)[0])
-    one_minus = _sweep_constants(0.5, (0.5, 1.0), 0.25 * math.pi)[-2]
-    for a in (s_alpha, weights, one_minus):
+    s_alpha, weights = _nodes(0.5, (0.5, 1.0), _WINDOWS[-1][0])
+    one_minus = _order_constants(0.5, (0.5, 1.0))[-2]
+    [(_, _, steps, series)] = _order_constants(0.5, (0.5, 3.6))[1]
+    assert isinstance(steps, tuple)
+    for a in (s_alpha, weights, one_minus, series):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0
@@ -335,8 +335,8 @@ def test_memos_change_no_bit():
     # a sweep whose memos are cleared first (cold) and the same sweep with
     # every memo filled (warm) give the same values bit for bit, or the same
     # refusal: on the contour with and without residues, off the sheet, on
-    # the ray, and at z = 0
-    from tfedge.mittag_leffler import _ml_values, _nodes, _parabola, _ray_rows, _sweep_constants
+    # the ray, at z = 0, and climbed from a base sigma
+    from tfedge.mittag_leffler import _ml_values, _nodes, _order_constants, _ray_rows
 
     def sweep(alpha, sigmas, moduli, beta):
         try:
@@ -347,8 +347,8 @@ def test_memos_change_no_bit():
     moduli = np.concatenate(([0.0], np.geomspace(0.05, 60.0, 23))).reshape(2, 12)
     for alpha in (0.3, 0.5, 0.8, 1.0):
         for beta in (0.25, 0.8, 1.0, 1.5, -2.0 * alpha):
-            for sigmas in ((alpha, 1.0), (1.0,)):
-                for memo in (_parabola, _nodes, _ray_rows, _sweep_constants, neg_i_power):
+            for sigmas in ((alpha, 1.0), (1.0,), (alpha, 1.5 + alpha)):
+                for memo in (_nodes, _ray_rows, _order_constants, neg_i_power):
                     memo.cache_clear()
                 cold = sweep(alpha, sigmas, moduli, beta)
                 assert sweep(alpha, sigmas, moduli, beta) == cold, (alpha, beta, sigmas)
@@ -376,50 +376,56 @@ def _pair_points(alpha):
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8, 1.0])
 def test_array_pair_matches_scalar_calls(alpha):
+    # ml_eval is a one-element sweep of the same router, so each value of
+    # the pair equals it bit for bit; on the ray at reach 0 (|z| = 12 at
+    # alpha = 0.3) the abscissae kept are those of both sigmas, and there
+    # the two agree to rounding
+    from tfedge.mittag_leffler import _ml_at
+
     z = _pair_points(alpha)
     eaa, ea1 = ml_pair(alpha, z)
-    for zi, got_aa, got_a1 in zip(z, eaa, ea1):
-        want_aa = ml_eval(MLParams(alpha, alpha), zi)
-        want_a1 = ml_eval(MLParams(alpha, 1.0), zi)
-        assert abs(got_aa - want_aa) <= 1e-12 * abs(want_aa), zi
-        assert abs(got_a1 - want_a1) <= 1e-12 * abs(want_a1), zi
+    on_ray = (np.abs(np.abs(np.angle(z)) - math.pi * alpha) <= 1e-14) & (np.abs(z) >= 1.0)
+    for zi, ray, got_aa, got_a1 in zip(z, on_ray, eaa, ea1):
+        for got, sigma in ((got_aa, alpha), (got_a1, 1.0)):
+            want = ml_eval(MLParams(alpha, sigma), zi)
+            assert want == _ml_at(alpha, (sigma,), [zi])[0, 0], (sigma, zi)
+            assert got == want or (ray and abs(got - want) <= 4e-16 * abs(want)), (sigma, zi)
     # the mirrored half is the conjugate, bit for bit
     half = z.size // 2
     for values in (eaa, ea1):
         assert np.all(values[half:].real == values[:half].real)
         assert np.all(values[half:].imag == -values[:half].imag)
-    # one element is the scalar call itself; shapes are kept
-    for zi in z[:4]:
+    # one element is the array call itself; shapes are kept
+    for i, zi in enumerate(z[:4]):
         single_aa, single_a1 = ml_pair(alpha, zi)
         assert single_aa.shape == ()
-        assert complex(single_aa) == ml_eval(MLParams(alpha, alpha), zi)
-        assert complex(single_a1) == ml_eval(MLParams(alpha, 1.0), zi)
+        assert complex(single_aa) == eaa[i] and complex(single_a1) == ea1[i]
     square_aa, _ = ml_pair(alpha, z[:4].reshape(2, 2))
     assert square_aa.shape == (2, 2)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.8])
 def test_shared_parabola_is_each_vertex_own(alpha):
-    # while the branch point has strength zero, a pole takes the parabola of
-    # its vertex's window in the table: beyond the clip of sqrt(phi) in
-    # _region_below the clip's own, below it the one its octave [lo, 2 lo)
-    # of vertices would have alone, bit for bit
-    from tfedge.mittag_leffler import _CLIP, _EDGES, _WINDOWS, _parabola, _region_below, _route
+    # a pole takes the parabola of its vertex's window in the table: beyond
+    # the clip of sqrt(phi) in _region_below the clip's own, below it the
+    # one its octave [lo, 2 lo) of vertices would have alone, bit for bit
+    from tfedge.mittag_leffler import _CLIP, _EDGES, _WINDOWS, _parabola, _region_below, _sweep_routes
 
+    theta = 0.5 * math.pi * alpha
     for phi in (0.5, 1.4, 4.0, 5.9, 6.1, 40.0, 1e4):
-        # a pole on the imaginary axis has its vertex at |s*| / 2
-        z = cmath.rect((2.0 * phi) ** alpha, 0.5 * math.pi * alpha)
-        [((_, parabola), _, _)] = _route(alpha, (alpha, 1.0), z)
+        # a pole on the imaginary axis has its vertex at |s*| / 2; its z alone is a sweep
+        m = np.array([(2.0 * phi) ** alpha])
+        [((_, parabola), _, _)] = _sweep_routes(alpha, (alpha, 1.0), m * cmath.exp(1j * theta), m, theta, 1j)
         (mu, _, _), residue = parabola
         window = bisect.bisect_right(_EDGES, phi)
         assert parabola == _WINDOWS[window], phi
         # the residue is taken exactly when the pole is right of the parabola
         assert residue == (phi > mu), phi
         if phi >= _CLIP:
-            assert window == len(_EDGES) and parabola == (_region_below(phi, 0.0), True), phi
+            assert window == len(_EDGES) and parabola == (_region_below(phi), True), phi
         else:
             lo = _CLIP / 2.0 ** (math.floor(math.log2(_CLIP / phi)) + 1)
-            assert lo <= phi < 2.0 * lo and parabola == _parabola(lo, 0.0), phi
+            assert lo <= phi < 2.0 * lo and parabola == _parabola(lo), phi
 
 
 def test_pole_vertex_windows_share_valid_parabolas():
@@ -428,12 +434,12 @@ def test_pole_vertex_windows_share_valid_parabolas():
     # Every octave's own parabola is its window's; each window leaves all
     # its poles on the side its residue says, within _N_MAX nodes; the
     # lowest window reaches the cut, below which the poles take the
-    # parabola of no pole.  Then z by z, _route takes its vertex's window
-    from tfedge.mittag_leffler import _CLIP, _CONTOUR, _EDGES, _N_MAX, _WINDOWS, _parabola, _route
+    # parabola of no pole
+    from tfedge.mittag_leffler import _CLIP, _EDGES, _N_MAX, _WINDOWS, _parabola
 
     cut = math.nextafter(1e-15, math.inf)
     assert _EDGES[0] == cut and _EDGES[-1] == _CLIP and list(_EDGES) == sorted(set(_EDGES))
-    assert _WINDOWS[0] == _parabola(0.0, 0.0) and _WINDOWS[-1] == _parabola(_CLIP, 0.0)
+    assert _WINDOWS[0] == _parabola(0.0) and _WINDOWS[-1] == _parabola(_CLIP)
     # at _LOG_EPS = log(1e-14), 12 windows below the clip's, no two
     # neighbours alike (they would be one window)
     assert len(_WINDOWS) == 14 and all(a != b for a, b in zip(_WINDOWS[1:], _WINDOWS[2:]))
@@ -443,7 +449,7 @@ def test_pole_vertex_windows_share_valid_parabolas():
         # the window of the octave's lowest vertex above the cut, and of its highest
         window = bisect.bisect_right(_EDGES, max(lo, cut))
         assert bisect.bisect_right(_EDGES, math.nextafter(2.0 * lo, 0.0)) == window, lo
-        assert _parabola(lo, 0.0) == _WINDOWS[window], lo
+        assert _parabola(lo) == _WINDOWS[window], lo
         octaves.add(window)
     assert octaves == set(range(1, len(_EDGES))) and lo < cut
     for window, ((mu, _, n), residue) in enumerate(_WINDOWS):
@@ -452,87 +458,97 @@ def test_pole_vertex_windows_share_valid_parabolas():
         lower, upper = ([0.0] + list(_EDGES))[window], (list(_EDGES) + [math.inf])[window]
         assert (mu < lower) if residue else (upper <= mu), window
 
-    rng = np.random.default_rng(12)
-    windows = set()
-    for alpha, r, theta in zip(
-        rng.uniform(0.05, 1.0, 4000), 10.0 ** rng.uniform(-3.0, math.log10(50.0), 4000),
-        rng.uniform(0.0, math.pi, 4000),
-    ):
-        z = cmath.rect(r, theta)
-        try:
-            [((route, parabola), _, exponents)] = _route(alpha, (alpha, 1.0), z)
-        except OverflowGuard:
-            continue
-        if route != _CONTOUR:
-            continue
-        assert parabola[1] == (exponents is not None)
+
+def _rule_route(alpha, sigmas, zi):
+    """(route, data) of one z (Im z >= 0) by the routing rules, stated here
+    in Python scalars: z = 0; exp(z) where alpha and every base sigma
+    (_order_constants) are 1; the ray's reach where |z| >= 1 on arg z = pi
+    alpha and every base sigma <= 1; else the window of the vertex (Re s*
+    + |s*|) / 2 of the pole s* = z^(1/alpha) on the principal sheet, with
+    the residue exponents s* + (1 - sigma) log s* - log alpha, one per base
+    sigma, where the window's parabola passes left of s*.  None where
+    exp(z), |s*| or a residue leaves double range."""
+    from tfedge.mittag_leffler import _CONTOUR, _EDGES, _EXP, _RAY, _RAY_TOL, _WINDOWS, _ZERO, _order_constants, _ray_intervals
+
+    bases = _order_constants(alpha, sigmas)[0]
+    if zi == 0:
+        return (_ZERO, None), None
+    if alpha == 1.0 and all(sigma == 1.0 for sigma in bases):
+        return ((_EXP, None), None) if zi.real <= 705.0 else None
+    r, theta = abs(zi), math.atan2(zi.imag, zi.real)
+    try:
+        if alpha < 1.0 and max(bases) <= 1.0 and r >= 1.0 and abs(theta - math.pi * alpha) <= _RAY_TOL:
+            d, r_cut = _ray_intervals(alpha, r)
+            return (_RAY, int(r - d < r_cut) + int(r + d < r_cut)), np.array([r, r ** (1.0 / alpha)])
         if theta > math.pi * alpha:
-            assert parabola == _WINDOWS[0], (alpha, z)
-            continue
+            return (_CONTOUR, _WINDOWS[0]), None
         pole = cmath.rect(r ** (1.0 / alpha), theta / alpha)
-        phi = 0.5 * (pole.real + abs(pole))
-        assert parabola == _WINDOWS[bisect.bisect_right(_EDGES, phi)], (alpha, z)
-        if phi > 1e-15:
-            assert parabola[1] == (phi > parabola[0][0]), (alpha, z, phi)
-        windows.add(parabola)
-    assert len(windows) > 5
+    except OverflowError:
+        return None
+    parabola = _WINDOWS[bisect.bisect_right(_EDGES, 0.5 * (pole.real + abs(pole)))]
+    if not parabola[1]:
+        return (_CONTOUR, parabola), None
+    exponents = np.array([pole + (1.0 - sigma) * cmath.log(pole) for sigma in bases])
+    if exponents.real.max() > 705.0:
+        return None
+    return (_CONTOUR, parabola), exponents - math.log(alpha)
 
 
-def _assert_routes_agree(alpha, sigmas, z):
-    """The array router against _route at every z (Im z >= 0), the z split
-    by argument into sweeps as array calls split them; returns the routes
-    taken.  With a branch point of strength p0 > 0 the array router routes
-    each z by _route, so route and data are _route's bit for bit."""
-    from tfedge.mittag_leffler import _RAY, _branch_strength, _by_argument, _route, _sweep_routes
+def _assert_routes_follow_the_rules(alpha, sigmas, z):
+    """The sweep router at every z (Im z >= 0), split by argument into
+    sweeps as array calls split them, against _rule_route; returns the
+    routes taken.  Each z's route and data equal those of its one-element
+    sweep bit for bit."""
+    from tfedge.mittag_leffler import _RAY, _by_argument, _sweep_routes
 
     want = []
     for zi in z.tolist():
-        try:
-            [(route, _, data)] = _route(alpha, sigmas, zi)
-            want.append((route, None if data is None else data[:, 0]))
-        except (OverflowGuard, NonConvergence) as refusal:
-            # the array router refuses the same z in a sweep with z = 0
-            with pytest.raises(type(refusal)):
-                theta = math.atan2(zi.imag, zi.real)
+        want.append(_rule_route(alpha, sigmas, zi))
+        if want[-1] is None:
+            # the router refuses the z in a sweep with z = 0
+            theta = math.atan2(zi.imag, zi.real)
+            with pytest.raises(OverflowGuard):
                 _sweep_routes(
                     alpha, sigmas, np.array([0.0, zi]), np.array([0.0, abs(zi)]), theta, cmath.rect(1.0, theta / alpha)
                 )
-            want.append(None)
     kept = np.array([zi for zi, w in zip(z, want) if w is not None])
     want = [w for w in want if w is not None]
-    got = [None] * kept.size
-    for sweep, m, theta in _by_argument(kept):
-        for route, ids, data in _sweep_routes(alpha, sigmas, kept[sweep], m, theta, cmath.rect(1.0, theta / alpha)):
-            for j, i in enumerate(sweep[ids]):
-                got[i] = (route, None if data is None else data[:, j])
     eps = np.finfo(float).eps
-    per_vertex = _branch_strength(alpha, sigmas) > 0.0
-    for zi, (route, datum), (want_route, want_datum) in zip(kept, got, want):
-        assert route == want_route, (alpha, sigmas, zi)
-        if want_datum is None:
-            assert datum is None, (alpha, sigmas, zi)
-            continue
-        if per_vertex:
-            assert np.array_equal(datum, want_datum), (alpha, sigmas, zi)
-            continue
-        # |z| to its rounding; the pole's |s*| and the residue exponent to
-        # the rounding of |z| and arg z raised to the power 1/alpha
-        pole = abs(zi) ** (1.0 / alpha)
-        if route[0] == _RAY:
-            tol = np.array([2.0 * eps * abs(zi), 8.0 * eps / alpha * pole])
-        else:
-            tol = 8.0 * eps / alpha * (1.0 + pole)
-        assert np.all(np.abs(datum - want_datum) <= tol), (alpha, sigmas, zi)
-    return [route for route, _ in got]
+    taken = []
+    for sweep, m, theta in _by_argument(kept):
+        rotation = cmath.rect(1.0, theta / alpha)
+        for route, ids, data in _sweep_routes(alpha, sigmas, kept[sweep], m, theta, rotation):
+            for j, i in enumerate(sweep[ids]):
+                datum = None if data is None else data[:, j]
+                [(lone, _, lone_data)] = _sweep_routes(alpha, sigmas, kept[[i]], m[ids][j : j + 1], theta, rotation)
+                assert lone == route and (datum is None) == (lone_data is None), (alpha, sigmas, kept[i])
+                assert datum is None or np.array_equal(lone_data[:, 0], datum), (alpha, sigmas, kept[i])
+                want_route, want_datum = want[i]
+                assert route == want_route, (alpha, sigmas, kept[i])
+                taken.append(route)
+                if want_datum is None:
+                    assert datum is None, (alpha, sigmas, kept[i])
+                    continue
+                # |z| to its rounding; the pole's |s*| and the residue exponent to
+                # the rounding of |z| and arg z raised to the power 1/alpha
+                pole = abs(kept[i]) ** (1.0 / alpha)
+                if route[0] == _RAY:
+                    tol = np.array([2.0 * eps * abs(kept[i]), 8.0 * eps / alpha * pole])
+                else:
+                    tol = 8.0 * eps / alpha * (1.0 + pole)
+                assert np.all(np.abs(datum - want_datum) <= tol), (alpha, sigmas, kept[i])
+    return taken
 
 
-def test_array_router_agrees_with_the_scalar_one():
-    # the router of array calls against _route, z by z: the same route
-    # kind, ray reach and parabola ((mu, h, N), residue), the residue taken
-    # for the same z, and the same OverflowGuard; the ray's (|z|, |z|^(1/a))
-    # and the residue exponents agree to the rounding of the pole.  Mixed
-    # arrays, and arrays wholly on the ray
-    from tfedge.mittag_leffler import _CONTOUR
+def test_sweep_router_follows_the_routing_rules():
+    # every z's route against the rules stated z by z (_rule_route): the
+    # same route kind, ray reach and parabola ((mu, h, N), residue), the
+    # residue taken for the same z, and the same OverflowGuard; the ray's
+    # (|z|, |z|^(1/a)) and the residue exponents agree to the rounding of
+    # the pole.  Arrays of random z (each a one-element sweep, their
+    # arguments differing), the ray, and one sweep of many moduli; every
+    # route kind, ray reach and window is taken
+    from tfedge.mittag_leffler import _CONTOUR, _WINDOWS
 
     rng = np.random.default_rng(2718)
     routes = []
@@ -540,43 +556,17 @@ def test_array_router_agrees_with_the_scalar_one():
         r = 10.0 ** rng.uniform(-3.0, 3.0, 90)
         z = r * np.exp(1j * rng.uniform(0.0, math.pi, 90))
         on_ray = np.array([0.5, 1.0, 2.0, 7.0, 40.0, 900.0]) * cmath.exp(1j * math.pi * alpha)
-        # 1 + alpha/2: strength zero, but the ray's poles lie on the cut;
-        # 1.5 + alpha: a branch point of strength 1, each vertex its own parabola
+        sweep = np.geomspace(1e-3, 50.0, 24) * cmath.exp(0.5j * math.pi * alpha)
+        # 1 + alpha/2: the ray's poles lie on the cut; 1.5 + alpha: climbed from its base
         for sigmas in ((alpha,), (1.0,), (alpha, 1.0), (1.0 + 0.5 * alpha,), (alpha, 1.5 + alpha)):
-            routes += _assert_routes_agree(alpha, sigmas, np.concatenate(([0.0], on_ray, z, [0.0])))
-            routes += _assert_routes_agree(alpha, sigmas, on_ray[2:])
+            routes += _assert_routes_follow_the_rules(alpha, sigmas, np.concatenate(([0.0], on_ray, z, sweep, [0.0])))
+            routes += _assert_routes_follow_the_rules(alpha, sigmas, on_ray[2:])
     assert {kind for kind, _ in routes} == {"zero", "exp", "ray", "contour"}
     assert {reach for kind, reach in routes if kind == "ray"} == {0, 1, 2}
-    assert len({parabola for kind, parabola in routes if kind == _CONTOUR}) > 12
+    assert {parabola for kind, parabola in routes if kind == _CONTOUR} == set(_WINDOWS)
     # a numpy alpha reaches every interval of the ray, as a float does
     z = cmath.rect(2.0, -0.5 * math.pi)
     assert ml_eval(MLParams(np.float64(0.5), 1.0), z) == ml_eval(MLParams(0.5, 1.0), z)
-
-
-def test_array_calls_with_a_strong_branch_point():
-    # sigma > 1 + alpha gives the branch point s = 0 strength p0 > 0 and each
-    # pole vertex its own parabola; the array router serves such calls z by
-    # z as ml_eval does.  Against the mpmath series, against ml_eval (bit
-    # for bit where ml_eval has the same branch point), and independent of
-    # the other z of the call
-    from tfedge.mittag_leffler import _ml_at
-
-    rng = np.random.default_rng(1414)
-    for alpha in [1.0, *rng.uniform(0.05, 1.0, 11)]:
-        sigmas = (alpha, 1.5 + alpha)
-        r = 10.0 ** rng.uniform(-3.0, math.log10(min(8.0, 24.0**alpha)), 8)
-        z = r * np.exp(1j * rng.uniform(-math.pi, math.pi, 8))
-        values = _ml_at(alpha, sigmas, z)
-        for k, sigma in enumerate(sigmas):
-            for i, zi in enumerate(z):
-                want = ml_reference(alpha, sigma, zi, 30 + int(abs(zi) ** (1.0 / alpha) / 2.3))
-                assert rel_err(values[k, i], want) <= 1e-12, (alpha, sigma, zi)
-        for i, zi in enumerate(z):
-            # ml_eval at sigma = alpha alone has a branch point of strength
-            # zero and the parabola of the window table, not the pair's
-            assert values[1, i] == ml_eval(MLParams(alpha, sigmas[1]), zi), (alpha, zi)
-            assert rel_err(values[0, i], ml_eval(MLParams(alpha, alpha), zi)) <= 1e-13, (alpha, zi)
-        assert np.array_equal(_ml_at(alpha, sigmas, z[::-1][:5]), values[:, ::-1][:, :5])
 
 
 def _independence_pool(alpha, rng):
@@ -592,13 +582,13 @@ def _independence_pool(alpha, rng):
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8, 1.0])
 def test_values_do_not_depend_on_position_or_companions(alpha):
-    # within arrays of two or more z, the E at a z is the same bit for bit
-    # whatever its position and the other z of the call: shuffled and
-    # re-sliced calls of every length against one call over the pool
+    # the E at a z is the same bit for bit whatever its position and the
+    # other z of the call: shuffled and re-sliced calls of every length,
+    # one z included, against one call over the pool
     rng = np.random.default_rng(int(31 * alpha))
     pool = _independence_pool(alpha, rng)
     want = np.array(ml_pair(alpha, pool))
-    for size in (2, 7, 33, 501):
+    for size in (1, 2, 7, 33, 501):
         order = rng.permutation(pool.size)
         for start in range(0, pool.size - size + 1, max(size, 61)):
             ids = order[start : start + size]
@@ -662,7 +652,7 @@ def test_contour_sums_within_the_dot_product_bound():
     # ray (alpha = 1/2, beta = 1, |z| >= 1) take no contour
     import mpmath
 
-    from tfedge.mittag_leffler import _CONTOUR, _contour, _nodes, _shifted, _sweep_routes
+    from tfedge.mittag_leffler import _CONTOUR, _contour, _nodes, _order_constants, _sweep_routes
 
     checked = 0
     with mpmath.workdps(40):
@@ -679,7 +669,7 @@ def test_contour_sums_within_the_dot_product_bound():
                         continue
                     if kind != _CONTOUR:
                         continue
-                    far = _shifted(alpha, sigmas) if m >= 1.0 else ()
+                    far = _order_constants(alpha, sigmas)[4] if m >= 1.0 else ()
                     assert far in ((), (0,))
                     out = np.empty((2, 1), dtype=complex)
                     _contour(alpha, sigmas, z, slice(None), detail[0], None, out, far)
@@ -948,10 +938,51 @@ def test_values_either_side_of_the_unit_circle():
 
 
 def test_strong_branch_point_near_the_origin():
-    # sigma > 1 + alpha gives the branch point strength 1 here; at the
-    # pole vertex 0.304 the contour meets its tolerance within _N_MAX nodes
+    # sigma > 1 + alpha: at |z| < 1 the Taylor series of E_{1,2.5}
     z = 0.2425 + 0.2747j
     assert rel_err(ml_eval(MLParams(1.0, 2.5), z), ml_reference(1.0, 2.5, z, 30)) <= 1e-12
+
+
+def test_strong_branch_points_match_the_series():
+    # sigma > 1 + alpha is evaluated at its base sigma - K alpha <= 1 +
+    # alpha and climbed K times by the recurrence at |z| >= sigma^alpha, or
+    # summed as the Taylor series below it.  Against the mpmath series on a
+    # seeded subset of the grid alpha in {0.1, 0.3, 0.5, 0.8, 1}, sigma in
+    # {1.5 + alpha, 2.5, 3.6, 5}, |z| in [0.05, 30] with |z|^(1/alpha) <=
+    # 100, five arguments in [0, pi] and their conjugates; z = -1 at sigma =
+    # 5; |z| = sigma^alpha and just below it, either side of the switch; and
+    # sigma = 20 and 30 on both sides, where a switch at |z| = 1 loses digits
+    # (7e-10 at alpha = 1/2, sigma = 30, z = -3)
+    from tfedge.mittag_leffler import _ml_at
+
+    rng = np.random.default_rng(3600)
+    points = [(0.5, 5.0, -1.0), (1.0, 5.0, -1.0), (0.5, 30.0, -3.0), (0.5, 30.0, 6.0j), (1.0, 20.0, -10.0), (1.0, 20.0, -25.0)]
+    for alpha in (0.1, 0.3, 0.5, 0.8, 1.0):
+        for sigma in (1.5 + alpha, 2.5, 3.6, 5.0):
+            r = 10.0 ** rng.uniform(math.log10(0.05), math.log10(min(30.0, 100.0**alpha)), 3)
+            theta = rng.choice(np.linspace(0.0, math.pi, 5), 3) * rng.choice([-1.0, 1.0], 3)
+            points += [(alpha, sigma, complex(z)) for z in r * np.exp(1j * theta)]
+            points += [(alpha, sigma, cmath.rect(sigma**alpha * (1.0 - 1e-9 * k), 0.8 * math.pi)) for k in (0, 1)]
+    for alpha, sigma, z in points:
+        want = ml_reference(alpha, sigma, z, 30 + int(abs(z) ** (1.0 / alpha) / 2.3))
+        assert rel_err(ml_eval(MLParams(alpha, sigma), z), want) <= 1e-12, (alpha, sigma, z)
+    # both sigmas of a mixed array call, each row its lone call's bit for
+    # bit, whatever the other z of the call
+    alpha = 0.3
+    sigmas = (alpha, 1.5 + alpha)
+    z = 10.0 ** rng.uniform(-1.3, 0.7, 8) * np.exp(1j * rng.uniform(-math.pi, math.pi, 8))
+    values = _ml_at(alpha, sigmas, z)
+    for k, sigma in enumerate(sigmas):
+        for zi, got in zip(z, values[k]):
+            assert got == ml_eval(MLParams(alpha, sigma), zi), (sigma, zi)
+            want = ml_reference(alpha, sigma, zi, 30 + int(abs(zi) ** (1.0 / alpha) / 2.3))
+            assert rel_err(got, want) <= 1e-12, (sigma, zi)
+    assert np.array_equal(_ml_at(alpha, sigmas, z[::-1][:5]), values[:, ::-1][:, :5])
+    # E_{1/2,5/2}(30) ~ 2 e^900 / 30^3 leaves double range, alone or among finite values
+    with pytest.raises(OverflowGuard):
+        ml_eval(MLParams(0.5, 2.5), 30.0)
+    with pytest.raises(OverflowGuard):
+        _ml_at(0.5, (0.5, 2.5), [1.0, 30.0])
 
 
 def test_import_does_not_load_mpmath():
