@@ -28,13 +28,12 @@ import numpy as np
 from .edge_current import (
     FractionalOrder,
     _current_values,
-    _decay_order,
     build_spectral_table,
     classify_regime,
     current_asymptotic_case1,
     current_asymptotic_case2,
-    current_direct,
     current_trace,
+    decay_exponent,
     fit_exponent,
     gauss_legendre_rule,
     log_current_case1,
@@ -297,7 +296,7 @@ def cmd_current(cfg: RunConfig) -> int:
     def row(t, jd):
         try:
             if jd is None:
-                jd = current_direct(order, model, profile, grid, rule, t, table)
+                jd = _current_values(order, table, [t])[0]
         except OverflowGuard:
             # past double range only the log of the leading model is reported
             _, logv = log_current_case1(order, table, t)
@@ -375,7 +374,7 @@ def _regime_fit(order, table):
         return (20.0, 80.0), "semilog", rate, 0.10 * abs(rate)
     if regime == "AsymptoticallyConstant":
         return (1e2, 1e4), "loglog", 0.0, 0.05
-    target = -(1.0 + _decay_order(order, table) * order.alpha)
+    target = decay_exponent(order)
     return (1e2, 1e4), "loglog", target, 0.05 * abs(target)
 
 

@@ -126,19 +126,6 @@ def classify_regime(order: FractionalOrder) -> str:
     return "PowerLawDecay"
 
 
-def decay_exponent(order: FractionalOrder) -> Optional[float]:
-    """Generic power-law exponent -(1+3 alpha) in the decay regime, else None.
-
-    At alpha = 1/2 the coefficient of this order is zero (see
-    current_asymptotic_case2); the current there decays as t^(-(1+4 alpha))
-    for beta < 1 and is exponentially small at beta = 1.  The generic value
-    is still returned for every alpha.
-    """
-    if order.beta > order.alpha:
-        return -(1.0 + 3.0 * order.alpha)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # quadrature and the per-node spectral table
 # ---------------------------------------------------------------------------
@@ -411,15 +398,29 @@ def _algebraic(name, n):
 _CASE1 = ((0, 0), (0, 1))
 
 
-def _decay_order(order: FractionalOrder, table: SpectralTable) -> int:
-    """First algebraic order n of J, t^-(1+n alpha), that the split does not
-    cancel: 3 in general, 4 at alpha = 1/2.  DomainError if none up to 7."""
+def decay_exponent(order: FractionalOrder) -> Optional[float]:
+    """Power-law exponent -(1 + n alpha) of J in the decay regime, else None.
+
+    n is the first algebraic order whose term pairs do not cancel: 3 in
+    general, 4 at alpha = 1/2.  The pairs of one order (_algebraic) share
+    the power lambda^m, so the order vanishes with the sum of their split
+    coefficients c_L c_R Re{(-i)^(1 + beta (1 + m_L - m_R))} (_split), and
+    no table is needed.  DomainError if every order up to 7 cancels, as at
+    alpha = 1/2, beta = 1, where J is exponentially small.
+    """
+    if order.beta <= order.alpha:
+        return None
+    a, ch = order.alpha, _CHANNELS["J"]
+    sigmas = (a, 1.0)
     for n in range(1, 8):
-        if _split(order, table, 1.0, "J", _algebraic("J", n)) != 0.0:
-            return n
-    raise DomainError(
-        f"every algebraic order up to 7 vanishes at alpha={order.alpha}, beta={order.beta}"
-    )
+        coefficients = []
+        for k_l, k_r in _algebraic("J", n):
+            c_l, m_l, _ = _term(a, sigmas[ch.pair[0]], k_l)
+            c_r, m_r, _ = _term(a, sigmas[ch.pair[1]], k_r)
+            coefficients.append(c_l * c_r * neg_i_power(ch.phase[0] + order.beta * (ch.phase[1] + m_l - m_r)).real)
+        if math.fsum(coefficients) != 0.0:
+            return -(1.0 + n * a)
+    raise DomainError(f"every algebraic order up to 7 vanishes at alpha={a}, beta={order.beta}")
 
 
 # ---------------------------------------------------------------------------

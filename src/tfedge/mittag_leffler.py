@@ -42,21 +42,22 @@ Three cases take exact routes:
 E is evaluated at Im z >= 0 and conjugated below the real axis, so
 E(conj z) == conj E(z) bit for bit.
 
-One router serves every call, by sweeps: the z of one argument, on one ray
-from the origin.  _ml_values, the array entry of the library's sweeps,
-takes the z = m (-i)^beta of a sweep as moduli m and the power beta;
-_ml_at takes any array, split by argument into sweeps (_by_argument), for
-ml_pair; and ml_eval takes its z as a one-element sweep.  What the orders
-alone decide is kept across calls (_order_constants), what the sweep's
-argument decides (the ray, the sheet, the conjugation, the pole's angle)
-is decided once with Python scalars, and per z only the pole's modulus
-and vertex, one small-integer route group and the residue exponents are
-formed (_sweep_routes).  The numerics run once per route and per
-parabola, each route writing into the one output array, so a time sample
+One routing pass serves every call, by sweeps: the z of one argument, on
+one ray from the origin.  _ml_values, the array entry of the library's
+sweeps, takes the z = m (-i)^beta of a sweep as moduli m and the power
+beta; _ml_at takes any array, split by argument into sweeps
+(_by_argument), for ml_pair; and ml_eval takes its z as a one-element
+sweep.  What the orders alone decide is kept across calls
+(_order_constants), what the sweep's argument decides (the ray, the
+sheet, the conjugation, the pole's angle) is decided once with Python
+scalars, and per z only the pole's modulus and vertex and one
+small-integer route group are formed (_sweep).  Each group is evaluated
+where it is found, writing into the one output array, so a time sample
 over a quadrature table is one reciprocal per entry of a Cauchy matrix
 1/(z_i - s_j^alpha) and one BLAS dot product per sigma and z.  The E at a
-z does not depend on its position or on the other z of the call, bit for
-bit, so ml_eval equals _ml_at at the same z and sigma.
+z is a function of (alpha, sigma, z) alone: it does not depend on its
+position, on the other z or on the other sigmas of the call, bit for bit,
+so ml_eval equals _ml_at and ml_pair at the same z and sigma.
 
 Poles share parabolas: a parabola built for a pole at vertex phi stays
 valid for every pole farther from it on the same side, so the pole
@@ -377,10 +378,11 @@ def _ray_rows(alpha, sigmas, reach):
     among the 2 len(sigmas) rows, two per sigma.  With p = (1-sigma)/alpha,
     s1 = sin(pi(1-sigma)) and s2 = sin(pi(1-sigma+alpha)):
 
-    reach 0: the abscissae r = r_cut x of tanh-sinh on [0, r_cut], and per
-    sigma the rows s1 r g and s2 g, where g = w r^p e^(-r^(1/alpha)) /
-    (alpha pi); of the 206 abscissae those with every row's entry below
-    1e-20 of its largest are dropped, 66 for ml_pair's sigmas at alpha = 1/2.
+    reach 0: the abscissae r = r_cut x of tanh-sinh on [0, r_cut] up to
+    r^(1/alpha) = 46, where e^(-r^(1/alpha)) < 1e-20 (131 of 206 at alpha
+    = 1/2; the cut is alpha's alone, so a sigma's row does not depend on
+    the other sigmas), and per sigma the rows s1 r g and s2 g, where g = w
+    r^p e^(-r^(1/alpha)) / (alpha pi).
 
     reach >= 1: in y = r / r0, Y = y^(1/alpha) at the abscissae of
     [0, 1 - delta] (tanh-sinh) and of the fold [1 - delta, 1 + delta]
@@ -424,8 +426,10 @@ def _ray_rows(alpha, sigmas, reach):
             )
             rows += [t.real, t.imag]
     else:
-        abscissae = r_cut * _TS_NODES
-        weighted = _TS_WEIGHTS * r_cut * np.exp(-(abscissae ** (1.0 / alpha))) / (alpha * math.pi)
+        # past r^(1/alpha) = 46 every row carries e^(-r^(1/alpha)) < 1e-20
+        inside = (r_cut * _TS_NODES) ** (1.0 / alpha) <= 46.0
+        abscissae = r_cut * _TS_NODES[inside]
+        weighted = _TS_WEIGHTS[inside] * r_cut * np.exp(-(abscissae ** (1.0 / alpha))) / (alpha * math.pi)
         rows = []
         for sigma in sigmas:
             g = abscissae ** ((1.0 - sigma) / alpha) * weighted
@@ -434,12 +438,6 @@ def _ray_rows(alpha, sigmas, reach):
     # rows of exact zeros (a sine of a multiple of pi) add nothing
     kept = np.flatnonzero(np.any(rows != 0.0, axis=1))
     rows = rows[kept]
-    if not reach:
-        # nor do abscissae below 1e-20 of every row's largest entry, as the
-        # factor of a z varies by at most 4 / delta^2 over the abscissae
-        size = np.abs(rows)
-        big = np.any(size >= 1e-20 * size.max(axis=1, keepdims=True), axis=0)
-        abscissae, rows = abscissae[big], np.ascontiguousarray(rows[:, big])
     for a in (abscissae, rows, kept):
         a.flags.writeable = False
     return abscissae, rows, kept
@@ -513,10 +511,6 @@ def _ray(alpha, sigmas, r0, rho0, reach, out, ids):
 # ---------------------------------------------------------------------------
 
 
-# the routes of _sweep_routes
-_ZERO, _EXP, _RAY, _CONTOUR = "zero", "exp", "ray", "contour"
-
-
 @functools.lru_cache(maxsize=64)
 def _order_constants(alpha, sigmas):
     """What the orders alone decide, a read-only tuple kept across calls:
@@ -558,50 +552,48 @@ def _order_constants(alpha, sigmas):
             alpha < 1.0 and max(bases) <= 1.0, shifted, one_minus, math.log(alpha))
 
 
-def _residue_overflow(alpha, sigma, zi, pole):
-    raise OverflowGuard(
-        f"E_{{{alpha},{sigma}}}({zi!r}) exceeds double range "
-        f"(Re z^(1/alpha) = {pole.real:.1f})"
-    )
+def _sweep(alpha, sigmas, z, m, theta, rotation):
+    """E_{alpha,sigma}(z) for each sigma in sigmas at the z = m e^(i theta)
+    of one sweep, theta in [-pi, pi], shape (len(sigmas), z.size); rotation
+    is the poles' direction e^(i |theta| / alpha).
 
+    E is taken at Im z >= 0 and conjugated below the real axis, and its
+    imaginary part is zero on the axis.  The sigmas take one route together,
+    at their bases (_order_constants).  What the sweep's argument decides
+    is decided once with Python scalars: whether the sweep is the ray (to
+    _RAY_TOL), on the principal sheet (the pole s* = rho e^(i theta / alpha)
+    on it or on the cut) and right of the cut.  Then there are whole-array
+    steps only: rho = m^(1/alpha); the pole vertex (Re s* + |s*|) / 2 = rho
+    cos^2(theta / (2 alpha)); and the route group of each z, 0 for z = 0,
+    1 + reach on the ray, else 4 + the index of its parabola in _WINDOWS
+    (np.searchsorted; 4: no pole right of the cut).  Each group is
+    evaluated where it is found, into the one output array: 1/Gamma(sigma)
+    at z = 0; exp(z) where alpha and every base are 1; _ray at its reach;
+    or _contour on the group's parabola, with the residue exponents s* +
+    (1 - sigma) log s* - log alpha where it passes left of s*, one Cauchy
+    matrix on each side of |z| = 1.
 
-def _sweep_routes(alpha, sigmas, z, m, theta, rotation):
-    """The routes of the z = m e^(i theta) of one sweep: the 1-d array z
-    (Im z >= 0), their moduli m and their one argument theta in [0, pi];
-    rotation is _sweep's.  A list of (route, ids, data), ids indexing the
-    z that take the route, data holding their rows of:
-
-    - (_ZERO, None), no data: z = 0, 1/Gamma(sigma);
-    - (_EXP, None), no data: alpha = 1 and every sigma = 1, exp(z);
-    - (_RAY, reach), |z| and |z|^(1/alpha): the ray |arg z| = pi alpha, over
-      the intervals of _ray that reach names;
-    - (_CONTOUR, parabola), None or the residue's exponents
-      s* + (1 - sigma) log s* - log alpha, one row per sigma: the parabola
-      ((mu, h, N), residue) of _WINDOWS, left of s* if residue.
-
-    The sigmas take a route together, at their bases (_order_constants),
-    and the OverflowGuard messages name the sigmas asked for.  What the
-    orders decide comes from the memo _order_constants, and theta decides
-    with Python scalars whether the sweep is the ray (to _RAY_TOL), on the
-    principal sheet (the pole s* = rho e^(i theta / alpha) on it or on the
-    cut) and right of the cut; then there are whole-array steps only: rho =
-    m^(1/alpha); the pole vertex (Re s* + |s*|) / 2 = rho cos^2(theta / (2
-    alpha)); the group of each z, 0 for z = 0, 1 + reach on the ray, else 4
-    + the index of its parabola in _WINDOWS (np.searchsorted; 4: no pole
-    right of the cut); and the residue exponents.
-    """
-    if m.size == 0:
-        return []
-    _, _, exp, ray, _, one_minus, log_alpha = _order_constants(alpha, sigmas)
+    A value outside double range raises OverflowGuard naming the sigmas
+    asked for: exp(z), rho and each group's residues as they are formed,
+    the values by one reduction at the end; only a failed check looks for
+    the z.  The rows of sigma > 1 + alpha are climbed by the recurrence at
+    |z| >= sigma^alpha and replaced by the Taylor series below."""
+    lower = math.copysign(1.0, theta) < 0.0
+    upper = z.conj() if lower else z
+    theta = abs(theta)
+    bases, climbs, exp, ray, shifted, one_minus, log_alpha = _order_constants(alpha, sigmas)
+    values = np.empty((len(sigmas), z.size), dtype=complex)
+    if not z.size:
+        return values
     # for |z| < 1 the half residue is not small against E, and the contour
     # alone is accurate in both components
     ray = ray and abs(theta - math.pi * alpha) <= _RAY_TOL
     # the group of every z, or of each (an array)
     groups = 4
     if exp:
-        over = z.real > _EXP_ARG_LIMIT
+        over = upper.real > _EXP_ARG_LIMIT
         if over.any():
-            raise OverflowGuard(f"E_{{1,1}}({complex(z[over][0])!r}) = exp(z) exceeds double range")
+            raise OverflowGuard(f"E_{{1,1}}({complex(upper[over][0])!r}) = exp(z) exceeds double range")
     elif ray or theta <= math.pi * alpha:
         # Python's pow raises if the largest rho = m^(1/alpha) leaves double range
         try:
@@ -610,7 +602,7 @@ def _sweep_routes(alpha, sigmas, z, m, theta, rotation):
             with np.errstate(over="ignore"):
                 first = np.argmax(m ** (1.0 / alpha))
             raise OverflowGuard(
-                f"E_{{{alpha},{sigmas[0]}}}({complex(z[first])!r}): |z|^(1/alpha) exceeds double range"
+                f"E_{{{alpha},{sigmas[0]}}}({complex(upper[first])!r}): |z|^(1/alpha) exceeds double range"
             ) from None
         rho = m ** (1.0 / alpha)
         if theta < math.pi * alpha:
@@ -624,78 +616,46 @@ def _sweep_routes(alpha, sigmas, z, m, theta, rotation):
     if (isinstance(groups, np.ndarray) or groups < 4 + _EDGES.size) and np.minimum.reduce(m) == 0.0:
         groups = np.where(m == 0.0, 0, groups)
     if isinstance(groups, int) or groups.min() == groups.max():
-        windows = [(groups if isinstance(groups, int) else int(groups[0]), slice(None))]
+        found = [(groups if isinstance(groups, int) else int(groups[0]), slice(None))]
     else:
-        windows = [(g, np.flatnonzero(groups == g)) for g in np.flatnonzero(np.bincount(groups)).tolist()]
-    routes = []
-    for group, ids in windows:
+        found = [(g, np.flatnonzero(groups == g)) for g in np.flatnonzero(np.bincount(groups)).tolist()]
+    for group, ids in found:
         if group == 0:
-            routes.append(((_ZERO, None), ids, None))
+            values[:, ids] = [[gamma_reciprocal(sigma)] for sigma in bases]
         elif exp:
-            routes.append(((_EXP, None), ids, None))
+            values[:, ids] = np.exp(upper[ids])
         elif group < 4:
-            routes.append(((_RAY, group - 1), ids, np.array([m[ids], rho[ids]])))
+            _ray(alpha, bases, m[ids], rho[ids], group - 1, values, ids)
         else:
-            parabola = _WINDOWS[group - 4]
+            parabola, residue = _WINDOWS[group - 4]
             exponents = None
-            if parabola[1]:
+            if residue:
                 # the pole s* and one row of exponents per sigma
                 pole = rho[ids] * rotation
                 exponents = one_minus * (np.log(rho[ids]) + 1j * (theta / alpha))
                 exponents += pole
                 if np.maximum.reduce(exponents.real, axis=None) > _EXP_ARG_LIMIT:
                     k, i = np.unravel_index(np.argmax(exponents.real), exponents.shape)
-                    _residue_overflow(alpha, sigmas[k], complex(z[ids][i]), pole[i])
+                    raise OverflowGuard(
+                        f"E_{{{alpha},{sigmas[k]}}}({complex(upper[ids][i])!r}) exceeds double range "
+                        f"(Re z^(1/alpha) = {pole[i].real:.1f})"
+                    )
                 exponents -= log_alpha
-            routes.append(((_CONTOUR, parabola), ids, exponents))
-    return routes
-
-
-def _evaluate(alpha, sigmas, z, m, routes, out):
-    """E_{alpha,sigma}(z) for each sigma in sigmas at each z of the 1-d array
-    z (Im z >= 0), |z| = m, along the routes of _sweep_routes, written in
-    place into out, shape (len(sigmas), z.size): one Cauchy matrix per
-    route and side of |z| = 1."""
-    for (kind, detail), ids, data in routes:
-        if kind == _ZERO:
-            out[:, ids] = [[gamma_reciprocal(sigma)] for sigma in sigmas]
-        elif kind == _EXP:
-            out[:, ids] = np.exp(z[ids])
-        elif kind == _RAY:
-            _ray(alpha, sigmas, data[0], data[1], detail, out, ids)
-        else:
-            far = _order_constants(alpha, sigmas)[4]
-            parts = [(ids, far, data)]
+            parts = [(ids, shifted, exponents)]
             # the clip's window holds only poles at |z|^(1/alpha) >= _CLIP > 1
-            if far and detail != _WINDOWS[-1] and np.minimum.reduce(m[ids]) < 1.0:
+            if shifted and group < 4 + _EDGES.size and np.minimum.reduce(m[ids]) < 1.0:
                 near, at = m[ids] < 1.0, np.arange(z.size)[ids]
-                parts = [(ids, (), data)] if near.all() else [
-                    (at[part], rows, None if data is None else data[:, part]) for part, rows in ((near, ()), (~near, far))]
-            for at, rows, exponents in parts:
-                _contour(alpha, sigmas, z, at, detail[0], exponents, out, rows)
-
-
-def _sweep(alpha, sigmas, z, m, theta, rotation):
-    """E_{alpha,sigma}(z) for each sigma in sigmas at the z = m e^(i theta)
-    of one sweep, theta in [-pi, pi], shape (len(sigmas), z.size); rotation
-    is the poles' direction e^(i |theta| / alpha).  E is taken at Im z >= 0
-    and conjugated below the real axis, its imaginary part is zero on the
-    axis, all decided once for the sweep, and a value outside double range
-    raises OverflowGuard: one reduction checks every value, and only a
-    failed check looks for the z.  The rows of sigma > 1 + alpha are
-    evaluated at their bases and climbed by the recurrence at |z| >=
-    sigma^alpha, and replaced by the Taylor series below (_order_constants)."""
-    lower = math.copysign(1.0, theta) < 0.0
-    upper = z.conj() if lower else z
-    bases, climbs = _order_constants(alpha, sigmas)[:2]
-    values = np.empty((len(sigmas), z.size), dtype=complex)
-    _evaluate(alpha, bases, upper, m, _sweep_routes(alpha, sigmas, upper, m, abs(theta), rotation), values)
+                parts = [(ids, (), exponents)] if near.all() else [
+                    (at[part], rows, exponents if exponents is None else exponents[:, part])
+                    for part, rows in ((near, ()), (~near, shifted))]
+            for at, rows, part_exponents in parts:
+                _contour(alpha, bases, upper, at, parabola, part_exponents, values, rows)
     for k, radius, steps, series in climbs:
         far = m >= radius
         for step in steps:
             values[k, far] = (values[k, far] - step) / upper[far]
         values[k, ~far] = np.polynomial.polynomial.polyval(upper[~far], series)
-    if abs(theta) in (0.0, math.pi):
+    if theta in (0.0, math.pi):
         values.imag = 0.0
     if not np.isfinite(values).all():
         names = " or ".join(f"E_{{{alpha},{sigma}}}" for sigma in sigmas)
@@ -768,12 +728,10 @@ def ml_pair(alpha: float, z):
     for these sigmas the parabola depends on z alone, so each parabola's
     nodes serve both.  z may mix arguments; the z of each argument are one
     sweep of the array router (_ml_at).  Equals ml_eval element by element,
-    bit for bit, with the same errors, but on the ray |arg z| = pi alpha
-    at reach 0, where the abscissae kept are those of both sigmas
-    (_ray_rows) and the two agree to rounding.  Its poles' direction is the
-    rounded arg z's, as ml_eval's; the library's sweeps (_ml_values) take
-    it exactly, and on the beta = alpha rays |E| differs from theirs by up
-    to 3e-16 |s*| relative.
+    bit for bit, with the same errors.  Its poles' direction is the rounded
+    arg z's, as ml_eval's; the library's sweeps (_ml_values) take it
+    exactly, and on the beta = alpha rays |E| differs from theirs by up to
+    3e-16 |s*| relative.
     """
     if not (0.0 < alpha <= 1.0):
         raise DomainError(f"ml_pair requires alpha in (0, 1], got {alpha!r}")

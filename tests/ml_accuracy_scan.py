@@ -18,9 +18,15 @@ answered, the ml_eval points over 1e-12 for each tree, the points over
 1e-12 in NEW_SRC alone, and the points OLD_SRC refused and NEW_SRC
 answers, with their worst error, and the sigma in {alpha, 1} points whose
 ml_eval error grew; then, for each router, how many values (and
-refusals) differ in any bit between the trees.  pytest does not collect
-this file; the scan of 7 392 points takes five to nine minutes on a
-2-core host.
+refusals) differ in any bit between the trees.
+
+The ray itself has rows of its own (140 points): sigma in {alpha, 1} at
+z = |z| e^(i pi alpha) for the 10 moduli >= 1, against the expansion
+ml_ray_expansion where it settles, else ml_half for E_{1/2,1} and the
+series for |z|^(1/alpha) <= 100.  Their worst errors are printed per
+reach of the ray's integral, with the values differing between trees.
+pytest does not collect this file; the scan takes five to nine minutes
+on a 2-core host.
 """
 
 import cmath
@@ -33,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from _reference import ml_gll_reference, ml_reference  # noqa: E402
+from _reference import ml_gll_reference, ml_half, ml_ray_expansion, ml_reference  # noqa: E402
 
 ALPHAS = (0.1, 0.2, 0.3, 0.5, 0.7, 0.8, 0.95)
 RADII = np.geomspace(0.01, 1e3, 16)
@@ -74,6 +80,57 @@ def reference(alpha, sigma, z):
     if abs(z) <= 3.0 and rho <= 100.0:
         return ml_reference(alpha, sigma, z, 30 + int(rho / 2.3))
     return ml_gll_reference(alpha, sigma, z)
+
+
+def ray_reference(alpha, sigma, z):
+    """E on the ray |arg z| = pi alpha: the expansion where it settles, else
+    ml_half for E_{1/2,1} and the series for |z|^(1/alpha) <= 100; None
+    where none does.  (ml_half loses the digits of E_{1/2,1/2} to the
+    cancellation in 1/sqrt(pi) + z w(-iz): 1.9e-13 at |z| = 4.6.)"""
+    try:
+        return ml_ray_expansion(alpha, sigma, z)
+    except RuntimeError:
+        rho = abs(z) ** (1.0 / alpha)
+        if (alpha, sigma) == (0.5, 1.0):
+            return ml_half(sigma, z)
+        return ml_reference(alpha, sigma, z, 30 + int(rho / 2.3)) if rho <= 100.0 else None
+
+
+def reach(alpha, r):
+    """The intervals of the ray's integral that |z| = r reaches: 0, 1 or 2."""
+    d, r_cut = r * min(0.5, math.sin(math.pi * alpha)), 50.0**alpha
+    return int(r - d < r_cut) + int(r + d < r_cut)
+
+
+def ray_rows(trees, old_src, new_src):
+    """The worst relative error of each tree and router per (alpha, sigma,
+    reach) on the ray, and the values differing in any bit between trees."""
+    worst, points, changed, unreferenced = {}, {}, 0, 0
+    for alpha in ALPHAS:
+        for sigma in (alpha, 1.0):
+            for r in RADII[RADII >= 1.0]:
+                z = cmath.rect(r, math.pi * alpha)
+                got = [value(tree, alpha, sigma, z) for tree in trees]
+                arrays = [array_values(tree, alpha, sigma, z) for tree in trees]
+                changed += differing(*got) + differing(*arrays)
+                want = ray_reference(alpha, sigma, z)
+                if want is None:
+                    unreferenced += 1
+                    continue
+                values = got + [a if isinstance(a, str) else a[0] for a in arrays]
+                errors = [math.nan if isinstance(v, str) else abs(v - want) / abs(want) for v in values]
+                cell = (alpha, label(alpha, sigma), reach(alpha, r))
+                worst[cell] = list(np.fmax(errors, worst.get(cell, (math.nan,) * 4)))
+                points[cell] = points.get(cell, 0) + 1
+        print(f"alpha={alpha} ray scanned", file=sys.stderr, flush=True)
+    print(f"the ray arg z = pi alpha: worst relative error per reach ({old_src} -> {new_src})")
+    print("| alpha | sigma | reach | points | ml_eval old | ml_eval new | array old | array new |")
+    print("|---|---|---|---|---|---|---|---|")
+    for (alpha, sigma, ray_reach), errors in sorted(worst.items()):
+        print(f"| {alpha} | {sigma} | {ray_reach} | {points[alpha, sigma, ray_reach]} | "
+              + " | ".join(f"{e:.1e}" for e in errors) + " |")
+    print(f"ray: {unreferenced} points without a settled reference; "
+          f"{changed} values differ in some bit between old and new")
 
 
 def value(package, alpha, sigma, z):
@@ -164,6 +221,7 @@ def main(old_src, new_src):
         print(f"  alpha={alpha} sigma={sigma:g} |z|={r:.4g} arg z={arg:.3f} pi: {e_old:.1e} -> {e_new:.1e}")
     for router, count in changed.items():
         print(f"{router}: {count} values differ in some bit between old and new")
+    ray_rows(trees, old_src, new_src)
 
 
 if __name__ == "__main__":

@@ -48,7 +48,12 @@ def test_order_classification():
     assert classify_regime(FractionalOrder(0.5, 0.25)) == "ExponentialGrowth"
     assert classify_regime(FractionalOrder(0.5, 0.5)) == "AsymptoticallyConstant"
     assert classify_regime(FractionalOrder(0.5, 1.0)) == "PowerLawDecay"
-    assert decay_exponent(FractionalOrder(0.5, 1.0)) == -2.5
+    # the first order whose split coefficients do not cancel: 3 in general,
+    # 4 at alpha = 1/2; at (1/2, 1) every order up to 7 cancels
+    with pytest.raises(DomainError):
+        decay_exponent(FractionalOrder(0.5, 1.0))
+    assert decay_exponent(FractionalOrder(0.5, 0.75)) == -3.0
+    assert decay_exponent(FractionalOrder(0.8, 1.0)) == pytest.approx(-3.4, rel=1e-15)
     assert decay_exponent(FractionalOrder(0.5, 0.5)) is None
     assert FractionalOrder(0.5, 0.25).theta == pytest.approx(math.pi / 4, rel=1e-15)
     with pytest.raises(DomainError):
