@@ -40,7 +40,8 @@ Three cases take exact routes:
   calls (_ray_rows) times one factor of its own.
 
 E is evaluated at Im z >= 0 and conjugated below the real axis, so
-E(conj z) == conj E(z) bit for bit.
+E(conj z) == conj E(z) bit for bit.  A value that is not finite is
+refused with OverflowGuard, by one check at the end of each sweep.
 
 One routing pass serves every call, by sweeps: the z of one argument, on
 one ray from the origin.  _ml_values, the array entry of the library's
@@ -84,9 +85,6 @@ __all__ = [
     "ml_pair",
     "ml_deriv",
 ]
-
-# exp() overflows past ~709.78; leave headroom for the algebraic prefactor.
-_EXP_ARG_LIMIT = 705.0
 
 # natural log of the float64 unit roundoff
 _LOG_UNIT = math.log(np.finfo(float).eps)
@@ -502,7 +500,8 @@ def _ray(alpha, sigmas, r0, rho0, reach, out, ids):
     decay = np.exp(-rho0)
     for k, sigma in enumerate(sigmas):
         power = 1.0 if sigma == 1.0 else rho0 ** (1.0 - sigma)
-        half = _cis_pi(1.0 - sigma) * (0.5 / alpha * power * decay)
+        # the half residue is 0 where e^(-rho0) is, also where the power overflows
+        half = _cis_pi(1.0 - sigma) * (0.5 / alpha * np.where(decay > 0.0, power, 0.0) * decay)
         out[k, ids] = half + (out[k, ids] if reach == 0 or sigma == 1.0 else power * out[k, ids])
 
 
@@ -573,11 +572,11 @@ def _sweep(alpha, sigmas, z, m, theta, rotation):
     (1 - sigma) log s* - log alpha where it passes left of s*, one Cauchy
     matrix on each side of |z| = 1.
 
-    A value outside double range raises OverflowGuard naming the sigmas
-    asked for: exp(z), rho and each group's residues as they are formed,
-    the values by one reduction at the end; only a failed check looks for
-    the z.  The rows of sigma > 1 + alpha are climbed by the recurrence at
-    |z| >= sigma^alpha and replaced by the Taylor series below."""
+    The rows of sigma > 1 + alpha are climbed by the recurrence at |z| >=
+    sigma^alpha and replaced by the Taylor series below.  Past double range
+    rho, a residue or a value turns inf or nan, quietly (np.errstate); one
+    reduction at the end refuses a value that is not finite with
+    OverflowGuard, naming the first such row and its z as given."""
     lower = math.copysign(1.0, theta) < 0.0
     upper = z.conj() if lower else z
     theta = abs(theta)
@@ -590,77 +589,58 @@ def _sweep(alpha, sigmas, z, m, theta, rotation):
     ray = ray and abs(theta - math.pi * alpha) <= _RAY_TOL
     # the group of every z, or of each (an array)
     groups = 4
-    if exp:
-        over = upper.real > _EXP_ARG_LIMIT
-        if over.any():
-            raise OverflowGuard(f"E_{{1,1}}({complex(upper[over][0])!r}) = exp(z) exceeds double range")
-    elif ray or theta <= math.pi * alpha:
-        # Python's pow raises if the largest rho = m^(1/alpha) leaves double range
-        try:
-            float(np.maximum.reduce(m)) ** (1.0 / alpha)
-        except OverflowError:
-            with np.errstate(over="ignore"):
-                first = np.argmax(m ** (1.0 / alpha))
-            raise OverflowGuard(
-                f"E_{{{alpha},{sigmas[0]}}}({complex(upper[first])!r}): |z|^(1/alpha) exceeds double range"
-            ) from None
-        rho = m ** (1.0 / alpha)
-        if theta < math.pi * alpha:
-            phi = rho * math.cos(0.5 * theta / alpha) ** 2
-            # often every vertex of a sweep is past the clip
-            groups = 4 + (_EDGES.size if np.minimum.reduce(phi) >= _CLIP else np.searchsorted(_EDGES, phi, side="right"))
-        if ray:
-            d, r_cut = _ray_intervals(alpha, m)
-            groups = np.where(m >= 1.0, 1 + (m - d < r_cut).astype(int) + (m + d < r_cut), groups)
-    # z = 0 has a route of its own; a pole vertex past the clip has m > 0
-    if (isinstance(groups, np.ndarray) or groups < 4 + _EDGES.size) and np.minimum.reduce(m) == 0.0:
-        groups = np.where(m == 0.0, 0, groups)
-    if isinstance(groups, int) or groups.min() == groups.max():
-        found = [(groups if isinstance(groups, int) else int(groups[0]), slice(None))]
-    else:
-        found = [(g, np.flatnonzero(groups == g)) for g in np.flatnonzero(np.bincount(groups)).tolist()]
-    for group, ids in found:
-        if group == 0:
-            values[:, ids] = [[gamma_reciprocal(sigma)] for sigma in bases]
-        elif exp:
-            values[:, ids] = np.exp(upper[ids])
-        elif group < 4:
-            _ray(alpha, bases, m[ids], rho[ids], group - 1, values, ids)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not exp and (ray or theta <= math.pi * alpha):
+            rho = m ** (1.0 / alpha)
+            if theta < math.pi * alpha:
+                phi = rho * math.cos(0.5 * theta / alpha) ** 2
+                # often every vertex of a sweep is past the clip
+                groups = 4 + (_EDGES.size if np.minimum.reduce(phi) >= _CLIP else np.searchsorted(_EDGES, phi, side="right"))
+            if ray:
+                d, r_cut = _ray_intervals(alpha, m)
+                groups = np.where(m >= 1.0, 1 + (m - d < r_cut).astype(int) + (m + d < r_cut), groups)
+        # z = 0 has a route of its own; a pole vertex past the clip has m > 0
+        if (isinstance(groups, np.ndarray) or groups < 4 + _EDGES.size) and np.minimum.reduce(m) == 0.0:
+            groups = np.where(m == 0.0, 0, groups)
+        if isinstance(groups, int) or groups.min() == groups.max():
+            found = [(groups if isinstance(groups, int) else int(groups[0]), slice(None))]
         else:
-            parabola, residue = _WINDOWS[group - 4]
-            exponents = None
-            if residue:
-                # the pole s* and one row of exponents per sigma
-                pole = rho[ids] * rotation
-                exponents = one_minus * (np.log(rho[ids]) + 1j * (theta / alpha))
-                exponents += pole
-                if np.maximum.reduce(exponents.real, axis=None) > _EXP_ARG_LIMIT:
-                    k, i = np.unravel_index(np.argmax(exponents.real), exponents.shape)
-                    raise OverflowGuard(
-                        f"E_{{{alpha},{sigmas[k]}}}({complex(upper[ids][i])!r}) exceeds double range "
-                        f"(Re z^(1/alpha) = {pole[i].real:.1f})"
-                    )
-                exponents -= log_alpha
-            parts = [(ids, shifted, exponents)]
-            # the clip's window holds only poles at |z|^(1/alpha) >= _CLIP > 1
-            if shifted and group < 4 + _EDGES.size and np.minimum.reduce(m[ids]) < 1.0:
-                near, at = m[ids] < 1.0, np.arange(z.size)[ids]
-                parts = [(ids, (), exponents)] if near.all() else [
-                    (at[part], rows, exponents if exponents is None else exponents[:, part])
-                    for part, rows in ((near, ()), (~near, shifted))]
-            for at, rows, part_exponents in parts:
-                _contour(alpha, bases, upper, at, parabola, part_exponents, values, rows)
-    for k, radius, steps, series in climbs:
-        far = m >= radius
-        for step in steps:
-            values[k, far] = (values[k, far] - step) / upper[far]
-        values[k, ~far] = np.polynomial.polynomial.polyval(upper[~far], series)
+            found = [(g, np.flatnonzero(groups == g)) for g in np.flatnonzero(np.bincount(groups)).tolist()]
+        for group, ids in found:
+            if group == 0:
+                values[:, ids] = [[gamma_reciprocal(sigma)] for sigma in bases]
+            elif exp:
+                values[:, ids] = np.exp(upper[ids])
+            elif group < 4:
+                _ray(alpha, bases, m[ids], rho[ids], group - 1, values, ids)
+            else:
+                parabola, residue = _WINDOWS[group - 4]
+                exponents = None
+                if residue:
+                    # one row of exponents s* + (1 - sigma) log s* - log alpha per sigma
+                    exponents = one_minus * (np.log(rho[ids]) + 1j * (theta / alpha))
+                    exponents += rho[ids] * rotation
+                    exponents -= log_alpha
+                parts = [(ids, shifted, exponents)]
+                # the clip's window holds only poles at |z|^(1/alpha) >= _CLIP > 1
+                if shifted and group < 4 + _EDGES.size and np.minimum.reduce(m[ids]) < 1.0:
+                    near, at = m[ids] < 1.0, np.arange(z.size)[ids]
+                    parts = [(ids, (), exponents)] if near.all() else [
+                        (at[part], rows, exponents if exponents is None else exponents[:, part])
+                        for part, rows in ((near, ()), (~near, shifted))]
+                for at, rows, part_exponents in parts:
+                    _contour(alpha, bases, upper, at, parabola, part_exponents, values, rows)
+        for k, radius, steps, series in climbs:
+            far = m >= radius
+            for step in steps:
+                values[k, far] = (values[k, far] - step) / upper[far]
+            values[k, ~far] = np.polynomial.polynomial.polyval(upper[~far], series)
     if theta in (0.0, math.pi):
         values.imag = 0.0
-    if not np.isfinite(values).all():
-        names = " or ".join(f"E_{{{alpha},{sigma}}}" for sigma in sigmas)
-        bad = np.argmin(np.isfinite(values).all(axis=0))
-        raise OverflowGuard(f"{names} at {complex(z[bad])!r} exceeds double range")
+    finite = np.isfinite(values)
+    if not finite.all():
+        k, bad = divmod(int(np.argmin(finite)), z.size)
+        raise OverflowGuard(f"E_{{{alpha},{sigmas[k]}}}({complex(z[bad])!r}) exceeds double range")
     return np.conjugate(values, out=values) if lower else values
 
 
@@ -741,7 +721,11 @@ def ml_pair(alpha: float, z):
 
 
 def ml_deriv(alpha: float, z: complex) -> complex:
-    """d/dz E_{alpha,1}(z) = (1/alpha) E_{alpha,alpha}(z) for alpha in (0, 1]."""
+    """d/dz E_{alpha,1}(z) = (1/alpha) E_{alpha,alpha}(z) for alpha in (0, 1];
+    OverflowGuard where it leaves double range."""
     if not (0.0 < alpha <= 1.0):
         raise DomainError(f"ml_deriv requires alpha in (0, 1], got {alpha!r}")
-    return ml_eval(MLParams(alpha, alpha), z) / alpha
+    value = ml_eval(MLParams(alpha, alpha), z) / alpha
+    if not cmath.isfinite(value):
+        raise OverflowGuard(f"E_{{{alpha},{alpha}}}({complex(z)!r}) / alpha exceeds double range")
+    return value

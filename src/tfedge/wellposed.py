@@ -27,6 +27,8 @@ one-sided grading leaves an O(1e-3) error floor from the kernel end.
 The mode amplitudes E_{alpha,1} come from the array Mittag-Leffler
 evaluator, one call per time grid of certify_bounds (over every time and
 mode) and one per residual mesh; solution_norm_sq is the one-time case.
+Each function refuses a result that is not finite (the growth regime
+leaves double range) with OverflowGuard, as the evaluator does.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .edge_current import FractionalOrder, classify_regime, neg_i_power
+from .edge_current import FractionalOrder, _finite, classify_regime, neg_i_power
 from .errors import DomainError
 from .mittag_leffler import _ml_values
 from .mittag_leffler import ml_eval  # noqa: F401  perfbench's traced run rebinds wellposed.ml_eval
@@ -100,10 +102,13 @@ def envelope(order: FractionalOrder, lam: float, t: float) -> float:
         return 1.0 / (1.0 + ta_lam)
     if bta == a:
         return 1.0
-    grow = (1.0 + ta_lam) ** ((1.0 - bta) / a) * math.exp(
-        t * lam ** (1.0 / a) * math.cos(order.theta)
-    )
-    return grow + 1.0 / (1.0 + ta_lam)
+    try:
+        grow = (1.0 + ta_lam) ** ((1.0 - bta) / a) * math.exp(
+            t * lam ** (1.0 / a) * math.cos(order.theta)
+        )
+    except OverflowError:  # Python's float power and math.exp raise past double range
+        grow = math.inf
+    return _finite(grow + 1.0 / (1.0 + ta_lam), f"envelope at t = {t!r}")
 
 
 def _norms_sq(order: FractionalOrder, spectrum: ModeSpectrum, times) -> list:
@@ -112,11 +117,14 @@ def _norms_sq(order: FractionalOrder, spectrum: ModeSpectrum, times) -> list:
     a = order.alpha
     moduli = [[float(t) ** a * lam for lam in spectrum.lambdas] for t in times]
     norms = []
-    for amps in _ml_values(a, (1.0,), moduli, order.beta)[0].tolist():
+    for t, amps in zip(times, _ml_values(a, (1.0,), moduli, order.beta)[0].tolist()):
         total = 0.0
-        for w, amp in zip(spectrum.weights, amps):
-            total += w * abs(amp) ** 2
-        norms.append(total)
+        try:
+            for w, amp in zip(spectrum.weights, amps):
+                total += w * abs(amp) ** 2
+        except OverflowError:  # a square past double range
+            total = math.inf
+        norms.append(_finite(total, f"||u(t)||^2 at t = {float(t)!r}"))
     return norms
 
 
@@ -146,7 +154,11 @@ def _bound_sq(order: FractionalOrder, spectrum: ModeSpectrum, t: float) -> float
                 for lam, w in zip(spectrum.lambdas, spectrum.weights)
             )
         )
-    return envelope(order, spectrum.lambda_max, t) ** 2 * spectrum.dh_norm_sq
+    try:
+        bound_sq = envelope(order, spectrum.lambda_max, t) ** 2 * spectrum.dh_norm_sq
+    except OverflowError:  # the square past double range
+        bound_sq = math.inf
+    return _finite(bound_sq, f"the squared bound at t = {t!r}")
 
 
 @dataclass(frozen=True)
@@ -247,10 +259,13 @@ def caputo_residual(
         raise DomainError("n_points must be at least 16")
     mesh = _graded_mesh_two_sided(T, int(n_points))
     u = _ml_values(a, (1.0,), mesh**a * lam, bta)[0]
-    # piecewise-linear u against the exact kernel integral on each cell:
-    # Int_{t_j}^{t_{j+1}} (T-s)^(-a) ds = ((T-t_j)^(1-a) - (T-t_{j+1})^(1-a)) / (1-a)
-    du = np.diff(u) / np.diff(mesh)
-    kernel = ((T - mesh[:-1]) ** (1.0 - a) - (T - mesh[1:]) ** (1.0 - a)) / (1.0 - a)
-    lhs = complex(np.sum(du * kernel)) / math.gamma(1.0 - a)
-    rhs = neg_i_power(bta) * lam * u[-1]
-    return float(abs(lhs - rhs) / abs(rhs))
+    # past double range the slopes turn inf or nan, and so does the residual
+    with np.errstate(over="ignore", invalid="ignore"):
+        # piecewise-linear u against the exact kernel integral on each cell:
+        # Int_{t_j}^{t_{j+1}} (T-s)^(-a) ds = ((T-t_j)^(1-a) - (T-t_{j+1})^(1-a)) / (1-a)
+        du = np.diff(u) / np.diff(mesh)
+        kernel = ((T - mesh[:-1]) ** (1.0 - a) - (T - mesh[1:]) ** (1.0 - a)) / (1.0 - a)
+        lhs = complex(np.sum(du * kernel)) / math.gamma(1.0 - a)
+        rhs = neg_i_power(bta) * lam * u[-1]
+        residual = float(abs(lhs - rhs) / abs(rhs))
+    return _finite(residual, f"the memory residual at T = {T!r}")

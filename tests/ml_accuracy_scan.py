@@ -24,9 +24,13 @@ The ray itself has rows of its own (140 points): sigma in {alpha, 1} at
 z = |z| e^(i pi alpha) for the 10 moduli >= 1, against the expansion
 ml_ray_expansion where it settles, else ml_half for E_{1/2,1} and the
 series for |z|^(1/alpha) <= 100.  Their worst errors are printed per
-reach of the ray's integral, with the values differing between trees.
-pytest does not collect this file; the scan takes five to nine minutes
-on a 2-core host.
+reach of the ray's integral, with the refusals of each tree, the points
+only NEW_SRC answers and the values differing between trees.
+
+Every RuntimeWarning is an error: a numpy overflow or invalid operation
+that leaks from either tree counts as a refusal of its own kind
+("RuntimeWarning") in that tree's refusals.  pytest does not collect this
+file; the scan takes five to nine minutes on a 2-core host.
 """
 
 import cmath
@@ -34,6 +38,7 @@ import importlib
 import importlib.util
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -104,8 +109,11 @@ def reach(alpha, r):
 
 def ray_rows(trees, old_src, new_src):
     """The worst relative error of each tree and router per (alpha, sigma,
-    reach) on the ray, and the values differing in any bit between trees."""
+    reach) on the ray, the refusals of each tree, the points only the new
+    tree answers, and the values differing in any bit between trees."""
     worst, points, changed, unreferenced = {}, {}, 0, 0
+    # refusals per tree, over both routers; errors of the points only the new tree answers
+    refused, answered = ({}, {}), []
     for alpha in ALPHAS:
         for sigma in (alpha, 1.0):
             for r in RADII[RADII >= 1.0]:
@@ -113,12 +121,17 @@ def ray_rows(trees, old_src, new_src):
                 got = [value(tree, alpha, sigma, z) for tree in trees]
                 arrays = [array_values(tree, alpha, sigma, z) for tree in trees]
                 changed += differing(*got) + differing(*arrays)
+                values = got + [a if isinstance(a, str) else a[0] for a in arrays]
+                for side, v in enumerate(values):
+                    if isinstance(v, str):
+                        refused[side % 2][v] = refused[side % 2].get(v, 0) + 1
                 want = ray_reference(alpha, sigma, z)
                 if want is None:
                     unreferenced += 1
                     continue
-                values = got + [a if isinstance(a, str) else a[0] for a in arrays]
                 errors = [math.nan if isinstance(v, str) else abs(v - want) / abs(want) for v in values]
+                answered += [errors[new] for old, new in ((0, 1), (2, 3)) if isinstance(values[old], str)
+                             and not isinstance(values[new], str)]
                 cell = (alpha, label(alpha, sigma), reach(alpha, r))
                 worst[cell] = list(np.fmax(errors, worst.get(cell, (math.nan,) * 4)))
                 points[cell] = points.get(cell, 0) + 1
@@ -131,6 +144,8 @@ def ray_rows(trees, old_src, new_src):
               + " | ".join(f"{e:.1e}" for e in errors) + " |")
     print(f"ray: {unreferenced} points without a settled reference; "
           f"{changed} values differ in some bit between old and new")
+    print(f"ray refused (ml_eval and array): old {refused[0] or 'none'}, new {refused[1] or 'none'}; "
+          f"refused in old, answered in new: {len(answered)}, worst error {max(answered, default=math.nan):.1e}")
 
 
 def value(package, alpha, sigma, z):
@@ -159,6 +174,7 @@ def differing(a, b):
 
 
 def main(old_src, new_src):
+    warnings.simplefilter("error", RuntimeWarning)
     trees = (load("tfedge_old", old_src), load("tfedge_new", new_src))
     worst = {}
     over = ([], [])

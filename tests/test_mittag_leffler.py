@@ -3,6 +3,7 @@ import bisect
 import cmath
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -505,32 +506,39 @@ def _rule_route(alpha, sigmas, zi):
     alpha and every base sigma <= 1; else the window of the vertex (Re s*
     + |s*|) / 2 of the pole s* = z^(1/alpha) on the principal sheet, with
     the residue exponents s* + (1 - sigma) log s* - log alpha, one per base
-    sigma, where the window's parabola passes left of s*.  None where
-    exp(z), |s*| or a residue leaves double range."""
+    sigma, where the window's parabola passes left of s*.  None where the
+    value is not finite: exp(z), or a residue e^(exponent), of which the
+    contour sum is a small part."""
     from tfedge.mittag_leffler import _EDGES, _RAY_TOL, _WINDOWS, _order_constants, _ray_intervals
 
     bases = _order_constants(alpha, sigmas)[0]
     if zi == 0:
         return ("zero", None), None
     if alpha == 1.0 and all(sigma == 1.0 for sigma in bases):
-        return (("exp", None), None) if zi.real <= 705.0 else None
+        return (("exp", None), None) if _finite_exp(zi) else None
     r, theta = abs(zi), math.atan2(zi.imag, zi.real)
-    try:
-        if alpha < 1.0 and max(bases) <= 1.0 and r >= 1.0 and abs(theta - math.pi * alpha) <= _RAY_TOL:
-            d, r_cut = _ray_intervals(alpha, r)
-            return ("ray", int(r - d < r_cut) + int(r + d < r_cut)), np.array([r, r ** (1.0 / alpha)])
-        if theta > math.pi * alpha:
-            return ("contour", _WINDOWS[0]), None
-        pole = cmath.rect(r ** (1.0 / alpha), theta / alpha)
-    except OverflowError:
-        return None
+    if alpha < 1.0 and max(bases) <= 1.0 and r >= 1.0 and abs(theta - math.pi * alpha) <= _RAY_TOL:
+        d, r_cut = _ray_intervals(alpha, r)
+        return ("ray", int(r - d < r_cut) + int(r + d < r_cut)), np.array([r, r ** (1.0 / alpha)])
+    if theta > math.pi * alpha:
+        return ("contour", _WINDOWS[0]), None
+    pole = cmath.rect(r ** (1.0 / alpha), theta / alpha)
     parabola = _WINDOWS[bisect.bisect_right(_EDGES, 0.5 * (pole.real + abs(pole)))]
     if not parabola[1]:
         return ("contour", parabola), None
-    exponents = np.array([pole + (1.0 - sigma) * cmath.log(pole) for sigma in bases])
-    if exponents.real.max() > 705.0:
+    exponents = np.array([pole + (1.0 - sigma) * cmath.log(pole) for sigma in bases]) - math.log(alpha)
+    if not all(_finite_exp(exponent) for exponent in exponents.tolist()):
         return None
-    return ("contour", parabola), exponents - math.log(alpha)
+    return ("contour", parabola), exponents
+
+
+def _finite_exp(w):
+    """Whether e^w is finite: cmath.exp raises OverflowError where it is not."""
+    try:
+        cmath.exp(w)
+    except OverflowError:
+        return False
+    return True
 
 
 def _assert_routes_follow_the_rules(alpha, sigmas, z):
@@ -812,17 +820,23 @@ def test_plateau_sweep_keeps_its_modulus():
     assert abs(abs(got) - 10.0 * 80.0**9) <= 1e-13 * 10.0 * 80.0**9
 
 
+def _assert_expansion(got, alpha, sigma, z):
+    """got is -Sum_k z^-k / Gamma(sigma - k alpha) to 1e-12, or exactly 0
+    where that underflows."""
+    want = _expansion(alpha, sigma, z)
+    assert got == want if want == 0 else rel_err(got, want) <= 1e-12, (alpha, sigma, z, got, want)
+
+
 def test_array_entry_guards():
-    # the array entry's three OverflowGuard checks, each as ml_eval's:
-    # exp(z) at alpha = sigma = 1, |z|^(1/alpha) past double range (on the
-    # sheet and on the ray), and a residue past double range
+    # the array entry refuses, as ml_eval does, where E is not finite:
+    # exp(z) at alpha = sigma = 1, |z|^(1/alpha) past double range on the
+    # sheet, and a residue past double range
     from tfedge.mittag_leffler import _ml_values
 
     for alpha, sigmas, m, beta in (
         (1.0, (1.0,), [1.0, 710.0], 0.0),
         (1.0, (1.0,), [1.0, 750.0], 0.2),  # Re z = 713
         (0.05, (0.05, 1.0), [1.0, 1e20], 0.0),
-        (0.5, (0.5, 1.0), [2.0, 1e200], 1.0),
         (0.5, (0.5, 1.0), [1.0, 30.0], 0.0),
         (0.8, (0.8, 1.0), [1.0, 2e3], 0.4),
     ):
@@ -830,24 +844,33 @@ def test_array_entry_guards():
             ml_eval(MLParams(alpha, sigmas[-1]), m[-1] * neg_i_power(beta))
         with pytest.raises(OverflowGuard):
             _ml_values(alpha, sigmas, m, beta)
+    # a numpy alpha is refused alike, with no RuntimeWarning
+    with pytest.raises(OverflowGuard):
+        _ml_values(np.float64(0.1), (0.1, 1.0), [1e40], 0.1)
     # inside double range: Re z = 704 for exp(z), and no pole off the sheet
     assert np.all(np.isfinite(_ml_values(1.0, (1.0,), [1.0, 740.0], 0.2)))
     assert np.all(np.isfinite(_ml_values(0.05, (0.05, 1.0), [1.0, 1e20], 2.0)))
+    # on the ray |z|^(1/alpha) past double range leaves E algebraic: the
+    # half residue e^(-|z|^(1/alpha)) is 0
+    values = _ml_values(0.5, (0.5, 1.0), [2.0, 1e200], 1.0)
+    for k, sigma in enumerate((0.5, 1.0)):
+        _assert_expansion(values[k, 1], 0.5, sigma, -1e200j)
 
 
 def test_array_calls_raise_overflow_guard():
-    # a residue exponent past 705 inside a multi-z array, and |z|^(1/alpha)
-    # past double range, on the contour and on the ray: OverflowGuard, not
-    # a RuntimeWarning
+    # a residue past double range inside a multi-z array, and |z|^(1/alpha)
+    # past double range on the contour: OverflowGuard, not a RuntimeWarning
     for alpha, z in (
         (0.5, [1.0, 30.0]),
         (0.5, [1.0, 1e200]),
         (0.05, [1.0, 2.0, 1e20]),
-        (0.5, [1.0, 1e200j]),
-        (0.5, [1.0, -1e200j, 2.0]),
     ):
         with pytest.raises(OverflowGuard):
             ml_pair(alpha, z)
+    # on the ray the same |z| is answered, in either half-plane
+    for z in ([1.0, 1e200j], [1.0, -1e200j, 2.0]):
+        for sigma, values in zip((0.5, 1.0), ml_pair(0.5, z)):
+            _assert_expansion(values[1], 0.5, sigma, z[1])
     # past double range off the principal sheet there is no pole to overflow
     values = ml_pair(0.05, [1.0, -1e20])
     assert np.all(np.isfinite(values))
@@ -922,6 +945,25 @@ def test_overflow_guard_on_dominant_exponential():
         ml_pair(0.5, [1.0, -2.0j, 400.0])
     with pytest.raises(OverflowGuard):
         ml_pair(1.0, [1.0, 710.0])
+    # the refusal names the z asked for, below the real axis too
+    with pytest.raises(OverflowGuard, match=re.escape("E_{0.5,1.0}((30-5j)) exceeds double range")):
+        ml_eval(MLParams(0.5, 1.0), 30 - 5j)
+    # E_{1/2,1/2} is finite, its quotient by alpha is not
+    with pytest.raises(OverflowGuard):
+        ml_deriv(0.5, math.sqrt(705.3))
+
+
+def test_values_up_to_the_edge_of_double_range():
+    # exp(707) and e^(z^2) erfc(-z) at z^2 = 705.56, both below the largest
+    # double (e^709.78), are answered: the residue exponent z^2 - log(1/2)
+    # = 706.26 is rounded, so E is within 1e-13
+    import mpmath
+
+    assert ml_eval(MLParams(1.0, 1.0), 707.0) == cmath.exp(707.0)
+    z = 26.5625
+    with mpmath.workdps(30):
+        want = complex(mpmath.exp(mpmath.mpf(z) ** 2) * mpmath.erfc(-mpmath.mpf(z)))
+    assert rel_err(ml_eval(MLParams(0.5, 1.0), z), want) <= 1e-13
 
 
 def test_accuracy_holds_where_e_is_algebraically_small():

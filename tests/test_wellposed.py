@@ -11,6 +11,7 @@ from tfedge import (
     DomainError,
     FractionalOrder,
     ModeSpectrum,
+    OverflowGuard,
     caputo_residual,
     certify_bounds,
     envelope,
@@ -94,6 +95,21 @@ def test_certification_across_regimes():
         assert cert.passed, (order, cert)
         assert math.isfinite(cert.constant) and cert.constant > 0.0
         assert cert.rel_drift < 0.01
+
+
+def test_overflow_is_refused():
+    # in the growth regime the norms, the envelope and the memory residual
+    # leave double range: OverflowGuard, not OverflowError, inf or a warning
+    order = FractionalOrder(0.8, 0.4)
+    for t_hi in (30.0, 40.0, 50.0):
+        with pytest.raises(OverflowGuard):
+            certify_bounds(order, SPECTRUM, np.geomspace(1e-2, t_hi, 40))
+    with pytest.raises(OverflowGuard):
+        solution_norm_sq(order, SPECTRUM, 40.0)
+    with pytest.raises(OverflowGuard):
+        envelope(order, 11.0, 60.0)
+    with pytest.raises(OverflowGuard):
+        caputo_residual(order, 2.0, 421.5)
 
 
 def test_certification_input_validation():
