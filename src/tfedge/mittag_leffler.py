@@ -18,7 +18,7 @@ pi alpha.  The evaluator has one accuracy, 1e-12 relative to |E|: where
 1/Gamma(sigma - alpha) = 0, E ~ z^-2 at |z| >= 1 is E_{alpha,sigma-alpha}(z)
 / z by the recurrence E_{a,s}(z) = 1/Gamma(s) + z E_{a,s+a}(z) (Gorenflo,
 Kilbas, Mainardi and Rogosin 2014, ch. 4), and the contour runs at 1e-14
-(_LOG_EPS).
+(_LOG_EPS).  One exception is open: sigma <= 0 at |z| << 1 (see ml_eval).
 
 A sigma > 1 + alpha is evaluated at its base sigma - K alpha <= 1 + alpha,
 K the fewest such steps, and raised to sigma (_order_constants): at |z| >=
@@ -677,12 +677,19 @@ def _by_argument(z):
 def ml_eval(params: MLParams, z: complex) -> complex:
     """Evaluate E_{alpha,sigma}(z) anywhere in the complex plane.
 
-    Relative accuracy 1e-12 (see the module docstring for the method).
-    Raises OverflowGuard where E leaves double range.  A one-element sweep
-    of the array router, with |z| and arg z taken as _by_argument takes
-    them, so it equals _ml_at at the same z and sigma bit for bit.
+    Relative accuracy 1e-12 (see the module docstring for the method),
+    except for sigma <= 0 at |z| << 1, where 1/Gamma(sigma) = 0 leaves E
+    small against the contour's absolute 1e-14: at sigma = -1, z = 1e-3 it
+    is 1.2e-10 off the series at alpha = 0.5 and 8.3e-10 at alpha = 0.05.
+    Raises DomainError for a z with a NaN or infinite component and
+    OverflowGuard where E leaves double range.  A one-element sweep of the
+    array router, with |z| and arg z taken as _by_argument takes them, so
+    it equals _ml_at at the same z and sigma bit for bit.
     """
-    z = np.array([complex(z)])
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"E_{{{params.alpha},{params.sigma}}} needs a finite z, got {z!r}")
+    z = np.array([z])
     theta = float(np.arctan2(z.imag, z.real)[0])
     return _sweep(
         params.alpha, (params.sigma,), z, np.hypot(z.real, z.imag), theta, cmath.rect(1.0, abs(theta) / params.alpha)
@@ -692,9 +699,13 @@ def ml_eval(params: MLParams, z: complex) -> complex:
 def _ml_at(alpha, sigmas, z):
     """E_{alpha,sigma}(z) for each sigma in sigmas at every element of the
     array z, as an array of shape (len(sigmas),) + z.shape: the z split by
-    argument into sweeps (_by_argument)."""
+    argument into sweeps (_by_argument); DomainError for a z with a NaN or
+    infinite component."""
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()
+    if not np.isfinite(flat).all():
+        bad = complex(flat[np.argmin(np.isfinite(flat))])
+        raise DomainError(f"E_{{{alpha},{sigmas[0]}}} needs a finite z, got {bad!r}")
     values = np.empty((len(sigmas), flat.size), dtype=complex)
     for ids, m, theta in _by_argument(flat):
         values[:, ids] = _sweep(alpha, sigmas, flat[ids], m, theta, cmath.rect(1.0, abs(theta) / alpha))

@@ -52,22 +52,20 @@ class ChiProfile:
             )
 
 
-def _scaled(profile: ChiProfile, k):
-    return (2.0 * np.asarray(k, dtype=float) - profile.k_hi - profile.k_lo) / (
-        profile.k_hi - profile.k_lo
-    )
+def _on_support(profile: ChiProfile, k, shape):
+    """shape(s, 1 - s^2) at the scaled momentum s on the open support, zero
+    off it, at scalar or array k."""
+    width = profile.k_hi - profile.k_lo
+    s = np.atleast_1d((2.0 * np.asarray(k, dtype=float) - profile.k_hi - profile.k_lo) / width)
+    out = np.zeros_like(s)
+    inside = np.abs(s) < 1.0
+    out[inside] = shape(s[inside], 1.0 - s[inside] ** 2)
+    return float(out[0]) if np.ndim(k) == 0 else out
 
 
 def chi(profile: ChiProfile, k):
     """Evaluate the bump at scalar or array k; zero off the open support."""
-    s = _scaled(profile, k)
-    scalar = s.ndim == 0
-    s = np.atleast_1d(s)
-    out = np.zeros_like(s)
-    inside = np.abs(s) < 1.0
-    t = 1.0 - s[inside] ** 2
-    out[inside] = profile.amplitude * np.exp(-1.0 / t)
-    return float(out[0]) if scalar else out
+    return _on_support(profile, k, lambda s, t: profile.amplitude * np.exp(-1.0 / t))
 
 
 def chi_deriv(profile: ChiProfile, k):
@@ -78,20 +76,12 @@ def chi_deriv(profile: ChiProfile, k):
     0 * inf -> nan that appears near the endpoints if exp(-1/t) underflows
     before being multiplied by the diverging rational factor.
     """
-    s = _scaled(profile, k)
-    scalar = s.ndim == 0
-    s = np.atleast_1d(s)
-    out = np.zeros_like(s)
-    inside = np.abs(s) < 1.0
-    si = s[inside]
-    t = 1.0 - si**2
-    out[inside] = (
-        profile.amplitude
-        * np.exp(-1.0 / t - 2.0 * np.log(t))
-        * (-2.0 * si)
-        * (2.0 / (profile.k_hi - profile.k_lo))
-    )
-    return float(out[0]) if scalar else out
+
+    def slope(s, t):
+        rise = profile.amplitude * np.exp(-1.0 / t - 2.0 * np.log(t))
+        return rise * (-2.0 * s) * (2.0 / (profile.k_hi - profile.k_lo))
+
+    return _on_support(profile, k, slope)
 
 
 @dataclass(frozen=True)

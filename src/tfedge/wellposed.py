@@ -24,11 +24,11 @@ equation.  The kernel (T-s)^(-alpha) is singular at s = T and the solution
 derivative is steep near s = 0, so the mesh is graded toward both ends; a
 one-sided grading leaves an O(1e-3) error floor from the kernel end.
 
-The mode amplitudes E_{alpha,1} come from the array Mittag-Leffler
-evaluator, one call per time grid of certify_bounds (over every time and
-mode) and one per residual mesh; solution_norm_sq is the one-time case.
-Each function refuses a result that is not finite (the growth regime
-leaves double range) with OverflowGuard, as the evaluator does.
+A time grid is array expressions over its (time, mode) pairs, E_{alpha,1}
+from one call of the array Mittag-Leffler evaluator (one more per residual
+mesh); envelope and solution_norm_sq are the one-time cases.  A NaN or
+infinite input is refused with DomainError, a result that is not finite
+(the growth regime leaves double range) with OverflowGuard.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .edge_current import FractionalOrder, _finite, classify_regime, neg_i_power
-from .errors import DomainError
+from .errors import DomainError, OverflowGuard
 from .mittag_leffler import _ml_values
 from .mittag_leffler import ml_eval  # noqa: F401  perfbench's traced run rebinds wellposed.ml_eval
 
@@ -66,17 +66,17 @@ class ModeSpectrum:
     weights: Tuple[float, ...]
 
     def __post_init__(self):
-        lam = self.lambdas
-        w = self.weights
-        if len(lam) == 0 or len(lam) != len(w):
+        lam = np.asarray(self.lambdas, dtype=float)
+        w = np.asarray(self.weights, dtype=float)
+        if lam.ndim != 1 or lam.size == 0 or lam.shape != w.shape:
             raise DomainError("ModeSpectrum needs matching nonempty mode lists")
-        if any(not (v > 0.0 and np.isfinite(v)) for v in lam):
+        if not (np.isfinite(lam).all() and (lam > 0.0).all()):
             raise DomainError("mode frequencies must be positive and finite")
-        if any(lam[i] >= lam[i + 1] for i in range(len(lam) - 1)):
+        if not (np.diff(lam) > 0.0).all():
             raise DomainError("mode frequencies must be strictly increasing")
-        if any(not (v >= 0.0 and np.isfinite(v)) for v in w):
+        if not (np.isfinite(w).all() and (w >= 0.0).all()):
             raise DomainError("mode weights must be nonnegative and finite")
-        if not sum(w) > 0.0:
+        if not w.sum() > 0.0:
             raise DomainError("mode weights must not all vanish")
 
     @property
@@ -85,80 +85,66 @@ class ModeSpectrum:
 
     @property
     def dh_norm_sq(self) -> float:
-        return float(sum((1.0 + l * l) * w for l, w in zip(self.lambdas, self.weights)))
+        lam = np.asarray(self.lambdas, dtype=float)
+        return float(((1.0 + lam * lam) * self.weights).sum())
 
     @property
     def lambda_max(self) -> float:
         return float(self.lambdas[-1])
 
 
+def _envelopes(order: FractionalOrder, lam, t) -> np.ndarray:
+    """Regime envelope at every pair of the broadcast arrays lam > 0 and
+    t >= 0; inf (or nan) where it leaves double range."""
+    a, bta = order.alpha, order.beta
+    lam, t = np.asarray(lam, dtype=float), np.asarray(t, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ta_lam = t**a * lam
+        decay = 1.0 / (1.0 + ta_lam)
+        if bta > a:
+            return decay
+        if bta == a:
+            return np.ones_like(decay)
+        grow = np.exp(t * lam ** (1.0 / a) * math.cos(order.theta))
+        return (1.0 + ta_lam) ** ((1.0 - bta) / a) * grow + decay
+
+
 def envelope(order: FractionalOrder, lam: float, t: float) -> float:
     """Regime envelope for a single mode amplitude |E_{a,1}(z)| at time t."""
-    if lam <= 0.0 or t < 0.0:
-        raise DomainError("envelope needs lam > 0 and t >= 0")
-    a, bta = order.alpha, order.beta
-    ta_lam = t**a * lam
-    if bta > a:
-        return 1.0 / (1.0 + ta_lam)
-    if bta == a:
-        return 1.0
-    try:
-        grow = (1.0 + ta_lam) ** ((1.0 - bta) / a) * math.exp(
-            t * lam ** (1.0 / a) * math.cos(order.theta)
-        )
-    except OverflowError:  # Python's float power and math.exp raise past double range
-        grow = math.inf
-    return _finite(grow + 1.0 / (1.0 + ta_lam), f"envelope at t = {t!r}")
+    if not (0.0 < lam < math.inf and 0.0 <= t < math.inf):
+        raise DomainError("envelope needs a finite lam > 0 and t >= 0")
+    return _finite(float(_envelopes(order, lam, t)), f"envelope at t = {t!r}")
 
 
-def _norms_sq(order: FractionalOrder, spectrum: ModeSpectrum, times) -> list:
-    """Squared solution norm at each of the times, from one Mittag-Leffler
-    call over every (time, mode) pair."""
+def _norms_sq(order: FractionalOrder, spectrum: ModeSpectrum, times: np.ndarray) -> np.ndarray:
+    """Squared solution norm at each of the finite times >= 0, from one
+    Mittag-Leffler call over every (time, mode) pair; inf past double range."""
     a = order.alpha
-    moduli = [[float(t) ** a * lam for lam in spectrum.lambdas] for t in times]
-    norms = []
-    for t, amps in zip(times, _ml_values(a, (1.0,), moduli, order.beta)[0].tolist()):
-        total = 0.0
-        try:
-            for w, amp in zip(spectrum.weights, amps):
-                total += w * abs(amp) ** 2
-        except OverflowError:  # a square past double range
-            total = math.inf
-        norms.append(_finite(total, f"||u(t)||^2 at t = {float(t)!r}"))
-    return norms
+    with np.errstate(over="ignore"):
+        amps = _ml_values(a, (1.0,), times[:, None] ** a * spectrum.lambdas, order.beta)[0]
+        return (np.abs(amps) ** 2 * spectrum.weights).sum(axis=1)
 
 
-def solution_norm_sq(
-    order: FractionalOrder,
-    spectrum: ModeSpectrum,
-    t: float,
-) -> float:
+def solution_norm_sq(order: FractionalOrder, spectrum: ModeSpectrum, t: float) -> float:
     """Squared solution norm of the mode expansion at time t >= 0."""
-    if t < 0.0:
-        raise DomainError(f"solution_norm_sq requires t >= 0, got {t!r}")
-    return _norms_sq(order, spectrum, [t])[0]
+    if not 0.0 <= t < math.inf:
+        raise DomainError(f"solution_norm_sq requires a finite t >= 0, got {t!r}")
+    norm_sq = float(_norms_sq(order, spectrum, np.array([t], dtype=float))[0])
+    return _finite(norm_sq, f"||u(t)||^2 at t = {float(t)!r}")
 
 
-def _bound_sq(order: FractionalOrder, spectrum: ModeSpectrum, t: float) -> float:
-    """Squared comparison bound on the grid.
+def _bounds_sq(order: FractionalOrder, spectrum: ModeSpectrum, times: np.ndarray) -> np.ndarray:
+    """Squared comparison bound at each of the times; inf past double range.
 
     Decaying and plateau regimes use the per-mode envelope; the growing
     regime uses the top-mode envelope against the graph norm, since the
     fastest mode controls the growth of the whole sum.
     """
-    a, bta = order.alpha, order.beta
-    if bta >= a:
-        return float(
-            sum(
-                w * envelope(order, lam, t) ** 2
-                for lam, w in zip(spectrum.lambdas, spectrum.weights)
-            )
-        )
-    try:
-        bound_sq = envelope(order, spectrum.lambda_max, t) ** 2 * spectrum.dh_norm_sq
-    except OverflowError:  # the square past double range
-        bound_sq = math.inf
-    return _finite(bound_sq, f"the squared bound at t = {t!r}")
+    with np.errstate(over="ignore"):
+        if order.beta >= order.alpha:
+            env = _envelopes(order, spectrum.lambdas, times[:, None])
+            return (env**2 * spectrum.weights).sum(axis=1)
+        return _envelopes(order, spectrum.lambda_max, times) ** 2 * spectrum.dh_norm_sq
 
 
 @dataclass(frozen=True)
@@ -173,29 +159,28 @@ class CertifiedBound:
 
 
 def certify_bounds(
-    order: FractionalOrder,
-    spectrum: ModeSpectrum,
-    times: Sequence[float],
+    order: FractionalOrder, spectrum: ModeSpectrum, times: Sequence[float]
 ) -> CertifiedBound:
     """Smallest C with ||u(t)||^2 <= C^2 * bound(t)^2 over the time grid.
 
-    The certificate passes when C is finite and moves by less than 1% when
-    the grid density is doubled over the same range.  Each grid takes its
-    norms from one Mittag-Leffler call.
+    The certificate passes when C moves by less than 1% when the grid
+    density is doubled over the same range.  Each grid takes its norms from
+    one Mittag-Leffler call, and is refused with OverflowGuard at its first
+    time whose norm or bound is not finite.
     """
     ts = np.asarray(list(times), dtype=float)
     if ts.ndim != 1 or ts.shape[0] < 4:
         raise DomainError("certify_bounds needs at least 4 times")
-    if np.any(ts < 0.0) or np.any(np.diff(ts) <= 0.0):
-        raise DomainError("times must be nonnegative and strictly increasing")
+    if not (np.isfinite(ts).all() and ts[0] >= 0.0 and (np.diff(ts) > 0.0).all()):
+        raise DomainError("times must be finite, nonnegative and strictly increasing")
 
     def fit_constant(grid):
-        worst = 0.0
-        for t, norm_sq in zip(grid, _norms_sq(order, spectrum, grid)):
-            ratio = norm_sq / _bound_sq(order, spectrum, float(t))
-            if ratio > worst:
-                worst = ratio
-        return math.sqrt(worst)
+        norms, bounds = _norms_sq(order, spectrum, grid), _bounds_sq(order, spectrum, grid)
+        finite = np.isfinite(norms) & np.isfinite(bounds)
+        if not finite.all():
+            t = float(grid[np.argmin(finite)])
+            raise OverflowGuard(f"||u(t)||^2 or its bound at t = {t!r} exceeds double range")
+        return math.sqrt(float(np.max(norms / bounds)))
 
     c1 = fit_constant(ts)
     # double the density, keep the range; geometric refinement when the grid
@@ -206,13 +191,12 @@ def certify_bounds(
         fine = np.linspace(ts[0], ts[-1], 2 * ts.shape[0] - 1)
     c2 = fit_constant(fine)
     drift = abs(c2 - c1) / c1 if c1 > 0.0 else math.inf
-    passed = bool(np.isfinite(c1) and np.isfinite(c2) and drift < 0.01)
     return CertifiedBound(
         regime=classify_regime(order),
         constant=c1,
         refined_constant=c2,
         rel_drift=drift,
-        passed=passed,
+        passed=bool(drift < 0.01),
     )
 
 
@@ -253,8 +237,8 @@ def caputo_residual(
         raise DomainError(
             f"memory-derivative check needs alpha in (0, 1), got {a!r}"
         )
-    if not (lam > 0.0 and T > 0.0):
-        raise DomainError("caputo_residual needs lam > 0 and T > 0")
+    if not (0.0 < lam < math.inf and 0.0 < T < math.inf):
+        raise DomainError("caputo_residual needs a finite lam > 0 and T > 0")
     if n_points < 16:
         raise DomainError("n_points must be at least 16")
     mesh = _graded_mesh_two_sided(T, int(n_points))

@@ -27,6 +27,11 @@ series for |z|^(1/alpha) <= 100.  Their worst errors are printed per
 reach of the ray's integral, with the refusals of each tree, the points
 only NEW_SRC answers and the values differing between trees.
 
+sigma in {0, -1} has rows of its own too (462 points): |z| in {1e-3, 1e-2,
+0.1} at the 11 arguments, against the series.  There 1/Gamma(sigma) = 0
+leaves E ~ z / Gamma(sigma + alpha) small against the contour's absolute
+1e-14, so these rows show each tree's points over 1e-12 on that side.
+
 Every RuntimeWarning is an error: a numpy overflow or invalid operation
 that leaks from either tree counts as a refusal of its own kind
 ("RuntimeWarning") in that tree's refusals.  pytest does not collect this
@@ -48,6 +53,7 @@ from _reference import ml_gll_reference, ml_half, ml_ray_expansion, ml_reference
 
 ALPHAS = (0.1, 0.2, 0.3, 0.5, 0.7, 0.8, 0.95)
 RADII = np.geomspace(0.01, 1e3, 16)
+SMALL_RADII = (1e-3, 1e-2, 0.1)
 TOL = 1e-12
 
 
@@ -148,6 +154,31 @@ def ray_rows(trees, old_src, new_src):
           f"refused in old, answered in new: {len(answered)}, worst error {max(answered, default=math.nan):.1e}")
 
 
+def small_z_rows(trees, old_src, new_src):
+    """The worst relative error of each tree and router per (alpha, sigma,
+    |z|) for sigma in {0, -1} at |z| < 1, and how many ml_eval points of
+    each tree are over TOL there."""
+    print(f"sigma in {{0, -1}} at |z| < 1: worst relative error ({old_src} -> {new_src})")
+    print("| alpha | sigma | modulus | ml_eval old | ml_eval new | array old | array new |")
+    print("|---|---|---|---|---|---|---|")
+    over = [0, 0]
+    for alpha in ALPHAS:
+        for sigma in (0.0, -1.0):
+            for r in SMALL_RADII:
+                worst = [math.nan] * 4
+                for theta in arguments(alpha):
+                    z = cmath.rect(r, theta)
+                    arrays = [array_values(tree, alpha, sigma, z) for tree in trees]
+                    values = [value(tree, alpha, sigma, z) for tree in trees]
+                    values += [a if isinstance(a, str) else a[0] for a in arrays]
+                    want = ml_reference(alpha, sigma, z, 40)
+                    errors = [math.nan if isinstance(v, str) else abs(v - want) / abs(want) for v in values]
+                    worst = list(np.fmax(errors, worst))
+                    over = [n + int(e > TOL) for n, e in zip(over, errors[:2])]
+                print(f"| {alpha} | {sigma:g} | {r:g} | " + " | ".join(f"{e:.1e}" for e in worst) + " |")
+    print(f"sigma in {{0, -1}} at |z| < 1: ml_eval points over {TOL:g}: old {over[0]}, new {over[1]}")
+
+
 def value(package, alpha, sigma, z):
     """ml_eval, or the name of the error it raises."""
     try:
@@ -238,6 +269,7 @@ def main(old_src, new_src):
     for router, count in changed.items():
         print(f"{router}: {count} values differ in some bit between old and new")
     ray_rows(trees, old_src, new_src)
+    small_z_rows(trees, old_src, new_src)
 
 
 if __name__ == "__main__":

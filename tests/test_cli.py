@@ -177,6 +177,15 @@ def test_ml_eval_takes_strong_branch_points(capsys):
     assert "error: E_{0.5,2.5}((30+0j)) exceeds double range" in capsys.readouterr().err
 
 
+def test_ml_eval_refuses_a_non_finite_z(capsys):
+    # a NaN or infinite component is a domain error (exit 3), not a value
+    # past double range
+    assert main(["ml-eval", "--alpha", "0.5", "--re", "nan"]) == 3
+    assert "error: E_{0.5,1.0} needs a finite z, got (nan+0j)" in capsys.readouterr().err
+    assert main(["ml-eval", "--alpha", "0.5", "--re", "1", "--im", "inf"]) == 3
+    assert "error: E_{0.5,1.0} needs a finite z, got (1+infj)" in capsys.readouterr().err
+
+
 def test_spectrum_command(tmp_path):
     # one row per quadrature node: the table the observables integrate
     path = tmp_path / "band.csv"

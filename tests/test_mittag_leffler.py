@@ -936,6 +936,18 @@ def test_parameter_validation():
         ml_pair(1.5, [1.0])
 
 
+def test_non_finite_z_is_refused():
+    # a z with a NaN or infinite component is a domain error, not a value
+    # past double range, in each entry point
+    for z in (complex(math.nan, 0.0), complex(1.0, math.inf), complex(-math.inf, math.nan)):
+        with pytest.raises(DomainError, match=re.escape(f"E_{{0.5,1.0}} needs a finite z, got {z!r}")):
+            ml_eval(MLParams(0.5, 1.0), z)
+        with pytest.raises(DomainError):
+            ml_deriv(0.5, z)
+        with pytest.raises(DomainError, match=re.escape(f"got {z!r}")):
+            ml_pair(0.5, [1.0, z, 2.0j])
+
+
 def test_overflow_guard_on_dominant_exponential():
     # exp(z^2) at z = 400 is far past double range; must refuse, not inf
     with pytest.raises(OverflowGuard):

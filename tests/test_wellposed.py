@@ -112,6 +112,50 @@ def test_overflow_is_refused():
         caputo_residual(order, 2.0, 421.5)
 
 
+def test_non_finite_inputs_are_refused():
+    # a NaN or infinite time, frequency or grid point is a domain error,
+    # before any arithmetic: not a value, not OverflowGuard, not a warning
+    for order in (FractionalOrder(0.5, 1.0), FractionalOrder(0.5, 0.5), FractionalOrder(0.8, 0.4)):
+        for lam, t in ((math.nan, 1.0), (2.0, math.nan), (math.inf, 1.0), (2.0, math.inf)):
+            with pytest.raises(DomainError):
+                envelope(order, lam, t)
+        for t in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                solution_norm_sq(order, SPECTRUM, t)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                certify_bounds(order, SPECTRUM, [1.0, 2.0, 3.0, bad])
+        with pytest.raises(DomainError):
+            certify_bounds(order, SPECTRUM, [math.nan, 1.0, 2.0, 3.0])
+    order = FractionalOrder(0.8, 0.4)
+    for lam, T in ((2.0, math.inf), (2.0, math.nan), (math.inf, 1.0), (math.nan, 1.0)):
+        with pytest.raises(DomainError):
+            caputo_residual(order, lam, T)
+
+
+def test_certified_constant_is_the_largest_ratio():
+    # on each grid of `tfedge verify` the certified constant is the largest
+    # ratio of the one-time norm to the bound formed from the public envelope
+    from tfedge.cli import _VERIFY_ORDERS, _VERIFY_SPECTRUM
+
+    spectrum = _VERIFY_SPECTRUM
+    for order in _VERIFY_ORDERS:
+        growth = order.beta < order.alpha
+        times = np.geomspace(1e-2, 20.0 if growth else 1e3, 40)
+        cert = certify_bounds(order, spectrum, times)
+        ratios = []
+        for t in times:
+            if growth:
+                bound_sq = envelope(order, spectrum.lambda_max, t) ** 2 * spectrum.dh_norm_sq
+            else:
+                bound_sq = sum(
+                    w * envelope(order, lam, t) ** 2
+                    for lam, w in zip(spectrum.lambdas, spectrum.weights)
+                )
+            ratios.append(solution_norm_sq(order, spectrum, t) / bound_sq)
+        assert cert.constant == pytest.approx(math.sqrt(max(ratios)), rel=1e-14), order
+
+
 def test_certification_input_validation():
     order = FractionalOrder(0.8, 0.8)
     with pytest.raises(DomainError):
