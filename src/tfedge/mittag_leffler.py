@@ -18,25 +18,27 @@ pi alpha.  The evaluator has one accuracy, 1e-12 relative to |E|: where
 1/Gamma(sigma - alpha) = 0, E ~ z^-2 at |z| >= 1 is E_{alpha,sigma-alpha}(z)
 / z by the recurrence E_{a,s}(z) = 1/Gamma(s) + z E_{a,s+a}(z) (Gorenflo,
 Kilbas, Mainardi and Rogosin 2014, ch. 4), and the contour runs at 1e-14
-(_LOG_EPS).  One exception is open: sigma <= 0 at |z| << 1 (see ml_eval).
+(_LOG_EPS).  At |z| <= radius < 1, where 64 terms fall to 2^-60 of the
+largest, E is the float64 Taylor series (_taylor), as Gorenflo, Loutchko
+and Luchko (Fract. Calc. Appl. Anal. 5 (2002)) sum it: also where sigma <=
+0 leaves E ~ z / Gamma(sigma + alpha) small against the contour's
+absolute error (see ml_eval).
 
 A sigma > 1 + alpha is evaluated at its base sigma - K alpha <= 1 + alpha,
 K the fewest such steps, and raised to sigma (_order_constants): at |z| >=
 sigma^alpha by the same recurrence, E_{a,s+a}(z) = (E_{a,s}(z) -
 1/Gamma(s)) / z, K times, and below it by the float64 Taylor series.
 
-Three cases take exact routes:
+Two cases take exact routes:
 
-- z = 0 returns 1/Gamma(sigma);
 - alpha = sigma = 1 returns exp(z), which is exponentially small where the
   contour sum is O(1);
 - on the ray |arg z| = pi alpha (for |z| >= 1, sigma <= 1) the pole sits on
   the branch cut, and E is half its residue plus the principal value of the
-  real-line integral of Gorenflo, Loutchko and Luchko (Fract. Calc. Appl.
-  Anal. 5 (2002)), taken at |z| e^(i pi alpha).  The sines and cosines of
-  multiples of pi/2 are exact there, so at alpha = 1/2, sigma in {1/2, 1}
-  one component of E is the half residue alone: Re E_{1/2,1}(-iy) =
-  exp(-y^2) to full relative accuracy.  Each z is a few rows kept across
+  real-line integral of Gorenflo, Loutchko and Luchko, taken at |z| e^(i pi
+  alpha).  The sines and cosines of multiples of pi/2 are exact there, so
+  at alpha = 1/2, sigma in {1/2, 1} one component of E is the half residue
+  alone: Re E_{1/2,1}(-iy) = exp(-y^2) to full relative accuracy.  Each z is a few rows kept across
   calls (_ray_rows) times one factor of its own.
 
 E is evaluated at Im z >= 0 and conjugated below the real axis, so
@@ -68,6 +70,7 @@ The parabolas' nodes (_nodes) and the ray's rows are kept across calls.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import functools
 import math
@@ -276,6 +279,7 @@ def _window_table():
 
 
 _EDGES, _WINDOWS = _window_table()
+_EDGE_TUPLE = tuple(_EDGES.tolist())
 
 
 @functools.lru_cache(maxsize=64)
@@ -510,45 +514,92 @@ def _ray(alpha, sigmas, r0, rho0, reach, out, ids):
 # ---------------------------------------------------------------------------
 
 
+# at |z| <= its radius the Taylor series takes at most _TERMS terms, to 2^-60 of the largest
+_TERMS, _LOG_DROP = 64, 60.0 * math.log(2.0)
+
+
+def _log_term(alpha, sigma, n, log_r=0.0):
+    """log |r^n / Gamma(alpha n + sigma)|, -inf at the poles of Gamma."""
+    c = abs(gamma_reciprocal(alpha * n + sigma))
+    return math.log(c) + n * log_r if c else -math.inf
+
+
+def _taylor_radius(alpha, sigma):
+    """The largest r < 1 where the term n = _TERMS of Sum z^n / Gamma(alpha n
+    + sigma), and each later one as Gamma rises (alpha n + sigma >= 1.5), is
+    2^-60 of the largest before it at |z| = r; 0 if Gamma may fall past it."""
+    if alpha * _TERMS + sigma < 1.5:
+        return 0.0
+    last = _log_term(alpha, sigma, _TERMS)
+    return min(1.0 - 2.0**-53, math.exp(max(
+        (_log_term(alpha, sigma, n) - last - _LOG_DROP) / (_TERMS - n) for n in range(_TERMS))))
+
+
+def _taylor_terms(alpha, sigma, radius):
+    """The fewest terms of Sum z^n / Gamma(alpha n + sigma) whose next term at
+    |z| = radius > 0 is 2^-60 of the largest before it, where Gamma rises
+    (alpha n + sigma >= 1.5) and the later terms fall."""
+    largest, n = _log_term(alpha, sigma, 0), 1
+    log_r = math.log(radius)
+    while (term := _log_term(alpha, sigma, n, log_r)) > largest - _LOG_DROP or alpha * n + sigma < 1.5:
+        largest, n = max(largest, term), n + 1
+    return n
+
+
+def _taylor(w, coefficients):
+    """Sum_n c_n w^n for each row c of coefficients at each w of the 1-d w,
+    shape (rows, w.size): one matrix of powers, then one BLAS dot per row
+    and w, so each value is the same whatever the other w."""
+    powers = np.empty((w.size, coefficients.shape[1]), dtype=complex)
+    powers[:, 0] = 1.0
+    powers[:, 1:] = w[:, None]
+    np.multiply.accumulate(powers, axis=1, out=powers)
+    return np.vecdot(coefficients[:, None, :], powers)
+
+
 @functools.lru_cache(maxsize=64)
 def _order_constants(alpha, sigmas):
     """What the orders alone decide, a read-only tuple kept across calls:
-    (bases, climbs, exp, ray, shifted, one_minus, log_alpha).
+    (bases, climbs, exp, ray, shifted, radius, taylor, one_minus, log_alpha).
 
     A sigma <= 1 + alpha is its own base; any other is evaluated at the
     base sigma - K alpha <= 1 + alpha, K the fewest such steps, and climbs
-    holds (k, radius, steps, series) for its row k.  At |z| >= radius =
+    holds (k, switch, steps, series) for its row k.  At |z| >= switch =
     sigma^alpha the base is climbed by the recurrence E_{a,s+a}(z) =
     (E_{a,s}(z) - 1/Gamma(s)) / z through the K constants 1/Gamma(s) of
     steps, s = sigma - K alpha .. sigma - alpha: there every s^alpha < |z|,
-    and E_{a,s}(z) is not close to 1/Gamma(s).  Below the radius the terms
-    z^n / Gamma(alpha n + sigma) of the Taylor series fall from the first,
-    and series holds its coefficients, all positive as alpha n + sigma > 1,
-    until a term at the radius is 2^-60 of the first.  exp:
+    and E_{a,s}(z) is not close to 1/Gamma(s).  Below the switch the terms
+    of the Taylor series fall from the first; series holds _taylor_terms of
+    its coefficients times 2^(k n), 2^k <= switch < 2^(k + 1), for the
+    powers of z 2^-k, exact scalings that keep them in double range.  exp:
     the route exp(z) (alpha and every base 1); ray: whether the bases may
     take the ray (alpha < 1, every base <= 1); shifted: the rows with
     1/Gamma(base - alpha) = 0, taken as E_{alpha,base-alpha}(z) / z at |z|
-    >= 1; and the column 1 - base and log alpha of the residue exponents.
+    >= 1; radius and taylor: the Taylor series' radius and coefficients, a
+    row per base, the least radius and most terms of sigma = -1 and the
+    bases (-1's while every base is >= -1: no route depends on the other
+    sigmas); and the column 1 - base and log alpha of the residue exponents.
     """
     bases, climbs = [], []
     for k, sigma in enumerate(sigmas):
         steps = max(0, math.ceil((sigma - 1.0 - alpha) / alpha))
         bases.append(sigma - steps * alpha)
         if steps:
-            radius = sigma**alpha
-            # the terms' logs at |z| = radius, down to 2^-60 of the first
-            first, n = -math.lgamma(sigma), 1
-            while n * math.log(radius) - math.lgamma(alpha * n + sigma) > first - 60.0 * math.log(2.0):
-                n += 1
-            series = np.array([gamma_reciprocal(alpha * j + sigma) for j in range(n + 1)])
-            series.flags.writeable = False
+            switch = sigma**alpha
+            scale = math.frexp(switch)[1] - 1
+            series = np.array([[math.ldexp(gamma_reciprocal(alpha * n + sigma), scale * n)
+                                for n in range(_taylor_terms(alpha, sigma, switch))]], dtype=complex)
             constants = tuple(gamma_reciprocal(sigma - j * alpha) for j in range(steps, 0, -1))
-            climbs.append((k, radius, constants, series))
+            climbs.append((k, switch, constants, series))
+    radius = min(_taylor_radius(alpha, sigma) for sigma in (-1.0, *bases))
+    terms = max(_taylor_terms(alpha, sigma, radius) for sigma in (-1.0, *bases)) if radius else 1
+    taylor = np.array([[gamma_reciprocal(alpha * n + base) for n in range(terms)] for base in bases], dtype=complex)
     one_minus = 1.0 - np.array(bases)[:, None]
-    one_minus.flags.writeable = False
+    for a in [taylor, one_minus] + [climb[3] for climb in climbs]:
+        a.flags.writeable = False
     shifted = tuple(k for k, base in enumerate(bases) if gamma_reciprocal(base - alpha) == 0.0)
     return (tuple(bases), tuple(climbs), alpha == 1.0 and all(base == 1.0 for base in bases),
-            alpha < 1.0 and max(bases) <= 1.0, shifted, one_minus, math.log(alpha))
+            alpha < 1.0 and max(bases) <= 1.0, shifted, radius, taylor, one_minus, math.log(alpha))
 
 
 def _sweep(alpha, sigmas, z, m, theta, rotation):
@@ -563,24 +614,26 @@ def _sweep(alpha, sigmas, z, m, theta, rotation):
     _RAY_TOL), on the principal sheet (the pole s* = rho e^(i theta / alpha)
     on it or on the cut) and right of the cut.  Then there are whole-array
     steps only: rho = m^(1/alpha); the pole vertex (Re s* + |s*|) / 2 = rho
-    cos^2(theta / (2 alpha)); and the route group of each z, 0 for z = 0,
-    1 + reach on the ray, else 4 + the index of its parabola in _WINDOWS
-    (np.searchsorted; 4: no pole right of the cut).  Each group is
-    evaluated where it is found, into the one output array: 1/Gamma(sigma)
-    at z = 0; exp(z) where alpha and every base are 1; _ray at its reach;
-    or _contour on the group's parabola, with the residue exponents s* +
-    (1 - sigma) log s* - log alpha where it passes left of s*, one Cauchy
-    matrix on each side of |z| = 1.
+    cos^2(theta / (2 alpha)); and the route group of each z, 0 for |z| <=
+    radius, 1 + reach on the ray, else 4 + the index of its parabola in
+    _WINDOWS (4: no pole right of the cut; one bisect for a sweep whose
+    vertices share a window).  Each group is evaluated where it is found,
+    into the one output array: the Taylor series; exp(z) where alpha and
+    every base are 1; _ray at its reach; or _contour on the group's
+    parabola, with the residue exponents s* + (1 - sigma) log s* - log
+    alpha where it passes left of s*, one Cauchy matrix on each side of
+    |z| = 1.
 
     The rows of sigma > 1 + alpha are climbed by the recurrence at |z| >=
     sigma^alpha and replaced by the Taylor series below.  Past double range
     rho, a residue or a value turns inf or nan, quietly (np.errstate); one
     reduction at the end refuses a value that is not finite with
-    OverflowGuard, naming the first such row and its z as given."""
+    OverflowGuard, naming the first such row and its z as given, after the
+    z of rho = inf on the decay side are taken without their residue, 0."""
     lower = math.copysign(1.0, theta) < 0.0
     upper = z.conj() if lower else z
     theta = abs(theta)
-    bases, climbs, exp, ray, shifted, one_minus, log_alpha = _order_constants(alpha, sigmas)
+    bases, climbs, exp, ray, shifted, radius, taylor, one_minus, log_alpha = _order_constants(alpha, sigmas)
     values = np.empty((len(sigmas), z.size), dtype=complex)
     if not z.size:
         return values
@@ -594,21 +647,24 @@ def _sweep(alpha, sigmas, z, m, theta, rotation):
             rho = m ** (1.0 / alpha)
             if theta < math.pi * alpha:
                 phi = rho * math.cos(0.5 * theta / alpha) ** 2
-                # often every vertex of a sweep is past the clip
-                groups = 4 + (_EDGES.size if np.minimum.reduce(phi) >= _CLIP else np.searchsorted(_EDGES, phi, side="right"))
+                # often every vertex of a sweep is past the clip, or all share a window
+                first = bisect.bisect_right(_EDGE_TUPLE, float(np.minimum.reduce(phi)))
+                if first < _EDGES.size and bisect.bisect_right(_EDGE_TUPLE, float(np.maximum.reduce(phi))) != first:
+                    first = np.searchsorted(_EDGES, phi, side="right")
+                groups = 4 + first
             if ray:
                 d, r_cut = _ray_intervals(alpha, m)
                 groups = np.where(m >= 1.0, 1 + (m - d < r_cut).astype(int) + (m + d < r_cut), groups)
-        # z = 0 has a route of its own; a pole vertex past the clip has m > 0
-        if (isinstance(groups, np.ndarray) or groups < 4 + _EDGES.size) and np.minimum.reduce(m) == 0.0:
-            groups = np.where(m == 0.0, 0, groups)
+        # the Taylor series at |z| <= radius < 1; a pole vertex past the clip has |z| > 1
+        if not exp and (isinstance(groups, np.ndarray) or groups < 4 + _EDGES.size) and np.minimum.reduce(m) <= radius:
+            groups = 0 if np.maximum.reduce(m) <= radius else np.where(m <= radius, 0, groups)
         if isinstance(groups, int) or groups.min() == groups.max():
             found = [(groups if isinstance(groups, int) else int(groups[0]), slice(None))]
         else:
             found = [(g, np.flatnonzero(groups == g)) for g in np.flatnonzero(np.bincount(groups)).tolist()]
         for group, ids in found:
             if group == 0:
-                values[:, ids] = [[gamma_reciprocal(sigma)] for sigma in bases]
+                values[:, ids] = _taylor(upper[ids], taylor)
             elif exp:
                 values[:, ids] = np.exp(upper[ids])
             elif group < 4:
@@ -630,17 +686,29 @@ def _sweep(alpha, sigmas, z, m, theta, rotation):
                         for part, rows in ((near, ()), (~near, shifted))]
                 for at, rows, part_exponents in parts:
                     _contour(alpha, bases, upper, at, parabola, part_exponents, values, rows)
-        for k, radius, steps, series in climbs:
-            far = m >= radius
+        for k, switch, steps, series in climbs:
+            far = m >= switch
             for step in steps:
                 values[k, far] = (values[k, far] - step) / upper[far]
-            values[k, ~far] = np.polynomial.polynomial.polyval(upper[~far], series)
+            # at z 2^-k, 2^k <= switch < 2^(k + 1)
+            values[k, ~far] = _taylor(upper[~far] * 2.0 ** (1 - math.frexp(switch)[1]), series)[0]
     if theta in (0.0, math.pi):
         values.imag = 0.0
     finite = np.isfinite(values)
     if not finite.all():
-        k, bad = divmod(int(np.argmin(finite)), z.size)
-        raise OverflowGuard(f"E_{{{alpha},{sigmas[k]}}}({complex(z[bad])!r}) exceeds double range")
+        if not exp and theta < math.pi * alpha and rotation.real < 0.0:
+            # a decaying pole past double range: its residue e^(s*), Re s* =
+            # -inf, is 0, not the nan of its exponent inf - inf
+            gone = np.flatnonzero(rho == math.inf)
+            with np.errstate(over="ignore", invalid="ignore"):
+                _contour(alpha, bases, upper, gone, _WINDOWS[-1][0], None, values, shifted)
+                for k, _, steps, _ in climbs:
+                    for step in steps:
+                        values[k, gone] = (values[k, gone] - step) / upper[gone]
+            finite = np.isfinite(values)
+        if not finite.all():
+            k, bad = divmod(int(np.argmin(finite)), z.size)
+            raise OverflowGuard(f"E_{{{alpha},{sigmas[k]}}}({complex(z[bad])!r}) exceeds double range")
     return np.conjugate(values, out=values) if lower else values
 
 
@@ -678,10 +746,10 @@ def ml_eval(params: MLParams, z: complex) -> complex:
     """Evaluate E_{alpha,sigma}(z) anywhere in the complex plane.
 
     Relative accuracy 1e-12 (see the module docstring for the method),
-    except for sigma <= 0 at |z| << 1, where 1/Gamma(sigma) = 0 leaves E
-    small against the contour's absolute 1e-14: at sigma = -1, z = 1e-3 it
-    is 1.2e-10 off the series at alpha = 0.5 and 8.3e-10 at alpha = 0.05.
-    Raises DomainError for a z with a NaN or infinite component and
+    except past the series' radius for sigma <= -1, where E stays small
+    against the contour's absolute error: 3.8e-12 at sigma = -1, alpha =
+    0.2 below |z| = 1, 1e-10 at sigma = -3 near |z| = 1.  Raises
+    DomainError for a z with a NaN or infinite component and
     OverflowGuard where E leaves double range.  A one-element sweep of the
     array router, with |z| and arg z taken as _by_argument takes them, so
     it equals _ml_at at the same z and sigma bit for bit.

@@ -105,7 +105,8 @@ def _envelopes(order: FractionalOrder, lam, t) -> np.ndarray:
             return decay
         if bta == a:
             return np.ones_like(decay)
-        grow = np.exp(t * lam ** (1.0 / a) * math.cos(order.theta))
+        # the exponent is 0 at t = 0, also where lam^(1/alpha) overflows
+        grow = np.exp(np.where(t > 0.0, t * lam ** (1.0 / a) * math.cos(order.theta), 0.0))
         return (1.0 + ta_lam) ** ((1.0 - bta) / a) * grow + decay
 
 
@@ -164,32 +165,34 @@ def certify_bounds(
     """Smallest C with ||u(t)||^2 <= C^2 * bound(t)^2 over the time grid.
 
     The certificate passes when C moves by less than 1% when the grid
-    density is doubled over the same range.  Each grid takes its norms from
-    one Mittag-Leffler call, and is refused with OverflowGuard at its first
-    time whose norm or bound is not finite.
+    density is doubled over the same range.  Both grids take their norms
+    from one Mittag-Leffler call over the union of their times, and are
+    refused with OverflowGuard at the first time of the grid, then of the
+    refinement, whose norm or bound is not finite.
     """
     ts = np.asarray(list(times), dtype=float)
     if ts.ndim != 1 or ts.shape[0] < 4:
         raise DomainError("certify_bounds needs at least 4 times")
     if not (np.isfinite(ts).all() and ts[0] >= 0.0 and (np.diff(ts) > 0.0).all()):
         raise DomainError("times must be finite, nonnegative and strictly increasing")
-
-    def fit_constant(grid):
-        norms, bounds = _norms_sq(order, spectrum, grid), _bounds_sq(order, spectrum, grid)
-        finite = np.isfinite(norms) & np.isfinite(bounds)
-        if not finite.all():
-            t = float(grid[np.argmin(finite)])
-            raise OverflowGuard(f"||u(t)||^2 or its bound at t = {t!r} exceeds double range")
-        return math.sqrt(float(np.max(norms / bounds)))
-
-    c1 = fit_constant(ts)
     # double the density, keep the range; geometric refinement when the grid
     # spans decades, arithmetic otherwise
     if ts[0] > 0.0 and ts[-1] / ts[0] > 50.0:
         fine = np.geomspace(ts[0], ts[-1], 2 * ts.shape[0] - 1)
     else:
         fine = np.linspace(ts[0], ts[-1], 2 * ts.shape[0] - 1)
-    c2 = fit_constant(fine)
+    union = np.union1d(ts, fine)
+    norms, bounds = _norms_sq(order, spectrum, union), _bounds_sq(order, spectrum, union)
+    finite = np.isfinite(norms) & np.isfinite(bounds)
+
+    def fit_constant(grid):
+        at = np.searchsorted(union, grid)
+        if not finite[at].all():
+            t = float(grid[np.argmin(finite[at])])
+            raise OverflowGuard(f"||u(t)||^2 or its bound at t = {t!r} exceeds double range")
+        return math.sqrt(float(np.max(norms[at] / bounds[at])))
+
+    c1, c2 = fit_constant(ts), fit_constant(fine)
     drift = abs(c2 - c1) / c1 if c1 > 0.0 else math.inf
     return CertifiedBound(
         regime=classify_regime(order),

@@ -7,8 +7,10 @@ OLD_SRC and NEW_SRC are directories holding a `tfedge` package (for example
 array router (`_ml_at` on the sweep [z, 2 z]) of each tree, on one grid:
 alpha in {0.1, 0.2, 0.3, 0.5, 0.7, 0.8, 0.95}, sigma in {alpha, 1} and
 the sigma > 1 + alpha of {1.5 + alpha, 2.5, 3.6, 5}, 16 moduli |z| from
-0.01 to 1e3 and 11 arguments in [0, pi], those on the ray arg z = pi
-alpha moved 0.03 pi off it.  Both are compared with mpmath references at
+0.01 to 1e3 and 0.9 and 1.1 times the Taylor series' radius of NEW_SRC
+(where the sweep switches from the series to the contour), and 11
+arguments in [0, pi], those on the ray arg z = pi alpha moved 0.03 pi off
+it.  Both are compared with mpmath references at
 z: the power series (ml_reference) for |z| <= 3 with |z|^(1/alpha) <=
 100, and the real-line integral (ml_gll_reference, climbed by the
 recurrence for sigma >= 1 + alpha) elsewhere, which loses digits near the
@@ -27,10 +29,11 @@ series for |z|^(1/alpha) <= 100.  Their worst errors are printed per
 reach of the ray's integral, with the refusals of each tree, the points
 only NEW_SRC answers and the values differing between trees.
 
-sigma in {0, -1} has rows of its own too (462 points): |z| in {1e-3, 1e-2,
-0.1} at the 11 arguments, against the series.  There 1/Gamma(sigma) = 0
-leaves E ~ z / Gamma(sigma + alpha) small against the contour's absolute
-1e-14, so these rows show each tree's points over 1e-12 on that side.
+sigma in {0, -1} has rows of its own too (770 points): |z| in {1e-3, 1e-2,
+0.1} and 0.9 and 1.1 times the radius at the 11 arguments, against the
+series.  There 1/Gamma(sigma) = 0 leaves E ~ z / Gamma(sigma + alpha)
+small, which the contour's absolute 1e-14 can miss; these rows show each
+tree's points over 1e-12 inside the radius and past it.
 
 Every RuntimeWarning is an error: a numpy overflow or invalid operation
 that leaks from either tree counts as a refusal of its own kind
@@ -77,6 +80,11 @@ def arguments(alpha):
 def sigmas(alpha):
     """The rows of alpha: sigma in {alpha, 1}, then those > 1 + alpha."""
     return (alpha, 1.0) + tuple(sigma for sigma in (1.5 + alpha, 2.5, 3.6, 5.0) if sigma > 1.0 + alpha)
+
+
+def series_radius(package, alpha):
+    """The radius of the Taylor series at alpha, the same for every sigma >= -1."""
+    return package.mittag_leffler._order_constants(alpha, (-1.0,))[5]
 
 
 def label(alpha, sigma):
@@ -156,15 +164,17 @@ def ray_rows(trees, old_src, new_src):
 
 def small_z_rows(trees, old_src, new_src):
     """The worst relative error of each tree and router per (alpha, sigma,
-    |z|) for sigma in {0, -1} at |z| < 1, and how many ml_eval points of
-    each tree are over TOL there."""
-    print(f"sigma in {{0, -1}} at |z| < 1: worst relative error ({old_src} -> {new_src})")
+    |z|) for sigma in {0, -1} near the origin, and how many ml_eval points of
+    each tree are over TOL there, inside the new tree's series radius and
+    past it."""
+    print(f"sigma in {{0, -1}} at |z| <= 1.1 radius: worst relative error ({old_src} -> {new_src})")
     print("| alpha | sigma | modulus | ml_eval old | ml_eval new | array old | array new |")
     print("|---|---|---|---|---|---|---|")
-    over = [0, 0]
+    over = {"inside": [0, 0], "past": [0, 0]}
     for alpha in ALPHAS:
+        radius = series_radius(trees[1], alpha)
         for sigma in (0.0, -1.0):
-            for r in SMALL_RADII:
+            for r in SMALL_RADII + (0.9 * radius, 1.1 * radius):
                 worst = [math.nan] * 4
                 for theta in arguments(alpha):
                     z = cmath.rect(r, theta)
@@ -174,9 +184,11 @@ def small_z_rows(trees, old_src, new_src):
                     want = ml_reference(alpha, sigma, z, 40)
                     errors = [math.nan if isinstance(v, str) else abs(v - want) / abs(want) for v in values]
                     worst = list(np.fmax(errors, worst))
-                    over = [n + int(e > TOL) for n, e in zip(over, errors[:2])]
-                print(f"| {alpha} | {sigma:g} | {r:g} | " + " | ".join(f"{e:.1e}" for e in worst) + " |")
-    print(f"sigma in {{0, -1}} at |z| < 1: ml_eval points over {TOL:g}: old {over[0]}, new {over[1]}")
+                    side = over["inside" if r <= radius else "past"]
+                    side[:] = [n + int(e > TOL) for n, e in zip(side, errors[:2])]
+                print(f"| {alpha} | {sigma:g} | {r:.4g} | " + " | ".join(f"{e:.1e}" for e in worst) + " |")
+    for side, (old, new) in over.items():
+        print(f"sigma in {{0, -1}}, {side} the radius: ml_eval points over {TOL:g}: old {old}, new {new}")
 
 
 def value(package, alpha, sigma, z):
@@ -217,8 +229,9 @@ def main(old_src, new_src):
     refused = {"ml_eval": ({}, {}), "array": ({}, {})}
     changed = {"ml_eval": 0, "array": 0}
     for alpha in ALPHAS:
+        radius = series_radius(trees[1], alpha)
         for sigma in sigmas(alpha):
-            for r in RADII:
+            for r in np.append(RADII, (0.9 * radius, 1.1 * radius)):
                 for theta in arguments(alpha):
                     z = cmath.rect(r, theta)
                     got = [value(tree, alpha, sigma, z) for tree in trees]

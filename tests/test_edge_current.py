@@ -291,8 +291,10 @@ def test_traces_match_per_time_evaluations_at_early_times(
 def test_each_sweep_is_one_evaluator_call(table, monkeypatch):
     # current_trace, msd_trace and caputo_residual take every E of a sweep
     # from one call of the evaluator's array entry, with the sweep's moduli
-    # t^alpha lambda in one array; certify_bounds makes one per time grid,
-    # and the one-time forms one with moduli of shape (1, nodes)
+    # t^alpha lambda in one array; certify_bounds makes one over the union
+    # of its grid and the refinement (here the 9 times and the 17 of their
+    # arithmetic refinement, 2 shared: 24), and the one-time forms one with
+    # moduli of shape (1, nodes)
     import tfedge.edge_current as ec
     import tfedge.wellposed as wp
     from tfedge.mittag_leffler import _ml_values
@@ -313,7 +315,7 @@ def test_each_sweep_is_one_evaluator_call(table, monkeypatch):
         (lambda: current_trace(order, table, times), [(9, table.lam.size)]),
         (lambda: msd_trace(order, table, times), [(9, table.lam.size)]),
         (lambda: caputo_residual(order, 2.0, 1.0), [(501,)]),
-        (lambda: certify_bounds(order, spectrum, times), [(9, 3), (17, 3)]),
+        (lambda: certify_bounds(order, spectrum, times), [(24, 3)]),
         (lambda: current_direct(order, None, None, None, None, 7.0, table), [(1, table.lam.size)]),
         (lambda: msd_direct(order, None, None, None, None, 7.0, table), [(1, table.lam.size)]),
         (lambda: msd_assembled(order, None, None, None, None, 7.0, table), [(1, table.lam.size)]),

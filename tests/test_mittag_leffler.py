@@ -181,11 +181,12 @@ def test_ray_components_at_half_order(y):
 def _routes(alpha, sigmas, z, m, theta, rotation):
     """The route groups of one sweep (_sweep at z with Im z >= 0), as a list
     of (route, ids, data) in the order the sweep takes them, ids an index
-    array: ("zero", None) and ("exp", None) with no data, ("ray", reach)
+    array: ("series", None) and ("exp", None) with no data, ("ray", reach)
     with (|z|, |z|^(1/alpha)), ("contour", ((mu, h, N), residue)) with None
     or the residue exponents.  Recorded from the sweep's calls of _ray and
     _contour, which are wrapped; a contour group split at |z| = 1 is
-    joined again, and the z that neither takes are z = 0 or exp(z)."""
+    joined again, and the z that neither takes are exp(z) where alpha and
+    every base are 1, else the Taylor series at |z| <= its radius."""
     from tfedge import mittag_leffler as ml
 
     calls = []
@@ -214,8 +215,9 @@ def _routes(alpha, sigmas, z, m, theta, rotation):
             ids = np.concatenate((near, ids))[order]
             data = None if data is None else np.concatenate((near_data, data), axis=1)[:, order]
         routes.append((route, ids, data))
-    rest = [(("zero", None), np.flatnonzero(~taken & (m == 0.0)), None),
-            (("exp", None), np.flatnonzero(~taken & (m != 0.0)), None)]
+    exp = ml._order_constants(alpha, sigmas)[2]
+    rest = [(("series", None), np.flatnonzero(~taken & ~exp), None),
+            (("exp", None), np.flatnonzero(~taken & exp), None)]
     return [group for group in rest if group[1].size] + routes
 
 
@@ -350,9 +352,10 @@ def test_ray_memo_is_read_only_and_bounded(table):
 
 def test_contour_memos_are_read_only_and_bounded():
     # the nodes of the windows' parabolas, what the orders decide (the
-    # bases and series of sigma > 1 + alpha among it) and the powers of -i
-    # are kept across calls: sweeping more orders than the memos hold cannot
-    # grow them past their bound, and the arrays handed out are read-only
+    # Taylor series and the bases and series of sigma > 1 + alpha among it)
+    # and the powers of -i are kept across calls: sweeping more orders than
+    # the memos hold cannot grow them past their bound, and the arrays
+    # handed out are read-only
     from tfedge.mittag_leffler import _WINDOWS, _ml_values, _nodes, _order_constants
 
     memos = (_nodes, _order_constants, neg_i_power)
@@ -364,10 +367,10 @@ def test_contour_memos_are_read_only_and_bounded():
         info = memo.cache_info()
         assert info.currsize <= info.maxsize < info.misses, memo
     s_alpha, weights = _nodes(0.5, (0.5, 1.0), _WINDOWS[-1][0])
-    one_minus = _order_constants(0.5, (0.5, 1.0))[-2]
+    one_minus, taylor = _order_constants(0.5, (0.5, 1.0))[-2], _order_constants(0.5, (0.5, 1.0))[6]
     [(_, _, steps, series)] = _order_constants(0.5, (0.5, 3.6))[1]
     assert isinstance(steps, tuple)
-    for a in (s_alpha, weights, one_minus, series):
+    for a in (s_alpha, weights, one_minus, taylor, series):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0
@@ -501,22 +504,24 @@ def test_pole_vertex_windows_share_valid_parabolas():
 
 def _rule_route(alpha, sigmas, zi):
     """(route, data) of one z (Im z >= 0) by the routing rules, stated here
-    in Python scalars: z = 0; exp(z) where alpha and every base sigma
-    (_order_constants) are 1; the ray's reach where |z| >= 1 on arg z = pi
-    alpha and every base sigma <= 1; else the window of the vertex (Re s*
-    + |s*|) / 2 of the pole s* = z^(1/alpha) on the principal sheet, with
-    the residue exponents s* + (1 - sigma) log s* - log alpha, one per base
-    sigma, where the window's parabola passes left of s*.  None where the
+    in Python scalars: exp(z) where alpha and every base sigma
+    (_order_constants) are 1; the Taylor series at |z| <= its radius (< 1,
+    taken at sigma = -1 and so the same for every sigma here); the ray's
+    reach where |z| >= 1 on arg z = pi alpha and every base sigma <= 1;
+    else the window of the vertex (Re s* + |s*|) / 2 of the pole s* =
+    z^(1/alpha) on the principal sheet, with the residue exponents s* + (1
+    - sigma) log s* - log alpha, one per base sigma, where the window's
+    parabola passes left of s*.  None where the
     value is not finite: exp(z), or a residue e^(exponent), of which the
     contour sum is a small part."""
     from tfedge.mittag_leffler import _EDGES, _RAY_TOL, _WINDOWS, _order_constants, _ray_intervals
 
     bases = _order_constants(alpha, sigmas)[0]
-    if zi == 0:
-        return ("zero", None), None
     if alpha == 1.0 and all(sigma == 1.0 for sigma in bases):
         return (("exp", None), None) if _finite_exp(zi) else None
     r, theta = abs(zi), math.atan2(zi.imag, zi.real)
+    if r <= _order_constants(alpha, (-1.0,))[5]:
+        return ("series", None), None
     if alpha < 1.0 and max(bases) <= 1.0 and r >= 1.0 and abs(theta - math.pi * alpha) <= _RAY_TOL:
         d, r_cut = _ray_intervals(alpha, r)
         return ("ray", int(r - d < r_cut) + int(r + d < r_cut)), np.array([r, r ** (1.0 / alpha)])
@@ -604,11 +609,16 @@ def test_sweep_router_follows_the_routing_rules():
         z = r * np.exp(1j * rng.uniform(0.0, math.pi, 90))
         on_ray = np.array([0.5, 1.0, 2.0, 7.0, 40.0, 900.0]) * cmath.exp(1j * math.pi * alpha)
         sweep = np.geomspace(1e-3, 50.0, 24) * cmath.exp(0.5j * math.pi * alpha)
+        # just off the ray, past the series' radius: pole vertices |z|^(1/alpha) v from v on,
+        # which reach the windows of the smallest vertices
+        near_ray = np.concatenate([np.geomspace(1.0, 50.0, 12) * cmath.exp(
+            1j * (math.pi * alpha - 2.0 * alpha * math.asin(math.sqrt(v)))) for v in (1e-14, 1e-9, 1e-5)])
         # 1 + alpha/2: the ray's poles lie on the cut; 1.5 + alpha: climbed from its base
         for sigmas in ((alpha,), (1.0,), (alpha, 1.0), (1.0 + 0.5 * alpha,), (alpha, 1.5 + alpha)):
-            routes += _assert_routes_follow_the_rules(alpha, sigmas, np.concatenate(([0.0], on_ray, z, sweep, [0.0])))
+            every = np.concatenate(([0.0], on_ray, z, sweep, near_ray, [0.0]))
+            routes += _assert_routes_follow_the_rules(alpha, sigmas, every)
             routes += _assert_routes_follow_the_rules(alpha, sigmas, on_ray[2:])
-    assert {kind for kind, _ in routes} == {"zero", "exp", "ray", "contour"}
+    assert {kind for kind, _ in routes} == {"series", "exp", "ray", "contour"}
     assert {reach for kind, reach in routes if kind == "ray"} == {0, 1, 2}
     assert {parabola for kind, parabola in routes if kind == "contour"} == set(_WINDOWS)
     # a numpy alpha reaches every interval of the ray, as a float does
@@ -696,7 +706,9 @@ def test_contour_sums_within_the_dot_product_bound():
     # bound.  At |z| >= 1 the sigma = alpha row sums the weights of sigma =
     # 0 and is divided by z, a few roundings more.  Each z is routed alone;
     # those whose residue leaves double range are refused, and those on the
-    # ray (alpha = 1/2, beta = 1, |z| >= 1) take no contour
+    # ray (alpha = 1/2, beta = 1, |z| >= 1) take no contour.  Below |z| = 1
+    # the contour serves only radius < |z| (the Taylor series below it):
+    # |z| = 0.95 at alpha = 0.3 (radius 0.877), not 0.5
     import mpmath
 
     from tfedge.mittag_leffler import _contour, _nodes, _order_constants
@@ -706,7 +718,7 @@ def test_contour_sums_within_the_dot_product_bound():
         for alpha in (0.3, 0.5, 0.8):
             sigmas = (alpha, 1.0)
             for beta in (0.25, 0.5, 0.75, 1.0):
-                for m in np.geomspace(0.5, 900.0, 9):
+                for m in [0.95, *np.geomspace(0.5, 900.0, 9)[1:]]:
                     z = np.array([m * neg_i_power(beta).conjugate()])
                     try:
                         [((kind, detail), _, _)] = _routes(
@@ -729,7 +741,7 @@ def test_contour_sums_within_the_dot_product_bound():
                             want, bound = want / complex(z[0]), (bound + 4.0 * 2.0**-53 * abs(want)) / m
                         assert abs(out[k, 0] - complex(want)) <= bound, (alpha, beta, m, k)
                     checked += 1
-    assert checked == 87
+    assert checked == 79
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
@@ -855,6 +867,14 @@ def test_array_entry_guards():
     values = _ml_values(0.5, (0.5, 1.0), [2.0, 1e200], 1.0)
     for k, sigma in enumerate((0.5, 1.0)):
         _assert_expansion(values[k, 1], 0.5, sigma, -1e200j)
+    # and so on the decay side of the sheet: the residue e^(s*), Re s* =
+    # -inf, is 0 where its exponent is inf - inf (it was refused), in a
+    # sweep, climbed from a base, and alone
+    values = _ml_values(0.8, (0.8, 1.0, 2.5), [2.0, 1e247, 1e300], 1.0)
+    for k, sigma in enumerate((0.8, 1.0, 2.5)):
+        for j, m in ((1, 1e247), (2, 1e300)):
+            _assert_expansion(values[k, j], 0.8, sigma, -1j * m)
+    _assert_expansion(ml_eval(MLParams(0.8, 1.0), 1e247j), 0.8, 1.0, 1e247j)
 
 
 def test_array_calls_raise_overflow_guard():
@@ -911,6 +931,34 @@ def test_small_z_matches_the_series(alpha):
             want = ml_reference(alpha, sigma, zi, 30 + int(abs(zi) ** (1.0 / alpha) / 2.3))
             assert rel_err(got, want) <= 1e-12, (sigma, zi)
             assert abs(value - got) <= 1e-13 * abs(got), (sigma, zi)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.8])
+def test_taylor_series_within_its_radius(alpha):
+    # at |z| <= radius < 1 the sweep sums the float64 Taylor series, to
+    # 2^-60 of its largest term in at most 64 terms: ml_eval at |z| in
+    # {1e-3, 0.1, 0.9 radius}, and the series alone at 1.1 radius (the
+    # margin past its radius), within 1e-13 of the mpmath series, sigma in
+    # {alpha, 1, 0, -1}.  At sigma <= 0, 1/Gamma(sigma) = 0 leaves E ~ z /
+    # Gamma(sigma + alpha) small against the contour's absolute 1e-14,
+    # which missed by up to 1.2e-10 at |z| = 1e-3.  The radius and the
+    # number of terms are those of sigma = -1, the same for each of these
+    # sigmas and for the pair (alpha, 1), so a z takes one route whatever
+    # the other sigmas of its call
+    from tfedge.mittag_leffler import _order_constants, _taylor
+
+    radius, taylor = _order_constants(alpha, (-1.0,))[5:7]
+    assert 0.5 < radius < 1.0 and taylor.shape[1] <= 64
+    for sigmas in ((alpha,), (1.0,), (0.0,), (alpha, 1.0)):
+        constants = _order_constants(alpha, sigmas)
+        assert constants[5] == radius and constants[6].shape == (len(sigmas), taylor.shape[1]), sigmas
+    for sigma in (alpha, 1.0, 0.0, -1.0):
+        series = _order_constants(alpha, (sigma,))[6]
+        for m in (1e-3, 0.1, 0.9 * radius, 1.1 * radius):
+            for theta in np.linspace(0.0, math.pi, 7):
+                z = cmath.rect(m, theta)
+                got = ml_eval(MLParams(alpha, sigma), z) if m < radius else _taylor(np.array([z]), series)[0, 0]
+                assert rel_err(got, ml_reference(alpha, sigma, z, 40)) <= 1e-13, (sigma, m, theta)
 
 
 def test_deriv_identity():

@@ -17,6 +17,7 @@ from tfedge import (
     envelope,
     solution_norm_sq,
 )
+from tfedge.wellposed import _bounds_sq, _norms_sq
 
 SPECTRUM = ModeSpectrum(lambdas=(2.0, 5.0, 11.0), weights=(1.0, 0.5, 0.25))
 
@@ -82,6 +83,9 @@ def test_envelope_shapes():
     assert envelope(sub, 2.0, 10.0) > envelope(sub, 2.0, 1.0) > 1.0
     with pytest.raises(DomainError):
         envelope(sup, -1.0, 1.0)
+    # at t = 0 the growth exponent t lam^(1/alpha) cos(theta) is 0, also
+    # where lam^(1/alpha) leaves double range (0 * inf was nan)
+    assert envelope(FractionalOrder(0.8, 0.4), 1e300, 0.0) == 2.0
 
 
 def test_certification_across_regimes():
@@ -154,6 +158,13 @@ def test_certified_constant_is_the_largest_ratio():
                 )
             ratios.append(solution_norm_sq(order, spectrum, t) / bound_sq)
         assert cert.constant == pytest.approx(math.sqrt(max(ratios)), rel=1e-14), order
+        # both grids take their values from one call over their union, and
+        # each constant is its own grid's largest ratio bit for bit
+        fine = np.geomspace(1e-2, 20.0 if growth else 1e3, 79)
+        assert np.union1d(times, fine).size == fine.size
+        for constant, grid in ((cert.constant, times), (cert.refined_constant, fine)):
+            ratios = _norms_sq(order, spectrum, grid) / _bounds_sq(order, spectrum, grid)
+            assert constant == math.sqrt(float(np.max(ratios))), order
 
 
 def test_certification_input_validation():
