@@ -22,7 +22,12 @@ Kilbas, Mainardi and Rogosin 2014, ch. 4), and the contour runs at 1e-14
 largest, E is the float64 Taylor series (_taylor), as Gorenflo, Loutchko
 and Luchko (Fract. Calc. Appl. Anal. 5 (2002)) sum it: also where sigma <=
 0 leaves E ~ z / Gamma(sigma + alpha) small against the contour's
-absolute error (see ml_eval).
+absolute error (see ml_eval).  Off the ray, at theta = |arg z| < pi
+alpha, it also serves radius < |z| <= M(theta) = min(R, (ln 16 / (1 -
+cos(theta / alpha)))^alpha), R that radius uncapped (1.79, 6.11, 15.0 at
+alpha = 1/2, 0.8, 1): there the terms' moduli sum to about (1/alpha)
+rho^(1-sigma) e^rho, rho = |z|^(1/alpha), at most 16 times the residue
+that |E| follows.
 
 A sigma > 1 + alpha is evaluated at its base sigma - K alpha <= 1 + alpha,
 K the fewest such steps, and raised to sigma (_order_constants): at |z| >=
@@ -326,21 +331,23 @@ def _contour(alpha, sigmas, z, ids, parabola, residue_exponents, out, far):
     over a contiguous row, the same whatever the other z of the call; so a
     z's E does not depend on which z share its parabola (with @ it did).
     Each block's sums are divided and take their residues before the one
-    write into out.
+    write into out, or in out itself where ids takes every z.
     """
     s_alpha, weights = _nodes(alpha, sigmas, parabola)
     z = z[ids]
     block = _CAUCHY_CELLS // s_alpha.size
+    whole = isinstance(ids, slice)
     for start in range(0, z.size, block):
         rows = slice(start, start + block)
         g = np.subtract.outer(z[rows], s_alpha)
         np.reciprocal(g, out=g)
-        values = np.vecdot(weights[1 if far else 0, :, None, :], g)
+        values = np.vecdot(weights[1 if far else 0, :, None, :], g, out=out[:, rows] if whole else None)
         for k in far:
             values[k] /= z[rows]
         if residue_exponents is not None:
             values += np.exp(residue_exponents[:, rows])
-        out[:, rows if isinstance(ids, slice) else ids[rows]] = values
+        if not whole:
+            out[:, ids[rows]] = values
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +523,9 @@ def _ray(alpha, sigmas, r0, rho0, reach, out, ids):
 
 # at |z| <= its radius the Taylor series takes at most _TERMS terms, to 2^-60 of the largest
 _TERMS, _LOG_DROP = 64, 60.0 * math.log(2.0)
+# past the radius, on the principal sheet, the series serves rho (1 - cos(theta / alpha)) <= ln 16:
+# there Sum |z^n / Gamma(alpha n + sigma)| ~ (1/alpha) rho^(1-sigma) e^rho is at most 16 |residue|
+_LOG_16 = math.log(16.0)
 
 
 def _log_term(alpha, sigma, n, log_r=0.0):
@@ -524,15 +534,14 @@ def _log_term(alpha, sigma, n, log_r=0.0):
     return math.log(c) + n * log_r if c else -math.inf
 
 
-def _taylor_radius(alpha, sigma):
-    """The largest r < 1 where the term n = _TERMS of Sum z^n / Gamma(alpha n
-    + sigma), and each later one as Gamma rises (alpha n + sigma >= 1.5), is
-    2^-60 of the largest before it at |z| = r; 0 if Gamma may fall past it."""
-    if alpha * _TERMS + sigma < 1.5:
-        return 0.0
-    last = _log_term(alpha, sigma, _TERMS)
-    return min(1.0 - 2.0**-53, math.exp(max(
-        (_log_term(alpha, sigma, n) - last - _LOG_DROP) / (_TERMS - n) for n in range(_TERMS))))
+def _taylor_radii(alpha, sigma):
+    """Per width w = 8, 16, .. _TERMS the largest r where the term n = w of
+    Sum z^n / Gamma(alpha n + sigma), and each later one as Gamma rises
+    (alpha n + sigma >= 1.5), is 2^-60 of the largest before it at |z| = r;
+    0 if Gamma may fall past it."""
+    logs = [_log_term(alpha, sigma, n) for n in range(_TERMS + 1)]
+    return tuple(math.exp(max((logs[n] - logs[w] - _LOG_DROP) / (w - n) for n in range(w)))
+                 if alpha * w + sigma >= 1.5 else 0.0 for w in range(8, _TERMS + 1, 8))
 
 
 def _taylor_terms(alpha, sigma, radius):
@@ -548,37 +557,61 @@ def _taylor_terms(alpha, sigma, radius):
 
 def _taylor(w, coefficients):
     """Sum_n c_n w^n for each row c of coefficients at each w of the 1-d w,
-    shape (rows, w.size): one matrix of powers, then one BLAS dot per row
-    and w, so each value is the same whatever the other w."""
-    powers = np.empty((w.size, coefficients.shape[1]), dtype=complex)
-    powers[:, 0] = 1.0
-    powers[:, 1:] = w[:, None]
-    np.multiply.accumulate(powers, axis=1, out=powers)
-    return np.vecdot(coefficients[:, None, :], powers)
+    shape (rows, w.size): per block of _CAUCHY_CELLS entries one matrix of
+    powers, then one BLAS dot per row and w, so each value is the same
+    whatever the other w."""
+    values = np.empty((coefficients.shape[0], w.size), dtype=complex)
+    block = _CAUCHY_CELLS // coefficients.shape[1]
+    for start in range(0, w.size, block):
+        rows = slice(start, start + block)
+        powers = np.empty((w[rows].size, coefficients.shape[1]), dtype=complex)
+        powers[:, 0] = 1.0
+        powers[:, 1:] = w[rows, None]
+        np.multiply.accumulate(powers, axis=1, out=powers)
+        np.vecdot(coefficients[:, None, :], powers, out=values[:, rows])
+    return values
+
+
+def _climb(row, z, steps, zeros):
+    """The row E_{a,s}(z) climbed by E_{a,s+a}(z) = (E_{a,s}(z) - 1/Gamma(s)) / z
+    through the constants of steps, then zeros steps of constant 0, which
+    stop once the row is 0: each later one would be (0 - 0) / z."""
+    for step in steps:
+        row = (row - step) / z
+    for _ in range(zeros):
+        if not row.any():
+            break
+        row = row / z
+    return row
 
 
 @functools.lru_cache(maxsize=64)
 def _order_constants(alpha, sigmas):
     """What the orders alone decide, a read-only tuple kept across calls:
-    (bases, climbs, exp, ray, shifted, radius, taylor, one_minus, log_alpha).
+    (bases, climbs, exp, ray, shifted, radius, taylor, limits, wide, one_minus).
 
     A sigma <= 1 + alpha is its own base; any other is evaluated at the
     base sigma - K alpha <= 1 + alpha, K the fewest such steps, and climbs
-    holds (k, switch, steps, series) for its row k.  At |z| >= switch =
-    sigma^alpha the base is climbed by the recurrence E_{a,s+a}(z) =
-    (E_{a,s}(z) - 1/Gamma(s)) / z through the K constants 1/Gamma(s) of
-    steps, s = sigma - K alpha .. sigma - alpha: there every s^alpha < |z|,
-    and E_{a,s}(z) is not close to 1/Gamma(s).  Below the switch the terms
+    holds (k, switch, steps, zeros, series) for its row k.  At |z| >=
+    switch = sigma^alpha the base is climbed by the recurrence (_climb)
+    through the K constants 1/Gamma(s), s = sigma - K alpha .. sigma -
+    alpha: there every s^alpha < |z|, and E_{a,s}(z) is not close to
+    1/Gamma(s).  steps holds them up to the last that is not 0, and zeros
+    counts those after it, past double range.  Below the switch the terms
     of the Taylor series fall from the first; series holds _taylor_terms of
     its coefficients times 2^(k n), 2^k <= switch < 2^(k + 1), for the
     powers of z 2^-k, exact scalings that keep them in double range.  exp:
     the route exp(z) (alpha and every base 1); ray: whether the bases may
     take the ray (alpha < 1, every base <= 1); shifted: the rows with
     1/Gamma(base - alpha) = 0, taken as E_{alpha,base-alpha}(z) / z at |z|
-    >= 1; radius and taylor: the Taylor series' radius and coefficients, a
-    row per base, the least radius and most terms of sigma = -1 and the
-    bases (-1's while every base is >= -1: no route depends on the other
-    sigmas); and the column 1 - base and log alpha of the residue exponents.
+    >= 1.  radius and taylor: the Taylor series' radius (below 1; up to
+    the least switch where every row climbs) and coefficients, a row per
+    base, the least radius and most terms of sigma = -1 and the bases
+    (-1's while every base is >= -1: no route depends on the other sigmas).
+    limits and wide, for the series past the radius (_sweep): per width 8,
+    16, .. _TERMS the rho = r^(1/alpha) up to which it serves, r the least
+    such radius uncapped (all -1 where r(_TERMS) < 1); _TERMS coefficients
+    per base.  one_minus: the column 1 - base of the residue exponents.
     """
     bases, climbs = [], []
     for k, sigma in enumerate(sigmas):
@@ -589,17 +622,33 @@ def _order_constants(alpha, sigmas):
             scale = math.frexp(switch)[1] - 1
             series = np.array([[math.ldexp(gamma_reciprocal(alpha * n + sigma), scale * n)
                                 for n in range(_taylor_terms(alpha, sigma, switch))]], dtype=complex)
-            constants = tuple(gamma_reciprocal(sigma - j * alpha) for j in range(steps, 0, -1))
-            climbs.append((k, switch, constants, series))
-    radius = min(_taylor_radius(alpha, sigma) for sigma in (-1.0, *bases))
+            # the last steps' 1/Gamma(s) are 0 past double range: s > 2 there, where 1/Gamma falls
+            zeros = bisect.bisect(range(steps), False, key=lambda j: gamma_reciprocal(sigma - (j + 1) * alpha) != 0.0)
+            constants = tuple(gamma_reciprocal(sigma - j * alpha) for j in range(steps, zeros, -1))
+            climbs.append((k, switch, constants, zeros, series))
+    limits = [min(radii) for radii in zip(*(_taylor_radii(alpha, sigma) for sigma in (-1.0, *bases)))]
+    radius = min(limits[-1], 1.0 - 2.0**-53)
     terms = max(_taylor_terms(alpha, sigma, radius) for sigma in (-1.0, *bases)) if radius else 1
-    taylor = np.array([[gamma_reciprocal(alpha * n + base) for n in range(terms)] for base in bases], dtype=complex)
+    if len(climbs) == len(sigmas):
+        radius = max(radius, math.nextafter(min(climb[1] for climb in climbs), 0.0))
+    wide = np.array([[gamma_reciprocal(alpha * n + base) for n in range(max(terms, _TERMS))] for base in bases], dtype=complex)
+    taylor = wide[:, :terms].copy()
     one_minus = 1.0 - np.array(bases)[:, None]
-    for a in [taylor, one_minus] + [climb[3] for climb in climbs]:
+    for a in [taylor, wide, one_minus] + [climb[-1] for climb in climbs]:
         a.flags.writeable = False
     shifted = tuple(k for k, base in enumerate(bases) if gamma_reciprocal(base - alpha) == 0.0)
     return (tuple(bases), tuple(climbs), alpha == 1.0 and all(base == 1.0 for base in bases),
-            alpha < 1.0 and max(bases) <= 1.0, shifted, radius, taylor, one_minus, math.log(alpha))
+            alpha < 1.0 and max(bases) <= 1.0, shifted, radius, taylor,
+            tuple(r ** (1.0 / alpha) if limits[-1] > 1.0 else -1.0 for r in limits), wide, one_minus)
+
+
+@functools.lru_cache(maxsize=64)
+def _residue_row(alpha, sigmas, theta):
+    """The column (1 - sigma) i theta / alpha - log alpha of the residue
+    exponents, one entry per base: their part that rho does not change."""
+    row = _order_constants(alpha, sigmas)[-1] * (1j * (theta / alpha)) - math.log(alpha)
+    row.flags.writeable = False
+    return row
 
 
 def _sweep(alpha, sigmas, z, m, theta, rotation):
@@ -612,13 +661,16 @@ def _sweep(alpha, sigmas, z, m, theta, rotation):
     at their bases (_order_constants).  What the sweep's argument decides
     is decided once with Python scalars: whether the sweep is the ray (to
     _RAY_TOL), on the principal sheet (the pole s* = rho e^(i theta / alpha)
-    on it or on the cut) and right of the cut.  Then there are whole-array
-    steps only: rho = m^(1/alpha); the pole vertex (Re s* + |s*|) / 2 = rho
-    cos^2(theta / (2 alpha)); and the route group of each z, 0 for |z| <=
-    radius, 1 + reach on the ray, else 4 + the index of its parabola in
-    _WINDOWS (4: no pole right of the cut; one bisect for a sweep whose
-    vertices share a window).  Each group is evaluated where it is found,
-    into the one output array: the Taylor series; exp(z) where alpha and
+    on it or on the cut) and right of the cut, and the series' reach M(theta)
+    off the ray there.  Then there are whole-array steps only: rho =
+    m^(1/alpha), and the route group of each z: 0 for |z| <= radius, 1 past
+    it up to M(theta), 2 + reach on the ray, else 5 + the index in _WINDOWS
+    of the parabola of its vertex rho cos^2(theta / (2 alpha)) (5: no pole
+    right of the cut).  A sweep whose least rho passes the reach pays one
+    comparison for it, one whose vertices share a window one bisect, and a
+    lone z inside the radius no routing.  Each group is evaluated where it
+    is found, into the one output array: the Taylor series (taylor, or the
+    fewest columns of wide that reach M(theta)); exp(z) where alpha and
     every base are 1; _ray at its reach; or _contour on the group's
     parabola, with the residue exponents s* + (1 - sigma) log s* - log
     alpha where it passes left of s*, one Cauchy matrix on each side of
@@ -626,14 +678,15 @@ def _sweep(alpha, sigmas, z, m, theta, rotation):
 
     The rows of sigma > 1 + alpha are climbed by the recurrence at |z| >=
     sigma^alpha and replaced by the Taylor series below.  Past double range
-    rho, a residue or a value turns inf or nan, quietly (np.errstate); one
-    reduction at the end refuses a value that is not finite with
-    OverflowGuard, naming the first such row and its z as given, after the
-    z of rho = inf on the decay side are taken without their residue, 0."""
+    rho, a residue or a value turns inf or nan, quietly (np.errstate); the
+    sum of the values (a check per value only where it is not finite)
+    refuses a value that is not finite with OverflowGuard, naming the first
+    such row and its z as given, after the z of rho = inf on the decay side
+    are taken without their residue, 0."""
     lower = math.copysign(1.0, theta) < 0.0
     upper = z.conj() if lower else z
     theta = abs(theta)
-    bases, climbs, exp, ray, shifted, radius, taylor, one_minus, log_alpha = _order_constants(alpha, sigmas)
+    bases, climbs, exp, ray, shifted, radius, taylor, limits, wide, one_minus = _order_constants(alpha, sigmas)
     values = np.empty((len(sigmas), z.size), dtype=complex)
     if not z.size:
         return values
@@ -641,70 +694,77 @@ def _sweep(alpha, sigmas, z, m, theta, rotation):
     # alone is accurate in both components
     ray = ray and abs(theta - math.pi * alpha) <= _RAY_TOL
     # the group of every z, or of each (an array)
-    groups = 4
+    groups = 5
     with np.errstate(over="ignore", invalid="ignore"):
-        if not exp and (ray or theta <= math.pi * alpha):
-            rho = m ** (1.0 / alpha)
+        if not exp and z.size == 1 and m[0] <= radius:
+            groups = 0
+        elif not exp:
+            if ray or theta <= math.pi * alpha:
+                rho = m ** (1.0 / alpha)
             if theta < math.pi * alpha:
-                phi = rho * math.cos(0.5 * theta / alpha) ** 2
-                # often every vertex of a sweep is past the clip, or all share a window
-                first = bisect.bisect_right(_EDGE_TUPLE, float(np.minimum.reduce(phi)))
-                if first < _EDGES.size and bisect.bisect_right(_EDGE_TUPLE, float(np.maximum.reduce(phi))) != first:
-                    first = np.searchsorted(_EDGES, phi, side="right")
-                groups = 4 + first
+                fall = 1.0 - math.cos(theta / alpha)
+                served = -1.0 if ray else limits[-1] if fall * limits[-1] <= _LOG_16 else _LOG_16 / fall
+                low = float(np.minimum.reduce(rho))
+                if low <= served and (z.size == 1 or float(np.maximum.reduce(rho)) <= served):
+                    groups = 1
+                else:
+                    # often every vertex of a sweep is past the clip, or all share a window
+                    c2 = math.cos(0.5 * theta / alpha) ** 2
+                    first = bisect.bisect_right(_EDGE_TUPLE, low * c2)
+                    if first < _EDGES.size and bisect.bisect_right(_EDGE_TUPLE, float(np.maximum.reduce(rho)) * c2) != first:
+                        first = np.searchsorted(_EDGES, rho * c2, side="right")
+                    groups = 5 + first if low > served else np.where(rho <= served, 1, 5 + first)
             if ray:
                 d, r_cut = _ray_intervals(alpha, m)
-                groups = np.where(m >= 1.0, 1 + (m - d < r_cut).astype(int) + (m + d < r_cut), groups)
-        # the Taylor series at |z| <= radius < 1; a pole vertex past the clip has |z| > 1
-        if not exp and (isinstance(groups, np.ndarray) or groups < 4 + _EDGES.size) and np.minimum.reduce(m) <= radius:
-            groups = 0 if np.maximum.reduce(m) <= radius else np.where(m <= radius, 0, groups)
+                groups = np.where(m >= 1.0, 2 + (m - d < r_cut).astype(int) + (m + d < r_cut), groups)
+            # the Taylor series at |z| <= radius; a pole vertex past the clip has |z| > 1 > radius
+            # unless every row climbs (_order_constants)
+            if (isinstance(groups, np.ndarray) or groups < 5 + _EDGES.size or climbs) and np.minimum.reduce(m) <= radius:
+                groups = 0 if np.maximum.reduce(m) <= radius else np.where(m <= radius, 0, groups)
         if isinstance(groups, int) or groups.min() == groups.max():
             found = [(groups if isinstance(groups, int) else int(groups[0]), slice(None))]
         else:
             found = [(g, np.flatnonzero(groups == g)) for g in np.flatnonzero(np.bincount(groups)).tolist()]
         for group, ids in found:
-            if group == 0:
-                values[:, ids] = _taylor(upper[ids], taylor)
+            if group < 2:
+                values[:, ids] = _taylor(upper[ids], wide[:, : 8 + 8 * bisect.bisect_left(limits, served)] if group else taylor)
             elif exp:
                 values[:, ids] = np.exp(upper[ids])
-            elif group < 4:
-                _ray(alpha, bases, m[ids], rho[ids], group - 1, values, ids)
+            elif group < 5:
+                _ray(alpha, bases, m[ids], rho[ids], group - 2, values, ids)
             else:
-                parabola, residue = _WINDOWS[group - 4]
+                parabola, residue = _WINDOWS[group - 5]
                 exponents = None
                 if residue:
                     # one row of exponents s* + (1 - sigma) log s* - log alpha per sigma
-                    exponents = one_minus * (np.log(rho[ids]) + 1j * (theta / alpha))
-                    exponents += rho[ids] * rotation
-                    exponents -= log_alpha
+                    exponents = rho[ids] * rotation + one_minus * np.log(rho[ids])
+                    exponents += _residue_row(alpha, sigmas, theta)
                 parts = [(ids, shifted, exponents)]
                 # the clip's window holds only poles at |z|^(1/alpha) >= _CLIP > 1
-                if shifted and group < 4 + _EDGES.size and np.minimum.reduce(m[ids]) < 1.0:
+                if shifted and group < 5 + _EDGES.size and np.minimum.reduce(m[ids]) < 1.0:
                     near, at = m[ids] < 1.0, np.arange(z.size)[ids]
                     parts = [(ids, (), exponents)] if near.all() else [
                         (at[part], rows, exponents if exponents is None else exponents[:, part])
                         for part, rows in ((near, ()), (~near, shifted))]
                 for at, rows, part_exponents in parts:
                     _contour(alpha, bases, upper, at, parabola, part_exponents, values, rows)
-        for k, switch, steps, series in climbs:
+        for k, switch, steps, zeros, series in climbs:
             far = m >= switch
-            for step in steps:
-                values[k, far] = (values[k, far] - step) / upper[far]
+            values[k, far] = _climb(values[k, far], upper[far], steps, zeros)
             # at z 2^-k, 2^k <= switch < 2^(k + 1)
             values[k, ~far] = _taylor(upper[~far] * 2.0 ** (1 - math.frexp(switch)[1]), series)[0]
-    if theta in (0.0, math.pi):
-        values.imag = 0.0
-    finite = np.isfinite(values)
-    if not finite.all():
+        if theta in (0.0, math.pi):
+            values.imag = 0.0
+        total = np.add.reduce(values, axis=None)
+    if not cmath.isfinite(total) and not (finite := np.isfinite(values)).all():
         if not exp and theta < math.pi * alpha and rotation.real < 0.0:
             # a decaying pole past double range: its residue e^(s*), Re s* =
             # -inf, is 0, not the nan of its exponent inf - inf
-            gone = np.flatnonzero(rho == math.inf)
             with np.errstate(over="ignore", invalid="ignore"):
+                gone = np.flatnonzero(m ** (1.0 / alpha) == math.inf)
                 _contour(alpha, bases, upper, gone, _WINDOWS[-1][0], None, values, shifted)
-                for k, _, steps, _ in climbs:
-                    for step in steps:
-                        values[k, gone] = (values[k, gone] - step) / upper[gone]
+                for k, _, steps, zeros, _ in climbs:
+                    values[k, gone] = _climb(values[k, gone], upper[gone], steps, zeros)
             finite = np.isfinite(values)
         if not finite.all():
             k, bad = divmod(int(np.argmin(finite)), z.size)
@@ -746,9 +806,11 @@ def ml_eval(params: MLParams, z: complex) -> complex:
     """Evaluate E_{alpha,sigma}(z) anywhere in the complex plane.
 
     Relative accuracy 1e-12 (see the module docstring for the method),
-    except past the series' radius for sigma <= -1, where E stays small
-    against the contour's absolute error: 3.8e-12 at sigma = -1, alpha =
-    0.2 below |z| = 1, 1e-10 at sigma = -3 near |z| = 1.  Raises
+    except on the contour for sigma <= -1, where E stays small against its
+    absolute error: 3.8e-12 at sigma = -1, alpha = 0.2 below |z| = 1, 1e-10
+    at sigma = -3 near |z| = 1 off the principal sheet.  The series past its
+    radius, |z| <= M(|arg z|), was within 1.1e-14 of the 40-digit mpmath
+    series on 2 688 points (alpha 0.4 to 1, sigma in {alpha, 1, 0, -1}).  Raises
     DomainError for a z with a NaN or infinite component and
     OverflowGuard where E leaves double range.  A one-element sweep of the
     array router, with |z| and arg z taken as _by_argument takes them, so

@@ -35,6 +35,14 @@ series.  There 1/Gamma(sigma) = 0 leaves E ~ z / Gamma(sigma + alpha)
 small, which the contour's absolute 1e-14 can miss; these rows show each
 tree's points over 1e-12 inside the radius and past it.
 
+The series' reach has rows of its own as well (168 points): sigma in
+{alpha, 1, 0, -1} at 0.9 and 1.1 times M(theta) = min(R, (ln 16 / (1 -
+cos(theta / alpha)))^alpha), the modulus up to which NEW_SRC sums the
+series past its radius on the principal sheet (R the radius uncapped), at
+three arguments theta in [0, pi alpha), against the series.  They show
+each tree's worst error either side of M(theta) and the points newly over
+1e-12.
+
 Every RuntimeWarning is an error: a numpy overflow or invalid operation
 that leaks from either tree counts as a refusal of its own kind
 ("RuntimeWarning") in that tree's refusals.  pytest does not collect this
@@ -85,6 +93,14 @@ def sigmas(alpha):
 def series_radius(package, alpha):
     """The radius of the Taylor series at alpha, the same for every sigma >= -1."""
     return package.mittag_leffler._order_constants(alpha, (-1.0,))[5]
+
+
+def series_reach(package, alpha, theta):
+    """M(theta), the modulus up to which the package sums the series past its
+    radius at |arg z| = theta < pi alpha: R uncapped, or less by ln 16."""
+    big = package.mittag_leffler._taylor_radii(alpha, -1.0)[-1]
+    fall = 1.0 - math.cos(theta / alpha)
+    return big if fall * big ** (1.0 / alpha) <= math.log(16.0) else (math.log(16.0) / fall) ** alpha
 
 
 def label(alpha, sigma):
@@ -191,6 +207,33 @@ def small_z_rows(trees, old_src, new_src):
         print(f"sigma in {{0, -1}}, {side} the radius: ml_eval points over {TOL:g}: old {old}, new {new}")
 
 
+def reach_rows(trees, old_src, new_src):
+    """The worst relative error of each tree and router per (alpha, sigma)
+    at 0.9 and 1.1 times the new tree's series reach M(theta), three
+    arguments theta in [0, pi alpha), and the ml_eval points newly over TOL
+    in the new tree there."""
+    print(f"0.9 and 1.1 times the series' reach M(theta): worst relative error ({old_src} -> {new_src})")
+    print("| alpha | sigma | modulus | ml_eval old | ml_eval new | array old | array new |")
+    print("|---|---|---|---|---|---|---|")
+    newly = 0
+    for alpha in ALPHAS:
+        thetas = np.linspace(0.0, math.pi * alpha, 3, endpoint=False)
+        for sigma in (alpha, 1.0, 0.0, -1.0):
+            for factor in (0.9, 1.1):
+                worst = [math.nan] * 4
+                for theta in thetas:
+                    z = cmath.rect(factor * series_reach(trees[1], alpha, theta), theta)
+                    arrays = [array_values(tree, alpha, sigma, z) for tree in trees]
+                    values = [value(tree, alpha, sigma, z) for tree in trees]
+                    values += [a if isinstance(a, str) else a[0] for a in arrays]
+                    want = ml_reference(alpha, sigma, z, 40 + int(abs(z) ** (1.0 / alpha) / 2.3))
+                    errors = [math.nan if isinstance(v, str) else abs(v - want) / abs(want) for v in values]
+                    worst = list(np.fmax(errors, worst))
+                    newly += int(errors[1] > TOL and not errors[0] > TOL)
+                print(f"| {alpha} | {label(alpha, sigma)} | {factor} M | " + " | ".join(f"{e:.1e}" for e in worst) + " |")
+    print(f"series' reach rows: newly over {TOL:g} in new: {newly}")
+
+
 def value(package, alpha, sigma, z):
     """ml_eval, or the name of the error it raises."""
     try:
@@ -283,6 +326,7 @@ def main(old_src, new_src):
         print(f"{router}: {count} values differ in some bit between old and new")
     ray_rows(trees, old_src, new_src)
     small_z_rows(trees, old_src, new_src)
+    reach_rows(trees, old_src, new_src)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Mittag-Leffler evaluator: reductions, references, the ray, symmetry."""
 import bisect
 import cmath
+import functools
 import math
 import os
 import re
@@ -181,16 +182,25 @@ def test_ray_components_at_half_order(y):
 def _routes(alpha, sigmas, z, m, theta, rotation):
     """The route groups of one sweep (_sweep at z with Im z >= 0), as a list
     of (route, ids, data) in the order the sweep takes them, ids an index
-    array: ("series", None) and ("exp", None) with no data, ("ray", reach)
-    with (|z|, |z|^(1/alpha)), ("contour", ((mu, h, N), residue)) with None
-    or the residue exponents.  Recorded from the sweep's calls of _ray and
-    _contour, which are wrapped; a contour group split at |z| = 1 is
-    joined again, and the z that neither takes are exp(z) where alpha and
-    every base are 1, else the Taylor series at |z| <= its radius."""
+    array: ("series", 0) within the radius and ("series", 1) past it, on
+    the principal sheet, and ("exp", None), with no data; ("ray", reach)
+    with (|z|, |z|^(1/alpha)); ("contour", ((mu, h, N), residue)) with None
+    or the residue exponents.  Recorded from the sweep's calls of _taylor
+    (with the coefficients taylor or wide of _order_constants), _ray and
+    _contour, which are wrapped; a contour group split at |z| = 1 is joined
+    again, and the z that none takes are exp(z), where alpha and every base
+    are 1."""
     from tfedge import mittag_leffler as ml
 
     calls = []
-    ray, contour = ml._ray, ml._contour
+    taylor, ray, contour = ml._taylor, ml._ray, ml._contour
+    constants = ml._order_constants(alpha, sigmas)
+
+    def on_taylor(w, coefficients):
+        for group in (0, 1):
+            if np.shares_memory(coefficients, constants[6 + 2 * group]):
+                calls.append((("series", group), np.flatnonzero(np.isin(z, w)), None))
+        return taylor(w, coefficients)
 
     def on_ray(alpha, sigmas, r0, rho0, reach, out, ids):
         calls.append((("ray", reach), ids, np.array([r0, rho0])))
@@ -201,6 +211,7 @@ def _routes(alpha, sigmas, z, m, theta, rotation):
         contour(alpha, sigmas, z, ids, parabola, exponents, out, far)
 
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ml, "_taylor", on_taylor)
         patch.setattr(ml, "_ray", on_ray)
         patch.setattr(ml, "_contour", on_contour)
         ml._sweep(alpha, sigmas, z, m, theta, rotation)
@@ -215,10 +226,9 @@ def _routes(alpha, sigmas, z, m, theta, rotation):
             ids = np.concatenate((near, ids))[order]
             data = None if data is None else np.concatenate((near_data, data), axis=1)[:, order]
         routes.append((route, ids, data))
-    exp = ml._order_constants(alpha, sigmas)[2]
-    rest = [(("series", None), np.flatnonzero(~taken & ~exp), None),
-            (("exp", None), np.flatnonzero(~taken & exp), None)]
-    return [group for group in rest if group[1].size] + routes
+    rest = np.flatnonzero(~taken)
+    assert constants[2] or not rest.size
+    return ([(("exp", None), rest, None)] if rest.size else []) + routes
 
 
 def _ray_reference(alpha, sigma, z):
@@ -352,25 +362,29 @@ def test_ray_memo_is_read_only_and_bounded(table):
 
 def test_contour_memos_are_read_only_and_bounded():
     # the nodes of the windows' parabolas, what the orders decide (the
-    # Taylor series and the bases and series of sigma > 1 + alpha among it)
+    # Taylor series within the radius and past it, and the bases and series
+    # of sigma > 1 + alpha among it), the residue rows of a sweep's argument
     # and the powers of -i are kept across calls: sweeping more orders than
     # the memos hold cannot grow them past their bound, and the arrays
     # handed out are read-only
-    from tfedge.mittag_leffler import _WINDOWS, _ml_values, _nodes, _order_constants
+    from tfedge.mittag_leffler import _TERMS, _WINDOWS, _ml_values, _nodes, _order_constants, _residue_row
 
-    memos = (_nodes, _order_constants, neg_i_power)
+    memos = (_nodes, _order_constants, _residue_row, neg_i_power)
     sweep = 2 * max(memo.cache_info().maxsize for memo in memos)
     for alpha in np.linspace(0.05, 1.0, sweep):
-        # 1.5 + alpha is climbed from its base by the recurrence; z = |z| e^(0.6 i pi alpha)
-        _ml_values(alpha, (alpha, 1.5 + alpha), [0.5, 3.0], -1.2 * alpha)
+        # 1.5 + alpha is climbed from its base by the recurrence; z = |z| e^(0.6 i pi alpha),
+        # |z| = 6 past the series' reach, where the contour takes the residue
+        _ml_values(alpha, (alpha, 1.5 + alpha), [0.5, 3.0, 6.0], -1.2 * alpha)
     for memo in memos:
         info = memo.cache_info()
         assert info.currsize <= info.maxsize < info.misses, memo
     s_alpha, weights = _nodes(0.5, (0.5, 1.0), _WINDOWS[-1][0])
-    one_minus, taylor = _order_constants(0.5, (0.5, 1.0))[-2], _order_constants(0.5, (0.5, 1.0))[6]
-    [(_, _, steps, series)] = _order_constants(0.5, (0.5, 3.6))[1]
-    assert isinstance(steps, tuple)
-    for a in (s_alpha, weights, one_minus, taylor, series):
+    constants = _order_constants(0.5, (0.5, 1.0))
+    taylor, wide, one_minus = constants[6], constants[8], constants[-1]
+    assert wide.shape == (2, _TERMS)
+    [(_, _, steps, zeros, series)] = _order_constants(0.5, (0.5, 3.6))[1]
+    assert isinstance(steps, tuple) and zeros == 0
+    for a in (s_alpha, weights, one_minus, taylor, wide, series, _residue_row(0.5, (0.5, 1.0), 0.25 * math.pi)):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0
@@ -381,7 +395,7 @@ def test_memos_change_no_bit():
     # every memo filled (warm) give the same values bit for bit, or the same
     # refusal: on the contour with and without residues, off the sheet, on
     # the ray, at z = 0, and climbed from a base sigma
-    from tfedge.mittag_leffler import _ml_values, _nodes, _order_constants, _ray_rows
+    from tfedge.mittag_leffler import _ml_values, _nodes, _order_constants, _ray_rows, _residue_row
 
     def sweep(alpha, sigmas, moduli, beta):
         try:
@@ -393,7 +407,7 @@ def test_memos_change_no_bit():
     for alpha in (0.3, 0.5, 0.8, 1.0):
         for beta in (0.25, 0.8, 1.0, 1.5, -2.0 * alpha):
             for sigmas in ((alpha, 1.0), (1.0,), (alpha, 1.5 + alpha)):
-                for memo in (_nodes, _ray_rows, _order_constants, neg_i_power):
+                for memo in (_nodes, _ray_rows, _order_constants, _residue_row, neg_i_power):
                     memo.cache_clear()
                 cold = sweep(alpha, sigmas, moduli, beta)
                 assert sweep(alpha, sigmas, moduli, beta) == cold, (alpha, beta, sigmas)
@@ -454,11 +468,13 @@ def test_shared_parabola_is_each_vertex_own(alpha):
     # one its octave [lo, 2 lo) of vertices would have alone, bit for bit
     from tfedge.mittag_leffler import _CLIP, _EDGES, _WINDOWS, _parabola, _region_below
 
-    theta = 0.5 * math.pi * alpha
+    theta = 0.9 * math.pi * alpha
     for phi in (0.5, 1.4, 4.0, 5.9, 6.1, 40.0, 1e4):
-        # a pole on the imaginary axis has its vertex at |s*| / 2; its z alone is a sweep
-        m = np.array([(2.0 * phi) ** alpha])
-        [((_, parabola), _, _)] = _routes(alpha, (alpha, 1.0), m * cmath.exp(1j * theta), m, theta, 1j)
+        # a pole at arg s* = 0.9 pi has its vertex at |s*| cos^2(0.45 pi), past
+        # the series' reach (|s*| <= ln 16 / (1 - cos(0.9 pi))); its z alone is a sweep
+        m = np.array([(phi / math.cos(0.45 * math.pi) ** 2) ** alpha])
+        rotation = cmath.rect(1.0, 0.9 * math.pi)
+        [((_, parabola), _, _)] = _routes(alpha, (alpha, 1.0), m * cmath.exp(1j * theta), m, theta, rotation)
         (mu, _, _), residue = parabola
         window = bisect.bisect_right(_EDGES, phi)
         assert parabola == _WINDOWS[window], phi
@@ -508,11 +524,14 @@ def _rule_route(alpha, sigmas, zi):
     (_order_constants) are 1; the Taylor series at |z| <= its radius (< 1,
     taken at sigma = -1 and so the same for every sigma here); the ray's
     reach where |z| >= 1 on arg z = pi alpha and every base sigma <= 1;
-    else the window of the vertex (Re s* + |s*|) / 2 of the pole s* =
-    z^(1/alpha) on the principal sheet, with the residue exponents s* + (1
-    - sigma) log s* - log alpha, one per base sigma, where the window's
-    parabola passes left of s*.  None where the
-    value is not finite: exp(z), or a residue e^(exponent), of which the
+    off the ray, on the principal sheet, the series past the radius while
+    the pole's modulus rho = |z|^(1/alpha) keeps rho (1 - cos(arg z /
+    alpha)) <= ln 16 and |z| <= R, the largest |z| at which 64 terms of
+    sigma = -1 fall to 2^-60 of the largest; else the window of the vertex
+    (Re s* + |s*|) / 2 of the pole s* = z^(1/alpha) on the principal sheet,
+    with the residue exponents s* + (1 - sigma) log s* - log alpha, one per
+    base sigma, where the window's parabola passes left of s*.  None where
+    the value is not finite: exp(z), or a residue e^(exponent), of which the
     contour sum is a small part."""
     from tfedge.mittag_leffler import _EDGES, _RAY_TOL, _WINDOWS, _order_constants, _ray_intervals
 
@@ -521,13 +540,17 @@ def _rule_route(alpha, sigmas, zi):
         return (("exp", None), None) if _finite_exp(zi) else None
     r, theta = abs(zi), math.atan2(zi.imag, zi.real)
     if r <= _order_constants(alpha, (-1.0,))[5]:
-        return ("series", None), None
-    if alpha < 1.0 and max(bases) <= 1.0 and r >= 1.0 and abs(theta - math.pi * alpha) <= _RAY_TOL:
+        return ("series", 0), None
+    on_ray = alpha < 1.0 and max(bases) <= 1.0 and abs(theta - math.pi * alpha) <= _RAY_TOL
+    if on_ray and r >= 1.0:
         d, r_cut = _ray_intervals(alpha, r)
         return ("ray", int(r - d < r_cut) + int(r + d < r_cut)), np.array([r, r ** (1.0 / alpha)])
     if theta > math.pi * alpha:
         return ("contour", _WINDOWS[0]), None
-    pole = cmath.rect(r ** (1.0 / alpha), theta / alpha)
+    rho = r ** (1.0 / alpha)
+    if not on_ray and theta < math.pi * alpha and r <= _uncapped_radius(alpha) and rho * (1.0 - math.cos(theta / alpha)) <= math.log(16.0):
+        return ("series", 1), None
+    pole = cmath.rect(rho, theta / alpha)
     parabola = _WINDOWS[bisect.bisect_right(_EDGES, 0.5 * (pole.real + abs(pole)))]
     if not parabola[1]:
         return ("contour", parabola), None
@@ -535,6 +558,14 @@ def _rule_route(alpha, sigmas, zi):
     if not all(_finite_exp(exponent) for exponent in exponents.tolist()):
         return None
     return ("contour", parabola), exponents
+
+
+@functools.lru_cache(maxsize=None)
+def _uncapped_radius(alpha):
+    """R: the largest |z| at which 64 terms of sigma = -1 fall to 2^-60 of the largest."""
+    from tfedge.mittag_leffler import _taylor_radii
+
+    return _taylor_radii(alpha, -1.0)[-1]
 
 
 def _finite_exp(w):
@@ -619,6 +650,7 @@ def test_sweep_router_follows_the_routing_rules():
             routes += _assert_routes_follow_the_rules(alpha, sigmas, every)
             routes += _assert_routes_follow_the_rules(alpha, sigmas, on_ray[2:])
     assert {kind for kind, _ in routes} == {"series", "exp", "ray", "contour"}
+    assert {group for kind, group in routes if kind == "series"} == {0, 1}
     assert {reach for kind, reach in routes if kind == "ray"} == {0, 1, 2}
     assert {parabola for kind, parabola in routes if kind == "contour"} == set(_WINDOWS)
     # a numpy alpha reaches every interval of the ray, as a float does
@@ -708,7 +740,9 @@ def test_contour_sums_within_the_dot_product_bound():
     # those whose residue leaves double range are refused, and those on the
     # ray (alpha = 1/2, beta = 1, |z| >= 1) take no contour.  Below |z| = 1
     # the contour serves only radius < |z| (the Taylor series below it):
-    # |z| = 0.95 at alpha = 0.3 (radius 0.877), not 0.5
+    # |z| = 0.95 at alpha = 0.3 (radius 0.877), not 0.5; and past it the
+    # series takes the 8 z of the sheet within its reach M(arg z) (|z| =
+    # 1.28 at alpha = 1/2 and 0.8, 3.26 at alpha = 0.8)
     import mpmath
 
     from tfedge.mittag_leffler import _contour, _nodes, _order_constants
@@ -741,7 +775,7 @@ def test_contour_sums_within_the_dot_product_bound():
                             want, bound = want / complex(z[0]), (bound + 4.0 * 2.0**-53 * abs(want)) / m
                         assert abs(out[k, 0] - complex(want)) <= bound, (alpha, beta, m, k)
                     checked += 1
-    assert checked == 79
+    assert checked == 71
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
@@ -959,6 +993,105 @@ def test_taylor_series_within_its_radius(alpha):
                 z = cmath.rect(m, theta)
                 got = ml_eval(MLParams(alpha, sigma), z) if m < radius else _taylor(np.array([z]), series)[0, 0]
                 assert rel_err(got, ml_reference(alpha, sigma, z, 40)) <= 1e-13, (sigma, m, theta)
+
+
+@pytest.mark.parametrize("alpha", [0.45, 0.5, 0.65, 0.8, 0.95, 1.0])
+def test_taylor_series_within_its_reach(alpha):
+    # off the ray on the principal sheet (arg z < pi alpha) the sweep sums
+    # the series past the radius while |z| <= M(arg z) = min(R, (ln 16 / (1 -
+    # cos(arg z / alpha)))^alpha), R the largest |z| at which 64 terms of
+    # sigma = -1 fall to 2^-60 of the largest: there the terms sum to at
+    # most 16 |E|.  At 1.01 radius, midway and 0.99 M(arg z), six arguments
+    # in [0, pi alpha), sigma in {alpha, 1, 0, -1}: that route, and ml_eval
+    # within 1e-13 of the mpmath series, and _ml_values and ml_pair equal to
+    # it bit for bit (the contour missed sigma = -1 by 2e-12 at alpha = 1)
+    from tfedge.mittag_leffler import _ml_values, _order_constants
+
+    radius, big = _order_constants(alpha, (-1.0,))[5], _uncapped_radius(alpha)
+    assert 1.0 < big < 16.0
+    for theta in np.linspace(0.0, math.pi * alpha, 6, endpoint=False):
+        fall = 1.0 - math.cos(theta / alpha)
+        reach = big if fall * big ** (1.0 / alpha) <= math.log(16.0) else (math.log(16.0) / fall) ** alpha
+        m = np.array([1.01 * radius, 0.5 * (radius + reach), 0.99 * reach])
+        beta = -2.0 * theta / math.pi
+        z = m * neg_i_power(beta)
+        for sigmas in ((alpha,), (1.0,), (0.0,), (-1.0,), (alpha, 1.0)):
+            if not _order_constants(alpha, sigmas)[2]:
+                routes = _routes(alpha, sigmas, z, m, theta, cmath.rect(1.0, theta / alpha))
+                assert [route for route, _, _ in routes] == [("series", 1)], (sigmas, theta)
+        for sigma in (alpha, 1.0, 0.0, -1.0):
+            got = [ml_eval(MLParams(alpha, sigma), zi) for zi in z]
+            for zi, value in zip(z, got):
+                assert rel_err(value, ml_reference(alpha, sigma, zi, 40)) <= 1e-13, (sigma, theta, zi)
+            assert np.array_equal(_ml_values(alpha, (sigma,), m, beta)[0], got), (sigma, theta)
+        assert np.array_equal(np.array(ml_pair(alpha, z)), [[ml_eval(MLParams(alpha, s), zi) for zi in z] for s in (alpha, 1.0)])
+
+
+def test_library_sweeps_from_t_20_stay_past_the_series_reach(table):
+    # the transport sweeps at (1/2, beta in {1/4, 1/2, 3/4}) and the
+    # spreading ones at (0.8, beta in {0.8, 1}) from t = 20 on: |z| = t^alpha
+    # lambda with lambda >= 1 on the window lies past the series' reach M(arg
+    # z) <= R (1.79 and 6.11), so no z takes the series past the radius
+    from tfedge import FractionalOrder, current_trace
+    from tfedge import mittag_leffler as ml
+    from tfedge.msd import msd_trace
+
+    sweep, taylor = ml._sweep, ml._taylor
+    sweeps, series = set(), []
+
+    def on_sweep(alpha, sigmas, *rest):
+        sweeps.add((alpha, sigmas))
+        return sweep(alpha, sigmas, *rest)
+
+    def on_taylor(w, coefficients):
+        series.append(coefficients)
+        return taylor(w, coefficients)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ml, "_sweep", on_sweep)
+        patch.setattr(ml, "_taylor", on_taylor)
+        for beta, times in ((0.25, (20.0, 40.0, 80.0)), (0.5, (20.0, 1e2, 1e4)), (0.75, (20.0, 1e2, 1e4))):
+            current_trace(FractionalOrder(0.5, beta), table, times)
+        for beta in (0.8, 1.0):
+            current_trace(FractionalOrder(0.8, beta), table, (20.0, 1e3, 1e5))
+            msd_trace(FractionalOrder(0.8, beta), table, (20.0, 1e3, 1e5))
+    assert {alpha for alpha, _ in sweeps} == {0.5, 0.8}
+    wide = [ml._order_constants(alpha, sigmas)[8] for alpha, sigmas in sweeps]
+    assert not any(np.shares_memory(c, w) for c in series for w in wide)
+
+
+def test_climbs_stop_past_double_range():
+    # sigma = 1000 at alpha = 0.01 lies 99 899 steps above its base, and
+    # 1/Gamma(s) is 0 from s ~ 180 on: once the row is 0 as well each later
+    # step would be (0 - 0) / z, so the climb stops there, with the same 0
+    # (it took all 99 899 steps, 0.82 s).  Below every sigma^alpha the base
+    # row is not evaluated at all: the climb's series replaces it
+    from tfedge import mittag_leffler as ml
+
+    [(_, switch, steps, zeros, _)] = ml._order_constants(0.01, (1000.0,))[1]
+    assert len(steps) + zeros == math.ceil((1000.0 - 1.01) / 0.01) and zeros > 0 and steps[-1] != 0.0
+    climb, divisions = ml._climb, []
+
+    class Counted:
+        # (row - step) / z hands the division to z, counted
+        __array_ufunc__ = None
+
+        def __init__(self, z):
+            self.z = z
+
+        def __rtruediv__(self, row):
+            divisions.append(1)
+            return row / self.z
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ml, "_climb", lambda row, z, steps, zeros: climb(row, Counted(z), steps, zeros))
+        assert ml_eval(MLParams(0.01, 1000.0), -3.0) == 0.0
+    assert len(steps) <= len(divisions) < len(steps) + 1000
+    for sigmas in ((1000.0,), (3.6, 2.5)):
+        m = np.array([0.5, 0.99 * min(switch for _, switch, _, _, _ in ml._order_constants(0.01, sigmas)[1])])
+        z = m * cmath.exp(0.8j * math.pi)
+        [(route, ids, _)] = _routes(0.01, sigmas, z, m, 0.8 * math.pi, cmath.rect(1.0, 80.0 * math.pi))
+        assert route == ("series", 0) and list(ids) == [0, 1], sigmas
 
 
 def test_deriv_identity():
