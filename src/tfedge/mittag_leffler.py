@@ -18,16 +18,18 @@ pi alpha.  The evaluator has one accuracy, 1e-12 relative to |E|: where
 1/Gamma(sigma - alpha) = 0, E ~ z^-2 at |z| >= 1 is E_{alpha,sigma-alpha}(z)
 / z by the recurrence E_{a,s}(z) = 1/Gamma(s) + z E_{a,s+a}(z) (Gorenflo,
 Kilbas, Mainardi and Rogosin 2014, ch. 4), and the contour runs at 1e-14
-(_LOG_EPS).  At |z| <= radius < 1, where 64 terms fall to 2^-60 of the
-largest, E is the float64 Taylor series (_taylor), as Gorenflo, Loutchko
-and Luchko (Fract. Calc. Appl. Anal. 5 (2002)) sum it: also where sigma <=
-0 leaves E ~ z / Gamma(sigma + alpha) small against the contour's
-absolute error (see ml_eval).  Off the ray, at theta = |arg z| < pi
-alpha, it also serves radius < |z| <= M(theta) = min(R, (ln 16 / (1 -
-cos(theta / alpha)))^alpha), R that radius uncapped (1.79, 6.11, 15.0 at
-alpha = 1/2, 0.8, 1): there the terms' moduli sum to about (1/alpha)
-rho^(1-sigma) e^rho, rho = |z|^(1/alpha), at most 16 times the residue
-that |E| follows.
+(_LOG_EPS).  Within its reach E is the float64 Taylor series (_taylor), as
+Gorenflo, Loutchko and Luchko (Fract. Calc. Appl. Anal. 5 (2002)) sum it,
+by one rule: a z takes it at |z| <= reach(theta), theta = |arg z|, and it
+sums the fewest terms, at most 64, whose next falls to 2^-60 of the
+largest at the reach.  The reach is the radius < 1 where 64 terms do; off
+the ray on the principal sheet, theta < pi alpha, it is M(theta) = min(R,
+(ln 16 / (1 - cos(theta / alpha)))^alpha) where that is larger, R that
+radius uncapped (1.79, 6.11, 15.0 at alpha = 1/2, 0.8, 1): there the
+terms' moduli sum to about (1/alpha) rho^(1-sigma) e^rho, rho =
+|z|^(1/alpha), at most 16 times the residue that |E| follows.  The series
+also serves where sigma <= 0 leaves E ~ z / Gamma(sigma + alpha) small
+against the contour's absolute error (see ml_eval).
 
 A sigma > 1 + alpha is evaluated at its base sigma - K alpha <= 1 + alpha,
 K the fewest such steps, and raised to sigma (_order_constants): at |z| >=
@@ -521,7 +523,7 @@ def _ray(alpha, sigmas, r0, rho0, reach, out, ids):
 # ---------------------------------------------------------------------------
 
 
-# at |z| <= its radius the Taylor series takes at most _TERMS terms, to 2^-60 of the largest
+# the Taylor series takes at most _TERMS terms, to 2^-60 of the largest
 _TERMS, _LOG_DROP = 64, 60.0 * math.log(2.0)
 # past the radius, on the principal sheet, the series serves rho (1 - cos(theta / alpha)) <= ln 16:
 # there Sum |z^n / Gamma(alpha n + sigma)| ~ (1/alpha) rho^(1-sigma) e^rho is at most 16 |residue|
@@ -535,13 +537,13 @@ def _log_term(alpha, sigma, n, log_r=0.0):
 
 
 def _taylor_radii(alpha, sigma):
-    """Per width w = 8, 16, .. _TERMS the largest r where the term n = w of
-    Sum z^n / Gamma(alpha n + sigma), and each later one as Gamma rises
-    (alpha n + sigma >= 1.5), is 2^-60 of the largest before it at |z| = r;
-    0 if Gamma may fall past it."""
+    """Per count n = 1 .. _TERMS the largest r where the term n of Sum z^n /
+    Gamma(alpha n + sigma), and each later one as Gamma rises (alpha n +
+    sigma >= 1.5), is 2^-60 of the largest before it at |z| = r; 0 if Gamma
+    may fall past it."""
     logs = [_log_term(alpha, sigma, n) for n in range(_TERMS + 1)]
-    return tuple(math.exp(max((logs[n] - logs[w] - _LOG_DROP) / (w - n) for n in range(w)))
-                 if alpha * w + sigma >= 1.5 else 0.0 for w in range(8, _TERMS + 1, 8))
+    return tuple(math.exp(max((logs[k] - logs[n] - _LOG_DROP) / (n - k) for k in range(n)))
+                 if alpha * n + sigma >= 1.5 else 0.0 for n in range(1, _TERMS + 1))
 
 
 def _taylor_terms(alpha, sigma, radius):
@@ -588,7 +590,7 @@ def _climb(row, z, steps, zeros):
 @functools.lru_cache(maxsize=64)
 def _order_constants(alpha, sigmas):
     """What the orders alone decide, a read-only tuple kept across calls:
-    (bases, climbs, exp, ray, shifted, radius, taylor, limits, wide, one_minus).
+    (bases, climbs, exp, ray, shifted, radius, taylor, limits, one_minus).
 
     A sigma <= 1 + alpha is its own base; any other is evaluated at the
     base sigma - K alpha <= 1 + alpha, K the fewest such steps, and climbs
@@ -604,14 +606,13 @@ def _order_constants(alpha, sigmas):
     the route exp(z) (alpha and every base 1); ray: whether the bases may
     take the ray (alpha < 1, every base <= 1); shifted: the rows with
     1/Gamma(base - alpha) = 0, taken as E_{alpha,base-alpha}(z) / z at |z|
-    >= 1.  radius and taylor: the Taylor series' radius (below 1; up to
-    the least switch where every row climbs) and coefficients, a row per
-    base, the least radius and most terms of sigma = -1 and the bases
-    (-1's while every base is >= -1: no route depends on the other sigmas).
-    limits and wide, for the series past the radius (_sweep): per width 8,
-    16, .. _TERMS the rho = r^(1/alpha) up to which it serves, r the least
-    such radius uncapped (all -1 where r(_TERMS) < 1); _TERMS coefficients
-    per base.  one_minus: the column 1 - base of the residue exponents.
+    >= 1.  The Taylor series: limits, per count n = 1 .. _TERMS the |z| up
+    to which n terms serve, least over sigma = -1 and the bases (-1's while
+    every base is >= -1: no route depends on the other sigmas) and made
+    non-decreasing; R = limits[-1]; radius, R below 1 (up to the least
+    switch where every row climbs); taylor, _TERMS coefficients per base,
+    of which a sweep sums the fewest columns that reach its reach (_sweep).
+    one_minus: the column 1 - base of the residue exponents.
     """
     bases, climbs = [], []
     for k, sigma in enumerate(sigmas):
@@ -626,20 +627,18 @@ def _order_constants(alpha, sigmas):
             zeros = bisect.bisect(range(steps), False, key=lambda j: gamma_reciprocal(sigma - (j + 1) * alpha) != 0.0)
             constants = tuple(gamma_reciprocal(sigma - j * alpha) for j in range(steps, zeros, -1))
             climbs.append((k, switch, constants, zeros, series))
-    limits = [min(radii) for radii in zip(*(_taylor_radii(alpha, sigma) for sigma in (-1.0, *bases)))]
+    limits = np.min([_taylor_radii(alpha, sigma) for sigma in (-1.0, *bases)], axis=0)
+    limits = tuple(np.maximum.accumulate(limits).tolist())
     radius = min(limits[-1], 1.0 - 2.0**-53)
-    terms = max(_taylor_terms(alpha, sigma, radius) for sigma in (-1.0, *bases)) if radius else 1
     if len(climbs) == len(sigmas):
         radius = max(radius, math.nextafter(min(climb[1] for climb in climbs), 0.0))
-    wide = np.array([[gamma_reciprocal(alpha * n + base) for n in range(max(terms, _TERMS))] for base in bases], dtype=complex)
-    taylor = wide[:, :terms].copy()
+    taylor = np.array([[gamma_reciprocal(alpha * n + base) for n in range(_TERMS)] for base in bases], dtype=complex)
     one_minus = 1.0 - np.array(bases)[:, None]
-    for a in [taylor, wide, one_minus] + [climb[-1] for climb in climbs]:
+    for a in [taylor, one_minus] + [climb[-1] for climb in climbs]:
         a.flags.writeable = False
     shifted = tuple(k for k, base in enumerate(bases) if gamma_reciprocal(base - alpha) == 0.0)
     return (tuple(bases), tuple(climbs), alpha == 1.0 and all(base == 1.0 for base in bases),
-            alpha < 1.0 and max(bases) <= 1.0, shifted, radius, taylor,
-            tuple(r ** (1.0 / alpha) if limits[-1] > 1.0 else -1.0 for r in limits), wide, one_minus)
+            alpha < 1.0 and max(bases) <= 1.0, shifted, radius, taylor, limits, one_minus)
 
 
 @functools.lru_cache(maxsize=64)
@@ -661,20 +660,20 @@ def _sweep(alpha, sigmas, z, m, theta, rotation):
     at their bases (_order_constants).  What the sweep's argument decides
     is decided once with Python scalars: whether the sweep is the ray (to
     _RAY_TOL), on the principal sheet (the pole s* = rho e^(i theta / alpha)
-    on it or on the cut) and right of the cut, and the series' reach M(theta)
-    off the ray there.  Then there are whole-array steps only: rho =
-    m^(1/alpha), and the route group of each z: 0 for |z| <= radius, 1 past
-    it up to M(theta), 2 + reach on the ray, else 5 + the index in _WINDOWS
-    of the parabola of its vertex rho cos^2(theta / (2 alpha)) (5: no pole
-    right of the cut).  A sweep whose least rho passes the reach pays one
-    comparison for it, one whose vertices share a window one bisect, and a
-    lone z inside the radius no routing.  Each group is evaluated where it
-    is found, into the one output array: the Taylor series (taylor, or the
-    fewest columns of wide that reach M(theta)); exp(z) where alpha and
-    every base are 1; _ray at its reach; or _contour on the group's
-    parabola, with the residue exponents s* + (1 - sigma) log s* - log
-    alpha where it passes left of s*, one Cauchy matrix on each side of
-    |z| = 1.
+    on it or on the cut) and right of the cut, and the series' reach: the
+    radius, and off the ray on the sheet M(theta) where that is larger.
+    Then there are whole-array steps only: rho = m^(1/alpha), and the route
+    group of each z: 0 for |z| <= reach, 1 + reach on the ray, else 4 + the
+    index in _WINDOWS of the parabola of its vertex rho cos^2(theta / (2
+    alpha)) (4: no pole right of the cut).  A sweep within the reach pays
+    one comparison of its least and largest |z| (a lone z of its |z|), one
+    whose vertices share a window one bisect.  Each group is evaluated
+    where it is found, into the one output array: the Taylor series, the
+    fewest columns of taylor whose limit reaches the reach, the same for
+    every z of the argument; exp(z) where alpha and every base are 1; _ray
+    at its reach; or _contour on the group's parabola, with the residue
+    exponents s* + (1 - sigma) log s* - log alpha where it passes left of
+    s*, one Cauchy matrix on each side of |z| = 1.
 
     The rows of sigma > 1 + alpha are climbed by the recurrence at |z| >=
     sigma^alpha and replaced by the Taylor series below.  Past double range
@@ -686,7 +685,7 @@ def _sweep(alpha, sigmas, z, m, theta, rotation):
     lower = math.copysign(1.0, theta) < 0.0
     upper = z.conj() if lower else z
     theta = abs(theta)
-    bases, climbs, exp, ray, shifted, radius, taylor, limits, wide, one_minus = _order_constants(alpha, sigmas)
+    bases, climbs, exp, ray, shifted, radius, taylor, limits, one_minus = _order_constants(alpha, sigmas)
     values = np.empty((len(sigmas), z.size), dtype=complex)
     if not z.size:
         return values
@@ -694,46 +693,46 @@ def _sweep(alpha, sigmas, z, m, theta, rotation):
     # alone is accurate in both components
     ray = ray and abs(theta - math.pi * alpha) <= _RAY_TOL
     # the group of every z, or of each (an array)
-    groups = 5
+    groups = 4
     with np.errstate(over="ignore", invalid="ignore"):
-        if not exp and z.size == 1 and m[0] <= radius:
-            groups = 0
-        elif not exp:
-            if ray or theta <= math.pi * alpha:
-                rho = m ** (1.0 / alpha)
-            if theta < math.pi * alpha:
+        if not exp:
+            # the series' reach: the radius, and off the ray on the principal sheet M(theta) where that is larger
+            reach = radius
+            if not ray and theta < math.pi * alpha:
                 fall = 1.0 - math.cos(theta / alpha)
-                served = -1.0 if ray else limits[-1] if fall * limits[-1] <= _LOG_16 else _LOG_16 / fall
-                low = float(np.minimum.reduce(rho))
-                if low <= served and (z.size == 1 or float(np.maximum.reduce(rho)) <= served):
-                    groups = 1
-                else:
+                reach = max(radius, min(limits[-1], (_LOG_16 / fall) ** alpha) if fall else limits[-1])
+            low = float(np.minimum.reduce(m))
+            if low <= reach and (z.size == 1 or float(np.maximum.reduce(m)) <= reach):
+                groups = 0
+            else:
+                if ray or theta <= math.pi * alpha:
+                    rho = m ** (1.0 / alpha)
+                if theta < math.pi * alpha:
                     # often every vertex of a sweep is past the clip, or all share a window
                     c2 = math.cos(0.5 * theta / alpha) ** 2
-                    first = bisect.bisect_right(_EDGE_TUPLE, low * c2)
+                    first = bisect.bisect_right(_EDGE_TUPLE, float(np.minimum.reduce(rho)) * c2)
                     if first < _EDGES.size and bisect.bisect_right(_EDGE_TUPLE, float(np.maximum.reduce(rho)) * c2) != first:
                         first = np.searchsorted(_EDGES, rho * c2, side="right")
-                    groups = 5 + first if low > served else np.where(rho <= served, 1, 5 + first)
-            if ray:
-                d, r_cut = _ray_intervals(alpha, m)
-                groups = np.where(m >= 1.0, 2 + (m - d < r_cut).astype(int) + (m + d < r_cut), groups)
-            # the Taylor series at |z| <= radius; a pole vertex past the clip has |z| > 1 > radius
-            # unless every row climbs (_order_constants)
-            if (isinstance(groups, np.ndarray) or groups < 5 + _EDGES.size or climbs) and np.minimum.reduce(m) <= radius:
-                groups = 0 if np.maximum.reduce(m) <= radius else np.where(m <= radius, 0, groups)
+                    groups = 4 + first
+                if ray:
+                    d, r_cut = _ray_intervals(alpha, m)
+                    groups = np.where(m >= 1.0, 1 + (m - d < r_cut).astype(int) + (m + d < r_cut), groups)
+                if low <= reach:
+                    groups = np.where(m <= reach, 0, groups)
         if isinstance(groups, int) or groups.min() == groups.max():
             found = [(groups if isinstance(groups, int) else int(groups[0]), slice(None))]
         else:
             found = [(g, np.flatnonzero(groups == g)) for g in np.flatnonzero(np.bincount(groups)).tolist()]
         for group, ids in found:
-            if group < 2:
-                values[:, ids] = _taylor(upper[ids], wide[:, : 8 + 8 * bisect.bisect_left(limits, served)] if group else taylor)
+            if group == 0:
+                # the fewest columns that reach the reach (all, past R, where every row climbs)
+                values[:, ids] = _taylor(upper[ids], taylor[:, : 1 + bisect.bisect_left(limits, reach)])
             elif exp:
                 values[:, ids] = np.exp(upper[ids])
-            elif group < 5:
-                _ray(alpha, bases, m[ids], rho[ids], group - 2, values, ids)
+            elif group < 4:
+                _ray(alpha, bases, m[ids], rho[ids], group - 1, values, ids)
             else:
-                parabola, residue = _WINDOWS[group - 5]
+                parabola, residue = _WINDOWS[group - 4]
                 exponents = None
                 if residue:
                     # one row of exponents s* + (1 - sigma) log s* - log alpha per sigma
@@ -741,7 +740,7 @@ def _sweep(alpha, sigmas, z, m, theta, rotation):
                     exponents += _residue_row(alpha, sigmas, theta)
                 parts = [(ids, shifted, exponents)]
                 # the clip's window holds only poles at |z|^(1/alpha) >= _CLIP > 1
-                if shifted and group < 5 + _EDGES.size and np.minimum.reduce(m[ids]) < 1.0:
+                if shifted and group < 4 + _EDGES.size and np.minimum.reduce(m[ids]) < 1.0:
                     near, at = m[ids] < 1.0, np.arange(z.size)[ids]
                     parts = [(ids, (), exponents)] if near.all() else [
                         (at[part], rows, exponents if exponents is None else exponents[:, part])

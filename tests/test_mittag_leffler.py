@@ -182,11 +182,10 @@ def test_ray_components_at_half_order(y):
 def _routes(alpha, sigmas, z, m, theta, rotation):
     """The route groups of one sweep (_sweep at z with Im z >= 0), as a list
     of (route, ids, data) in the order the sweep takes them, ids an index
-    array: ("series", 0) within the radius and ("series", 1) past it, on
-    the principal sheet, and ("exp", None), with no data; ("ray", reach)
+    array: ("series", None) and ("exp", None), with no data; ("ray", reach)
     with (|z|, |z|^(1/alpha)); ("contour", ((mu, h, N), residue)) with None
     or the residue exponents.  Recorded from the sweep's calls of _taylor
-    (with the coefficients taylor or wide of _order_constants), _ray and
+    (with columns of the coefficients taylor of _order_constants), _ray and
     _contour, which are wrapped; a contour group split at |z| = 1 is joined
     again, and the z that none takes are exp(z), where alpha and every base
     are 1."""
@@ -197,9 +196,8 @@ def _routes(alpha, sigmas, z, m, theta, rotation):
     constants = ml._order_constants(alpha, sigmas)
 
     def on_taylor(w, coefficients):
-        for group in (0, 1):
-            if np.shares_memory(coefficients, constants[6 + 2 * group]):
-                calls.append((("series", group), np.flatnonzero(np.isin(z, w)), None))
+        if np.shares_memory(coefficients, constants[6]):
+            calls.append((("series", None), np.flatnonzero(np.isin(z, w)), None))
         return taylor(w, coefficients)
 
     def on_ray(alpha, sigmas, r0, rho0, reach, out, ids):
@@ -361,9 +359,9 @@ def test_ray_memo_is_read_only_and_bounded(table):
 
 
 def test_contour_memos_are_read_only_and_bounded():
-    # the nodes of the windows' parabolas, what the orders decide (the
-    # Taylor series within the radius and past it, and the bases and series
-    # of sigma > 1 + alpha among it), the residue rows of a sweep's argument
+    # the nodes of the windows' parabolas, what the orders decide (the one
+    # Taylor coefficient matrix and its limits, and the bases and series of
+    # sigma > 1 + alpha among it), the residue rows of a sweep's argument
     # and the powers of -i are kept across calls: sweeping more orders than
     # the memos hold cannot grow them past their bound, and the arrays
     # handed out are read-only
@@ -380,11 +378,11 @@ def test_contour_memos_are_read_only_and_bounded():
         assert info.currsize <= info.maxsize < info.misses, memo
     s_alpha, weights = _nodes(0.5, (0.5, 1.0), _WINDOWS[-1][0])
     constants = _order_constants(0.5, (0.5, 1.0))
-    taylor, wide, one_minus = constants[6], constants[8], constants[-1]
-    assert wide.shape == (2, _TERMS)
+    taylor, limits, one_minus = constants[6:9]
+    assert len(constants) == 9 and taylor.shape == (2, _TERMS) and len(limits) == _TERMS
     [(_, _, steps, zeros, series)] = _order_constants(0.5, (0.5, 3.6))[1]
     assert isinstance(steps, tuple) and zeros == 0
-    for a in (s_alpha, weights, one_minus, taylor, wide, series, _residue_row(0.5, (0.5, 1.0), 0.25 * math.pi)):
+    for a in (s_alpha, weights, one_minus, taylor, series, _residue_row(0.5, (0.5, 1.0), 0.25 * math.pi)):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0
@@ -521,35 +519,29 @@ def test_pole_vertex_windows_share_valid_parabolas():
 def _rule_route(alpha, sigmas, zi):
     """(route, data) of one z (Im z >= 0) by the routing rules, stated here
     in Python scalars: exp(z) where alpha and every base sigma
-    (_order_constants) are 1; the Taylor series at |z| <= its radius (< 1,
-    taken at sigma = -1 and so the same for every sigma here); the ray's
-    reach where |z| >= 1 on arg z = pi alpha and every base sigma <= 1;
-    off the ray, on the principal sheet, the series past the radius while
-    the pole's modulus rho = |z|^(1/alpha) keeps rho (1 - cos(arg z /
-    alpha)) <= ln 16 and |z| <= R, the largest |z| at which 64 terms of
-    sigma = -1 fall to 2^-60 of the largest; else the window of the vertex
-    (Re s* + |s*|) / 2 of the pole s* = z^(1/alpha) on the principal sheet,
-    with the residue exponents s* + (1 - sigma) log s* - log alpha, one per
-    base sigma, where the window's parabola passes left of s*.  None where
-    the value is not finite: exp(z), or a residue e^(exponent), of which the
-    contour sum is a small part."""
+    (_order_constants) are 1; the Taylor series at |z| <= its reach
+    (_series_reach); the ray's reach where |z| >= 1 on arg z = pi alpha and
+    every base sigma <= 1; else the window of the vertex (Re s* + |s*|) / 2
+    of the pole s* = z^(1/alpha) on the principal sheet, with the residue
+    exponents s* + (1 - sigma) log s* - log alpha, one per base sigma, where
+    the window's parabola passes left of s*.  None where the value is not
+    finite: exp(z), or a residue e^(exponent), of which the contour sum is
+    a small part."""
     from tfedge.mittag_leffler import _EDGES, _RAY_TOL, _WINDOWS, _order_constants, _ray_intervals
 
     bases = _order_constants(alpha, sigmas)[0]
     if alpha == 1.0 and all(sigma == 1.0 for sigma in bases):
         return (("exp", None), None) if _finite_exp(zi) else None
     r, theta = abs(zi), math.atan2(zi.imag, zi.real)
-    if r <= _order_constants(alpha, (-1.0,))[5]:
-        return ("series", 0), None
     on_ray = alpha < 1.0 and max(bases) <= 1.0 and abs(theta - math.pi * alpha) <= _RAY_TOL
+    if r <= _series_reach(alpha, theta, on_ray):
+        return ("series", None), None
     if on_ray and r >= 1.0:
         d, r_cut = _ray_intervals(alpha, r)
         return ("ray", int(r - d < r_cut) + int(r + d < r_cut)), np.array([r, r ** (1.0 / alpha)])
     if theta > math.pi * alpha:
         return ("contour", _WINDOWS[0]), None
     rho = r ** (1.0 / alpha)
-    if not on_ray and theta < math.pi * alpha and r <= _uncapped_radius(alpha) and rho * (1.0 - math.cos(theta / alpha)) <= math.log(16.0):
-        return ("series", 1), None
     pole = cmath.rect(rho, theta / alpha)
     parabola = _WINDOWS[bisect.bisect_right(_EDGES, 0.5 * (pole.real + abs(pole)))]
     if not parabola[1]:
@@ -558,6 +550,23 @@ def _rule_route(alpha, sigmas, zi):
     if not all(_finite_exp(exponent) for exponent in exponents.tolist()):
         return None
     return ("contour", parabola), exponents
+
+
+def _series_reach(alpha, theta, on_ray):
+    """The |z| up to which the sweep sums the Taylor series at arg z = theta
+    in [0, pi]: its radius (< 1, taken at sigma = -1 and so the same for
+    every sigma >= -1); off the ray on the principal sheet, theta < pi
+    alpha, M(theta) = min(R, (ln 16 / (1 - cos(theta / alpha)))^alpha)
+    where that is larger, R the largest |z| at which 64 terms of sigma = -1
+    fall to 2^-60 of the largest: there rho (1 - cos(theta / alpha)) <= ln
+    16, rho = |z|^(1/alpha), and the terms sum to at most 16 |E|."""
+    from tfedge.mittag_leffler import _order_constants
+
+    radius, big = _order_constants(alpha, (-1.0,))[5], _uncapped_radius(alpha)
+    if on_ray or theta >= math.pi * alpha:
+        return radius
+    fall = 1.0 - math.cos(theta / alpha)
+    return max(radius, big if fall * big ** (1.0 / alpha) <= math.log(16.0) else (math.log(16.0) / fall) ** alpha)
 
 
 @functools.lru_cache(maxsize=None)
@@ -580,7 +589,7 @@ def _finite_exp(w):
 def _assert_routes_follow_the_rules(alpha, sigmas, z):
     """The sweep router at every z (Im z >= 0), split by argument into
     sweeps as array calls split them, against _rule_route; returns the
-    routes taken.  Each z's route and data equal those of its one-element
+    routes taken, each with its |z|.  Each z's route and data equal those of its one-element
     sweep bit for bit."""
     from tfedge.mittag_leffler import _by_argument, _sweep
 
@@ -608,7 +617,7 @@ def _assert_routes_follow_the_rules(alpha, sigmas, z):
                 assert datum is None or np.array_equal(lone_data[:, 0], datum), (alpha, sigmas, kept[i])
                 want_route, want_datum = want[i]
                 assert route == want_route, (alpha, sigmas, kept[i])
-                taken.append(route)
+                taken.append((route, abs(kept[i])))
                 if want_datum is None:
                     assert datum is None, (alpha, sigmas, kept[i])
                     continue
@@ -649,10 +658,11 @@ def test_sweep_router_follows_the_routing_rules():
             every = np.concatenate(([0.0], on_ray, z, sweep, near_ray, [0.0]))
             routes += _assert_routes_follow_the_rules(alpha, sigmas, every)
             routes += _assert_routes_follow_the_rules(alpha, sigmas, on_ray[2:])
-    assert {kind for kind, _ in routes} == {"series", "exp", "ray", "contour"}
-    assert {group for kind, group in routes if kind == "series"} == {0, 1}
-    assert {reach for kind, reach in routes if kind == "ray"} == {0, 1, 2}
-    assert {parabola for kind, parabola in routes if kind == "contour"} == set(_WINDOWS)
+    assert {kind for (kind, _), _ in routes} == {"series", "exp", "ray", "contour"}
+    # the series past |z| = 1 > radius, up to its reach, as well as within the radius
+    assert {r > 1.0 for (kind, _), r in routes if kind == "series"} == {False, True}
+    assert {reach for (kind, reach), _ in routes if kind == "ray"} == {0, 1, 2}
+    assert {parabola for (kind, parabola), _ in routes if kind == "contour"} == set(_WINDOWS)
     # a numpy alpha reaches every interval of the ray, as a float does
     z = cmath.rect(2.0, -0.5 * math.pi)
     assert ml_eval(MLParams(np.float64(0.5), 1.0), z) == ml_eval(MLParams(0.5, 1.0), z)
@@ -692,7 +702,7 @@ def test_values_do_not_depend_on_position_or_companions(alpha):
     # and along two other arguments (scaling by powers of two keeps arctan2
     # exact), shuffled into the pool.  Each sweep equals a call over that
     # sweep alone, and along the exact directions the array entry's sweep
-    from tfedge.mittag_leffler import _ml_values
+    from tfedge.mittag_leffler import _ml_values, _order_constants
 
     moduli = np.array([0.0, 0.5, 1.0, 2.0, 3.5, 5.0])
     sweeps = [moduli * neg_i_power(beta) for beta in (0.0, 1.0, 2.0, 3.0)]
@@ -707,6 +717,17 @@ def test_values_do_not_depend_on_position_or_companions(alpha):
         if k < 4:
             assert np.array_equal(_ml_values(alpha, (alpha, 1.0), moduli, float(k)), got[:, ids]), k
     assert np.array_equal(got[:, : pool.size], want)
+    # an on-sheet sweep at arg z = pi alpha / 2 through the series' radius,
+    # its reach past it and the contour beyond: the series sums as many
+    # terms for a z within the radius as for one past it, so each z equals
+    # its lone call
+    radius = _order_constants(alpha, (-1.0,))[5]
+    reach = _series_reach(alpha, 0.5 * math.pi * alpha, False)
+    moduli = np.array([0.3, 0.99, 1.0, 1.01, 0.5 * (1.0 + reach / radius), 0.99 * reach / radius, 1.5 * reach / radius])
+    sweep = radius * moduli * cmath.exp(0.5j * math.pi * alpha)
+    lone = [[ml_eval(MLParams(alpha, sigma), zi) for zi in sweep] for sigma in (alpha, 1.0)]
+    assert np.array_equal(np.array(ml_pair(alpha, sweep)), lone)
+    assert np.array_equal(np.array(ml_pair(alpha, sweep[::-1])), np.array(lone)[:, ::-1])
 
 
 def test_values_do_not_depend_on_their_cauchy_block():
@@ -1002,28 +1023,37 @@ def test_taylor_series_within_its_reach(alpha):
     # cos(arg z / alpha)))^alpha), R the largest |z| at which 64 terms of
     # sigma = -1 fall to 2^-60 of the largest: there the terms sum to at
     # most 16 |E|.  At 1.01 radius, midway and 0.99 M(arg z), six arguments
-    # in [0, pi alpha), sigma in {alpha, 1, 0, -1}: that route, and ml_eval
-    # within 1e-13 of the mpmath series, and _ml_values and ml_pair equal to
-    # it bit for bit (the contour missed sigma = -1 by 2e-12 at alpha = 1)
-    from tfedge.mittag_leffler import _ml_values, _order_constants
+    # in [0, pi alpha), sigma in {alpha, 1, 0, -1}: that route, with the
+    # fewest columns of the one coefficient matrix whose limit reaches
+    # M(arg z), and ml_eval within 1e-13 of the mpmath series, and
+    # _ml_values and ml_pair equal to it bit for bit (the contour missed
+    # sigma = -1 by 2e-12 at alpha = 1)
+    from tfedge import mittag_leffler as ml
 
-    radius, big = _order_constants(alpha, (-1.0,))[5], _uncapped_radius(alpha)
+    radius, big = ml._order_constants(alpha, (-1.0,))[5], _uncapped_radius(alpha)
     assert 1.0 < big < 16.0
+    taylor = ml._taylor
     for theta in np.linspace(0.0, math.pi * alpha, 6, endpoint=False):
-        fall = 1.0 - math.cos(theta / alpha)
-        reach = big if fall * big ** (1.0 / alpha) <= math.log(16.0) else (math.log(16.0) / fall) ** alpha
+        reach = _series_reach(alpha, theta, False)
         m = np.array([1.01 * radius, 0.5 * (radius + reach), 0.99 * reach])
         beta = -2.0 * theta / math.pi
         z = m * neg_i_power(beta)
         for sigmas in ((alpha,), (1.0,), (0.0,), (-1.0,), (alpha, 1.0)):
-            if not _order_constants(alpha, sigmas)[2]:
+            if not ml._order_constants(alpha, sigmas)[2]:
                 routes = _routes(alpha, sigmas, z, m, theta, cmath.rect(1.0, theta / alpha))
-                assert [route for route, _, _ in routes] == [("series", 1)], (sigmas, theta)
+                assert [route for route, _, _ in routes] == [("series", None)], (sigmas, theta)
+                columns = []
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(ml, "_taylor", lambda w, c: columns.append(c.shape[1]) or taylor(w, c))
+                    ml._sweep(alpha, sigmas, z, m, theta, cmath.rect(1.0, theta / alpha))
+                limits = ml._order_constants(alpha, sigmas)[7]
+                [n] = columns
+                assert n <= 64 and limits[n - 1] >= reach > limits[n - 2], (sigmas, theta)
         for sigma in (alpha, 1.0, 0.0, -1.0):
             got = [ml_eval(MLParams(alpha, sigma), zi) for zi in z]
             for zi, value in zip(z, got):
                 assert rel_err(value, ml_reference(alpha, sigma, zi, 40)) <= 1e-13, (sigma, theta, zi)
-            assert np.array_equal(_ml_values(alpha, (sigma,), m, beta)[0], got), (sigma, theta)
+            assert np.array_equal(ml._ml_values(alpha, (sigma,), m, beta)[0], got), (sigma, theta)
         assert np.array_equal(np.array(ml_pair(alpha, z)), [[ml_eval(MLParams(alpha, s), zi) for zi in z] for s in (alpha, 1.0)])
 
 
@@ -1031,7 +1061,8 @@ def test_library_sweeps_from_t_20_stay_past_the_series_reach(table):
     # the transport sweeps at (1/2, beta in {1/4, 1/2, 3/4}) and the
     # spreading ones at (0.8, beta in {0.8, 1}) from t = 20 on: |z| = t^alpha
     # lambda with lambda >= 1 on the window lies past the series' reach M(arg
-    # z) <= R (1.79 and 6.11), so no z takes the series past the radius
+    # z) <= R (1.79 and 6.11), so the series takes no z past the radius
+    # (1 - 2^-53 at both orders)
     from tfedge import FractionalOrder, current_trace
     from tfedge import mittag_leffler as ml
     from tfedge.msd import msd_trace
@@ -1044,7 +1075,7 @@ def test_library_sweeps_from_t_20_stay_past_the_series_reach(table):
         return sweep(alpha, sigmas, *rest)
 
     def on_taylor(w, coefficients):
-        series.append(coefficients)
+        series.extend(np.abs(w).tolist())
         return taylor(w, coefficients)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -1056,8 +1087,8 @@ def test_library_sweeps_from_t_20_stay_past_the_series_reach(table):
             current_trace(FractionalOrder(0.8, beta), table, (20.0, 1e3, 1e5))
             msd_trace(FractionalOrder(0.8, beta), table, (20.0, 1e3, 1e5))
     assert {alpha for alpha, _ in sweeps} == {0.5, 0.8}
-    wide = [ml._order_constants(alpha, sigmas)[8] for alpha, sigmas in sweeps]
-    assert not any(np.shares_memory(c, w) for c in series for w in wide)
+    assert all(ml._order_constants(alpha, sigmas)[5] == 1.0 - 2.0**-53 for alpha, sigmas in sweeps)
+    assert max(series, default=0.0) < 1.0
 
 
 def test_climbs_stop_past_double_range():
@@ -1091,7 +1122,7 @@ def test_climbs_stop_past_double_range():
         m = np.array([0.5, 0.99 * min(switch for _, switch, _, _, _ in ml._order_constants(0.01, sigmas)[1])])
         z = m * cmath.exp(0.8j * math.pi)
         [(route, ids, _)] = _routes(0.01, sigmas, z, m, 0.8 * math.pi, cmath.rect(1.0, 80.0 * math.pi))
-        assert route == ("series", 0) and list(ids) == [0, 1], sigmas
+        assert route == ("series", None) and list(ids) == [0, 1], sigmas
 
 
 def test_deriv_identity():
