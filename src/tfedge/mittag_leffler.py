@@ -316,12 +316,13 @@ def _nodes(alpha, sigmas, parabola):
     return s_alpha, weights
 
 
-def _contour(alpha, sigmas, z, ids, parabola, residue_exponents, out, far):
+def _contour(alpha, sigmas, z, ids, parabola, exponents, factor, out, far):
     """E_{alpha,sigma}(z), each sigma, by the trapezoidal rule on one
     parabola (mu, h, N) shared by the z[ids] of the 1-d array z (ids a slice
-    taking every z, or indices), written into out[:, ids].  residue_exponents
-    is None, or the exponents of the residues (1/alpha) s*^(1-sigma) e^(s*)
-    of poles s* right of the parabola, shape (len(sigmas), z[ids].size).
+    taking every z, or indices), written into out[:, ids].  exponents is
+    None, or with the column factor (_residue_row) the residues (1/alpha)
+    s*^(1-sigma) e^(s*) = e^(exponents) factor of poles s* right of the
+    parabola, exponents of shape (len(sigmas), z[ids].size).
     far is () for z at |z| < 1, else the shifted rows (_order_constants),
     which then sum the weights of sigma - alpha and are divided by z (the
     residue is sigma's).
@@ -346,8 +347,8 @@ def _contour(alpha, sigmas, z, ids, parabola, residue_exponents, out, far):
         values = np.vecdot(weights[1 if far else 0, :, None, :], g, out=out[:, rows] if whole else None)
         for k in far:
             values[k] /= z[rows]
-        if residue_exponents is not None:
-            values += np.exp(residue_exponents[:, rows])
+        if exponents is not None:
+            values += np.exp(exponents[:, rows]) * factor
         if not whole:
             out[:, ids[rows]] = values
 
@@ -643,9 +644,11 @@ def _order_constants(alpha, sigmas):
 
 @functools.lru_cache(maxsize=64)
 def _residue_row(alpha, sigmas, theta):
-    """The column (1 - sigma) i theta / alpha - log alpha of the residue
-    exponents, one entry per base: their part that rho does not change."""
-    row = _order_constants(alpha, sigmas)[-1] * (1j * (theta / alpha)) - math.log(alpha)
+    """The column of residue factors e^(i (1 - sigma) theta / alpha) / alpha,
+    one entry per base: the part of the residues that rho does not change,
+    exact where the phase is a multiple of pi/2."""
+    bases = _order_constants(alpha, sigmas)[0]
+    row = np.array([[_cis_pi((1.0 - base) * (theta / math.pi) / alpha) / alpha] for base in bases])
     row.flags.writeable = False
     return row
 
@@ -671,9 +674,10 @@ def _sweep(alpha, sigmas, z, m, theta, rotation):
     where it is found, into the one output array: the Taylor series, the
     fewest columns of taylor whose limit reaches the reach, the same for
     every z of the argument; exp(z) where alpha and every base are 1; _ray
-    at its reach; or _contour on the group's parabola, with the residue
-    exponents s* + (1 - sigma) log s* - log alpha where it passes left of
-    s*, one Cauchy matrix on each side of |z| = 1.
+    at its reach; or _contour on the group's parabola, with the residues
+    e^(s* + (1 - sigma) log rho) times the factor e^(i (1 - sigma) theta /
+    alpha) / alpha (_residue_row) where it passes left of s*, one Cauchy
+    matrix on each side of |z| = 1.
 
     The rows of sigma > 1 + alpha are climbed by the recurrence at |z| >=
     sigma^alpha and replaced by the Taylor series below.  Past double range
@@ -733,11 +737,12 @@ def _sweep(alpha, sigmas, z, m, theta, rotation):
                 _ray(alpha, bases, m[ids], rho[ids], group - 1, values, ids)
             else:
                 parabola, residue = _WINDOWS[group - 4]
-                exponents = None
+                exponents = factor = None
                 if residue:
-                    # one row of exponents s* + (1 - sigma) log s* - log alpha per sigma
+                    # one row of exponents s* + (1 - sigma) log rho per sigma; the phase (1 - sigma)
+                    # theta / alpha stays in the factor, as added to Im s* = rho it would round away
                     exponents = rho[ids] * rotation + one_minus * np.log(rho[ids])
-                    exponents += _residue_row(alpha, sigmas, theta)
+                    factor = _residue_row(alpha, sigmas, theta)
                 parts = [(ids, shifted, exponents)]
                 # the clip's window holds only poles at |z|^(1/alpha) >= _CLIP > 1
                 if shifted and group < 4 + _EDGES.size and np.minimum.reduce(m[ids]) < 1.0:
@@ -746,7 +751,7 @@ def _sweep(alpha, sigmas, z, m, theta, rotation):
                         (at[part], rows, exponents if exponents is None else exponents[:, part])
                         for part, rows in ((near, ()), (~near, shifted))]
                 for at, rows, part_exponents in parts:
-                    _contour(alpha, bases, upper, at, parabola, part_exponents, values, rows)
+                    _contour(alpha, bases, upper, at, parabola, part_exponents, factor, values, rows)
         for k, switch, steps, zeros, series in climbs:
             far = m >= switch
             values[k, far] = _climb(values[k, far], upper[far], steps, zeros)
@@ -761,7 +766,7 @@ def _sweep(alpha, sigmas, z, m, theta, rotation):
             # -inf, is 0, not the nan of its exponent inf - inf
             with np.errstate(over="ignore", invalid="ignore"):
                 gone = np.flatnonzero(m ** (1.0 / alpha) == math.inf)
-                _contour(alpha, bases, upper, gone, _WINDOWS[-1][0], None, values, shifted)
+                _contour(alpha, bases, upper, gone, _WINDOWS[-1][0], None, None, values, shifted)
                 for k, _, steps, zeros, _ in climbs:
                     values[k, gone] = _climb(values[k, gone], upper[gone], steps, zeros)
             finite = np.isfinite(values)

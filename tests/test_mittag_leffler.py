@@ -204,9 +204,9 @@ def _routes(alpha, sigmas, z, m, theta, rotation):
         calls.append((("ray", reach), ids, np.array([r0, rho0])))
         ray(alpha, sigmas, r0, rho0, reach, out, ids)
 
-    def on_contour(alpha, sigmas, z, ids, parabola, exponents, out, far):
+    def on_contour(alpha, sigmas, z, ids, parabola, exponents, factor, out, far):
         calls.append((("contour", (parabola, exponents is not None)), ids, exponents))
-        contour(alpha, sigmas, z, ids, parabola, exponents, out, far)
+        contour(alpha, sigmas, z, ids, parabola, exponents, factor, out, far)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ml, "_taylor", on_taylor)
@@ -523,10 +523,10 @@ def _rule_route(alpha, sigmas, zi):
     (_series_reach); the ray's reach where |z| >= 1 on arg z = pi alpha and
     every base sigma <= 1; else the window of the vertex (Re s* + |s*|) / 2
     of the pole s* = z^(1/alpha) on the principal sheet, with the residue
-    exponents s* + (1 - sigma) log s* - log alpha, one per base sigma, where
-    the window's parabola passes left of s*.  None where the value is not
-    finite: exp(z), or a residue e^(exponent), of which the contour sum is
-    a small part."""
+    exponents s* + (1 - sigma) log |s*|, one per base sigma, where the
+    window's parabola passes left of s* (the residue is e^(exponent) e^(i
+    (1 - sigma) arg s*) / alpha).  None where the value is not finite:
+    exp(z), or a residue, of which the contour sum is a small part."""
     from tfedge.mittag_leffler import _EDGES, _RAY_TOL, _WINDOWS, _order_constants, _ray_intervals
 
     bases = _order_constants(alpha, sigmas)[0]
@@ -546,8 +546,8 @@ def _rule_route(alpha, sigmas, zi):
     parabola = _WINDOWS[bisect.bisect_right(_EDGES, 0.5 * (pole.real + abs(pole)))]
     if not parabola[1]:
         return ("contour", parabola), None
-    exponents = np.array([pole + (1.0 - sigma) * cmath.log(pole) for sigma in bases]) - math.log(alpha)
-    if not all(_finite_exp(exponent) for exponent in exponents.tolist()):
+    exponents = np.array([pole + (1.0 - sigma) * math.log(rho) for sigma in bases])
+    if not all(_finite_exp(exponent - math.log(alpha)) for exponent in exponents.tolist()):
         return None
     return ("contour", parabola), exponents
 
@@ -786,7 +786,7 @@ def test_contour_sums_within_the_dot_product_bound():
                     far = _order_constants(alpha, sigmas)[4] if m >= 1.0 else ()
                     assert far in ((), (0,))
                     out = np.empty((2, 1), dtype=complex)
-                    _contour(alpha, sigmas, z, slice(None), detail[0], None, out, far)
+                    _contour(alpha, sigmas, z, slice(None), detail[0], None, None, out, far)
                     s_alpha, weights = _nodes(alpha, sigmas, detail[0])
                     for k in range(2):
                         rows = weights[1 if far else 0]
@@ -885,6 +885,32 @@ def test_plateau_sweep_keeps_its_modulus():
     # residue's modulus (1 / alpha) rho^(1 - alpha) alone, as the rest is of size 1 / |z|
     got = _ml_values(0.1, (0.1, 1.0), [80.0], 0.1)[0, 0]
     assert abs(abs(got) - 10.0 * 80.0**9) <= 1e-13 * 10.0 * 80.0**9
+
+
+def test_plateau_sweep_keeps_its_phase():
+    # on beta = alpha the residue (1/alpha) s*^(1-sigma) e^(s*) of the pole
+    # s* = -i rho turns by rho, and its phase (1 - sigma) arg s* is kept
+    # apart from Im s* = rho, where adding it rounded it away (7.0e-9 at rho
+    # = 1e8 at (1/2, 1/2), 8.0e-10 at (0.3, 0.3)): both sigmas of the sweeps
+    # at (1/2, 1/2) and (0.3, 0.3) within 1e-13 of the 60-digit residue plus
+    # the converged expansion, taken at the sweep's own float rho = m^(1/alpha)
+    import mpmath
+
+    from tfedge.mittag_leffler import _ml_values
+
+    for alpha in (0.5, 0.3):
+        m = np.geomspace(1e2, 1e8, 7) ** alpha
+        rho = m ** (1.0 / alpha)
+        got = _ml_values(alpha, (alpha, 1.0), m, alpha)
+        with mpmath.workdps(60):
+            for k, sigma in enumerate((alpha, 1.0)):
+                for r, g in zip(rho.tolist(), got[k]):
+                    pole = mpmath.mpc(0.0, -r)
+                    z = pole ** mpmath.mpf(alpha)
+                    want = pole ** (1 - mpmath.mpf(sigma)) * mpmath.exp(pole) / alpha - mpmath.fsum(
+                        z**-j * mpmath.rgamma(sigma - j * mpmath.mpf(alpha)) for j in range(1, 60)
+                    )
+                    assert rel_err(g, complex(want)) <= 1e-13, (alpha, sigma, r)
 
 
 def _assert_expansion(got, alpha, sigma, z):
