@@ -40,7 +40,6 @@ order and runs are bit-for-bit reproducible.
 from __future__ import annotations
 
 import functools
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
@@ -85,8 +84,6 @@ __all__ = [
     "fit_exponent",
     "map_over_times",
 ]
-
-log = logging.getLogger(__name__)
 
 METHODS = (
     "Direct",
@@ -197,10 +194,6 @@ def build_spectral_table(
 ) -> SpectralTable:
     """Solve the fiber problem at every node at once (fiber_band)."""
     lam, dlam, cap = fiber_band(model, rule.nodes, grid)
-    log.debug(
-        "spectral table: %d nodes on [%g, %g], lambda range [%.6f, %.6f]",
-        rule.n_nodes, rule.a, rule.b, lam.min(), lam.max(),
-    )
     return SpectralTable(
         model=model,
         profile=profile,

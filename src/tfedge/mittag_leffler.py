@@ -367,11 +367,6 @@ def _tanh_sinh(step, t_max):
     return nodes, weights
 
 
-_TS_NODES, _TS_WEIGHTS = _tanh_sinh(1.0 / 32.0, 3.2)
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
-_GL_NODES = 0.5 * (_GL_NODES + 1.0)
-_GL_WEIGHTS = 0.5 * _GL_WEIGHTS
-
 # memoised row entries (rows x abscissae) per block of z on the ray, so a
 # block's real factors are temporaries of at most 16 384 doubles, 0.13 MB
 _RAY_CELLS = 16384
@@ -414,17 +409,20 @@ def _ray_rows(alpha, sigmas, reach):
     beta = 1 leaves two, at reach 0 and 1.
     """
     delta, r_cut = _ray_intervals(alpha, 1.0)
+    ts_nodes, ts_weights = _tanh_sinh(1.0 / 32.0, 3.2)
     if reach:
-        y_left = (1.0 - delta) * _TS_NODES
-        u = delta * _GL_NODES
+        gl_nodes, gl_weights = np.polynomial.legendre.leggauss(48)
+        gl_nodes = 0.5 * (gl_nodes + 1.0)
+        y_left = (1.0 - delta) * ts_nodes
+        u = delta * gl_nodes
         # the fold Int_0^1 (f(1 + delta u) - f(1 - delta u)) / u du
-        fold_weights = _GL_WEIGHTS / _GL_NODES
+        fold_weights = 0.5 * gl_weights / gl_nodes
         y = [y_left, 1.0 + u, 1.0 - u]
-        w = [_TS_WEIGHTS * (1.0 - delta) / (y_left - 1.0), fold_weights, -fold_weights]
+        w = [ts_weights * (1.0 - delta) / (y_left - 1.0), fold_weights, -fold_weights]
         if reach == 2:
             span = r_cut - (1.0 + delta)
-            y.append(1.0 + delta + span * _TS_NODES)
-            w.append(_TS_WEIGHTS * span / (y[-1] - 1.0))
+            y.append(1.0 + delta + span * ts_nodes)
+            w.append(ts_weights * span / (y[-1] - 1.0))
         y, w = np.concatenate(y), np.concatenate(w)
         abscissae = y ** (1.0 / alpha)
         c = _cis_pi(alpha)
@@ -439,9 +437,9 @@ def _ray_rows(alpha, sigmas, reach):
             rows += [t.real, t.imag]
     else:
         # past r^(1/alpha) = 46 every row carries e^(-r^(1/alpha)) < 1e-20
-        inside = (r_cut * _TS_NODES) ** (1.0 / alpha) <= 46.0
-        abscissae = r_cut * _TS_NODES[inside]
-        weighted = _TS_WEIGHTS[inside] * r_cut * np.exp(-(abscissae ** (1.0 / alpha))) / (alpha * math.pi)
+        inside = (r_cut * ts_nodes) ** (1.0 / alpha) <= 46.0
+        abscissae = r_cut * ts_nodes[inside]
+        weighted = ts_weights[inside] * r_cut * np.exp(-(abscissae ** (1.0 / alpha))) / (alpha * math.pi)
         rows = []
         for sigma in sigmas:
             g = abscissae ** ((1.0 - sigma) / alpha) * weighted

@@ -1320,15 +1320,18 @@ def test_strong_branch_points_match_the_series():
 def test_import_does_not_load_mpmath():
     # mpmath and scipy are test-only dependencies: the evaluator is float64
     # throughout and 1/Gamma comes from math.gamma; the fiber solver is one
-    # numpy SVD, and scipy.linalg alone would add ~0.3 s to the import
+    # numpy SVD, and scipy.linalg alone would add ~0.3 s to the import.
+    # numpy.polynomial (the ray's Gauss-Legendre rule) loads with the first
+    # ray call, and nothing logs
     src = Path(__file__).resolve().parent.parent / "src"
     code = (
         "import sys; import tfedge; "
-        "print('mpmath' in sys.modules, any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+        "print('mpmath' in sys.modules, any(m.split('.')[0] == 'scipy' for m in sys.modules), "
+        "'numpy.polynomial' in sys.modules, 'logging' in sys.modules)"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, check=True,
         env=dict(os.environ, PYTHONPATH=str(src)),
     )
-    assert out.stdout.strip() == "False False"
+    assert out.stdout.strip() == "False False False False"
