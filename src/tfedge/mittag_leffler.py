@@ -18,18 +18,18 @@ pi alpha.  The evaluator has one accuracy, 1e-12 relative to |E|: where
 1/Gamma(sigma - alpha) = 0, E ~ z^-2 at |z| >= 1 is E_{alpha,sigma-alpha}(z)
 / z by the recurrence E_{a,s}(z) = 1/Gamma(s) + z E_{a,s+a}(z) (Gorenflo,
 Kilbas, Mainardi and Rogosin 2014, ch. 4), and the contour runs at 1e-14
-(_LOG_EPS).  Within its reach E is the float64 Taylor series (_taylor), as
-Gorenflo, Loutchko and Luchko (Fract. Calc. Appl. Anal. 5 (2002)) sum it,
-by one rule: a z takes it at |z| <= reach(theta), theta = |arg z|, and it
-sums the fewest terms, at most 64, whose next falls to 2^-60 of the
-largest at the reach.  The reach is the radius < 1 where 64 terms do; off
-the ray on the principal sheet, theta < pi alpha, it is M(theta) = min(R,
-(ln 16 / (1 - cos(theta / alpha)))^alpha) where that is larger, R that
-radius uncapped (1.79, 6.11, 15.0 at alpha = 1/2, 0.8, 1): there the
-terms' moduli sum to about (1/alpha) rho^(1-sigma) e^rho, rho =
-|z|^(1/alpha), at most 16 times the residue that |E| follows.  The series
-also serves where sigma <= 0 leaves E ~ z / Gamma(sigma + alpha) small
-against the contour's absolute error (see ml_eval).
+(_LOG_EPS).  Within its reach E is the float64 Taylor series (_taylor) of
+Gorenflo, Loutchko and Luchko (Fract. Calc. Appl. Anal. 5 (2002)), by one
+rule: a z takes it at |z| <= reach(theta), theta = |arg z|, summing the
+fewest terms, at most 64, whose next falls to 2^-60 of the largest at the
+reach.  The reach is the radius < 1 where 64 terms do; off the ray on the
+principal sheet, theta < pi alpha, it is M(theta) = min(R, (ln 16 / (1 -
+cos(theta / alpha)))^alpha) where that is larger, R that radius uncapped
+(1.79, 6.11, 15.0 at alpha = 1/2, 0.8, 1): there the terms' moduli sum to
+about (1/alpha) rho^(1-sigma) e^rho, rho = |z|^(1/alpha), at most 16 times
+the residue that |E| follows.  The series also serves where sigma <= 0
+leaves E ~ z / Gamma(sigma + alpha) small against the contour's absolute
+error (see ml_eval).
 
 A sigma > 1 + alpha is evaluated at its base sigma - K alpha <= 1 + alpha,
 K the fewest such steps, and raised to sigma (_order_constants): at |z| >=
@@ -661,21 +661,20 @@ def _sweep(alpha, sigmas, z, m, theta, rotation):
     at their bases (_order_constants).  What the sweep's argument decides
     is decided once with Python scalars: whether the sweep is the ray (to
     _RAY_TOL), on the principal sheet (the pole s* = rho e^(i theta / alpha)
-    on it or on the cut) and right of the cut, and the series' reach: the
-    radius, and off the ray on the sheet M(theta) where that is larger.
-    Then there are whole-array steps only: rho = m^(1/alpha), and the route
-    group of each z: 0 for |z| <= reach, 1 + reach on the ray, else 4 + the
-    index in _WINDOWS of the parabola of its vertex rho cos^2(theta / (2
-    alpha)) (4: no pole right of the cut).  A sweep within the reach pays
-    one comparison of its least and largest |z| (a lone z of its |z|), one
+    on it or on the cut) and right of the cut, and the series' reach (the
+    radius; off the ray on the sheet M(theta) where that is larger).  Then
+    there are whole-array steps only: rho = m^(1/alpha), and the route
+    group of each z: 0 for |z| <= reach, 1 + the intervals it reaches on
+    the ray, else 4 + the index in _WINDOWS of the parabola of its vertex
+    rho cos^2(theta / (2 alpha)) (4: no pole right of the cut).  A sweep
+    within the reach pays one comparison of its least and largest |z|, one
     whose vertices share a window one bisect.  Each group is evaluated
-    where it is found, into the one output array: the Taylor series, the
-    fewest columns of taylor whose limit reaches the reach, the same for
-    every z of the argument; exp(z) where alpha and every base are 1; _ray
-    at its reach; or _contour on the group's parabola, with the residues
-    e^(s* + (1 - sigma) log rho) times the factor e^(i (1 - sigma) theta /
-    alpha) / alpha (_residue_row) where it passes left of s*, one Cauchy
-    matrix on each side of |z| = 1.
+    where it is found, into the one output array: the Taylor series (the
+    fewest columns of taylor whose limit reaches the reach); exp(z) where
+    alpha and every base are 1; _ray at its reach; or _contour on the
+    group's parabola, with the residues e^(s* + (1 - sigma) log rho) times
+    the factor e^(i (1 - sigma) theta / alpha) / alpha (_residue_row) where
+    it passes left of s*, one Cauchy matrix on each side of |z| = 1.
 
     The rows of sigma > 1 + alpha are climbed by the recurrence at |z| >=
     sigma^alpha and replaced by the Taylor series below.  Past double range
@@ -698,7 +697,6 @@ def _sweep(alpha, sigmas, z, m, theta, rotation):
     groups = 4
     with np.errstate(over="ignore", invalid="ignore"):
         if not exp:
-            # the series' reach: the radius, and off the ray on the principal sheet M(theta) where that is larger
             reach = radius
             if not ray and theta < math.pi * alpha:
                 fall = 1.0 - math.cos(theta / alpha)
@@ -737,8 +735,7 @@ def _sweep(alpha, sigmas, z, m, theta, rotation):
                 parabola, residue = _WINDOWS[group - 4]
                 exponents = factor = None
                 if residue:
-                    # one row of exponents s* + (1 - sigma) log rho per sigma; the phase (1 - sigma)
-                    # theta / alpha stays in the factor, as added to Im s* = rho it would round away
+                    # e^(s* + (1 - sigma) log rho) times the factor: added to Im s* = rho the phase would round away
                     exponents = rho[ids] * rotation + one_minus * np.log(rho[ids])
                     factor = _residue_row(alpha, sigmas, theta)
                 parts = [(ids, shifted, exponents)]

@@ -97,8 +97,9 @@ def series_radius(package, alpha):
 
 def series_reach(package, alpha, theta):
     """M(theta), the modulus up to which the package sums the series past its
-    radius at |arg z| = theta < pi alpha: R uncapped, or less by ln 16."""
-    big = package.mittag_leffler._taylor_radii(alpha, -1.0)[-1]
+    radius at |arg z| = theta < pi alpha: R, the last of its per-count
+    limits (the radius uncapped), or less by ln 16."""
+    big = package.mittag_leffler._order_constants(alpha, (-1.0,))[7][-1]
     fall = 1.0 - math.cos(theta / alpha)
     return big if fall * big ** (1.0 / alpha) <= math.log(16.0) else (math.log(16.0) / fall) ** alpha
 
