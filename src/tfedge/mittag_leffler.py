@@ -725,7 +725,7 @@ def _sweep(alpha, sigmas, z, m, theta, rotation):
             found = [(g, np.flatnonzero(groups == g)) for g in np.flatnonzero(np.bincount(groups)).tolist()]
         for group, ids in found:
             if group == 0:
-                # the fewest columns that reach the reach (all, past R, where every row climbs)
+                # the fewest columns whose limit reaches the reach (all 64 past R, where every row climbs)
                 values[:, ids] = _taylor(upper[ids], taylor[:, : 1 + bisect.bisect_left(limits, reach)])
             elif exp:
                 values[:, ids] = np.exp(upper[ids])

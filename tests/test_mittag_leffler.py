@@ -589,8 +589,8 @@ def _finite_exp(w):
 def _assert_routes_follow_the_rules(alpha, sigmas, z):
     """The sweep router at every z (Im z >= 0), split by argument into
     sweeps as array calls split them, against _rule_route; returns the
-    routes taken, each with its |z|.  Each z's route and data equal those of its one-element
-    sweep bit for bit."""
+    routes taken, each with its |z|.  Each z's route and data equal those
+    of its one-element sweep bit for bit."""
     from tfedge.mittag_leffler import _by_argument, _sweep
 
     want = []
