@@ -61,7 +61,8 @@ sweep.  What the orders alone decide is kept across calls
 (_order_constants), what the sweep's argument decides (the ray, the
 sheet, the conjugation, the pole's angle) is decided once with Python
 scalars, and per z only the pole's modulus and vertex and one
-small-integer route group are formed (_sweep).  Each group is evaluated
+small-integer route group are formed (_sweep); a contour group names its
+parabola and its rows, shifted at |z| >= 1 only.  Each group is evaluated
 where it is found, writing into the one output array, so a time sample
 over a quadrature table is one reciprocal per entry of a Cauchy matrix
 1/(z_i - s_j^alpha) and one BLAS dot product per sigma and z.  The E at a
@@ -209,10 +210,10 @@ def _region_below(phi_pole):
     return mu, h, math.ceil(math.sqrt(1.0 - log_eps_bar / mu) / h)
 
 
-def _region_beyond(phi_j, p_j):
-    """(mu, h, N) for a parabola right of the last singularity phi_j, of
-    strength p_j; None if roundoff rules the region out.  Garrappa's
-    OptimalParam_RU, which steers the error factor into (1, 10), aiming at 5."""
+def _region_beyond(phi_j):
+    """(mu, h, N) right of the last singularity phi_j, a pole of strength 1
+    (the branch point, of strength 0, at phi_j = 0); None if roundoff rules
+    it out.  Garrappa's OptimalParam_RU, the error factor steered into (1, 10)."""
     sq_phi = math.sqrt(phi_j)
     phib = 1.01 * phi_j if phi_j > 0.0 else 0.01
     sqb = math.sqrt(phib)
@@ -221,16 +222,15 @@ def _region_beyond(phi_j, p_j):
         n = math.ceil(phib / math.pi * (1.0 - 1.5 * le + math.sqrt(1.0 - 2.0 * le)))
         a = math.pi * n / phib
         sq_mu = sqb * abs(4.0 - a) / abs(7.0 - math.sqrt(1.0 + 12.0 * a))
-        fbar = ((sqb - sq_phi) / sq_mu) ** (-p_j)
-        if p_j < 1e-14 or 1.0 < fbar < 10.0:
+        if not phi_j or 1.0 < sq_mu / (sqb - sq_phi) < 10.0:
             break
-        sqb = 5.0 ** (-1.0 / p_j) * sq_mu + sq_phi
+        sqb = 0.2 * sq_mu + sq_phi
         phib = sqb * sqb
     mu = sq_mu * sq_mu
     h = (-3.0 * a - 2.0 + 2.0 * math.sqrt(1.0 + 12.0 * a)) / (4.0 - a) / n
     threshold = _LOG_EPS - _LOG_UNIT
     if mu > threshold:
-        q = 0.0 if p_j < 1e-14 else 5.0 ** (-1.0 / p_j) * math.sqrt(mu)
+        q = 0.2 * math.sqrt(mu) if phi_j else 0.0
         if (q + sq_phi) ** 2 >= threshold:
             return None
         w = math.sqrt(_LOG_UNIT / (_LOG_UNIT - _LOG_EPS))
@@ -253,11 +253,11 @@ def _parabola(key):
     upper end to its left.
     """
     if key == 0.0:
-        return _region_beyond(0.0, 0.0), False
+        return _region_beyond(0.0), False
     par, residue = _region_below(key), True
     hi = key if key == _CLIP else 2.0 * key
     if hi < _LOG_EPS - _LOG_UNIT:
-        right = _region_beyond(hi, 1.0)
+        right = _region_beyond(hi)
         if right is not None and right[2] < par[2]:
             par, residue = right, False
     return par, residue
@@ -290,15 +290,15 @@ _EDGE_TUPLE = tuple(_EDGES.tolist())
 
 
 @functools.lru_cache(maxsize=64)
-def _nodes(alpha, sigmas, parabola):
+def _nodes(alpha, sigmas, parabola, shifted):
     """The nodes s_j^alpha of the parabola (mu, h, N) and the weights w_j =
     e^s s^(alpha-sigma) ds / (2 pi i) of the trapezoidal rule there, stored
     as W = -conj(w) for _contour's dot products, as read-only arrays of
-    shapes (2N + 1,) and (2, len(sigmas), 2N + 1): a row per sigma for
-    |z| < 1, then for |z| >= 1, where the shifted rows (_order_constants)
-    take the weights of sigma - alpha.  Kept across calls: the parabolas
-    are a few per order (one per window of pole vertices), and a sweep over
-    a quadrature table leaves one entry.
+    shapes (2N + 1,) and (len(sigmas), 2N + 1): one row per sigma, where
+    the shifted rows (indices into sigmas) take the weights of sigma -
+    alpha.  Kept across calls: the parabolas are a few per order (one per
+    window of pole vertices) and row set, and a sweep over a quadrature
+    table leaves one entry.
     """
     mu, h, n = parabola
     # s = mu (1 + iu)^2 at u = h k, with trapezoid factor h (ds/du) / (2 pi i) = mu h (1 + iu) / pi
@@ -307,25 +307,23 @@ def _nodes(alpha, sigmas, parabola):
     log_s = np.log(s)
     s_alpha = np.exp(alpha * log_s)
     scale = v * (mu * h / math.pi)
-    near = [alpha - sigma for sigma in sigmas]
-    shifted = _order_constants(alpha, sigmas)[4]
-    far = [p + alpha if k in shifted else p for k, p in enumerate(near)]
-    weights = -np.array([[np.exp(s if p == 0.0 else s + p * log_s) * scale for p in ps] for ps in (near, far)]).conj()
+    powers = [(alpha - sigma) + alpha if k in shifted else alpha - sigma for k, sigma in enumerate(sigmas)]
+    weights = -np.array([np.exp(s if p == 0.0 else s + p * log_s) * scale for p in powers]).conj()
     for a in (s_alpha, weights):
         a.flags.writeable = False
     return s_alpha, weights
 
 
-def _contour(alpha, sigmas, z, ids, parabola, exponents, factor, out, far):
+def _contour(alpha, sigmas, z, ids, parabola, exponents, factor, out, shifted):
     """E_{alpha,sigma}(z), each sigma, by the trapezoidal rule on one
     parabola (mu, h, N) shared by the z[ids] of the 1-d array z (ids a slice
     taking every z, or indices), written into out[:, ids].  exponents is
     None, or with the column factor (_residue_row) the residues (1/alpha)
     s*^(1-sigma) e^(s*) = e^(exponents) factor of poles s* right of the
-    parabola, exponents of shape (len(sigmas), z[ids].size).
-    far is () for z at |z| < 1, else the shifted rows (_order_constants),
-    which then sum the weights of sigma - alpha and are divided by z (the
-    residue is sigma's).
+    parabola, exponents of shape (len(sigmas), z[ids].size).  shifted is
+    the row set of the z's route group: () for the unshifted rows, or the
+    shifted rows (_order_constants), which sum the weights of sigma - alpha
+    and are divided by z (the residue is sigma's).
 
     The nodes and weights W = -conj(w) come from the memo _nodes.  Per
     block of _CAUCHY_CELLS entries the Cauchy matrix g = 1/(z_i - s_j^alpha)
@@ -336,7 +334,7 @@ def _contour(alpha, sigmas, z, ids, parabola, exponents, factor, out, far):
     Each block's sums are divided and take their residues before the one
     write into out, or in out itself where ids takes every z.
     """
-    s_alpha, weights = _nodes(alpha, sigmas, parabola)
+    s_alpha, weights = _nodes(alpha, sigmas, parabola, shifted)
     z = z[ids]
     block = _CAUCHY_CELLS // s_alpha.size
     whole = isinstance(ids, slice)
@@ -344,8 +342,8 @@ def _contour(alpha, sigmas, z, ids, parabola, exponents, factor, out, far):
         rows = slice(start, start + block)
         g = np.subtract.outer(z[rows], s_alpha)
         np.reciprocal(g, out=g)
-        values = np.vecdot(weights[1 if far else 0, :, None, :], g, out=out[:, rows] if whole else None)
-        for k in far:
+        values = np.vecdot(weights[:, None, :], g, out=out[:, rows] if whole else None)
+        for k in shifted:
             values[k] /= z[rows]
         if exponents is not None:
             values += np.exp(exponents[:, rows]) * factor
@@ -666,15 +664,16 @@ def _sweep(alpha, sigmas, z, m, theta, rotation):
     there are whole-array steps only: rho = m^(1/alpha), and the route
     group of each z: 0 for |z| <= reach, 1 + the intervals it reaches on
     the ray, else 4 + the index in _WINDOWS of the parabola of its vertex
-    rho cos^2(theta / (2 alpha)) (4: no pole right of the cut).  A sweep
-    within the reach pays one comparison of its least and largest |z|, one
-    whose vertices share a window one bisect.  Each group is evaluated
-    where it is found, into the one output array: the Taylor series (the
-    fewest columns of taylor whose limit reaches the reach); exp(z) where
-    alpha and every base are 1; _ray at its reach; or _contour on the
-    group's parabola, with the residues e^(s* + (1 - sigma) log rho) times
-    the factor e^(i (1 - sigma) theta / alpha) / alpha (_residue_row) where
-    it passes left of s*, one Cauchy matrix on each side of |z| = 1.
+    rho cos^2(theta / (2 alpha)) (4: no pole right of the cut), plus
+    len(_WINDOWS) for the unshifted rows at |z| < 1 if a row shifts.  A
+    sweep within the reach pays one comparison of its least and largest
+    |z|, one whose vertices share a window one bisect.  Each group is
+    evaluated where it is found, into the one output array: the Taylor
+    series (the fewest columns of taylor whose limit reaches the reach);
+    exp(z) where alpha and every base are 1; _ray at its reach; or one
+    _contour call on the group's parabola and rows, with the residues e^(s*
+    + (1 - sigma) log rho) times the factor e^(i (1 - sigma) theta / alpha)
+    / alpha (_residue_row) where it passes left of s*.
 
     The rows of sigma > 1 + alpha are climbed by the recurrence at |z| >=
     sigma^alpha and replaced by the Taylor series below.  Past double range
@@ -714,9 +713,14 @@ def _sweep(alpha, sigmas, z, m, theta, rotation):
                     if first < _EDGES.size and bisect.bisect_right(_EDGE_TUPLE, float(np.maximum.reduce(rho)) * c2) != first:
                         first = np.searchsorted(_EDGES, rho * c2, side="right")
                     groups = 4 + first
+                # a contour z at |z| < 1 takes the unshifted rows, in its window's group + len(_WINDOWS)
+                near = len(_WINDOWS) if shifted and low < 1.0 else 0
                 if ray:
                     d, r_cut = _ray_intervals(alpha, m)
-                    groups = np.where(m >= 1.0, 1 + (m - d < r_cut).astype(int) + (m + d < r_cut), groups)
+                    groups = np.where(m >= 1.0, 1 + (m - d < r_cut).astype(int) + (m + d < r_cut), groups + near)
+                elif near:
+                    every = z.size == 1 or float(np.maximum.reduce(m)) < 1.0
+                    groups = groups + near if every else np.where(m < 1.0, groups + near, groups)
                 if low <= reach:
                     groups = np.where(m <= reach, 0, groups)
         if isinstance(groups, int) or groups.min() == groups.max():
@@ -732,21 +736,14 @@ def _sweep(alpha, sigmas, z, m, theta, rotation):
             elif group < 4:
                 _ray(alpha, bases, m[ids], rho[ids], group - 1, values, ids)
             else:
-                parabola, residue = _WINDOWS[group - 4]
+                unshifted, window = divmod(group - 4, len(_WINDOWS))
+                parabola, residue = _WINDOWS[window]
                 exponents = factor = None
                 if residue:
                     # e^(s* + (1 - sigma) log rho) times the factor: added to Im s* = rho the phase would round away
                     exponents = rho[ids] * rotation + one_minus * np.log(rho[ids])
                     factor = _residue_row(alpha, sigmas, theta)
-                parts = [(ids, shifted, exponents)]
-                # the clip's window holds only poles at |z|^(1/alpha) >= _CLIP > 1
-                if shifted and group < 4 + _EDGES.size and np.minimum.reduce(m[ids]) < 1.0:
-                    near, at = m[ids] < 1.0, np.arange(z.size)[ids]
-                    parts = [(ids, (), exponents)] if near.all() else [
-                        (at[part], rows, exponents if exponents is None else exponents[:, part])
-                        for part, rows in ((near, ()), (~near, shifted))]
-                for at, rows, part_exponents in parts:
-                    _contour(alpha, bases, upper, at, parabola, part_exponents, factor, values, rows)
+                _contour(alpha, bases, upper, ids, parabola, exponents, factor, values, () if unshifted else shifted)
         for k, switch, steps, zeros, series in climbs:
             far = m >= switch
             values[k, far] = _climb(values[k, far], upper[far], steps, zeros)
@@ -807,13 +804,14 @@ def ml_eval(params: MLParams, z: complex) -> complex:
     Relative accuracy 1e-12 (see the module docstring for the method),
     except on the contour for sigma <= -1, where E stays small against its
     absolute error: 3.8e-12 at sigma = -1, alpha = 0.2 below |z| = 1, 1e-10
-    at sigma = -3 near |z| = 1 off the principal sheet.  The series past its
-    radius, |z| <= M(|arg z|), was within 1.1e-14 of the 40-digit mpmath
-    series on 2 688 points (alpha 0.4 to 1, sigma in {alpha, 1, 0, -1}).  Raises
-    DomainError for a z with a NaN or infinite component and
-    OverflowGuard where E leaves double range.  A one-element sweep of the
-    array router, with |z| and arg z taken as _by_argument takes them, so
-    it equals _ml_at at the same z and sigma bit for bit.
+    at sigma = -3 near |z| = 1 off the principal sheet; and 1.5e-12 where
+    the shifted rows start, |z| = 1 to 1.05 at alpha = sigma = 0.01.  The
+    series past its radius, |z| <= M(|arg z|), was within 1.1e-14 of the
+    40-digit mpmath series on 2 688 points (alpha 0.4 to 1, sigma in
+    {alpha, 1, 0, -1}).  Raises DomainError for a z with a NaN or infinite
+    component and OverflowGuard where E leaves double range.  A one-element
+    sweep of the array router, with |z| and arg z taken as _by_argument
+    takes them, so it equals _ml_at at the same z and sigma bit for bit.
     """
     z = complex(z)
     if not cmath.isfinite(z):

@@ -186,9 +186,11 @@ def _routes(alpha, sigmas, z, m, theta, rotation):
     with (|z|, |z|^(1/alpha)); ("contour", ((mu, h, N), residue)) with None
     or the residue exponents.  Recorded from the sweep's calls of _taylor
     (with columns of the coefficients taylor of _order_constants), _ray and
-    _contour, which are wrapped; a contour group split at |z| = 1 is joined
-    again, and the z that none takes are exp(z), where alpha and every base
-    are 1."""
+    _contour, which are wrapped; the z that none takes are exp(z), where
+    alpha and every base are 1.  A contour route group is a window and a
+    row set, one _contour call: the unshifted rows () where every |z| < 1,
+    else the shifted rows of _order_constants, asserted here; the two
+    groups of one window are joined again into its route."""
     from tfedge import mittag_leffler as ml
 
     calls = []
@@ -204,9 +206,11 @@ def _routes(alpha, sigmas, z, m, theta, rotation):
         calls.append((("ray", reach), ids, np.array([r0, rho0])))
         ray(alpha, sigmas, r0, rho0, reach, out, ids)
 
-    def on_contour(alpha, sigmas, z, ids, parabola, exponents, factor, out, far):
+    def on_contour(alpha, sigmas, z, ids, parabola, exponents, factor, out, shifted):
+        near = m[ids] < 1.0
+        assert shifted == (() if near.all() else constants[4]) and not (shifted and near.any())
         calls.append((("contour", (parabola, exponents is not None)), ids, exponents))
-        contour(alpha, sigmas, z, ids, parabola, exponents, factor, out, far)
+        contour(alpha, sigmas, z, ids, parabola, exponents, factor, out, shifted)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ml, "_taylor", on_taylor)
@@ -214,18 +218,19 @@ def _routes(alpha, sigmas, z, m, theta, rotation):
         patch.setattr(ml, "_contour", on_contour)
         ml._sweep(alpha, sigmas, z, m, theta, rotation)
     taken = np.zeros(z.size, dtype=bool)
-    routes = []
+    joined = {}
     for route, ids, data in calls:
         ids = np.arange(z.size)[ids]
         taken[ids] = True
-        if routes and routes[-1][0] == route:
-            _, near, near_data = routes.pop()
-            order = np.argsort(np.concatenate((near, ids)))
-            ids = np.concatenate((near, ids))[order]
-            data = None if data is None else np.concatenate((near_data, data), axis=1)[:, order]
-        routes.append((route, ids, data))
+        if route in joined:
+            first, first_data = joined[route]
+            order = np.argsort(np.concatenate((first, ids)))
+            ids = np.concatenate((first, ids))[order]
+            data = None if data is None else np.concatenate((first_data, data), axis=1)[:, order]
+        joined[route] = ids, data
     rest = np.flatnonzero(~taken)
     assert constants[2] or not rest.size
+    routes = [(route, ids, data) for route, (ids, data) in joined.items()]
     return ([(("exp", None), rest, None)] if rest.size else []) + routes
 
 
@@ -376,8 +381,10 @@ def test_contour_memos_are_read_only_and_bounded():
     for memo in memos:
         info = memo.cache_info()
         assert info.currsize <= info.maxsize < info.misses, memo
-    s_alpha, weights = _nodes(0.5, (0.5, 1.0), _WINDOWS[-1][0])
     constants = _order_constants(0.5, (0.5, 1.0))
+    # one weight row per sigma, the shifted rows' own
+    s_alpha, weights = _nodes(0.5, (0.5, 1.0), _WINDOWS[-1][0], constants[4])
+    assert constants[4] == (0,) and weights.shape == (2, s_alpha.size)
     taylor, limits, one_minus = constants[6:9]
     assert len(constants) == 9 and taylor.shape == (2, _TERMS) and len(limits) == _TERMS
     [(_, _, steps, zeros, series)] = _order_constants(0.5, (0.5, 3.6))[1]
@@ -783,20 +790,41 @@ def test_contour_sums_within_the_dot_product_bound():
                         continue
                     if kind != "contour":
                         continue
-                    far = _order_constants(alpha, sigmas)[4] if m >= 1.0 else ()
-                    assert far in ((), (0,))
+                    shifted = _order_constants(alpha, sigmas)[4] if m >= 1.0 else ()
+                    assert shifted in ((), (0,))
                     out = np.empty((2, 1), dtype=complex)
-                    _contour(alpha, sigmas, z, slice(None), detail[0], None, None, out, far)
-                    s_alpha, weights = _nodes(alpha, sigmas, detail[0])
+                    _contour(alpha, sigmas, z, slice(None), detail[0], None, None, out, shifted)
+                    s_alpha, weights = _nodes(alpha, sigmas, detail[0], shifted)
                     for k in range(2):
-                        rows = weights[1 if far else 0]
-                        terms = [-mpmath.mpc(w).conjugate() / (mpmath.mpc(s) - complex(z[0])) for w, s in zip(rows[k], s_alpha)]
+                        terms = [-mpmath.mpc(w).conjugate() / (mpmath.mpc(s) - complex(z[0])) for w, s in zip(weights[k], s_alpha)]
                         want, bound = mpmath.fsum(terms), _dot_bound(terms)
-                        if k in far:
+                        if k in shifted:
                             want, bound = want / complex(z[0]), (bound + 4.0 * 2.0**-53 * abs(want)) / m
                         assert abs(out[k, 0] - complex(want)) <= bound, (alpha, beta, m, k)
                     checked += 1
     assert checked == 71
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.03])
+def test_unshifted_rows_where_the_series_has_radius_zero(alpha):
+    # at alpha <= 0.03 the Taylor series has radius 0, and the contour
+    # serves every |z| < 1: there the route group takes the unshifted rows
+    # E_{alpha,sigma} (asserted by _routes), as the shifted rows
+    # E_{alpha,sigma-alpha}(z) / z lose to the division what they gain in
+    # the contour's tolerance (5.0e-5 off at alpha = 0.01, 1.6e-5 at 0.03)
+    from tfedge.mittag_leffler import _order_constants
+
+    sigmas = (alpha, 1.0)
+    assert _order_constants(alpha, sigmas)[5] == 0.0
+    for r in (1e-8, 1e-4, 1e-2, 0.3):
+        for theta in (0.0, 2.0, math.pi):
+            z = np.array([cmath.rect(r, theta)])
+            m = np.hypot(z.real, z.imag)
+            [((kind, _), _, _)] = _routes(alpha, sigmas, z, m, theta, cmath.rect(1.0, theta / alpha))
+            assert kind == "contour", (r, theta)
+            for sigma in sigmas:
+                want = ml_reference(alpha, sigma, z[0], 30)
+                assert rel_err(ml_eval(MLParams(alpha, sigma), z[0]), want) <= 1e-12, (sigma, r, theta)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
