@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import logging
 import math
 import sys
 from dataclasses import dataclass
@@ -44,8 +43,6 @@ from .mittag_leffler import MLParams, ml_eval
 from .msd import _msd_channels, packet_norm_sq
 from .wavepacket import ChiProfile
 from .wellposed import ModeSpectrum, caputo_residual, certify_bounds
-
-log = logging.getLogger(__name__)
 
 __all__ = ["RunConfig", "parse_config", "emit_csv", "main"]
 
@@ -235,14 +232,14 @@ def emit_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None
 
 
 def _assemble(cfg: RunConfig):
+    """The run's order pair and its spectral table."""
     model = ModelParams(cfg.b)
-    order = FractionalOrder(cfg.alpha, cfg.beta)
     profile = ChiProfile(cfg.k_min, cfg.k_max, cfg.amplitude)
     k_ref = max(abs(cfg.k_min), abs(cfg.k_max))
     L = auto_length(model, k_ref) if cfg.L is None else cfg.L
-    grid = HalfLineGrid(L=L)
     rule = gauss_legendre_rule(cfg.k_min, cfg.k_max, cfg.n_nodes)
-    return model, order, profile, grid, rule
+    table = build_spectral_table(model, profile, HalfLineGrid(L=L), rule)
+    return FractionalOrder(cfg.alpha, cfg.beta), table
 
 
 def _times(cfg: RunConfig) -> np.ndarray:
@@ -265,9 +262,8 @@ def cmd_ml_eval(args) -> int:
 
 def cmd_spectrum(cfg: RunConfig, with_cap: bool) -> int:
     """The band data the observables integrate: one row per quadrature node."""
-    model, _, profile, grid, rule = _assemble(cfg)
-    table = build_spectral_table(model, profile, grid, rule, with_cap=with_cap)
-    columns = [rule.nodes, table.lam, table.dlam] + ([table.cap] if with_cap else [])
+    _, table = _assemble(cfg)
+    columns = [table.rule.nodes, table.lam, table.dlam] + ([table.cap] if with_cap else [])
     rows = list(zip(*columns))
     header = ["k", "lambda1", "dlambda1"] + (["phi_cap"] if with_cap else [])
     emit_csv(cfg.path, header, rows)
@@ -283,8 +279,7 @@ def _asymptotic_companion(order, table):
 
 def cmd_current(cfg: RunConfig) -> int:
     """J at every time from one sweep; row by row once a time leaves double range."""
-    model, order, profile, grid, rule = _assemble(cfg)
-    table = build_spectral_table(model, profile, grid, rule)
+    order, table = _assemble(cfg)
     regime = classify_regime(order)
     companion = _asymptotic_companion(order, table)
     times = [float(t) for t in _times(cfg)]
@@ -318,8 +313,7 @@ def cmd_current(cfg: RunConfig) -> int:
 
 
 def cmd_msd(cfg: RunConfig) -> int:
-    model, order, profile, grid, rule = _assemble(cfg)
-    table = build_spectral_table(model, profile, grid, rule, with_cap=True)
+    order, table = _assemble(cfg)
     norm = packet_norm_sq(table) if cfg.normalize else 1.0
     if order.beta == order.alpha:
         leading = "Naber"
@@ -348,8 +342,7 @@ def cmd_regimes(cfg: RunConfig) -> int:
         if b not in betas:
             betas.append(b)
 
-    model, _, profile, grid, rule = _assemble(cfg)
-    table = build_spectral_table(model, profile, grid, rule)
+    _, table = _assemble(cfg)
     rows = []
     for beta in betas:
         order = FractionalOrder(alpha, beta)
@@ -360,7 +353,7 @@ def cmd_regimes(cfg: RunConfig) -> int:
             fit = fit_exponent(trace, (lo, hi), mode)
             rows.append((beta, predicted, fit.slope, abs(fit.slope - target) <= tol))
         except TfedgeError as exc:
-            log.warning("regime row beta=%g failed: %s", beta, exc)
+            print(f"warning: regime row beta={beta:g} failed: {exc}", file=sys.stderr)
             rows.append((beta, predicted, None, False))
     emit_csv(cfg.path, ["beta", "regime_predicted", "fitted_slope", "pass"], rows)
     return 0
@@ -451,7 +444,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "fractional-order dynamics",
     )
     parser.add_argument("--config", help="INI file with run parameters")
-    parser.add_argument("--verbose", action="store_true", help="INFO logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
     ml = sub.add_parser("ml-eval", help="evaluate the Mittag-Leffler function")
@@ -471,10 +463,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     sub.add_parser("verify", help="norm-bound and memory-derivative certification")
 
     args, leftovers = parser.parse_known_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     try:
         if args.command == "ml-eval":
             if leftovers:

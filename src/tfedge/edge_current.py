@@ -167,18 +167,15 @@ class SpectralTable:
     """Band data sampled at the quadrature nodes of a momentum window.
 
     lam, dlam hold lambda_1 and its k-derivative; cap holds the squared norm
-    of dk phi_1 (None unless requested; it comes from the same Ritz pairs as
-    lam, so it costs no further solve).  chi_vals/dchi_vals are the
-    profile and its derivative at the nodes.  All downstream integrands are
-    plain array expressions over these.
+    of dk phi_1 (from the same Ritz pairs as lam, so it costs no further
+    solve).  chi_vals/dchi_vals are the profile and its derivative at the
+    nodes.  All downstream integrands are plain array expressions over these.
     """
 
-    model: ModelParams
-    profile: ChiProfile
     rule: QuadratureRule
     lam: np.ndarray
     dlam: np.ndarray
-    cap: Optional[np.ndarray]
+    cap: np.ndarray
     chi_vals: np.ndarray
     dchi_vals: np.ndarray
     # the memo of _channel_weights, kept with the table
@@ -190,29 +187,27 @@ def build_spectral_table(
     profile: ChiProfile,
     grid: HalfLineGrid,
     rule: QuadratureRule,
-    with_cap: bool = False,
+    with_cap: bool = True,
 ) -> SpectralTable:
-    """Solve the fiber problem at every node at once (fiber_band)."""
+    """Solve the fiber problem at every node at once (fiber_band).
+
+    Every table carries cap.  with_cap has no effect; it stays because
+    perfbench's workloads still pass it.
+    """
     lam, dlam, cap = fiber_band(model, rule.nodes, grid)
     return SpectralTable(
-        model=model,
-        profile=profile,
         rule=rule,
         lam=lam,
         dlam=dlam,
-        cap=cap if with_cap else None,
+        cap=cap,
         chi_vals=chi(profile, rule.nodes),
         dchi_vals=chi_deriv(profile, rule.nodes),
     )
 
 
-def _table(model, profile, grid, rule, table, with_cap=False):
+def _table(model, profile, grid, rule, table):
     """The supplied table, or a fresh one for the seven-argument forms."""
-    if table is not None:
-        if with_cap and table.cap is None:
-            raise DomainError("supplied SpectralTable lacks the dk-phi norm data")
-        return table
-    return build_spectral_table(model, profile, grid, rule, with_cap=with_cap)
+    return table if table is not None else build_spectral_table(model, profile, grid, rule)
 
 
 def _fsum(terms: list) -> float:
@@ -341,42 +336,48 @@ def _term(alpha, sigma, k):
     return -gamma_reciprocal(sigma - k * alpha), -float(k), 0
 
 
-def _split(order, tab, t, name, pairs, shift=0.0):
-    """Channel `name` with E_L and E_R replaced by the split terms k_L and
-    k_R of each (k_L, k_R) in pairs, summed over the pairs.
-
-    On z = (-i)^beta t^alpha lambda a pair is c_L c_R (t^alpha lambda)^(m_L+m_R)
-    (-i)^(beta (m_L - m_R)) exp(t lambda^(1/alpha) (e_L u + e_R conj u)),
-    u = (-i)^(beta/alpha), and its phase joins the channel's in one exact
-    power of -i.  A pair with no growth factor (both algebraic, or both
-    residues on beta = alpha) is a power of lambda, which J takes by parts.
-    Every exponent is lowered by shift.
-    """
-    if not t > 0.0:
-        raise DomainError(f"the closed-form models require t > 0, got {t!r}")
+def _pairs(order, name, pairs):
+    """(coefficient, m, rate) of each (k_L, k_R) in pairs whose split terms
+    do not vanish: on z = (-i)^beta t^alpha lambda the pair is coefficient
+    (t^alpha lambda)^m exp(t lambda^(1/alpha) rate), its coefficient
+    c_L c_R (-i)^(p0 + beta (p1 + m_L - m_R)) carrying channel `name`'s
+    phase and rate = e_L u + e_R conj u, u = (-i)^(beta/alpha)."""
     ch = _CHANNELS[name]
     a, bta = order.alpha, order.beta
     sigmas = (a, 1.0)
     u = neg_i_power(bta / a)
-    lam_root = tab.lam ** (1.0 / a)
+    for k_l, k_r in pairs:
+        c_l, m_l, e_l = _term(a, sigmas[ch.pair[0]], k_l)
+        c_r, m_r, e_r = _term(a, sigmas[ch.pair[1]], k_r)
+        if c_l * c_r != 0.0:
+            coef = c_l * c_r * neg_i_power(ch.phase[0] + bta * (ch.phase[1] + m_l - m_r))
+            yield coef, m_l + m_r, e_l * u + e_r * u.conjugate()
+
+
+def _split(order, tab, t, name, pairs, shift=0.0):
+    """Channel `name` with E_L and E_R replaced by the split terms k_L and
+    k_R of each (k_L, k_R) in pairs, summed over the pairs.
+
+    Each pair is read from _pairs, its phase joined with the channel's in
+    one exact power of -i.  A pair with no growth factor (both algebraic, or
+    both residues on beta = alpha) is a power of lambda, which J takes by
+    parts.  Every exponent is lowered by shift.
+    """
+    if not t > 0.0:
+        raise DomainError(f"the closed-form models require t > 0, got {t!r}")
+    ch = _CHANNELS[name]
+    lam_root = tab.lam ** (1.0 / order.alpha)
     weight = _channel_weights(tab, (name,))[0, 0]
     scales, sums = [], []
     with np.errstate(over="ignore", invalid="ignore"):
-        for k_l, k_r in pairs:
-            c_l, m_l, e_l = _term(a, sigmas[ch.pair[0]], k_l)
-            c_r, m_r, e_r = _term(a, sigmas[ch.pair[1]], k_r)
-            if c_l * c_r == 0.0:
-                continue
-            m = m_l + m_r
-            coef = c_l * c_r * neg_i_power(ch.phase[0] + bta * (ch.phase[1] + m_l - m_r))
-            rate = e_l * u + e_r * u.conjugate()
+        for coef, m, rate in _pairs(order, name, pairs):
             if rate == 0.0:
                 power = ch.by_parts(tab, m) if ch.by_parts else weight * tab.lam**m
                 nodes = power * (coef.real * math.exp(-shift))
             else:
                 growth = np.exp(t * lam_root * rate - shift)
                 nodes = weight * tab.lam**m * (coef * growth).real
-            scales.append(_scale(ch, a, t, m))
+            scales.append(_scale(ch, order.alpha, t, m))
             sums.append(_fsum((tab.rule.weights * nodes).tolist()))
     return _fsum((np.array(scales) * np.array(sums)).tolist())
 
@@ -396,24 +397,17 @@ def decay_exponent(order: FractionalOrder) -> Optional[float]:
 
     n is the first algebraic order whose term pairs do not cancel: 3 in
     general, 4 at alpha = 1/2.  The pairs of one order (_algebraic) share
-    the power lambda^m, so the order vanishes with the sum of their split
-    coefficients c_L c_R Re{(-i)^(1 + beta (1 + m_L - m_R))} (_split), and
-    no table is needed.  DomainError if every order up to 7 cancels, as at
-    alpha = 1/2, beta = 1, where J is exponentially small.
+    the power lambda^m, so the order vanishes with the sum of the real parts
+    of their coefficients (_pairs), and no table is needed.  DomainError if
+    every order up to 7 cancels, as at alpha = 1/2, beta = 1, where J is
+    exponentially small.
     """
     if order.beta <= order.alpha:
         return None
-    a, ch = order.alpha, _CHANNELS["J"]
-    sigmas = (a, 1.0)
     for n in range(1, 8):
-        coefficients = []
-        for k_l, k_r in _algebraic("J", n):
-            c_l, m_l, _ = _term(a, sigmas[ch.pair[0]], k_l)
-            c_r, m_r, _ = _term(a, sigmas[ch.pair[1]], k_r)
-            coefficients.append(c_l * c_r * neg_i_power(ch.phase[0] + order.beta * (ch.phase[1] + m_l - m_r)).real)
-        if math.fsum(coefficients) != 0.0:
-            return -(1.0 + n * a)
-    raise DomainError(f"every algebraic order up to 7 vanishes at alpha={a}, beta={order.beta}")
+        if math.fsum(coef.real for coef, _, _ in _pairs(order, "J", _algebraic("J", n))) != 0.0:
+            return -(1.0 + n * order.alpha)
+    raise DomainError(f"every algebraic order up to 7 vanishes at alpha={order.alpha}, beta={order.beta}")
 
 
 # ---------------------------------------------------------------------------

@@ -809,9 +809,12 @@ def ml_eval(params: MLParams, z: complex) -> complex:
     series past its radius, |z| <= M(|arg z|), was within 1.1e-14 of the
     40-digit mpmath series on 2 688 points (alpha 0.4 to 1, sigma in
     {alpha, 1, 0, -1}).  Raises DomainError for a z with a NaN or infinite
-    component and OverflowGuard where E leaves double range.  A one-element
-    sweep of the array router, with |z| and arg z taken as _by_argument
-    takes them, so it equals _ml_at at the same z and sigma bit for bit.
+    component and OverflowGuard where E leaves double range, or where the
+    base of a climbed sigma does: E_{0.5,200}(30) = 1.9e-197 is refused, as
+    E_{0.5,1.5}(30) ~ e^900/15 overflows before the climb divides it back
+    down.  A one-element sweep of the array router, with |z| and arg z
+    taken as _by_argument takes them, so it equals _ml_at at the same z and
+    sigma bit for bit.
     """
     z = complex(z)
     if not cmath.isfinite(z):

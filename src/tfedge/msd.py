@@ -90,20 +90,14 @@ def msd_direct(
     table: Optional[SpectralTable] = None,
 ) -> MSDBreakdown:
     """Exact-kernel second moment at time t, split into its four channels;
-    the one-time case of msd_trace.
-
-    Needs the mode-deformation norm Phi, so a supplied table must carry cap
-    data (build_spectral_table with with_cap=True).
-    """
-    tab = _table(model, profile, grid, rule, table, with_cap=True)
+    the one-time case of msd_trace."""
+    tab = _table(model, profile, grid, rule, table)
     return _msd_channels(order, tab, [t])[0]
 
 
 def _msd_channels(order, tab, times):
     """MSDBreakdown at each time from the exact kernel (one evaluator call;
     OverflowGuard past double range)."""
-    if tab.cap is None:
-        raise DomainError("supplied SpectralTable lacks the dk-phi norm data")
     return [
         MSDBreakdown(A=A, B=B, C=C, F=F, total=_finite(A + B + C + F, "msd(t)"))
         for A, B, C, F in _exact(order, tab, times, ("A", "B", "C", "F"))
@@ -128,7 +122,7 @@ def msd_assembled(
     |g|^2 + chi^2 |E_{a,1}|^2 Phi.  Equals the channel sum up to rounding;
     kept as an independent consistency path.
     """
-    tab = _table(model, profile, grid, rule, table, with_cap=True)
+    tab = _table(model, profile, grid, rule, table)
     a = order.alpha
     (eaa,), (ea1,) = _ml_over_times(order, tab, [t])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -171,11 +165,11 @@ def msd_case2_leading(
                             + (2/(Gamma(-alpha) Gamma(1-alpha))) Int lambda' lambda^-3 chi chi' dk.
 
     At alpha = 1/2 the reciprocal-gamma factors are 1/(4 pi), 1/pi and
-    -1/pi.  Needs cap data for the Phi part.
+    -1/pi.
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"decay coefficient requires alpha in (0, 1), got {alpha!r}")
-    tab = _table(model, profile, grid, rule, table, with_cap=True)
+    tab = _table(model, profile, grid, rule, table)
     order = FractionalOrder(alpha, 1.0)
     return math.fsum(_split(order, tab, 1.0, name, _algebraic(name, 2)) for name in "ABCF")
 

@@ -43,7 +43,7 @@ def rule():
 
 @pytest.fixture(scope="session")
 def table(model, profile, grid, rule):
-    return build_spectral_table(model, profile, grid, rule, with_cap=True)
+    return build_spectral_table(model, profile, grid, rule)
 
 
 def pytest_report_header(config):

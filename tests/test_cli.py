@@ -9,7 +9,7 @@ import pytest
 
 from tfedge import cli
 from tfedge.cli import RunConfig, emit_csv, main, parse_config
-from tfedge.errors import ConfigError
+from tfedge.errors import ConfigError, OverflowGuard
 
 
 def read_csv(path):
@@ -253,11 +253,10 @@ def test_current_is_one_sweep_unless_a_row_overflows(beta, tmp_path, monkeypatch
         assert shapes == [(60, 32)]
         assert len(direct) == 60
     cfg = parse_config(None, {("order", "alpha"): "0.5", ("order", "beta"): str(beta), ("quad", "n_nodes"): "32"})
-    model, fractional, profile, grid, rule = cli._assemble(cfg)
-    table = ec.build_spectral_table(model, profile, grid, rule)
+    fractional, table = cli._assemble(cfg)
     for r in direct[::7]:
         t = float(r[0])
-        assert float(r[1]) == ec.current_direct(fractional, model, profile, grid, rule, t, table)
+        assert float(r[1]) == ec.current_direct(fractional, None, None, None, None, t, table)
 
 
 def test_msd_command_normalized(tmp_path):
@@ -286,6 +285,26 @@ def test_regimes_default_rows_pass(tmp_path):
         "ExponentialGrowth", "AsymptoticallyConstant", "PowerLawDecay",
     ]
     assert all(r[3] == "true" for r in rows[1:]), rows
+
+
+def test_regimes_keeps_a_failing_row(tmp_path, monkeypatch, capsys):
+    # a row whose trace fails is written with no slope and pass false, the
+    # other rows are fitted, and the run warns on stderr and exits 0
+    real = cli.current_trace
+
+    def trace(order, table, times):
+        if order.beta == 0.25:
+            raise OverflowGuard("the growth row past double range")
+        return real(order, table, times)
+
+    monkeypatch.setattr(cli, "current_trace", trace)
+    path = tmp_path / "reg.csv"
+    assert main(["regimes", "--quad.n_nodes", "32", "--output.path", str(path)]) == 0
+    rows = read_csv(str(path))[1:]
+    assert rows[0] == ["0.25", "ExponentialGrowth", "", "false"]
+    assert all(r[2] != "" for r in rows[1:]) and len(rows) == 3
+    err = capsys.readouterr().err
+    assert "warning: regime row beta=0.25 failed: the growth row past double range" in err
 
 
 def test_verify_command(capsys):

@@ -325,6 +325,17 @@ def test_each_sweep_is_one_evaluator_call(table, monkeypatch):
         assert calls == shapes
 
 
+def test_empty_sweeps(table):
+    # no time, no evaluation: the sweep's empty guard, and empty traces
+    from tfedge.mittag_leffler import _ml_values
+
+    assert _ml_values(0.5, (0.5, 1.0), [], 0.5).shape == (2, 0)
+    order = FractionalOrder(0.5, 0.5)
+    for sweep in (current_trace, msd_trace):
+        trace = sweep(order, table, [])
+        assert trace.times.shape == trace.values.shape == (0,)
+
+
 def test_kernel_memos_are_read_only_and_change_no_bit(model, profile, grid, rule):
     # the channel weights are formed once per table and kept with it, the
     # phases and rows of E once per (channels, beta) in a bounded memo, all
@@ -338,7 +349,7 @@ def test_kernel_memos_are_read_only_and_change_no_bit(model, profile, grid, rule
         for beta in (0.6, 0.8, 1.0):
             order = FractionalOrder(0.8, beta)
             _kernel.cache_clear()
-            fresh = build_spectral_table(model, profile, grid, rule, with_cap=True)
+            fresh = build_spectral_table(model, profile, grid, rule)
             cold = sweep(order, fresh, times).values
             assert np.array_equal(sweep(order, fresh, times).values, cold)
             assert _kernel.cache_info()[:2] == (1, 1)  # (hits, misses)

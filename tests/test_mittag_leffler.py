@@ -1177,6 +1177,12 @@ def test_climbs_stop_past_double_range():
         z = m * cmath.exp(0.8j * math.pi)
         [(route, ids, _)] = _routes(0.01, sigmas, z, m, 0.8 * math.pi, cmath.rect(1.0, 80.0 * math.pi))
         assert route == ("series", None) and list(ids) == [0, 1], sigmas
+    # sigma = 200 at alpha = 1/2 lies 397 steps above its base, the last 43
+    # with 1/Gamma(s) = 0; E_{0.5,200}(25) ~ 2e-285 keeps the row nonzero
+    # through each of them, so every one divides by z
+    [(_, switch, steps, zeros, _)] = ml._order_constants(0.5, (200.0,))[1]
+    assert (len(steps), zeros) == (354, 43) and switch < 25.0
+    assert rel_err(ml_eval(MLParams(0.5, 200.0), 25.0), ml_reference(0.5, 200.0, 25.0, 60)) <= 1e-12
 
 
 def test_deriv_identity():

@@ -97,11 +97,15 @@ def test_trace_shape_and_positivity(model, profile, grid, rule, table):
     assert tr.values[-1] < tr.values[0]
 
 
-def test_cap_data_is_required(model, profile):
+def test_cap_is_in_every_table(model, profile):
+    # with_cap has no effect: a table built with with_cap=False serves
+    # msd_direct bit for bit like one built with with_cap=True
     grid = make_grid(model, 2.0, n=800)
     rule = gauss_legendre_rule(1.0, 2.0, 32)
     bare = build_spectral_table(model, profile, grid, rule, with_cap=False)
+    full = build_spectral_table(model, profile, grid, rule, with_cap=True)
+    order = FractionalOrder(0.5, 0.5)
+    assert np.array_equal(bare.cap, full.cap)
+    assert msd_direct(order, None, None, None, None, 1.0, bare) == msd_direct(order, None, None, None, None, 1.0, full)
     with pytest.raises(DomainError):
-        msd_direct(FractionalOrder(0.5, 0.5), model, profile, grid, rule, 1.0, bare)
-    with pytest.raises(DomainError):
-        msd_direct(FractionalOrder(0.5, 0.5), model, profile, grid, rule, 0.0)
+        msd_direct(order, None, None, None, None, 0.0, bare)

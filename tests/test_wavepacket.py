@@ -83,7 +83,7 @@ def test_integration_by_parts(model, profile, rule):
     # is dominated by the trapezoid form of lambda', which is O(h^2) in the
     # spatial mesh, so a fine mesh is needed to see the identity at 1e-6
     grid = make_grid(model, profile.k_hi, n=8000)
-    tab = build_spectral_table(model, profile, grid, rule, with_cap=False)
+    tab = build_spectral_table(model, profile, grid, rule)
     w = tab.rule.weights
     lhs = float(np.dot(w, tab.lam * tab.chi_vals * tab.dchi_vals))
     rhs = -0.5 * float(np.dot(w, tab.dlam * tab.chi_vals**2))
