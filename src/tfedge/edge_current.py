@@ -140,6 +140,8 @@ class QuadratureRule:
     def __post_init__(self):
         if self.nodes.shape != self.weights.shape or self.nodes.ndim != 1:
             raise DomainError("QuadratureRule nodes/weights must be matching 1-d arrays")
+        if not (np.isfinite(self.nodes).all() and np.isfinite(self.weights).all()):
+            raise DomainError("QuadratureRule nodes and weights must be finite")
         if self.n_nodes < 32:
             raise DomainError(
                 f"QuadratureRule needs at least 32 nodes, got {self.n_nodes}"

@@ -11,13 +11,14 @@ transform at t = 1 of s^(alpha-sigma) / (s^alpha - z),
 taken by the trapezoidal rule on the optimal parabolic contour
 C: s = mu (1 + i u)^2 of Garrappa (SIAM J. Numer. Anal. 53 (2015)
 1350-1369; Weideman and Trefethen, Math. Comp. 76 (2007) 1341-1356 for the
-parabola).  The contour parameters (mu, h, N) come from the singularities:
-the branch point s = 0, of strength zero while sigma <= 1 + alpha, and the
-pole s* = z^(1/alpha), which lies on the principal sheet while |arg z| <=
-pi alpha.  The evaluator has one accuracy, 1e-12 relative to |E|: where
-1/Gamma(sigma - alpha) = 0, E ~ z^-2 at |z| >= 1 is E_{alpha,sigma-alpha}(z)
-/ z by the recurrence E_{a,s}(z) = 1/Gamma(s) + z E_{a,s+a}(z) (Gorenflo,
-Kilbas, Mainardi and Rogosin 2014, ch. 4), and the contour runs at 1e-14
+parabola), for sigma <= 1 + alpha: the evaluator's domain (MLParams).  The
+contour parameters (mu, h, N) come from the singularities: the branch point
+s = 0, of strength zero for every sigma of that domain, and the pole s* =
+z^(1/alpha), which lies on the principal sheet while |arg z| <= pi alpha.
+The evaluator has one accuracy, 1e-12 relative to |E|: where 1/Gamma(sigma
+- alpha) = 0, E ~ z^-2 at |z| >= 1 is E_{alpha,sigma-alpha}(z) / z by the
+recurrence E_{a,s}(z) = 1/Gamma(s) + z E_{a,s+a}(z) (Gorenflo, Kilbas,
+Mainardi and Rogosin 2014, ch. 4), and the contour runs at 1e-14
 (_LOG_EPS).  Within its reach E is the float64 Taylor series (_taylor) of
 Gorenflo, Loutchko and Luchko (Fract. Calc. Appl. Anal. 5 (2002)), by one
 rule: a z takes it at |z| <= reach(theta), theta = |arg z|, summing the
@@ -30,11 +31,6 @@ about (1/alpha) rho^(1-sigma) e^rho, rho = |z|^(1/alpha), at most 16 times
 the residue that |E| follows.  The series also serves where sigma <= 0
 leaves E ~ z / Gamma(sigma + alpha) small against the contour's absolute
 error (see ml_eval).
-
-A sigma > 1 + alpha is evaluated at its base sigma - K alpha <= 1 + alpha,
-K the fewest such steps, and raised to sigma (_order_constants): at |z| >=
-sigma^alpha by the same recurrence, E_{a,s+a}(z) = (E_{a,s}(z) -
-1/Gamma(s)) / z, K times, and below it by the float64 Taylor series.
 
 Two cases take exact routes:
 
@@ -83,6 +79,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -126,7 +123,9 @@ _RHO_CUT = 50.0
 
 @dataclass(frozen=True)
 class MLParams:
-    """Order pair (alpha, sigma) of the Mittag-Leffler function."""
+    """Order pair (alpha, sigma) of the Mittag-Leffler function, 0 < alpha
+    <= 1 and sigma <= 1 + alpha: there the branch point s = 0 of the
+    contour's integrand has strength zero."""
 
     alpha: float
     sigma: float = 1.0
@@ -138,6 +137,8 @@ class MLParams:
             )
         if not np.isfinite(self.sigma):
             raise DomainError(f"MLParams.sigma must be finite, got {self.sigma!r}")
+        if self.sigma > 1.0 + self.alpha:
+            raise DomainError(f"MLParams.sigma must be at most 1 + alpha, got {self.sigma!r} at alpha = {self.alpha!r}")
 
 
 def gamma_reciprocal(x: float) -> float:
@@ -527,31 +528,15 @@ _TERMS, _LOG_DROP = 64, 60.0 * math.log(2.0)
 _LOG_16 = math.log(16.0)
 
 
-def _log_term(alpha, sigma, n, log_r=0.0):
-    """log |r^n / Gamma(alpha n + sigma)|, -inf at the poles of Gamma."""
-    c = abs(gamma_reciprocal(alpha * n + sigma))
-    return math.log(c) + n * log_r if c else -math.inf
-
-
 def _taylor_radii(alpha, sigma):
     """Per count n = 1 .. _TERMS the largest r where the term n of Sum z^n /
     Gamma(alpha n + sigma), and each later one as Gamma rises (alpha n +
     sigma >= 1.5), is 2^-60 of the largest before it at |z| = r; 0 if Gamma
     may fall past it."""
-    logs = [_log_term(alpha, sigma, n) for n in range(_TERMS + 1)]
+    # log |1 / Gamma(alpha n + sigma)|, -inf at the poles of Gamma
+    logs = [math.log(c) if (c := abs(gamma_reciprocal(alpha * n + sigma))) else -math.inf for n in range(_TERMS + 1)]
     return tuple(math.exp(max((logs[k] - logs[n] - _LOG_DROP) / (n - k) for k in range(n)))
                  if alpha * n + sigma >= 1.5 else 0.0 for n in range(1, _TERMS + 1))
-
-
-def _taylor_terms(alpha, sigma, radius):
-    """The fewest terms of Sum z^n / Gamma(alpha n + sigma) whose next term at
-    |z| = radius > 0 is 2^-60 of the largest before it, where Gamma rises
-    (alpha n + sigma >= 1.5) and the later terms fall."""
-    largest, n = _log_term(alpha, sigma, 0), 1
-    log_r = math.log(radius)
-    while (term := _log_term(alpha, sigma, n, log_r)) > largest - _LOG_DROP or alpha * n + sigma < 1.5:
-        largest, n = max(largest, term), n + 1
-    return n
 
 
 def _taylor(w, coefficients):
@@ -571,80 +556,50 @@ def _taylor(w, coefficients):
     return values
 
 
-def _climb(row, z, steps, zeros):
-    """The row E_{a,s}(z) climbed by E_{a,s+a}(z) = (E_{a,s}(z) - 1/Gamma(s)) / z
-    through the constants of steps, then zeros steps of constant 0, which
-    stop once the row is 0: each later one would be (0 - 0) / z."""
-    for step in steps:
-        row = (row - step) / z
-    for _ in range(zeros):
-        if not row.any():
-            break
-        row = row / z
-    return row
+class _Constants(NamedTuple):
+    """What the orders alone decide (_order_constants)."""
+
+    exp: bool
+    ray: bool
+    shifted: tuple
+    radius: float
+    taylor: np.ndarray
+    limits: tuple
+    one_minus: np.ndarray
 
 
 @functools.lru_cache(maxsize=64)
 def _order_constants(alpha, sigmas):
-    """What the orders alone decide, a read-only tuple kept across calls:
-    (bases, climbs, exp, ray, shifted, radius, taylor, limits, one_minus).
+    """What the orders alone decide, read-only _Constants kept across calls.
 
-    A sigma <= 1 + alpha is its own base; any other is evaluated at the
-    base sigma - K alpha <= 1 + alpha, K the fewest such steps, and climbs
-    holds (k, switch, steps, zeros, series) for its row k.  At |z| >=
-    switch = sigma^alpha the base is climbed by the recurrence (_climb)
-    through the K constants 1/Gamma(s), s = sigma - K alpha .. sigma -
-    alpha: there every s^alpha < |z|, and E_{a,s}(z) is not close to
-    1/Gamma(s).  steps holds them up to the last that is not 0, and zeros
-    counts those after it, past double range.  Below the switch the terms
-    of the Taylor series fall from the first; series holds _taylor_terms of
-    its coefficients times 2^(k n), 2^k <= switch < 2^(k + 1), for the
-    powers of z 2^-k, exact scalings that keep them in double range.  exp:
-    the route exp(z) (alpha and every base 1); ray: whether the bases may
-    take the ray (alpha < 1, every base <= 1); shifted: the rows with
-    1/Gamma(base - alpha) = 0, taken as E_{alpha,base-alpha}(z) / z at |z|
+    exp: the route exp(z) (alpha and every sigma 1); ray: whether the sigmas
+    may take the ray (alpha < 1, every sigma <= 1); shifted: the rows with
+    1/Gamma(sigma - alpha) = 0, taken as E_{alpha,sigma-alpha}(z) / z at |z|
     >= 1.  The Taylor series: limits, per count n = 1 .. _TERMS the |z| up
-    to which n terms serve, least over sigma = -1 and the bases (-1's while
-    every base is >= -1: no route depends on the other sigmas) and made
-    non-decreasing; R = limits[-1]; radius, R below 1 (up to the least
-    switch where every row climbs); taylor, _TERMS coefficients per base,
-    of which a sweep sums the fewest columns that reach its reach (_sweep).
-    one_minus: the column 1 - base of the residue exponents.
+    to which n terms serve, least over sigma = -1 and the sigmas (-1's while
+    every sigma is >= -1: no route depends on the other sigmas) and made
+    non-decreasing; R = limits[-1]; radius, R below 1; taylor, _TERMS
+    coefficients per sigma, of which a sweep sums the fewest columns that
+    reach its reach (_sweep).  one_minus: the column 1 - sigma of the
+    residue exponents.
     """
-    bases, climbs = [], []
-    for k, sigma in enumerate(sigmas):
-        steps = max(0, math.ceil((sigma - 1.0 - alpha) / alpha))
-        bases.append(sigma - steps * alpha)
-        if steps:
-            switch = sigma**alpha
-            scale = math.frexp(switch)[1] - 1
-            series = np.array([[math.ldexp(gamma_reciprocal(alpha * n + sigma), scale * n)
-                                for n in range(_taylor_terms(alpha, sigma, switch))]], dtype=complex)
-            # the last steps' 1/Gamma(s) are 0 past double range: s > 2 there, where 1/Gamma falls
-            zeros = bisect.bisect(range(steps), False, key=lambda j: gamma_reciprocal(sigma - (j + 1) * alpha) != 0.0)
-            constants = tuple(gamma_reciprocal(sigma - j * alpha) for j in range(steps, zeros, -1))
-            climbs.append((k, switch, constants, zeros, series))
-    limits = np.min([_taylor_radii(alpha, sigma) for sigma in (-1.0, *bases)], axis=0)
+    limits = np.min([_taylor_radii(alpha, sigma) for sigma in (-1.0, *sigmas)], axis=0)
     limits = tuple(np.maximum.accumulate(limits).tolist())
-    radius = min(limits[-1], 1.0 - 2.0**-53)
-    if len(climbs) == len(sigmas):
-        radius = max(radius, math.nextafter(min(climb[1] for climb in climbs), 0.0))
-    taylor = np.array([[gamma_reciprocal(alpha * n + base) for n in range(_TERMS)] for base in bases], dtype=complex)
-    one_minus = 1.0 - np.array(bases)[:, None]
-    for a in [taylor, one_minus] + [climb[-1] for climb in climbs]:
+    taylor = np.array([[gamma_reciprocal(alpha * n + sigma) for n in range(_TERMS)] for sigma in sigmas], dtype=complex)
+    one_minus = 1.0 - np.array(sigmas)[:, None]
+    for a in (taylor, one_minus):
         a.flags.writeable = False
-    shifted = tuple(k for k, base in enumerate(bases) if gamma_reciprocal(base - alpha) == 0.0)
-    return (tuple(bases), tuple(climbs), alpha == 1.0 and all(base == 1.0 for base in bases),
-            alpha < 1.0 and max(bases) <= 1.0, shifted, radius, taylor, limits, one_minus)
+    shifted = tuple(k for k, sigma in enumerate(sigmas) if gamma_reciprocal(sigma - alpha) == 0.0)
+    return _Constants(alpha == 1.0 and all(sigma == 1.0 for sigma in sigmas), alpha < 1.0 and max(sigmas) <= 1.0,
+                      shifted, min(limits[-1], 1.0 - 2.0**-53), taylor, limits, one_minus)
 
 
 @functools.lru_cache(maxsize=64)
 def _residue_row(alpha, sigmas, theta):
     """The column of residue factors e^(i (1 - sigma) theta / alpha) / alpha,
-    one entry per base: the part of the residues that rho does not change,
+    one entry per sigma: the part of the residues that rho does not change,
     exact where the phase is a multiple of pi/2."""
-    bases = _order_constants(alpha, sigmas)[0]
-    row = np.array([[_cis_pi((1.0 - base) * (theta / math.pi) / alpha) / alpha] for base in bases])
+    row = np.array([[_cis_pi((1.0 - sigma) * (theta / math.pi) / alpha) / alpha] for sigma in sigmas])
     row.flags.writeable = False
     return row
 
@@ -655,37 +610,35 @@ def _sweep(alpha, sigmas, z, m, theta, rotation):
     is the poles' direction e^(i |theta| / alpha).
 
     E is taken at Im z >= 0 and conjugated below the real axis, and its
-    imaginary part is zero on the axis.  The sigmas take one route together,
-    at their bases (_order_constants).  What the sweep's argument decides
-    is decided once with Python scalars: whether the sweep is the ray (to
-    _RAY_TOL), on the principal sheet (the pole s* = rho e^(i theta / alpha)
-    on it or on the cut) and right of the cut, and the series' reach (the
-    radius; off the ray on the sheet M(theta) where that is larger).  Then
-    there are whole-array steps only: rho = m^(1/alpha), and the route
-    group of each z: 0 for |z| <= reach, 1 + the intervals it reaches on
-    the ray, else 4 + the index in _WINDOWS of the parabola of its vertex
-    rho cos^2(theta / (2 alpha)) (4: no pole right of the cut), plus
-    len(_WINDOWS) for the unshifted rows at |z| < 1 if a row shifts.  A
-    sweep within the reach pays one comparison of its least and largest
-    |z|, one whose vertices share a window one bisect.  Each group is
-    evaluated where it is found, into the one output array: the Taylor
-    series (the fewest columns of taylor whose limit reaches the reach);
-    exp(z) where alpha and every base are 1; _ray at its reach; or one
-    _contour call on the group's parabola and rows, with the residues e^(s*
-    + (1 - sigma) log rho) times the factor e^(i (1 - sigma) theta / alpha)
-    / alpha (_residue_row) where it passes left of s*.
+    imaginary part is zero on the axis.  The sigmas take one route together
+    (_order_constants).  What the sweep's argument decides is decided once
+    with Python scalars: whether the sweep is the ray (to _RAY_TOL), on the
+    principal sheet (the pole s* = rho e^(i theta / alpha) on it or on the
+    cut) and right of the cut, and the series' reach (the radius; off the
+    ray on the sheet M(theta) where that is larger).  Then there are
+    whole-array steps only: rho = m^(1/alpha), and the route group of each
+    z: 0 for |z| <= reach, 1 + the intervals it reaches on the ray, else 4 +
+    the index in _WINDOWS of the parabola of its vertex rho cos^2(theta / (2
+    alpha)) (4: no pole right of the cut), plus len(_WINDOWS) for the
+    unshifted rows at |z| < 1 if a row shifts.  A sweep within the reach
+    pays one comparison of its least and largest |z|, one whose vertices
+    share a window one bisect.  Each group is evaluated where it is found,
+    into the one output array: the Taylor series (the fewest columns of
+    taylor whose limit reaches the reach); exp(z) where alpha and every
+    sigma are 1; _ray at its reach; or one _contour call on the group's
+    parabola and rows, with the residues e^(s* + (1 - sigma) log rho) times
+    the factor e^(i (1 - sigma) theta / alpha) / alpha (_residue_row) where
+    it passes left of s*.
 
-    The rows of sigma > 1 + alpha are climbed by the recurrence at |z| >=
-    sigma^alpha and replaced by the Taylor series below.  Past double range
-    rho, a residue or a value turns inf or nan, quietly (np.errstate); the
-    sum of the values (a check per value only where it is not finite)
-    refuses a value that is not finite with OverflowGuard, naming the first
-    such row and its z as given, after the z of rho = inf on the decay side
-    are taken without their residue, 0."""
+    Past double range rho, a residue or a value turns inf or nan, quietly
+    (np.errstate); the sum of the values (a check per value only where it
+    is not finite) refuses a value that is not finite with OverflowGuard,
+    naming the first such row and its z as given, after the z of rho = inf
+    on the decay side are taken without their residue, 0."""
     lower = math.copysign(1.0, theta) < 0.0
     upper = z.conj() if lower else z
     theta = abs(theta)
-    bases, climbs, exp, ray, shifted, radius, taylor, limits, one_minus = _order_constants(alpha, sigmas)
+    exp, ray, shifted, radius, taylor, limits, one_minus = _order_constants(alpha, sigmas)
     values = np.empty((len(sigmas), z.size), dtype=complex)
     if not z.size:
         return values
@@ -729,12 +682,12 @@ def _sweep(alpha, sigmas, z, m, theta, rotation):
             found = [(g, np.flatnonzero(groups == g)) for g in np.flatnonzero(np.bincount(groups)).tolist()]
         for group, ids in found:
             if group == 0:
-                # the fewest columns whose limit reaches the reach (all 64 past R, where every row climbs)
+                # the fewest columns whose limit reaches the reach
                 values[:, ids] = _taylor(upper[ids], taylor[:, : 1 + bisect.bisect_left(limits, reach)])
             elif exp:
                 values[:, ids] = np.exp(upper[ids])
             elif group < 4:
-                _ray(alpha, bases, m[ids], rho[ids], group - 1, values, ids)
+                _ray(alpha, sigmas, m[ids], rho[ids], group - 1, values, ids)
             else:
                 unshifted, window = divmod(group - 4, len(_WINDOWS))
                 parabola, residue = _WINDOWS[window]
@@ -743,12 +696,7 @@ def _sweep(alpha, sigmas, z, m, theta, rotation):
                     # e^(s* + (1 - sigma) log rho) times the factor: added to Im s* = rho the phase would round away
                     exponents = rho[ids] * rotation + one_minus * np.log(rho[ids])
                     factor = _residue_row(alpha, sigmas, theta)
-                _contour(alpha, bases, upper, ids, parabola, exponents, factor, values, () if unshifted else shifted)
-        for k, switch, steps, zeros, series in climbs:
-            far = m >= switch
-            values[k, far] = _climb(values[k, far], upper[far], steps, zeros)
-            # at z 2^-k, 2^k <= switch < 2^(k + 1)
-            values[k, ~far] = _taylor(upper[~far] * 2.0 ** (1 - math.frexp(switch)[1]), series)[0]
+                _contour(alpha, sigmas, upper, ids, parabola, exponents, factor, values, () if unshifted else shifted)
         if theta in (0.0, math.pi):
             values.imag = 0.0
         total = np.add.reduce(values, axis=None)
@@ -758,9 +706,7 @@ def _sweep(alpha, sigmas, z, m, theta, rotation):
             # -inf, is 0, not the nan of its exponent inf - inf
             with np.errstate(over="ignore", invalid="ignore"):
                 gone = np.flatnonzero(m ** (1.0 / alpha) == math.inf)
-                _contour(alpha, bases, upper, gone, _WINDOWS[-1][0], None, None, values, shifted)
-                for k, _, steps, zeros, _ in climbs:
-                    values[k, gone] = _climb(values[k, gone], upper[gone], steps, zeros)
+                _contour(alpha, sigmas, upper, gone, _WINDOWS[-1][0], None, None, values, shifted)
             finite = np.isfinite(values)
         if not finite.all():
             k, bad = divmod(int(np.argmin(finite)), z.size)
@@ -799,7 +745,8 @@ def _by_argument(z):
 
 
 def ml_eval(params: MLParams, z: complex) -> complex:
-    """Evaluate E_{alpha,sigma}(z) anywhere in the complex plane.
+    """Evaluate E_{alpha,sigma}(z) anywhere in the complex plane, for the
+    0 < alpha <= 1 and sigma <= 1 + alpha of MLParams.
 
     Relative accuracy 1e-12 (see the module docstring for the method),
     except on the contour for sigma <= -1, where E stays small against its
@@ -809,12 +756,9 @@ def ml_eval(params: MLParams, z: complex) -> complex:
     series past its radius, |z| <= M(|arg z|), was within 1.1e-14 of the
     40-digit mpmath series on 2 688 points (alpha 0.4 to 1, sigma in
     {alpha, 1, 0, -1}).  Raises DomainError for a z with a NaN or infinite
-    component and OverflowGuard where E leaves double range, or where the
-    base of a climbed sigma does: E_{0.5,200}(30) = 1.9e-197 is refused, as
-    E_{0.5,1.5}(30) ~ e^900/15 overflows before the climb divides it back
-    down.  A one-element sweep of the array router, with |z| and arg z
-    taken as _by_argument takes them, so it equals _ml_at at the same z and
-    sigma bit for bit.
+    component and OverflowGuard where E leaves double range.  A one-element
+    sweep of the array router, with |z| and arg z taken as _by_argument
+    takes them, so it equals _ml_at at the same z and sigma bit for bit.
     """
     z = complex(z)
     if not cmath.isfinite(z):

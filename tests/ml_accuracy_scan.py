@@ -5,22 +5,20 @@
 OLD_SRC and NEW_SRC are directories holding a `tfedge` package (for example
 `src` of two checkouts).  Each point is evaluated by ml_eval and by the
 array router (`_ml_at` on the sweep [z, 2 z]) of each tree, on one grid:
-alpha in {0.1, 0.2, 0.3, 0.5, 0.7, 0.8, 0.95}, sigma in {alpha, 1} and
-the sigma > 1 + alpha of {1.5 + alpha, 2.5, 3.6, 5}, 16 moduli |z| from
-0.01 to 1e3 and 0.9 and 1.1 times the Taylor series' radius of NEW_SRC
-(where the sweep switches from the series to the contour), and 11
-arguments in [0, pi], those on the ray arg z = pi alpha moved 0.03 pi off
-it.  Both are compared with mpmath references at
-z: the power series (ml_reference) for |z| <= 3 with |z|^(1/alpha) <=
-100, and the real-line integral (ml_gll_reference, climbed by the
-recurrence for sigma >= 1 + alpha) elsewhere, which loses digits near the
-ray at small |z|.  Prints the worst relative error of each tree and
-router per (alpha, sigma, |z| < 1 or >= 1) over the points that tree
+alpha in {0.1, 0.2, 0.3, 0.5, 0.7, 0.8, 0.95}, sigma in {alpha, 1}, 16
+moduli |z| from 0.01 to 1e3 and 0.9 and 1.1 times the Taylor series'
+radius of NEW_SRC (where the sweep switches from the series to the
+contour), and 11 arguments in [0, pi], those on the ray arg z = pi alpha
+moved 0.03 pi off it.  Both are compared with mpmath references at z: the
+power series (ml_reference) for |z| <= 3 with |z|^(1/alpha) <= 100, and
+the real-line integral (ml_gll_reference) elsewhere, which loses digits
+near the ray at small |z|.  Prints the worst relative error of each tree
+and router per (alpha, sigma, |z| < 1 or >= 1) over the points that tree
 answered, the ml_eval points over 1e-12 for each tree, the points over
 1e-12 in NEW_SRC alone, and the points OLD_SRC refused and NEW_SRC
-answers, with their worst error, and the sigma in {alpha, 1} points whose
-ml_eval error grew; then, for each router, how many values (and
-refusals) differ in any bit between the trees.
+answers, with their worst error, and the points whose ml_eval error grew;
+then, for each router, how many values (and refusals) differ in any bit
+between the trees.
 
 The ray itself has rows of its own (140 points): sigma in {alpha, 1} at
 z = |z| e^(i pi alpha) for the 10 moduli >= 1, against the expansion
@@ -85,27 +83,22 @@ def arguments(alpha):
     return np.where(np.abs(thetas - math.pi * alpha) < 1e-9, thetas + 0.03 * math.pi, thetas)
 
 
-def sigmas(alpha):
-    """The rows of alpha: sigma in {alpha, 1}, then those > 1 + alpha."""
-    return (alpha, 1.0) + tuple(sigma for sigma in (1.5 + alpha, 2.5, 3.6, 5.0) if sigma > 1.0 + alpha)
-
-
 def series_radius(package, alpha):
     """The radius of the Taylor series at alpha, the same for every sigma >= -1."""
-    return package.mittag_leffler._order_constants(alpha, (-1.0,))[5]
+    return package.mittag_leffler._order_constants(alpha, (-1.0,)).radius
 
 
 def series_reach(package, alpha, theta):
     """M(theta), the modulus up to which the package sums the series past its
     radius at |arg z| = theta < pi alpha: R, the last of its per-count
     limits (the radius uncapped), or less by ln 16."""
-    big = package.mittag_leffler._order_constants(alpha, (-1.0,))[7][-1]
+    big = package.mittag_leffler._order_constants(alpha, (-1.0,)).limits[-1]
     fall = 1.0 - math.cos(theta / alpha)
     return big if fall * big ** (1.0 / alpha) <= math.log(16.0) else (math.log(16.0) / fall) ** alpha
 
 
 def label(alpha, sigma):
-    return "alpha" if sigma == alpha else "1.5+alpha" if sigma == 1.5 + alpha else f"{sigma:g}"
+    return "alpha" if sigma == alpha else f"{sigma:g}"
 
 
 def reference(alpha, sigma, z):
@@ -266,7 +259,7 @@ def main(old_src, new_src):
     worst = {}
     over = ([], [])
     # points the old tree refused and the new one answers: (ml_eval, array)
-    # errors; and the ml_eval errors (old, new, point) at sigma in {alpha, 1}
+    # errors; and the ml_eval errors (old, new, point)
     answered, paired = [], []
     # refusals per router and tree, and values differing in any bit between
     # the trees, per router
@@ -274,7 +267,7 @@ def main(old_src, new_src):
     changed = {"ml_eval": 0, "array": 0}
     for alpha in ALPHAS:
         radius = series_radius(trees[1], alpha)
-        for sigma in sigmas(alpha):
+        for sigma in (alpha, 1.0):
             for r in np.append(RADII, (0.9 * radius, 1.1 * radius)):
                 for theta in arguments(alpha):
                     z = cmath.rect(r, theta)
@@ -299,7 +292,7 @@ def main(old_src, new_src):
                             over[side].append((alpha, sigma, r, theta / math.pi, errors[:2]))
                     if isinstance(got[0], str) and not isinstance(got[1], str):
                         answered.append((errors[1], errors[3]))
-                    if sigma in (alpha, 1.0) and not any(isinstance(v, str) for v in got):
+                    if not any(isinstance(v, str) for v in got):
                         paired.append((errors[0], errors[1], (alpha, sigma, r, theta / math.pi)))
             print(f"alpha={alpha} sigma={sigma:g} scanned", file=sys.stderr, flush=True)
     print(f"worst relative error per cell ({old_src} -> {new_src}; nan: every point refused)")

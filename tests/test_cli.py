@@ -159,22 +159,26 @@ def test_ml_eval_runs_at_one_accuracy(capsys):
     assert capsys.readouterr().out == example + "\n"
 
 
-def test_ml_eval_takes_strong_branch_points(capsys):
-    # sigma > 1 + alpha climbs from its base by the recurrence: within 1e-12
-    # of the mpmath series, and the README's example prints what the command
-    # prints; a value past double range still exits 3 with OverflowGuard's message
+def test_ml_eval_takes_sigma_up_to_one_plus_alpha(capsys):
+    # sigma <= 1 + alpha is the evaluator's domain: its edge sigma = 1.5 at
+    # alpha = 1/2 within 1e-12 of the mpmath series, and the README's example
+    # prints what the command prints; a sigma past it exits 3 with
+    # DomainError's message, a value past double range with OverflowGuard's
     from _reference import ml_reference
 
-    rc = main(["ml-eval", "--alpha", "0.5", "--sigma", "3.6", "--re", "-1"])
+    rc = main(["ml-eval", "--alpha", "0.5", "--sigma", "1.5", "--re", "-1"])
     assert rc == 0
     out = capsys.readouterr().out
-    want = ml_reference(0.5, 3.6, -1.0, 40)
+    want = ml_reference(0.5, 1.5, -1.0, 40)
     assert abs(complex(out.split("=")[-1].strip()) - want) <= 1e-12 * abs(want)
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    assert readme.split("tfedge ml-eval --alpha 0.5 --sigma 3.6 --re -1\n# ", 1)[1].split("\n", 1)[0] + "\n" == out
-    rc = main(["ml-eval", "--alpha", "0.5", "--sigma", "2.5", "--re", "30"])
+    assert readme.split("tfedge ml-eval --alpha 0.5 --sigma 1.5 --re -1\n# ", 1)[1].split("\n", 1)[0] + "\n" == out
+    rc = main(["ml-eval", "--alpha", "0.5", "--sigma", "3.6", "--re", "-1"])
     assert rc == 3
-    assert "error: E_{0.5,2.5}((30+0j)) exceeds double range" in capsys.readouterr().err
+    assert "error: MLParams.sigma must be at most 1 + alpha, got 3.6 at alpha = 0.5" in capsys.readouterr().err
+    rc = main(["ml-eval", "--alpha", "0.5", "--sigma", "1.5", "--re", "30"])
+    assert rc == 3
+    assert "error: E_{0.5,1.5}((30+0j)) exceeds double range" in capsys.readouterr().err
 
 
 def test_ml_eval_refuses_a_non_finite_z(capsys):

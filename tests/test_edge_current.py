@@ -68,6 +68,12 @@ def test_quadrature_rule_validation():
         QuadratureRule(a=0.0, b=1.0, nodes=x[:16], weights=w[:16])
     with pytest.raises(DomainError):
         QuadratureRule(a=0.0, b=1.0, nodes=x, weights=w)  # weights sum to 2
+    # a NaN weight or node: the weights' resum test alone lets a NaN pass
+    for k in (0, 1):
+        nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+        (nodes, weights)[k][7] = math.nan
+        with pytest.raises(DomainError, match="must be finite"):
+            QuadratureRule(a=0.0, b=1.0, nodes=nodes, weights=weights)
     with pytest.raises(DomainError):
         gauss_legendre_rule(2.0, 1.0, 64)
 

@@ -187,7 +187,7 @@ def _routes(alpha, sigmas, z, m, theta, rotation):
     or the residue exponents.  Recorded from the sweep's calls of _taylor
     (with columns of the coefficients taylor of _order_constants), _ray and
     _contour, which are wrapped; the z that none takes are exp(z), where
-    alpha and every base are 1.  A contour route group is a window and a
+    alpha and every sigma are 1.  A contour route group is a window and a
     row set, one _contour call: the unshifted rows () where every |z| < 1,
     else the shifted rows of _order_constants, asserted here; the two
     groups of one window are joined again into its route."""
@@ -198,7 +198,7 @@ def _routes(alpha, sigmas, z, m, theta, rotation):
     constants = ml._order_constants(alpha, sigmas)
 
     def on_taylor(w, coefficients):
-        if np.shares_memory(coefficients, constants[6]):
+        if np.shares_memory(coefficients, constants.taylor):
             calls.append((("series", None), np.flatnonzero(np.isin(z, w)), None))
         return taylor(w, coefficients)
 
@@ -208,7 +208,7 @@ def _routes(alpha, sigmas, z, m, theta, rotation):
 
     def on_contour(alpha, sigmas, z, ids, parabola, exponents, factor, out, shifted):
         near = m[ids] < 1.0
-        assert shifted == (() if near.all() else constants[4]) and not (shifted and near.any())
+        assert shifted == (() if near.all() else constants.shifted) and not (shifted and near.any())
         calls.append((("contour", (parabola, exponents is not None)), ids, exponents))
         contour(alpha, sigmas, z, ids, parabola, exponents, factor, out, shifted)
 
@@ -229,7 +229,7 @@ def _routes(alpha, sigmas, z, m, theta, rotation):
             data = None if data is None else np.concatenate((first_data, data), axis=1)[:, order]
         joined[route] = ids, data
     rest = np.flatnonzero(~taken)
-    assert constants[2] or not rest.size
+    assert constants.exp or not rest.size
     routes = [(route, ids, data) for route, (ids, data) in joined.items()]
     return ([(("exp", None), rest, None)] if rest.size else []) + routes
 
@@ -365,9 +365,9 @@ def test_ray_memo_is_read_only_and_bounded(table):
 
 def test_contour_memos_are_read_only_and_bounded():
     # the nodes of the windows' parabolas, what the orders decide (the one
-    # Taylor coefficient matrix and its limits, and the bases and series of
-    # sigma > 1 + alpha among it), the residue rows of a sweep's argument
-    # and the powers of -i are kept across calls: sweeping more orders than
+    # Taylor coefficient matrix and its limits among it), the residue rows
+    # of a sweep's argument and the powers of -i are kept across calls,
+    # also for sigma = 1 + alpha, the domain's edge: sweeping more orders than
     # the memos hold cannot grow them past their bound, and the arrays
     # handed out are read-only
     from tfedge.mittag_leffler import _TERMS, _WINDOWS, _ml_values, _nodes, _order_constants, _residue_row
@@ -375,21 +375,17 @@ def test_contour_memos_are_read_only_and_bounded():
     memos = (_nodes, _order_constants, _residue_row, neg_i_power)
     sweep = 2 * max(memo.cache_info().maxsize for memo in memos)
     for alpha in np.linspace(0.05, 1.0, sweep):
-        # 1.5 + alpha is climbed from its base by the recurrence; z = |z| e^(0.6 i pi alpha),
-        # |z| = 6 past the series' reach, where the contour takes the residue
-        _ml_values(alpha, (alpha, 1.5 + alpha), [0.5, 3.0, 6.0], -1.2 * alpha)
+        # z = |z| e^(0.6 i pi alpha), |z| = 6 past the series' reach, where the contour takes the residue
+        _ml_values(alpha, (alpha, 1.0 + alpha), [0.5, 3.0, 6.0], -1.2 * alpha)
     for memo in memos:
         info = memo.cache_info()
         assert info.currsize <= info.maxsize < info.misses, memo
     constants = _order_constants(0.5, (0.5, 1.0))
     # one weight row per sigma, the shifted rows' own
-    s_alpha, weights = _nodes(0.5, (0.5, 1.0), _WINDOWS[-1][0], constants[4])
-    assert constants[4] == (0,) and weights.shape == (2, s_alpha.size)
-    taylor, limits, one_minus = constants[6:9]
-    assert len(constants) == 9 and taylor.shape == (2, _TERMS) and len(limits) == _TERMS
-    [(_, _, steps, zeros, series)] = _order_constants(0.5, (0.5, 3.6))[1]
-    assert isinstance(steps, tuple) and zeros == 0
-    for a in (s_alpha, weights, one_minus, taylor, series, _residue_row(0.5, (0.5, 1.0), 0.25 * math.pi)):
+    s_alpha, weights = _nodes(0.5, (0.5, 1.0), _WINDOWS[-1][0], constants.shifted)
+    assert constants.shifted == (0,) and weights.shape == (2, s_alpha.size)
+    assert constants.taylor.shape == (2, _TERMS) and len(constants.limits) == _TERMS
+    for a in (s_alpha, weights, constants.one_minus, constants.taylor, _residue_row(0.5, (0.5, 1.0), 0.25 * math.pi)):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0
@@ -399,7 +395,7 @@ def test_memos_change_no_bit():
     # a sweep whose memos are cleared first (cold) and the same sweep with
     # every memo filled (warm) give the same values bit for bit, or the same
     # refusal: on the contour with and without residues, off the sheet, on
-    # the ray, at z = 0, and climbed from a base sigma
+    # the ray, at z = 0, and at the domain's edge sigma = 1 + alpha
     from tfedge.mittag_leffler import _ml_values, _nodes, _order_constants, _ray_rows, _residue_row
 
     def sweep(alpha, sigmas, moduli, beta):
@@ -411,7 +407,7 @@ def test_memos_change_no_bit():
     moduli = np.concatenate(([0.0], np.geomspace(0.05, 60.0, 23))).reshape(2, 12)
     for alpha in (0.3, 0.5, 0.8, 1.0):
         for beta in (0.25, 0.8, 1.0, 1.5, -2.0 * alpha):
-            for sigmas in ((alpha, 1.0), (1.0,), (alpha, 1.5 + alpha)):
+            for sigmas in ((alpha, 1.0), (1.0,), (alpha, 1.0 + alpha)):
                 for memo in (_nodes, _ray_rows, _order_constants, _residue_row, neg_i_power):
                     memo.cache_clear()
                 cold = sweep(alpha, sigmas, moduli, beta)
@@ -525,22 +521,20 @@ def test_pole_vertex_windows_share_valid_parabolas():
 
 def _rule_route(alpha, sigmas, zi):
     """(route, data) of one z (Im z >= 0) by the routing rules, stated here
-    in Python scalars: exp(z) where alpha and every base sigma
-    (_order_constants) are 1; the Taylor series at |z| <= its reach
-    (_series_reach); the ray's reach where |z| >= 1 on arg z = pi alpha and
-    every base sigma <= 1; else the window of the vertex (Re s* + |s*|) / 2
-    of the pole s* = z^(1/alpha) on the principal sheet, with the residue
-    exponents s* + (1 - sigma) log |s*|, one per base sigma, where the
-    window's parabola passes left of s* (the residue is e^(exponent) e^(i
-    (1 - sigma) arg s*) / alpha).  None where the value is not finite:
+    in Python scalars: exp(z) where alpha and every sigma are 1; the Taylor
+    series at |z| <= its reach (_series_reach); the ray's reach where |z| >=
+    1 on arg z = pi alpha and every sigma <= 1; else the window of the
+    vertex (Re s* + |s*|) / 2 of the pole s* = z^(1/alpha) on the principal
+    sheet, with the residue exponents s* + (1 - sigma) log |s*|, one per
+    sigma, where the window's parabola passes left of s* (the residue is
+    e^(exponent) e^(i (1 - sigma) arg s*) / alpha).  None where the value is not finite:
     exp(z), or a residue, of which the contour sum is a small part."""
-    from tfedge.mittag_leffler import _EDGES, _RAY_TOL, _WINDOWS, _order_constants, _ray_intervals
+    from tfedge.mittag_leffler import _EDGES, _RAY_TOL, _WINDOWS, _ray_intervals
 
-    bases = _order_constants(alpha, sigmas)[0]
-    if alpha == 1.0 and all(sigma == 1.0 for sigma in bases):
+    if alpha == 1.0 and all(sigma == 1.0 for sigma in sigmas):
         return (("exp", None), None) if _finite_exp(zi) else None
     r, theta = abs(zi), math.atan2(zi.imag, zi.real)
-    on_ray = alpha < 1.0 and max(bases) <= 1.0 and abs(theta - math.pi * alpha) <= _RAY_TOL
+    on_ray = alpha < 1.0 and max(sigmas) <= 1.0 and abs(theta - math.pi * alpha) <= _RAY_TOL
     if r <= _series_reach(alpha, theta, on_ray):
         return ("series", None), None
     if on_ray and r >= 1.0:
@@ -553,7 +547,7 @@ def _rule_route(alpha, sigmas, zi):
     parabola = _WINDOWS[bisect.bisect_right(_EDGES, 0.5 * (pole.real + abs(pole)))]
     if not parabola[1]:
         return ("contour", parabola), None
-    exponents = np.array([pole + (1.0 - sigma) * math.log(rho) for sigma in bases])
+    exponents = np.array([pole + (1.0 - sigma) * math.log(rho) for sigma in sigmas])
     if not all(_finite_exp(exponent - math.log(alpha)) for exponent in exponents.tolist()):
         return None
     return ("contour", parabola), exponents
@@ -569,7 +563,7 @@ def _series_reach(alpha, theta, on_ray):
     16, rho = |z|^(1/alpha), and the terms sum to at most 16 |E|."""
     from tfedge.mittag_leffler import _order_constants
 
-    radius, big = _order_constants(alpha, (-1.0,))[5], _uncapped_radius(alpha)
+    radius, big = _order_constants(alpha, (-1.0,)).radius, _uncapped_radius(alpha)
     if on_ray or theta >= math.pi * alpha:
         return radius
     fall = 1.0 - math.cos(theta / alpha)
@@ -660,8 +654,8 @@ def test_sweep_router_follows_the_routing_rules():
         # which reach the windows of the smallest vertices
         near_ray = np.concatenate([np.geomspace(1.0, 50.0, 12) * cmath.exp(
             1j * (math.pi * alpha - 2.0 * alpha * math.asin(math.sqrt(v)))) for v in (1e-14, 1e-9, 1e-5)])
-        # 1 + alpha/2: the ray's poles lie on the cut; 1.5 + alpha: climbed from its base
-        for sigmas in ((alpha,), (1.0,), (alpha, 1.0), (1.0 + 0.5 * alpha,), (alpha, 1.5 + alpha)):
+        # 1 + alpha/2 and 1 + alpha, the domain's edge: the ray's poles lie on the cut
+        for sigmas in ((alpha,), (1.0,), (alpha, 1.0), (1.0 + 0.5 * alpha,), (alpha, 1.0 + alpha)):
             every = np.concatenate(([0.0], on_ray, z, sweep, near_ray, [0.0]))
             routes += _assert_routes_follow_the_rules(alpha, sigmas, every)
             routes += _assert_routes_follow_the_rules(alpha, sigmas, on_ray[2:])
@@ -728,7 +722,7 @@ def test_values_do_not_depend_on_position_or_companions(alpha):
     # its reach past it and the contour beyond: the series sums as many
     # terms for a z within the radius as for one past it, so each z equals
     # its lone call
-    radius = _order_constants(alpha, (-1.0,))[5]
+    radius = _order_constants(alpha, (-1.0,)).radius
     reach = _series_reach(alpha, 0.5 * math.pi * alpha, False)
     moduli = np.array([0.3, 0.99, 1.0, 1.01, 0.5 * (1.0 + reach / radius), 0.99 * reach / radius, 1.5 * reach / radius])
     sweep = radius * moduli * cmath.exp(0.5j * math.pi * alpha)
@@ -790,7 +784,7 @@ def test_contour_sums_within_the_dot_product_bound():
                         continue
                     if kind != "contour":
                         continue
-                    shifted = _order_constants(alpha, sigmas)[4] if m >= 1.0 else ()
+                    shifted = _order_constants(alpha, sigmas).shifted if m >= 1.0 else ()
                     assert shifted in ((), (0,))
                     out = np.empty((2, 1), dtype=complex)
                     _contour(alpha, sigmas, z, slice(None), detail[0], None, None, out, shifted)
@@ -815,7 +809,7 @@ def test_unshifted_rows_where_the_series_has_radius_zero(alpha):
     from tfedge.mittag_leffler import _order_constants
 
     sigmas = (alpha, 1.0)
-    assert _order_constants(alpha, sigmas)[5] == 0.0
+    assert _order_constants(alpha, sigmas).radius == 0.0
     for r in (1e-8, 1e-4, 1e-2, 0.3):
         for theta in (0.0, 2.0, math.pi):
             z = np.array([cmath.rect(r, theta)])
@@ -978,9 +972,9 @@ def test_array_entry_guards():
         _assert_expansion(values[k, 1], 0.5, sigma, -1e200j)
     # and so on the decay side of the sheet: the residue e^(s*), Re s* =
     # -inf, is 0 where its exponent is inf - inf (it was refused), in a
-    # sweep, climbed from a base, and alone
-    values = _ml_values(0.8, (0.8, 1.0, 2.5), [2.0, 1e247, 1e300], 1.0)
-    for k, sigma in enumerate((0.8, 1.0, 2.5)):
+    # sweep, at the domain's edge sigma = 1 + alpha, and alone
+    values = _ml_values(0.8, (0.8, 1.0, 1.8), [2.0, 1e247, 1e300], 1.0)
+    for k, sigma in enumerate((0.8, 1.0, 1.8)):
         for j, m in ((1, 1e247), (2, 1e300)):
             _assert_expansion(values[k, j], 0.8, sigma, -1j * m)
     _assert_expansion(ml_eval(MLParams(0.8, 1.0), 1e247j), 0.8, 1.0, 1e247j)
@@ -1042,27 +1036,47 @@ def test_small_z_matches_the_series(alpha):
             assert abs(value - got) <= 1e-13 * abs(got), (sigma, zi)
 
 
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.8, 1.0])
+def test_domain_edge_matches_the_series(alpha):
+    # sigma = 1 + alpha, the largest sigma MLParams takes, where the
+    # integrand s^(alpha-sigma) / (s^alpha - z) is still of strength zero at
+    # s = 0: against the mpmath series at 7 moduli from 0.05 to |z|^(1/alpha)
+    # = 100 (at most 30) and 7 arguments in [0, pi], within 1e-12 (2.8e-14
+    # measured); each value equals its row of an array call bit for bit
+    from tfedge.mittag_leffler import _ml_at
+
+    sigma = 1.0 + alpha
+    z = np.array([cmath.rect(m, theta) for m in np.geomspace(0.05, min(30.0, 100.0**alpha), 7)
+                  for theta in np.linspace(0.0, math.pi, 7)])
+    values = _ml_at(alpha, (alpha, sigma), z)[1]
+    for zi, value in zip(z, values):
+        got = ml_eval(MLParams(alpha, sigma), zi)
+        assert got == value, zi
+        assert rel_err(got, ml_reference(alpha, sigma, zi, 30 + int(abs(zi) ** (1.0 / alpha) / 2.3))) <= 1e-12, zi
+
+
 @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.8])
 def test_taylor_series_within_its_radius(alpha):
     # at |z| <= radius < 1 the sweep sums the float64 Taylor series, to
     # 2^-60 of its largest term in at most 64 terms: ml_eval at |z| in
     # {1e-3, 0.1, 0.9 radius}, and the series alone at 1.1 radius (the
     # margin past its radius), within 1e-13 of the mpmath series, sigma in
-    # {alpha, 1, 0, -1}.  At sigma <= 0, 1/Gamma(sigma) = 0 leaves E ~ z /
-    # Gamma(sigma + alpha) small against the contour's absolute 1e-14,
+    # {alpha, 1, 0, -1, 1 + alpha}.  At sigma <= 0, 1/Gamma(sigma) = 0
+    # leaves E ~ z / Gamma(sigma + alpha) small against the contour's absolute 1e-14,
     # which missed by up to 1.2e-10 at |z| = 1e-3.  The radius and the
     # number of terms are those of sigma = -1, the same for each of these
     # sigmas and for the pair (alpha, 1), so a z takes one route whatever
     # the other sigmas of its call
     from tfedge.mittag_leffler import _order_constants, _taylor
 
-    radius, taylor = _order_constants(alpha, (-1.0,))[5:7]
+    least = _order_constants(alpha, (-1.0,))
+    radius, taylor = least.radius, least.taylor
     assert 0.5 < radius < 1.0 and taylor.shape[1] <= 64
-    for sigmas in ((alpha,), (1.0,), (0.0,), (alpha, 1.0)):
+    for sigmas in ((alpha,), (1.0,), (0.0,), (alpha, 1.0), (1.0 + alpha,)):
         constants = _order_constants(alpha, sigmas)
-        assert constants[5] == radius and constants[6].shape == (len(sigmas), taylor.shape[1]), sigmas
-    for sigma in (alpha, 1.0, 0.0, -1.0):
-        series = _order_constants(alpha, (sigma,))[6]
+        assert constants.radius == radius and constants.taylor.shape == (len(sigmas), taylor.shape[1]), sigmas
+    for sigma in (alpha, 1.0, 0.0, -1.0, 1.0 + alpha):
+        series = _order_constants(alpha, (sigma,)).taylor
         for m in (1e-3, 0.1, 0.9 * radius, 1.1 * radius):
             for theta in np.linspace(0.0, math.pi, 7):
                 z = cmath.rect(m, theta)
@@ -1077,14 +1091,14 @@ def test_taylor_series_within_its_reach(alpha):
     # cos(arg z / alpha)))^alpha), R the largest |z| at which 64 terms of
     # sigma = -1 fall to 2^-60 of the largest: there the terms sum to at
     # most 16 |E|.  At 1.01 radius, midway and 0.99 M(arg z), six arguments
-    # in [0, pi alpha), sigma in {alpha, 1, 0, -1}: that route, with the
+    # in [0, pi alpha), sigma in {alpha, 1, 0, -1, 1 + alpha}: that route, with the
     # fewest columns of the one coefficient matrix whose limit reaches
     # M(arg z), and ml_eval within 1e-13 of the mpmath series, and
     # _ml_values and ml_pair equal to it bit for bit (the contour missed
     # sigma = -1 by 2e-12 at alpha = 1)
     from tfedge import mittag_leffler as ml
 
-    radius, big = ml._order_constants(alpha, (-1.0,))[5], _uncapped_radius(alpha)
+    radius, big = ml._order_constants(alpha, (-1.0,)).radius, _uncapped_radius(alpha)
     assert 1.0 < big < 16.0
     taylor = ml._taylor
     for theta in np.linspace(0.0, math.pi * alpha, 6, endpoint=False):
@@ -1092,18 +1106,18 @@ def test_taylor_series_within_its_reach(alpha):
         m = np.array([1.01 * radius, 0.5 * (radius + reach), 0.99 * reach])
         beta = -2.0 * theta / math.pi
         z = m * neg_i_power(beta)
-        for sigmas in ((alpha,), (1.0,), (0.0,), (-1.0,), (alpha, 1.0)):
-            if not ml._order_constants(alpha, sigmas)[2]:
+        for sigmas in ((alpha,), (1.0,), (0.0,), (-1.0,), (alpha, 1.0), (1.0 + alpha,)):
+            if not ml._order_constants(alpha, sigmas).exp:
                 routes = _routes(alpha, sigmas, z, m, theta, cmath.rect(1.0, theta / alpha))
                 assert [route for route, _, _ in routes] == [("series", None)], (sigmas, theta)
                 columns = []
                 with pytest.MonkeyPatch.context() as patch:
                     patch.setattr(ml, "_taylor", lambda w, c: columns.append(c.shape[1]) or taylor(w, c))
                     ml._sweep(alpha, sigmas, z, m, theta, cmath.rect(1.0, theta / alpha))
-                limits = ml._order_constants(alpha, sigmas)[7]
+                limits = ml._order_constants(alpha, sigmas).limits
                 [n] = columns
                 assert n <= 64 and limits[n - 1] >= reach > limits[n - 2], (sigmas, theta)
-        for sigma in (alpha, 1.0, 0.0, -1.0):
+        for sigma in (alpha, 1.0, 0.0, -1.0, 1.0 + alpha):
             got = [ml_eval(MLParams(alpha, sigma), zi) for zi in z]
             for zi, value in zip(z, got):
                 assert rel_err(value, ml_reference(alpha, sigma, zi, 40)) <= 1e-13, (sigma, theta, zi)
@@ -1141,48 +1155,8 @@ def test_library_sweeps_from_t_20_stay_past_the_series_reach(table):
             current_trace(FractionalOrder(0.8, beta), table, (20.0, 1e3, 1e5))
             msd_trace(FractionalOrder(0.8, beta), table, (20.0, 1e3, 1e5))
     assert {alpha for alpha, _ in sweeps} == {0.5, 0.8}
-    assert all(ml._order_constants(alpha, sigmas)[5] == 1.0 - 2.0**-53 for alpha, sigmas in sweeps)
+    assert all(ml._order_constants(alpha, sigmas).radius == 1.0 - 2.0**-53 for alpha, sigmas in sweeps)
     assert max(series, default=0.0) < 1.0
-
-
-def test_climbs_stop_past_double_range():
-    # sigma = 1000 at alpha = 0.01 lies 99 899 steps above its base, and
-    # 1/Gamma(s) is 0 from s ~ 180 on: once the row is 0 as well each later
-    # step would be (0 - 0) / z, so the climb stops there, with the same 0
-    # (it took all 99 899 steps, 0.82 s).  Below every sigma^alpha the base
-    # row is not evaluated at all: the climb's series replaces it
-    from tfedge import mittag_leffler as ml
-
-    [(_, switch, steps, zeros, _)] = ml._order_constants(0.01, (1000.0,))[1]
-    assert len(steps) + zeros == math.ceil((1000.0 - 1.01) / 0.01) and zeros > 0 and steps[-1] != 0.0
-    climb, divisions = ml._climb, []
-
-    class Counted:
-        # (row - step) / z hands the division to z, counted
-        __array_ufunc__ = None
-
-        def __init__(self, z):
-            self.z = z
-
-        def __rtruediv__(self, row):
-            divisions.append(1)
-            return row / self.z
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ml, "_climb", lambda row, z, steps, zeros: climb(row, Counted(z), steps, zeros))
-        assert ml_eval(MLParams(0.01, 1000.0), -3.0) == 0.0
-    assert len(steps) <= len(divisions) < len(steps) + 1000
-    for sigmas in ((1000.0,), (3.6, 2.5)):
-        m = np.array([0.5, 0.99 * min(switch for _, switch, _, _, _ in ml._order_constants(0.01, sigmas)[1])])
-        z = m * cmath.exp(0.8j * math.pi)
-        [(route, ids, _)] = _routes(0.01, sigmas, z, m, 0.8 * math.pi, cmath.rect(1.0, 80.0 * math.pi))
-        assert route == ("series", None) and list(ids) == [0, 1], sigmas
-    # sigma = 200 at alpha = 1/2 lies 397 steps above its base, the last 43
-    # with 1/Gamma(s) = 0; E_{0.5,200}(25) ~ 2e-285 keeps the row nonzero
-    # through each of them, so every one divides by z
-    [(_, switch, steps, zeros, _)] = ml._order_constants(0.5, (200.0,))[1]
-    assert (len(steps), zeros) == (354, 43) and switch < 25.0
-    assert rel_err(ml_eval(MLParams(0.5, 200.0), 25.0), ml_reference(0.5, 200.0, 25.0, 60)) <= 1e-12
 
 
 def test_deriv_identity():
@@ -1202,6 +1176,11 @@ def test_parameter_validation():
         MLParams(2.0, 1.0)
     with pytest.raises(DomainError):
         MLParams(0.5, math.inf)
+    # sigma <= 1 + alpha is the domain: its edge is taken, the next double is not
+    for alpha in (0.1, 0.5, 1.0):
+        assert MLParams(alpha, 1.0 + alpha).sigma == 1.0 + alpha
+        with pytest.raises(DomainError, match="at most 1 \\+ alpha"):
+            MLParams(alpha, math.nextafter(1.0 + alpha, math.inf))
     with pytest.raises(DomainError):
         ml_deriv(1.5, 1.0)
     with pytest.raises(DomainError):
@@ -1300,55 +1279,6 @@ def test_values_either_side_of_the_unit_circle():
                     want = ml_reference(alpha, sigma, zi, 30)
                     assert rel_err(got, want) <= 1e-12, (alpha, sigma, zi)
                     assert rel_err(ml_eval(MLParams(alpha, sigma), zi), want) <= 1e-12, (alpha, sigma, zi)
-
-
-def test_strong_branch_point_near_the_origin():
-    # sigma > 1 + alpha: at |z| < 1 the Taylor series of E_{1,2.5}
-    z = 0.2425 + 0.2747j
-    assert rel_err(ml_eval(MLParams(1.0, 2.5), z), ml_reference(1.0, 2.5, z, 30)) <= 1e-12
-
-
-def test_strong_branch_points_match_the_series():
-    # sigma > 1 + alpha is evaluated at its base sigma - K alpha <= 1 +
-    # alpha and climbed K times by the recurrence at |z| >= sigma^alpha, or
-    # summed as the Taylor series below it.  Against the mpmath series on a
-    # seeded subset of the grid alpha in {0.1, 0.3, 0.5, 0.8, 1}, sigma in
-    # {1.5 + alpha, 2.5, 3.6, 5}, |z| in [0.05, 30] with |z|^(1/alpha) <=
-    # 100, five arguments in [0, pi] and their conjugates; z = -1 at sigma =
-    # 5; |z| = sigma^alpha and just below it, either side of the switch; and
-    # sigma = 20 and 30 on both sides, where a switch at |z| = 1 loses digits
-    # (7e-10 at alpha = 1/2, sigma = 30, z = -3)
-    from tfedge.mittag_leffler import _ml_at
-
-    rng = np.random.default_rng(3600)
-    points = [(0.5, 5.0, -1.0), (1.0, 5.0, -1.0)]
-    points += [(0.5, 30.0, -3.0), (0.5, 30.0, 6.0j), (1.0, 20.0, -10.0), (1.0, 20.0, -25.0)]
-    for alpha in (0.1, 0.3, 0.5, 0.8, 1.0):
-        for sigma in (1.5 + alpha, 2.5, 3.6, 5.0):
-            r = 10.0 ** rng.uniform(math.log10(0.05), math.log10(min(30.0, 100.0**alpha)), 3)
-            theta = rng.choice(np.linspace(0.0, math.pi, 5), 3) * rng.choice([-1.0, 1.0], 3)
-            points += [(alpha, sigma, complex(z)) for z in r * np.exp(1j * theta)]
-            points += [(alpha, sigma, cmath.rect(sigma**alpha * (1.0 - 1e-9 * k), 0.8 * math.pi)) for k in (0, 1)]
-    for alpha, sigma, z in points:
-        want = ml_reference(alpha, sigma, z, 30 + int(abs(z) ** (1.0 / alpha) / 2.3))
-        assert rel_err(ml_eval(MLParams(alpha, sigma), z), want) <= 1e-12, (alpha, sigma, z)
-    # both sigmas of a mixed array call, each row its lone call's bit for
-    # bit, whatever the other z of the call
-    alpha = 0.3
-    sigmas = (alpha, 1.5 + alpha)
-    z = 10.0 ** rng.uniform(-1.3, 0.7, 8) * np.exp(1j * rng.uniform(-math.pi, math.pi, 8))
-    values = _ml_at(alpha, sigmas, z)
-    for k, sigma in enumerate(sigmas):
-        for zi, got in zip(z, values[k]):
-            assert got == ml_eval(MLParams(alpha, sigma), zi), (sigma, zi)
-            want = ml_reference(alpha, sigma, zi, 30 + int(abs(zi) ** (1.0 / alpha) / 2.3))
-            assert rel_err(got, want) <= 1e-12, (sigma, zi)
-    assert np.array_equal(_ml_at(alpha, sigmas, z[::-1][:5]), values[:, ::-1][:, :5])
-    # E_{1/2,5/2}(30) ~ 2 e^900 / 30^3 leaves double range, alone or among finite values
-    with pytest.raises(OverflowGuard):
-        ml_eval(MLParams(0.5, 2.5), 30.0)
-    with pytest.raises(OverflowGuard):
-        _ml_at(0.5, (0.5, 2.5), [1.0, 30.0])
 
 
 def test_import_does_not_load_mpmath():
