@@ -20,7 +20,7 @@ import csv
 import math
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -315,12 +315,8 @@ def cmd_current(cfg: RunConfig) -> int:
 def cmd_msd(cfg: RunConfig) -> int:
     order, table = _assemble(cfg)
     norm = packet_norm_sq(table) if cfg.normalize else 1.0
-    if order.beta == order.alpha:
-        leading = "Naber"
-    elif order.beta > order.alpha:
-        leading = "AsymptoticCase2"
-    else:
-        leading = None  # no closed-form spreading model in the growing regime
+    # no closed-form spreading model in the growing regime
+    leading = {"AsymptoticallyConstant": "Naber", "PowerLawDecay": "AsymptoticCase2"}.get(classify_regime(order))
 
     times = [float(t) for t in _times(cfg)]
     rows = [
@@ -337,10 +333,7 @@ def cmd_msd(cfg: RunConfig) -> int:
 
 def cmd_regimes(cfg: RunConfig) -> int:
     alpha = cfg.alpha
-    betas: List[float] = []
-    for b in (0.5 * alpha, alpha, min(1.0, 1.5 * alpha)):
-        if b not in betas:
-            betas.append(b)
+    betas = dict.fromkeys((0.5 * alpha, alpha, min(1.0, 1.5 * alpha)))
 
     _, table = _assemble(cfg)
     rows = []

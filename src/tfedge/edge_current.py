@@ -56,6 +56,7 @@ from .fiber_spectrum import (
 )
 from .mittag_leffler import (
     _ml_values,
+    _roots,
     gamma_reciprocal,
     ml_eval,  # noqa: F401  perfbench's traced run rebinds edge_current.ml_eval
     neg_i_power,
@@ -180,8 +181,9 @@ class SpectralTable:
     cap: np.ndarray
     chi_vals: np.ndarray
     dchi_vals: np.ndarray
-    # the memo of _channel_weights, kept with the table
+    # the memos of _channel_weights and _ml_over_times, kept with the table
     _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _roots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def build_spectral_table(
@@ -230,13 +232,13 @@ def _finite(value: float, what: str) -> float:
 
 
 def _ml_over_times(order, tab, times):
-    """E_{a,a} and E_{a,1} at z = (-i)^beta t^alpha lambda, shape
-    (2, times, nodes), from one call of the array entry at the moduli
-    t^alpha lambda."""
+    """E_{a,a} and E_{a,1} at z = (-i)^beta t^alpha lambda, shape (2, times,
+    nodes), from one call of the array entry with lambda^(1/alpha) and the
+    extremes (mittag_leffler._roots), kept with the table per alpha."""
     if not all(t > 0.0 for t in times):
         raise DomainError(f"the exact kernel requires t > 0, got {min(times)!r}")
     a = order.alpha
-    return _ml_values(a, (a, 1.0), np.multiply.outer([t**a for t in times], tab.lam), order.beta)
+    return _ml_values(a, (a, 1.0), times, tab.lam, order.beta, tab._roots.get(a) or tab._roots.setdefault(a, _roots(a, tab.lam)))
 
 
 # ---------------------------------------------------------------------------

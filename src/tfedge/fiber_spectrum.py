@@ -140,10 +140,16 @@ def _ritz(model: ModelParams, ks: np.ndarray, L: float):
     Returns (lam, dlam, dcoef, coef): lambda_1 and lambda_1' per k; the
     coefficients of d_k phi_1 on phi_2..phi_N, shape (n_k, N - 1); and the
     Shen coefficients of phi_1..phi_N, shape (n_k, N, N), one column each.
+    GridError before any allocation past N = 256 (91 at the auto length of
+    k = 8, b = 1; 37 at the defaults), as the arrays grow as N^2 a node:
+    2.4 GB at N = 2 168 (b = 1e-4, 64 nodes).
     """
     _check_confinement(model, ks, L)
     b = model.b
-    N = math.ceil(2.6 * L * math.sqrt(b))
+    N = 2.6 * L * math.sqrt(b)
+    if not N <= 256:
+        raise GridError(f"b = {b!r} and L = {L!r} need N = 2.6 L sqrt(b) = {N:.6g} basis functions, more than 256")
+    N = math.ceil(N)
     t, w = np.polynomial.legendre.leggauss(N + 4)
     P = np.polynomial.legendre.legvander(t, N + 1)
     psi = P[:, :N] - P[:, 2:]

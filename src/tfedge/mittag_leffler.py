@@ -50,15 +50,16 @@ refused with OverflowGuard, by one check at the end of each sweep.
 
 One routing pass serves every call, by sweeps: the z of one argument, on
 one ray from the origin.  _ml_values, the array entry of the library's
-sweeps, takes the z = m (-i)^beta of a sweep as moduli m and the power
-beta; _ml_at takes any array, split by argument into sweeps
-(_by_argument), for ml_pair; and ml_eval takes its z as a one-element
-sweep.  What the orders alone decide is kept across calls
-(_order_constants), what the sweep's argument decides (the ray, the
-sheet, the conjugation, the pole's angle) is decided once with Python
-scalars, and per z only the pole's modulus and vertex and one
-small-integer route group are formed (_sweep); a contour group names its
-parabola and its rows, shifted at |z| >= 1 only.  Each group is evaluated
+sweeps, takes the z = (-i)^beta t^alpha lambda of a sweep as times t,
+lambdas and beta, and rho = |z|^(1/alpha) as t lambda^(1/alpha) (_roots);
+_ml_at takes any array, split by argument into sweeps (_by_argument), for
+ml_pair; ml_eval takes its z as a one-element sweep.  Each hands the
+sweep its moduli, rho and their extremes.  What the orders alone decide is
+kept across calls (_order_constants), what the sweep's argument decides
+(the ray, the sheet, the conjugation, the pole's angle) is decided once
+with Python scalars, and per z only the pole's vertex and one small-integer
+route group are formed (_sweep); a contour group names its parabola and
+its rows, shifted at |z| >= 1 only.  Each group is evaluated
 where it is found, writing into the one output array, so a time sample
 over a quadrature table is one reciprocal per entry of a Cauchy matrix
 1/(z_i - s_j^alpha) and one BLAS dot product per sigma and z.  The E at a
@@ -604,10 +605,11 @@ def _residue_row(alpha, sigmas, theta):
     return row
 
 
-def _sweep(alpha, sigmas, z, m, theta, rotation):
+def _sweep(alpha, sigmas, z, m, rho, extremes, theta, rotation):
     """E_{alpha,sigma}(z) for each sigma in sigmas at the z = m e^(i theta)
-    of one sweep, theta in [-pi, pi], shape (len(sigmas), z.size); rotation
-    is the poles' direction e^(i |theta| / alpha).
+    of one sweep, theta in [-pi, pi], shape (len(sigmas), z.size), given
+    rho = |z|^(1/alpha) and the extremes (min m, max m, min rho, max rho);
+    rotation is the poles' direction e^(i |theta| / alpha).
 
     E is taken at Im z >= 0 and conjugated below the real axis, and its
     imaginary part is zero on the axis.  The sigmas take one route together
@@ -615,98 +617,89 @@ def _sweep(alpha, sigmas, z, m, theta, rotation):
     with Python scalars: whether the sweep is the ray (to _RAY_TOL), on the
     principal sheet (the pole s* = rho e^(i theta / alpha) on it or on the
     cut) and right of the cut, and the series' reach (the radius; off the
-    ray on the sheet M(theta) where that is larger).  Then there are
-    whole-array steps only: rho = m^(1/alpha), and the route group of each
-    z: 0 for |z| <= reach, 1 + the intervals it reaches on the ray, else 4 +
-    the index in _WINDOWS of the parabola of its vertex rho cos^2(theta / (2
-    alpha)) (4: no pole right of the cut), plus len(_WINDOWS) for the
-    unshifted rows at |z| < 1 if a row shifts.  A sweep within the reach
-    pays one comparison of its least and largest |z|, one whose vertices
-    share a window one bisect.  Each group is evaluated where it is found,
-    into the one output array: the Taylor series (the fewest columns of
-    taylor whose limit reaches the reach); exp(z) where alpha and every
-    sigma are 1; _ray at its reach; or one _contour call on the group's
-    parabola and rows, with the residues e^(s* + (1 - sigma) log rho) times
-    the factor e^(i (1 - sigma) theta / alpha) / alpha (_residue_row) where
-    it passes left of s*.
+    ray on the sheet M(theta) where that is larger).  Then, with no
+    reduction or power, each z takes its route group: 0 for |z| <= reach,
+    1 + the intervals it reaches on the ray, else 4 + the index in _WINDOWS
+    of the parabola of its vertex rho cos^2(theta / (2 alpha)) (4: no pole
+    right of the cut), plus len(_WINDOWS) for the unshifted rows at |z| < 1
+    if a row shifts; by the extremes alone where they share one.  Each
+    group is evaluated where it is found, into the one output array: the
+    Taylor series (the fewest columns of taylor whose limit reaches the
+    reach); exp(z) where alpha and every sigma are 1; _ray at its reach; or
+    one _contour call on the group's parabola and rows, with the residues
+    e^(s* + (1 - sigma) log rho) times the factor e^(i (1 - sigma) theta /
+    alpha) / alpha (_residue_row) where it passes left of s*.
 
     Past double range rho, a residue or a value turns inf or nan, quietly
-    (np.errstate); the sum of the values (a check per value only where it
-    is not finite) refuses a value that is not finite with OverflowGuard,
-    naming the first such row and its z as given, after the z of rho = inf
-    on the decay side are taken without their residue, 0."""
+    (the caller's np.errstate); the sum of the values (a check per value
+    only where it is not finite) refuses a value that is not finite with
+    OverflowGuard, naming the first such row and its z as given, after the
+    z of rho = inf on the decay side are taken without their residue, 0."""
     lower = math.copysign(1.0, theta) < 0.0
     upper = z.conj() if lower else z
     theta = abs(theta)
     exp, ray, shifted, radius, taylor, limits, one_minus = _order_constants(alpha, sigmas)
+    low, high, rho_low, rho_high = extremes
     values = np.empty((len(sigmas), z.size), dtype=complex)
-    if not z.size:
-        return values
     # for |z| < 1 the half residue is not small against E, and the contour
     # alone is accurate in both components
     ray = ray and abs(theta - math.pi * alpha) <= _RAY_TOL
     # the group of every z, or of each (an array)
     groups = 4
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not exp:
-            reach = radius
-            if not ray and theta < math.pi * alpha:
-                fall = 1.0 - math.cos(theta / alpha)
-                reach = max(radius, min(limits[-1], (_LOG_16 / fall) ** alpha) if fall else limits[-1])
-            low = float(np.minimum.reduce(m))
-            if low <= reach and (z.size == 1 or float(np.maximum.reduce(m)) <= reach):
-                groups = 0
-            else:
-                if ray or theta <= math.pi * alpha:
-                    rho = m ** (1.0 / alpha)
-                if theta < math.pi * alpha:
-                    # often every vertex of a sweep is past the clip, or all share a window
-                    c2 = math.cos(0.5 * theta / alpha) ** 2
-                    first = bisect.bisect_right(_EDGE_TUPLE, float(np.minimum.reduce(rho)) * c2)
-                    if first < _EDGES.size and bisect.bisect_right(_EDGE_TUPLE, float(np.maximum.reduce(rho)) * c2) != first:
-                        first = np.searchsorted(_EDGES, rho * c2, side="right")
-                    groups = 4 + first
-                # a contour z at |z| < 1 takes the unshifted rows, in its window's group + len(_WINDOWS)
-                near = len(_WINDOWS) if shifted and low < 1.0 else 0
-                if ray:
-                    d, r_cut = _ray_intervals(alpha, m)
-                    groups = np.where(m >= 1.0, 1 + (m - d < r_cut).astype(int) + (m + d < r_cut), groups + near)
-                elif near:
-                    every = z.size == 1 or float(np.maximum.reduce(m)) < 1.0
-                    groups = groups + near if every else np.where(m < 1.0, groups + near, groups)
-                if low <= reach:
-                    groups = np.where(m <= reach, 0, groups)
-        if isinstance(groups, int) or groups.min() == groups.max():
-            found = [(groups if isinstance(groups, int) else int(groups[0]), slice(None))]
+    if not exp:
+        reach = radius
+        if low <= limits[-1] and not ray and theta < math.pi * alpha:  # no reach exceeds limits[-1]
+            fall = 1.0 - math.cos(theta / alpha)
+            reach = max(radius, min(limits[-1], (_LOG_16 / fall) ** alpha) if fall else limits[-1])
+        if high <= reach:
+            groups = 0
         else:
-            found = [(g, np.flatnonzero(groups == g)) for g in np.flatnonzero(np.bincount(groups)).tolist()]
-        for group, ids in found:
-            if group == 0:
-                # the fewest columns whose limit reaches the reach
-                values[:, ids] = _taylor(upper[ids], taylor[:, : 1 + bisect.bisect_left(limits, reach)])
-            elif exp:
-                values[:, ids] = np.exp(upper[ids])
-            elif group < 4:
-                _ray(alpha, sigmas, m[ids], rho[ids], group - 1, values, ids)
-            else:
-                unshifted, window = divmod(group - 4, len(_WINDOWS))
-                parabola, residue = _WINDOWS[window]
-                exponents = factor = None
-                if residue:
-                    # e^(s* + (1 - sigma) log rho) times the factor: added to Im s* = rho the phase would round away
-                    exponents = rho[ids] * rotation + one_minus * np.log(rho[ids])
-                    factor = _residue_row(alpha, sigmas, theta)
-                _contour(alpha, sigmas, upper, ids, parabola, exponents, factor, values, () if unshifted else shifted)
-        if theta in (0.0, math.pi):
-            values.imag = 0.0
-        total = np.add.reduce(values, axis=None)
+            if theta < math.pi * alpha:
+                # often every vertex of a sweep is past the clip, or all share a window
+                c2 = math.cos(0.5 * theta / alpha) ** 2
+                first = bisect.bisect_right(_EDGE_TUPLE, rho_low * c2)
+                if first < _EDGES.size and bisect.bisect_right(_EDGE_TUPLE, rho_high * c2) != first:
+                    first = np.searchsorted(_EDGES, rho * c2, side="right")
+                groups = 4 + first
+            # a contour z at |z| < 1 takes the unshifted rows, in its window's group + len(_WINDOWS)
+            near = len(_WINDOWS) if shifted and low < 1.0 else 0
+            if ray:
+                d, r_cut = _ray_intervals(alpha, m)
+                groups = np.where(m >= 1.0, 1 + (m - d < r_cut).astype(int) + (m + d < r_cut), groups + near)
+            elif near:
+                groups = groups + near if high < 1.0 else np.where(m < 1.0, groups + near, groups)
+            if low <= reach:
+                groups = np.where(m <= reach, 0, groups)
+    if isinstance(groups, int) or groups.min() == groups.max():
+        found = [(groups if isinstance(groups, int) else int(groups[0]), slice(None))]
+    else:
+        found = [(g, np.flatnonzero(groups == g)) for g in np.flatnonzero(np.bincount(groups)).tolist()]
+    for group, ids in found:
+        if group == 0:
+            # the fewest columns whose limit reaches the reach
+            values[:, ids] = _taylor(upper[ids], taylor[:, : 1 + bisect.bisect_left(limits, reach)])
+        elif exp:
+            values[:, ids] = np.exp(upper[ids])
+        elif group < 4:
+            _ray(alpha, sigmas, m[ids], rho[ids], group - 1, values, ids)
+        else:
+            unshifted, window = divmod(group - 4, len(_WINDOWS))
+            parabola, residue = _WINDOWS[window]
+            exponents = factor = None
+            if residue:
+                # e^(s* + (1 - sigma) log rho) times the factor: added to Im s* = rho the phase would round away
+                exponents = rho[ids] * rotation + one_minus * np.log(rho[ids])
+                factor = _residue_row(alpha, sigmas, theta)
+            _contour(alpha, sigmas, upper, ids, parabola, exponents, factor, values, () if unshifted else shifted)
+    if theta in (0.0, math.pi):
+        values.imag = 0.0
+    total = np.add.reduce(values, axis=None)
     if not cmath.isfinite(total) and not (finite := np.isfinite(values)).all():
         if not exp and theta < math.pi * alpha and rotation.real < 0.0:
             # a decaying pole past double range: its residue e^(s*), Re s* =
             # -inf, is 0, not the nan of its exponent inf - inf
-            with np.errstate(over="ignore", invalid="ignore"):
-                gone = np.flatnonzero(m ** (1.0 / alpha) == math.inf)
-                _contour(alpha, sigmas, upper, gone, _WINDOWS[-1][0], None, None, values, shifted)
+            gone = np.flatnonzero(rho == math.inf)
+            _contour(alpha, sigmas, upper, gone, _WINDOWS[-1][0], None, None, values, shifted)
             finite = np.isfinite(values)
         if not finite.all():
             k, bad = divmod(int(np.argmin(finite)), z.size)
@@ -714,20 +707,44 @@ def _sweep(alpha, sigmas, z, m, theta, rotation):
     return np.conjugate(values, out=values) if lower else values
 
 
-def _ml_values(alpha, sigmas, m, beta):
-    """E_{alpha,sigma}(z) for each sigma in sigmas at z = m (-i)^beta, for
-    every element of the array of moduli m >= 0, as an array of shape
-    (len(sigmas),) + m.shape: the evaluator's array entry, one _sweep, as
-    the z = (-i)^beta t^alpha lambda of a sweep lie on one ray.  The poles'
-    direction (-i)^(-|beta|/alpha), beta taken into [-2, 2], is exact where
-    it is a power of i: on beta = alpha, cos(pi / 2) = 6.1e-17 of e^(i theta
-    / alpha) would put Re s* = 6.1e-17 rho where |e^(s*)| = 1."""
-    m = np.asarray(m, dtype=float)
-    u = neg_i_power(beta)
-    flat = m.ravel()
-    rotation = neg_i_power(-abs(math.remainder(beta, 4.0)) / alpha)
-    values = _sweep(alpha, sigmas, flat * u, flat, math.atan2(u.imag, u.real), rotation)
-    return values.reshape((len(sigmas),) + m.shape)
+def _ends(a):
+    """(min, max) of a nonempty array, with no reduction for one element."""
+    return (a.item(),) * 2 if a.size == 1 else (float(a.min()), float(a.max()))
+
+
+def _roots(alpha, lam):
+    """The read-only g = lam^(1/alpha) and (min lam, max lam, min g, max g)
+    for _ml_values, g's from g: a power of lam's may differ in the last bit."""
+    with np.errstate(over="ignore"):
+        g = lam ** (1.0 / alpha)
+    g.flags.writeable = False
+    return g, _ends(lam) + _ends(g)
+
+
+def _ml_values(alpha, sigmas, times, lam, beta, roots=None):
+    """E_{alpha,sigma}(z) for each sigma at z = (-i)^beta t^alpha lam, times
+    t >= 0, lam >= 0, shape (len(sigmas), len(times)) + lam.shape, by one
+    _sweep (t = 1: the moduli lam).  rho = t g, g from roots = _roots(alpha,
+    lam); a float product keeps the order of nonnegative factors, so the
+    extremes of m = t^alpha lam and rho are their factors', bit for bit.
+    The poles' direction (-i)^(-|beta|/alpha), beta taken into [-2, 2], is
+    exact where it is a power of i: on beta = alpha, cos(pi / 2) = 6.1e-17
+    of e^(i theta / alpha) would put Re s* = 6.1e-17 rho where |e^(s*)| = 1."""
+    lam, times = np.asarray(lam, dtype=float), np.asarray(times, dtype=float)
+    shape = (len(sigmas), times.size) + lam.shape
+    if not (times.size and lam.size):
+        return np.empty(shape, dtype=complex)
+    g, (lam_low, lam_high, g_low, g_high) = roots or _roots(alpha, lam)
+    powers = times**alpha
+    (p_low, p_high), (t_low, t_high) = _ends(powers), _ends(times)
+    u, rotation = neg_i_power(beta), neg_i_power(-abs(math.remainder(beta, 4.0)) / alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if times.size == 1:
+            m, rho = lam.ravel() * p_low, g.ravel() * t_low
+        else:
+            m, rho = np.multiply.outer(powers, lam).ravel(), np.multiply.outer(times, g).ravel()
+        extremes = p_low * lam_low, p_high * lam_high, t_low * g_low, t_high * g_high
+        return _sweep(alpha, sigmas, m * u, m, rho, extremes, math.atan2(u.imag, u.real), rotation).reshape(shape)
 
 
 def _by_argument(z):
@@ -763,11 +780,11 @@ def ml_eval(params: MLParams, z: complex) -> complex:
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError(f"E_{{{params.alpha},{params.sigma}}} needs a finite z, got {z!r}")
-    z = np.array([z])
-    theta = float(np.arctan2(z.imag, z.real)[0])
-    return _sweep(
-        params.alpha, (params.sigma,), z, np.hypot(z.real, z.imag), theta, cmath.rect(1.0, abs(theta) / params.alpha)
-    ).item()
+    alpha, z = params.alpha, np.array([z])
+    m, theta = np.hypot(z.real, z.imag), float(np.arctan2(z.imag, z.real)[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = m ** (1.0 / alpha)
+        return _sweep(alpha, (params.sigma,), z, m, rho, _ends(m) + _ends(rho), theta, cmath.rect(1.0, abs(theta) / alpha)).item()
 
 
 def _ml_at(alpha, sigmas, z):
@@ -781,8 +798,10 @@ def _ml_at(alpha, sigmas, z):
         bad = complex(flat[np.argmin(np.isfinite(flat))])
         raise DomainError(f"E_{{{alpha},{sigmas[0]}}} needs a finite z, got {bad!r}")
     values = np.empty((len(sigmas), flat.size), dtype=complex)
-    for ids, m, theta in _by_argument(flat):
-        values[:, ids] = _sweep(alpha, sigmas, flat[ids], m, theta, cmath.rect(1.0, abs(theta) / alpha))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ids, m, theta in _by_argument(flat):
+            rho = m ** (1.0 / alpha)
+            values[:, ids] = _sweep(alpha, sigmas, flat[ids], m, rho, _ends(m) + _ends(rho), theta, cmath.rect(1.0, abs(theta) / alpha))
     return values.reshape((len(sigmas),) + z.shape)
 
 
@@ -793,10 +812,11 @@ def ml_pair(alpha: float, z):
     for these sigmas the parabola depends on z alone, so each parabola's
     nodes serve both.  z may mix arguments; the z of each argument are one
     sweep of the array router (_ml_at).  Equals ml_eval element by element,
-    bit for bit, with the same errors.  Its poles' direction is the rounded
-    arg z's, as ml_eval's; the library's sweeps (_ml_values) take it
-    exactly, and on the beta = alpha rays |E| differs from theirs by up to
-    3e-16 |s*| relative.
+    bit for bit, with the same errors.  Its poles' direction and rho are the
+    rounded arg z's and |z|^(1/alpha), as ml_eval's; the library's sweeps
+    (_ml_values) take the direction exactly and rho = t lambda^(1/alpha):
+    on the beta = alpha rays |E| differs from theirs by up to 3e-16 |s*|
+    relative.
     """
     if not (0.0 < alpha <= 1.0):
         raise DomainError(f"ml_pair requires alpha in (0, 1], got {alpha!r}")

@@ -120,9 +120,8 @@ def envelope(order: FractionalOrder, lam: float, t: float) -> float:
 def _norms_sq(order: FractionalOrder, spectrum: ModeSpectrum, times: np.ndarray) -> np.ndarray:
     """Squared solution norm at each of the finite times >= 0, from one
     Mittag-Leffler call over every (time, mode) pair; inf past double range."""
-    a = order.alpha
     with np.errstate(over="ignore"):
-        amps = _ml_values(a, (1.0,), times[:, None] ** a * spectrum.lambdas, order.beta)[0]
+        amps = _ml_values(order.alpha, (1.0,), times, spectrum.lambdas, order.beta)[0]
         return (np.abs(amps) ** 2 * spectrum.weights).sum(axis=1)
 
 
@@ -245,7 +244,7 @@ def caputo_residual(
     if n_points < 16:
         raise DomainError("n_points must be at least 16")
     mesh = _graded_mesh_two_sided(T, int(n_points))
-    u = _ml_values(a, (1.0,), mesh**a * lam, bta)[0]
+    u = _ml_values(a, (1.0,), mesh, [lam], bta)[0, :, 0]
     # past double range the slopes turn inf or nan, and so does the residual
     with np.errstate(over="ignore", invalid="ignore"):
         # piecewise-linear u against the exact kernel integral on each cell:

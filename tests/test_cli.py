@@ -240,9 +240,9 @@ def test_current_is_one_sweep_unless_a_row_overflows(beta, tmp_path, monkeypatch
 
     real, shapes = ec._ml_values, []
 
-    def counted(alpha, sigmas, m, b):
-        shapes.append(np.shape(m))
-        return real(alpha, sigmas, m, b)
+    def counted(alpha, sigmas, times, lam, b, roots=None):
+        shapes.append((len(times), np.size(lam)))
+        return real(alpha, sigmas, times, lam, b, roots)
 
     monkeypatch.setattr(ec, "_ml_values", counted)
     path = tmp_path / "cur.csv"
@@ -340,10 +340,17 @@ def test_verify_residual_cell_carries_six_digits(tmp_path):
         assert 0.0 < float(row[column]) <= 1e-3
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     assert main(["current", "--order.alpha", "7"]) == 2  # config rejection
     # a grid too short for the window is a domain failure, not a config one
     assert main(["current", *FAST, "--grid.L", "2"]) == 3
+    # so is a field too weak for the fiber basis at its auto length, refused
+    # before the basis is built: N = 2.6 L sqrt(b) = 2 167 at b = 1e-4, and
+    # 2.2e151 at b = 1e-300, past any integer Gauss rule
+    capsys.readouterr()
+    for b, n in (("1e-4", "2167.05"), ("1e-300", "2.16438e+151")):
+        assert main(["current", *FAST, "--model.b", b]) == 3
+        assert f"N = 2.6 L sqrt(b) = {n} basis functions, more than 256" in capsys.readouterr().err
 
 
 def test_run_to_run_identical_output(tmp_path):

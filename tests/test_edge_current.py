@@ -296,11 +296,12 @@ def test_traces_match_per_time_evaluations_at_early_times(
 
 def test_each_sweep_is_one_evaluator_call(table, monkeypatch):
     # current_trace, msd_trace and caputo_residual take every E of a sweep
-    # from one call of the evaluator's array entry, with the sweep's moduli
-    # t^alpha lambda in one array; certify_bounds makes one over the union
-    # of its grid and the refinement (here the 9 times and the 17 of their
-    # arithmetic refinement, 2 shared: 24), and the one-time forms one with
-    # moduli of shape (1, nodes)
+    # from one call of the evaluator's array entry, with the sweep's times
+    # and lambdas; certify_bounds makes one over the union of its grid and
+    # the refinement (here the 9 times and the 17 of their arithmetic
+    # refinement, 2 shared: 24) and its 3 modes, and the one-time forms one
+    # with one time.  The table's sweeps pass the lambda^(1/alpha) and
+    # extremes the table keeps; wellposed's are formed per call
     import tfedge.edge_current as ec
     import tfedge.wellposed as wp
     from tfedge.mittag_leffler import _ml_values
@@ -308,9 +309,9 @@ def test_each_sweep_is_one_evaluator_call(table, monkeypatch):
 
     calls = []
 
-    def counted(alpha, sigmas, m, beta):
-        calls.append(np.shape(m))
-        return _ml_values(alpha, sigmas, m, beta)
+    def counted(alpha, sigmas, times, lam, beta, roots=None):
+        calls.append((len(times), np.size(lam), roots is table._roots.get(alpha)))
+        return _ml_values(alpha, sigmas, times, lam, beta, roots)
 
     monkeypatch.setattr(ec, "_ml_values", counted)
     monkeypatch.setattr(wp, "_ml_values", counted)
@@ -318,13 +319,13 @@ def test_each_sweep_is_one_evaluator_call(table, monkeypatch):
     times = np.geomspace(1.0, 50.0, 9)
     spectrum = ModeSpectrum(lambdas=(2.0, 5.0, 11.0), weights=(1.0, 0.5, 0.25))
     for sweep, shapes in (
-        (lambda: current_trace(order, table, times), [(9, table.lam.size)]),
-        (lambda: msd_trace(order, table, times), [(9, table.lam.size)]),
-        (lambda: caputo_residual(order, 2.0, 1.0), [(501,)]),
-        (lambda: certify_bounds(order, spectrum, times), [(24, 3)]),
-        (lambda: current_direct(order, None, None, None, None, 7.0, table), [(1, table.lam.size)]),
-        (lambda: msd_direct(order, None, None, None, None, 7.0, table), [(1, table.lam.size)]),
-        (lambda: msd_assembled(order, None, None, None, None, 7.0, table), [(1, table.lam.size)]),
+        (lambda: current_trace(order, table, times), [(9, table.lam.size, True)]),
+        (lambda: msd_trace(order, table, times), [(9, table.lam.size, True)]),
+        (lambda: caputo_residual(order, 2.0, 1.0), [(501, 1, False)]),
+        (lambda: certify_bounds(order, spectrum, times), [(24, 3, False)]),
+        (lambda: current_direct(order, None, None, None, None, 7.0, table), [(1, table.lam.size, True)]),
+        (lambda: msd_direct(order, None, None, None, None, 7.0, table), [(1, table.lam.size, True)]),
+        (lambda: msd_assembled(order, None, None, None, None, 7.0, table), [(1, table.lam.size, True)]),
     ):
         calls.clear()
         sweep()
@@ -332,10 +333,12 @@ def test_each_sweep_is_one_evaluator_call(table, monkeypatch):
 
 
 def test_empty_sweeps(table):
-    # no time, no evaluation: the sweep's empty guard, and empty traces
+    # no time or no lambda, no evaluation: the entry's empty guard, and
+    # empty traces
     from tfedge.mittag_leffler import _ml_values
 
-    assert _ml_values(0.5, (0.5, 1.0), [], 0.5).shape == (2, 0)
+    assert _ml_values(0.5, (0.5, 1.0), [], [1.0, 2.0], 0.5).shape == (2, 0, 2)
+    assert _ml_values(0.5, (0.5, 1.0), [1.0, 2.0], [], 0.5).shape == (2, 2, 0)
     order = FractionalOrder(0.5, 0.5)
     for sweep in (current_trace, msd_trace):
         trace = sweep(order, table, [])

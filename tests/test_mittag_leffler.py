@@ -179,6 +179,16 @@ def test_ray_components_at_half_order(y):
     assert rel_err(e_half.real, (1.0 - 2.0 * y * dawson_y) / math.sqrt(math.pi)) <= 1e-8
 
 
+def _sweep_at(alpha, sigmas, z, m, theta, rotation):
+    """_sweep at the z = m e^(i theta), with rho = m^(1/alpha) and the
+    extremes of m and rho formed as _ml_at forms them."""
+    from tfedge import mittag_leffler as ml
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = m ** (1.0 / alpha)
+        return ml._sweep(alpha, sigmas, z, m, rho, ml._ends(m) + ml._ends(rho), theta, rotation)
+
+
 def _routes(alpha, sigmas, z, m, theta, rotation):
     """The route groups of one sweep (_sweep at z with Im z >= 0), as a list
     of (route, ids, data) in the order the sweep takes them, ids an index
@@ -216,7 +226,7 @@ def _routes(alpha, sigmas, z, m, theta, rotation):
         patch.setattr(ml, "_taylor", on_taylor)
         patch.setattr(ml, "_ray", on_ray)
         patch.setattr(ml, "_contour", on_contour)
-        ml._sweep(alpha, sigmas, z, m, theta, rotation)
+        _sweep_at(alpha, sigmas, z, m, theta, rotation)
     taken = np.zeros(z.size, dtype=bool)
     joined = {}
     for route, ids, data in calls:
@@ -266,7 +276,7 @@ def test_ray_matches_independent_references(alpha):
     assert sorted(route for route, _, _ in routes) == [("ray", 0), ("ray", 1), ("ray", 2)]
     z = radii * cmath.exp(1j * math.pi * alpha)
     z = np.concatenate((z, z.conj()))
-    sweeps = np.concatenate([_ml_values(alpha, (alpha, 1.0), radii, beta) for beta in (-2.0 * alpha, 2.0 * alpha)], axis=1)
+    sweeps = np.concatenate([_ml_values(alpha, (alpha, 1.0), (1.0,), radii, beta)[:, 0] for beta in (-2.0 * alpha, 2.0 * alpha)], axis=1)
     for values in (sweeps, _ml_at(alpha, (alpha, 1.0), z)):
         for k, sigma in enumerate((alpha, 1.0)):
             for zi, got in zip(z[:3], values[k, :3]):
@@ -291,7 +301,7 @@ def test_ray_tail_at_its_edges(alpha):
     routes = _routes(alpha, (alpha, 1.0), radii * u, radii, math.atan2(u.imag, u.real), u ** (1.0 / alpha))
     assert [route for route, _, _ in routes] == [("ray", 2)]
     z = radii * cmath.exp(1j * math.pi * alpha)
-    for values in (_ml_values(alpha, (alpha, 1.0), radii, -2.0 * alpha), _ml_at(alpha, (alpha, 1.0), z)):
+    for values in (_ml_values(alpha, (alpha, 1.0), (1.0,), radii, -2.0 * alpha)[:, 0], _ml_at(alpha, (alpha, 1.0), z)):
         for k, sigma in enumerate((alpha, 1.0)):
             for zi, got in zip(z, values[k]):
                 assert rel_err(got, _ray_reference(alpha, sigma, zi)) <= 1e-12, (alpha, sigma, zi)
@@ -376,7 +386,7 @@ def test_contour_memos_are_read_only_and_bounded():
     sweep = 2 * max(memo.cache_info().maxsize for memo in memos)
     for alpha in np.linspace(0.05, 1.0, sweep):
         # z = |z| e^(0.6 i pi alpha), |z| = 6 past the series' reach, where the contour takes the residue
-        _ml_values(alpha, (alpha, 1.0 + alpha), [0.5, 3.0, 6.0], -1.2 * alpha)
+        _ml_values(alpha, (alpha, 1.0 + alpha), (1.0,), [0.5, 3.0, 6.0], -1.2 * alpha)
     for memo in memos:
         info = memo.cache_info()
         assert info.currsize <= info.maxsize < info.misses, memo
@@ -400,7 +410,7 @@ def test_memos_change_no_bit():
 
     def sweep(alpha, sigmas, moduli, beta):
         try:
-            return _ml_values(alpha, sigmas, moduli, beta).tobytes()
+            return _ml_values(alpha, sigmas, (1.0,), moduli, beta).tobytes()
         except OverflowGuard as refusal:
             return str(refusal)
 
@@ -592,7 +602,7 @@ def _assert_routes_follow_the_rules(alpha, sigmas, z):
     sweeps as array calls split them, against _rule_route; returns the
     routes taken, each with its |z|.  Each z's route and data equal those
     of its one-element sweep bit for bit."""
-    from tfedge.mittag_leffler import _by_argument, _sweep
+    from tfedge.mittag_leffler import _by_argument
 
     want = []
     for zi in z.tolist():
@@ -601,7 +611,7 @@ def _assert_routes_follow_the_rules(alpha, sigmas, z):
             # the router refuses the z in a sweep with z = 0
             theta = math.atan2(zi.imag, zi.real)
             with pytest.raises(OverflowGuard):
-                _sweep(
+                _sweep_at(
                     alpha, sigmas, np.array([0.0, zi]), np.array([0.0, abs(zi)]), theta, cmath.rect(1.0, theta / alpha)
                 )
     kept = np.array([zi for zi, w in zip(z, want) if w is not None])
@@ -716,7 +726,7 @@ def test_values_do_not_depend_on_position_or_companions(alpha):
         ids = pool.size + np.arange(k * moduli.size, (k + 1) * moduli.size)
         assert np.array_equal(np.array(ml_pair(alpha, sweep)), got[:, ids]), k
         if k < 4:
-            assert np.array_equal(_ml_values(alpha, (alpha, 1.0), moduli, float(k)), got[:, ids]), k
+            assert np.array_equal(_ml_values(alpha, (alpha, 1.0), (1.0,), moduli, float(k))[:, 0], got[:, ids]), k
     assert np.array_equal(got[:, : pool.size], want)
     # an on-sheet sweep at arg z = pi alpha / 2 through the series' radius,
     # its reach past it and the contour beyond: the series sums as many
@@ -731,6 +741,37 @@ def test_values_do_not_depend_on_position_or_companions(alpha):
     assert np.array_equal(np.array(ml_pair(alpha, sweep[::-1])), np.array(lone)[:, ::-1])
 
 
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+def test_entry_routes_from_its_extremes_as_per_z(alpha, monkeypatch):
+    # the entry routes a sweep from the extremes of t^alpha, t, lambda and
+    # lambda^(1/alpha), with no reduction: a many-time sweep over three
+    # lambdas whose moduli straddle the series' reach and pole-window edges
+    # (beta = alpha, 1.9 alpha), the ray's reach 0/1 boundary (beta = 2
+    # alpha) and the radius off the sheet (beta = 2.5 alpha) gives each (t,
+    # lambda) the bits of the one-time, one-lambda sweep at it
+    from tfedge import mittag_leffler as ml
+
+    times, lam = np.geomspace(1e-3, 100.0, 41), np.array([1.0, 1.37, 2.9])
+    taylor, ray, contour = ml._taylor, ml._ray, ml._contour
+    for beta in (alpha, 1.9 * alpha, 2.0 * alpha, 2.5 * alpha):
+        routes = set()
+        with monkeypatch.context() as patch:
+            patch.setattr(ml, "_taylor", lambda w, c: routes.add("series") or taylor(w, c))
+            patch.setattr(ml, "_ray", lambda *args: routes.add(("ray", args[4])) or ray(*args))
+            patch.setattr(ml, "_contour", lambda *args: routes.add((args[4], args[8])) or contour(*args))
+            got = ml._ml_values(alpha, (alpha, 1.0), times, lam, beta)
+        if beta < 2.0 * alpha:
+            assert "series" in routes and len(routes) >= 3, (alpha, beta, routes)
+        elif beta == 2.0 * alpha:
+            assert {("ray", 0), ("ray", 1)} <= routes, (alpha, routes)
+        else:
+            assert {"series", (ml._WINDOWS[0][0], (0,))} <= routes, (alpha, routes)
+        for i, t in enumerate(times.tolist()):
+            for j, lam_j in enumerate(lam.tolist()):
+                lone = ml._ml_values(alpha, (alpha, 1.0), [t], [lam_j], beta)
+                assert np.array_equal(lone[:, 0, 0], got[:, i, j]), (alpha, beta, t, lam_j)
+
+
 def test_values_do_not_depend_on_their_cauchy_block():
     # one parabola (no pole on the sheet) serves 400 z at |z| >= 1, more
     # than two blocks of _contour: rolled through every position, each z
@@ -743,9 +784,9 @@ def test_values_do_not_depend_on_their_cauchy_block():
     z = m * neg_i_power(beta).conjugate()
     [((kind, ((_, _, n), _)), _, _)] = _routes(alpha, sigmas, z, m, 0.8 * math.pi, neg_i_power(-beta / alpha))
     assert kind == "contour" and m.size > 2 * (_CAUCHY_CELLS // (2 * n + 1))
-    want = _ml_values(alpha, sigmas, m, beta)
+    want = _ml_values(alpha, sigmas, (1.0,), m, beta)[:, 0]
     for shift in range(m.size):
-        assert np.array_equal(_ml_values(alpha, sigmas, np.roll(m, shift), beta), np.roll(want, shift, axis=1))
+        assert np.array_equal(_ml_values(alpha, sigmas, (1.0,), np.roll(m, shift), beta)[:, 0], np.roll(want, shift, axis=1))
 
 
 def _dot_bound(terms):
@@ -837,7 +878,7 @@ def test_ray_row_sums_within_the_dot_product_bound(alpha, monkeypatch):
 
     monkeypatch.setattr(np, "vecdot", recorded)
     # z = m e^(i pi alpha), through the intervals of every reach
-    _ml_values(alpha, (alpha, 1.0), np.geomspace(1.0, 900.0, 30), -2.0 * alpha)
+    _ml_values(alpha, (alpha, 1.0), (1.0,), np.geomspace(1.0, 900.0, 30), -2.0 * alpha)
     # one abscissa count per reach
     assert len({a.shape[-1] for a, _, _ in calls}) == 3
     for a, b, sums in calls:
@@ -871,9 +912,9 @@ def test_array_entry_matches_lone_calls(alpha):
                 kept.append(r)
             except OverflowGuard:
                 with pytest.raises(OverflowGuard):
-                    _ml_values(alpha, (alpha, 1.0), [0.5, r], beta)
+                    _ml_values(alpha, (alpha, 1.0), (1.0,), [0.5, r], beta)
         assert kept[:4] == [0.0, 0.25, 0.9, 1.0], (alpha, beta)
-        values = _ml_values(alpha, (alpha, 1.0), kept, beta)
+        values = _ml_values(alpha, (alpha, 1.0), (1.0,), kept, beta)[:, 0]
         for r, got, lone in zip(kept, values.T, want):
             bound = 1e-12 + 8.0 * eps * kappa[moduli == r][0]
             for g, w in zip(got, lone):
@@ -893,7 +934,7 @@ def test_plateau_sweep_keeps_its_modulus():
     for alpha in (0.5, 0.8):
         for rho in (1e4, 1e6, 1e8):
             m = rho**alpha
-            got = _ml_values(alpha, (alpha, 1.0), [m], alpha)[:, 0]
+            got = _ml_values(alpha, (alpha, 1.0), (1.0,), [m], alpha)[:, 0, 0]
             with mpmath.workdps(40):
                 z = m * mpmath.expjpi(-mpmath.mpf(alpha) / 2)
                 pole = mpmath.mpc(0.0, -1.0) * mpmath.mpf(m) ** (1 / mpmath.mpf(alpha))
@@ -905,26 +946,41 @@ def test_plateau_sweep_keeps_its_modulus():
                     assert abs(abs(g) - abs(want)) <= 1e-13 * abs(want), (alpha, rho, sigma)
     # rho = 80^10, where that real part was 650 and |E| about 1e303: the
     # residue's modulus (1 / alpha) rho^(1 - alpha) alone, as the rest is of size 1 / |z|
-    got = _ml_values(0.1, (0.1, 1.0), [80.0], 0.1)[0, 0]
+    got = _ml_values(0.1, (0.1, 1.0), (1.0,), [80.0], 0.1)[0, 0, 0]
     assert abs(abs(got) - 10.0 * 80.0**9) <= 1e-13 * 10.0 * 80.0**9
 
 
-def test_plateau_sweep_keeps_its_phase():
+def test_plateau_sweep_keeps_its_phase(monkeypatch):
     # on beta = alpha the residue (1/alpha) s*^(1-sigma) e^(s*) of the pole
     # s* = -i rho turns by rho, and its phase (1 - sigma) arg s* is kept
     # apart from Im s* = rho, where adding it rounded it away (7.0e-9 at rho
-    # = 1e8 at (1/2, 1/2), 8.0e-10 at (0.3, 0.3)): both sigmas of the sweeps
-    # at (1/2, 1/2) and (0.3, 0.3) within 1e-13 of the 60-digit residue plus
-    # the converged expansion, taken at the sweep's own float rho = m^(1/alpha)
+    # = 1e8 at (1/2, 1/2), 8.0e-10 at (0.3, 0.3)).  The entry forms rho = t
+    # lambda^(1/alpha) with one rounding, at lambda = 1.37, whose root
+    # rounds: within 2 ulp of the exact product for t up to 1e8 (rho =
+    # m^(1/alpha) of the rounded m = t^alpha lambda was up to 2.0 ulp off at
+    # these points), and both sigmas of the sweeps at (1/2, 1/2) and (0.3,
+    # 0.3) within 1e-13 of the 60-digit residue plus the converged
+    # expansion, taken at the entry's own float rho
     import mpmath
 
-    from tfedge.mittag_leffler import _ml_values
+    from tfedge import mittag_leffler as ml
 
+    lam, times = 1.37, np.geomspace(1e2, 1e8, 7)
+    sweep, passed = ml._sweep, []
+
+    def recorded(alpha, sigmas, z, m, rho, *rest):
+        passed.append(rho.copy())
+        return sweep(alpha, sigmas, z, m, rho, *rest)
+
+    monkeypatch.setattr(ml, "_sweep", recorded)
     for alpha in (0.5, 0.3):
-        m = np.geomspace(1e2, 1e8, 7) ** alpha
-        rho = m ** (1.0 / alpha)
-        got = _ml_values(alpha, (alpha, 1.0), m, alpha)
+        passed.clear()
+        got = ml._ml_values(alpha, (alpha, 1.0), times, [lam], alpha)[:, :, 0]
+        [rho] = passed
         with mpmath.workdps(60):
+            root = mpmath.mpf(lam) ** (1 / mpmath.mpf(alpha))
+            for t, r in zip(times.tolist(), rho.tolist()):
+                assert abs(r - t * root) <= 2 * math.ulp(r), (alpha, t)
             for k, sigma in enumerate((alpha, 1.0)):
                 for r, g in zip(rho.tolist(), got[k]):
                     pole = mpmath.mpc(0.0, -r)
@@ -958,22 +1014,22 @@ def test_array_entry_guards():
         with pytest.raises(OverflowGuard):
             ml_eval(MLParams(alpha, sigmas[-1]), m[-1] * neg_i_power(beta))
         with pytest.raises(OverflowGuard):
-            _ml_values(alpha, sigmas, m, beta)
+            _ml_values(alpha, sigmas, (1.0,), m, beta)
     # a numpy alpha is refused alike, with no RuntimeWarning
     with pytest.raises(OverflowGuard):
-        _ml_values(np.float64(0.1), (0.1, 1.0), [1e40], 0.1)
+        _ml_values(np.float64(0.1), (0.1, 1.0), (1.0,), [1e40], 0.1)
     # inside double range: Re z = 704 for exp(z), and no pole off the sheet
-    assert np.all(np.isfinite(_ml_values(1.0, (1.0,), [1.0, 740.0], 0.2)))
-    assert np.all(np.isfinite(_ml_values(0.05, (0.05, 1.0), [1.0, 1e20], 2.0)))
+    assert np.all(np.isfinite(_ml_values(1.0, (1.0,), (1.0,), [1.0, 740.0], 0.2)))
+    assert np.all(np.isfinite(_ml_values(0.05, (0.05, 1.0), (1.0,), [1.0, 1e20], 2.0)))
     # on the ray |z|^(1/alpha) past double range leaves E algebraic: the
     # half residue e^(-|z|^(1/alpha)) is 0
-    values = _ml_values(0.5, (0.5, 1.0), [2.0, 1e200], 1.0)
+    values = _ml_values(0.5, (0.5, 1.0), (1.0,), [2.0, 1e200], 1.0)[:, 0]
     for k, sigma in enumerate((0.5, 1.0)):
         _assert_expansion(values[k, 1], 0.5, sigma, -1e200j)
     # and so on the decay side of the sheet: the residue e^(s*), Re s* =
     # -inf, is 0 where its exponent is inf - inf (it was refused), in a
     # sweep, at the domain's edge sigma = 1 + alpha, and alone
-    values = _ml_values(0.8, (0.8, 1.0, 1.8), [2.0, 1e247, 1e300], 1.0)
+    values = _ml_values(0.8, (0.8, 1.0, 1.8), (1.0,), [2.0, 1e247, 1e300], 1.0)[:, 0]
     for k, sigma in enumerate((0.8, 1.0, 1.8)):
         for j, m in ((1, 1e247), (2, 1e300)):
             _assert_expansion(values[k, j], 0.8, sigma, -1j * m)
@@ -1113,7 +1169,7 @@ def test_taylor_series_within_its_reach(alpha):
                 columns = []
                 with pytest.MonkeyPatch.context() as patch:
                     patch.setattr(ml, "_taylor", lambda w, c: columns.append(c.shape[1]) or taylor(w, c))
-                    ml._sweep(alpha, sigmas, z, m, theta, cmath.rect(1.0, theta / alpha))
+                    _sweep_at(alpha, sigmas, z, m, theta, cmath.rect(1.0, theta / alpha))
                 limits = ml._order_constants(alpha, sigmas).limits
                 [n] = columns
                 assert n <= 64 and limits[n - 1] >= reach > limits[n - 2], (sigmas, theta)
@@ -1121,7 +1177,7 @@ def test_taylor_series_within_its_reach(alpha):
             got = [ml_eval(MLParams(alpha, sigma), zi) for zi in z]
             for zi, value in zip(z, got):
                 assert rel_err(value, ml_reference(alpha, sigma, zi, 40)) <= 1e-13, (sigma, theta, zi)
-            assert np.array_equal(ml._ml_values(alpha, (sigma,), m, beta)[0], got), (sigma, theta)
+            assert np.array_equal(ml._ml_values(alpha, (sigma,), (1.0,), m, beta)[0, 0], got), (sigma, theta)
         assert np.array_equal(np.array(ml_pair(alpha, z)), [[ml_eval(MLParams(alpha, s), zi) for zi in z] for s in (alpha, 1.0)])
 
 
