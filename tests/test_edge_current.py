@@ -310,7 +310,7 @@ def test_each_sweep_is_one_evaluator_call(table, monkeypatch):
     calls = []
 
     def counted(alpha, sigmas, times, lam, beta, roots=None):
-        calls.append((len(times), np.size(lam), roots is table._roots.get(alpha)))
+        calls.append((len(times), np.size(lam), roots is not None and roots is table._roots.get(alpha)))
         return _ml_values(alpha, sigmas, times, lam, beta, roots)
 
     monkeypatch.setattr(ec, "_ml_values", counted)
