@@ -26,6 +26,7 @@ import numpy as np
 
 from .edge_current import (
     FractionalOrder,
+    _band_roots,
     _current_values,
     build_spectral_table,
     classify_regime,
@@ -41,7 +42,7 @@ from .errors import ConfigError, OverflowGuard, TfedgeError
 from .fiber_spectrum import HalfLineGrid, ModelParams, auto_length
 from .mittag_leffler import MLParams, ml_eval
 from .msd import _msd_channels, packet_norm_sq
-from .wavepacket import ChiProfile
+from .wavepacket import ChiProfile, validate_support
 from .wellposed import ModeSpectrum, caputo_residual, certify_bounds
 
 __all__ = ["RunConfig", "parse_config", "emit_csv", "main"]
@@ -106,7 +107,8 @@ _KEYS = {
         "L", _auto_or_float, "a number",
         lambda v: v is None or _positive(v), "must be positive or 'auto'",
     ),
-    "quad.n_nodes": ("n_nodes", int, "an integer", lambda v: v >= 32, "must be an integer >= 32"),
+    # leggauss holds an n x n matrix, 512 MiB at 8 192; a rule without it may lift the bound
+    "quad.n_nodes": ("n_nodes", int, "an integer", lambda v: 32 <= v <= 8192, "must be an integer from 32 to 8192"),
     "time.t_min": ("t_min", float, "a number", _positive, "must be positive"),
     "time.t_max": ("t_max", float, "a number", None, None),
     "time.n_samples": ("n_samples", int, "an integer", lambda v: v >= 2, "must be an integer >= 2"),
@@ -232,13 +234,14 @@ def emit_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None
 
 
 def _assemble(cfg: RunConfig):
-    """The run's order pair and its spectral table."""
+    """The run's order pair and its spectral table, on a window validate_support admits."""
     model = ModelParams(cfg.b)
     profile = ChiProfile(cfg.k_min, cfg.k_max, cfg.amplitude)
     k_ref = max(abs(cfg.k_min), abs(cfg.k_max))
-    L = auto_length(model, k_ref) if cfg.L is None else cfg.L
+    grid = HalfLineGrid(L=auto_length(model, k_ref) if cfg.L is None else cfg.L)
+    validate_support(model, profile, grid)
     rule = gauss_legendre_rule(cfg.k_min, cfg.k_max, cfg.n_nodes)
-    table = build_spectral_table(model, profile, HalfLineGrid(L=L), rule)
+    table = build_spectral_table(model, profile, grid, rule)
     return FractionalOrder(cfg.alpha, cfg.beta), table
 
 
@@ -356,7 +359,7 @@ def _regime_fit(order, table):
     """(fit window, fit mode, target slope, tolerance) of the regime of order."""
     regime = classify_regime(order)
     if regime == "ExponentialGrowth":
-        rate = 2.0 * float(np.max(table.lam ** (1.0 / order.alpha))) * math.cos(order.theta)
+        rate = 2.0 * _band_roots(table, order.alpha)[1][3] * math.cos(order.theta)
         return (20.0, 80.0), "semilog", rate, 0.10 * abs(rate)
     if regime == "AsymptoticallyConstant":
         return (1e2, 1e4), "loglog", 0.0, 0.05

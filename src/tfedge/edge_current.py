@@ -32,7 +32,7 @@ phi_1) is computed once per quadrature node and reused across all times; see
 SpectralTable.  Where a node value leaves double range the evaluators raise
 OverflowGuard, and log_current_case1 carries the growth regime on.
 current_direct and current_naber keep the (order, model, profile, grid,
-rule, t, table) form, building the table when none is passed.  Quadrature
+rule, t, table) form but read only the order, t and the table.  Quadrature
 sums are correctly rounded (math.fsum), so they do not depend on summation
 order and runs are bit-for-bit reproducible.
 """
@@ -181,7 +181,7 @@ class SpectralTable:
     cap: np.ndarray
     chi_vals: np.ndarray
     dchi_vals: np.ndarray
-    # the memos of _channel_weights and _ml_over_times, kept with the table
+    # the memos of _channel_weights and _band_roots, kept with the table
     _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _roots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -209,11 +209,6 @@ def build_spectral_table(
     )
 
 
-def _table(model, profile, grid, rule, table):
-    """The supplied table, or a fresh one for the seven-argument forms."""
-    return table if table is not None else build_spectral_table(model, profile, grid, rule)
-
-
 def _fsum(terms: list) -> float:
     """Correctly rounded sum of a list of floats, independent of order;
     OverflowGuard if an entry or the sum has left double range."""
@@ -231,14 +226,18 @@ def _finite(value: float, what: str) -> float:
     return value
 
 
+def _band_roots(tab, alpha):
+    """mittag_leffler._roots(alpha, lam): g = lam^(1/alpha) and its extremes, once per table and alpha."""
+    return tab._roots.get(alpha) or tab._roots.setdefault(alpha, _roots(alpha, tab.lam))
+
+
 def _ml_over_times(order, tab, times):
     """E_{a,a} and E_{a,1} at z = (-i)^beta t^alpha lambda, shape (2, times,
-    nodes), from one call of the array entry with lambda^(1/alpha) and the
-    extremes (mittag_leffler._roots), kept with the table per alpha."""
+    nodes), from one call of the array entry with the table's roots."""
     if not all(t > 0.0 for t in times):
         raise DomainError(f"the exact kernel requires t > 0, got {min(times)!r}")
     a = order.alpha
-    return _ml_values(a, (a, 1.0), times, tab.lam, order.beta, tab._roots.get(a) or tab._roots.setdefault(a, _roots(a, tab.lam)))
+    return _ml_values(a, (a, 1.0), times, tab.lam, order.beta, _band_roots(tab, a))
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +369,7 @@ def _split(order, tab, t, name, pairs, shift=0.0):
     if not t > 0.0:
         raise DomainError(f"the closed-form models require t > 0, got {t!r}")
     ch = _CHANNELS[name]
-    lam_root = tab.lam ** (1.0 / order.alpha)
+    lam_root = _band_roots(tab, order.alpha)[0]
     weight = _channel_weights(tab, (name,))[0, 0]
     scales, sums = [], []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -421,16 +420,17 @@ def decay_exponent(order: FractionalOrder) -> Optional[float]:
 
 def current_direct(
     order: FractionalOrder,
-    model: ModelParams,
-    profile: ChiProfile,
-    grid: HalfLineGrid,
-    rule: QuadratureRule,
+    model,
+    profile,
+    grid,
+    rule,
     t: float,
-    table: Optional[SpectralTable] = None,
+    table: SpectralTable,
 ) -> float:
     """Edge current at time t from the exact evolution kernel; the one-time
-    case of current_trace."""
-    return _current_values(order, _table(model, profile, grid, rule, table), [t])[0]
+    case of current_trace.  model, profile, grid and rule are not read:
+    perfbench's workloads still pass them."""
+    return _current_values(order, table, [t])[0]
 
 
 def _current_values(order, tab, times):
@@ -500,23 +500,22 @@ def current_asymptotic_case2(order: FractionalOrder, table: SpectralTable, t: fl
 
 def current_naber(
     alpha: float,
-    model: ModelParams,
-    profile: ChiProfile,
-    grid: HalfLineGrid,
-    rule: QuadratureRule,
+    model,
+    profile,
+    grid,
+    rule,
     t: float,
-    table: Optional[SpectralTable] = None,
+    table: SpectralTable,
 ) -> float:
-    """Plateau-with-correction model on the diagonal beta = alpha, case 1 on
-    beta = alpha:
+    """Plateau-with-correction model, case 1 on the diagonal beta = alpha
+    (model, profile, grid and rule are not read: perfbench still passes them):
 
         J(t) ~ (1/alpha^2) Int (lambda^(1/alpha))' chi^2 dk
              + (2 t^-alpha / (alpha Gamma(1-alpha)))
                    Int lambda^((1-alpha)/alpha) chi chi'
                        cos(pi alpha/2 + t lambda^(1/alpha)) dk.
     """
-    order = FractionalOrder(alpha, alpha)
-    return current_asymptotic_case1(order, _table(model, profile, grid, rule, table), t)
+    return current_asymptotic_case1(FractionalOrder(alpha, alpha), table, t)
 
 
 def log_current_case1(
@@ -530,7 +529,7 @@ def log_current_case1(
     being representable.
     """
     rate = 2.0 * neg_i_power(order.beta / order.alpha).real
-    shift = float(np.max(t * table.lam ** (1.0 / order.alpha) * rate))
+    shift = t * _band_roots(table, order.alpha)[1][3] * rate
     value = _case1(order, table, t, shift)
     if value == 0.0:
         raise DomainError("the case-1 sum cancels completely; no log value")

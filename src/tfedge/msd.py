@@ -30,13 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .edge_current import (
     FractionalOrder,
-    QuadratureRule,
     SpectralTable,
     TransportTrace,
     _algebraic,
@@ -45,13 +44,10 @@ from .edge_current import (
     _fsum,
     _ml_over_times,
     _split,
-    _table,
     neg_i_power,
 )
 from .errors import DomainError
-from .fiber_spectrum import HalfLineGrid, ModelParams
 from .mittag_leffler import ml_eval  # noqa: F401  perfbench's traced run rebinds msd.ml_eval
-from .wavepacket import ChiProfile
 
 __all__ = [
     "MSDBreakdown",
@@ -82,17 +78,17 @@ def packet_norm_sq(table: SpectralTable) -> float:
 
 def msd_direct(
     order: FractionalOrder,
-    model: ModelParams,
-    profile: ChiProfile,
-    grid: HalfLineGrid,
-    rule: QuadratureRule,
+    model,
+    profile,
+    grid,
+    rule,
     t: float,
-    table: Optional[SpectralTable] = None,
+    table: SpectralTable,
 ) -> MSDBreakdown:
     """Exact-kernel second moment at time t, split into its four channels;
-    the one-time case of msd_trace."""
-    tab = _table(model, profile, grid, rule, table)
-    return _msd_channels(order, tab, [t])[0]
+    the one-time case of msd_trace.  model, profile, grid and rule are not
+    read: perfbench's workloads still pass them."""
+    return _msd_channels(order, table, [t])[0]
 
 
 def _msd_channels(order, tab, times):
@@ -106,12 +102,12 @@ def _msd_channels(order, tab, times):
 
 def msd_assembled(
     order: FractionalOrder,
-    model: ModelParams,
-    profile: ChiProfile,
-    grid: HalfLineGrid,
-    rule: QuadratureRule,
+    model,
+    profile,
+    grid,
+    rule,
     t: float,
-    table: Optional[SpectralTable] = None,
+    table: SpectralTable,
 ) -> float:
     """Second moment recomputed from the momentum gradient of the evolved
     amplitude, squared after assembly rather than channel by channel.
@@ -120,41 +116,41 @@ def msd_assembled(
     g = t^alpha (-i)^beta lambda' chi E_{a,a} + chi' E_{a,1}, and an
     orthogonal component chi E_{a,1} of squared norm Phi, so the integrand is
     |g|^2 + chi^2 |E_{a,1}|^2 Phi.  Equals the channel sum up to rounding;
-    kept as an independent consistency path.
+    kept as an independent consistency path.  model, profile, grid and rule
+    are not read: perfbench's workloads still pass them.
     """
-    tab = _table(model, profile, grid, rule, table)
     a = order.alpha
-    (eaa,), (ea1,) = _ml_over_times(order, tab, [t])
+    (eaa,), (ea1,) = _ml_over_times(order, table, [t])
     with np.errstate(over="ignore", invalid="ignore"):
-        g = t**a * neg_i_power(order.beta) * tab.dlam * tab.chi_vals * eaa + tab.dchi_vals * ea1
-        dens = np.abs(g) ** 2 + tab.chi_vals**2 * np.abs(ea1) ** 2 * tab.cap
-    return _fsum((tab.rule.weights * dens).tolist())
+        g = t**a * neg_i_power(order.beta) * table.dlam * table.chi_vals * eaa + table.dchi_vals * ea1
+        dens = np.abs(g) ** 2 + table.chi_vals**2 * np.abs(ea1) ** 2 * table.cap
+    return _fsum((table.rule.weights * dens).tolist())
 
 
 def msd_naber_leading(
     alpha: float,
-    model: ModelParams,
-    profile: ChiProfile,
-    grid: HalfLineGrid,
-    rule: QuadratureRule,
-    table: Optional[SpectralTable] = None,
+    model,
+    profile,
+    grid,
+    rule,
+    table: SpectralTable,
 ) -> float:
     """Ballistic coefficient on the diagonal beta = alpha, the residue pair
-    of the A channel at t = 1:
+    of the A channel at t = 1 (model, profile, grid and rule are not read:
+    perfbench's workloads still pass them):
 
         msd(t) ~ t^2 (1/alpha^2) Int lambda^(2(1-alpha)/alpha) (lambda')^2 chi^2 dk.
     """
-    tab = _table(model, profile, grid, rule, table)
-    return _split(FractionalOrder(alpha, alpha), tab, 1.0, "A", [(0, 0)])
+    return _split(FractionalOrder(alpha, alpha), table, 1.0, "A", [(0, 0)])
 
 
 def msd_case2_leading(
     alpha: float,
-    model: ModelParams,
-    profile: ChiProfile,
-    grid: HalfLineGrid,
-    rule: QuadratureRule,
-    table: Optional[SpectralTable] = None,
+    model,
+    profile,
+    grid,
+    rule,
+    table: SpectralTable,
 ) -> float:
     """Decay coefficient for beta > alpha, the algebraic pairs of order
     t^(-2 alpha) of every channel at t = 1; from E_{a,a}(z) ~ -z^-2/Gamma(-alpha)
@@ -165,13 +161,13 @@ def msd_case2_leading(
                             + (2/(Gamma(-alpha) Gamma(1-alpha))) Int lambda' lambda^-3 chi chi' dk.
 
     At alpha = 1/2 the reciprocal-gamma factors are 1/(4 pi), 1/pi and
-    -1/pi.
+    -1/pi.  model, profile, grid and rule are not read: perfbench's
+    workloads still pass them.
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"decay coefficient requires alpha in (0, 1), got {alpha!r}")
-    tab = _table(model, profile, grid, rule, table)
     order = FractionalOrder(alpha, 1.0)
-    return math.fsum(_split(order, tab, 1.0, name, _algebraic(name, 2)) for name in "ABCF")
+    return math.fsum(_split(order, table, 1.0, name, _algebraic(name, 2)) for name in "ABCF")
 
 
 def msd_trace(

@@ -3,7 +3,8 @@
 The spectral table (64 momentum nodes, one stacked SVD of the
 Legendre-Galerkin fiber problem, with the cap data from the same Ritz
 pairs) is built once per session and shared read-only; SpectralTable is
-frozen, and only its memo of channel weights fills in as the sweeps use it.
+frozen, and only its memos fill in as the sweeps use them: the channel
+weights, and g = lambda^(1/alpha) with its extremes per alpha.
 All transport tests run on the same b = 1, window [1, 2] setup that the CLI
 uses as its default.
 """

@@ -62,7 +62,7 @@ def test_config_rejections(tmp_path):
         # the band basis follows grid.L; there is no grid.n any more
         ({("grid", "n"): "800"}, "unknown config key grid.n"),
         ({("grid", "L"): "-4"}, "grid.L must be positive or 'auto'"),
-        ({("quad", "n_nodes"): "8"}, "quad.n_nodes must be an integer >= 32"),
+        ({("quad", "n_nodes"): "8"}, "quad.n_nodes must be an integer from 32 to 8192"),
         ({("time", "t_min"): "0"}, "time.t_min must be positive"),
         ({("time", "t_max"): "0.5"}, "time.t_max must exceed time.t_min"),
         ({("time", "n_samples"): "1"}, "time.n_samples must be an integer >= 2"),
@@ -70,6 +70,8 @@ def test_config_rejections(tmp_path):
         ({("quad", "n_nodes"): "4.5"}, "quad.n_nodes must be an integer"),
         ({("output", "normalize"): "maybe"}, "output.normalize must be a boolean"),
         ({("chi", "amplitude"): "0"}, "chi.amplitude must be positive"),
+        # numpy's Gauss-Legendre rule would hold an n x n float64 matrix
+        ({("quad", "n_nodes"): "8193"}, "quad.n_nodes must be an integer from 32 to 8192"),
     ],
 )
 def test_validation_messages(overrides, message):
@@ -351,6 +353,12 @@ def test_exit_codes(tmp_path, capsys):
     for b, n in (("1e-4", "2167.05"), ("1e-300", "2.16438e+151")):
         assert main(["current", *FAST, "--model.b", b]) == 3
         assert f"N = 2.6 L sqrt(b) = {n} basis functions, more than 256" in capsys.readouterr().err
+    # a window left of k = 0 lies outside the first band's admissible range;
+    # every subcommand that builds a table refuses it
+    window = ["--chi.k_min", "-2", "--chi.k_max", "-1", "--time.t_max", "10"]
+    for command in ("current", "msd", "regimes", "spectrum"):
+        assert main([command, *FAST, *window]) == 3
+        assert "k_lo=-2.0: lambda_1 = 10.884333507 is not below 3b = 3.0" in capsys.readouterr().err
 
 
 def test_run_to_run_identical_output(tmp_path):

@@ -245,16 +245,6 @@ def test_split_models_match_their_formulas(alpha, beta, model, profile, grid, ru
         assert abs(value - formula) <= 1e-12 * abs(formula), (name, value, formula)
 
 
-def test_shared_table_equals_fresh_build(model, profile):
-    grid = make_grid(model, 2.0, n=800)
-    rule = gauss_legendre_rule(1.0, 2.0, 32)
-    table = build_spectral_table(model, profile, grid, rule)
-    order = FractionalOrder(0.5, 0.5)
-    with_table = current_direct(order, model, profile, grid, rule, 3.0, table)
-    without = current_direct(order, model, profile, grid, rule, 3.0)
-    assert with_table == without
-
-
 # (order, window): a growth, a plateau and a decay order on the windows that
 # `tfedge regimes` fits
 TRACE_CASES = [
