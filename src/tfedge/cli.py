@@ -129,17 +129,20 @@ def parse_config(
     """
     values: Dict[str, str] = {}
     if config_path is not None:
-        parser = configparser.ConfigParser()
+        # no header names the defaults, so [DEFAULT] is an unknown section like any other
+        parser = configparser.ConfigParser(default_section="\n")
         # keep key case: grid.L must not silently become grid.l
         parser.optionxform = str  # type: ignore[method-assign]
-        read = parser.read(config_path)
-        if not read:
-            raise ConfigError(f"config file not found: {config_path}")
-        for section in parser.sections():
-            if section not in _SECTIONS:
-                raise ConfigError(f"unknown config section [{section}]")
-            for key, raw in parser.items(section):
-                values[f"{section}.{key}"] = raw
+        try:
+            if not parser.read(config_path):
+                raise ConfigError(f"config file not found: {config_path}")
+            for section in parser.sections():
+                if section not in _SECTIONS:
+                    raise ConfigError(f"unknown config section [{section}]")
+                for key, raw in parser.items(section):
+                    values[f"{section}.{key}"] = raw
+        except configparser.Error as exc:
+            raise ConfigError(f"config file {config_path} is malformed: {' '.join(str(exc).split())}") from None
     for (section, key), raw in (overrides or {}).items():
         values[f"{section}.{key}"] = raw
     for key in values:
@@ -222,7 +225,11 @@ def emit_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None
             writer.writerow([_format_cell(v) for v in row])
 
     if path:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        try:
+            fh = open(path, "w", newline="", encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"output.path {path} cannot be written: {exc.strerror}") from None
+        with fh:
             write(fh)
     else:
         write(sys.stdout)

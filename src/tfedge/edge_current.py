@@ -148,10 +148,12 @@ class QuadratureRule:
                 f"QuadratureRule needs at least 32 nodes, got {self.n_nodes}"
             )
         width = self.b - self.a
-        if not width > 0.0:
-            raise DomainError("QuadratureRule needs a < b")
+        if not (width > 0.0 and math.isfinite(width)):
+            raise DomainError("QuadratureRule needs finite a < b")
         if abs(float(np.sum(self.weights)) - width) > 1e-12 * width:
             raise DomainError("QuadratureRule weights do not resum to the interval")
+        if not (self.a <= self.nodes.min() and self.nodes.max() <= self.b):
+            raise DomainError("QuadratureRule nodes must lie in [a, b]")
 
     @property
     def n_nodes(self) -> int:

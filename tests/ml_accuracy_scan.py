@@ -4,7 +4,7 @@
 
 OLD_SRC and NEW_SRC are directories holding a `tfedge` package (for example
 `src` of two checkouts).  Each point is evaluated by ml_eval and by the
-array router (`_ml_at` on the sweep [z, 2 z]) of each tree, on one grid:
+array form (`ml_pair` on the array [z, 2 z]) of each tree, on one grid:
 alpha in {0.1, 0.2, 0.3, 0.5, 0.7, 0.8, 0.95}, sigma in {alpha, 1}, 16
 moduli |z| from 0.01 to 1e3 and 0.9 and 1.1 times the Taylor series'
 radius of NEW_SRC (where the sweep switches from the series to the
@@ -31,13 +31,15 @@ sigma in {0, -1} has rows of its own too (770 points): |z| in {1e-3, 1e-2,
 0.1} and 0.9 and 1.1 times the radius at the 11 arguments, against the
 series.  There 1/Gamma(sigma) = 0 leaves E ~ z / Gamma(sigma + alpha)
 small, which the contour's absolute 1e-14 can miss; these rows show each
-tree's points over 1e-12 inside the radius and past it.
+tree's ml_eval errors (ml_pair has no such sigma) and its points over
+1e-12 inside the radius and past it.
 
 The series' reach has rows of its own as well (168 points): sigma in
 {alpha, 1, 0, -1} at 0.9 and 1.1 times M(theta) = min(R, (ln 16 / (1 -
 cos(theta / alpha)))^alpha), the modulus up to which NEW_SRC sums the
 series past its radius on the principal sheet (R the radius uncapped), at
-three arguments theta in [0, pi alpha), against the series.  They show
+three arguments theta in [0, pi alpha), against the series (the array
+columns nan at sigma in {0, -1}).  They show
 each tree's worst error either side of M(theta) and the points newly over
 1e-12.
 
@@ -173,29 +175,27 @@ def ray_rows(trees, old_src, new_src):
 
 
 def small_z_rows(trees, old_src, new_src):
-    """The worst relative error of each tree and router per (alpha, sigma,
+    """The worst ml_eval relative error of each tree per (alpha, sigma,
     |z|) for sigma in {0, -1} near the origin, and how many ml_eval points of
     each tree are over TOL there, inside the new tree's series radius and
     past it."""
     print(f"sigma in {{0, -1}} at |z| <= 1.1 radius: worst relative error ({old_src} -> {new_src})")
-    print("| alpha | sigma | modulus | ml_eval old | ml_eval new | array old | array new |")
-    print("|---|---|---|---|---|---|---|")
+    print("| alpha | sigma | modulus | ml_eval old | ml_eval new |")
+    print("|---|---|---|---|---|")
     over = {"inside": [0, 0], "past": [0, 0]}
     for alpha in ALPHAS:
         radius = series_radius(trees[1], alpha)
         for sigma in (0.0, -1.0):
             for r in SMALL_RADII + (0.9 * radius, 1.1 * radius):
-                worst = [math.nan] * 4
+                worst = [math.nan] * 2
                 for theta in arguments(alpha):
                     z = cmath.rect(r, theta)
-                    arrays = [array_values(tree, alpha, sigma, z) for tree in trees]
                     values = [value(tree, alpha, sigma, z) for tree in trees]
-                    values += [a if isinstance(a, str) else a[0] for a in arrays]
                     want = ml_reference(alpha, sigma, z, 40)
                     errors = [math.nan if isinstance(v, str) else abs(v - want) / abs(want) for v in values]
                     worst = list(np.fmax(errors, worst))
                     side = over["inside" if r <= radius else "past"]
-                    side[:] = [n + int(e > TOL) for n, e in zip(side, errors[:2])]
+                    side[:] = [n + int(e > TOL) for n, e in zip(side, errors)]
                 print(f"| {alpha} | {sigma:g} | {r:.4g} | " + " | ".join(f"{e:.1e}" for e in worst) + " |")
     for side, (old, new) in over.items():
         print(f"sigma in {{0, -1}}, {side} the radius: ml_eval points over {TOL:g}: old {old}, new {new}")
@@ -237,9 +237,12 @@ def value(package, alpha, sigma, z):
 
 
 def array_values(package, alpha, sigma, z):
-    """The array router's E at z and 2 z, or the name of the error it raises."""
+    """ml_pair's E at z and 2 z for sigma in {alpha, 1}, nan for another
+    sigma, or the name of the error it raises."""
+    if sigma not in (alpha, 1.0):
+        return np.full(2, math.nan)
     try:
-        return package.mittag_leffler._ml_at(alpha, (sigma,), np.array([z, 2.0 * z]))[0]
+        return package.ml_pair(alpha, np.array([z, 2.0 * z]))[int(sigma != alpha)]
     except Exception as refusal:  # noqa: BLE001
         return type(refusal).__name__
 
@@ -309,7 +312,7 @@ def main(old_src, new_src):
     for alpha, sigma, r, arg, (e_old, e_new) in newly:
         print(f"  alpha={alpha} sigma={sigma:g} |z|={r:.4g} arg z={arg:.3f} pi: {e_old:.1e} -> {e_new:.1e}")
     print(f"refused by ml_eval in old, answered in new: {len(answered)}, worst error "
-          f"{max((e for e, _ in answered), default=math.nan):.1e} (array router "
+          f"{max((e for e, _ in answered), default=math.nan):.1e} (ml_pair "
           f"{np.fmax.reduce([a for _, a in answered]) if answered else math.nan:.1e})")
     worse = [p for p in paired if p[1] > p[0]]
     print(f"sigma in {{alpha, 1}}: ml_eval error larger in new at {len(worse)} of {len(paired)} points, "

@@ -2,6 +2,7 @@
 import csv
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,22 @@ def test_config_rejections(tmp_path):
     bad_key.write_text("[order]\ngamma = 0.5\n")
     with pytest.raises(ConfigError, match=r"unknown config key order.gamma"):
         parse_config(str(bad_key))
+    # a file configparser cannot read is a config error naming the file
+    for name, text in (
+        ("no_header.ini", "alpha = 0.9\n"),
+        ("duplicate.ini", "[order]\nalpha = 0.9\nalpha = 0.8\n"),
+        ("bare.ini", "[order]\nalpha\n"),
+    ):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"config file {re.escape(str(path))} is malformed"):
+            parse_config(str(path))
+    # [DEFAULT] would fill every section's keys; it is an unknown section
+    defaults = tmp_path / "defaults.ini"
+    for text in ("[DEFAULT]\nalpha = 0.9\n", "[DEFAULT]\nb = 2\n[order]\nalpha = 0.9\n"):
+        defaults.write_text(text)
+        with pytest.raises(ConfigError, match=r"unknown config section \[DEFAULT\]"):
+            parse_config(str(defaults))
 
 
 @pytest.mark.parametrize(
@@ -359,6 +376,10 @@ def test_exit_codes(tmp_path, capsys):
     for command in ("current", "msd", "regimes", "spectrum"):
         assert main([command, *FAST, *window]) == 3
         assert "k_lo=-2.0: lambda_1 = 10.884333507 is not below 3b = 3.0" in capsys.readouterr().err
+    # an output path that cannot be written is a config error, not a traceback
+    for path, reason in ((tmp_path / "missing" / "out.csv", "No such file or directory"), (tmp_path, "Is a directory")):
+        assert main(["spectrum", *FAST, "--output.path", str(path)]) == 2
+        assert f"output.path {path} cannot be written: {reason}" in capsys.readouterr().err
 
 
 def test_run_to_run_identical_output(tmp_path):

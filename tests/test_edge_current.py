@@ -76,6 +76,16 @@ def test_quadrature_rule_validation():
             QuadratureRule(a=0.0, b=1.0, nodes=nodes, weights=weights)
     with pytest.raises(DomainError):
         gauss_legendre_rule(2.0, 1.0, 64)
+    # an infinite end: the weights' resum test alone lets inf - inf pass
+    nodes, weights = 1.5 + 0.5 * x, 0.5 * w
+    for a, b in ((1.0, math.inf), (-math.inf, 2.0), (math.nan, 2.0)):
+        with pytest.raises(DomainError, match="needs finite a < b"):
+            QuadratureRule(a=a, b=b, nodes=nodes, weights=weights)
+    # nodes outside [a, b], with weights that resum to its width
+    for shift in (5.0, -0.5):
+        with pytest.raises(DomainError, match=r"nodes must lie in \[a, b\]"):
+            QuadratureRule(a=1.0, b=2.0, nodes=nodes + shift, weights=weights)
+    assert QuadratureRule(a=1.0, b=2.0, nodes=nodes, weights=weights).n_nodes == 64
 
 
 def test_gauss_legendre_integrates_polynomials_exactly():
@@ -256,7 +266,7 @@ TRACE_CASES = [
 
 @pytest.mark.parametrize("order,window", TRACE_CASES, ids=["growth", "plateau", "decay"])
 def test_traces_equal_per_time_evaluations(order, window, model, profile, grid, rule, table):
-    # on these windows one ml_pair call over every (time, node) pair gives
+    # on these windows one _ml_values call over every (time, node) pair gives
     # the per-time values bit for bit; the CLI's regimes output depends on it
     times = np.geomspace(*window, 13)
     tr = current_trace(order, table, times)
@@ -274,7 +284,7 @@ def test_traces_equal_per_time_evaluations(order, window, model, profile, grid, 
 def test_traces_match_per_time_evaluations_at_early_times(
     order, model, profile, grid, rule, table
 ):
-    # for t <= 1 ml_pair groups a node's z with different companions in the
+    # for t <= 1 _ml_values groups a node's z with different companions in the
     # two calls; each z's contour sum runs in the same order whatever its
     # companions, so E and the sums over nodes agree bit for bit
     times = np.geomspace(1e-2, 1.0, 30)

@@ -181,7 +181,7 @@ def test_ray_components_at_half_order(y):
 
 def _sweep_at(alpha, sigmas, z, m, theta, rotation):
     """_sweep at the z = m e^(i theta), with rho = m^(1/alpha) and the
-    extremes of m and rho formed as _ml_at forms them."""
+    extremes of m and rho formed as a lone z's (_lone) are."""
     from tfedge import mittag_leffler as ml
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -244,6 +244,14 @@ def _routes(alpha, sigmas, z, m, theta, rotation):
     return ([(("exp", None), rest, None)] if rest.size else []) + routes
 
 
+def _entry_sweep(alpha, moduli, beta):
+    """(E_{alpha,alpha}, E_{alpha,1}) on the array entry's sweep z = (-i)^beta
+    |z| over the moduli |z| (times (1,)), shape (2, len(moduli))."""
+    from tfedge.mittag_leffler import _ml_values
+
+    return _ml_values(alpha, (alpha, 1.0), (1.0,), moduli, beta)[:, 0]
+
+
 def _ray_reference(alpha, sigma, z):
     """The mpmath series, with its digits set by |z|^(1/alpha), while that is
     at most 100; the large-|z| expansion (error ~ e^(-|z|^(1/alpha))) past
@@ -264,20 +272,20 @@ _RAY_RADII = {0.1: (1.05, 1.2, 2.2), 0.3: (1.5, 2.5, 6.5), 0.7: (3.0, 12.0, 31.0
 def test_ray_matches_independent_references(alpha):
     # on the ray |arg z| = pi alpha, in both half-planes and each reach,
     # against references that share no code with the ray's integral
-    from tfedge.mittag_leffler import _ml_at, _ml_values, _ray_intervals
+    from tfedge.mittag_leffler import _ray_intervals
 
     radii = np.array(_RAY_RADII[alpha])
     d, r_cut = _ray_intervals(alpha, radii)
     assert list((radii - d < r_cut).astype(int) + (radii + d < r_cut)) == [2, 1, 0]
     # the sweep z = |z| (-i)^(-2 alpha) of the array entry, and the same z
-    # given as complex numbers, split by argument
+    # given as complex numbers, each a lone sweep of ml_pair
     u = neg_i_power(-2.0 * alpha)
     routes = _routes(alpha, (alpha, 1.0), radii * u, radii, math.atan2(u.imag, u.real), u ** (1.0 / alpha))
     assert sorted(route for route, _, _ in routes) == [("ray", 0), ("ray", 1), ("ray", 2)]
     z = radii * cmath.exp(1j * math.pi * alpha)
     z = np.concatenate((z, z.conj()))
-    sweeps = np.concatenate([_ml_values(alpha, (alpha, 1.0), (1.0,), radii, beta)[:, 0] for beta in (-2.0 * alpha, 2.0 * alpha)], axis=1)
-    for values in (sweeps, _ml_at(alpha, (alpha, 1.0), z)):
+    sweeps = np.concatenate([_entry_sweep(alpha, radii, beta) for beta in (-2.0 * alpha, 2.0 * alpha)], axis=1)
+    for values in (sweeps, np.array(ml_pair(alpha, z))):
         for k, sigma in enumerate((alpha, 1.0)):
             for zi, got in zip(z[:3], values[k, :3]):
                 want = _ray_reference(alpha, sigma, zi)
@@ -292,7 +300,7 @@ def test_ray_tail_at_its_edges(alpha):
     # y = r / r0 in [1 + d/r0, r_cut], whatever r0: at r0 = 1, where the
     # rule is the tail's own, midway, and just inside the edge
     # r0 (1 + d/r0) = r_cut of reach 2, where the tail is shortest
-    from tfedge.mittag_leffler import _ml_at, _ml_values, _ray_intervals
+    from tfedge.mittag_leffler import _ray_intervals
 
     d, r_cut = _ray_intervals(alpha, 1.0)
     edge = r_cut / (1.0 + d)
@@ -301,7 +309,7 @@ def test_ray_tail_at_its_edges(alpha):
     routes = _routes(alpha, (alpha, 1.0), radii * u, radii, math.atan2(u.imag, u.real), u ** (1.0 / alpha))
     assert [route for route, _, _ in routes] == [("ray", 2)]
     z = radii * cmath.exp(1j * math.pi * alpha)
-    for values in (_ml_values(alpha, (alpha, 1.0), (1.0,), radii, -2.0 * alpha)[:, 0], _ml_at(alpha, (alpha, 1.0), z)):
+    for values in (_entry_sweep(alpha, radii, -2.0 * alpha), np.array(ml_pair(alpha, z))):
         for k, sigma in enumerate((alpha, 1.0)):
             for zi, got in zip(z, values[k]):
                 assert rel_err(got, _ray_reference(alpha, sigma, zi)) <= 1e-12, (alpha, sigma, zi)
@@ -319,9 +327,10 @@ def test_ray_far_out_keeps_its_digits():
 
 
 def test_ray_values_do_not_depend_on_their_block():
-    # a ray-only array of 300 z, every reach, longer than one block of
-    # _ray: each z's E is the same bit for bit in shuffled and re-sliced
-    # sub-arrays, whatever its position or companions; a lone ml_eval agrees
+    # one sweep of the array entry per half-plane, beta = -2 alpha and
+    # 2 alpha, over 300 moduli at t = 1, every reach, longer than one block
+    # of _ray: each z's E is the same bit for bit in shuffled and re-sliced
+    # sub-sweeps, whatever its position or companions; a lone ml_eval agrees
     # to rounding
     from tfedge.mittag_leffler import _RAY_CELLS, _ray_rows
 
@@ -334,20 +343,21 @@ def test_ray_values_do_not_depend_on_their_block():
             rng.uniform(r_cut / 1.5, r_cut / 0.5, 100),
             rng.uniform(r_cut / 0.5, 10.0 * r_cut, 100),
         ])
-        pool = radii * np.exp(1j * math.pi * alpha * rng.choice([-1.0, 1.0], radii.size))
-        want = np.array(ml_pair(alpha, pool))
         for reach in (0, 1, 2):
             _, rows, _ = _ray_rows(alpha, (alpha, 1.0), reach)
             assert _RAY_CELLS // rows.size < 100, (alpha, reach)
-        for size in (2, 7, 33, 150):
-            order = rng.permutation(pool.size)
-            for start in range(0, pool.size - size + 1, max(size, 53)):
-                ids = order[start : start + size]
-                assert np.array_equal(np.array(ml_pair(alpha, pool[ids])), want[:, ids]), (alpha, size)
-        assert np.array_equal(np.array(ml_pair(alpha, pool[1::4])), want[:, 1::4])
-        for i in rng.choice(pool.size, 12, replace=False):
-            for k, sigma in enumerate((alpha, 1.0)):
-                assert rel_err(ml_eval(MLParams(alpha, sigma), pool[i]), want[k, i]) <= 1e-14, (alpha, pool[i])
+        for beta in (-2.0 * alpha, 2.0 * alpha):
+            want = _entry_sweep(alpha, radii, beta)
+            for size in (2, 7, 33, 150):
+                order = rng.permutation(radii.size)
+                for start in range(0, radii.size - size + 1, max(size, 53)):
+                    ids = order[start : start + size]
+                    assert np.array_equal(_entry_sweep(alpha, radii[ids], beta), want[:, ids]), (alpha, beta, size)
+            assert np.array_equal(_entry_sweep(alpha, radii[1::4], beta), want[:, 1::4])
+            for i in rng.choice(radii.size, 12, replace=False):
+                z = radii[i] * neg_i_power(beta)
+                for k, sigma in enumerate((alpha, 1.0)):
+                    assert rel_err(ml_eval(MLParams(alpha, sigma), z), want[k, i]) <= 1e-14, (alpha, z)
 
 
 def test_ray_memo_is_read_only_and_bounded(table):
@@ -446,17 +456,16 @@ def _pair_points(alpha):
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8, 1.0])
 def test_array_pair_matches_scalar_calls(alpha):
-    # ml_eval is a one-element sweep of the same router, so each value of
-    # the pair equals it bit for bit, on the ray at reach 0 (|z| = 12 at
-    # alpha = 0.3) too
-    from tfedge.mittag_leffler import _ml_at
-
+    # ml_eval and each element of ml_pair are the same lone sweep, with one
+    # sigma or two, so each value of the pair equals it bit for bit, as one
+    # element or among others, on the ray at reach 0 (|z| = 12 at alpha =
+    # 0.3) too
     z = _pair_points(alpha)
     eaa, ea1 = ml_pair(alpha, z)
     for zi, got_aa, got_a1 in zip(z, eaa, ea1):
-        for got, sigma in ((got_aa, alpha), (got_a1, 1.0)):
+        for k, (got, sigma) in enumerate(((got_aa, alpha), (got_a1, 1.0))):
             want = ml_eval(MLParams(alpha, sigma), zi)
-            assert want == _ml_at(alpha, (sigma,), [zi])[0, 0], (sigma, zi)
+            assert want == ml_pair(alpha, [zi])[k][0], (sigma, zi)
             assert got == want, (sigma, zi)
     # the mirrored half is the conjugate, bit for bit
     half = z.size // 2
@@ -598,12 +607,10 @@ def _finite_exp(w):
 
 
 def _assert_routes_follow_the_rules(alpha, sigmas, z):
-    """The sweep router at every z (Im z >= 0), split by argument into
-    sweeps as array calls split them, against _rule_route; returns the
-    routes taken, each with its |z|.  Each z's route and data equal those
-    of its one-element sweep bit for bit."""
-    from tfedge.mittag_leffler import _by_argument
-
+    """The sweep router at every z (Im z >= 0), split by argument (arg z
+    from numpy's arctan2, told apart by its bits) into one sweep each,
+    against _rule_route; returns the routes taken, each with its |z|.  Each
+    z's route and data equal those of its one-element sweep bit for bit."""
     want = []
     for zi in z.tolist():
         want.append(_rule_route(alpha, sigmas, zi))
@@ -618,7 +625,10 @@ def _assert_routes_follow_the_rules(alpha, sigmas, z):
     want = [w for w in want if w is not None]
     eps = np.finfo(float).eps
     taken = []
-    for sweep, m, theta in _by_argument(kept):
+    moduli, arguments = np.hypot(kept.real, kept.imag), np.arctan2(kept.imag, kept.real)
+    for bits in np.unique(arguments.view(np.int64)):
+        sweep = np.flatnonzero(arguments.view(np.int64) == bits)
+        m, theta = moduli[sweep], float(arguments[sweep[0]])
         rotation = cmath.rect(1.0, theta / alpha)
         for route, ids, data in _routes(alpha, sigmas, kept[sweep], m, theta, rotation):
             for j, i in enumerate(sweep[ids]):
@@ -709,36 +719,35 @@ def test_values_do_not_depend_on_position_or_companions(alpha):
     assert np.array_equal(np.array(ml_pair(alpha, pool[3::5])), want[:, ids])
     # and no z at all
     assert np.array(ml_pair(alpha, pool[:0])).shape == (2, 0)
-    # a mixed-argument array: sweeps along the four exact directions (-i)^beta
-    # and along two other arguments (scaling by powers of two keeps arctan2
-    # exact), shuffled into the pool.  Each sweep equals a call over that
-    # sweep alone, and along the exact directions the array entry's sweep
-    from tfedge.mittag_leffler import _ml_values, _order_constants
+    # sweeps on one argument, the array entry's (moduli at t = 1), along the
+    # four exact directions (-i)^beta and along two other arguments: each z's
+    # E is the same bit for bit in a shuffled sweep, in a sub-sweep and alone,
+    # and along the exact directions it is ml_pair's at the same z
+    from tfedge.mittag_leffler import _order_constants
 
     moduli = np.array([0.0, 0.5, 1.0, 2.0, 3.5, 5.0])
-    sweeps = [moduli * neg_i_power(beta) for beta in (0.0, 1.0, 2.0, 3.0)]
-    sweeps += [2.0 ** np.arange(-2.0, 4.0) * cmath.rect(1.0, angle) for angle in (0.3, -2.0)]
-    mixed = np.concatenate([pool] + sweeps)
-    shuffle = rng.permutation(mixed.size)
-    got = np.empty((2, mixed.size), dtype=complex)
-    got[:, shuffle] = ml_pair(alpha, mixed[shuffle])
-    for k, sweep in enumerate(sweeps):
-        ids = pool.size + np.arange(k * moduli.size, (k + 1) * moduli.size)
-        assert np.array_equal(np.array(ml_pair(alpha, sweep)), got[:, ids]), k
-        if k < 4:
-            assert np.array_equal(_ml_values(alpha, (alpha, 1.0), (1.0,), moduli, float(k))[:, 0], got[:, ids]), k
-    assert np.array_equal(got[:, : pool.size], want)
-    # an on-sheet sweep at arg z = pi alpha / 2 through the series' radius,
-    # its reach past it and the contour beyond: the series sums as many
-    # terms for a z within the radius as for one past it, so each z equals
-    # its lone call
+    for beta, radii in [(beta, moduli) for beta in (0.0, 1.0, 2.0, 3.0)] + [
+        (-2.0 * angle / math.pi, 2.0 ** np.arange(-2.0, 4.0)) for angle in (0.3, -2.0)
+    ]:
+        sweep = _entry_sweep(alpha, radii, beta)
+        shuffle = rng.permutation(radii.size)
+        assert np.array_equal(_entry_sweep(alpha, radii[shuffle], beta), sweep[:, shuffle]), beta
+        assert np.array_equal(_entry_sweep(alpha, radii[1::2], beta), sweep[:, 1::2]), beta
+        for i, r in enumerate(radii):
+            assert np.array_equal(_entry_sweep(alpha, radii[i : i + 1], beta), sweep[:, i : i + 1]), (beta, r)
+        if float(beta).is_integer():
+            assert np.array_equal(np.array(ml_pair(alpha, radii * neg_i_power(beta))), sweep), beta
+    # an on-sheet sweep at arg z = pi alpha / 2 (beta = -alpha) through the
+    # series' radius, its reach past it and the contour beyond: the series
+    # sums as many terms for a z within the radius as for one past it, so
+    # each z equals its one-z sweep, in either order
     radius = _order_constants(alpha, (-1.0,)).radius
     reach = _series_reach(alpha, 0.5 * math.pi * alpha, False)
     moduli = np.array([0.3, 0.99, 1.0, 1.01, 0.5 * (1.0 + reach / radius), 0.99 * reach / radius, 1.5 * reach / radius])
-    sweep = radius * moduli * cmath.exp(0.5j * math.pi * alpha)
-    lone = [[ml_eval(MLParams(alpha, sigma), zi) for zi in sweep] for sigma in (alpha, 1.0)]
-    assert np.array_equal(np.array(ml_pair(alpha, sweep)), lone)
-    assert np.array_equal(np.array(ml_pair(alpha, sweep[::-1])), np.array(lone)[:, ::-1])
+    radii = radius * moduli
+    lone = np.concatenate([_entry_sweep(alpha, radii[i : i + 1], -alpha) for i in range(radii.size)], axis=1)
+    assert np.array_equal(_entry_sweep(alpha, radii, -alpha), lone)
+    assert np.array_equal(_entry_sweep(alpha, radii[::-1], -alpha), lone[:, ::-1])
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
@@ -1098,16 +1107,16 @@ def test_domain_edge_matches_the_series(alpha):
     # integrand s^(alpha-sigma) / (s^alpha - z) is still of strength zero at
     # s = 0: against the mpmath series at 7 moduli from 0.05 to |z|^(1/alpha)
     # = 100 (at most 30) and 7 arguments in [0, pi], within 1e-12 (2.8e-14
-    # measured); each value equals its row of an array call bit for bit
-    from tfedge.mittag_leffler import _ml_at
+    # measured); each value equals its row of a lone sweep with sigma = alpha
+    # beside it, as ml_pair's, bit for bit
+    from tfedge.mittag_leffler import _lone
 
     sigma = 1.0 + alpha
     z = np.array([cmath.rect(m, theta) for m in np.geomspace(0.05, min(30.0, 100.0**alpha), 7)
                   for theta in np.linspace(0.0, math.pi, 7)])
-    values = _ml_at(alpha, (alpha, sigma), z)[1]
-    for zi, value in zip(z, values):
+    for zi in z:
         got = ml_eval(MLParams(alpha, sigma), zi)
-        assert got == value, zi
+        assert got == _lone(alpha, (alpha, sigma), zi)[1, 0], zi
         assert rel_err(got, ml_reference(alpha, sigma, zi, 30 + int(abs(zi) ** (1.0 / alpha) / 2.3))) <= 1e-12, zi
 
 
