@@ -18,6 +18,7 @@ import argparse
 import configparser
 import csv
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
@@ -129,8 +130,9 @@ def parse_config(
     """
     values: Dict[str, str] = {}
     if config_path is not None:
-        # no header names the defaults, so [DEFAULT] is an unknown section like any other
-        parser = configparser.ConfigParser(default_section="\n")
+        # no header names the defaults, so [DEFAULT] is an unknown section like
+        # any other; a value is taken as written, % and all, as an override is
+        parser = configparser.ConfigParser(default_section="\n", interpolation=None)
         # keep key case: grid.L must not silently become grid.l
         parser.optionxform = str  # type: ignore[method-assign]
         try:
@@ -225,14 +227,29 @@ def emit_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None
             writer.writerow([_format_cell(v) for v in row])
 
     if path:
-        try:
-            fh = open(path, "w", newline="", encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"output.path {path} cannot be written: {exc.strerror}") from None
-        with fh:
+        with _open_output(path, "w") as fh:
             write(fh)
     else:
         write(sys.stdout)
+
+
+def _open_output(path: str, mode: str):
+    """path opened for CSV text, or ConfigError saying why it cannot be."""
+    try:
+        return open(path, mode, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"output.path {path} cannot be written: {exc.strerror}") from None
+
+
+def _check_output(path: str) -> None:
+    """Refuse before any work an output.path emit_csv could not open: the same
+    open, appending so a file there keeps its bytes, and a file it creates is
+    removed again, so a run that fails later leaves nothing behind."""
+    if path:
+        created = not os.path.lexists(path)
+        _open_output(path, "a").close()
+        if created:
+            os.remove(path)
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +331,7 @@ def cmd_current(cfg: RunConfig) -> int:
         return (t, jd, ja, logj, regime, "Direct")
 
     rows = [row(t, jd) for t, jd in zip(times, swept)]
-    emit_csv(
-        cfg.path,
-        ["t", "J_direct", "J_asymptotic", "logJ", "regime", "method"],
-        rows,
-    )
+    emit_csv(cfg.path, ["t", "J_direct", "J_asymptotic", "logJ", "regime", "method"], rows)
     return 0
 
 
@@ -333,11 +346,7 @@ def cmd_msd(cfg: RunConfig) -> int:
         (t, br.A / norm, br.B / norm, br.C / norm, br.F / norm, br.total / norm, leading)
         for t, br in zip(times, _msd_channels(order, table, times))
     ]
-    emit_csv(
-        cfg.path,
-        ["t", "A", "B", "C", "F", "total", "leading_model"],
-        rows,
-    )
+    emit_csv(cfg.path, ["t", "A", "B", "C", "F", "total", "leading_model"], rows)
     return 0
 
 
@@ -395,43 +404,19 @@ def cmd_verify(cfg: RunConfig) -> int:
         else:
             times = np.geomspace(1e-2, 1e3, 40)
         cert = certify_bounds(order, _VERIFY_SPECTRUM, times)
-        residual = max(
-            caputo_residual(order, 2.0, T) for T in (0.5, 1.0, 2.0)
-        )
+        residual = max(caputo_residual(order, 2.0, T) for T in (0.5, 1.0, 2.0))
         ok = bool(cert.passed and residual <= 1e-3)
         all_ok = all_ok and ok
-        rows.append(
-            (
-                order.alpha,
-                order.beta,
-                regime,
-                cert.constant,
-                cert.refined_constant,
-                cert.rel_drift,
-                # about the digits caputo_residual fixes (see its docstring)
-                f"{residual:.6g}",
-                ok,
-            )
-        )
+        # the residual to about the digits caputo_residual fixes (see its docstring)
+        rows.append((order.alpha, order.beta, regime, cert.constant, cert.refined_constant, cert.rel_drift,
+                     f"{residual:.6g}", ok))
         print(
             f"{regime:<24} C={cert.constant:.6g} drift={cert.rel_drift:.3e} "
             f"residual={residual:.3e} {'PASS' if ok else 'FAIL'}"
         )
     if cfg.path:
-        emit_csv(
-            cfg.path,
-            [
-                "alpha",
-                "beta",
-                "regime",
-                "C",
-                "C_refined",
-                "rel_drift",
-                "caputo_residual",
-                "pass",
-            ],
-            rows,
-        )
+        header = ["alpha", "beta", "regime", "C", "C_refined", "rel_drift", "caputo_residual", "pass"]
+        emit_csv(cfg.path, header, rows)
     return 0 if all_ok else 1
 
 
@@ -473,6 +458,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_ml_eval(args)
         overrides = _parse_override_tokens(leftovers)
         cfg = parse_config(args.config, overrides)
+        # every other subcommand writes CSV
+        _check_output(cfg.path)
         if args.command == "spectrum":
             return cmd_spectrum(cfg, args.with_cap)
         if args.command == "current":

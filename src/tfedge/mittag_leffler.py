@@ -46,7 +46,7 @@ Two cases take exact routes:
 
 E is evaluated at Im z >= 0 and conjugated below the real axis, so
 E(conj z) == conj E(z) bit for bit.  A value that is not finite is
-refused with OverflowGuard, by one check at the end of each sweep.
+refused with OverflowGuard, by one check at the end of each sweep (Sum |E|^2).
 
 One routing pass serves every call, by sweeps: the z of one argument, on
 one ray from the origin.  _ml_values, the array entry of the library's
@@ -61,7 +61,9 @@ vertex and one small-integer route group are formed (_sweep); a contour
 group names its parabola and its rows, shifted at |z| >= 1 only.  Each
 group is evaluated where it is found, writing into the one output array, so
 a time sample over a quadrature table is one reciprocal per entry of a
-Cauchy matrix 1/(z_i - s_j^alpha) and one BLAS dot product per sigma and z.
+Cauchy matrix 1/(z_i - s_j^alpha) and one BLAS dot product per sigma and z;
+a group whose matrix fits one block (up to 95 z on the 67 nodes of the
+parabola past the clip) takes its z, exponents and output unsliced.
 The E at a z is a function of (alpha, sigma, z) alone: it does not depend
 on its position, on the other z or on the other sigmas of the call, bit for
 bit, so a row of ml_pair equals ml_eval at the same z and sigma.
@@ -336,20 +338,28 @@ def _contour(alpha, sigmas, z, ids, parabola, exponents, factor, out, shifted):
     write into out, or in out itself where ids takes every z.
     """
     s_alpha, weights = _nodes(alpha, sigmas, parabola, shifted)
-    z = z[ids]
+    # where ids takes every z the sums go straight into out
+    whole, weights = isinstance(ids, slice), weights[:, None, :]
+    if not whole:
+        z = z[ids]
     block = _CAUCHY_CELLS // s_alpha.size
-    whole = isinstance(ids, slice)
-    for start in range(0, z.size, block):
-        rows = slice(start, start + block)
-        g = np.subtract.outer(z[rows], s_alpha)
+    # per block its z, its columns of out (or its ids) and its exponents: one
+    # block, the usual case, takes them unsliced
+    if z.size <= block:
+        blocks = [(z, out if whole else ids, exponents)]
+    else:
+        spans = [slice(start, start + block) for start in range(0, z.size, block)]
+        blocks = [(z[s], out[:, s] if whole else ids[s], None if exponents is None else exponents[:, s]) for s in spans]
+    for zb, at, exps in blocks:
+        g = np.subtract.outer(zb, s_alpha)
         np.reciprocal(g, out=g)
-        values = np.vecdot(weights[:, None, :], g, out=out[:, rows] if whole else None)
+        values = np.vecdot(weights, g, out=at if whole else None)
         for k in shifted:
-            values[k] /= z[rows]
-        if exponents is not None:
-            values += np.exp(exponents[:, rows]) * factor
+            values[k] /= zb
+        if exps is not None:
+            values += np.exp(exps) * factor
         if not whole:
-            out[:, ids[rows]] = values
+            out[:, at] = values
 
 
 # ---------------------------------------------------------------------------
@@ -630,10 +640,11 @@ def _sweep(alpha, sigmas, z, m, rho, extremes, theta, rotation):
     alpha) / alpha (_residue_row) where it passes left of s*.
 
     Past double range rho, a residue or a value turns inf or nan, quietly
-    (the caller's np.errstate); the sum of the values (a check per value
-    only where it is not finite) refuses a value that is not finite with
-    OverflowGuard, naming the first such row and its z as given, after the
-    z of rho = inf on the decay side are taken without their residue, 0."""
+    (the caller's np.errstate); Sum |E|^2 (one BLAS dot; a check per value
+    only where it is not finite, as past |E| = 1e154) refuses a value that
+    is not finite with OverflowGuard, naming the first such row and its z
+    as given, after the z of rho = inf on the decay side are taken without
+    their residue, 0."""
     lower = math.copysign(1.0, theta) < 0.0
     upper = z.conj() if lower else z
     theta = abs(theta)
@@ -692,8 +703,7 @@ def _sweep(alpha, sigmas, z, m, rho, extremes, theta, rotation):
             _contour(alpha, sigmas, upper, ids, parabola, exponents, factor, values, () if unshifted else shifted)
     if theta in (0.0, math.pi):
         values.imag = 0.0
-    total = np.add.reduce(values, axis=None)
-    if not cmath.isfinite(total) and not (finite := np.isfinite(values)).all():
+    if not cmath.isfinite(np.vdot(values, values)) and not (finite := np.isfinite(values)).all():
         if not exp and theta < math.pi * alpha and rotation.real < 0.0:
             # a decaying pole past double range: its residue e^(s*), Re s* =
             # -inf, is 0, not the nan of its exponent inf - inf
@@ -790,9 +800,7 @@ def ml_pair(alpha: float, z):
     ml_eval's; the library's sweeps (_ml_values) take the direction exactly
     and rho = t lambda^(1/alpha): on the beta = alpha rays |E| differs from
     theirs by up to 3e-16 |s*| relative.  No library path calls it: batched
-    sweeps are _ml_values' job, and here each element pays a lone sweep's
-    routing (400 z on one argument, 2-core host: 6.9 ms, 0.5 ms as one
-    sweep).
+    sweeps are _ml_values' job (see the README for what a lone sweep costs).
     """
     if not (0.0 < alpha <= 1.0):
         raise DomainError(f"ml_pair requires alpha in (0, 1], got {alpha!r}")

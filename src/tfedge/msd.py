@@ -95,7 +95,7 @@ def _msd_channels(order, tab, times):
     """MSDBreakdown at each time from the exact kernel (one evaluator call;
     OverflowGuard past double range)."""
     return [
-        MSDBreakdown(A=A, B=B, C=C, F=F, total=_finite(A + B + C + F, "msd(t)"))
+        MSDBreakdown(A, B, C, F, _finite(A + B + C + F, "msd(t)"))
         for A, B, C, F in _exact(order, tab, times, ("A", "B", "C", "F"))
     ]
 
@@ -120,7 +120,8 @@ def msd_assembled(
     are not read: perfbench's workloads still pass them.
     """
     a = order.alpha
-    (eaa,), (ea1,) = _ml_over_times(order, table, [t])
+    e = _ml_over_times(order, table, [t])
+    eaa, ea1 = e[0, 0], e[1, 0]
     with np.errstate(over="ignore", invalid="ignore"):
         g = t**a * neg_i_power(order.beta) * table.dlam * table.chi_vals * eaa + table.dchi_vals * ea1
         dens = np.abs(g) ** 2 + table.chi_vals**2 * np.abs(ea1) ** 2 * table.cap

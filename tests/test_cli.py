@@ -70,6 +70,19 @@ def test_config_rejections(tmp_path):
             parse_config(str(defaults))
 
 
+def test_config_values_are_taken_as_written(tmp_path):
+    # a file's value is the value, % and all, as the same --section.key
+    # override is: no interpolation, so neither a refusal as malformed nor
+    # an expansion
+    path = tmp_path / "percent.ini"
+    path.write_text("[output]\npath = run%1.csv\n")
+    assert parse_config(str(path)).path == "run%1.csv"
+    assert parse_config(None, {("output", "path"): "run%1.csv"}).path == "run%1.csv"
+    path.write_text("[order]\nalpha = 5%\n")
+    with pytest.raises(ConfigError, match=re.escape("order.alpha must be a number, got '5%'")):
+        parse_config(str(path))
+
+
 @pytest.mark.parametrize(
     "overrides,message",
     [
@@ -380,6 +393,34 @@ def test_exit_codes(tmp_path, capsys):
     for path, reason in ((tmp_path / "missing" / "out.csv", "No such file or directory"), (tmp_path, "Is a directory")):
         assert main(["spectrum", *FAST, "--output.path", str(path)]) == 2
         assert f"output.path {path} cannot be written: {reason}" in capsys.readouterr().err
+
+
+def test_output_path_is_checked_before_any_work(tmp_path, capsys, monkeypatch):
+    # every CSV subcommand refuses an output.path it could not write before
+    # any work, with emit_csv's message: fiber_band, which every table build
+    # and window check calls, and verify's certification raise if called
+    import tfedge.edge_current as ec
+    import tfedge.wavepacket as wavepacket
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before output.path was checked")
+
+    capsys.readouterr()
+    with monkeypatch.context() as patch:
+        for module, name in ((ec, "fiber_band"), (wavepacket, "fiber_band"), (cli, "certify_bounds")):
+            patch.setattr(module, name, no_work)
+        for command in ("spectrum", "current", "msd", "regimes", "verify"):
+            for path, reason in ((tmp_path / "missing" / "out.csv", "No such file or directory"), (tmp_path, "Is a directory")):
+                assert main([command, *FAST, "--output.path", str(path)]) == 2, command
+                assert f"output.path {path} cannot be written: {reason}" in capsys.readouterr().err
+    # the check leaves no file behind: a run that fails after it keeps a file
+    # already there byte for byte and creates none
+    kept, fresh = tmp_path / "kept.csv", tmp_path / "fresh.csv"
+    kept.write_bytes(b"an earlier run\r\n")
+    for path in (kept, fresh):
+        assert main(["current", *FAST, "--grid.L", "2", "--output.path", str(path)]) == 3
+    assert kept.read_bytes() == b"an earlier run\r\n"
+    assert not fresh.exists()
 
 
 def test_run_to_run_identical_output(tmp_path):

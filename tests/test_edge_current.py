@@ -256,42 +256,65 @@ def test_split_models_match_their_formulas(alpha, beta, model, profile, grid, ru
 
 
 # (order, window): a growth, a plateau and a decay order on the windows that
-# `tfedge regimes` fits
+# `tfedge regimes` fits; (1/2, 1) on the ray, whose sweep over [10, 600]
+# splits into the ray's reaches 0, 1 and 2; the plateau and decay orders of
+# perfbench's spreading workload, on the contour with the pole's residue;
+# and (1, 1), where E_{1,1}(z) = exp(z)
 TRACE_CASES = [
     (FractionalOrder(0.5, 0.25), (20.0, 80.0)),
     (FractionalOrder(0.5, 0.5), (1e2, 1e4)),
     (FractionalOrder(0.5, 0.75), (1e2, 1e4)),
+    (FractionalOrder(0.5, 1.0), (10.0, 600.0)),
+    (FractionalOrder(0.8, 0.8), (20.0, 1e5)),
+    (FractionalOrder(0.8, 1.0), (20.0, 1e5)),
+    (FractionalOrder(1.0, 1.0), (1.0, 1e2)),
 ]
+TRACE_IDS = ["growth", "plateau", "decay", "ray", "spreading-plateau", "spreading-decay", "exp"]
 
 
-@pytest.mark.parametrize("order,window", TRACE_CASES, ids=["growth", "plateau", "decay"])
-def test_traces_equal_per_time_evaluations(order, window, model, profile, grid, rule, table):
-    # on these windows one _ml_values call over every (time, node) pair gives
-    # the per-time values bit for bit; the CLI's regimes output depends on it
-    times = np.geomspace(*window, 13)
+def _assert_one_time_values_are_the_sweeps(order, times, model, profile, grid, rule, table, monkeypatch):
+    """current_direct, msd_direct (all four channels and the total) and
+    msd_assembled at each time equal, bit for bit, the values of one sweep
+    over every time: current_trace, msd_trace and its channels, and
+    msd_assembled on its column of the sweep's E."""
+    import tfedge.msd as msd_module
+    from tfedge.edge_current import _ml_over_times
+    from tfedge.msd import _msd_channels
+
     tr = current_trace(order, table, times)
     assert tr.method == "Direct"
     assert np.array_equal(tr.times, times)
     direct = [current_direct(order, model, profile, grid, rule, t, table) for t in times]
     assert np.array_equal(tr.values, direct)
-    msd = [msd_direct(order, model, profile, grid, rule, t, table).total for t in times]
-    assert np.array_equal(msd_trace(order, table, times).values, msd)
+    breakdowns = [msd_direct(order, model, profile, grid, rule, t, table) for t in times]
+    channels = [[b.A, b.B, b.C, b.F, b.total] for b in breakdowns]
+    assert np.array_equal([[b.A, b.B, b.C, b.F, b.total] for b in _msd_channels(order, table, times)], channels)
+    assert np.array_equal(msd_trace(order, table, times).values, [b.total for b in breakdowns])
+    sweep = _ml_over_times(order, table, times)
+    for i, t in enumerate(times):
+        alone = msd_assembled(order, model, profile, grid, rule, t, table)
+        with monkeypatch.context() as patch:
+            patch.setattr(msd_module, "_ml_over_times", lambda *_: sweep[:, i : i + 1])
+            assert msd_assembled(order, model, profile, grid, rule, t, table) == alone, t
 
 
-@pytest.mark.parametrize(
-    "order", [order for order, _ in TRACE_CASES], ids=["growth", "plateau", "decay"]
-)
+@pytest.mark.parametrize("order,window", TRACE_CASES, ids=TRACE_IDS)
+def test_traces_equal_per_time_evaluations(order, window, model, profile, grid, rule, table, monkeypatch):
+    # on these windows one _ml_values call over every (time, node) pair gives
+    # the per-time values bit for bit; the CLI's regimes output depends on it
+    times = np.geomspace(*window, 13)
+    _assert_one_time_values_are_the_sweeps(order, times, model, profile, grid, rule, table, monkeypatch)
+
+
+@pytest.mark.parametrize("order", [order for order, _ in TRACE_CASES], ids=TRACE_IDS)
 def test_traces_match_per_time_evaluations_at_early_times(
-    order, model, profile, grid, rule, table
+    order, model, profile, grid, rule, table, monkeypatch
 ):
     # for t <= 1 _ml_values groups a node's z with different companions in the
     # two calls; each z's contour sum runs in the same order whatever its
     # companions, so E and the sums over nodes agree bit for bit
     times = np.geomspace(1e-2, 1.0, 30)
-    direct = [current_direct(order, model, profile, grid, rule, t, table) for t in times]
-    assert np.array_equal(current_trace(order, table, times).values, direct)
-    msd = [msd_direct(order, model, profile, grid, rule, t, table).total for t in times]
-    assert np.array_equal(msd_trace(order, table, times).values, msd)
+    _assert_one_time_values_are_the_sweeps(order, times, model, profile, grid, rule, table, monkeypatch)
 
 
 def test_each_sweep_is_one_evaluator_call(table, monkeypatch):
