@@ -27,12 +27,14 @@ import numpy as np
 
 from .edge_current import (
     FractionalOrder,
+    _algebraic,
     _band_roots,
     _current_values,
+    _decay_order,
+    _split,
     build_spectral_table,
     classify_regime,
     current_asymptotic_case1,
-    current_asymptotic_case2,
     current_trace,
     decay_exponent,
     fit_exponent,
@@ -298,10 +300,10 @@ def cmd_spectrum(cfg: RunConfig, with_cap: bool) -> int:
 
 
 def _asymptotic_companion(order, table):
-    """The closed-form model matching the regime of the order pair."""
+    """The closed-form model of the order pair's regime: case 1, or J's leading decay order (_decay_order)."""
     if order.beta <= order.alpha:
         return lambda t: current_asymptotic_case1(order, table, t)
-    return lambda t: current_asymptotic_case2(order, table, t)
+    return lambda t: _split(order, table, t, "J", _algebraic("J", _decay_order(order)))
 
 
 def cmd_current(cfg: RunConfig) -> int:

@@ -362,14 +362,14 @@ def _pairs(order, name, pairs):
             yield coef, m_l + m_r, e_l * u + e_r * u.conjugate()
 
 
-def _split(order, tab, t, name, pairs, shift=0.0):
+def _split(order, tab, t, name, pairs):
     """Channel `name` with E_L and E_R replaced by the split terms k_L and
     k_R of each (k_L, k_R) in pairs, summed over the pairs.
 
     Each pair is read from _pairs, its phase joined with the channel's in
     one exact power of -i.  A pair with no growth factor (both algebraic, or
     both residues on beta = alpha) is a power of lambda, which J takes by
-    parts.  Every exponent is lowered by shift.
+    parts.
     """
     if not t > 0.0:
         raise DomainError(f"the closed-form models require t > 0, got {t!r}")
@@ -381,9 +381,9 @@ def _split(order, tab, t, name, pairs, shift=0.0):
         for coef, m, rate in _pairs(order, name, pairs):
             if rate == 0.0:
                 power = ch.by_parts(tab, m) if ch.by_parts else weight * tab.lam**m
-                nodes = power * (coef.real * math.exp(-shift))
+                nodes = power * coef.real
             else:
-                growth = np.exp(t * lam_root * rate - shift)
+                growth = np.exp(t * lam_root * rate)
                 nodes = weight * tab.lam**m * (coef * growth).real
             scales.append(_scale(ch, order.alpha, t, m))
             sums.append(_fsum((tab.rule.weights * nodes).tolist()))
@@ -400,22 +400,22 @@ def _algebraic(name, n):
 _CASE1 = ((0, 0), (0, 1))
 
 
-def decay_exponent(order: FractionalOrder) -> Optional[float]:
-    """Power-law exponent -(1 + n alpha) of J in the decay regime, else None.
-
-    n is the first algebraic order whose term pairs do not cancel: 3 in
-    general, 4 at alpha = 1/2.  The pairs of one order (_algebraic) share
-    the power lambda^m, so the order vanishes with the sum of the real parts
-    of their coefficients (_pairs), and no table is needed.  DomainError if
-    every order up to 7 cancels, as at alpha = 1/2, beta = 1, where J is
-    exponentially small.
-    """
-    if order.beta <= order.alpha:
-        return None
+def _decay_order(order):
+    """The first algebraic order n of J whose term pairs do not cancel: 3 in
+    general, 4 at alpha = 1/2.  The pairs of one order (_algebraic) share the
+    power lambda^m, so it vanishes with the sum of the real parts of their
+    coefficients (_pairs), and no table is needed.  DomainError if every order
+    up to 7 cancels, as at (1/2, 1), where J is exponentially small."""
     for n in range(1, 8):
         if math.fsum(coef.real for coef, _, _ in _pairs(order, "J", _algebraic("J", n))) != 0.0:
-            return -(1.0 + n * order.alpha)
+            return n
     raise DomainError(f"every algebraic order up to 7 vanishes at alpha={order.alpha}, beta={order.beta}")
+
+
+def decay_exponent(order: FractionalOrder) -> Optional[float]:
+    """Power-law exponent -(1 + n alpha) of J in the decay regime, else None;
+    n is the leading algebraic order (_decay_order)."""
+    return None if order.beta <= order.alpha else -(1.0 + _decay_order(order) * order.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -466,15 +466,16 @@ def current_asymptotic_case1(order: FractionalOrder, table: SpectralTable, t: fl
     current_naber).  At alpha = 1 the second term vanishes.  OverflowGuard
     once a node value leaves double range; log_current_case1 goes on.
     """
-    return _case1(order, table, t)
+    return _split(_case1(order), table, t, "J", _CASE1)
 
 
-def _case1(order, table, t, shift=0.0):
+def _case1(order):
+    """order, or DomainError off the case-1 side beta <= alpha."""
     if order.beta > order.alpha:
         raise DomainError(
             f"case-1 model requires beta <= alpha, got alpha={order.alpha}, beta={order.beta}"
         )
-    return _split(order, table, t, "J", _CASE1, shift)
+    return order
 
 
 def current_asymptotic_case2(order: FractionalOrder, table: SpectralTable, t: float) -> float:
@@ -523,22 +524,29 @@ def current_naber(
     return current_asymptotic_case1(FractionalOrder(alpha, alpha), table, t)
 
 
-def log_current_case1(
-    order: FractionalOrder, table: SpectralTable, t: float
-) -> Tuple[float, float]:
-    """(sign, ln|J|) of current_asymptotic_case1, valid past double overflow.
-
-    The largest growth exponent, 2 t max(lambda)^(1/alpha) cos theta, is
-    factored out of every node value before the sum, so t is limited only
-    by that exponent staying inside double range (~1e308), not by J itself
-    being representable.
-    """
-    rate = 2.0 * neg_i_power(order.beta / order.alpha).real
-    shift = t * _band_roots(table, order.alpha)[1][3] * rate
-    value = _case1(order, table, t, shift)
-    if value == 0.0:
+def log_current_case1(order: FractionalOrder, table: SpectralTable, t: float) -> Tuple[float, float]:
+    """(sign, ln|J|) of current_asymptotic_case1 past double overflow: a
+    signed log-sum-exp (Blanchard, Higham and Higham, IMA J. Numer. Anal. 41
+    (2021) 2311) of the case-1 node terms, of logs ln|scale w weight lambda^m
+    Re{coef e^(i t g Im rate)}| + t g Re rate, g = lambda^(1/alpha); so a zero
+    weight adds zero, and t is bounded by t g rate < ~1e308 alone."""
+    if not t > 0.0:
+        raise DomainError(f"the closed-form models require t > 0, got {t!r}")
+    ch, g = _CHANNELS["J"], _band_roots(table, order.alpha)[0]
+    terms, exponents = [], []
+    for coef, m, rate in _pairs(_case1(order), "J", _CASE1):
+        power = ch.by_parts(table, m) if rate == 0.0 else ch.weight(table) * table.lam**m
+        phased = (coef * np.exp(1j * t * g * rate.imag) * power).real
+        terms.append(_scale(ch, order.alpha, t, m) * table.rule.weights * phased)
+        exponents.append(t * g * rate.real)
+    terms = np.concatenate(terms)
+    with np.errstate(divide="ignore"):
+        logs = np.log(np.abs(terms)) + np.concatenate(exponents)
+    top = logs.max()
+    value = math.fsum((np.sign(terms) * np.exp(logs - top)).tolist())
+    if not abs(value) > 0.0:
         raise DomainError("the case-1 sum cancels completely; no log value")
-    return (math.copysign(1.0, value), shift + math.log(abs(value)))
+    return math.copysign(1.0, value), top + math.log(abs(value))
 
 
 # ---------------------------------------------------------------------------

@@ -51,22 +51,21 @@ refused with OverflowGuard, by one check at the end of each sweep (Sum |E|^2).
 One routing pass serves every call, by sweeps: the z of one argument, on
 one ray from the origin.  _ml_values, the array entry of the library's
 sweeps, takes the z = (-i)^beta t^alpha lambda of a sweep as times t,
-lambdas and beta, and rho = |z|^(1/alpha) as t lambda^(1/alpha) (_roots); a
-lone z, of ml_eval or of each element of ml_pair, is a one-element sweep
-(_lone).  Each hands the sweep its moduli, rho and their extremes.  What
-the orders alone decide is kept across calls (_order_constants), what the
-sweep's argument decides (the ray, the sheet, the conjugation, the pole's
-angle) is decided once with Python scalars, and per z only the pole's
-vertex and one small-integer route group are formed (_sweep); a contour
-group names its parabola and its rows, shifted at |z| >= 1 only.  Each
-group is evaluated where it is found, writing into the one output array, so
-a time sample over a quadrature table is one reciprocal per entry of a
-Cauchy matrix 1/(z_i - s_j^alpha) and one BLAS dot product per sigma and z;
-a group whose matrix fits one block (up to 95 z on the 67 nodes of the
-parabola past the clip) takes its z, exponents and output unsliced.
-The E at a z is a function of (alpha, sigma, z) alone: it does not depend
-on its position, on the other z or on the other sigmas of the call, bit for
-bit, so a row of ml_pair equals ml_eval at the same z and sigma.
+lambdas and beta, and rho = |z|^(1/alpha) as t lambda^(1/alpha) (_roots);
+the lone z of ml_eval is a one-element sweep.  Each hands the sweep its
+moduli, rho and their extremes.  What the orders alone decide is kept
+across calls (_order_constants), what the sweep's argument decides (the
+ray, the sheet, the conjugation, the pole's angle) is decided once with
+Python scalars, and per z only the pole's vertex and one small-integer
+route group are formed (_sweep); a contour group names its parabola and its
+rows, shifted at |z| >= 1 only.  Each group is evaluated where it is found,
+writing into the one output array, so a time sample over a quadrature table
+is one reciprocal per entry of a Cauchy matrix 1/(z_i - s_j^alpha) and one
+BLAS dot product per sigma and z; a group whose matrix fits one block (up
+to 95 z on the 67 nodes of the parabola past the clip) takes its z,
+exponents and output unsliced.  The E at a z is a function of (alpha,
+sigma, z) alone: it does not depend on its position, on the other z or on
+the other sigmas of the call, bit for bit.
 
 Poles share parabolas: a parabola built for a pole at vertex phi stays
 valid for every pole farther from it on the same side, so the pole
@@ -92,7 +91,6 @@ __all__ = [
     "gamma_reciprocal",
     "neg_i_power",
     "ml_eval",
-    "ml_pair",
     "ml_deriv",
 ]
 
@@ -413,9 +411,9 @@ def _ray_rows(alpha, sigmas, reach):
     rule of the longest tail, that of r0 = 1, serves every r0.
 
     Kept across calls, as _nodes keeps the contour's nodes.  An order and
-    its sigmas have one entry per reach (at most 4 x 508 doubles for
-    ml_pair's two sigmas, 16 KB); a transport sweep at alpha = 1/2,
-    beta = 1 leaves two, at reach 0 and 1.
+    its sigmas have one entry per reach (at most 4 x 508 doubles for the
+    sigmas alpha and 1, 16 KB); a transport sweep at alpha = 1/2, beta = 1
+    leaves two, at reach 0 and 1.
     """
     delta, r_cut = _ray_intervals(alpha, 1.0)
     ts_nodes, ts_weights = _tanh_sinh(1.0 / 32.0, 3.2)
@@ -756,21 +754,6 @@ def _ml_values(alpha, sigmas, times, lam, beta, roots=None):
         return _sweep(alpha, sigmas, m * u, m, rho, extremes, math.atan2(u.imag, u.real), rotation).reshape(shape)
 
 
-def _lone(alpha, sigmas, z):
-    """E_{alpha,sigma}(z) for each sigma in sigmas at one z, shape
-    (len(sigmas), 1): a one-element sweep, with |z| and arg z from numpy's
-    hypot and arctan2; DomainError for a z with a NaN or infinite
-    component."""
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise DomainError(f"E_{{{alpha},{sigmas[0]}}} needs a finite z, got {z!r}")
-    z = np.array([z])
-    m, theta = np.hypot(z.real, z.imag), float(np.arctan2(z.imag, z.real)[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        rho = m ** (1.0 / alpha)
-        return _sweep(alpha, sigmas, z, m, rho, _ends(m) + _ends(rho), theta, cmath.rect(1.0, abs(theta) / alpha))
-
-
 def ml_eval(params: MLParams, z: complex) -> complex:
     """Evaluate E_{alpha,sigma}(z) anywhere in the complex plane, for the
     0 < alpha <= 1 and sigma <= 1 + alpha of MLParams.
@@ -783,37 +766,18 @@ def ml_eval(params: MLParams, z: complex) -> complex:
     series past its radius, |z| <= M(|arg z|), was within 1.1e-14 of the
     40-digit mpmath series on 2 688 points (alpha 0.4 to 1, sigma in
     {alpha, 1, 0, -1}).  Raises DomainError for a z with a NaN or infinite
-    component and OverflowGuard where E leaves double range.  A lone sweep
-    (_lone), as each element of ml_pair is.
+    component and OverflowGuard where E leaves double range.  A one-element
+    sweep, with |z| and arg z from numpy's hypot and arctan2.
     """
-    return _lone(params.alpha, (params.sigma,), z).item()
-
-
-def ml_pair(alpha: float, z):
-    """(E_{alpha,alpha}(z), E_{alpha,1}(z)) at every element of the array z.
-
-    The two functions of the transport integrands: one lone sweep (_lone)
-    per element takes both sigmas, so its parabola's nodes serve both.
-    Equals ml_eval element by element, bit for bit, with the same errors; a
-    z that is not finite is refused before any value is formed.  Its poles'
-    direction and rho are the rounded arg z's and |z|^(1/alpha), as
-    ml_eval's; the library's sweeps (_ml_values) take the direction exactly
-    and rho = t lambda^(1/alpha): on the beta = alpha rays |E| differs from
-    theirs by up to 3e-16 |s*| relative.  No library path calls it: batched
-    sweeps are _ml_values' job (see the README for what a lone sweep costs).
-    """
-    if not (0.0 < alpha <= 1.0):
-        raise DomainError(f"ml_pair requires alpha in (0, 1], got {alpha!r}")
-    z = np.asarray(z, dtype=complex)
-    flat = z.ravel()
-    if not (finite := np.isfinite(flat)).all():
-        raise DomainError(f"E_{{{alpha},{alpha}}} needs a finite z, got {complex(flat[np.argmin(finite)])!r}")
-    values = np.empty((2, flat.size), dtype=complex)
-    for i, zi in enumerate(flat.tolist()):
-        values[:, i] = _lone(alpha, (alpha, 1.0), zi)[:, 0]
-    values = values.reshape((2,) + z.shape)
-    # arrays of z's shape, 0-d for a scalar z
-    return values[0, ...], values[1, ...]
+    alpha, sigmas = params.alpha, (params.sigma,)
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"E_{{{alpha},{sigmas[0]}}} needs a finite z, got {z!r}")
+    z = np.array([z])
+    m, theta = np.hypot(z.real, z.imag), float(np.arctan2(z.imag, z.real)[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = m ** (1.0 / alpha)
+        return _sweep(alpha, sigmas, z, m, rho, _ends(m) + _ends(rho), theta, cmath.rect(1.0, abs(theta) / alpha)).item()
 
 
 def ml_deriv(alpha: float, z: complex) -> complex:

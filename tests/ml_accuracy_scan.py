@@ -4,10 +4,14 @@
 
 OLD_SRC and NEW_SRC are directories holding a `tfedge` package (for example
 `src` of two checkouts).  Each point is evaluated by ml_eval and by the
-array form (`ml_pair` on the array [z, 2 z]) of each tree, on one grid:
-alpha in {0.1, 0.2, 0.3, 0.5, 0.7, 0.8, 0.95}, sigma in {alpha, 1}, 16
-moduli |z| from 0.01 to 1e3 and 0.9 and 1.1 times the Taylor series'
-radius of NEW_SRC (where the sweep switches from the series to the
+array entry of the library's sweeps of each tree (`_ml_values` at t = 1 on
+the moduli [|z|, 2 |z|] along (-i)^beta, beta = -2 arg z / pi).  That
+entry is polar: it takes |z| as given and the poles' direction from beta,
+so it rounds z apart from ml_eval, which takes |z| and arg z of the
+complex z, and the two may differ by the rounding of z times E's condition
+number.  One grid: alpha in {0.1, 0.2, 0.3, 0.5, 0.7, 0.8, 0.95}, sigma in
+{alpha, 1}, 16 moduli |z| from 0.01 to 1e3 and 0.9 and 1.1 times the
+Taylor series' radius of NEW_SRC (where the sweep switches from the series to the
 contour), and 11 arguments in [0, pi], those on the ray arg z = pi alpha
 moved 0.03 pi off it.  Both are compared with mpmath references at z: the
 power series (ml_reference) for |z| <= 3 with |z|^(1/alpha) <= 100, and
@@ -31,15 +35,14 @@ sigma in {0, -1} has rows of its own too (770 points): |z| in {1e-3, 1e-2,
 0.1} and 0.9 and 1.1 times the radius at the 11 arguments, against the
 series.  There 1/Gamma(sigma) = 0 leaves E ~ z / Gamma(sigma + alpha)
 small, which the contour's absolute 1e-14 can miss; these rows show each
-tree's ml_eval errors (ml_pair has no such sigma) and its points over
-1e-12 inside the radius and past it.
+tree's ml_eval errors and its points over 1e-12 inside the radius and past
+it.
 
 The series' reach has rows of its own as well (168 points): sigma in
 {alpha, 1, 0, -1} at 0.9 and 1.1 times M(theta) = min(R, (ln 16 / (1 -
 cos(theta / alpha)))^alpha), the modulus up to which NEW_SRC sums the
 series past its radius on the principal sheet (R the radius uncapped), at
-three arguments theta in [0, pi alpha), against the series (the array
-columns nan at sigma in {0, -1}).  They show
+three arguments theta in [0, pi alpha), against the series.  They show
 each tree's worst error either side of M(theta) and the points newly over
 1e-12.
 
@@ -237,12 +240,11 @@ def value(package, alpha, sigma, z):
 
 
 def array_values(package, alpha, sigma, z):
-    """ml_pair's E at z and 2 z for sigma in {alpha, 1}, nan for another
-    sigma, or the name of the error it raises."""
-    if sigma not in (alpha, 1.0):
-        return np.full(2, math.nan)
+    """The array entry's E at z and 2 z, one sweep along arg z, or the name
+    of the error it raises."""
+    beta = -2.0 * cmath.phase(z) / math.pi
     try:
-        return package.ml_pair(alpha, np.array([z, 2.0 * z]))[int(sigma != alpha)]
+        return package.mittag_leffler._ml_values(alpha, (sigma,), (1.0,), [abs(z), 2.0 * abs(z)], beta)[0, 0]
     except Exception as refusal:  # noqa: BLE001
         return type(refusal).__name__
 
@@ -312,7 +314,7 @@ def main(old_src, new_src):
     for alpha, sigma, r, arg, (e_old, e_new) in newly:
         print(f"  alpha={alpha} sigma={sigma:g} |z|={r:.4g} arg z={arg:.3f} pi: {e_old:.1e} -> {e_new:.1e}")
     print(f"refused by ml_eval in old, answered in new: {len(answered)}, worst error "
-          f"{max((e for e, _ in answered), default=math.nan):.1e} (ml_pair "
+          f"{max((e for e, _ in answered), default=math.nan):.1e} (array "
           f"{np.fmax.reduce([a for _, a in answered]) if answered else math.nan:.1e})")
     worse = [p for p in paired if p[1] > p[0]]
     print(f"sigma in {{alpha, 1}}: ml_eval error larger in new at {len(worse)} of {len(paired)} points, "

@@ -262,6 +262,39 @@ def test_current_command(tmp_path):
         assert abs(ja - jd) <= 5e-2 * abs(jd)
 
 
+@pytest.mark.parametrize("order", [
+    ["--order.alpha", "0.1", "--order.beta", "0.05"],
+    ["--order.beta", "0.25", "--time.t_max", "1e5"],
+    ["--order.alpha", "0.8", "--order.beta", "0.4", "--time.t_max", "1e6"],
+])
+def test_growth_rows_past_double_range_at_the_default_nodes(order, tmp_path):
+    # at the default 64 nodes a zero weight sits at the node of the largest
+    # growth exponent; the log form still gives every row past double range
+    # a finite logJ (these runs exited 3, "the case-1 sum cancels
+    # completely"), growing with t
+    path = tmp_path / "cur.csv"
+    assert main(["current", *order, "--output.path", str(path)]) == 0
+    rows = read_csv(str(path))[1:]
+    logj = [float(r[3]) for r in rows]
+    assert rows[-1][5] == "AsymptoticCase1"
+    assert all(map(math.isfinite, logj)) and all(b > a for a, b in zip(logj, logj[1:]))
+
+
+def test_decay_rows_carry_the_leading_order(tmp_path):
+    # at alpha = 1/2 the generic t^-(1+3 alpha) order of the decay vanishes
+    # identically: J_asymptotic is the t^-(1+4 alpha) order decay_exponent
+    # finds, within 1e-2 of J_direct from t = 1e3 at beta = 3/4 (it read 0);
+    # at beta = 1 no order leads and the cell is empty
+    path = tmp_path / "cur.csv"
+    times = ["--time.t_min", "1000", "--time.t_max", "10000", "--time.n_samples", "5"]
+    assert main(["current", "--order.beta", "0.75", *times, "--output.path", str(path)]) == 0
+    for r in read_csv(str(path))[1:]:
+        jd, ja = float(r[1]), float(r[2])
+        assert ja != 0.0 and abs(ja - jd) <= 1e-2 * abs(jd), r
+    assert main(["current", "--order.beta", "1", *times, "--output.path", str(path)]) == 0
+    assert all(r[2] == "" for r in read_csv(str(path))[1:])
+
+
 @pytest.mark.parametrize("beta", [0.5, 0.25])
 def test_current_is_one_sweep_unless_a_row_overflows(beta, tmp_path, monkeypatch):
     # every J of `tfedge current` comes from one evaluator call over all its

@@ -170,6 +170,34 @@ def test_growth_log_form_consistency(model, profile, grid, rule, table):
         log_current_case1(FractionalOrder(0.5, 1.0), table, 10.0)
 
 
+def test_growth_log_form_on_the_default_table(table):
+    # on the 64-node table the J weight lambda chi chi' of the node nearest
+    # k = 1, whose growth exponent is the largest, is exactly 0 (chi =
+    # 2.7e-313 there).  The signed log-sum-exp takes it as a zero term: ln|J|
+    # is finite and grows for t in [1, 1e6] at beta = alpha / 2, and agrees
+    # with ln|case 1| to 1e-12 wherever that is representable.  (Shifted by
+    # that node's exponent, every term underflowed, and from t ~ 1e3 at
+    # alpha = 0.1 the sum "cancelled completely".)
+    from tfedge.edge_current import _channel_weights
+
+    assert _channel_weights(table, ("J",))[0, 0, 0] == 0.0
+    for alpha in (0.1, 0.3, 0.5, 0.8, 1.0):
+        order = FractionalOrder(alpha, 0.5 * alpha)
+        logs = []
+        for t in np.geomspace(1.0, 1e6, 31):
+            sign, logv = log_current_case1(order, table, t)
+            logs.append(logv)
+            try:
+                value = current_asymptotic_case1(order, table, t)
+            except OverflowGuard:
+                continue
+            assert sign == math.copysign(1.0, value), (alpha, t)
+            assert abs(logv - math.log(abs(value))) <= 1e-12, (alpha, t)
+        assert np.all(np.isfinite(logs)) and np.all(np.diff(logs) > 0.0), alpha
+        with pytest.raises(DomainError):
+            log_current_case1(order, table, 0.0)
+
+
 def test_decay_model_matches_direct(model, profile, grid, rule, table):
     # alpha chosen away from 1/2 so the leading coefficient is not degenerate,
     # and large enough that every node stays on the cheap asymptotic branch

@@ -22,7 +22,6 @@ from tfedge import (
     gamma_reciprocal,
     ml_deriv,
     ml_eval,
-    ml_pair,
     neg_i_power,
 )
 
@@ -181,12 +180,26 @@ def test_ray_components_at_half_order(y):
 
 def _sweep_at(alpha, sigmas, z, m, theta, rotation):
     """_sweep at the z = m e^(i theta), with rho = m^(1/alpha) and the
-    extremes of m and rho formed as a lone z's (_lone) are."""
+    extremes of m and rho formed as ml_eval forms its lone z's."""
     from tfedge import mittag_leffler as ml
 
     with np.errstate(over="ignore", invalid="ignore"):
         rho = m ** (1.0 / alpha)
         return ml._sweep(alpha, sigmas, z, m, rho, ml._ends(m) + ml._ends(rho), theta, rotation)
+
+
+def _lone_sweep(alpha, sigmas, z):
+    """The one-element sweep of ml_eval at z, with every sigma of sigmas:
+    |z|, arg z and the poles' direction as ml_eval takes them."""
+    z = np.array([complex(z)])
+    theta = float(np.arctan2(z.imag, z.real)[0])
+    return _sweep_at(alpha, sigmas, z, np.hypot(z.real, z.imag), theta, cmath.rect(1.0, abs(theta) / alpha))
+
+
+def _lone_pair(alpha, z):
+    """(E_{alpha,alpha}, E_{alpha,1}) of lone ml_eval calls at each z of the
+    1-d z, shape (2, len(z))."""
+    return np.array([[ml_eval(MLParams(alpha, sigma), zi) for zi in z] for sigma in (alpha, 1.0)])
 
 
 def _routes(alpha, sigmas, z, m, theta, rotation):
@@ -278,14 +291,14 @@ def test_ray_matches_independent_references(alpha):
     d, r_cut = _ray_intervals(alpha, radii)
     assert list((radii - d < r_cut).astype(int) + (radii + d < r_cut)) == [2, 1, 0]
     # the sweep z = |z| (-i)^(-2 alpha) of the array entry, and the same z
-    # given as complex numbers, each a lone sweep of ml_pair
+    # given as complex numbers, each a lone ml_eval
     u = neg_i_power(-2.0 * alpha)
     routes = _routes(alpha, (alpha, 1.0), radii * u, radii, math.atan2(u.imag, u.real), u ** (1.0 / alpha))
     assert sorted(route for route, _, _ in routes) == [("ray", 0), ("ray", 1), ("ray", 2)]
     z = radii * cmath.exp(1j * math.pi * alpha)
     z = np.concatenate((z, z.conj()))
     sweeps = np.concatenate([_entry_sweep(alpha, radii, beta) for beta in (-2.0 * alpha, 2.0 * alpha)], axis=1)
-    for values in (sweeps, np.array(ml_pair(alpha, z))):
+    for values in (sweeps, _lone_pair(alpha, z)):
         for k, sigma in enumerate((alpha, 1.0)):
             for zi, got in zip(z[:3], values[k, :3]):
                 want = _ray_reference(alpha, sigma, zi)
@@ -309,7 +322,7 @@ def test_ray_tail_at_its_edges(alpha):
     routes = _routes(alpha, (alpha, 1.0), radii * u, radii, math.atan2(u.imag, u.real), u ** (1.0 / alpha))
     assert [route for route, _, _ in routes] == [("ray", 2)]
     z = radii * cmath.exp(1j * math.pi * alpha)
-    for values in (_entry_sweep(alpha, radii, -2.0 * alpha), np.array(ml_pair(alpha, z))):
+    for values in (_entry_sweep(alpha, radii, -2.0 * alpha), _lone_pair(alpha, z)):
         for k, sigma in enumerate((alpha, 1.0)):
             for zi, got in zip(z, values[k]):
                 assert rel_err(got, _ray_reference(alpha, sigma, zi)) <= 1e-12, (alpha, sigma, zi)
@@ -318,12 +331,13 @@ def test_ray_tail_at_its_edges(alpha):
 def test_ray_far_out_keeps_its_digits():
     # |z| past 1e154 on the ray: the product of the two distances
     # |r - r0| |r - r0 e^(2 i pi alpha)| leaves double range, yet E ~ 1/z
-    # does not
+    # does not; alone and in the array entry's sweep over |z| and 2 |z|
     for alpha, sigma, r in ((0.9, 1.0, 1e160), (0.9, 1.0, 1e250), (0.9, 0.9, 1e100), (0.6, 1.0, 1e160)):
         z = r * cmath.exp(1j * math.pi * alpha)
         want = ml_ray_expansion(alpha, sigma, z)
         assert rel_err(ml_eval(MLParams(alpha, sigma), z), want) <= 1e-12, (alpha, sigma, r)
-        assert rel_err(ml_pair(alpha, [z, 2.0 * z])[sigma == 1.0][0], want) <= 1e-12, (alpha, sigma, r)
+        got = _entry_sweep(alpha, np.array([r, 2.0 * r]), -2.0 * alpha)[int(sigma == 1.0), 0]
+        assert rel_err(got, want) <= 1e-12, (alpha, sigma, r)
 
 
 def test_ray_values_do_not_depend_on_their_block():
@@ -379,7 +393,7 @@ def test_ray_memo_is_read_only_and_bounded(table):
     assert _ray_rows.cache_info().hits == info.hits + 2
     # many orders cannot grow it past its bound
     for alpha in np.linspace(0.05, 0.95, 2 * info.maxsize):
-        ml_pair(alpha, np.array([3.0, 40.0]) * cmath.exp(1j * math.pi * alpha))
+        _entry_sweep(alpha, np.array([3.0, 40.0]), -2.0 * alpha)
     assert _ray_rows.cache_info().currsize == _ray_rows.cache_info().maxsize
 
 
@@ -456,29 +470,26 @@ def _pair_points(alpha):
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8, 1.0])
 def test_array_pair_matches_scalar_calls(alpha):
-    # ml_eval and each element of ml_pair are the same lone sweep, with one
-    # sigma or two, so each value of the pair equals it bit for bit, as one
-    # element or among others, on the ray at reach 0 (|z| = 12 at alpha =
-    # 0.3) too
+    # a lone sweep takes one sigma or two with the same bits: ml_eval equals
+    # its row of the lone sweep with both sigmas, and at the mirrored z it
+    # is the conjugate, bit for bit, on the ray at reach 0 (|z| = 12 at
+    # alpha = 0.3) too.  The array entry's pair along each point's direction
+    # (-i)^beta, beta = -2 arg z / pi, equals ml_eval bit for bit where
+    # that direction is exact (z = 0 and the axes), and elsewhere within
+    # 1e-12 plus the rounding of z times E's condition number 1 + |s*| /
+    # alpha, as the polar form rounds z apart from ml_eval's |z| and arg z
+    eps = np.finfo(float).eps
     z = _pair_points(alpha)
-    eaa, ea1 = ml_pair(alpha, z)
-    for zi, got_aa, got_a1 in zip(z, eaa, ea1):
-        for k, (got, sigma) in enumerate(((got_aa, alpha), (got_a1, 1.0))):
-            want = ml_eval(MLParams(alpha, sigma), zi)
-            assert want == ml_pair(alpha, [zi])[k][0], (sigma, zi)
-            assert got == want, (sigma, zi)
-    # the mirrored half is the conjugate, bit for bit
+    want = _lone_pair(alpha, z)
     half = z.size // 2
-    for values in (eaa, ea1):
-        assert np.all(values[half:].real == values[:half].real)
-        assert np.all(values[half:].imag == -values[:half].imag)
-    # one element is the array call itself; shapes are kept
-    for i, zi in enumerate(z[:4]):
-        single_aa, single_a1 = ml_pair(alpha, zi)
-        assert single_aa.shape == ()
-        assert complex(single_aa) == eaa[i] and complex(single_a1) == ea1[i]
-    square_aa, _ = ml_pair(alpha, z[:4].reshape(2, 2))
-    assert square_aa.shape == (2, 2)
+    assert np.array_equal(want[:, half:], want[:, :half].conj())
+    for zi, lone in zip(z, want.T):
+        assert np.array_equal(_lone_sweep(alpha, (alpha, 1.0), zi)[:, 0], lone), zi
+        beta = -2.0 * cmath.phase(zi) / math.pi
+        got = _entry_sweep(alpha, np.array([abs(zi)]), beta)[:, 0]
+        assert np.array_equal(got, lone) or zi.real * zi.imag != 0.0, zi
+        bound = 1e-12 + 8.0 * eps * (1.0 + abs(zi) ** (1.0 / alpha) / alpha)
+        assert np.all(np.abs(got - lone) <= bound * np.abs(lone)), zi
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.8])
@@ -690,39 +701,39 @@ def test_sweep_router_follows_the_routing_rules():
 
 
 def _independence_pool(alpha, rng):
-    """501 z of every route: contour windows with and without residue, the
-    ray, z = 0, both half-planes; E inside double range."""
+    """Sweeps (beta, moduli) of the array entry over every route, each with
+    z = 0: 441 moduli on one argument of the principal sheet (the series and
+    contour windows with and without residue; exp(z) at alpha = 1), 41 on
+    the ray and 21 off the sheet; E inside double range."""
     ray = math.pi * alpha
     r = 10.0 ** rng.uniform(-3.0, math.log10(min(8.0, 24.0**alpha)), 440)
-    z = r * np.exp(1j * rng.uniform(-math.pi, math.pi, 440))
-    on_ray = rng.uniform(0.5, 15.0, 40) * np.exp(1j * ray * rng.choice([-1.0, 1.0], 40))
-    off_sheet = rng.uniform(8.0, 200.0, 20) * np.exp(1j * rng.uniform(min(ray + 0.1, 3.0), math.pi, 20))
-    return np.concatenate((z, on_ray, off_sheet, [0.0]))
+    on_sheet = -2.0 * rng.uniform(0.1, 0.9) * alpha * rng.choice([-1.0, 1.0])
+    off_sheet = -2.0 * rng.uniform(min(ray + 0.1, 3.0), math.pi) / math.pi
+    sweeps = [(on_sheet, r), (-2.0 * alpha, rng.uniform(0.5, 15.0, 40)), (off_sheet, rng.uniform(8.0, 200.0, 20))]
+    return [(beta, np.append(moduli, 0.0)) for beta, moduli in sweeps]
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8, 1.0])
 def test_values_do_not_depend_on_position_or_companions(alpha):
     # the E at a z is the same bit for bit whatever its position and the
-    # other z of the call: shuffled and re-sliced calls of every length,
-    # one z included, against one call over the pool
+    # other z of the call: shuffled and re-sliced sweeps of the array entry
+    # of every length, one z included, against one sweep over the pool's
     rng = np.random.default_rng(int(31 * alpha))
-    pool = _independence_pool(alpha, rng)
-    want = np.array(ml_pair(alpha, pool))
-    for size in (1, 2, 7, 33, 501):
-        order = rng.permutation(pool.size)
-        for start in range(0, pool.size - size + 1, max(size, 61)):
-            ids = order[start : start + size]
-            got = np.array(ml_pair(alpha, pool[ids]))
-            assert np.array_equal(got, want[:, ids]), (size, start)
-    # the odd ends of a strided view
-    ids = np.arange(3, pool.size, 5)
-    assert np.array_equal(np.array(ml_pair(alpha, pool[3::5])), want[:, ids])
-    # and no z at all
-    assert np.array(ml_pair(alpha, pool[:0])).shape == (2, 0)
+    for beta, pool in _independence_pool(alpha, rng):
+        want = _entry_sweep(alpha, pool, beta)
+        for size in (1, 2, 7, 33, pool.size):
+            order = rng.permutation(pool.size)
+            for start in range(0, pool.size - size + 1, max(size, 61)):
+                ids = order[start : start + size]
+                assert np.array_equal(_entry_sweep(alpha, pool[ids], beta), want[:, ids]), (beta, size, start)
+        # the odd ends of a strided view
+        assert np.array_equal(_entry_sweep(alpha, pool[3::5], beta), want[:, 3::5]), beta
+        # and no z at all
+        assert _entry_sweep(alpha, pool[:0], beta).shape == (2, 0)
     # sweeps on one argument, the array entry's (moduli at t = 1), along the
     # four exact directions (-i)^beta and along two other arguments: each z's
     # E is the same bit for bit in a shuffled sweep, in a sub-sweep and alone,
-    # and along the exact directions it is ml_pair's at the same z
+    # and along the exact directions it is ml_eval's at the same z
     from tfedge.mittag_leffler import _order_constants
 
     moduli = np.array([0.0, 0.5, 1.0, 2.0, 3.5, 5.0])
@@ -736,7 +747,7 @@ def test_values_do_not_depend_on_position_or_companions(alpha):
         for i, r in enumerate(radii):
             assert np.array_equal(_entry_sweep(alpha, radii[i : i + 1], beta), sweep[:, i : i + 1]), (beta, r)
         if float(beta).is_integer():
-            assert np.array_equal(np.array(ml_pair(alpha, radii * neg_i_power(beta))), sweep), beta
+            assert np.array_equal(_lone_pair(alpha, radii * neg_i_power(beta)), sweep), beta
     # an on-sheet sweep at arg z = pi alpha / 2 (beta = -alpha) through the
     # series' radius, its reach past it and the contour beyond: the series
     # sums as many terms for a z within the radius as for one past it, so
@@ -1046,21 +1057,22 @@ def test_array_entry_guards():
 
 
 def test_array_calls_raise_overflow_guard():
-    # a residue past double range inside a multi-z array, and |z|^(1/alpha)
-    # past double range on the contour: OverflowGuard, not a RuntimeWarning
-    for alpha, z in (
+    # a residue past double range inside a multi-z sweep of the array entry,
+    # and |z|^(1/alpha) past double range on the contour: OverflowGuard, not
+    # a RuntimeWarning
+    for alpha, moduli in (
         (0.5, [1.0, 30.0]),
         (0.5, [1.0, 1e200]),
         (0.05, [1.0, 2.0, 1e20]),
     ):
         with pytest.raises(OverflowGuard):
-            ml_pair(alpha, z)
+            _entry_sweep(alpha, np.array(moduli), 0.0)
     # on the ray the same |z| is answered, in either half-plane
-    for z in ([1.0, 1e200j], [1.0, -1e200j, 2.0]):
-        for sigma, values in zip((0.5, 1.0), ml_pair(0.5, z)):
-            _assert_expansion(values[1], 0.5, sigma, z[1])
+    for beta in (-1.0, 1.0):
+        for sigma, values in zip((0.5, 1.0), _entry_sweep(0.5, np.array([1.0, 1e200, 2.0]), beta)):
+            _assert_expansion(values[1], 0.5, sigma, 1e200 * neg_i_power(beta))
     # past double range off the principal sheet there is no pole to overflow
-    values = ml_pair(0.05, [1.0, -1e20])
+    values = _entry_sweep(0.05, np.array([1.0, 1e20]), 2.0)
     assert np.all(np.isfinite(values))
 
 
@@ -1068,13 +1080,16 @@ def test_half_order_diagonal_within_its_conditioning():
     # z = exp(-i pi/4) t^(1/2) lam, the alpha = 1/2 current's argument at
     # beta = 1/2, for t up to 1e4, against the Faddeeva forms.  E's
     # condition number at these z is kappa = |z E'/E| ~ 2 |z|^2: the
-    # rounding of z alone moves E by kappa eps
+    # rounding of z alone moves E by kappa eps; the library's sweep, in the
+    # array entry's polar form
+    from tfedge.mittag_leffler import _ml_values
+
     eps = np.finfo(float).eps
     lam = np.linspace(1.0, 3.0, 17)
     worst = 0.0
     for t in np.geomspace(1e-2, 1e4, 25):
         z = cmath.exp(-0.25j * math.pi) * math.sqrt(t) * lam
-        e_half, e_one = ml_pair(0.5, z)
+        e_half, e_one = _ml_values(0.5, (0.5, 1.0), (t,), lam, 0.5)[:, 0]
         for zi, got_half, got_one in zip(z, e_half, e_one):
             bound = 1e-12 + 4.0 * 2.0 * abs(zi) ** 2 * eps
             for got, sigma in ((got_half, 0.5), (got_one, 1.0)):
@@ -1088,11 +1103,13 @@ def test_half_order_diagonal_within_its_conditioning():
 def test_small_z_matches_the_series(alpha):
     # below the clip the parabola serves a whole octave of pole vertices;
     # against the mpmath series at |z| up to 8 (and |s*| = |z|^(1/alpha) up
-    # to 24, which covers every vertex below the clip), every arg z
+    # to 24, which covers every vertex below the clip), every arg z; the
+    # array entry's sweep along each z's direction agrees to 1e-13
     rng = np.random.default_rng(int(100 * alpha))
     r = 10.0 ** rng.uniform(-3.0, math.log10(min(8.0, 24.0**alpha)), 16)
     z = r * np.exp(1j * rng.uniform(-math.pi, math.pi, 16))
-    e_aa, e_a1 = ml_pair(alpha, z)
+    pairs = [_entry_sweep(alpha, np.array([abs(zi)]), -2.0 * cmath.phase(zi) / math.pi) for zi in z]
+    e_aa, e_a1 = np.concatenate(pairs, axis=1)
     for sigma, values in ((alpha, e_aa), (1.0, e_a1)):
         for zi, value in zip(z, values):
             got = ml_eval(MLParams(alpha, sigma), zi)
@@ -1108,15 +1125,13 @@ def test_domain_edge_matches_the_series(alpha):
     # s = 0: against the mpmath series at 7 moduli from 0.05 to |z|^(1/alpha)
     # = 100 (at most 30) and 7 arguments in [0, pi], within 1e-12 (2.8e-14
     # measured); each value equals its row of a lone sweep with sigma = alpha
-    # beside it, as ml_pair's, bit for bit
-    from tfedge.mittag_leffler import _lone
-
+    # beside it, bit for bit
     sigma = 1.0 + alpha
     z = np.array([cmath.rect(m, theta) for m in np.geomspace(0.05, min(30.0, 100.0**alpha), 7)
                   for theta in np.linspace(0.0, math.pi, 7)])
     for zi in z:
         got = ml_eval(MLParams(alpha, sigma), zi)
-        assert got == _lone(alpha, (alpha, sigma), zi)[1, 0], zi
+        assert got == _lone_sweep(alpha, (alpha, sigma), zi)[1, 0], zi
         assert rel_err(got, ml_reference(alpha, sigma, zi, 30 + int(abs(zi) ** (1.0 / alpha) / 2.3))) <= 1e-12, zi
 
 
@@ -1159,7 +1174,7 @@ def test_taylor_series_within_its_reach(alpha):
     # in [0, pi alpha), sigma in {alpha, 1, 0, -1, 1 + alpha}: that route, with the
     # fewest columns of the one coefficient matrix whose limit reaches
     # M(arg z), and ml_eval within 1e-13 of the mpmath series, and
-    # _ml_values and ml_pair equal to it bit for bit (the contour missed
+    # _ml_values with one sigma or two equal to it bit for bit (the contour missed
     # sigma = -1 by 2e-12 at alpha = 1)
     from tfedge import mittag_leffler as ml
 
@@ -1187,7 +1202,7 @@ def test_taylor_series_within_its_reach(alpha):
             for zi, value in zip(z, got):
                 assert rel_err(value, ml_reference(alpha, sigma, zi, 40)) <= 1e-13, (sigma, theta, zi)
             assert np.array_equal(ml._ml_values(alpha, (sigma,), (1.0,), m, beta)[0, 0], got), (sigma, theta)
-        assert np.array_equal(np.array(ml_pair(alpha, z)), [[ml_eval(MLParams(alpha, s), zi) for zi in z] for s in (alpha, 1.0)])
+        assert np.array_equal(_entry_sweep(alpha, m, beta), _lone_pair(alpha, z)), theta
 
 
 def test_library_sweeps_from_t_20_stay_past_the_series_reach(table):
@@ -1248,8 +1263,6 @@ def test_parameter_validation():
             MLParams(alpha, math.nextafter(1.0 + alpha, math.inf))
     with pytest.raises(DomainError):
         ml_deriv(1.5, 1.0)
-    with pytest.raises(DomainError):
-        ml_pair(1.5, [1.0])
 
 
 def test_non_finite_z_is_refused():
@@ -1260,19 +1273,17 @@ def test_non_finite_z_is_refused():
             ml_eval(MLParams(0.5, 1.0), z)
         with pytest.raises(DomainError):
             ml_deriv(0.5, z)
-        with pytest.raises(DomainError, match=re.escape(f"got {z!r}")):
-            ml_pair(0.5, [1.0, z, 2.0j])
 
 
 def test_overflow_guard_on_dominant_exponential():
     # exp(z^2) at z = 400 is far past double range; must refuse, not inf
     with pytest.raises(OverflowGuard):
         ml_eval(MLParams(0.5, 1.0), 400.0)
-    # the array entry point refuses the same element among finite ones
+    # the array entry refuses the same element among finite ones
     with pytest.raises(OverflowGuard):
-        ml_pair(0.5, [1.0, -2.0j, 400.0])
+        _entry_sweep(0.5, np.array([1.0, 2.0, 400.0]), 0.0)
     with pytest.raises(OverflowGuard):
-        ml_pair(1.0, [1.0, 710.0])
+        _entry_sweep(1.0, np.array([1.0, 710.0]), 0.0)
     # the refusal names the z asked for, below the real axis too
     with pytest.raises(OverflowGuard, match=re.escape("E_{0.5,1.0}((30-5j)) exceeds double range")):
         ml_eval(MLParams(0.5, 1.0), 30 - 5j)
@@ -1315,12 +1326,13 @@ def _expansion(alpha, sigma, z):
 
 def test_algebraically_small_e_holds_far_out():
     # on the decay side at |z| = 1e3 .. 1e8, where E_{alpha,alpha} ~ z^-2 is
-    # small against the contour integrand: ml_eval and ml_pair within 1e-12
-    # of the converged expansion (the residue there is below e^-117 of E)
+    # small against the contour integrand: ml_eval and the array entry's
+    # sweeps within 1e-12 of the converged expansion (the residue there is
+    # below e^-117 of E)
     radii = 10.0 ** np.arange(3.0, 9.0)
     for alpha in (0.3, 0.5, 0.8, 0.95):
         z = np.concatenate([radii * cmath.exp(1j * math.pi * angle) for angle in (-0.5, -0.9, -1.0)])
-        pair = ml_pair(alpha, z)
+        pair = np.concatenate([_entry_sweep(alpha, radii, -2.0 * angle) for angle in (-0.5, -0.9, -1.0)], axis=1)
         for k, sigma in enumerate((alpha, 1.0)):
             for zi, got in zip(z, pair[k]):
                 want = _expansion(alpha, sigma, zi)
@@ -1330,15 +1342,15 @@ def test_algebraically_small_e_holds_far_out():
 
 def test_values_either_side_of_the_unit_circle():
     # E_{alpha,alpha} is E_{alpha,0}(z) / z at |z| >= 1 only: z at
-    # |z| = 1 - 1e-9, 1 and 1 + 1e-9, in one array call and alone, against
-    # the series, on contours with and without a residue
+    # |z| = 1 - 1e-9, 1 and 1 + 1e-9, in one sweep of the array entry and
+    # alone, against the series, on contours with and without a residue
     radii = np.array([1.0 - 1e-9, 1.0, 1.0 + 1e-9])
     for alpha in (0.3, 0.5, 0.8):
         for angle in (0.0, 0.4, 0.95):
             if abs(angle - alpha) < 0.05:
                 continue
             z = radii * cmath.exp(1j * math.pi * angle)
-            pair = ml_pair(alpha, z)
+            pair = _entry_sweep(alpha, radii, -2.0 * angle)
             for k, sigma in enumerate((alpha, 1.0)):
                 for zi, got in zip(z, pair[k]):
                     want = ml_reference(alpha, sigma, zi, 30)
